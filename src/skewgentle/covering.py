@@ -24,12 +24,20 @@ sheet ``s`` lives in the instance ``s * (-1)^pieces`` at slot
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .diagnostics import (
     CURVE_THROUGH_BRANCH,
     Diagnostic,
     ValidationError,
     raise_on_error,
+)
+from .presentations import (
+    Presentation,
+    QuiverExtraction,
+    extract_quiver,
+    split_presentation,
 )
 from .surface import (
     ORBIFOLD,
@@ -67,6 +75,9 @@ class CoveringData:
     each non-orbifold cell (for arcs with an orientation flag), and
     ``slit_image`` names the single lift of each arc into a branch point.
     ``deck`` is the sheet-swapping symmetry of ``total``.
+
+    The presentation stages that both crossed-product reductions read are
+    cached properties, so each runs once per cover.
     """
 
     base: DissectedSurface
@@ -81,11 +92,50 @@ class CoveringData:
     bseg_image: dict[tuple[str, int], str]
     slit_image: dict[str, str]
 
-    def piece(self, base_poly: str, slot: int) -> int:
-        return sum(1 for p in self.cuts[base_poly] if p < slot)
+    @cached_property
+    def base_quiver(self) -> QuiverExtraction:
+        return extract_quiver(self.base)
 
-    def side_sheet(self, base_poly: str, slot: int, instance_sheet: int) -> int:
-        return instance_sheet * (-1) ** self.piece(base_poly, slot)
+    @cached_property
+    def total_quiver(self) -> QuiverExtraction:
+        return extract_quiver(self.total)
+
+    @cached_property
+    def split(self) -> Presentation:
+        """The split presentation of the base triple."""
+        return split_presentation(self.base_quiver.presentation)
+
+    @cached_property
+    def deck_generators(self) -> dict[str, str]:
+        """The deck symmetry on the generators of the cover presentation."""
+        corners = self.total_quiver.corner_of_arrow
+        arrow_at = {c: a for a, c in corners.items()}
+        gen: dict[str, str] = dict(self.deck.arcs)
+        for aid, (poly, i) in corners.items():
+            gen[aid] = arrow_at[(self.deck.polygons[poly], i)]
+        return gen
+
+    @cached_property
+    def arrow_lifts(self) -> dict[tuple[str, int], str]:
+        """The two lifts of every non-loop arrow of the base, keyed by sheet;
+        special loops sit at the branch points and have no lifts."""
+        arrow_at = {c: a for a, c in self.total_quiver.corner_of_arrow.items()}
+        lifts: dict[tuple[str, int], str] = {}
+        for aid, (poly, i) in self.base_quiver.corner_of_arrow.items():
+            if i in self.cuts[poly]:
+                continue
+            for sheet in (1, -1):
+                inst = sheet * (-1) ** _cuts_before(self.cuts[poly], i)
+                lifts[(aid, sheet)] = arrow_at[self.slot_image[(poly, i, inst)]]
+        assert len(set(lifts.values())) == len(lifts) == len(
+            self.total_quiver.presentation.arrows
+        ), "arrow lifts do not biject with the arrows upstairs"
+        return lifts
+
+
+def _cuts_before(cuts: Iterable[int], slot: int) -> int:
+    """Slit pairs before ``slot``: the sheet swaps and the slot shift there."""
+    return sum(1 for p in cuts if p < slot)
 
 
 def _polygon_cuts(surface: DissectedSurface, poly: Polygon) -> list[int]:
@@ -174,9 +224,6 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         k = len(cuts)
         b = surface.bseg_by_id[poly.sides[0].ref]
 
-        def piece(i: int) -> int:
-            return sum(1 for p in cuts if p < i)
-
         for eps in (1, -1):
             pid = f"{poly.id}{_SIGN[eps]}"
             poly_instance[(poly.id, eps)] = pid
@@ -184,7 +231,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
             word: list[Side] = [bseg_side(bid)]
             i = 1
             while i < n:
-                sheet = eps * (-1) ** piece(i)
+                sheet = eps * (-1) ** _cuts_before(cuts, i)
                 side = poly.sides[i]
                 if i in cuts:
                     direction = 1 if sheet == 1 else -1
@@ -203,7 +250,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
             )
             bseg_image[(b.id, eps)] = bid
             for i in range(n):
-                slot_image[(poly.id, i, eps)] = (pid, i - piece(i))
+                slot_image[(poly.id, i, eps)] = (pid, i - _cuts_before(cuts, i))
         poly_deck[f"{poly.id}+"] = f"{poly.id}-"
         poly_deck[f"{poly.id}-"] = f"{poly.id}+"
         bseg_deck[f"{b.id}+"] = f"{b.id}-"
@@ -310,9 +357,6 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
 
     # Sheet-coherent polygon instances: breadth-first propagation along the
     # arc adjacencies, following the parity rule of the covering.
-    def piece(poly_id: str, slot: int) -> int:
-        return sum(1 for p in cuts_by_poly[poly_id] if p < slot)
-
     base_poly_of_total = {}
     for poly in surface.polygons:
         base_poly_of_total[poly.id] = rep(inv.polygons, poly.id)
@@ -323,7 +367,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         for i in range(len(bp.sides)):
             if i in cuts or (i - 1) in cuts:
                 continue
-            base_slot[(bp.id, i - sum(1 for p in cuts if p < i))] = i
+            base_slot[(bp.id, i - _cuts_before(cuts, i))] = i
 
     poly_instance: dict[tuple[str, int], str] = {}
     for bp in polygons:
@@ -341,16 +385,16 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
                 for i in range(1, n_base):
                     if i in cuts or (i - 1) in cuts:
                         continue
-                    u = i - sum(1 for p in cuts if p < i)
+                    u = i - _cuts_before(cuts, i)
                     side = total_poly.sides[u]
-                    sheet = eps * (-1) ** piece(cur, i)
+                    sheet = eps * (-1) ** _cuts_before(cuts, i)
                     other_poly, other_slot = surface.occurrences[
                         (side.ref, -side.direction)
                     ]
                     q = base_poly_of_total[other_poly]
                     # Total slots agree between a polygon and its mirror.
                     e = base_slot[(q, other_slot)]
-                    eps_q = sheet * (-1) ** piece(q, e)
+                    eps_q = sheet * (-1) ** _cuts_before(cuts_by_poly[q], e)
                     if (q, eps_q) not in poly_instance:
                         poly_instance[(q, eps_q)] = other_poly
                         poly_instance[(q, -eps_q)] = inv.polygons[other_poly]
@@ -368,10 +412,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         for eps in (1, -1):
             pid = poly_instance[(bp.id, eps)]
             for i in range(len(bp.sides)):
-                slot_image[(bp.id, i, eps)] = (
-                    pid,
-                    i - sum(1 for p in cuts if p < i),
-                )
+                slot_image[(bp.id, i, eps)] = (pid, i - _cuts_before(cuts, i))
 
     # Cell lifts, labelled by the coherent sheets.  Locate one base
     # occurrence of every base arc directly from the words.
@@ -387,7 +428,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
             continue
         bp_id, i = occ_of_base_arc[a.id]
         for sheet in (1, -1):
-            eps = sheet * (-1) ** piece(bp_id, i)
+            eps = sheet * (-1) ** _cuts_before(cuts_by_poly[bp_id], i)
             pid, u = slot_image[(bp_id, i, eps)]
             side = surface.polygon_by_id[pid].sides[u]
             arc_image[(a.id, sheet)] = (side.ref, side.direction)
@@ -486,7 +527,7 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
                     ]
                 )
     ps = curve.passages
-    inst0 = (-1) ** cov.piece(ps[0].polygon, ps[0].entry)
+    inst0 = (-1) ** _cuts_before(cov.cuts[ps[0].polygon], ps[0].entry)
     inst = inst0
     lifted: list[Passage] = []
     for k, p in enumerate(ps):
@@ -507,26 +548,16 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
             assert cov.poly_instance[(nxt.polygon, -1)] == npid
             inst = -1
         assert cov.slot_image[(nxt.polygon, nxt.entry, inst)] == (npid, nslot)
-    if not curve.closed:
-        out = CombinatorialCurve(f"{curve.id}.lift", False, tuple(lifted))
-        rep = validate_curve(cov.total, out)
-        assert rep.ok, f"lift invalid: {rep.diagnostics}"
-        return LiftedCurve(out, doubled=False)
-    if inst == inst0:
-        out = CombinatorialCurve(f"{curve.id}.lift", True, tuple(lifted))
-        rep = validate_curve(cov.total, out)
-        assert rep.ok, f"lift invalid: {rep.diagnostics}"
-        return LiftedCurve(out, doubled=False)
-    mirrored = [
-        Passage(cov.deck.polygons[q.polygon], q.entry, q.exit, q.bseg_side)
-        for q in lifted
-    ]
-    out = CombinatorialCurve(
-        f"{curve.id}.lift", True, tuple(lifted) + tuple(mirrored)
-    )
+    doubled = curve.closed and inst != inst0
+    if doubled:
+        lifted += [
+            Passage(cov.deck.polygons[q.polygon], q.entry, q.exit, q.bseg_side)
+            for q in lifted
+        ]
+    out = CombinatorialCurve(f"{curve.id}.lift", curve.closed, tuple(lifted))
     rep = validate_curve(cov.total, out)
-    assert rep.ok, f"doubled lift invalid: {rep.diagnostics}"
-    return LiftedCurve(out, doubled=True)
+    assert rep.ok, f"lift invalid: {rep.diagnostics}"
+    return LiftedCurve(out, doubled)
 
 
 def transport_curve(cov: CoveringData, curve: CombinatorialCurve) -> CombinatorialCurve:

@@ -33,11 +33,11 @@ SUCCESSOR_CLASH = "SUCCESSOR_CLASH"
 INFINITE_DIMENSIONAL = "INFINITE_DIMENSIONAL"
 NOT_GENTLE = "NOT_GENTLE"
 OVERGLUED_VERTEX = "OVERGLUED_VERTEX"
-DISCONNECTED = "DISCONNECTED"
 SIZE_LIMIT = "SIZE_LIMIT"
 # Algebra engine
 NOT_STABILIZED = "NOT_STABILIZED"
 NOT_IDEMPOTENT = "NOT_IDEMPOTENT"
+NOT_INVOLUTION = "NOT_INVOLUTION"
 # Covers and curves
 CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"
 INVALID_CURVE = "INVALID_CURVE"

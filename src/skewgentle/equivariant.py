@@ -16,8 +16,17 @@ the base is recovered inside the crossed product:
   twice lands in the endomorphism algebra of the once-crossed product,
   equivariantly.
 
+Both reductions read one set of cover stages, computed once and kept on the
+:class:`~skewgentle.covering.CoveringData`: the quivers of the base and the
+total surface, the split presentation, the arrow lifts and the deck action
+on generators.  The dimension each comparison expects is read off the
+dissection by the closed form of the polygon model of
+Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
+so no algebra is built only to be measured.
+
 All arithmetic is exact; every comparison map is given on generators and
-checked by :func:`~skewgentle.algebra.verify_morphism`.
+checked by :func:`~skewgentle.algebra.verify_morphism`.  A symmetry that is
+not an algebra involution raises ``NOT_INVOLUTION``.
 """
 from __future__ import annotations
 
@@ -37,7 +46,6 @@ from .algebra import (
     algebra_from_products,
     corner_algebra,
     graded_path_algebra,
-    reduced_path_algebra,
     skew_group_algebra,
     vadd,
     vaxpy,
@@ -48,12 +56,11 @@ from .algebra import (
     vscale,
 )
 from .covering import CoveringData
+from .diagnostics import NOT_INVOLUTION, Diagnostic, ValidationError
 from .presentations import (
     Presentation,
-    QuiverExtraction,
-    extract_quiver,
+    algebra_dimension,
     split_arrow_table,
-    split_presentation,
     split_swap_map,
     split_vertex_ids,
 )
@@ -95,36 +102,27 @@ def orbit_idempotent(skew: TableAlgebra, vertices: Iterable[str]) -> Vector:
     return out
 
 
-def deck_generator_map(cov: CoveringData, total_ext: QuiverExtraction) -> dict[str, str]:
-    """The deck symmetry on the generators of the cover presentation."""
-    corner_to_arrow = {c: a for a, c in total_ext.corner_of_arrow.items()}
-    gen: dict[str, str] = dict(cov.deck.arcs)
-    for aid, (poly, i) in total_ext.corner_of_arrow.items():
-        gen[aid] = corner_to_arrow[(cov.deck.polygons[poly], i)]
-    return gen
+def _require_involution(A: TableAlgebra, act: BasisMap) -> None:
+    if not verify_algebra_involution(A, act):
+        raise ValidationError(
+            [Diagnostic(NOT_INVOLUTION, "the symmetry is not an algebra involution")]
+        )
 
 
-def arrow_lift_table(
-    cov: CoveringData, base_ext: QuiverExtraction, total_ext: QuiverExtraction
-) -> dict[tuple[str, int], str]:
-    """The two lifts of every non-loop arrow of the base, keyed by sheet.
+def _corner_images(
+    corner: CornerAlgebra, pres: Presentation, raw_images: Mapping[str, Vector]
+) -> tuple[dict[str, Vector], dict[str, Vector]]:
+    """Corner coordinates of the images of the vertices and the arrows."""
 
-    Special loops sit at the branch points and have no lifts; every arrow
-    upstairs is hit exactly once.
-    """
-    corner_to_arrow = {c: a for a, c in total_ext.corner_of_arrow.items()}
-    lifts: dict[tuple[str, int], str] = {}
-    for aid, (poly, i) in base_ext.corner_of_arrow.items():
-        if i in cov.cuts[poly]:
-            continue
-        for sheet in (1, -1):
-            inst = sheet * (-1) ** cov.piece(poly, i)
-            pid, u = cov.slot_image[(poly, i, inst)]
-            lifts[(aid, sheet)] = corner_to_arrow[(pid, u)]
-    assert len(set(lifts.values())) == len(lifts) == len(
-        total_ext.presentation.arrows
-    ), "arrow lifts do not biject with the arrows upstairs"
-    return lifts
+    def coords(gen: str) -> Vector:
+        out = corner.express(raw_images[gen])
+        assert out is not None, f"image of {gen!r} left the corner"
+        return out
+
+    return (
+        {v: coords(v) for v in pres.vertices},
+        {a.id: coords(a.id) for a in pres.arrows},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +159,14 @@ def verify_skew_group_reduction(
     base vertex; the default takes sheet +1 everywhere.  The verdict
     records whether the generator images define an isomorphism.
     """
-    base_ext = extract_quiver(cov.base)
-    total_ext = extract_quiver(cov.total)
-    triple = base_ext.presentation
-    pair = total_ext.presentation
+    triple = cov.base_quiver.presentation
+    pair = cov.total_quiver.presentation
     assert not pair.special, "cover presentation has special loops"
-    split = split_presentation(triple)
+    split = cov.split
     lam = graded_path_algebra(pair)
 
-    deck_action = induced_basis_map(lam, deck_generator_map(cov, total_ext))
-    assert verify_algebra_involution(lam.algebra, deck_action)
+    deck_action = induced_basis_map(lam, cov.deck_generators)
+    _require_involution(lam.algebra, deck_action)
     skew = skew_group_algebra(lam.algebra, deck_action)
 
     special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
@@ -191,7 +187,7 @@ def verify_skew_group_reduction(
         src = pair.arrow_by_id[total_arrow].source
         return skew.element(((src, (total_arrow,)), g))
 
-    lifts = arrow_lift_table(cov, base_ext, total_ext)
+    lifts = cov.arrow_lifts
 
     raw_images: dict[str, Vector] = {}
     for v in triple.vertices:
@@ -242,23 +238,13 @@ def verify_skew_group_reduction(
             )
         raw_images[sid] = img
 
-    vertex_images: dict[str, Vector] = {}
-    arrow_images: dict[str, Vector] = {}
-    for v in split.vertices:
-        coords = corner.express(raw_images[v])
-        assert coords is not None, f"image of vertex {v!r} left the corner"
-        vertex_images[v] = coords
-    for a in split.arrows:
-        coords = corner.express(raw_images[a.id])
-        assert coords is not None, f"image of arrow {a.id!r} left the corner"
-        arrow_images[a.id] = coords
-
+    vertex_images, arrow_images = _corner_images(corner, split, raw_images)
     verdict = verify_morphism(
         split,
         vertex_images,
         arrow_images,
         corner.algebra,
-        expected_dim=reduced_path_algebra(triple).dimension,
+        expected_dim=algebra_dimension(cov.base),
     )
 
     swap = split_swap_map(triple)
@@ -311,19 +297,16 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     """Map the cover presentation into the corner of the crossed product
     of the split algebra of the base, and match the deck action with the
     grading signs upstairs."""
-    base_ext = extract_quiver(cov.base)
-    total_ext = extract_quiver(cov.total)
-    triple = base_ext.presentation
-    pair = total_ext.presentation
-    assert not pair.special
-    split = split_presentation(triple)
+    triple = cov.base_quiver.presentation
+    pair = cov.total_quiver.presentation
+    split = cov.split
     split_algebra = graded_path_algebra(split)
 
     slit_of_lift = {v: j for j, v in cov.slit_image.items()}
     base_of_vertex = {
         aid: (m, sheet) for (m, sheet), (aid, _) in cov.arc_image.items()
     }
-    lifts = arrow_lift_table(cov, base_ext, total_ext)
+    lifts = cov.arrow_lifts
     base_of_arrow = {aid: key for key, aid in lifts.items()}
     split_table = split_arrow_table(triple)
     by_origin = {origin: sid for sid, origin in split_table.items()}
@@ -356,7 +339,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     swap_action = induced_basis_map(
         split_algebra, split_swap_map(triple), signs=arrow_sign
     )
-    assert verify_algebra_involution(split_algebra.algebra, swap_action)
+    _require_involution(split_algebra.algebra, swap_action)
     skew = skew_group_algebra(split_algebra.algebra, swap_action)
 
     special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
@@ -408,26 +391,16 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
             vscale(arr(first, 0), HALF), vscale(arr(second, 1), s * HALF)
         )
 
-    vertex_images: dict[str, Vector] = {}
-    arrow_images: dict[str, Vector] = {}
-    for v in pair.vertices:
-        coords = corner.express(raw_images[v])
-        assert coords is not None, f"image of vertex {v!r} left the corner"
-        vertex_images[v] = coords
-    for a in pair.arrows:
-        coords = corner.express(raw_images[a.id])
-        assert coords is not None, f"image of arrow {a.id!r} left the corner"
-        arrow_images[a.id] = coords
-
+    vertex_images, arrow_images = _corner_images(corner, pair, raw_images)
     verdict = verify_morphism(
         pair,
         vertex_images,
         arrow_images,
         corner.algebra,
-        expected_dim=graded_path_algebra(pair).dimension,
+        expected_dim=algebra_dimension(cov.total),
     )
 
-    gen_map = deck_generator_map(cov, total_ext)
+    gen_map = cov.deck_generators
     twist = grading_sign_map(skew)
     equivariant = {
         gen: veq(raw_images[gen_map[gen]], twist.apply(raw))
@@ -482,7 +455,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     it is checked to be a unital bijective homomorphism intertwining the
     residual symmetries on both sides.
     """
-    assert verify_algebra_involution(A, act)
+    _require_involution(A, act)
     once = skew_group_algebra(A, act)
     double = skew_group_algebra(once, grading_sign_map(once))
 

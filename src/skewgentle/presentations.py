@@ -24,6 +24,7 @@ presentation.  Paths are written in application order: the tuple
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +33,6 @@ from typing import Iterable, Optional, Sequence
 from .diagnostics import (
     BAD_INPUT,
     DEGREE_EXCEEDED,
-    DISCONNECTED,
     INFINITE_DIMENSIONAL,
     NOT_GENTLE,
     OVERGLUED_VERTEX,
@@ -307,38 +307,6 @@ def is_connected(pres: Presentation) -> bool:
         if rx != ry:
             parent[rx] = ry
     return len({find(v) for v in pres.vertices}) == 1
-
-
-@dataclass(frozen=True)
-class ExceptionCheck:
-    gentle_shaped: bool
-    report: Report
-
-
-def gentle_exception_check(triple: Presentation) -> ExceptionCheck:
-    """Detect the exceptional triples whose algebra is itself gentle.
-
-    The recognized shapes are: one special loop plus a single ordinary
-    arrow to or from a second vertex, and two special loops joined by a
-    single ordinary arrow; in both cases without further relations.
-    """
-    report = Report()
-    report.extend(check_skew_gentle(triple))
-    if not report.ok:
-        return ExceptionCheck(False, report)
-    if not is_connected(triple):
-        report.add(DISCONNECTED, "quiver is not connected", ())
-        return ExceptionCheck(False, report)
-    ordinary = [a for a in triple.arrows if a.id not in triple.special]
-    loops = [triple.arrow_by_id[e] for e in sorted(triple.special)]
-    if len(triple.vertices) != 2 or len(ordinary) != 1 or triple.relations:
-        return ExceptionCheck(False, report)
-    arr = ordinary[0]
-    if arr.source == arr.target:
-        return ExceptionCheck(False, report)
-    loop_vertices = {a.source for a in loops}
-    ok = len(loops) in (1, 2) and len(loop_vertices) == len(loops)
-    return ExceptionCheck(ok, report)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +726,20 @@ def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
         [a.id for a in surface.arcs], arrows, relations, special=special
     )
     return QuiverExtraction(pres, corner_of_arrow, point_of_arrow)
+
+
+def algebra_dimension(surface: DissectedSurface) -> int:
+    """Dimension of the algebra of a valid dissection, read off its polygons.
+
+    In the polygon model of Opper--Plamondon--Schroll (arXiv 1801.09659)
+    a basis is the arcs together with the runs of consecutive corners inside
+    one polygon, so a polygon with ``m`` arc sides adds ``C(m, 2)``.  A slit
+    at an orbifold point counts as two sides, which gives the dimension of
+    both the skew-gentle algebra of the triple and its split algebra.
+    """
+    return len(surface.arcs) + sum(
+        math.comb(len(p.sides) - 1, 2) for p in surface.polygons
+    )
 
 
 def quiver_from_dissection(surface: DissectedSurface) -> Presentation:

@@ -224,6 +224,10 @@ class DissectedSurface:
             rays[b.head].append(("b", b.id, "head"))
         return rays
 
+    @cached_property
+    def _findings(self) -> tuple[Diagnostic, ...]:
+        return tuple(_check_surface(self).diagnostics)
+
     def arc_ray_count(self, point_id: str) -> int:
         return sum(1 for r in self.rays_at_point[point_id] if r[0] == "a")
 
@@ -285,7 +289,13 @@ def make_surface(
 
 
 def validate(surface: DissectedSurface) -> Report:
-    """Check that the polygon gluing defines an oriented dissected surface."""
+    """Check that the polygon gluing defines an oriented dissected surface.
+
+    The findings are kept on the surface; each call returns a fresh report."""
+    return Report(list(surface._findings))
+
+
+def _check_surface(surface: DissectedSurface) -> Report:
     report = Report()
     seen: set[str] = set()
     for category, items in (

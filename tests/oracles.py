@@ -24,14 +24,16 @@ def forbidden_pairs(presentation) -> set[tuple[str, str]]:
     return pairs
 
 
-def monomial_path_count(presentation, cap: int = 100000) -> int:
+def monomial_path_count(presentation, cap: int = 100000, nilpotent_loops=()) -> int:
     """Dimension of a monomial quadratic path algebra by enumeration.
 
     Counts the empty path at every vertex plus every composable arrow
-    sequence that avoids the forbidden pairs.  ``cap`` guards against
-    relation-free cycles.
+    sequence that avoids the forbidden pairs and the square of each loop
+    in ``nilpotent_loops`` (so a skew-gentle triple counts with its special
+    loops squaring to zero).  ``cap`` guards against relation-free cycles.
     """
     pairs = forbidden_pairs(presentation)
+    pairs.update((e, e) for e in nilpotent_loops)
     by_source: dict[str, list] = {v: [] for v in presentation.vertices}
     for a in presentation.arrows:
         by_source[a.source].append(a)

@@ -8,19 +8,29 @@ import pytest
 from oracles import mat_rank, monomial_path_count
 from skewgentle import (
     Arrow,
+    algebra_dimension,
     algebra_from_products,
     basis_map_from_permutation,
     corner_algebra,
     double_cover,
+    extract_quiver,
     graded_path_algebra,
     make_presentation,
     one_orbifold_disc,
     quiver_from_dissection,
+    quotient,
+    random_gentle_pair,
+    random_triple,
     reduced_path_algebra,
     skew_group_algebra,
     split_presentation,
+    surface_from_gentle,
+    surface_from_triple,
     triple_from_x_dissection,
     two_hole_torus_pair,
+    two_hole_torus_surface,
+    two_orbifold_cylinder,
+    two_orbifold_disc,
     verify_algebra_involution,
     verify_associativity,
     verify_deformation_map,
@@ -312,3 +322,37 @@ def test_disc_cover_pair_dimension():
     cov = double_cover(one_orbifold_disc(4))
     pair = quiver_from_dissection(cov.total)
     assert graded_path_algebra(pair).dimension == monomial_path_count(pair) == 19
+
+
+def _assert_closed_form_on_cover(cov):
+    """The closed form matches path enumeration on base (special loops
+    squaring to zero) and total, and the split algebra of the base."""
+    triple = extract_quiver(cov.base).presentation
+    pair = extract_quiver(cov.total).presentation
+    base_dim = algebra_dimension(cov.base)
+    assert base_dim == monomial_path_count(triple, nilpotent_loops=triple.special)
+    assert base_dim == graded_path_algebra(split_presentation(triple)).dimension
+    assert algebra_dimension(cov.total) == monomial_path_count(pair)
+
+
+def test_closed_form_dimension_matches_random_gentle_pairs():
+    rng = random.Random(4101)
+    for _ in range(60):
+        pair = random_gentle_pair(rng)
+        assert algebra_dimension(surface_from_gentle(pair)) == monomial_path_count(pair)
+
+
+def test_closed_form_dimension_matches_random_triples_and_covers():
+    rng = random.Random(4102)
+    for _ in range(60):
+        surface = surface_from_triple(random_triple(rng))
+        _assert_closed_form_on_cover(double_cover(surface))
+
+
+def test_closed_form_dimension_matches_ladder_fixtures():
+    bases = [two_orbifold_cylinder(v) for v in (1, 2, 3, 4)]
+    bases.append(two_orbifold_disc())
+    bases += [one_orbifold_disc(n) for n in (4, 6, 8, 10, 12, 14)]
+    for base in bases:
+        _assert_closed_form_on_cover(double_cover(base))
+    _assert_closed_form_on_cover(quotient(*two_hole_torus_surface()))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
+import pytest
+
 from skewgentle import (
+    ValidationError,
     algebra_from_products,
     basis_map_from_permutation,
     double_cover,
@@ -10,6 +14,7 @@ from skewgentle import (
     quotient,
     reduced_path_algebra,
     triple_from_x_dissection,
+    validate,
     verify_dual_reduction,
     verify_iterated_skew_group,
     verify_skew_group_reduction,
@@ -139,3 +144,56 @@ def test_double_crossed_product_on_swapped_pair():
     rr = verify_iterated_skew_group(A, swap)
     assert rr.double.dimension == 8
     assert rr.ok
+
+
+def test_double_crossed_product_rejects_non_involution():
+    k = algebra_from_products(["e"], lambda a, b: {"e": ONE}, {"e": ONE})
+    neg = basis_map_from_permutation(k, {"e": "e"}, signs={"e": -1})
+    with pytest.raises(ValidationError) as exc:
+        verify_iterated_skew_group(k, neg)
+    assert [d.code for d in exc.value.diagnostics] == ["NOT_INVOLUTION"]
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record every call of ``module.name`` made through any package
+    module that binds it."""
+    original = getattr(sys.modules[module], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        package = modname.partition(".")[0]
+        if package == "skewgentle" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
+    stages = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in (
+            ("skewgentle.presentations", "extract_quiver"),
+            ("skewgentle.presentations", "split_presentation"),
+            ("skewgentle.algebra", "graded_path_algebra"),
+            ("skewgentle.algebra", "reduced_path_algebra"),
+        )
+    }
+    checks = _count_calls(monkeypatch, "skewgentle.surface", "_check_surface")
+    cov = double_cover(cylinders[2])
+    verify_skew_group_reduction(cov)
+    verify_dual_reduction(cov)
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        "extract_quiver": 2,
+        "split_presentation": 1,
+        "graded_path_algebra": 2,
+        "reduced_path_algebra": 0,
+    }
+
+    done = len(checks)
+    report = validate(cov.total)
+    report.add("BAD_INPUT", "added by the caller")
+    assert validate(cov.total).ok
+    assert len(checks) == done
