@@ -23,10 +23,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .diagnostics import (
     BAD_INPUT,
+    NOT_CLOSED,
     NOT_IDEMPOTENT,
     NOT_STABILIZED,
     Diagnostic,
@@ -61,27 +62,36 @@ def vec(*pairs: tuple[Any, Fraction]) -> Vector:
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
-    out = dict(x)
-    for k, c in y.items():
-        s = out.get(k, ZERO) + c
-        if s:
-            out[k] = s
+    return vaxpy(x, y, ONE)
+
+
+def _accumulate(out: Vector, y: Vector, c: Fraction) -> None:
+    """out += c * y in place, dropping zero coefficients.
+
+    Most coefficients are 1, and a comparison costs a tenth of a
+    ``Fraction`` product, so unit scalings skip the product.
+    """
+    unit = c == 1
+    for k, v in y.items():
+        if not unit:
+            v = c * v
+        prev = out.get(k)
+        if prev is None:
+            if v:
+                out[k] = v
         else:
-            out.pop(k, None)
-    return out
+            s = prev + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
 
 
 def vaxpy(x: Vector, y: Vector, c: Fraction) -> Vector:
     """x + c * y."""
-    if not c:
-        return dict(x)
     out = dict(x)
-    for k, v in y.items():
-        s = out.get(k, ZERO) + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+    if c:
+        _accumulate(out, y, c)
     return out
 
 
@@ -191,16 +201,24 @@ class TableAlgebra:
             row = self.table[i]
             for j, cj in y.items():
                 prod = row[j]
-                if not prod:
-                    continue
-                c = ci * cj
-                for k, ck in prod.items():
-                    s = out.get(k, ZERO) + c * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                if prod:
+                    _accumulate(out, prod, cj if ci == 1 else ci * cj)
         return out
+
+    def twisted_rows(self, act: BasisMap) -> Iterator[dict[int, Vector]]:
+        """Row by row, the nonzero products ``b_i * act(b_j)`` keyed by ``j``.
+
+        Each row is assembled from the nonzero cells ``table[i][k]`` and the
+        preimages of ``k`` under ``act``; only one row is held at a time.
+        """
+        preimages = _preimages(act, self.dimension)
+        for row in self.table:
+            out: dict[int, Vector] = {}
+            for k, cell in enumerate(row):
+                if cell:
+                    for j, c in preimages[k]:
+                        _accumulate(out.setdefault(j, {}), cell, c)
+            yield {j: v for j, v in out.items() if v}
 
     def describe(self, x: Vector) -> str:
         terms = []
@@ -495,7 +513,13 @@ def reduced_path_algebra(
     dims.append(0)
 
     index = {k: i for i, k in enumerate(basis)}
-    basis_set = set(basis)
+
+    def basis_index(*key) -> int:
+        if key not in index:
+            raise ValidationError(
+                [Diagnostic(NOT_CLOSED, f"product {key!r} left the reduced basis")]
+            )
+        return index[key]
 
     def product(x: PathKey, y: PathKey) -> Vector:
         # x * y, y first.
@@ -509,12 +533,8 @@ def reduced_path_algebra(
         if (a_last, b_first) in pairs:
             return {}
         if a_last == b_first and a_last in triple.special:
-            merged: PathKey = (y[0], y[1] + x[1][1:])
-            assert merged in basis_set
-            return {index[merged]: values[a_last]}
-        joined: PathKey = (y[0], y[1] + x[1])
-        assert joined in basis_set, "product left the reduced basis"
-        return {index[joined]: ONE}
+            return {basis_index(y[0], y[1] + x[1][1:]): values[a_last]}
+        return {basis_index(y[0], y[1] + x[1]): ONE}
 
     table = [[product(x, y) for y in basis] for x in basis]
     unit = {index[(v, ())]: ONE for v in triple.vertices}
@@ -570,7 +590,10 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
 
     def to_corner(x: Vector) -> Vector:
         coeffs = span.express(x)
-        assert coeffs is not None, "corner product left the corner span"
+        if coeffs is None:
+            raise ValidationError(
+                [Diagnostic(NOT_CLOSED, "corner product left the corner span")]
+            )
         return {pivot_index[p]: c for p, c in coeffs.items()}
 
     labels = tuple(f"c{i}" for i in range(len(basis_vectors)))
@@ -589,15 +612,24 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
 
 @dataclass
 class BasisMap:
-    """A linear endomorphism given by its images on the basis."""
+    """A linear map given by its images on the basis."""
 
     images: list[Vector]
 
     def apply(self, x: Vector) -> Vector:
         out: Vector = {}
         for i, c in x.items():
-            out = vaxpy(out, self.images[i], c)
+            _accumulate(out, self.images[i], c)
         return out
+
+
+def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Fraction]]]:
+    """For each target index ``k``, the pairs ``(j, c)`` with ``f(b_j)[k] = c``."""
+    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(size)]
+    for j, img in enumerate(f.images):
+        for k, c in img.items():
+            out[k].append((j, c))
+    return out
 
 
 def basis_map_from_permutation(
@@ -614,47 +646,64 @@ def basis_map_from_permutation(
     return BasisMap(images)
 
 
+def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool:
+    """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
+    elements of ``A``, where ``f`` maps ``A`` linearly into ``B``.
+
+    The left side vanishes unless ``b_i * b_j`` is nonzero; the right side
+    vanishes unless some basis elements ``b_p`` in ``f(b_i)`` and ``b_q``
+    in ``f(b_j)`` have a nonzero product in ``B``.  Only those pairs are
+    visited: on every other pair both sides are zero, so this is a check
+    of all pairs.
+    """
+    preimages = [[j for j, _ in pre] for pre in _preimages(f, B.dimension)]
+    target_columns = [[q for q, cell in enumerate(row) if cell] for row in B.table]
+    images = f.images
+    for i, row in enumerate(A.table):
+        columns = {j for j, cell in enumerate(row) if cell}
+        for p in images[i]:
+            for q in target_columns[p]:
+                columns.update(preimages[q])
+        # ``apply`` and ``mul`` drop zero coefficients, so ``==`` compares
+        # the two sides as vectors.
+        for j in columns:
+            if f.apply(row[j]) != B.mul(images[i], images[j]):
+                return False
+    return True
+
+
 def verify_algebra_involution(A: TableAlgebra, act: BasisMap) -> bool:
     """Check: order two, fixes the unit, respects all products."""
-    for i in range(A.dimension):
-        b = vec((i, ONE))
-        if not veq(act.apply(act.apply(b)), b):
+    for i, img in enumerate(act.images):
+        if not veq(act.apply(img), {i: ONE}):
             return False
     if not veq(act.apply(A.unit), A.unit):
         return False
-    for i in range(A.dimension):
-        bi = vec((i, ONE))
-        fi = act.apply(bi)
-        for j in range(A.dimension):
-            bj = vec((j, ONE))
-            if not veq(act.apply(A.table[i][j]), A.mul(fi, act.apply(bj))):
-                return False
-    return True
+    return verify_multiplicative(A, A, act)
 
 
 def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     """The crossed product of A with the order-two group {1, s}.
 
-    Basis labels are ``(label, g)`` with ``g`` in {0, 1}; the product rule
-    is ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.
+    Basis labels are ``(label, g)`` with ``g`` in {0, 1}, indexed
+    ``g * n + index``; the product rule is
+    ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.  The rows with ``g = 0`` are the
+    rows of ``A``; those with ``g = 1`` are its twisted rows.
     """
-    labels = [(lab, g) for g in (0, 1) for lab in A.labels]
-    index = {lab: i for i, lab in enumerate(labels)}
-    table: list[list[Vector]] = []
-    for lab_x, g in labels:
-        i = A.index_of[lab_x]
-        row: list[Vector] = []
-        for lab_y, h in labels:
-            y = vec((A.index_of[lab_y], ONE))
-            if g == 1:
-                y = act.apply(y)
-            prod = A.mul(vec((i, ONE)), y)
-            row.append(
-                {index[(A.labels[k], (g + h) % 2)]: c for k, c in prod.items()}
-            )
+    n = A.dimension
+    labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
+    table: list[list[Vector]] = [
+        [cell.copy() for cell in row]
+        + [{k + n: c for k, c in cell.items()} if cell else {} for cell in row]
+        for row in A.table
+    ]
+    for twisted in A.twisted_rows(act):
+        row: list[Vector] = [{} for _ in range(2 * n)]
+        for j, cell in twisted.items():
+            row[j] = {k + n: c for k, c in cell.items()}
+            row[n + j] = cell
         table.append(row)
-    unit = {index[(A.labels[k], 0)]: c for k, c in A.unit.items()}
-    return TableAlgebra(tuple(labels), table, unit)
+    return TableAlgebra(labels, table, dict(A.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +830,9 @@ def verify_deformation_map(
     """
     value = Fraction(value)
     base = reduced_path_algebra(triple)
-    deformed_dim = reduced_path_algebra(triple, {e: value for e in triple.special}).dimension
+    # The reduced basis does not depend on the loop values, so the deformed
+    # algebra has the dimension of the undeformed one.
+    deformed_dim = base.dimension
     vertex_images = {v: base.vertex(v) for v in triple.vertices}
     arrow_images: dict[str, Vector] = {}
     for a in triple.arrows:

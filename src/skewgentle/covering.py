@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .diagnostics import (
     CURVE_THROUGH_BRANCH,
@@ -37,7 +37,9 @@ from .presentations import (
     Presentation,
     QuiverExtraction,
     extract_quiver,
+    split_arrow_table,
     split_presentation,
+    split_swap_map,
 )
 from .surface import (
     ORBIFOLD,
@@ -104,6 +106,22 @@ class CoveringData:
     def split(self) -> Presentation:
         """The split presentation of the base triple."""
         return split_presentation(self.base_quiver.presentation)
+
+    @cached_property
+    def split_table(self) -> dict[str, tuple[str, Optional[int], Optional[int]]]:
+        """Each split arrow's origin, as in :func:`split_arrow_table`."""
+        return split_arrow_table(self.base_quiver.presentation)
+
+    @cached_property
+    def split_swap(self) -> dict[str, str]:
+        """The half-swapping relabelling of the split generators."""
+        return split_swap_map(self.base_quiver.presentation, self.split_table)
+
+    @cached_property
+    def special_vertices(self) -> frozenset[str]:
+        """The base vertices carrying a special loop."""
+        triple = self.base_quiver.presentation
+        return frozenset(triple.arrow_by_id[e].source for e in triple.special)
 
     @cached_property
     def deck_generators(self) -> dict[str, str]:

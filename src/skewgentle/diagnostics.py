@@ -38,6 +38,8 @@ SIZE_LIMIT = "SIZE_LIMIT"
 NOT_STABILIZED = "NOT_STABILIZED"
 NOT_IDEMPOTENT = "NOT_IDEMPOTENT"
 NOT_INVOLUTION = "NOT_INVOLUTION"
+NOT_CLOSED = "NOT_CLOSED"
+OUTSIDE_CORNER = "OUTSIDE_CORNER"
 # Covers and curves
 CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"
 INVALID_CURVE = "INVALID_CURVE"

@@ -18,8 +18,8 @@ the base is recovered inside the crossed product:
 
 Both reductions read one set of cover stages, computed once and kept on the
 :class:`~skewgentle.covering.CoveringData`: the quivers of the base and the
-total surface, the split presentation, the arrow lifts and the deck action
-on generators.  The dimension each comparison expects is read off the
+total surface, the split presentation with its arrow table, half-swap and
+special vertices, the arrow lifts and the deck action on generators.  The dimension each comparison expects is read off the
 dissection by the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
@@ -43,25 +43,22 @@ from .algebra import (
     SpanBasis,
     TableAlgebra,
     Vector,
-    algebra_from_products,
     corner_algebra,
     graded_path_algebra,
     skew_group_algebra,
     vadd,
-    vaxpy,
     vec,
     veq,
     verify_algebra_involution,
     verify_morphism,
+    verify_multiplicative,
     vscale,
 )
 from .covering import CoveringData
-from .diagnostics import NOT_INVOLUTION, Diagnostic, ValidationError
+from .diagnostics import NOT_INVOLUTION, OUTSIDE_CORNER, Diagnostic, ValidationError
 from .presentations import (
     Presentation,
     algebra_dimension,
-    split_arrow_table,
-    split_swap_map,
     split_vertex_ids,
 )
 
@@ -116,7 +113,10 @@ def _corner_images(
 
     def coords(gen: str) -> Vector:
         out = corner.express(raw_images[gen])
-        assert out is not None, f"image of {gen!r} left the corner"
+        if out is None:
+            raise ValidationError(
+                [Diagnostic(OUTSIDE_CORNER, f"image of {gen!r} left the corner")]
+            )
         return out
 
     return (
@@ -169,7 +169,7 @@ def verify_skew_group_reduction(
     _require_involution(lam.algebra, deck_action)
     skew = skew_group_algebra(lam.algebra, deck_action)
 
-    special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
+    special_vertices = cov.special_vertices
     chosen_lifts: dict[str, str] = {}
     for v in triple.vertices:
         if v in special_vertices:
@@ -202,7 +202,7 @@ def verify_skew_group_reduction(
             raw_images[v] = vert(chosen_lifts[v], 0)
 
     survivors: dict[str, tuple[str, int]] = {}
-    for sid, (aid, sdec, tdec) in sorted(split_arrow_table(triple).items()):
+    for sid, (aid, sdec, tdec) in sorted(cov.split_table.items()):
         arrow = triple.arrow_by_id[aid]
         i, j = arrow.source, arrow.target
         plus, minus = lifts[(aid, 1)], lifts[(aid, -1)]
@@ -247,7 +247,7 @@ def verify_skew_group_reduction(
         expected_dim=algebra_dimension(cov.base),
     )
 
-    swap = split_swap_map(triple)
+    swap = cov.split_swap
     twist = grading_sign_map(skew)
     swap_compat = {
         gen: veq(twist.apply(raw), raw_images[swap[gen]])
@@ -308,7 +308,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     }
     lifts = cov.arrow_lifts
     base_of_arrow = {aid: key for key, aid in lifts.items()}
-    split_table = split_arrow_table(triple)
+    split_table = cov.split_table
     by_origin = {origin: sid for sid, origin in split_table.items()}
 
     # Each base arrow acquires a sign: the product, over the endpoints of
@@ -337,12 +337,12 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     }
 
     swap_action = induced_basis_map(
-        split_algebra, split_swap_map(triple), signs=arrow_sign
+        split_algebra, cov.split_swap, signs=arrow_sign
     )
     _require_involution(split_algebra.algebra, swap_action)
     skew = skew_group_algebra(split_algebra.algebra, swap_action)
 
-    special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
+    special_vertices = cov.special_vertices
     idem_vertices = [
         split_vertex_ids(v)[0] if v in special_vertices else v
         for v in triple.vertices
@@ -445,6 +445,33 @@ class IteratedSkewGroup:
         )
 
 
+def _module_endomorphisms(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
+    """Right ``A``-module endomorphisms of the once-crossed product.
+
+    The basis element ``(g, p, h)`` is the map ``1 ⊗ g  ↦  p ⊗ h``;
+    composition gives ``(g, p, h)(g2, p2, h2) = p * s^(g+h)(p2)`` keyed by
+    ``(g2, ·, h)`` when ``g == h2``, and zero otherwise.  Basis indices are
+    ``2n*g + 2*p + h``.  The products with an even twist are the rows of
+    ``A``, the odd ones its twisted rows.
+    """
+    n = A.dimension
+    labels = tuple((g, lab, h) for g in (0, 1) for lab in A.labels for h in (0, 1))
+    table: list[list[Vector]] = [[] for _ in labels]
+    for p, (row, twisted) in enumerate(zip(A.table, A.twisted_rows(act))):
+        plain = {q: cell for q, cell in enumerate(row) if cell}
+        for g in (0, 1):
+            for h in (0, 1):
+                out: list[Vector] = [{} for _ in labels]
+                for p2, cell in (twisted if (g + h) % 2 else plain).items():
+                    for g2 in (0, 1):
+                        out[2 * n * g2 + 2 * p2 + g] = {
+                            2 * n * g2 + 2 * q + h: c for q, c in cell.items()
+                        }
+                table[2 * n * g + 2 * p + h] = out
+    unit = {2 * n * g + 2 * q + g: c for g in (0, 1) for q, c in A.unit.items()}
+    return TableAlgebra(labels, table, unit)
+
+
 def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:
     """Cross ``A`` with its order-two symmetry, cross again with the
     grading signs, and compare with module endomorphisms of the
@@ -458,26 +485,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     _require_involution(A, act)
     once = skew_group_algebra(A, act)
     double = skew_group_algebra(once, grading_sign_map(once))
-
-    endo_labels = [
-        (g, lab, h) for g in (0, 1) for lab in A.labels for h in (0, 1)
-    ]
-
-    def product(left, right):
-        g, p, h = left
-        g2, p2, h2 = right
-        if g != h2:
-            return {}
-        y = vec((A.index_of[p2], ONE))
-        if (h + h2) % 2:
-            y = act.apply(y)
-        w = A.mul(vec((A.index_of[p], ONE)), y)
-        return {(g2, A.labels[q], h): c for q, c in w.items()}
-
-    unit = {
-        (g, A.labels[q], g): c for g in (0, 1) for q, c in A.unit.items()
-    }
-    endo = algebra_from_products(endo_labels, product, unit)
+    endo = _module_endomorphisms(A, act)
 
     images: list[Vector] = []
     for (lab, g), j in double.labels:
@@ -486,23 +494,11 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
             sign = Fraction(-1) if (j and h) else ONE
             img[endo.index_of[(h, lab, (g + h) % 2)]] = sign
         images.append(img)
-
-    def apply(x: Vector) -> Vector:
-        out: Vector = {}
-        for i, c in x.items():
-            out = vaxpy(out, images[i], c)
-        return out
+    comparison = BasisMap(images)
 
     n = double.dimension
-    homomorphism = True
-    for i in range(n):
-        for j in range(n):
-            if not veq(apply(double.table[i][j]), endo.mul(images[i], images[j])):
-                homomorphism = False
-                break
-        if not homomorphism:
-            break
-    unit_ok = veq(apply(double.unit), endo.unit)
+    homomorphism = verify_multiplicative(double, endo, comparison)
+    unit_ok = veq(comparison.apply(double.unit), endo.unit)
 
     span = SpanBasis()
     rank = 0
@@ -516,7 +512,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     unit_degree_one: Vector = {
         double.index_of[((A.labels[q], 0), 1)]: c for q, c in A.unit.items()
     }
-    conj = apply(unit_degree_one)
+    conj = comparison.apply(unit_degree_one)
     equivariant = True
     for i, ((_, g), _) in enumerate(double.labels):
         lhs = vscale(images[i], Fraction(-1) if g else ONE)

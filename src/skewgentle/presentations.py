@@ -407,9 +407,15 @@ def split_arrow_table(
     return table
 
 
-def split_swap_map(triple: Presentation) -> dict[str, str]:
+def split_swap_map(
+    triple: Presentation,
+    table: Optional[dict[str, tuple[str, Optional[int], Optional[int]]]] = None,
+) -> dict[str, str]:
     """Generator relabelling of the split presentation exchanging the two
-    halves of every doubled vertex and flipping arrow decorations."""
+    halves of every doubled vertex and flipping arrow decorations.
+
+    ``table`` is the triple's :func:`split_arrow_table`, computed here when
+    not given."""
     special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
     out: dict[str, str] = {}
     for v in triple.vertices:
@@ -422,7 +428,9 @@ def split_swap_map(triple: Presentation) -> dict[str, str]:
     def flip(d: Optional[int]) -> Optional[int]:
         return None if d is None else 1 - d
 
-    for sid, (aid, s, t) in split_arrow_table(triple).items():
+    if table is None:
+        table = split_arrow_table(triple)
+    for sid, (aid, s, t) in table.items():
         out[sid] = _split_arrow_id(aid, flip(s), flip(t))
     return out
 

@@ -111,3 +111,29 @@ def mat_rank(rows: list[list[Fraction]]) -> int:
         if row == len(m):
             break
     return rank
+
+
+def skew_group_table(algebra, images) -> dict:
+    """The crossed product of ``algebra`` with ``{1, s}``, cell by cell.
+
+    Written straight from ``(x ⊗ g)(y ⊗ h) = x · g(y) ⊗ (g + h)``:
+    ``images[j]`` is ``s(b_j)`` keyed by basis index, and ``x · g(y)`` is
+    expanded through the given product table of ``algebra`` one term at a
+    time.  Returns ``{((x, g), (y, h)): {(z, g + h): coefficient}}`` over
+    the basis labels, with zero coefficients dropped.
+    """
+    labels = algebra.labels
+    out = {}
+    for i, x in enumerate(labels):
+        for g in (0, 1):
+            for j, y in enumerate(labels):
+                gy = images[j] if g else {j: Fraction(1)}
+                product: dict = {}
+                for k, c in gy.items():
+                    for m, d in algebra.table[i][k].items():
+                        product[m] = product.get(m, 0) + c * d
+                for h in (0, 1):
+                    out[((x, g), (y, h))] = {
+                        (labels[m], (g + h) % 2): c for m, c in product.items() if c
+                    }
+    return out

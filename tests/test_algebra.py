@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mat_rank, monomial_path_count
+from oracles import mat_rank, monomial_path_count, skew_group_table
 from skewgentle import (
     Arrow,
+    ValidationError,
     algebra_dimension,
     algebra_from_products,
     basis_map_from_permutation,
@@ -36,7 +37,8 @@ from skewgentle import (
     verify_deformation_map,
     verify_morphism,
 )
-from skewgentle.algebra import SpanBasis, vadd, vaxpy, veq, vscale, vsub
+from skewgentle.algebra import BasisMap, SpanBasis, vadd, vaxpy, veq, vscale, vsub
+from skewgentle.equivariant import grading_sign_map, induced_basis_map
 from skewgentle.presentations import companion_pair
 
 ONE = Fraction(1)
@@ -356,3 +358,94 @@ def test_closed_form_dimension_matches_ladder_fixtures():
     for base in bases:
         _assert_closed_form_on_cover(double_cover(base))
     _assert_closed_form_on_cover(quotient(*two_hole_torus_surface()))
+
+
+def _assert_matches_skew_group_oracle(A, act):
+    skew = skew_group_algebra(A, act)
+    expected = skew_group_table(A, act.images)
+    assert len(skew.labels) == 2 * A.dimension
+    assert {(x, y) for x in skew.labels for y in skew.labels} == set(expected)
+    for i, x in enumerate(skew.labels):
+        for j, y in enumerate(skew.labels):
+            cell = {skew.labels[k]: c for k, c in skew.table[i][j].items()}
+            assert cell == expected[(x, y)], (x, y)
+    assert {skew.labels[k]: c for k, c in skew.unit.items()} == {
+        (A.labels[k], 0): c for k, c in A.unit.items()
+    }
+    return skew
+
+
+def _assert_deck_crossed_product_matches_oracle(cov, twice=False):
+    lam = graded_path_algebra(cov.total_quiver.presentation)
+    once = _assert_matches_skew_group_oracle(
+        lam.algebra, induced_basis_map(lam, cov.deck_generators)
+    )
+    if twice:
+        _assert_matches_skew_group_oracle(once, grading_sign_map(once))
+
+
+def test_skew_group_algebra_matches_oracle_on_ladder_fixtures():
+    for v in (1, 2, 3, 4):
+        _assert_deck_crossed_product_matches_oracle(
+            double_cover(two_orbifold_cylinder(v)), twice=v == 1
+        )
+    _assert_deck_crossed_product_matches_oracle(
+        double_cover(two_orbifold_disc()), twice=True
+    )
+    _assert_deck_crossed_product_matches_oracle(quotient(*two_hole_torus_surface()))
+    for n in range(4, 9):
+        _assert_deck_crossed_product_matches_oracle(double_cover(one_orbifold_disc(n)))
+
+
+def test_skew_group_algebra_matches_oracle_on_random_covers():
+    rng = random.Random(2207)
+    for _ in range(40):
+        surface = surface_from_triple(random_triple(rng))
+        _assert_deck_crossed_product_matches_oracle(double_cover(surface))
+
+
+def test_skew_group_algebra_matches_oracle_with_rational_coefficients():
+    A = _delta_algebra(["p", "q"])
+    half = Fraction(1, 2)
+    # The table is defined for any linear map, involution or not; this one
+    # has coefficients other than 1 and sums in the twisted rows.
+    act = BasisMap([{0: half, 1: ONE}, {0: Fraction(3, 2), 1: -half}])
+    _assert_matches_skew_group_oracle(A, act)
+
+
+def test_involution_verifier_checks_pairs_with_zero_source_product():
+    # k ⊕ V with V = span(x, y) squaring to zero.  The map x -> 1 - x has
+    # order two, fixes the unit and respects every product with a nonzero
+    # source; it fails only on x*x and x*y, whose source products are zero.
+    def prod(a, b):
+        if a == "1":
+            return {b: ONE}
+        if b == "1":
+            return {a: ONE}
+        return {}
+
+    A = algebra_from_products(["1", "x", "y"], prod, {"1": ONE})
+    act = BasisMap([{0: ONE}, {0: ONE, 1: -ONE}, {2: ONE}])
+    assert veq(act.apply(act.apply({1: ONE})), {1: ONE})
+    assert veq(act.apply(A.unit), A.unit)
+    assert all(
+        veq(act.apply(A.table[i][j]), A.mul(act.images[i], act.images[j]))
+        for i in range(3)
+        for j in range(3)
+        if A.table[i][j]
+    )
+    assert not verify_algebra_involution(A, act)
+
+
+def test_corner_product_outside_the_corner_is_an_error():
+    # e*x*e = x but x*x = y with e*y*e = 0: the table is not associative
+    # and the corner at e is not closed under its product.
+    table = {("e", "e"): "e", ("e", "x"): "x", ("x", "e"): "x", ("x", "x"): "y"}
+
+    def prod(a, b):
+        return {table[(a, b)]: ONE} if (a, b) in table else {}
+
+    A = algebra_from_products(["e", "x", "y"], prod, {"e": ONE})
+    with pytest.raises(ValidationError) as exc:
+        corner_algebra(A, A.element("e"))
+    assert [d.code for d in exc.value.diagnostics] == ["NOT_CLOSED"]

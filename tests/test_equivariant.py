@@ -9,7 +9,9 @@ from skewgentle import (
     ValidationError,
     algebra_from_products,
     basis_map_from_permutation,
+    corner_algebra,
     double_cover,
+    make_presentation,
     one_orbifold_disc,
     quotient,
     reduced_path_algebra,
@@ -19,6 +21,7 @@ from skewgentle import (
     verify_iterated_skew_group,
     verify_skew_group_reduction,
 )
+from skewgentle import equivariant
 
 ONE = Fraction(1)
 
@@ -154,6 +157,39 @@ def test_double_crossed_product_rejects_non_involution():
     assert [d.code for d in exc.value.diagnostics] == ["NOT_INVOLUTION"]
 
 
+def test_iterated_homomorphism_check_rejects_corrupted_action(monkeypatch, cylinders):
+    red = verify_skew_group_reduction(double_cover(cylinders[1]))
+    A = red.cover_algebra.algebra
+    # Both sides of the comparison are defined by the same formula in the
+    # action, so any action gives a homomorphism; build the crossed
+    # product from a corrupted action (two arrows of different sources
+    # swapped) while the endomorphisms keep the deck action.
+    perm = {lab: lab for lab in A.labels}
+    a, b = [lab for lab in A.labels if len(lab[1]) == 1][:2]
+    perm[a], perm[b] = b, a
+    corrupted = basis_map_from_permutation(A, perm)
+    crossed = equivariant.skew_group_algebra
+
+    def crossed_with_corrupted(B, act):
+        return crossed(B, corrupted if B is A else act)
+
+    monkeypatch.setattr(equivariant, "skew_group_algebra", crossed_with_corrupted)
+    rr = verify_iterated_skew_group(A, red.deck_action)
+    assert not rr.homomorphism
+    assert not rr.ok
+
+
+def test_corner_coordinates_reject_an_image_outside_the_corner():
+    pres = make_presentation(["u", "v"], [], [])
+    A = algebra_from_products(
+        ["u", "v"], lambda a, b: {a: ONE} if a == b else {}, {"u": ONE, "v": ONE}
+    )
+    corner = corner_algebra(A, A.element("u"))
+    with pytest.raises(ValidationError) as exc:
+        equivariant._corner_images(corner, pres, {"u": A.element("u"), "v": A.element("v")})
+    assert [d.code for d in exc.value.diagnostics] == ["OUTSIDE_CORNER"]
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     """Record every call of ``module.name`` made through any package
     module that binds it."""
@@ -179,6 +215,8 @@ def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
             ("skewgentle.presentations", "split_presentation"),
             ("skewgentle.algebra", "graded_path_algebra"),
             ("skewgentle.algebra", "reduced_path_algebra"),
+            ("skewgentle.presentations", "split_arrow_table"),
+            ("skewgentle.presentations", "split_swap_map"),
         )
     }
     checks = _count_calls(monkeypatch, "skewgentle.surface", "_check_surface")
@@ -190,6 +228,8 @@ def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
         "split_presentation": 1,
         "graded_path_algebra": 2,
         "reduced_path_algebra": 0,
+        "split_arrow_table": 1,
+        "split_swap_map": 1,
     }
 
     done = len(checks)
