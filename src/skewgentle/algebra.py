@@ -154,19 +154,6 @@ class SpanBasis:
     def contains(self, row: Vector) -> bool:
         return not self._reduce(row)
 
-    def express(self, row: Vector) -> Optional[dict[Any, Fraction]]:
-        """Coefficients writing ``row`` over the stored rows, by pivot key."""
-        residue = dict(row)
-        coeffs: dict[Any, Fraction] = {}
-        while residue:
-            lead = min(residue, key=self.order)
-            hit = self.rows.get(lead)
-            if hit is None:
-                return None
-            coeffs[lead] = residue[lead]
-            residue = vaxpy(residue, hit, -residue[lead])
-        return coeffs
-
 
 # ---------------------------------------------------------------------------
 # Algebras with explicit product tables
@@ -219,12 +206,6 @@ class TableAlgebra:
                     for j, c in preimages[k]:
                         _accumulate(out.setdefault(j, {}), cell, c)
             yield {j: v for j, v in out.items() if v}
-
-    def describe(self, x: Vector) -> str:
-        terms = []
-        for i in sorted(x, key=lambda i: repr(self.labels[i])):
-            terms.append(f"{x[i]}*{self.labels[i]!r}")
-        return " + ".join(terms) if terms else "0"
 
 
 def algebra_from_products(
@@ -549,61 +530,73 @@ def reduced_path_algebra(
 
 @dataclass
 class CornerAlgebra:
-    """The subalgebra e*A*e for an idempotent e, with its own basis."""
+    """The subalgebra e*A*e, spanned by the parent basis elements it keeps.
+
+    ``indices`` lists those parent basis indices in order; corner basis
+    element ``k`` is parent basis element ``indices[k]``.
+    """
 
     parent: TableAlgebra
     idempotent: Vector
     algebra: TableAlgebra
-    basis_vectors: list[Vector]  # corner basis written in parent coordinates
-    _span: SpanBasis
-    _pivot_index: dict
+    indices: tuple[int, ...]
+
+    def __post_init__(self):
+        self._position = {i: k for k, i in enumerate(self.indices)}
 
     def express(self, x: Vector) -> Optional[Vector]:
         """Corner coordinates of a parent vector, or None if outside."""
-        coeffs = self._span.express(x)
-        if coeffs is None:
-            return None
-        out: Vector = {}
-        for piv, c in coeffs.items():
-            out[self._pivot_index[piv]] = c
-        return out
+        return _renumber(x, self._position)
 
-    def embed(self, x: Vector) -> Vector:
-        out: Vector = {}
-        for i, c in x.items():
-            out = vaxpy(out, self.basis_vectors[i], c)
-        return out
+
+def _renumber(x: Vector, position: Mapping[int, int]) -> Optional[Vector]:
+    if not all(k in position for k in x):
+        return None
+    return {position[k]: c for k, c in x.items()}
 
 
 def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
-    """Carve out e*A*e; raises ``NOT_IDEMPOTENT`` when e squares wrong."""
+    """Cut e*A*e out of the product table of A by basis index.
+
+    ``e`` must be an idempotent with ``e*b*e`` equal to ``b`` or to 0 for
+    every basis element ``b``, as for any sum of vertex idempotents; the
+    corner then keeps the basis elements with ``e*b*e = b``, and its table
+    is the table of A restricted to them.  Raises ``NOT_IDEMPOTENT`` when e
+    squares wrong, ``BAD_INPUT`` when some ``e*b*e`` is neither ``b`` nor
+    0, and ``NOT_CLOSED`` when a product of kept elements leaves them.
+    """
     if not veq(A.mul(e, e), e):
         raise ValidationError(
             [Diagnostic(NOT_IDEMPOTENT, "corner element does not square to itself")]
         )
-    span = SpanBasis()
+    indices = []
     for i in range(A.dimension):
-        span.add(A.mul(e, A.mul(vec((i, ONE)), e)))
-    pivots = sorted(span.rows)
-    basis_vectors = [span.rows[p] for p in pivots]
-    pivot_index = {p: i for i, p in enumerate(pivots)}
+        sandwich = A.mul(e, A.mul({i: ONE}, e))
+        if sandwich == {i: ONE}:
+            indices.append(i)
+        elif sandwich:
+            raise ValidationError(
+                [
+                    Diagnostic(
+                        BAD_INPUT,
+                        f"e*b*e is neither b nor 0 for basis element {A.labels[i]!r}",
+                    )
+                ]
+            )
+    position = {i: k for k, i in enumerate(indices)}
 
     def to_corner(x: Vector) -> Vector:
-        coeffs = span.express(x)
-        if coeffs is None:
+        out = _renumber(x, position)
+        if out is None:
             raise ValidationError(
                 [Diagnostic(NOT_CLOSED, "corner product left the corner span")]
             )
-        return {pivot_index[p]: c for p, c in coeffs.items()}
+        return out
 
-    labels = tuple(f"c{i}" for i in range(len(basis_vectors)))
-    table = [
-        [to_corner(A.mul(x, y)) for y in basis_vectors]
-        for x in basis_vectors
-    ]
-    unit = to_corner(e)
-    corner = TableAlgebra(labels, table, unit)
-    return CornerAlgebra(A, e, corner, basis_vectors, span, pivot_index)
+    labels = tuple(f"c{k}" for k in range(len(indices)))
+    table = [[to_corner(A.table[i][j]) for j in indices] for i in indices]
+    corner = TableAlgebra(labels, table, to_corner(e))
+    return CornerAlgebra(A, e, corner, tuple(indices))
 
 
 # ---------------------------------------------------------------------------

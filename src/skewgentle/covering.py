@@ -73,9 +73,9 @@ class CoveringData:
     ``poly_instance[(base_poly, sheet)]`` names the two polygon instances
     upstairs; ``slot_image[(base_poly, slot, sheet)]`` maps word positions
     into them; ``cuts[base_poly]`` lists the first slots of slit pairs.
-    ``point_image`` / ``arc_image`` / ``bseg_image`` label the two lifts of
-    each non-orbifold cell (for arcs with an orientation flag), and
-    ``slit_image`` names the single lift of each arc into a branch point.
+    ``arc_image`` labels the two lifts of each arc not ending at a branch
+    point, with an orientation flag, and ``slit_image`` names the single
+    lift of each arc into a branch point.
     ``deck`` is the sheet-swapping symmetry of ``total``.
 
     The presentation stages that both crossed-product reductions read are
@@ -89,9 +89,7 @@ class CoveringData:
     poly_instance: dict[tuple[str, int], str]
     slot_image: dict[tuple[str, int, int], tuple[str, int]]
     cuts: dict[str, tuple[int, ...]]
-    point_image: dict[tuple[str, int], str]
     arc_image: dict[tuple[str, int], tuple[str, int]]
-    bseg_image: dict[tuple[str, int], str]
     slit_image: dict[str, str]
 
     @cached_property
@@ -222,7 +220,6 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
 
     bsegs = []
     polygons = []
-    bseg_image: dict[tuple[str, int], str] = {}
     poly_instance: dict[tuple[str, int], str] = {}
     slot_image: dict[tuple[str, int, int], tuple[str, int]] = {}
     cuts_by_poly: dict[str, tuple[int, ...]] = {}
@@ -266,7 +263,6 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
                     f"{b.head}{_SIGN[eps]}",
                 )
             )
-            bseg_image[(b.id, eps)] = bid
             for i in range(n):
                 slot_image[(poly.id, i, eps)] = (pid, i - _cuts_before(cuts, i))
         poly_deck[f"{poly.id}+"] = f"{poly.id}-"
@@ -294,9 +290,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         poly_instance=poly_instance,
         slot_image=slot_image,
         cuts=cuts_by_poly,
-        point_image=point_image,
         arc_image=arc_image,
-        bseg_image=bseg_image,
         slit_image=slit_image,
     )
 
@@ -451,49 +445,6 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
             side = surface.polygon_by_id[pid].sides[u]
             arc_image[(a.id, sheet)] = (side.ref, side.direction)
 
-    bseg_image: dict[tuple[str, int], str] = {}
-    for bp in polygons:
-        bbar = bp.sides[0].ref
-        for eps in (1, -1):
-            pid = poly_instance[(bp.id, eps)]
-            bseg_image[(bbar, eps)] = surface.polygon_by_id[pid].sides[0].ref
-
-    point_image: dict[tuple[str, int], str] = {}
-    for p in points:
-        if p.kind == ORBIFOLD:
-            continue
-        for sheet in (1, -1):
-            point_image[(p.id, sheet)] = None  # filled below
-    for a in arcs:
-        if a.id in fixed:
-            continue
-        base_arc = base.arc_by_id[a.id]
-        for sheet in (1, -1):
-            aid, direction = arc_image[(a.id, sheet)]
-            total_arc = surface.arc_by_id[aid]
-            t, h = (
-                (total_arc.tail, total_arc.head)
-                if direction == 1
-                else (total_arc.head, total_arc.tail)
-            )
-            point_image[(base_arc.tail, sheet)] = t
-            point_image[(base_arc.head, sheet)] = h
-    for b in bsegs:
-        for sheet in (1, -1):
-            tb = surface.bseg_by_id[bseg_image[(b.id, sheet)]]
-            if point_image.get((b.head, sheet)) is None:
-                point_image[(b.head, sheet)] = tb.head
-    for j in sorted(fixed):
-        # Fallback for a point carrying nothing but the slit arc: either
-        # labelling of its two lifts is coherent, so fix one.
-        base_arc = base.arc_by_id[j]
-        total_arc = surface.arc_by_id[j]
-        if point_image.get((base_arc.tail, 1)) is None:
-            point_image[(base_arc.tail, 1)] = total_arc.tail
-            point_image[(base_arc.tail, -1)] = total_arc.head
-    for key, val in list(point_image.items()):
-        assert val is not None, f"point lift {key!r} undetermined"
-
     return CoveringData(
         base=base,
         total=surface,
@@ -502,9 +453,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         poly_instance=poly_instance,
         slot_image=slot_image,
         cuts=cuts_by_poly,
-        point_image=point_image,
         arc_image=arc_image,
-        bseg_image=bseg_image,
         slit_image=slit_image,
     )
 

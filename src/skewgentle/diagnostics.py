@@ -44,9 +44,10 @@ OUTSIDE_CORNER = "OUTSIDE_CORNER"
 CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"
 INVALID_CURVE = "INVALID_CURVE"
 BOUNDARY_POINT = "BOUNDARY_POINT"
-# Gradings
+# Gradings and complexes
 INCONSISTENT = "INCONSISTENT"
 NOT_CONNECTED_TO_ANCHOR = "NOT_CONNECTED_TO_ANCHOR"
+NOT_A_COMPLEX = "NOT_A_COMPLEX"
 # Parsing / general input
 SYNTAX = "SYNTAX"
 UNKNOWN_ID = "UNKNOWN_ID"

@@ -481,6 +481,12 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     signed sum over ``h`` of the right-module maps ``1 ⊗ h  ↦  p ⊗ gh``;
     it is checked to be a unital bijective homomorphism intertwining the
     residual symmetries on both sides.
+
+    The double table and the endomorphism table both come from the twisted
+    rows of ``act``, so once ``act`` passes the involution guard these
+    checks hold for any such action: they test only the index layout of
+    the comparison map, not the crossed product against an independently
+    built endomorphism algebra.
     """
     _require_involution(A, act)
     once = skew_group_algebra(A, act)

@@ -23,6 +23,7 @@ from .diagnostics import (
     BOUNDARY_POINT,
     INCONSISTENT,
     INVALID_CURVE,
+    NOT_A_COMPLEX,
     NOT_CONNECTED_TO_ANCHOR,
     UNKNOWN_ID,
     Diagnostic,
@@ -715,7 +716,16 @@ def build_complex(
     cx = ComplexPresentation(
         alg, tuple(zip(crossings, garc.grades)), differential
     )
-    assert verify_d2(cx)
+    if not verify_d2(cx):
+        raise ValidationError(
+            [
+                Diagnostic(
+                    NOT_A_COMPLEX,
+                    f"differential of {curve.id!r} does not square to zero",
+                    (curve.id,),
+                )
+            ]
+        )
     return cx
 
 

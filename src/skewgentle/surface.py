@@ -231,30 +231,6 @@ class DissectedSurface:
     def arc_ray_count(self, point_id: str) -> int:
         return sum(1 for r in self.rays_at_point[point_id] if r[0] == "a")
 
-    # ----- rotation ------------------------------------------------------
-
-    def rotation_at(self, point_id: str) -> list[Ray]:
-        """The counterclockwise cyclic (or linear) ray order at a point.
-
-        Boundary points give a linear order starting at the outgoing
-        boundary segment and ending at the incoming one; interior points
-        give one full cycle.  Assumes the surface validates.
-        """
-        rays = self.rays_at_point[point_id]
-        kind = self.point_by_id[point_id].kind
-        succ = self.ccw_next_ray
-        if kind == BOUNDARY:
-            start = next(r for r in rays if r[0] == "b" and r[2] == "tail")
-            chain = [start]
-            while chain[-1][0] != "b" or chain[-1][2] != "head":
-                chain.append(succ[chain[-1]])
-            return chain
-        start = rays[0]
-        chain = [start]
-        while succ[chain[-1]] != start:
-            chain.append(succ[chain[-1]])
-        return chain
-
 
 def make_surface(
     name: str,

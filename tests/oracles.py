@@ -137,3 +137,29 @@ def skew_group_table(algebra, images) -> dict:
                         (labels[m], (g + h) % 2): c for m, c in product.items() if c
                     }
     return out
+
+
+def corner_dimension(algebra, idempotent) -> int:
+    """Dimension of the corner ``e·A·e`` as the rank of the sandwiches.
+
+    Each ``e·b_i·e`` is expanded through the product table of ``algebra``
+    one term at a time into a dense row over the basis; the corner is
+    spanned by these rows, so its dimension is their rank.
+    """
+    n = len(algebra.table)
+    rows = []
+    for i in range(n):
+        left = [Fraction(0)] * n  # e · b_i
+        for p, c in idempotent.items():
+            for m, d in algebra.table[p][i].items():
+                left[m] += c * d
+        row = [Fraction(0)] * n  # (e · b_i) · e
+        for m, c in enumerate(left):
+            if not c:
+                continue
+            for q, d in idempotent.items():
+                for k, x in algebra.table[m][q].items():
+                    row[k] += c * d * x
+        if any(row):
+            rows.append(row)
+    return mat_rank(rows)

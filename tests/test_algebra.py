@@ -79,19 +79,6 @@ def test_span_basis_rank_matches_elimination_oracle():
         assert span.contains({j: c for j, c in enumerate(row) if c})
 
 
-def test_span_basis_express_recovers_coefficients():
-    span = SpanBasis()
-    span.add(_vec(a=1, b=2))
-    span.add(_vec(b=1))
-    coords = span.express(_vec(a=3, b=7))
-    assert coords is not None
-    recombined: dict = {}
-    for pivot, c in coords.items():
-        recombined = vaxpy(recombined, span.rows[pivot], c)
-    assert recombined == _vec(a=3, b=7)
-    assert span.express(_vec(c=1)) is None
-
-
 def test_product_of_fields_is_associative():
     A = _delta_algebra(["p", "q"])
     assert A.dimension == 2
@@ -449,3 +436,21 @@ def test_corner_product_outside_the_corner_is_an_error():
     with pytest.raises(ValidationError) as exc:
         corner_algebra(A, A.element("e"))
     assert [d.code for d in exc.value.diagnostics] == ["NOT_CLOSED"]
+
+
+def test_corner_refuses_an_idempotent_that_mixes_basis_elements():
+    # Upper-triangular 2x2 matrices: e = e11 + e12 squares to itself, but
+    # e * e11 * e = e11 + e12 is neither e11 nor 0.
+    units = {("11", "11"): "11", ("11", "12"): "12", ("12", "22"): "12", ("22", "22"): "22"}
+
+    def prod(a, b):
+        return {units[(a, b)]: ONE} if (a, b) in units else {}
+
+    A = algebra_from_products(["11", "12", "22"], prod, {"11": ONE, "22": ONE})
+    assert verify_associativity(A)
+    e = vadd(A.element("11"), A.element("12"))
+    assert A.mul(e, e) == e
+    assert A.mul(e, A.mul(A.element("11"), e)) == e
+    with pytest.raises(ValidationError) as exc:
+        corner_algebra(A, e)
+    assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]

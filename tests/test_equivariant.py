@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from oracles import corner_dimension
 from skewgentle import (
     ValidationError,
     algebra_from_products,
@@ -14,8 +16,11 @@ from skewgentle import (
     make_presentation,
     one_orbifold_disc,
     quotient,
+    random_triple,
     reduced_path_algebra,
+    surface_from_triple,
     triple_from_x_dissection,
+    two_hole_torus_surface,
     validate,
     verify_dual_reduction,
     verify_iterated_skew_group,
@@ -188,6 +193,34 @@ def test_corner_coordinates_reject_an_image_outside_the_corner():
     with pytest.raises(ValidationError) as exc:
         equivariant._corner_images(corner, pres, {"u": A.element("u"), "v": A.element("v")})
     assert [d.code for d in exc.value.diagnostics] == ["OUTSIDE_CORNER"]
+
+
+def _assert_corners_match_oracle(cov):
+    """Both reductions' corners have the oracle's dimension, and their
+    tables and units are the parent's, renumbered."""
+    for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
+        corner = red.corner
+        A, C = red.skew, corner.algebra
+        assert C.dimension == corner_dimension(A, corner.idempotent)
+        for a, i in enumerate(corner.indices):
+            for b, j in enumerate(corner.indices):
+                assert corner.express(A.table[i][j]) == C.table[a][b]
+        assert corner.express(corner.idempotent) == C.unit
+
+
+def test_corners_match_oracle_on_ladder_fixtures(cylinder_covers, disc_xx):
+    for cov in cylinder_covers.values():
+        _assert_corners_match_oracle(cov)
+    _assert_corners_match_oracle(double_cover(disc_xx))
+    _assert_corners_match_oracle(quotient(*two_hole_torus_surface()))
+    for n in (4, 6, 8):
+        _assert_corners_match_oracle(double_cover(one_orbifold_disc(n)))
+
+
+def test_corners_match_oracle_on_random_covers():
+    rng = random.Random(3301)
+    for _ in range(20):
+        _assert_corners_match_oracle(double_cover(surface_from_triple(random_triple(rng))))
 
 
 def _count_calls(monkeypatch, module, name) -> list:

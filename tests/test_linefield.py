@@ -44,6 +44,7 @@ from skewgentle.diagnostics import (
     BAD_INPUT,
     BOUNDARY_POINT,
     INCONSISTENT,
+    NOT_A_COMPLEX,
     NOT_CONNECTED_TO_ANCHOR,
 )
 from skewgentle.presentations import Arrow
@@ -224,8 +225,8 @@ def test_graded_arc_maps_through_involution(torus_with_involution):
         assert back.curve.passages == garc.curve.passages
 
 
-def test_staircase_curve_complex(cylinders):
-    stair = CombinatorialCurve(
+def _staircase() -> CombinatorialCurve:
+    return CombinatorialCurve(
         "stair",
         False,
         (
@@ -235,6 +236,10 @@ def test_staircase_curve_complex(cylinders):
             Passage("lower", 5, 0, "right"),
         ),
     )
+
+
+def test_staircase_curve_complex(cylinders):
+    stair = _staircase()
     surface = cylinders[1]
     assert curve_crossings(surface, stair) == ["1", "2", "3"]
     result = grading_solver(surface, [stair])
@@ -250,18 +255,22 @@ def test_staircase_curve_complex(cylinders):
 def test_complex_rejects_wrong_grade_count(cylinders):
     from skewgentle import GradedArc
 
-    stair = CombinatorialCurve(
-        "stair",
-        False,
-        (
-            Passage("upper", 0, 1, "right"),
-            Passage("lower", 1, 2, "left"),
-            Passage("lower", 3, 4, "left"),
-            Passage("lower", 5, 0, "right"),
-        ),
-    )
+    stair = _staircase()
     with pytest.raises(ValidationError):
         build_complex(GradedArc(stair, (0, 1)), cylinders[1])
+
+
+def test_complex_whose_differential_squares_nonzero_is_refused(cylinders, monkeypatch):
+    from skewgentle import linefield
+
+    surface = cylinders[1]
+    stair = _staircase()
+    result = grading_solver(surface, [stair])
+    (garc,) = graded_arcs_from_solution(surface, [stair], result)
+    monkeypatch.setattr(linefield, "verify_d2", lambda cx, algebra=None: False)
+    with pytest.raises(ValidationError) as exc:
+        build_complex(garc, surface)
+    assert [d.code for d in exc.value.diagnostics] == [NOT_A_COMPLEX]
 
 
 def test_verify_d2_spots_nonvanishing_square():
