@@ -34,7 +34,7 @@ from .diagnostics import (
     ValidationError,
     raise_on_error,
 )
-from .presentations import Presentation, check_skew_gentle
+from .presentations import Arrow, Presentation, check_skew_gentle
 
 Vector = dict[Any, Fraction]
 
@@ -729,6 +729,19 @@ def verify_morphism(
     ``expected_dim`` must be the independently computed domain dimension;
     the verdict combines homomorphism, surjectivity and the dimension
     count.
+
+    Surjectivity closes the span of the images of the vertices, the unit
+    and the path words.  A word with source ``s`` is only extended on the
+    right by the arrows ending at ``s``, and only while it raises the
+    rank.  This is exact for every map that passes the homomorphism
+    checks, indeed whenever the vertex images are orthogonal idempotents
+    summing to the unit and each arrow image is framed by its endpoints:
+    then ``f(p)·f(a) = f(p)·f(s(p))·f(t(a))·f(a)`` vanishes unless
+    ``t(a) = s(p)``, so the span contains the unit, is closed under right
+    multiplication by every generator, and is the subalgebra they
+    generate.  For a map that fails those checks no algebra map exists
+    and ``is_isomorphism`` is false anyway; ``is_surjective`` then only
+    says whether the path images the closure reaches span the target.
     """
     failures: list[str] = []
     unit = unit_image if unit_image is not None else target.unit
@@ -770,24 +783,24 @@ def verify_morphism(
 
     is_hom = not failures
 
-    gens = [vertex_images[v] for v in domain.vertices]
-    gens += [arrow_images[a.id] for a in domain.arrows]
+    # Close the span of the path images: a word with source s only grows by
+    # the arrows ending at s, since every other product is zero.
     span = SpanBasis()
-    frontier: list[Vector] = []
-    for g in gens + [unit]:
-        if span.add(g):
-            frontier.append(g)
+    for v in domain.vertices:
+        span.add(vertex_images[v])
+    span.add(unit)
+    into: dict[str, list[Arrow]] = {v: [] for v in domain.vertices}
+    frontier: list[tuple[str, Vector]] = []
+    for a in domain.arrows:
+        into[a.target].append(a)
+        if span.add(arrow_images[a.id]):
+            frontier.append((a.source, arrow_images[a.id]))
     while frontier:
-        new_frontier: list[Vector] = []
-        for w in frontier:
-            for g in gens:
-                prod = target.mul(w, g)
-                if prod and span.add(prod):
-                    new_frontier.append(prod)
-                prod = target.mul(g, w)
-                if prod and span.add(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
+        s, w = frontier.pop()
+        for a in into[s]:
+            prod = target.mul(w, arrow_images[a.id])
+            if prod and span.add(prod):
+                frontier.append((a.source, prod))
     is_surj = span.rank == target.dimension
     if not is_surj:
         failures.append(

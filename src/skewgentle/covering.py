@@ -271,8 +271,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         bseg_deck[f"{b.id}-"] = f"{b.id}+"
 
     total = make_surface(f"{surface.name}.cover", points, arcs, bsegs, polygons)
-    rep = validate(total)
-    assert rep.ok, f"double cover invalid: {rep.diagnostics}"
+    raise_on_error(validate(total))
     deck = SurfaceInvolution(
         points=point_deck,
         arcs=arc_deck,
@@ -281,7 +280,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         polygons=poly_deck,
     )
     deck_report, _ = validate_involution(total, deck)
-    assert deck_report.ok, f"deck symmetry invalid: {deck_report.diagnostics}"
+    raise_on_error(deck_report)
     return CoveringData(
         base=surface,
         total=total,
@@ -364,8 +363,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         cuts_by_poly[poly.id] = tuple(cuts)
 
     base = make_surface(f"{surface.name}.quotient", points, arcs, bsegs, polygons)
-    rep_base = validate(base)
-    assert rep_base.ok, f"quotient invalid: {rep_base.diagnostics}"
+    raise_on_error(validate(base))
 
     # Sheet-coherent polygon instances: breadth-first propagation along the
     # arc adjacencies, following the parity rule of the covering.
@@ -522,8 +520,7 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
             for q in lifted
         ]
     out = CombinatorialCurve(f"{curve.id}.lift", curve.closed, tuple(lifted))
-    rep = validate_curve(cov.total, out)
-    assert rep.ok, f"lift invalid: {rep.diagnostics}"
+    raise_on_error(validate_curve(cov.total, out))
     return LiftedCurve(out, doubled)
 
 

@@ -44,6 +44,7 @@ OUTSIDE_CORNER = "OUTSIDE_CORNER"
 CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"
 INVALID_CURVE = "INVALID_CURVE"
 BOUNDARY_POINT = "BOUNDARY_POINT"
+BAD_LIFT = "BAD_LIFT"
 # Gradings and complexes
 INCONSISTENT = "INCONSISTENT"
 NOT_CONNECTED_TO_ANCHOR = "NOT_CONNECTED_TO_ANCHOR"

@@ -26,7 +26,9 @@ so no algebra is built only to be measured.
 
 All arithmetic is exact; every comparison map is given on generators and
 checked by :func:`~skewgentle.algebra.verify_morphism`.  A symmetry that is
-not an algebra involution raises ``NOT_INVOLUTION``.
+not an algebra involution raises ``NOT_INVOLUTION``, and arrow lifts
+that do not sandwich to a single arrow or disagree on their sheet sign
+raise ``BAD_LIFT``.
 """
 from __future__ import annotations
 
@@ -55,7 +57,13 @@ from .algebra import (
     vscale,
 )
 from .covering import CoveringData
-from .diagnostics import NOT_INVOLUTION, OUTSIDE_CORNER, Diagnostic, ValidationError
+from .diagnostics import (
+    BAD_LIFT,
+    NOT_INVOLUTION,
+    OUTSIDE_CORNER,
+    Diagnostic,
+    ValidationError,
+)
 from .presentations import (
     Presentation,
     algebra_dimension,
@@ -104,6 +112,10 @@ def _require_involution(A: TableAlgebra, act: BasisMap) -> None:
         raise ValidationError(
             [Diagnostic(NOT_INVOLUTION, "the symmetry is not an algebra involution")]
         )
+
+
+def _bad_lift(message: str) -> ValidationError:
+    return ValidationError([Diagnostic(BAD_LIFT, message)])
 
 
 def _corner_images(
@@ -212,9 +224,11 @@ def verify_skew_group_reduction(
                 vadd(arr(plus, 1), arr(minus, 1)),
             )
             img = skew.mul(raw_images[j], skew.mul(middle, raw_images[i]))
-            assert len(img) == 1, "sandwich of an ordinary arrow is not a single term"
+            if len(img) != 1:
+                raise _bad_lift(f"sandwich of arrow {aid!r} has {len(img)} terms, not one")
             ((k, c),) = img.items()
-            assert c == ONE
+            if c != ONE:
+                raise _bad_lift(f"sandwich of arrow {aid!r} has coefficient {c}, not 1")
             key, g = skew.labels[k]
             survivors[sid] = (key[1][0], g)
         elif sdec is not None and tdec is None:
@@ -326,12 +340,8 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
             value *= Fraction(
                 parity if end in slit_of_lift else base_of_vertex[end][1]
             )
-        if aid in sheet_sign:
-            assert sheet_sign[aid] == value, (
-                f"sheet sign of {aid!r} differs between the two lifts"
-            )
-        else:
-            sheet_sign[aid] = value
+        if sheet_sign.setdefault(aid, value) != value:
+            raise _bad_lift(f"sheet sign of {aid!r} differs between the two lifts")
     arrow_sign = {
         sid: sheet_sign[origin[0]] for sid, origin in split_table.items()
     }

@@ -163,3 +163,61 @@ def corner_dimension(algebra, idempotent) -> int:
         if any(row):
             rows.append(row)
     return mat_rank(rows)
+
+
+def generated_dimension(algebra, gens) -> int:
+    """Dimension of the unital subalgebra generated by ``gens``.
+
+    Every element is a dense row over the basis, and a product is expanded
+    through the product table of ``algebra`` one term at a time.  Starting
+    from the unit and the generators, every independent row is multiplied
+    by every generator on both sides until no product is independent of
+    the rows kept; the dimension is the rank of those rows.
+    """
+    n = len(algebra.table)
+
+    def dense(x):
+        row = [Fraction(0)] * n
+        for k, c in x.items():
+            row[k] += c
+        return row
+
+    def times(x, y):
+        row = [Fraction(0)] * n
+        right = [(j, d) for j, d in enumerate(y) if d]
+        for i, c in enumerate(x):
+            if not c:
+                continue
+            for j, d in right:
+                for k, e in algebra.table[i][j].items():
+                    row[k] += c * d * e
+        return row
+
+    echelon: list[tuple[int, list]] = []  # (pivot column, row with pivot 1)
+
+    def independent(row) -> bool:
+        row = list(row)
+        for col, basis_row in echelon:
+            if row[col]:
+                factor = row[col]
+                row = [x - factor * y for x, y in zip(row, basis_row)]
+        col = next((k for k, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        inv = Fraction(1) / row[col]
+        echelon.append((col, [x * inv for x in row]))
+        return True
+
+    generators = [dense(g) for g in gens]
+    kept = [row for row in [dense(algebra.unit)] + generators if independent(row)]
+    frontier = list(kept)
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in generators:
+                for row in (times(w, g), times(g, w)):
+                    if independent(row):
+                        kept.append(row)
+                        new.append(row)
+        frontier = new
+    return mat_rank(kept)

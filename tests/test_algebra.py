@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mat_rank, monomial_path_count, skew_group_table
+from oracles import generated_dimension, mat_rank, monomial_path_count, skew_group_table
 from skewgentle import (
     Arrow,
     ValidationError,
@@ -300,11 +300,21 @@ def test_deformation_invertible_values_give_isomorphisms(cylinders):
 
 
 def test_deformation_zero_value_is_not_surjective(cylinders):
-    triple = triple_from_x_dissection(cylinders[1])
-    res = verify_deformation_map(triple, Fraction(0))
-    assert res.verdict.is_homomorphism
-    assert not res.verdict.is_surjective
-    assert not res.verdict.is_isomorphism
+    """At value 0 the special loops map to zero; the rank in the failure
+    is the dimension of the subalgebra the images generate."""
+    for surface in (cylinders[1], one_orbifold_disc(4)):
+        triple = triple_from_x_dissection(surface)
+        res = verify_deformation_map(triple, Fraction(0))
+        assert res.verdict.is_homomorphism
+        assert not res.verdict.is_surjective
+        assert not res.verdict.is_isomorphism
+        base = reduced_path_algebra(triple)
+        gens = [base.vertex(v) for v in triple.vertices]
+        gens += [{} if a.id in triple.special else base.arrow(a.id) for a in triple.arrows]
+        generated = generated_dimension(base.algebra, gens)
+        assert res.verdict.failures == (
+            f"images generate a subalgebra of dimension {generated} < {base.dimension}",
+        )
 
 
 def test_disc_cover_pair_dimension():

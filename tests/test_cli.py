@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from skewgentle import (
@@ -213,3 +215,68 @@ def test_invalid_surface_gives_exit_two(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One seeded mutation: a line deleted, duplicated or swapped, a token
+    mangled, or the word of a polygon shuffled."""
+    lines = text.splitlines()
+    kind = rng.choice(["delete", "duplicate", "swap", "mangle", "shuffle"])
+    i = rng.randrange(len(lines))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "mangle":
+        tokens = lines[i].split()
+        k = rng.randrange(len(tokens))
+        tok = tokens[k]
+        tokens[k] = rng.choice(
+            [tok[::-1], tok[:-1], tok + tok[-1], "", "?", tok.upper(), tok.replace("=", "")]
+        )
+        lines[i] = " ".join(tokens)
+    else:
+        k = rng.choice([k for k, line in enumerate(lines) if line.startswith("poly ")])
+        head, _, word = lines[k].partition("sides=")
+        sides = word.split(",")
+        rng.shuffle(sides)
+        lines[k] = head + "sides=" + ",".join(sides)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_files_never_escape_main(tmp_path, capsys):
+    """200 seeded mutations of the packaged files, each run through four of
+    the subcommands in turn: every run returns an exit code."""
+    texts = {name: _data_text(name) for name in DATA_NAMES}
+    texts["cylinder1"] += CORE_LINE + "\n" + STAIR_LINE + "\n"
+    rng = random.Random(2024)
+    path = tmp_path / "mutated.surf"
+    file, other = str(path), str(fixture_path("cylinder2"))
+    commands = [
+        ["validate", file],
+        ["quiver", file],
+        ["split", file],
+        ["cover", file],
+        ["quotient", file],
+        ["skewgroup", file],
+        ["invariants", file],
+        ["winding", file],
+        ["winding", file, "core"],
+        ["compare", "--mode", "tilting", file, other],
+        ["compare", "--mode", "ghat", other, file],
+        ["complex", file, "stair"],
+        ["complex", file, "core", "--grades", "0,1"],
+        ["export-dot", file],
+    ]
+    exits = []
+    for case in range(200):
+        path.write_text(_mutate(rng, texts[rng.choice(DATA_NAMES)]))
+        for j in range(4):
+            argv = commands[(4 * case + j) % len(commands)]
+            exits.append(main(argv))
+            capsys.readouterr()
+    assert all(type(code) is int for code in exits)
+    assert {0, 1, 2} <= set(exits)

@@ -23,7 +23,10 @@ from skewgentle import (
     validate_involution,
     winding,
 )
-from skewgentle.diagnostics import CURVE_THROUGH_BRANCH
+from skewgentle import covering
+from skewgentle.cli import main
+from skewgentle.diagnostics import CURVE_THROUGH_BRANCH, Report
+from skewgentle.fixtures import fixture_path
 
 EXPECTED_COVER_SHAPE = {1: (0, 4), 2: (0, 4), 3: (1, 2), 4: (1, 2)}
 
@@ -203,3 +206,63 @@ def test_unbranched_cover_of_plain_disc_splits():
     assert len(top.components) == 2
     assert not top.connected
     assert all(c.genus == 0 and len(c.boundary) == 1 for c in top.components)
+
+
+def _failing(code: str) -> Report:
+    report = Report()
+    report.add(code, "injected finding")
+    return report
+
+
+def _codes(err) -> list[str]:
+    return [d.code for d in err.value.diagnostics]
+
+
+def test_invalid_double_cover_raises_and_cli_exits_2(monkeypatch, cylinders, capsys):
+    original = covering.validate
+    monkeypatch.setattr(
+        covering,
+        "validate",
+        lambda s: _failing("BAD_EULER") if s.name.endswith(".cover") else original(s),
+    )
+    with pytest.raises(ValidationError) as err:
+        double_cover(cylinders[1])
+    assert _codes(err) == ["BAD_EULER"]
+    assert main(["cover", str(fixture_path("cylinder1"))]) == 2
+    assert "[BAD_EULER]" in capsys.readouterr().err
+
+
+def test_invalid_deck_symmetry_raises(monkeypatch, cylinders):
+    monkeypatch.setattr(
+        covering,
+        "validate_involution",
+        lambda surface, inv: (_failing("ORIENTATION_REVERSED"), ()),
+    )
+    with pytest.raises(ValidationError) as err:
+        double_cover(cylinders[1])
+    assert _codes(err) == ["ORIENTATION_REVERSED"]
+
+
+def test_invalid_quotient_raises(monkeypatch, torus_with_involution):
+    original = covering.validate
+    monkeypatch.setattr(
+        covering,
+        "validate",
+        lambda s: _failing("CORNER_MISMATCH") if s.name.endswith(".quotient") else original(s),
+    )
+    with pytest.raises(ValidationError) as err:
+        quotient(*torus_with_involution)
+    assert _codes(err) == ["CORNER_MISMATCH"]
+
+
+def test_invalid_lift_raises(monkeypatch, cylinders):
+    cov = double_cover(cylinders[1])
+    original = covering.validate_curve
+    monkeypatch.setattr(
+        covering,
+        "validate_curve",
+        lambda s, c: _failing("INVALID_CURVE") if s is cov.total else original(s, c),
+    )
+    with pytest.raises(ValidationError) as err:
+        lift_curve(cov, boundary_curve(cylinders[1], "b_bot"))
+    assert _codes(err) == ["INVALID_CURVE"]

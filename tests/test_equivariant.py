@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import corner_dimension
+from oracles import corner_dimension, generated_dimension
 from skewgentle import (
     ValidationError,
     algebra_from_products,
@@ -223,6 +223,32 @@ def test_corners_match_oracle_on_random_covers():
         _assert_corners_match_oracle(double_cover(surface_from_triple(random_triple(rng))))
 
 
+def _assert_surjectivity_matches_oracle(cov):
+    """Both reductions call their map onto exactly when the oracle's
+    two-sided closure of the generator images fills the corner."""
+    for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
+        target = red.corner.algebra
+        gens = list(red.vertex_images.values()) + list(red.arrow_images.values())
+        generated = generated_dimension(target, gens)
+        assert red.verdict.is_surjective == (generated == target.dimension)
+
+
+def test_surjectivity_matches_oracle_on_ladder_fixtures(cylinder_covers, disc_xx):
+    for cov in cylinder_covers.values():
+        _assert_surjectivity_matches_oracle(cov)
+    _assert_surjectivity_matches_oracle(double_cover(disc_xx))
+    _assert_surjectivity_matches_oracle(quotient(*two_hole_torus_surface()))
+    for n in (4, 6, 8):
+        _assert_surjectivity_matches_oracle(double_cover(one_orbifold_disc(n)))
+
+
+def test_surjectivity_matches_oracle_on_random_covers():
+    rng = random.Random(5501)
+    for _ in range(40):
+        cov = double_cover(surface_from_triple(random_triple(rng)))
+        _assert_surjectivity_matches_oracle(cov)
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     """Record every call of ``module.name`` made through any package
     module that binds it."""
@@ -270,3 +296,33 @@ def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
     report.add("BAD_INPUT", "added by the caller")
     assert validate(cov.total).ok
     assert len(checks) == done
+
+
+def _bad_lift_message(reduction, cov) -> str:
+    with pytest.raises(ValidationError) as exc:
+        reduction(cov)
+    (diagnostic,) = exc.value.diagnostics
+    assert diagnostic.code == "BAD_LIFT"
+    return diagnostic.message
+
+
+def test_sandwich_with_no_single_term_is_a_bad_lift(cylinders):
+    cov = double_cover(cylinders[1])
+    # both lifts of the ordinary arrow 1.4 moved to the other sheet: the
+    # sandwich between the chosen sheet-+1 lifts of its ends vanishes
+    cov.arrow_lifts[("1.4", 1)] = cov.arrow_lifts[("1.4", -1)]
+    assert "0 terms" in _bad_lift_message(verify_skew_group_reduction, cov)
+
+
+def test_sandwich_with_coefficient_two_is_a_bad_lift(cylinders):
+    cov = double_cover(cylinders[1])
+    cov.arrow_lifts[("1.4", -1)] = cov.arrow_lifts[("1.4", 1)]
+    assert "coefficient 2" in _bad_lift_message(verify_skew_group_reduction, cov)
+
+
+def test_lifts_with_different_sheet_signs_are_a_bad_lift(cylinders):
+    cov = double_cover(cylinders[1])
+    # read as the sheet -1 lift, 3.4+ has sign -1 at its slit end and +1 at
+    # 4+, while as the sheet +1 lift both its signs are +1
+    cov.arrow_lifts[("3.4", -1)] = cov.arrow_lifts[("3.4", 1)]
+    assert "sheet sign" in _bad_lift_message(verify_dual_reduction, cov)
