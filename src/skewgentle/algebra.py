@@ -5,15 +5,11 @@ no floating point is used anywhere.  Elements are sparse vectors over an
 explicit basis, algebras carry a full multiplication table, and linear
 algebra is done by exact Gaussian elimination.
 
-Two quotient constructions cover the package's needs:
-
-* :func:`graded_path_algebra` -- quadratic homogeneous relations (single
-  paths or two-term sums with coefficient one), eliminated degree by
-  degree; used for gentle pairs and split presentations.
-* :func:`reduced_path_algebra` -- monomial relations plus the rewriting
-  rule ``loop * loop -> value * loop`` for designated loops; used for the
-  skew-gentle algebra of a triple (value 1) and its one-parameter
-  deformations.
+One builder, :func:`graded_path_algebra`, covers the three quadratic
+presentations the package meets: gentle pairs (single-path relations),
+skew-gentle triples (single-path relations plus special loops with
+``e*e = value * e``; value 1 gives the skew-gentle algebra, other values
+its deformations) and split presentations (two-term relations).
 
 Paths are stored in application order; products are written in
 composition order, so ``mul(x, y)`` applies ``y`` first.
@@ -263,12 +259,45 @@ def path_target(pres: Presentation, key: PathKey) -> str:
     return pres.arrow_by_id[arrows[-1]].target
 
 
+def _junction(
+    pres: Presentation, values: Mapping[str, Fraction], a: str, b: str
+) -> Optional[Fraction]:
+    """The rule for arrow ``b`` right after arrow ``a`` in a path.
+
+    ``None`` when the two concatenate.  Otherwise the pair collapses to
+    ``a`` times the returned coefficient: 0 when ``(a, b)`` is a
+    single-path relation, the loop's value when ``b`` repeats the special
+    loop ``a``.
+    """
+    if (a, b) in pres.monomial_pairs:
+        return ZERO
+    if a == b and a in values:
+        return values[a]
+    return None
+
+
+def _expand(
+    normal_forms: Mapping[PathKey, Vector],
+    zero_length: int,
+    key: PathKey,
+    coeff: Fraction,
+) -> Vector:
+    """``coeff`` times the normal form of a path that crosses no
+    single-path relation and repeats no special loop."""
+    if not coeff or len(key[1]) >= zero_length:
+        return {}
+    nf = normal_forms[key]
+    return dict(nf) if coeff == 1 else vscale(nf, coeff)
+
+
 @dataclass
 class PathAlgebra:
     """A quotient of a path algebra with a chosen monomial basis.
 
     ``normal_forms`` sends every enumerated path key to its expansion over
-    the basis (by index); paths at or beyond ``zero_length`` vanish.
+    the basis (by index); paths at or beyond ``zero_length`` vanish, and so
+    do paths through a single-path relation.  Each special loop ``e``
+    satisfies ``e*e = loop_values[e] * e``.
     """
 
     presentation: Presentation
@@ -276,6 +305,7 @@ class PathAlgebra:
     normal_forms: dict[PathKey, Vector]
     zero_length: int
     dims_by_length: tuple[int, ...]
+    loop_values: Mapping[str, Fraction]
 
     def vertex(self, v: str) -> Vector:
         return self.algebra.element((v, ()))
@@ -285,102 +315,69 @@ class PathAlgebra:
         return self.reduce((arr.source, (a,)))
 
     def reduce(self, key: PathKey) -> Vector:
-        if len(key[1]) >= self.zero_length:
-            return {}
-        nf = self.normal_forms.get(key)
-        if nf is None:
-            raise KeyError(f"path {key!r} is not composable in the quiver")
-        return dict(nf)
+        """The expansion of a composable path over the basis."""
+        src, arrows = key
+        pres = self.presentation
+        coeff, word, at = ONE, (), src
+        for a in arrows:
+            arr = pres.arrow_by_id.get(a)
+            if arr is None or arr.source != at:
+                raise KeyError(f"path {key!r} is not composable in the quiver")
+            at = arr.target
+            c = _junction(pres, self.loop_values, word[-1], a) if word else None
+            if c is None:
+                word += (a,)
+            else:
+                coeff *= c
+        return _expand(self.normal_forms, self.zero_length, (src, word), coeff)
 
     @property
     def dimension(self) -> int:
         return self.algebra.dimension
 
 
-def _build_path_table(
-    pres: Presentation,
-    basis: list[PathKey],
-    normal_forms: dict[PathKey, Vector],
-    zero_length: int,
-) -> TableAlgebra:
-    index = {k: i for i, k in enumerate(basis)}
-    targets = {k: path_target(pres, k) for k in basis}
-    table: list[list[Vector]] = []
-    for x in basis:
-        row: list[Vector] = []
-        for y in basis:
-            # x * y in composition order: y is traversed first.
-            if targets[y] != x[0]:
-                row.append({})
-                continue
-            concat: PathKey = (y[0], y[1] + x[1])
-            if len(concat[1]) >= zero_length:
-                row.append({})
-            else:
-                row.append(dict(normal_forms[concat]))
-        table.append(row)
-    unit: Vector = {}
-    for v in pres.vertices:
-        unit[index[(v, ())]] = ONE
-    return TableAlgebra(tuple(basis), table, unit)
-
-
 def graded_path_algebra(
-    pres: Presentation, max_len: Optional[int] = None
+    pres: Presentation, loop_values: Optional[Mapping[str, Fraction]] = None
 ) -> PathAlgebra:
-    """Quotient by homogeneous quadratic relations, degree by degree.
+    """The quotient of the path algebra of ``pres`` by its relations.
 
-    Relations may be single length-two paths or two-term sums (both with
-    coefficient one).  Within each graded piece the lexicographically
-    first paths survive as basis vectors.  Raises ``NOT_STABILIZED`` when
-    the dimensions have not reached zero by ``max_len``.
+    Relations are single length-two paths or two-term sums (both with
+    coefficient one); each special loop ``e`` also satisfies
+    ``e*e = value * e``, with the value from ``loop_values`` (default 1).
+    Paths are enumerated length by length, never across a single-path
+    relation or a repeated special loop.  Within each graded piece the
+    two-term relations are eliminated and the lexicographically first
+    paths survive as basis vectors, so the basis does not depend on the
+    loop values.  Presentations with special loops must pass
+    :func:`check_skew_gentle`.  Raises ``NOT_STABILIZED`` when the
+    dimensions have not reached zero by ``SKEWGENTLE_MAX_PATH_LEN``.
     """
     if pres.special:
-        raise ValidationError(
-            [Diagnostic(BAD_INPUT, "special loops are not allowed here; build the reduced algebra")]
-        )
-    limit = max_len if max_len is not None else default_max_path_length()
-    by_id = pres.arrow_by_id
-    out_arrows: dict[str, list[str]] = {v: [] for v in pres.vertices}
-    for a in pres.arrows:
-        out_arrows[a.source].append(a.id)
-    for v in out_arrows:
-        out_arrows[v].sort()
+        raise_on_error(check_skew_gentle(pres))
+    loop_values = loop_values or {}
+    values = {e: Fraction(loop_values.get(e, 1)) for e in pres.special}
+    limit = default_max_path_length()
+    binomials = [rel for rel in pres.relations if len(rel) == 2]
 
-    raw: dict[int, list[PathKey]] = {
-        0: [(v, ()) for v in pres.vertices],
-        1: [(a.source, (a.id,)) for a in sorted(pres.arrows, key=lambda a: a.id)],
-    }
-    normal_forms: dict[PathKey, Vector] = {}
     basis: list[PathKey] = []
-    dims: list[int] = []
     index_of: dict[PathKey, int] = {}
+    normal_forms: dict[PathKey, Vector] = {}
 
     def admit(key: PathKey) -> None:
         index_of[key] = len(basis)
+        normal_forms[key] = {len(basis): ONE}
         basis.append(key)
-        normal_forms[key] = {index_of[key]: ONE}
 
-    for key in raw[0]:
+    layers: list[list[PathKey]] = [
+        [(v, ()) for v in pres.vertices],
+        [(a.source, (a.id,)) for a in sorted(pres.arrows, key=lambda a: a.id)],
+    ]
+    for key in layers[0] + layers[1]:
         admit(key)
-    dims.append(len(raw[0]))
-    for key in raw[1]:
-        admit(key)
-    dims.append(len(raw[1]))
-
-    rel_data = []  # (source vertex, target vertex, tuple of paths)
-    for rel in pres.relations:
-        first = rel[0]
-        rel_data.append(
-            (by_id[first[0]].source, by_id[first[1]].target, rel)
-        )
-
-    length = 1
-    while True:
-        if dims[-1] == 0:
-            zero_length = length
-            break
-        length += 1
+    dims = [len(layers[0]), len(layers[1])]
+    ideal: list[Vector] = []  # the reduced relation rows of the last length
+    while dims[-1]:
+        length = len(dims)
         if length > limit:
             raise ValidationError(
                 [
@@ -390,138 +387,59 @@ def graded_path_algebra(
                     )
                 ]
             )
-        prev = raw[length - 1]
-        cur: list[PathKey] = []
-        for src, arrows in prev:
-            tgt = path_target(pres, (src, arrows))
-            for aid in out_arrows[tgt]:
-                cur.append((src, arrows + (aid,)))
-        raw[length] = cur
-        # Group this length by graded piece and eliminate the ideal.
-        pieces: dict[tuple[str, str], list[PathKey]] = {}
-        for key in cur:
-            pieces.setdefault((key[0], path_target(pres, key)), []).append(key)
-        total = 0
-        for (psrc, ptgt), keys in sorted(pieces.items()):
-            keys = sorted(keys)
-            rank_of = {k: -i for i, k in enumerate(keys)}  # lex-last leads
-            span = SpanBasis(order=lambda k: rank_of[k])
-            for rsrc, rtgt, rel in rel_data:
-                for p in range(length - 1):
-                    q = length - 2 - p
-                    for u in raw[p]:
-                        if u[0] != psrc or path_target(pres, u) != rsrc:
-                            continue
-                        for w in raw[q]:
-                            if w[0] != rtgt or path_target(pres, w) != ptgt:
-                                continue
-                            row: Vector = {}
-                            for path in rel:
-                                key = (psrc, u[1] + tuple(path) + w[1])
-                                row[key] = row.get(key, ZERO) + ONE
-                            span.add(row)
-            pivots = set(span.rows)
-            for key in keys:
-                if key in pivots:
-                    continue
+        words = [
+            (src, arrows + (b.id,))
+            for src, arrows in layers[-1]
+            for b in pres.outgoing[path_target(pres, (src, arrows))]
+            if _junction(pres, values, arrows[-1], b.id) is None
+        ]
+        layers.append(words)
+        # Sorted by graded piece, then lexicographically; each relation row
+        # lies in one piece, and within it the lex-last path leads.
+        words.sort(key=lambda k: (k[0], path_target(pres, k), k[1]))
+        rank_of = {k: -i for i, k in enumerate(words)}
+        span = SpanBasis(order=rank_of.__getitem__)
+
+        def relate(terms: Iterable[tuple[PathKey, Fraction]]) -> None:
+            # Terms through a single-path relation are zero already.
+            span.add({key: c for key, c in terms if key in rank_of})
+
+        # The relations of this length: those of the last length followed by
+        # an arrow, and the two-term relations preceded by a path.
+        for row in ideal:
+            for b in pres.outgoing[path_target(pres, next(iter(row)))]:
+                relate(((src, arrows + (b.id,)), c) for (src, arrows), c in row.items())
+        for rel in binomials:
+            rsrc = pres.arrow_by_id[rel[0][0]].source
+            for src, arrows in layers[-3]:
+                if path_target(pres, (src, arrows)) == rsrc:
+                    relate(((src, arrows + path), ONE) for path in rel)
+        for key in words:
+            if key not in span.rows:
                 admit(key)
-            total += len(keys) - len(pivots)
-            for piv, row in span.rows.items():
-                nf: Vector = {}
-                for key, c in row.items():
-                    if key == piv:
-                        continue
-                    nf[index_of[key]] = -c
-                normal_forms[piv] = nf
-        dims.append(total)
+        for piv, row in span.rows.items():
+            normal_forms[piv] = {index_of[k]: -c for k, c in row.items() if k != piv}
+        ideal = list(span.rows.values())
+        dims.append(len(words) - span.rank)
+    zero_length = len(dims) - 1
 
-    algebra = _build_path_table(pres, basis, normal_forms, zero_length)
-    return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims))
-
-
-def reduced_path_algebra(
-    triple: Presentation,
-    loop_values: Optional[Mapping[str, Fraction]] = None,
-    max_len: Optional[int] = None,
-) -> PathAlgebra:
-    """Quotient by monomial relations plus ``e*e -> value * e`` loop rules.
-
-    With all values 1 this is the algebra of a skew-gentle triple; other
-    values give its deformations.  The basis -- paths avoiding both the
-    relations and repeated special loops -- does not depend on the values.
-    """
-    raise_on_error(check_skew_gentle(triple))
-    values = {
-        e: (Fraction(loop_values.get(e, 1)) if loop_values is not None else ONE)
-        for e in triple.special
-    }
-    limit = max_len if max_len is not None else default_max_path_length()
-    pairs = set(triple.monomial_pairs)
-    forbidden = pairs | {(e, e) for e in triple.special}
-    by_id = triple.arrow_by_id
-    out_arrows: dict[str, list[str]] = {v: [] for v in triple.vertices}
-    for a in triple.arrows:
-        out_arrows[a.source].append(a.id)
-    for v in out_arrows:
-        out_arrows[v].sort()
-
-    basis: list[PathKey] = [(v, ()) for v in triple.vertices]
-    dims = [len(basis)]
-    current = [(a.source, (a.id,)) for a in sorted(triple.arrows, key=lambda a: a.id)]
-    length = 1
-    while current:
-        basis.extend(current)
-        dims.append(len(current))
-        length += 1
-        if length > limit:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        NOT_STABILIZED,
-                        f"path lengths did not stabilize by {limit}",
-                    )
-                ]
+    # x * y in composition order: y is traversed first, and only the basis
+    # paths starting where y ends can follow it.
+    by_source: dict[str, list[int]] = {v: [] for v in pres.vertices}
+    for i, (src, _) in enumerate(basis):
+        by_source[src].append(i)
+    table: list[list[Vector]] = [[{} for _ in basis] for _ in basis]
+    for j, (src, first) in enumerate(basis):
+        for i in by_source[path_target(pres, (src, first))]:
+            then = basis[i][1]
+            c = _junction(pres, values, first[-1], then[0]) if first and then else None
+            word = first + then if c is None else first + then[1:]
+            table[i][j] = _expand(
+                normal_forms, zero_length, (src, word), ONE if c is None else c
             )
-        nxt: list[PathKey] = []
-        for src, arrows in current:
-            tgt = by_id[arrows[-1]].target
-            for aid in out_arrows[tgt]:
-                if (arrows[-1], aid) in forbidden:
-                    continue
-                nxt.append((src, arrows + (aid,)))
-        current = nxt
-    zero_length = length
-    dims.append(0)
-
-    index = {k: i for i, k in enumerate(basis)}
-
-    def basis_index(*key) -> int:
-        if key not in index:
-            raise ValidationError(
-                [Diagnostic(NOT_CLOSED, f"product {key!r} left the reduced basis")]
-            )
-        return index[key]
-
-    def product(x: PathKey, y: PathKey) -> Vector:
-        # x * y, y first.
-        if path_target(triple, y) != x[0]:
-            return {}
-        if not y[1]:
-            return {index[x]: ONE}
-        if not x[1]:
-            return {index[y]: ONE}
-        a_last, b_first = y[1][-1], x[1][0]
-        if (a_last, b_first) in pairs:
-            return {}
-        if a_last == b_first and a_last in triple.special:
-            return {basis_index(y[0], y[1] + x[1][1:]): values[a_last]}
-        return {basis_index(y[0], y[1] + x[1]): ONE}
-
-    table = [[product(x, y) for y in basis] for x in basis]
-    unit = {index[(v, ())]: ONE for v in triple.vertices}
+    unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
     algebra = TableAlgebra(tuple(basis), table, unit)
-    normal_forms = {k: {index[k]: ONE} for k in basis}
-    return PathAlgebra(triple, algebra, normal_forms, zero_length, tuple(dims))
+    return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values)
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +753,9 @@ def verify_deformation_map(
     isomorphism exactly when ``value`` is invertible.
     """
     value = Fraction(value)
-    base = reduced_path_algebra(triple)
-    # The reduced basis does not depend on the loop values, so the deformed
-    # algebra has the dimension of the undeformed one.
+    base = graded_path_algebra(triple)
+    # The basis does not depend on the loop values, so the deformed algebra
+    # has the dimension of the undeformed one.
     deformed_dim = base.dimension
     vertex_images = {v: base.vertex(v) for v in triple.vertices}
     arrow_images: dict[str, Vector] = {}

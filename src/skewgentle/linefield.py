@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .algebra import PathAlgebra, Vector, reduced_path_algebra, vadd
+from .algebra import PathAlgebra, Vector, graded_path_algebra, vadd
 from .covering import double_cover, lift_curve
 from .diagnostics import (
     BAD_INPUT,
@@ -135,7 +135,7 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
         else:
             passages.append(Passage(pid, u, u - 1, "right"))
     curve = CombinatorialCurve(f"boundary.{start_bseg}", True, tuple(passages))
-    assert validate_curve(surface, curve).ok
+    raise_on_error(validate_curve(surface, curve))
     return curve
 
 
@@ -217,7 +217,7 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
             break
     assert len(passages) == len(corners)
     curve = CombinatorialCurve(f"loop.{point_id}", True, tuple(passages))
-    assert validate_curve(surface, curve).ok
+    raise_on_error(validate_curve(surface, curve))
     return curve
 
 
@@ -622,7 +622,7 @@ def map_graded_arc(
             for p in garc.curve.passages
         ),
     )
-    assert validate_curve(surface, moved).ok
+    raise_on_error(validate_curve(surface, moved))
     return GradedArc(moved, garc.grades)
 
 
@@ -667,7 +667,7 @@ def build_complex(
             ]
         )
     ext = extract_quiver(surface)
-    alg = algebra if algebra is not None else reduced_path_algebra(ext.presentation)
+    alg = algebra if algebra is not None else graded_path_algebra(ext.presentation)
     arrow_at = {corner: aid for aid, corner in ext.corner_of_arrow.items()}
 
     ps = curve.passages
@@ -710,7 +710,17 @@ def build_complex(
         arrows = tuple(arrow_at[(p.polygon, i)] for i in range(lo, hi))
         src = surface.polygon_by_id[p.polygon].sides[lo].ref
         value = alg.reduce((src, arrows))
-        assert value, "corner paths survive the gentle relations"
+        if not value:
+            raise ValidationError(
+                [
+                    Diagnostic(
+                        BAD_INPUT,
+                        f"corner path of passage {j} of {curve.id!r} vanishes "
+                        "in the algebra",
+                        (curve.id, j),
+                    )
+                ]
+            )
         differential[(row, col)] = value
 
     cx = ComplexPresentation(

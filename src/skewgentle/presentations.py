@@ -959,8 +959,7 @@ def _reconstruct(
         )
     assert len(placed) == 2 * len(companion.vertices), "face tracing missed a side"
     surf = make_surface(name, points, arcs, bsegs, polygons)
-    rep = validate(surf)
-    assert rep.ok, f"reconstructed surface invalid: {rep.diagnostics}"
+    raise_on_error(validate(surf))
     return surf
 
 

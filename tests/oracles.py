@@ -221,3 +221,31 @@ def generated_dimension(algebra, gens) -> int:
                         new.append(row)
         frontier = new
     return mat_rank(kept)
+
+
+def word_product(presentation, values, x, y) -> dict:
+    """The product ``x · y`` of two path labels (``y`` first) by rewriting words.
+
+    Labels are ``(source vertex, arrows in application order)``.  The two
+    words are concatenated; each repeat of a special loop ``e`` (a key of
+    ``values``) is dropped and multiplies the coefficient by ``values[e]``.
+    The product is zero when the words do not compose, when the rewritten
+    word contains a single-path relation, or when the coefficient is zero.
+    Returns ``{label: coefficient}``.
+    """
+    ends = {a.id: (a.source, a.target) for a in presentation.arrows}
+    (x_source, x_word), (y_source, y_word) = x, y
+    y_target = ends[y_word[-1]][1] if y_word else y_source
+    if y_target != x_source:
+        return {}
+    coeff = Fraction(1)
+    word: list[str] = []
+    for a in y_word + x_word:
+        if word and word[-1] == a and a in values:
+            coeff *= values[a]
+        else:
+            word.append(a)
+    pairs = forbidden_pairs(presentation)
+    if not coeff or any(pair in pairs for pair in zip(word, word[1:])):
+        return {}
+    return {(y_source, tuple(word)): coeff}

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import generated_dimension, mat_rank, monomial_path_count, skew_group_table
+from oracles import (
+    generated_dimension,
+    mat_rank,
+    monomial_path_count,
+    skew_group_table,
+    word_product,
+)
 from skewgentle import (
     Arrow,
     ValidationError,
@@ -22,7 +28,6 @@ from skewgentle import (
     quotient,
     random_gentle_pair,
     random_triple,
-    reduced_path_algebra,
     skew_group_algebra,
     split_presentation,
     surface_from_gentle,
@@ -141,10 +146,56 @@ def test_reduce_rejects_noncomposable_word():
         alg.reduce(("1", ("b", "a")))
 
 
-def test_graded_algebra_refuses_special_loops(cylinders):
+def test_paths_that_never_vanish_raise_not_stabilized(monkeypatch):
+    monkeypatch.setenv("SKEWGENTLE_MAX_PATH_LEN", "6")
+    loop = make_presentation(["1"], [Arrow("x", "1", "1")])
+    with pytest.raises(ValidationError) as exc:
+        graded_path_algebra(loop)
+    assert [d.code for d in exc.value.diagnostics] == ["NOT_STABILIZED"]
+
+
+def _assert_matches_word_products(triple, value):
+    values = {e: Fraction(value) for e in triple.special}
+    alg = graded_path_algebra(triple, values)
+    labels = alg.algebra.labels
+    assert len(labels) == monomial_path_count(triple, nilpotent_loops=triple.special)
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            cell = {labels[k]: c for k, c in alg.algebra.table[i][j].items()}
+            assert cell == word_product(triple, values, x, y), (x, y)
+    assert {labels[k]: c for k, c in alg.algebra.unit.items()} == {
+        (v, ()): ONE for v in triple.vertices
+    }
+
+
+def test_triple_tables_match_word_products_on_ladder_fixtures():
+    surfaces = [two_orbifold_cylinder(v) for v in (1, 2, 3, 4)]
+    surfaces.append(two_orbifold_disc())
+    surfaces += [one_orbifold_disc(n) for n in range(4, 15)]
+    for surface in surfaces:
+        for value in (1, 5, 0):
+            _assert_matches_word_products(triple_from_x_dissection(surface), value)
+
+
+def test_triple_tables_match_word_products_on_random_triples():
+    rng = random.Random(6011)
+    for _ in range(40):
+        triple = random_triple(rng)
+        for value in (1, 5, 0):
+            _assert_matches_word_products(triple, value)
+
+
+def test_reduce_kills_relations_and_collapses_special_loops(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
-    with pytest.raises(Exception):
-        graded_path_algebra(triple)
+    assert (("1.2", "2.3"),) in triple.relations and "2.2" in triple.special
+    alg = graded_path_algebra(triple, {e: Fraction(5) for e in triple.special})
+    assert alg.reduce(("1", ("1.2", "2.3"))) == {}
+    assert alg.reduce(("1", ("1.2", "2.2", "2.3", "3.4"))) == {}
+    collapsed = alg.algebra.index_of[("1", ("1.2", "2.2"))]
+    assert alg.reduce(("1", ("1.2", "2.2", "2.2"))) == {collapsed: Fraction(5)}
+    assert alg.reduce(("1", ("1.2", "2.2", "2.2", "2.2"))) == {collapsed: Fraction(25)}
+    with pytest.raises(KeyError):
+        alg.reduce(("1", ("2.2", "2.2")))
 
 
 def test_torus_pair_dimension_matches_path_enumeration():
@@ -154,14 +205,14 @@ def test_torus_pair_dimension_matches_path_enumeration():
 
 def test_reduced_cylinder_algebra_dimension(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
-    alg = reduced_path_algebra(triple)
+    alg = graded_path_algebra(triple)
     assert alg.dimension == monomial_path_count(companion_pair(triple)) == 20
 
 
 def test_reduced_basis_is_independent_of_loop_values(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
-    plain = reduced_path_algebra(triple)
-    scaled = reduced_path_algebra(
+    plain = graded_path_algebra(triple)
+    scaled = graded_path_algebra(
         triple, {e: Fraction(5) for e in triple.special}
     )
     assert plain.algebra.labels == scaled.algebra.labels
@@ -169,8 +220,8 @@ def test_reduced_basis_is_independent_of_loop_values(cylinders):
 
 def test_special_loops_square_to_assigned_multiple(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
-    plain = reduced_path_algebra(triple)
-    scaled = reduced_path_algebra(
+    plain = graded_path_algebra(triple)
+    scaled = graded_path_algebra(
         triple, {e: Fraction(3) for e in triple.special}
     )
     for e in triple.special:
@@ -257,7 +308,7 @@ def test_involution_verifier_rejects_non_multiplicative_map():
 
 def test_verify_morphism_accepts_identity(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
-    alg = reduced_path_algebra(triple)
+    alg = graded_path_algebra(triple)
     verdict = verify_morphism(
         triple,
         {v: alg.vertex(v) for v in triple.vertices},
@@ -299,6 +350,13 @@ def test_deformation_invertible_values_give_isomorphisms(cylinders):
         assert res.verdict.is_isomorphism
 
 
+def test_deformation_refuses_a_triple_that_is_not_skew_gentle():
+    bad = make_presentation(["1", "2"], [Arrow("e", "1", "2")], [], special={"e"})
+    with pytest.raises(ValidationError) as exc:
+        verify_deformation_map(bad, Fraction(2))
+    assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
+
+
 def test_deformation_zero_value_is_not_surjective(cylinders):
     """At value 0 the special loops map to zero; the rank in the failure
     is the dimension of the subalgebra the images generate."""
@@ -308,7 +366,7 @@ def test_deformation_zero_value_is_not_surjective(cylinders):
         assert res.verdict.is_homomorphism
         assert not res.verdict.is_surjective
         assert not res.verdict.is_isomorphism
-        base = reduced_path_algebra(triple)
+        base = graded_path_algebra(triple)
         gens = [base.vertex(v) for v in triple.vertices]
         gens += [{} if a.id in triple.special else base.arrow(a.id) for a in triple.arrows]
         generated = generated_dimension(base.algebra, gens)

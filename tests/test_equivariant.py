@@ -13,11 +13,11 @@ from skewgentle import (
     basis_map_from_permutation,
     corner_algebra,
     double_cover,
+    graded_path_algebra,
     make_presentation,
     one_orbifold_disc,
     quotient,
     random_triple,
-    reduced_path_algebra,
     surface_from_triple,
     triple_from_x_dissection,
     two_hole_torus_surface,
@@ -64,7 +64,7 @@ def test_smaller_disc_corner_dimension():
 
 def test_corner_matches_base_algebra_dimension(cylinders, disc_x4, disc_xx):
     for surface, red in _canonical_reductions(cylinders, disc_x4, disc_xx):
-        base_dim = reduced_path_algebra(triple_from_x_dissection(surface)).dimension
+        base_dim = graded_path_algebra(triple_from_x_dissection(surface)).dimension
         assert red.corner.algebra.dimension == base_dim
 
 
@@ -273,7 +273,6 @@ def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
             ("skewgentle.presentations", "extract_quiver"),
             ("skewgentle.presentations", "split_presentation"),
             ("skewgentle.algebra", "graded_path_algebra"),
-            ("skewgentle.algebra", "reduced_path_algebra"),
             ("skewgentle.presentations", "split_arrow_table"),
             ("skewgentle.presentations", "split_swap_map"),
         )
@@ -286,7 +285,6 @@ def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
         "extract_quiver": 2,
         "split_presentation": 1,
         "graded_path_algebra": 2,
-        "reduced_path_algebra": 0,
         "split_arrow_table": 1,
         "split_swap_map": 1,
     }

@@ -24,6 +24,7 @@ from skewgentle import (
     decide_ghat_equiv,
     decide_tilting_equiv,
     dual_dissection,
+    extract_quiver,
     graded_arcs_from_solution,
     grading_solver,
     graded_path_algebra,
@@ -34,6 +35,7 @@ from skewgentle import (
     map_graded_arc,
     puncture_loop,
     reverse_curve,
+    surface_from_gentle,
     surface_from_triple,
     triple_from_x_dissection,
     two_marked_disc,
@@ -397,3 +399,70 @@ def test_verdict_details_mention_both_sides(cylinders):
     verdict = decide_ghat_equiv(cylinders[1], cylinders[2])
     assert any("left" in line for line in verdict.details)
     assert any("right" in line for line in verdict.details)
+
+
+def _reject_curves(monkeypatch, suffix=""):
+    """Make the curve check inside ``linefield`` report a finding for every
+    curve whose id ends with ``suffix``."""
+    from skewgentle import linefield
+    from skewgentle.diagnostics import INVALID_CURVE, Report
+
+    original = linefield.validate_curve
+
+    def check(surface, curve):
+        report = Report(list(original(surface, curve).diagnostics))
+        if curve.id.endswith(suffix):
+            report.add(INVALID_CURVE, "refused by the test", (curve.id,))
+        return report
+
+    monkeypatch.setattr(linefield, "validate_curve", check)
+
+
+def test_boundary_curve_check_is_a_diagnostic(cylinders, monkeypatch):
+    _reject_curves(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        boundary_curve(cylinders[1], "b_bot")
+    assert [d.code for d in exc.value.diagnostics] == ["INVALID_CURVE"]
+
+
+def test_puncture_loop_check_is_a_diagnostic(cylinders, monkeypatch):
+    _reject_curves(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        puncture_loop(cylinders[1], "X1")
+    assert [d.code for d in exc.value.diagnostics] == ["INVALID_CURVE"]
+
+
+def test_mapped_graded_arc_check_is_a_diagnostic(torus_with_involution, monkeypatch):
+    surface, inv = torus_with_involution
+    duals = dual_dissection(surface)
+    garc = graded_arcs_from_solution(surface, duals, grading_solver(surface, duals))[0]
+    _reject_curves(monkeypatch, suffix=".inv")
+    with pytest.raises(ValidationError) as exc:
+        map_graded_arc(surface, inv, garc)
+    assert [d.code for d in exc.value.diagnostics] == ["INVALID_CURVE"]
+
+
+def test_complex_refuses_an_algebra_that_kills_a_corner_path():
+    # The A3 disc: the passage through F2 walks the corner path 1.2 then 2.3.
+    surface = surface_from_gentle(
+        make_presentation(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    )
+    curve = CombinatorialCurve(
+        "c",
+        False,
+        (
+            Passage("F1", 0, 1, "right"),
+            Passage("F2", 1, 3, "left"),
+            Passage("F4", 1, 0, "right"),
+        ),
+    )
+    (garc,) = graded_arcs_from_solution(surface, [curve], grading_solver(surface, [curve]))
+    assert build_complex(garc, surface).differential
+    pres = extract_quiver(surface).presentation
+    assert pres.relations == ()
+    killed = graded_path_algebra(
+        make_presentation(pres.vertices, pres.arrows, [(("1.2", "2.3"),)])
+    )
+    with pytest.raises(ValidationError) as exc:
+        build_complex(garc, surface, algebra=killed)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, ("c", 1))]

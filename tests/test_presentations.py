@@ -7,6 +7,7 @@ import pytest
 from oracles import monomial_path_count
 from skewgentle import (
     Arrow,
+    ValidationError,
     check_gentle,
     check_skew_gentle,
     cycle_piece,
@@ -272,3 +273,19 @@ def test_iso_presentations_distinguishes():
     assert iso_presentations(a, b)  # opposite orientation is still isomorphic by relabeling
     d = make_presentation(["1"], [Arrow("a", "1", "1")], [])
     assert iso_presentations(a, d) is None
+
+
+def test_reconstruction_check_is_a_diagnostic(monkeypatch):
+    from skewgentle import presentations
+    from skewgentle.diagnostics import BAD_EULER, Report
+
+    def refuse(surface):
+        report = Report()
+        report.add(BAD_EULER, "refused by the test")
+        return report
+
+    pair, _ = two_hole_torus_pair()
+    monkeypatch.setattr(presentations, "validate", refuse)
+    with pytest.raises(ValidationError) as exc:
+        surface_from_gentle(pair)
+    assert [d.code for d in exc.value.diagnostics] == [BAD_EULER]
