@@ -17,10 +17,15 @@ by id), and parsing that output reproduces it byte for byte.
 
 Exit codes: 0 success, 1 a comparison decided NOT_EQUIVALENT, 2 invalid
 input (diagnostics on stderr).
+
+``main(argv)`` can be called repeatedly in one process.  It builds its
+argument parser once, on the first call (not at import), and every later
+call parses with that same parser.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -483,7 +488,9 @@ def _cmd_export_dot(ns) -> int:
 # Entry point
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first ``main`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="skewgentle",
         description="Dissected surfaces, skew-gentle presentations, double "
@@ -529,8 +536,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     add("export-dot", _cmd_export_dot, "quiver in graphviz dot format").add_argument(
         "file"
     )
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except ValidationError as exc:

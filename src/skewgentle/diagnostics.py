@@ -45,6 +45,7 @@ CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"
 INVALID_CURVE = "INVALID_CURVE"
 BOUNDARY_POINT = "BOUNDARY_POINT"
 BAD_LIFT = "BAD_LIFT"
+WINDING_MISMATCH = "WINDING_MISMATCH"
 # Gradings and complexes
 INCONSISTENT = "INCONSISTENT"
 NOT_CONNECTED_TO_ANCHOR = "NOT_CONNECTED_TO_ANCHOR"

@@ -26,6 +26,7 @@ from .diagnostics import (
     NOT_A_COMPLEX,
     NOT_CONNECTED_TO_ANCHOR,
     UNKNOWN_ID,
+    WINDING_MISMATCH,
     Diagnostic,
     Report,
     ValidationError,
@@ -596,8 +597,10 @@ def graded_arcs_from_solution(
     curves: Sequence[CombinatorialCurve],
     result: GradingResult,
 ) -> list[GradedArc]:
-    """Attach solved grades to their curves."""
-    assert result.values is not None
+    """Attach solved grades to their curves; a failed grading raises with
+    the solver's findings."""
+    if result.values is None:
+        raise ValidationError(result.report.diagnostics)
     out = []
     for c in curves:
         m = len(c.passages) if c.closed else len(c.passages) - 1
@@ -802,23 +805,36 @@ def cover_invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     """Invariant tuple of the canonical branched double cover, with the
     boundary windings cross-checked against lifts of the base boundary
     curves (closed lifts keep the winding; a doubled lift carries twice
-    the base winding)."""
+    the base winding).  A disagreement raises ``WINDING_MISMATCH``."""
     cov = double_cover(surface)
     direct = invariant_tuple(cov.total)
+    report = Report()
     lifted: list[int] = []
     for bc in boundary_components(surface):
         base = _trace_boundary(surface, min(bc.bsegs))
         w = winding(surface, base)
         lift = lift_curve(cov, base)
         wl = winding(cov.total, lift.curve)
-        if lift.doubled:
-            assert wl == 2 * w
-            lifted.append(wl)
-        else:
-            assert wl == w
-            lifted.extend([wl, wl])
+        expected = 2 * w if lift.doubled else w
+        if wl != expected:
+            report.add(
+                WINDING_MISMATCH,
+                f"boundary {bc.bsegs} has winding {w}, its "
+                f"{'doubled' if lift.doubled else 'closed'} lift {wl} "
+                f"(expected {expected})",
+                (bc.bsegs, w, wl),
+            )
+        lifted.extend([wl] if lift.doubled else [wl, wl])
+    lifted.sort()
     direct_ws = sorted(e[0] for e in direct.entries if e[2] == BOUNDARY)
-    assert sorted(lifted) == direct_ws
+    if lifted != direct_ws:
+        report.add(
+            WINDING_MISMATCH,
+            f"lifted boundary windings {lifted} differ from the cover's own "
+            f"{direct_ws}",
+            (tuple(lifted), tuple(direct_ws)),
+        )
+    raise_on_error(report)
     return direct
 
 

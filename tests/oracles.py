@@ -85,6 +85,14 @@ def genus_from_counts(chi: int, boundary_circles: int) -> Fraction:
     return Fraction(2 - chi - boundary_circles, 2)
 
 
+def poincare_hopf_total(surface) -> Fraction:
+    """4 - 4g, which sum(w + 2) over the boundary components and interior
+    points of a line field on a connected surface must equal (Poincare-Hopf;
+    Lekili-Polishchuk, arXiv 1801.06370), with g from the cell counts."""
+    genus = genus_from_counts(euler_characteristic(surface), boundary_circle_count(surface))
+    return 4 - 4 * genus
+
+
 def mat_rank(rows: list[list[Fraction]]) -> int:
     """Row rank over the rationals by naive elimination."""
     m = [list(r) for r in rows]

@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import argparse
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from skewgentle import (
+    cli,
     fixture_path,
     format_surface_file,
     parse_surface_file,
 )
 from skewgentle.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DATA_NAMES = ["cylinder1", "cylinder2", "cylinder3", "cylinder4", "disc", "torus"]
 
@@ -280,3 +289,91 @@ def test_mutated_files_never_escape_main(tmp_path, capsys):
             capsys.readouterr()
     assert all(type(code) is int for code in exits)
     assert {0, 1, 2} <= set(exits)
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def _fresh_process(code: str, *args: str) -> str:
+    """Standard output of ``python -c code args`` in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_parser_is_built_once_across_calls(monkeypatch, capsys):
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=CountingParser))
+    disc = str(fixture_path("disc"))
+    cli._parser.cache_clear()
+    try:
+        assert main(["validate", disc]) == 0
+        assert main(["validate", disc]) == 0
+    finally:
+        cli._parser.cache_clear()
+    # the top-level parser once; its 11 subcommand parsers share its class
+    assert built.count("skewgentle") == 1
+    assert len(built) == 12
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import skewgentle, skewgentle.cli as cli\n"
+        "print(cli._parser.cache_info().currsize)\n"
+    )
+    assert _fresh_process(code) == "0\n"
+
+
+def test_namespaces_do_not_leak_between_calls(tmp_path, capsys):
+    path = _cylinder_file_with_curves(tmp_path)
+    assert cli._parser().parse_args(["winding", path, "core"]).curve == "core"
+    assert cli._parser().parse_args(["winding", path]).curve is None
+    assert main(["winding", path, "core"]) == 0
+    assert capsys.readouterr().out == "core winding=0\n"
+    assert main(["winding", path]) == 0
+    out = capsys.readouterr().out
+    assert "core" not in out
+    assert "b_bot winding=0" in out
+
+
+def test_errors_do_not_leak_between_calls(capsys):
+    c1 = str(fixture_path("cylinder1"))
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", c1, c1])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command", c1])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["validate", c1]) == 0
+    code = "import sys\nfrom skewgentle.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    assert capsys.readouterr().out == _fresh_process(code, "validate", c1)
+
+
+def test_help_text_is_identical_on_repeated_calls(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: skewgentle")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+
+from oracles import poincare_hopf_total
 
 from skewgentle import (
     BOUNDARY,
@@ -23,8 +26,10 @@ from skewgentle import (
     curve_crossings,
     decide_ghat_equiv,
     decide_tilting_equiv,
+    double_cover,
     dual_dissection,
     extract_quiver,
+    fixture_path,
     graded_arcs_from_solution,
     grading_solver,
     graded_path_algebra,
@@ -33,7 +38,9 @@ from skewgentle import (
     make_presentation,
     make_surface,
     map_graded_arc,
+    parse_surface_file,
     puncture_loop,
+    random_x_dissection,
     reverse_curve,
     surface_from_gentle,
     surface_from_triple,
@@ -42,14 +49,18 @@ from skewgentle import (
     verify_d2,
     winding,
 )
+from skewgentle import linefield
 from skewgentle.diagnostics import (
     BAD_INPUT,
     BOUNDARY_POINT,
     INCONSISTENT,
     NOT_A_COMPLEX,
     NOT_CONNECTED_TO_ANCHOR,
+    WINDING_MISMATCH,
 )
 from skewgentle.presentations import Arrow
+
+FIXTURE_NAMES = ["cylinder1", "cylinder2", "cylinder3", "cylinder4", "disc", "torus"]
 
 EXPECTED_BOUNDARY_WINDINGS = {
     1: {"b_bot": 0, "b_top": -2},
@@ -144,20 +155,30 @@ def test_grading_anchor_translates_whole_block(cylinders):
     assert set(result.values.values()) == {7}
 
 
+# returns to its starting segment after a net turn, so no grading exists
+PERTURBED = CombinatorialCurve(
+    "perturbed",
+    False,
+    (
+        Passage("lower", 0, 1, "right"),
+        Passage("upper", 1, 2, "left"),
+        Passage("lower", 6, 0, "right"),
+    ),
+)
+
+
 def test_grading_detects_contradiction(cylinders):
-    # returns to its starting segment after a net turn, so no grading exists
-    bad = CombinatorialCurve(
-        "perturbed",
-        False,
-        (
-            Passage("lower", 0, 1, "right"),
-            Passage("upper", 1, 2, "left"),
-            Passage("lower", 6, 0, "right"),
-        ),
-    )
-    result = grading_solver(cylinders[1], [bad])
+    result = grading_solver(cylinders[1], [PERTURBED])
     assert result.values is None
     assert result.report.codes().count(INCONSISTENT) == 2
+
+
+def test_graded_arcs_from_failed_grading_raise_its_findings(cylinders):
+    result = grading_solver(cylinders[1], [PERTURBED])
+    with pytest.raises(ValidationError) as exc:
+        graded_arcs_from_solution(cylinders[1], [PERTURBED], result)
+    assert exc.value.diagnostics == result.report.diagnostics
+    assert [d.code for d in exc.value.diagnostics] == [INCONSISTENT, INCONSISTENT]
 
 
 def test_grading_flags_unanchored_block(disc_x4):
@@ -349,6 +370,44 @@ def test_cover_invariant_tuples(cylinders):
         assert all(kind == BOUNDARY for _, _, kind in t.entries)
         tuples[variant] = t
     assert len(set(tuples.values())) == 4
+
+
+def test_cover_invariant_tuple_rejects_a_lift_with_another_winding(
+    cylinders, monkeypatch
+):
+    true_winding = linefield.winding
+
+    def skewed(surface, curve):
+        shift = 1 if curve.id.endswith(".lift") else 0
+        return true_winding(surface, curve) + shift
+
+    monkeypatch.setattr(linefield, "winding", skewed)
+    with pytest.raises(ValidationError) as exc:
+        cover_invariant_tuple(cylinders[1])
+    codes = [d.code for d in exc.value.diagnostics]
+    assert set(codes) == {WINDING_MISMATCH}
+    # each base boundary of the first cylinder has two closed lifts
+    witnesses = {d.where for d in exc.value.diagnostics if len(d.where) == 3}
+    assert witnesses == {(("b_bot",), 0, 1), (("b_top",), -2, -1)}
+
+
+def _entries_satisfy_poincare_hopf(surface) -> bool:
+    t = invariant_tuple(surface)
+    return sum(w + 2 for w, _, _ in t.entries) == poincare_hopf_total(surface)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_poincare_hopf_on_packaged_fixtures(name):
+    surface = parse_surface_file(fixture_path(name).read_text()).surface
+    assert _entries_satisfy_poincare_hopf(surface)
+
+
+def test_poincare_hopf_on_random_bases_and_their_covers():
+    rng = random.Random(1801)
+    for _ in range(150):
+        base = random_x_dissection(rng)
+        assert _entries_satisfy_poincare_hopf(base)
+        assert _entries_satisfy_poincare_hopf(double_cover(base).total)
 
 
 def test_tilting_decider_on_cylinder_pairs(cylinders):
