@@ -26,8 +26,7 @@ from .diagnostics import (
     NOT_CLOSED,
     NOT_IDEMPOTENT,
     NOT_STABILIZED,
-    Diagnostic,
-    ValidationError,
+    error,
     raise_on_error,
 )
 from .presentations import Arrow, Presentation, check_skew_gentle
@@ -379,13 +378,9 @@ def graded_path_algebra(
     while dims[-1]:
         length = len(dims)
         if length > limit:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        NOT_STABILIZED,
-                        f"graded dimensions did not vanish by length {limit}",
-                    )
-                ]
+            raise error(
+                NOT_STABILIZED,
+                f"graded dimensions did not vanish by length {limit}",
             )
         words = [
             (src, arrows + (b.id,))
@@ -484,31 +479,23 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     0, and ``NOT_CLOSED`` when a product of kept elements leaves them.
     """
     if not veq(A.mul(e, e), e):
-        raise ValidationError(
-            [Diagnostic(NOT_IDEMPOTENT, "corner element does not square to itself")]
-        )
+        raise error(NOT_IDEMPOTENT, "corner element does not square to itself")
     indices = []
     for i in range(A.dimension):
         sandwich = A.mul(e, A.mul({i: ONE}, e))
         if sandwich == {i: ONE}:
             indices.append(i)
         elif sandwich:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        BAD_INPUT,
-                        f"e*b*e is neither b nor 0 for basis element {A.labels[i]!r}",
-                    )
-                ]
+            raise error(
+                BAD_INPUT,
+                f"e*b*e is neither b nor 0 for basis element {A.labels[i]!r}",
             )
     position = {i: k for k, i in enumerate(indices)}
 
     def to_corner(x: Vector) -> Vector:
         out = _renumber(x, position)
         if out is None:
-            raise ValidationError(
-                [Diagnostic(NOT_CLOSED, "corner product left the corner span")]
-            )
+            raise error(NOT_CLOSED, "corner product left the corner span")
         return out
 
     labels = tuple(f"c{k}" for k in range(len(indices)))

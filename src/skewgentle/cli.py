@@ -36,8 +36,8 @@ from .covering import double_cover, quotient
 from .diagnostics import (
     BAD_INPUT,
     SYNTAX,
-    Report,
     ValidationError,
+    error,
     raise_on_error,
 )
 from .equivariant import verify_dual_reduction, verify_skew_group_reduction
@@ -106,9 +106,7 @@ _PASSAGE_RE = re.compile(r"^\(([^,()\s]+),(\d+),(\d+),(left|right)\)$")
 
 
 def _syntax(ln: int, message: str) -> ValidationError:
-    report = Report()
-    report.add(SYNTAX, f"line {ln}: {message}", (ln,))
-    return ValidationError(report.diagnostics)
+    return error(SYNTAX, f"line {ln}: {message}", (ln,))
 
 
 def _keyed(ln: int, token: str, key: str) -> str:
@@ -362,10 +360,7 @@ def _cmd_cover(ns) -> int:
 def _cmd_quotient(ns) -> int:
     sf = _load(ns.file)
     if sf.involution is None:
-        report = Report()
-        report.add(BAD_INPUT, "file has no involution line to quotient by", ())
-        raise_on_error(report)
-        return 2
+        raise error(BAD_INPUT, "file has no involution line to quotient by")
     cov = quotient(sf.surface, sf.involution)
     sys.stdout.write(format_surface_file(SurfaceFile(cov.base)))
     return 0
@@ -412,9 +407,7 @@ def _cmd_winding(ns) -> int:
     s = sf.surface
     if ns.curve is not None:
         if ns.curve not in sf.curves:
-            report = Report()
-            report.add(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
-            raise_on_error(report)
+            raise error(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
         print(f"{ns.curve} winding={winding(s, sf.curves[ns.curve])}")
         return 0
     for curve in _boundary_curves(s):
@@ -440,9 +433,7 @@ def _cmd_complex(ns) -> int:
     sf = _load(ns.file)
     s = sf.surface
     if ns.curve not in sf.curves:
-        report = Report()
-        report.add(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
-        raise_on_error(report)
+        raise error(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
     curve = sf.curves[ns.curve]
     ps = curve.passages
     count = len(ps) if curve.closed else len(ps) - 1
@@ -450,9 +441,7 @@ def _cmd_complex(ns) -> int:
         try:
             grades = tuple(int(x) for x in ns.grades.split(","))
         except ValueError:
-            report = Report()
-            report.add(BAD_INPUT, f"bad grade list {ns.grades!r}", ())
-            raise_on_error(report)
+            raise error(BAD_INPUT, f"bad grade list {ns.grades!r}")
     else:
         from .surface import passage_winding
 

@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .diagnostics import (
     CURVE_THROUGH_BRANCH,
-    Diagnostic,
-    ValidationError,
+    error,
     raise_on_error,
 )
 from .presentations import (
     Presentation,
     QuiverExtraction,
+    SplitTable,
+    _special_vertices,
     extract_quiver,
     split_arrow_table,
     split_presentation,
@@ -103,10 +104,10 @@ class CoveringData:
     @cached_property
     def split(self) -> Presentation:
         """The split presentation of the base triple."""
-        return split_presentation(self.base_quiver.presentation)
+        return split_presentation(self.base_quiver.presentation, self.split_table)
 
     @cached_property
-    def split_table(self) -> dict[str, tuple[str, Optional[int], Optional[int]]]:
+    def split_table(self) -> SplitTable:
         """Each split arrow's origin, as in :func:`split_arrow_table`."""
         return split_arrow_table(self.base_quiver.presentation)
 
@@ -118,8 +119,7 @@ class CoveringData:
     @cached_property
     def special_vertices(self) -> frozenset[str]:
         """The base vertices carrying a special loop."""
-        triple = self.base_quiver.presentation
-        return frozenset(triple.arrow_by_id[e].source for e in triple.special)
+        return _special_vertices(self.base_quiver.presentation)
 
     @cached_property
     def deck_generators(self) -> dict[str, str]:
@@ -481,15 +481,11 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
     for k, p in enumerate(curve.passages):
         for c in cov.cuts[p.polygon]:
             if (p.entry, p.exit) == (c, c + 1):
-                raise ValidationError(
-                    [
-                        Diagnostic(
-                            CURVE_THROUGH_BRANCH,
-                            f"passage {k} of curve {curve.id!r} runs through "
-                            f"the branch point at polygon {p.polygon!r}",
-                            (curve.id, k),
-                        )
-                    ]
+                raise error(
+                    CURVE_THROUGH_BRANCH,
+                    f"passage {k} of curve {curve.id!r} runs through "
+                    f"the branch point at polygon {p.polygon!r}",
+                    (curve.id, k),
                 )
     ps = curve.passages
     inst0 = (-1) ** _cuts_before(cov.cuts[ps[0].polygon], ps[0].entry)

@@ -3,7 +3,8 @@
 Validation routines never raise on bad input; they return a :class:`Report`
 carrying :class:`Diagnostic` records with a stable error code, a readable
 message, and the offending location.  Callers that prefer exceptions wrap the
-report with :func:`raise_on_error`.
+report with :func:`raise_on_error`; a single finding raised on the spot is
+built by :func:`error`.
 """
 from __future__ import annotations
 
@@ -75,6 +76,11 @@ class ValidationError(Exception):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
+
+
+def error(code: str, message: str, where: tuple = ()) -> ValidationError:
+    """A :class:`ValidationError` carrying one diagnostic, ready to raise."""
+    return ValidationError([Diagnostic(code, message, tuple(where))])
 
 
 @dataclass

@@ -12,9 +12,12 @@ the base is recovered inside the crossed product:
   the base carries the half-swapping symmetry, and the cover algebra maps
   isomorphically onto a corner of that crossed product, matching the deck
   action with the grading signs;
-* :func:`verify_iterated_skew_group` checks that crossing with the group
-  twice lands in the endomorphism algebra of the once-crossed product,
-  equivariantly.
+* :func:`verify_iterated_skew_group` crosses with the group twice and
+  compares the result with ``M₂(A)``, built from the product table of
+  ``A`` alone (Cohen--Montgomery duality).  The action enters only through
+  the comparison map, which must be a unital bijective homomorphism, so a
+  symmetry that does not respect products fails the check.  Its
+  ``equivariant`` part holds by the index layout of that map.
 
 Both reductions read one set of cover stages, computed once and kept on the
 :class:`~skewgentle.covering.CoveringData`: the quivers of the base and the
@@ -24,8 +27,8 @@ dissection by the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
 
-All arithmetic is exact; every comparison map is given on generators and
-checked by :func:`~skewgentle.algebra.verify_morphism`.  A symmetry that is
+All arithmetic is exact; the maps of both reductions are given on
+generators and checked by :func:`~skewgentle.algebra.verify_morphism`.  A symmetry that is
 not an algebra involution raises ``NOT_INVOLUTION``, and arrow lifts
 that do not sandwich to a single arrow or disagree on their sheet sign
 raise ``BAD_LIFT``.
@@ -61,8 +64,7 @@ from .diagnostics import (
     BAD_LIFT,
     NOT_INVOLUTION,
     OUTSIDE_CORNER,
-    Diagnostic,
-    ValidationError,
+    error,
 )
 from .presentations import (
     Presentation,
@@ -109,13 +111,7 @@ def orbit_idempotent(skew: TableAlgebra, vertices: Iterable[str]) -> Vector:
 
 def _require_involution(A: TableAlgebra, act: BasisMap) -> None:
     if not verify_algebra_involution(A, act):
-        raise ValidationError(
-            [Diagnostic(NOT_INVOLUTION, "the symmetry is not an algebra involution")]
-        )
-
-
-def _bad_lift(message: str) -> ValidationError:
-    return ValidationError([Diagnostic(BAD_LIFT, message)])
+        raise error(NOT_INVOLUTION, "the symmetry is not an algebra involution")
 
 
 def _corner_images(
@@ -126,9 +122,7 @@ def _corner_images(
     def coords(gen: str) -> Vector:
         out = corner.express(raw_images[gen])
         if out is None:
-            raise ValidationError(
-                [Diagnostic(OUTSIDE_CORNER, f"image of {gen!r} left the corner")]
-            )
+            raise error(OUTSIDE_CORNER, f"image of {gen!r} left the corner")
         return out
 
     return (
@@ -225,10 +219,14 @@ def verify_skew_group_reduction(
             )
             img = skew.mul(raw_images[j], skew.mul(middle, raw_images[i]))
             if len(img) != 1:
-                raise _bad_lift(f"sandwich of arrow {aid!r} has {len(img)} terms, not one")
+                raise error(
+                    BAD_LIFT, f"sandwich of arrow {aid!r} has {len(img)} terms, not one"
+                )
             ((k, c),) = img.items()
             if c != ONE:
-                raise _bad_lift(f"sandwich of arrow {aid!r} has coefficient {c}, not 1")
+                raise error(
+                    BAD_LIFT, f"sandwich of arrow {aid!r} has coefficient {c}, not 1"
+                )
             key, g = skew.labels[k]
             survivors[sid] = (key[1][0], g)
         elif sdec is not None and tdec is None:
@@ -341,7 +339,9 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
                 parity if end in slit_of_lift else base_of_vertex[end][1]
             )
         if sheet_sign.setdefault(aid, value) != value:
-            raise _bad_lift(f"sheet sign of {aid!r} differs between the two lifts")
+            raise error(
+                BAD_LIFT, f"sheet sign of {aid!r} differs between the two lifts"
+            )
     arrow_sign = {
         sid: sheet_sign[origin[0]] for sid, origin in split_table.items()
     }
@@ -437,11 +437,12 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
 
 @dataclass(frozen=True)
 class IteratedSkewGroup:
-    """Outcome of comparing the twice-crossed product with endomorphisms
-    of the once-crossed product."""
+    """Outcome of comparing the twice-crossed product ``double`` with
+    ``endo = M₂(A)`` through the Cohen--Montgomery map ``comparison``."""
 
     double: TableAlgebra
     endo: TableAlgebra
+    comparison: BasisMap
     homomorphism: bool
     unit_ok: bool
     rank: int
@@ -455,60 +456,61 @@ class IteratedSkewGroup:
         )
 
 
-def _module_endomorphisms(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
-    """Right ``A``-module endomorphisms of the once-crossed product.
+def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
+    """``M₂(A)``, the right ``A``-module endomorphisms of the free module
+    ``A#ℤ₂`` on ``1 ⊗ 0, 1 ⊗ 1``.
 
-    The basis element ``(g, p, h)`` is the map ``1 ⊗ g  ↦  p ⊗ h``;
-    composition gives ``(g, p, h)(g2, p2, h2) = p * s^(g+h)(p2)`` keyed by
-    ``(g2, ·, h)`` when ``g == h2``, and zero otherwise.  Basis indices are
-    ``2n*g + 2*p + h``.  The products with an even twist are the rows of
-    ``A``, the odd ones its twisted rows.
+    The basis element ``(r, b_p, c)`` is ``E_rc ⊗ b_p``, indexed
+    ``2n*r + 2*p + c``, and ``(E_rm ⊗ b_p)(E_mc ⊗ b_q) = E_rc ⊗ b_p b_q``
+    with ``b_p b_q`` read from ``A.table``.
     """
     n = A.dimension
-    labels = tuple((g, lab, h) for g in (0, 1) for lab in A.labels for h in (0, 1))
-    table: list[list[Vector]] = [[] for _ in labels]
-    for p, (row, twisted) in enumerate(zip(A.table, A.twisted_rows(act))):
-        plain = {q: cell for q, cell in enumerate(row) if cell}
-        for g in (0, 1):
-            for h in (0, 1):
+    labels = tuple((r, lab, c) for r in (0, 1) for lab in A.labels for c in (0, 1))
+    table: list[list[Vector]] = []
+    for r in (0, 1):
+        for row in A.table:
+            # the rows of E_r0 ⊗ b_p and E_r1 ⊗ b_p hold the same cells, in
+            # the column blocks m = 0 and m = 1
+            cells = [
+                (2 * q + c, {2 * n * r + 2 * k + c: v for k, v in cell.items()})
+                for q, cell in enumerate(row)
+                if cell
+                for c in (0, 1)
+            ]
+            for m in (0, 1):
                 out: list[Vector] = [{} for _ in labels]
-                for p2, cell in (twisted if (g + h) % 2 else plain).items():
-                    for g2 in (0, 1):
-                        out[2 * n * g2 + 2 * p2 + g] = {
-                            2 * n * g2 + 2 * q + h: c for q, c in cell.items()
-                        }
-                table[2 * n * g + 2 * p + h] = out
-    unit = {2 * n * g + 2 * q + g: c for g in (0, 1) for q, c in A.unit.items()}
+                for col, cell in cells:
+                    out[2 * n * m + col] = cell
+                table.append(out)
+    unit = {2 * n * r + 2 * q + r: v for r in (0, 1) for q, v in A.unit.items()}
     return TableAlgebra(labels, table, unit)
 
 
 def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:
-    """Cross ``A`` with its order-two symmetry, cross again with the
-    grading signs, and compare with module endomorphisms of the
-    once-crossed product over ``A``.
+    """Cross ``A`` with its order-two symmetry ``s``, cross again with the
+    grading signs, and compare with ``M₂(A)`` (Cohen--Montgomery duality).
 
-    The comparison sends a basis element of group-degree ``(g, j)`` to the
-    signed sum over ``h`` of the right-module maps ``1 ⊗ h  ↦  p ⊗ gh``;
-    it is checked to be a unital bijective homomorphism intertwining the
-    residual symmetries on both sides.
-
-    The double table and the endomorphism table both come from the twisted
-    rows of ``act``, so once ``act`` passes the involution guard these
-    checks hold for any such action: they test only the index layout of
-    the comparison map, not the crossed product against an independently
-    built endomorphism algebra.
+    ``M₂(A)`` is built from the product table of ``A`` alone; ``s`` enters
+    only through the comparison map
+    ``(x ⊗ g) ⊗ j  ↦  Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)``, which is
+    checked to be a unital bijective homomorphism intertwining the residual
+    symmetries on both sides.  For a linear ``s`` of order two it is a
+    homomorphism exactly when ``s`` is multiplicative.
     """
     _require_involution(A, act)
     once = skew_group_algebra(A, act)
     double = skew_group_algebra(once, grading_sign_map(once))
-    endo = _module_endomorphisms(A, act)
+    endo = _matrix_algebra(A)
 
     images: list[Vector] = []
     for (lab, g), j in double.labels:
+        p = A.index_of[lab]
         img: Vector = {}
-        for h in (0, 1):
-            sign = Fraction(-1) if (j and h) else ONE
-            img[endo.index_of[(h, lab, (g + h) % 2)]] = sign
+        for c in (0, 1):
+            r = (g + c) % 2
+            sign = Fraction(-1) if (j and c) else ONE
+            for q, v in (act.images[p] if r else {p: ONE}).items():
+                img[endo.index_of[(r, A.labels[q], c)]] = sign * v
         images.append(img)
     comparison = BasisMap(images)
 
@@ -524,7 +526,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     bijective = rank == n == endo.dimension
 
     # Image of the unit placed in group-degree (0, 1); conjugating by it
-    # realises the residual symmetry on the endomorphism side.
+    # realises the residual symmetry on the matrix side.
     unit_degree_one: Vector = {
         double.index_of[((A.labels[q], 0), 1)]: c for q, c in A.unit.items()
     }
@@ -540,6 +542,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     return IteratedSkewGroup(
         double=double,
         endo=endo,
+        comparison=comparison,
         homomorphism=homomorphism,
         unit_ok=unit_ok,
         rank=rank,

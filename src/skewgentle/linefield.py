@@ -27,9 +27,9 @@ from .diagnostics import (
     NOT_CONNECTED_TO_ANCHOR,
     UNKNOWN_ID,
     WINDING_MISMATCH,
-    Diagnostic,
     Report,
     ValidationError,
+    error,
     raise_on_error,
 )
 from .presentations import extract_quiver
@@ -87,14 +87,10 @@ def winding(surface: DissectedSurface, curve: CombinatorialCurve) -> int:
     per-passage contributions (+1 bseg left, -1 bseg right)."""
     raise_on_error(validate_curve(surface, curve))
     if not curve.closed:
-        raise ValidationError(
-            [
-                Diagnostic(
-                    INVALID_CURVE,
-                    f"winding needs a closed curve, got open {curve.id!r}",
-                    (curve.id,),
-                )
-            ]
+        raise error(
+            INVALID_CURVE,
+            f"winding needs a closed curve, got open {curve.id!r}",
+            (curve.id,),
         )
     return sum(passage_winding(p) for p in curve.passages)
 
@@ -114,14 +110,10 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
     first = surface.polygon_by_id[start_poly]
     n = len(first.sides) - 1
     if n == 0:
-        raise ValidationError(
-            [
-                Diagnostic(
-                    BAD_INPUT,
-                    f"boundary component of {start_bseg!r} meets no arc",
-                    (start_bseg,),
-                )
-            ]
+        raise error(
+            BAD_INPUT,
+            f"boundary component of {start_bseg!r} meets no arc",
+            (start_bseg,),
         )
     passages = [Passage(first.id, 1, n, "left")]
     while True:
@@ -155,14 +147,10 @@ def boundary_curve(
                 component = bc
                 break
         else:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        UNKNOWN_ID,
-                        f"no boundary component contains segment {component!r}",
-                        (component,),
-                    )
-                ]
+            raise error(
+                UNKNOWN_ID,
+                f"no boundary component contains segment {component!r}",
+                (component,),
             )
     return _trace_boundary(surface, min(component.bsegs))
 
@@ -185,19 +173,13 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
     raise_on_error(validate(surface))
     pt = surface.point_by_id.get(point_id)
     if pt is None:
-        raise ValidationError(
-            [Diagnostic(UNKNOWN_ID, f"unknown point {point_id!r}", (point_id,))]
-        )
+        raise error(UNKNOWN_ID, f"unknown point {point_id!r}", (point_id,))
     if pt.kind == BOUNDARY:
-        raise ValidationError(
-            [
-                Diagnostic(
-                    BOUNDARY_POINT,
-                    f"point {point_id!r} lies on the boundary; loops surround "
-                    "interior points only",
-                    (point_id,),
-                )
-            ]
+        raise error(
+            BOUNDARY_POINT,
+            f"point {point_id!r} lies on the boundary; loops surround "
+            "interior points only",
+            (point_id,),
         )
     corners = [
         (poly.id, i)
@@ -468,9 +450,7 @@ def grading_solver(
     for c in curves:
         raise_on_error(validate_curve(surface, c))
         if c.id in by_id:
-            raise ValidationError(
-                [Diagnostic(BAD_INPUT, f"duplicate curve id {c.id!r}", (c.id,))]
-            )
+            raise error(BAD_INPUT, f"duplicate curve id {c.id!r}", (c.id,))
         by_id[c.id] = c
 
     variables: list[tuple[str, int]] = []
@@ -510,20 +490,14 @@ def grading_solver(
     for ida, idb in symmetric_pairs or []:
         ca, cb = by_id.get(ida), by_id.get(idb)
         if ca is None or cb is None:
-            raise ValidationError(
-                [Diagnostic(UNKNOWN_ID, f"unknown curve in pair {(ida, idb)!r}", (ida, idb))]
-            )
+            raise error(UNKNOWN_ID, f"unknown curve in pair {(ida, idb)!r}", (ida, idb))
         ma = len(ca.passages) if ca.closed else len(ca.passages) - 1
         mb = len(cb.passages) if cb.closed else len(cb.passages) - 1
         if ma != mb:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        BAD_INPUT,
-                        f"symmetric pair {(ida, idb)!r} crossing counts differ",
-                        (ida, idb),
-                    )
-                ]
+            raise error(
+                BAD_INPUT,
+                f"symmetric pair {(ida, idb)!r} crossing counts differ",
+                (ida, idb),
             )
         constraints.extend(
             ((ida, k), (idb, k), 0, f"symmetry of {ida!r} and {idb!r}")
@@ -561,9 +535,7 @@ def grading_solver(
     if anchors:
         for var in sorted(anchors):
             if var not in adjacency:
-                raise ValidationError(
-                    [Diagnostic(UNKNOWN_ID, f"unknown anchor {var!r}", var)]
-                )
+                raise error(UNKNOWN_ID, f"unknown anchor {var!r}", var)
             if var in values:
                 if values[var] != anchors[var]:
                     report.add(
@@ -659,15 +631,11 @@ def build_complex(
     raise_on_error(validate_curve(surface, curve))
     crossings = curve_crossings(surface, curve)
     if len(garc.grades) != len(crossings):
-        raise ValidationError(
-            [
-                Diagnostic(
-                    BAD_INPUT,
-                    f"graded arc {curve.id!r} has {len(garc.grades)} grades "
-                    f"for {len(crossings)} crossings",
-                    (curve.id,),
-                )
-            ]
+        raise error(
+            BAD_INPUT,
+            f"graded arc {curve.id!r} has {len(garc.grades)} grades "
+            f"for {len(crossings)} crossings",
+            (curve.id,),
         )
     ext = extract_quiver(surface)
     alg = algebra if algebra is not None else graded_path_algebra(ext.presentation)
@@ -680,15 +648,11 @@ def build_complex(
         spans = [(j, j - 1, j) for j in range(1, len(ps) - 1)]
     for j, prev, nxt in spans:
         if garc.grades[nxt] - garc.grades[prev] != passage_winding(ps[j]):
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        BAD_INPUT,
-                        f"grades of {curve.id!r} do not follow the winding "
-                        f"of passage {j}",
-                        (curve.id, j),
-                    )
-                ]
+            raise error(
+                BAD_INPUT,
+                f"grades of {curve.id!r} do not follow the winding "
+                f"of passage {j}",
+                (curve.id, j),
             )
 
     differential: dict[tuple[int, int], Vector] = {}
@@ -696,15 +660,11 @@ def build_complex(
         p = ps[j]
         e, x = p.entry, p.exit
         if e == x:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        BAD_INPUT,
-                        f"same-slot passage {j} of {curve.id!r} has no corner "
-                        "path",
-                        (curve.id, j),
-                    )
-                ]
+            raise error(
+                BAD_INPUT,
+                f"same-slot passage {j} of {curve.id!r} has no corner "
+                "path",
+                (curve.id, j),
             )
         if passage_winding(p) == 1:
             lo, hi, row, col = e, x, nxt, prev
@@ -714,15 +674,11 @@ def build_complex(
         src = surface.polygon_by_id[p.polygon].sides[lo].ref
         value = alg.reduce((src, arrows))
         if not value:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        BAD_INPUT,
-                        f"corner path of passage {j} of {curve.id!r} vanishes "
-                        "in the algebra",
-                        (curve.id, j),
-                    )
-                ]
+            raise error(
+                BAD_INPUT,
+                f"corner path of passage {j} of {curve.id!r} vanishes "
+                "in the algebra",
+                (curve.id, j),
             )
         differential[(row, col)] = value
 
@@ -730,14 +686,10 @@ def build_complex(
         alg, tuple(zip(crossings, garc.grades)), differential
     )
     if not verify_d2(cx):
-        raise ValidationError(
-            [
-                Diagnostic(
-                    NOT_A_COMPLEX,
-                    f"differential of {curve.id!r} does not square to zero",
-                    (curve.id,),
-                )
-            ]
+        raise error(
+            NOT_A_COMPLEX,
+            f"differential of {curve.id!r} does not square to zero",
+            (curve.id,),
         )
     return cx
 
@@ -781,15 +733,7 @@ def invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     raise_on_error(validate(surface))
     top = topology(surface)
     if not top.connected:
-        raise ValidationError(
-            [
-                Diagnostic(
-                    BAD_INPUT,
-                    "invariant tuples are defined for connected surfaces",
-                    (),
-                )
-            ]
-        )
+        raise error(BAD_INPUT, "invariant tuples are defined for connected surfaces")
     entries = []
     for bc in top.boundary:
         w = winding(surface, _trace_boundary(surface, min(bc.bsegs)))

@@ -39,9 +39,8 @@ from .diagnostics import (
     SIZE_LIMIT,
     SUCCESSOR_CLASH,
     UNKNOWN_ID,
-    Diagnostic,
     Report,
-    ValidationError,
+    error,
     raise_on_error,
 )
 from .surface import (
@@ -326,7 +325,22 @@ def _split_arrow_id(aid: str, src_dec: Optional[int], tgt_dec: Optional[int]) ->
     return out
 
 
-def split_presentation(triple: Presentation) -> Presentation:
+SplitTable = dict[str, tuple[str, Optional[int], Optional[int]]]
+
+
+def _special_vertices(triple: Presentation) -> frozenset[str]:
+    """The vertices of a triple that carry a special loop."""
+    return frozenset(triple.arrow_by_id[e].source for e in triple.special)
+
+
+def _decorations(v: str, special_vertices: frozenset[str]) -> tuple[Optional[int], ...]:
+    """The choices of half at ``v``: ``0, 1`` at a special vertex, else none."""
+    return (0, 1) if v in special_vertices else (None,)
+
+
+def split_presentation(
+    triple: Presentation, table: Optional[SplitTable] = None
+) -> Presentation:
     """Resolve the special loops of a triple into split vertices.
 
     Every special vertex ``v`` becomes two vertices ``v_0, v_1``; its loop
@@ -335,44 +349,34 @@ def split_presentation(triple: Presentation) -> Presentation:
     target.  A monomial relation through an ordinary middle vertex stays a
     family of monomials; one through a special middle vertex becomes the
     family of two-term sums pairing the middle decorations.
+
+    ``table`` is the triple's :func:`split_arrow_table`, computed here when
+    not given.
     """
     raise_on_error(check_skew_gentle(triple))
-    special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
-
-    def vertex_images(v: str) -> list[str]:
-        return list(split_vertex_ids(v)) if v in special_vertices else [v]
+    special_vertices = _special_vertices(triple)
 
     vertices: list[str] = []
     for v in triple.vertices:
-        vertices.extend(vertex_images(v))
-
-    def decs(v: str) -> list[Optional[int]]:
-        return [0, 1] if v in special_vertices else [None]
+        vertices.extend(split_vertex_ids(v) if v in special_vertices else [v])
 
     def image_vertex(v: str, dec: Optional[int]) -> str:
         return v if dec is None else split_vertex_ids(v)[dec]
 
+    if table is None:
+        table = split_arrow_table(triple)
     arrows: list[Arrow] = []
-    for a in triple.arrows:
-        if a.id in triple.special:
-            continue
-        for s in decs(a.source):
-            for t in decs(a.target):
-                arrows.append(
-                    Arrow(
-                        _split_arrow_id(a.id, s, t),
-                        image_vertex(a.source, s),
-                        image_vertex(a.target, t),
-                    )
-                )
+    for sid, (aid, s, t) in table.items():
+        a = triple.arrow_by_id[aid]
+        arrows.append(Arrow(sid, image_vertex(a.source, s), image_vertex(a.target, t)))
 
     relations: list[Relation] = []
     for rel in triple.relations:
         ((a1, a2),) = rel  # validated monomial
         first, second = triple.arrow_by_id[a1], triple.arrow_by_id[a2]
         middle = first.target
-        for s in decs(first.source):
-            for t in decs(second.target):
+        for s in _decorations(first.source, special_vertices):
+            for t in _decorations(second.target, special_vertices):
                 if middle in special_vertices:
                     relations.append(
                         (
@@ -387,36 +391,29 @@ def split_presentation(triple: Presentation) -> Presentation:
     return make_presentation(vertices, arrows, relations, special=())
 
 
-def split_arrow_table(
-    triple: Presentation,
-) -> dict[str, tuple[str, Optional[int], Optional[int]]]:
+def split_arrow_table(triple: Presentation) -> SplitTable:
     """Map each arrow of the split presentation back to its origin:
     ``split id -> (arrow id, source choice, target choice)``."""
-    special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
-
-    def decs(v: str) -> list[Optional[int]]:
-        return [0, 1] if v in special_vertices else [None]
-
-    table: dict[str, tuple[str, Optional[int], Optional[int]]] = {}
+    special_vertices = _special_vertices(triple)
+    table: SplitTable = {}
     for a in triple.arrows:
         if a.id in triple.special:
             continue
-        for s in decs(a.source):
-            for t in decs(a.target):
+        for s in _decorations(a.source, special_vertices):
+            for t in _decorations(a.target, special_vertices):
                 table[_split_arrow_id(a.id, s, t)] = (a.id, s, t)
     return table
 
 
 def split_swap_map(
-    triple: Presentation,
-    table: Optional[dict[str, tuple[str, Optional[int], Optional[int]]]] = None,
+    triple: Presentation, table: Optional[SplitTable] = None
 ) -> dict[str, str]:
     """Generator relabelling of the split presentation exchanging the two
     halves of every doubled vertex and flipping arrow decorations.
 
     ``table`` is the triple's :func:`split_arrow_table`, computed here when
     not given."""
-    special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
+    special_vertices = _special_vertices(triple)
     out: dict[str, str] = {}
     for v in triple.vertices:
         if v in special_vertices:
@@ -548,9 +545,7 @@ def iso_presentations(
     ``{"vertices": ..., "arrows": ...}`` or ``None``.
     """
     if max(len(p1.arrows), len(p2.arrows)) > max_arrows:
-        raise ValidationError(
-            [Diagnostic(SIZE_LIMIT, f"quivers exceed {max_arrows} arrows")]
-        )
+        raise error(SIZE_LIMIT, f"quivers exceed {max_arrows} arrows")
     if (
         len(p1.vertices) != len(p2.vertices)
         or len(p1.arrows) != len(p2.arrows)
@@ -670,7 +665,6 @@ def iso_presentations(
 class QuiverExtraction:
     presentation: Presentation
     corner_of_arrow: dict[str, tuple[str, int]]
-    point_of_arrow: dict[str, str]
 
 
 def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
@@ -733,7 +727,7 @@ def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
     pres = make_presentation(
         [a.id for a in surface.arcs], arrows, relations, special=special
     )
-    return QuiverExtraction(pres, corner_of_arrow, point_of_arrow)
+    return QuiverExtraction(pres, corner_of_arrow)
 
 
 def algebra_dimension(surface: DissectedSurface) -> int:
@@ -755,8 +749,8 @@ def quiver_from_dissection(surface: DissectedSurface) -> Presentation:
     cls = classify_dissection(surface)
     raise_on_error(cls.report)
     if cls.kind != "bullet":
-        raise ValidationError(
-            [Diagnostic(BAD_INPUT, "surface has orbifold points; use triple_from_x_dissection")]
+        raise error(
+            BAD_INPUT, "surface has orbifold points; use triple_from_x_dissection"
         )
     return extract_quiver(surface).presentation
 
@@ -766,8 +760,8 @@ def triple_from_x_dissection(surface: DissectedSurface) -> Presentation:
     cls = classify_dissection(surface)
     raise_on_error(cls.report)
     if cls.kind != "x":
-        raise ValidationError(
-            [Diagnostic(BAD_INPUT, "surface has no orbifold points; use quiver_from_dissection")]
+        raise error(
+            BAD_INPUT, "surface has no orbifold points; use quiver_from_dissection"
         )
     return extract_quiver(surface).presentation
 

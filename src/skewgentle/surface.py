@@ -41,7 +41,7 @@ from .diagnostics import (
     X_DEGREE,
     Diagnostic,
     Report,
-    ValidationError,
+    error,
 )
 
 BOUNDARY = "boundary"
@@ -564,14 +564,10 @@ def topology(surface: DissectedSurface) -> Topology:
         bdry = tuple(bc for bc in bcomps if comp_of_boundary(bc) == c)
         twice_genus = 2 - chi - len(bdry)
         if twice_genus < 0 or twice_genus % 2 != 0:
-            raise ValidationError(
-                [
-                    Diagnostic(
-                        BAD_EULER,
-                        f"component {c}: euler characteristic {chi} with "
-                        f"{len(bdry)} boundary circles gives no valid genus",
-                    )
-                ]
+            raise error(
+                BAD_EULER,
+                f"component {c}: euler characteristic {chi} with "
+                f"{len(bdry)} boundary circles gives no valid genus",
             )
         comps.append(
             ComponentTopology(

@@ -257,3 +257,49 @@ def word_product(presentation, values, x, y) -> dict:
     if not coeff or any(pair in pairs for pair in zip(word, word[1:])):
         return {}
     return {(y_source, tuple(word)): coeff}
+
+
+def matrix_table(algebra) -> dict:
+    """``M₂(algebra)``, cell by cell, over labels ``(r, x, c)`` for ``E_rc ⊗ x``.
+
+    Written straight from ``(E_rm ⊗ x)(E_mc ⊗ y) = E_rc ⊗ x·y``, with
+    ``x·y`` read from the product table of ``algebra`` one cell at a time;
+    matrix units whose inner indices differ multiply to zero.  Returns
+    ``{((r, x, m), (k, y, c)): {(r, z, c): coefficient}}`` over every pair
+    of labels, with zero coefficients dropped.
+    """
+    labels = algebra.labels
+    out = {}
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            cell = algebra.table[i][j]
+            for r in (0, 1):
+                for m in (0, 1):
+                    for k in (0, 1):
+                        for c in (0, 1):
+                            out[((r, x, m), (k, y, c))] = (
+                                {(r, labels[z], c): v for z, v in cell.items() if v}
+                                if m == k
+                                else {}
+                            )
+    return out
+
+
+def cohen_montgomery_image(algebra, images, label) -> dict:
+    """The image of ``(x ⊗ g) ⊗ j`` under the Cohen--Montgomery map
+    ``Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)`` into ``M₂(algebra)``.
+
+    ``label`` is ``((x, g), j)``; ``images[p]`` is ``s(b_p)`` keyed by
+    basis index.  Returns ``{(r, y, c): coefficient}`` over the labels of
+    :func:`matrix_table`.
+    """
+    labels = algebra.labels
+    (x, g), j = label
+    p = labels.index(x)
+    out = {}
+    for c in (0, 1):
+        r = (g + c) % 2
+        sign = -1 if j and c else 1
+        for q, v in (images[p] if r else {p: Fraction(1)}).items():
+            out[(r, labels[q], c)] = sign * v
+    return out

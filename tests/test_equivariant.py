@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import corner_dimension, generated_dimension
+from oracles import (
+    cohen_montgomery_image,
+    corner_dimension,
+    generated_dimension,
+    matrix_table,
+)
 from skewgentle import (
+    TableAlgebra,
     ValidationError,
     algebra_from_products,
     basis_map_from_permutation,
@@ -165,10 +171,9 @@ def test_double_crossed_product_rejects_non_involution():
 def test_iterated_homomorphism_check_rejects_corrupted_action(monkeypatch, cylinders):
     red = verify_skew_group_reduction(double_cover(cylinders[1]))
     A = red.cover_algebra.algebra
-    # Both sides of the comparison are defined by the same formula in the
-    # action, so any action gives a homomorphism; build the crossed
-    # product from a corrupted action (two arrows of different sources
-    # swapped) while the endomorphisms keep the deck action.
+    # Build the once-crossed product from a corrupted action (two arrows
+    # of different sources swapped) while the comparison map keeps the
+    # deck action: the two no longer agree on products.
     perm = {lab: lab for lab in A.labels}
     a, b = [lab for lab in A.labels if len(lab[1]) == 1][:2]
     perm[a], perm[b] = b, a
@@ -182,6 +187,86 @@ def test_iterated_homomorphism_check_rejects_corrupted_action(monkeypatch, cylin
     rr = verify_iterated_skew_group(A, red.deck_action)
     assert not rr.homomorphism
     assert not rr.ok
+
+
+def _swap_two_arrows(A):
+    """A linear involution of ``A`` that swaps two arrows with different
+    sources and fixes every other basis element: not multiplicative."""
+    perm = {lab: lab for lab in A.labels}
+    arrows = [lab for lab in A.labels if len(lab[1]) == 1]
+    a = arrows[0]
+    b = next(lab for lab in arrows if lab[0] != a[0])
+    perm[a], perm[b] = b, a
+    return basis_map_from_permutation(A, perm)
+
+
+def test_iterated_check_rejects_a_non_multiplicative_action(monkeypatch, cylinders):
+    red = verify_skew_group_reduction(double_cover(cylinders[1]))
+    A = red.cover_algebra.algebra
+    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    rr = verify_iterated_skew_group(A, _swap_two_arrows(A))
+    assert not rr.homomorphism
+    assert not rr.ok
+
+
+def _assert_iterated_matches_oracle(A, act):
+    """The target is ``M₂(A)`` cell by cell, and the comparison map is the
+    Cohen--Montgomery map image by image."""
+    rr = verify_iterated_skew_group(A, act)
+    assert rr.ok
+    endo = rr.endo
+    assert endo.dimension == 4 * A.dimension
+
+    def labelled(v):
+        return {endo.labels[k]: c for k, c in v.items()}
+
+    table = matrix_table(A)
+    assert set(endo.labels) == {x for x, _ in table}
+    for a, x in enumerate(endo.labels):
+        for b, y in enumerate(endo.labels):
+            assert labelled(endo.table[a][b]) == table[(x, y)]
+    assert labelled(endo.unit) == {
+        (r, A.labels[q], r): c for r in (0, 1) for q, c in A.unit.items()
+    }
+    for i, label in enumerate(rr.double.labels):
+        assert labelled(rr.comparison.images[i]) == cohen_montgomery_image(
+            A, act.images, label
+        )
+
+
+def _assert_cover_iterated_matches_oracle(cov):
+    red = verify_skew_group_reduction(cov)
+    _assert_iterated_matches_oracle(red.cover_algebra.algebra, red.deck_action)
+
+
+def test_iterated_target_matches_oracle_on_ladder_fixtures(cylinder_covers, disc_xx):
+    for cov in cylinder_covers.values():
+        _assert_cover_iterated_matches_oracle(cov)
+    _assert_cover_iterated_matches_oracle(double_cover(disc_xx))
+    _assert_cover_iterated_matches_oracle(quotient(*two_hole_torus_surface()))
+    for n in (4, 6, 8):
+        _assert_cover_iterated_matches_oracle(double_cover(one_orbifold_disc(n)))
+
+
+def test_iterated_target_matches_oracle_on_random_covers():
+    rng = random.Random(7207)
+    for _ in range(20):
+        cov = double_cover(surface_from_triple(random_triple(rng)))
+        _assert_cover_iterated_matches_oracle(cov)
+
+
+def test_iterated_check_crosses_with_twisted_rows_twice(monkeypatch, cylinders):
+    red = verify_skew_group_reduction(double_cover(cylinders[1]))
+    original = TableAlgebra.twisted_rows
+    calls = []
+
+    def counted(self, act):
+        calls.append(self.dimension)
+        return original(self, act)
+
+    monkeypatch.setattr(TableAlgebra, "twisted_rows", counted)
+    verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
+    assert len(calls) == 2
 
 
 def test_corner_coordinates_reject_an_image_outside_the_corner():
