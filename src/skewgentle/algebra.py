@@ -1,9 +1,13 @@
 """Exact arithmetic for finite-dimensional path-algebra quotients.
 
-Everything is computed over the rationals with :class:`fractions.Fraction`;
-no floating point is used anywhere.  Elements are sparse vectors over an
-explicit basis, algebras carry a full multiplication table, and linear
-algebra is done by exact Gaussian elimination.
+Coefficients are exact rationals: ``int`` while integral,
+:class:`fractions.Fraction` otherwise, never float.  A coefficient becomes
+a ``Fraction`` only where a non-integer enters (a pivot division, a
+halving idempotent, a non-integer loop value), so the ±1 coefficients
+that fill the tables stay plain ``int``.  Elements are sparse vectors
+over an explicit basis, algebras carry a full multiplication table with
+an index of its nonzero cells, and linear algebra is done by exact
+Gaussian elimination.
 
 One builder, :func:`graded_path_algebra`, covers the three quadratic
 presentations the package meets: gentle pairs (single-path relations),
@@ -17,7 +21,7 @@ composition order, so ``mul(x, y)`` applies ``y`` first.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -31,24 +35,31 @@ from .diagnostics import (
 )
 from .presentations import Arrow, Presentation, check_skew_gentle
 
-Vector = dict[Any, Fraction]
+Coeff = int | Fraction
+Vector = dict[Any, Coeff]
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
+ONE = 1
+ZERO = 0
 
 
 def default_max_path_length() -> int:
     return int(os.environ.get("SKEWGENTLE_MAX_PATH_LEN", "64"))
 
 
+def _exact(c: Any) -> Coeff:
+    """``c`` as an exact rational: an ``int`` or ``Fraction`` as it is,
+    anything else (a float, a decimal string) through ``Fraction``."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
 # ---------------------------------------------------------------------------
 # Sparse vectors
 
 
-def vec(*pairs: tuple[Any, Fraction]) -> Vector:
+def vec(*pairs: tuple[Any, Coeff]) -> Vector:
     out: Vector = {}
     for k, c in pairs:
-        c = Fraction(c)
+        c = _exact(c)
         if c:
             out[k] = out.get(k, ZERO) + c
             if not out[k]:
@@ -60,11 +71,10 @@ def vadd(x: Vector, y: Vector) -> Vector:
     return vaxpy(x, y, ONE)
 
 
-def _accumulate(out: Vector, y: Vector, c: Fraction) -> None:
+def _accumulate(out: Vector, y: Vector, c: Coeff) -> None:
     """out += c * y in place, dropping zero coefficients.
 
-    Most coefficients are 1, and a comparison costs a tenth of a
-    ``Fraction`` product, so unit scalings skip the product.
+    Most coefficients are 1, so unit scalings skip the product.
     """
     unit = c == 1
     for k, v in y.items():
@@ -82,7 +92,7 @@ def _accumulate(out: Vector, y: Vector, c: Fraction) -> None:
                 del out[k]
 
 
-def vaxpy(x: Vector, y: Vector, c: Fraction) -> Vector:
+def vaxpy(x: Vector, y: Vector, c: Coeff) -> Vector:
     """x + c * y."""
     out = dict(x)
     if c:
@@ -90,15 +100,15 @@ def vaxpy(x: Vector, y: Vector, c: Fraction) -> Vector:
     return out
 
 
-def vscale(x: Vector, c: Fraction) -> Vector:
-    c = Fraction(c)
+def vscale(x: Vector, c: Coeff) -> Vector:
+    c = _exact(c)
     if not c:
         return {}
     return {k: v * c for k, v in x.items()}
 
 
 def vsub(x: Vector, y: Vector) -> Vector:
-    return vaxpy(x, y, Fraction(-1))
+    return vaxpy(x, y, -1)
 
 
 def veq(x: Vector, y: Vector) -> bool:
@@ -134,12 +144,21 @@ class SpanBasis:
         return row
 
     def add(self, row: Vector) -> bool:
-        """Insert a vector; returns True when the rank grew."""
+        """Insert a vector; returns True when the rank grew.
+
+        The stored row is scaled to pivot 1.  The inverse of the pivot is
+        taken through ``Fraction``, so ``int / int`` never gives a float,
+        and kept as an ``int`` when it is integral.
+        """
         row = self._reduce(row)
         if not row:
             return False
         lead = min(row, key=self.order)
-        row = vscale(row, ONE / row[lead])
+        pivot = row[lead]
+        if pivot != 1:
+            inv = Fraction(1, pivot)
+            row = vscale(row, inv.numerator if inv.denominator == 1 else inv)
+            row[lead] = ONE
         for piv, existing in list(self.rows.items()):
             if lead in existing:
                 self.rows[piv] = vaxpy(existing, row, -existing[lead])
@@ -160,12 +179,19 @@ class TableAlgebra:
 
     ``table[i][j]`` is the vector of ``basis_i * basis_j`` in composition
     order (``basis_j`` is applied first).  Vectors are keyed by basis
-    index.
+    index.  ``nonzero[i]`` lists, in ascending order, the columns ``j``
+    whose cell ``table[i][j]`` is nonzero; a builder that knows them
+    passes them in, otherwise one scan of the table finds them.
+
+    The table is not mutated after construction: the index stays valid,
+    and builders share cells between positions and between tables (every
+    empty cell of a table may be one and the same dict).
     """
 
     labels: tuple[Any, ...]
     table: list[list[Vector]]
     unit: Vector
+    nonzero: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -173,9 +199,11 @@ class TableAlgebra:
 
     def __post_init__(self):
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
+        if self.nonzero is None:
+            self.nonzero = [[j for j, cell in enumerate(row) if cell] for row in self.table]
 
-    def element(self, label: Any, coeff: Fraction = ONE) -> Vector:
-        return vec((self.index_of[label], Fraction(coeff)))
+    def element(self, label: Any, coeff: Coeff = ONE) -> Vector:
+        return vec((self.index_of[label], coeff))
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         out: Vector = {}
@@ -194,19 +222,19 @@ class TableAlgebra:
         preimages of ``k`` under ``act``; only one row is held at a time.
         """
         preimages = _preimages(act, self.dimension)
-        for row in self.table:
+        for row, columns in zip(self.table, self.nonzero):
             out: dict[int, Vector] = {}
-            for k, cell in enumerate(row):
-                if cell:
-                    for j, c in preimages[k]:
-                        _accumulate(out.setdefault(j, {}), cell, c)
+            for k in columns:
+                cell = row[k]
+                for j, c in preimages[k]:
+                    _accumulate(out.setdefault(j, {}), cell, c)
             yield {j: v for j, v in out.items() if v}
 
 
 def algebra_from_products(
     labels: Iterable[Any],
-    product: Callable[[Any, Any], Mapping[Any, Fraction]],
-    unit: Mapping[Any, Fraction],
+    product: Callable[[Any, Any], Mapping[Any, Coeff]],
+    unit: Mapping[Any, Coeff],
 ) -> TableAlgebra:
     """Build a table algebra from a label-level product function.
 
@@ -217,30 +245,37 @@ def algebra_from_products(
     index = {lab: i for i, lab in enumerate(labels)}
     table = [
         [
-            {index[k]: Fraction(c) for k, c in product(a, b).items() if c}
+            {index[k]: _exact(c) for k, c in product(a, b).items() if c}
             for b in labels
         ]
         for a in labels
     ]
-    unit_vec = {index[k]: Fraction(c) for k, c in unit.items() if c}
+    unit_vec = {index[k]: _exact(c) for k, c in unit.items() if c}
     return TableAlgebra(labels, table, unit_vec)
 
 
 def verify_associativity(A: TableAlgebra) -> bool:
-    """Exhaustively check associativity and unitality of the table."""
-    n = A.dimension
-    for i in range(n):
-        bi = vec((i, ONE))
+    """Check unitality and ``(b_i b_j) b_k == b_i (b_j b_k)`` for every
+    triple of basis elements.
+
+    The left side vanishes unless ``b_k`` follows some ``b_m`` in
+    ``b_i b_j`` with a nonzero product, and the right side vanishes
+    unless ``b_j b_k`` is nonzero.  Only those ``k`` are visited: on every
+    other triple both sides are zero, so this is a check of all triples.
+    """
+    for i in range(A.dimension):
+        bi = {i: ONE}
         if not veq(A.mul(A.unit, bi), bi) or not veq(A.mul(bi, A.unit), bi):
             return False
-    for i in range(n):
-        for j in range(n):
-            left = A.table[i][j]
-            for k in range(n):
-                bk = vec((k, ONE))
-                lhs = A.mul(left, bk)
-                rhs = A.mul(vec((i, ONE)), A.table[j][k])
-                if not veq(lhs, rhs):
+    nonzero = A.nonzero
+    for i, row in enumerate(A.table):
+        bi = {i: ONE}
+        for j, left in enumerate(row):
+            ks = set(nonzero[j])
+            for m in left:
+                ks.update(nonzero[m])
+            for k in ks:
+                if not veq(A.mul(left, {k: ONE}), A.mul(bi, A.table[j][k])):
                     return False
     return True
 
@@ -259,8 +294,8 @@ def path_target(pres: Presentation, key: PathKey) -> str:
 
 
 def _junction(
-    pres: Presentation, values: Mapping[str, Fraction], a: str, b: str
-) -> Optional[Fraction]:
+    pres: Presentation, values: Mapping[str, Coeff], a: str, b: str
+) -> Optional[Coeff]:
     """The rule for arrow ``b`` right after arrow ``a`` in a path.
 
     ``None`` when the two concatenate.  Otherwise the pair collapses to
@@ -279,7 +314,7 @@ def _expand(
     normal_forms: Mapping[PathKey, Vector],
     zero_length: int,
     key: PathKey,
-    coeff: Fraction,
+    coeff: Coeff,
 ) -> Vector:
     """``coeff`` times the normal form of a path that crosses no
     single-path relation and repeats no special loop."""
@@ -304,7 +339,7 @@ class PathAlgebra:
     normal_forms: dict[PathKey, Vector]
     zero_length: int
     dims_by_length: tuple[int, ...]
-    loop_values: Mapping[str, Fraction]
+    loop_values: Mapping[str, Coeff]
 
     def vertex(self, v: str) -> Vector:
         return self.algebra.element((v, ()))
@@ -336,7 +371,7 @@ class PathAlgebra:
 
 
 def graded_path_algebra(
-    pres: Presentation, loop_values: Optional[Mapping[str, Fraction]] = None
+    pres: Presentation, loop_values: Optional[Mapping[str, Coeff]] = None
 ) -> PathAlgebra:
     """The quotient of the path algebra of ``pres`` by its relations.
 
@@ -354,7 +389,7 @@ def graded_path_algebra(
     if pres.special:
         raise_on_error(check_skew_gentle(pres))
     loop_values = loop_values or {}
-    values = {e: Fraction(loop_values.get(e, 1)) for e in pres.special}
+    values = {e: _exact(loop_values.get(e, 1)) for e in pres.special}
     limit = default_max_path_length()
     binomials = [rel for rel in pres.relations if len(rel) == 2]
 
@@ -395,7 +430,7 @@ def graded_path_algebra(
         rank_of = {k: -i for i, k in enumerate(words)}
         span = SpanBasis(order=rank_of.__getitem__)
 
-        def relate(terms: Iterable[tuple[PathKey, Fraction]]) -> None:
+        def relate(terms: Iterable[tuple[PathKey, Coeff]]) -> None:
             # Terms through a single-path relation are zero already.
             span.add({key: c for key, c in terms if key in rank_of})
 
@@ -423,17 +458,22 @@ def graded_path_algebra(
     by_source: dict[str, list[int]] = {v: [] for v in pres.vertices}
     for i, (src, _) in enumerate(basis):
         by_source[src].append(i)
-    table: list[list[Vector]] = [[{} for _ in basis] for _ in basis]
+    empty: Vector = {}
+    table: list[list[Vector]] = [[empty] * len(basis) for _ in basis]
+    nonzero: list[list[int]] = [[] for _ in basis]
     for j, (src, first) in enumerate(basis):
         for i in by_source[path_target(pres, (src, first))]:
             then = basis[i][1]
             c = _junction(pres, values, first[-1], then[0]) if first and then else None
             word = first + then if c is None else first + then[1:]
-            table[i][j] = _expand(
+            cell = _expand(
                 normal_forms, zero_length, (src, word), ONE if c is None else c
             )
+            if cell:
+                table[i][j] = cell
+                nonzero[i].append(j)
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
-    algebra = TableAlgebra(tuple(basis), table, unit)
+    algebra = TableAlgebra(tuple(basis), table, unit, nonzero)
     return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values)
 
 
@@ -499,8 +539,16 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
         return out
 
     labels = tuple(f"c{k}" for k in range(len(indices)))
-    table = [[to_corner(A.table[i][j]) for j in indices] for i in indices]
-    corner = TableAlgebra(labels, table, to_corner(e))
+    empty: Vector = {}
+    table: list[list[Vector]] = [[empty] * len(indices) for _ in indices]
+    nonzero: list[list[int]] = [[] for _ in indices]
+    for a, i in enumerate(indices):
+        for j in A.nonzero[i]:
+            b = position.get(j)
+            if b is not None:
+                table[a][b] = to_corner(A.table[i][j])
+                nonzero[a].append(b)
+    corner = TableAlgebra(labels, table, to_corner(e), nonzero)
     return CornerAlgebra(A, e, corner, tuple(indices))
 
 
@@ -521,9 +569,9 @@ class BasisMap:
         return out
 
 
-def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Fraction]]]:
+def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Coeff]]]:
     """For each target index ``k``, the pairs ``(j, c)`` with ``f(b_j)[k] = c``."""
-    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(size)]
+    out: list[list[tuple[int, Coeff]]] = [[] for _ in range(size)]
     for j, img in enumerate(f.images):
         for k, c in img.items():
             out[k].append((j, c))
@@ -539,7 +587,7 @@ def basis_map_from_permutation(
     images: list[Vector] = []
     for lab in A.labels:
         img = label_map[lab]
-        s = Fraction(signs.get(lab, 1)) if signs else ONE
+        s = signs.get(lab, 1) if signs else ONE
         images.append(vec((A.index_of[img], s)))
     return BasisMap(images)
 
@@ -555,12 +603,11 @@ def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool
     of all pairs.
     """
     preimages = [[j for j, _ in pre] for pre in _preimages(f, B.dimension)]
-    target_columns = [[q for q, cell in enumerate(row) if cell] for row in B.table]
     images = f.images
     for i, row in enumerate(A.table):
-        columns = {j for j, cell in enumerate(row) if cell}
+        columns = set(A.nonzero[i])
         for p in images[i]:
-            for q in target_columns[p]:
+            for q in B.nonzero[p]:
                 columns.update(preimages[q])
         # ``apply`` and ``mul`` drop zero coefficients, so ``==`` compares
         # the two sides as vectors.
@@ -586,22 +633,31 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     Basis labels are ``(label, g)`` with ``g`` in {0, 1}, indexed
     ``g * n + index``; the product rule is
     ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.  The rows with ``g = 0`` are the
-    rows of ``A``; those with ``g = 1`` are its twisted rows.
+    rows of ``A``, sharing its cells; those with ``g = 1`` are its twisted
+    rows.
     """
     n = A.dimension
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
-    table: list[list[Vector]] = [
-        [cell.copy() for cell in row]
-        + [{k + n: c for k, c in cell.items()} if cell else {} for cell in row]
-        for row in A.table
-    ]
-    for twisted in A.twisted_rows(act):
-        row: list[Vector] = [{} for _ in range(2 * n)]
-        for j, cell in twisted.items():
-            row[j] = {k + n: c for k, c in cell.items()}
-            row[n + j] = cell
+    empty: Vector = {}
+    table: list[list[Vector]] = []
+    nonzero: list[list[int]] = []
+
+    def add_row(cells: list[tuple[int, Vector]], g: int) -> None:
+        # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1),
+        # in degree g + h; its degree-one copy is keyed n + k
+        row = [empty] * (2 * n)
+        for j, cell in cells:
+            shifted = {k + n: c for k, c in cell.items()}
+            row[j], row[n + j] = (shifted, cell) if g else (cell, shifted)
         table.append(row)
-    return TableAlgebra(labels, table, dict(A.unit))
+        columns = [j for j, _ in cells]
+        nonzero.append(columns + [n + j for j in columns])
+
+    for row, columns in zip(A.table, A.nonzero):
+        add_row([(j, row[j]) for j in columns], 0)
+    for twisted in A.twisted_rows(act):
+        add_row(sorted(twisted.items()), 1)
+    return TableAlgebra(labels, table, dict(A.unit), nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +679,7 @@ def verify_morphism(
     target: TableAlgebra,
     expected_dim: int,
     unit_image: Optional[Vector] = None,
-    loop_values: Optional[Mapping[str, Fraction]] = None,
+    loop_values: Optional[Mapping[str, Coeff]] = None,
 ) -> MorphismVerdict:
     """Check that generator images define an algebra map, and whether it
     is onto and an isomorphism.
@@ -681,7 +737,7 @@ def verify_morphism(
         if acc:
             failures.append(f"relation {rel!r} does not map to zero")
     for e in sorted(domain.special):
-        value = Fraction(loop_values.get(e, 1)) if loop_values else ONE
+        value = _exact(loop_values.get(e, 1)) if loop_values else ONE
         img = arrow_images[e]
         if not veq(target.mul(img, img), vscale(img, value)):
             failures.append(f"special loop {e!r} does not satisfy its square rule")
@@ -725,12 +781,12 @@ def verify_morphism(
 
 @dataclass(frozen=True)
 class DeformationVerdict:
-    value: Fraction
+    value: Coeff
     verdict: MorphismVerdict
 
 
 def verify_deformation_map(
-    triple: Presentation, value: Fraction
+    triple: Presentation, value: Coeff
 ) -> DeformationVerdict:
     """Check the scaling map from the ``value``-deformed algebra.
 
@@ -739,7 +795,7 @@ def verify_deformation_map(
     generators defines a map into the undeformed algebra; it is an
     isomorphism exactly when ``value`` is invertible.
     """
-    value = Fraction(value)
+    value = _exact(value)
     base = graded_path_algebra(triple)
     # The basis does not depend on the loop values, so the deformed algebra
     # has the dimension of the undeformed one.

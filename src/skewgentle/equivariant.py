@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .algebra import (
-    ONE,
     BasisMap,
     CornerAlgebra,
     MorphismVerdict,
@@ -79,14 +78,14 @@ def grading_sign_map(skew: TableAlgebra) -> BasisMap:
     """On a crossed product, scale the group-degree-one part by -1."""
     images = []
     for i, (_, g) in enumerate(skew.labels):
-        images.append(vec((i, Fraction(-1) if g else ONE)))
+        images.append(vec((i, -1 if g else 1)))
     return BasisMap(images)
 
 
 def induced_basis_map(
     alg: PathAlgebra,
     generator_map: Mapping[str, str],
-    signs: Optional[Mapping[str, Fraction]] = None,
+    signs: Optional[Mapping[str, int]] = None,
 ) -> BasisMap:
     """The linear map induced on a path-algebra quotient by relabelling
     vertices and arrows, optionally scaling each arrow by a sign."""
@@ -200,7 +199,7 @@ def verify_skew_group_reduction(
         if v in special_vertices:
             jt = chosen_lifts[v]
             for eps in (0, 1):
-                sign = ONE if eps == 0 else Fraction(-1)
+                sign = 1 if eps == 0 else -1
                 raw_images[split_vertex_ids(v)[eps]] = vadd(
                     vscale(vert(jt, 0), HALF), vscale(vert(jt, 1), sign * HALF)
                 )
@@ -223,21 +222,21 @@ def verify_skew_group_reduction(
                     BAD_LIFT, f"sandwich of arrow {aid!r} has {len(img)} terms, not one"
                 )
             ((k, c),) = img.items()
-            if c != ONE:
+            if c != 1:
                 raise error(
                     BAD_LIFT, f"sandwich of arrow {aid!r} has coefficient {c}, not 1"
                 )
             key, g = skew.labels[k]
             survivors[sid] = (key[1][0], g)
         elif sdec is not None and tdec is None:
-            sign = ONE if sdec == 0 else Fraction(-1)
+            sign = 1 if sdec == 0 else -1
             middle = vadd(arr(plus, 0), vscale(arr(minus, 0), sign))
             img = skew.mul(
                 raw_images[j],
                 skew.mul(middle, raw_images[split_vertex_ids(i)[sdec]]),
             )
         elif sdec is None and tdec is not None:
-            sign = ONE if tdec == 0 else Fraction(-1)
+            sign = 1 if tdec == 0 else -1
             middle = vadd(arr(plus, 0), vscale(arr(minus, 0), sign))
             img = skew.mul(
                 raw_images[split_vertex_ids(j)[tdec]],
@@ -330,14 +329,12 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     # the arrows crossing between the sheets, and the half-swapping
     # symmetry must be scaled by them before crossing with the group, or
     # the cover algebra cannot sit inside the corner.
-    sheet_sign: dict[str, Fraction] = {}
+    sheet_sign: dict[str, int] = {}
     for (aid, parity), lifted in lifts.items():
         a = pair.arrow_by_id[lifted]
-        value = Fraction(1)
+        value = 1
         for end in (a.source, a.target):
-            value *= Fraction(
-                parity if end in slit_of_lift else base_of_vertex[end][1]
-            )
+            value *= parity if end in slit_of_lift else base_of_vertex[end][1]
         if sheet_sign.setdefault(aid, value) != value:
             raise error(
                 BAD_LIFT, f"sheet sign of {aid!r} differs between the two lifts"
@@ -374,7 +371,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
         else:
             m, sheet = base_of_vertex[v]
             raw_images[v] = vadd(
-                vscale(vert(m, 0), HALF), vscale(vert(m, 1), Fraction(sheet) * HALF)
+                vscale(vert(m, 0), HALF), vscale(vert(m, 1), sheet * HALF)
             )
     for a in pair.arrows:
         aid, sheet = base_of_arrow[a.id]
@@ -386,9 +383,9 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
         # the signed swap absorbs any mismatch and the lift table's sheet
         # is the right twist.
         if src_special:
-            s = Fraction(sheet)
+            s = sheet
         else:
-            s = Fraction(base_of_vertex[a.source][1])
+            s = base_of_vertex[a.source][1]
         if not src_special and not tgt_special:
             first = second = by_origin[(aid, None, None)]
         elif not src_special and tgt_special:
@@ -466,24 +463,26 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
     """
     n = A.dimension
     labels = tuple((r, lab, c) for r in (0, 1) for lab in A.labels for c in (0, 1))
+    empty: Vector = {}
     table: list[list[Vector]] = []
+    nonzero: list[list[int]] = []
     for r in (0, 1):
-        for row in A.table:
+        for row, columns in zip(A.table, A.nonzero):
             # the rows of E_r0 ⊗ b_p and E_r1 ⊗ b_p hold the same cells, in
             # the column blocks m = 0 and m = 1
             cells = [
-                (2 * q + c, {2 * n * r + 2 * k + c: v for k, v in cell.items()})
-                for q, cell in enumerate(row)
-                if cell
+                (2 * q + c, {2 * n * r + 2 * k + c: v for k, v in row[q].items()})
+                for q in columns
                 for c in (0, 1)
             ]
             for m in (0, 1):
-                out: list[Vector] = [{} for _ in labels]
+                out = [empty] * len(labels)
                 for col, cell in cells:
                     out[2 * n * m + col] = cell
                 table.append(out)
+                nonzero.append([2 * n * m + col for col, _ in cells])
     unit = {2 * n * r + 2 * q + r: v for r in (0, 1) for q, v in A.unit.items()}
-    return TableAlgebra(labels, table, unit)
+    return TableAlgebra(labels, table, unit, nonzero)
 
 
 def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:
@@ -508,8 +507,8 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
         img: Vector = {}
         for c in (0, 1):
             r = (g + c) % 2
-            sign = Fraction(-1) if (j and c) else ONE
-            for q, v in (act.images[p] if r else {p: ONE}).items():
+            sign = -1 if (j and c) else 1
+            for q, v in (act.images[p] if r else {p: 1}).items():
                 img[endo.index_of[(r, A.labels[q], c)]] = sign * v
         images.append(img)
     comparison = BasisMap(images)
@@ -533,7 +532,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     conj = comparison.apply(unit_degree_one)
     equivariant = True
     for i, ((_, g), _) in enumerate(double.labels):
-        lhs = vscale(images[i], Fraction(-1) if g else ONE)
+        lhs = vscale(images[i], -1 if g else 1)
         rhs = endo.mul(endo.mul(conj, images[i]), conj)
         if not veq(lhs, rhs):
             equivariant = False

@@ -303,3 +303,41 @@ def cohen_montgomery_image(algebra, images, label) -> dict:
         for q, v in (images[p] if r else {p: Fraction(1)}).items():
             out[(r, labels[q], c)] = sign * v
     return out
+
+
+def associative(algebra) -> bool:
+    """Unitality and associativity of a product table, by brute force.
+
+    Every triple of basis indices is visited, with no pruning:
+    ``(b_i b_j) b_k`` and ``b_i (b_j b_k)`` are expanded through the
+    table one cell at a time and compared, and ``1·b_i`` and ``b_i·1``
+    must both be ``b_i``.
+    """
+    table = algebra.table
+    n = len(table)
+
+    def clean(acc):
+        return {k: c for k, c in acc.items() if c}
+
+    for i in range(n):
+        left, right = {}, {}
+        for u, c in algebra.unit.items():
+            for k, d in table[u][i].items():
+                left[k] = left.get(k, 0) + c * d
+            for k, d in table[i][u].items():
+                right[k] = right.get(k, 0) + c * d
+        if clean(left) != {i: 1} or clean(right) != {i: 1}:
+            return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs, rhs = {}, {}
+                for m, c in table[i][j].items():
+                    for z, d in table[m][k].items():
+                        lhs[z] = lhs.get(z, 0) + c * d
+                for m, c in table[j][k].items():
+                    for z, d in table[i][m].items():
+                        rhs[z] = rhs.get(z, 0) + c * d
+                if clean(lhs) != clean(rhs):
+                    return False
+    return True

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    associative,
     generated_dimension,
     mat_rank,
     monomial_path_count,
@@ -14,6 +15,7 @@ from oracles import (
 )
 from skewgentle import (
     Arrow,
+    TableAlgebra,
     ValidationError,
     algebra_dimension,
     algebra_from_products,
@@ -84,6 +86,18 @@ def test_span_basis_rank_matches_elimination_oracle():
         assert span.contains({j: c for j, c in enumerate(row) if c})
 
 
+def test_span_basis_scales_rows_to_pivot_one_without_floats():
+    span = SpanBasis()
+    assert span.add({0: 2, 1: 1})
+    row = span.rows[0]
+    assert row == {0: 1, 1: Fraction(1, 2)}
+    assert [type(c) for c in row.values()] == [int, Fraction]
+    # an integral inverse pivot keeps the row in ``int``
+    assert span.add({1: Fraction(1, 2), 2: 1})
+    assert span.rows[1] == {1: 1, 2: 2}
+    assert all(type(c) is int for c in span.rows[1].values())
+
+
 def test_product_of_fields_is_associative():
     A = _delta_algebra(["p", "q"])
     assert A.dimension == 2
@@ -108,6 +122,55 @@ def test_verify_associativity_rejects_broken_table():
 
     A = algebra_from_products(["e", "x", "y"], prod, {"e": ONE})
     assert not verify_associativity(A)
+
+
+def test_verify_associativity_catches_a_failure_behind_a_zero_left_product():
+    # e is a unit, b*c = d and a*d = f, and every other product of
+    # non-units is zero.  The one failing triple is (a, b, c): a*b = 0, so
+    # (a*b)*c = 0, while a*(b*c) = a*d = f.
+    products = {("b", "c"): "d", ("a", "d"): "f"}
+
+    def prod(x, y):
+        if x == "e":
+            return {y: ONE}
+        if y == "e":
+            return {x: ONE}
+        return {products[(x, y)]: ONE} if (x, y) in products else {}
+
+    labels = ["e", "a", "b", "c", "d", "f"]
+    A = algebra_from_products(labels, prod, {"e": ONE})
+    basis = {lab: A.element(lab) for lab in labels}
+    failing = [
+        (x, y, z)
+        for x in labels
+        for y in labels
+        for z in labels
+        if A.mul(A.mul(basis[x], basis[y]), basis[z])
+        != A.mul(basis[x], A.mul(basis[y], basis[z]))
+    ]
+    assert failing == [("a", "b", "c")]
+    assert A.mul(basis["a"], basis["b"]) == {}
+    assert not verify_associativity(A)
+    assert not associative(A)
+
+
+def test_verify_associativity_matches_brute_force_oracle_on_seeded_tables():
+    rng = random.Random(6011)
+    corrupt = random.Random(6012)
+    verdicts = []
+    for _ in range(40):
+        triple = random_triple(rng)
+        for value in (1, 5):
+            A = graded_path_algebra(triple, {e: value for e in triple.special}).algebra
+            # one cell replaced by a basis element: often not associative
+            table = [list(row) for row in A.table]
+            i, j, k = (corrupt.randrange(A.dimension) for _ in range(3))
+            table[i][j] = {k: ONE}
+            for T in (A, TableAlgebra(A.labels, table, A.unit)):
+                verdict = verify_associativity(T)
+                assert verdict == associative(T)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_linear_quiver_graded_dimensions():

@@ -269,6 +269,75 @@ def test_iterated_check_crosses_with_twisted_rows_twice(monkeypatch, cylinders):
     assert len(calls) == 2
 
 
+def _build_all(covers):
+    """Both reductions and the iterated check on each cover, with every
+    ``TableAlgebra`` they construct along the way."""
+    built: list[TableAlgebra] = []
+    post_init = TableAlgebra.__post_init__
+
+    def record(self):
+        post_init(self)
+        built.append(self)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TableAlgebra, "__post_init__", record)
+        for cov in covers:
+            red = verify_skew_group_reduction(cov)
+            dual = verify_dual_reduction(cov)
+            rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
+            runs.append((red, dual, rr))
+    return built, runs
+
+
+@pytest.fixture(scope="module")
+def ladder_builds(cylinder_covers, disc_xx):
+    covers = list(cylinder_covers.values())
+    covers.append(double_cover(disc_xx))
+    covers.append(quotient(*two_hole_torus_surface()))
+    covers += [double_cover(one_orbifold_disc(n)) for n in (4, 6, 8, 10, 12, 14)]
+    return _build_all(covers)
+
+
+def _assert_exact(built, runs):
+    """No coefficient is a float.  The tables and units are integral and
+    hold ``int``; only the images, through the halving idempotents, carry
+    ``Fraction``."""
+    table_coeffs = [c for A in built for row in A.table for cell in row for c in cell.values()]
+    table_coeffs += [c for A in built for c in A.unit.values()]
+    image_coeffs = []
+    for red, dual, rr in runs:
+        for f in (red.deck_action, dual.swap_action, rr.comparison):
+            image_coeffs += [c for img in f.images for c in img.values()]
+        for images in (
+            red.raw_images, red.vertex_images, red.arrow_images,
+            dual.raw_images, dual.vertex_images, dual.arrow_images,
+        ):
+            image_coeffs += [c for img in images.values() for c in img.values()]
+    assert table_coeffs and image_coeffs
+    assert {type(c) for c in table_coeffs} == {int}
+    assert {type(c) for c in image_coeffs} == {int, Fraction}
+
+
+def test_coefficients_are_exact_on_ladder_fixtures(ladder_builds):
+    _assert_exact(*ladder_builds)
+
+
+def test_coefficients_are_exact_on_random_covers():
+    rng = random.Random(8801)
+    covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(40)]
+    _assert_exact(*_build_all(covers))
+
+
+def test_nonzero_index_matches_a_fresh_scan_of_the_table(ladder_builds):
+    built, runs = ladder_builds
+    # per cover: path algebra, crossed product and corner in each
+    # reduction, and the once- and twice-crossed products and M₂(A)
+    assert len(built) == 9 * len(runs)
+    for A in built:
+        assert A.nonzero == [[j for j, cell in enumerate(row) if cell] for row in A.table]
+
+
 def test_corner_coordinates_reject_an_image_outside_the_corner():
     pres = make_presentation(["u", "v"], [], [])
     A = algebra_from_products(
