@@ -43,7 +43,19 @@ ZERO = 0
 
 
 def default_max_path_length() -> int:
-    return int(os.environ.get("SKEWGENTLE_MAX_PATH_LEN", "64"))
+    """``SKEWGENTLE_MAX_PATH_LEN``, 64 when unset; ``BAD_INPUT`` unless it
+    is an integer of at least 1."""
+    raw = os.environ.get("SKEWGENTLE_MAX_PATH_LEN", "64")
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise error(
+            BAD_INPUT,
+            f"SKEWGENTLE_MAX_PATH_LEN must be an integer of at least 1, not {raw!r}",
+        )
+    return limit
 
 
 def _exact(c: Any) -> Coeff:

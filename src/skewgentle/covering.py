@@ -23,11 +23,13 @@ sheet ``s`` lives in the instance ``s * (-1)^pieces`` at slot
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .diagnostics import (
+    BAD_LIFT,
     CURVE_THROUGH_BRANCH,
     error,
     raise_on_error,
@@ -143,9 +145,14 @@ class CoveringData:
             for sheet in (1, -1):
                 inst = sheet * (-1) ** _cuts_before(self.cuts[poly], i)
                 lifts[(aid, sheet)] = arrow_at[self.slot_image[(poly, i, inst)]]
-        assert len(set(lifts.values())) == len(lifts) == len(
-            self.total_quiver.presentation.arrows
-        ), "arrow lifts do not biject with the arrows upstairs"
+        hits = Counter(lifts.values())
+        for a in self.total_quiver.presentation.arrows:
+            if hits[a.id] != 1:
+                raise error(
+                    BAD_LIFT,
+                    f"arrow {a.id!r} is the lift of {hits[a.id]} base arrows, not one",
+                    (a.id,),
+                )
         return lifts
 
 
@@ -505,10 +512,22 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
         npid, nslot = cov.total.occurrences[(exit_side.ref, -exit_side.direction)]
         if cov.poly_instance[(nxt.polygon, 1)] == npid:
             inst = 1
-        else:
-            assert cov.poly_instance[(nxt.polygon, -1)] == npid
+        elif cov.poly_instance[(nxt.polygon, -1)] == npid:
             inst = -1
-        assert cov.slot_image[(nxt.polygon, nxt.entry, inst)] == (npid, nslot)
+        else:
+            raise error(
+                BAD_LIFT,
+                f"passage {k} of curve {curve.id!r} leaves for {npid!r}, "
+                f"which is no lift of {nxt.polygon!r}",
+                (curve.id, k),
+            )
+        if cov.slot_image[(nxt.polygon, nxt.entry, inst)] != (npid, nslot):
+            raise error(
+                BAD_LIFT,
+                f"passage {k} of curve {curve.id!r} leaves through slot {nslot} "
+                f"of {npid!r}, not the lift of the next entry",
+                (curve.id, k),
+            )
     doubled = curve.closed and inst != inst0
     if doubled:
         lifted += [

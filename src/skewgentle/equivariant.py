@@ -16,22 +16,22 @@ the base is recovered inside the crossed product:
   compares the result with ``M₂(A)``, built from the product table of
   ``A`` alone (Cohen--Montgomery duality).  The action enters only through
   the comparison map, which must be a unital bijective homomorphism, so a
-  symmetry that does not respect products fails the check.  Its
-  ``equivariant`` part holds by the index layout of that map.
+  symmetry that does not respect products fails the check.
 
-Both reductions read one set of cover stages, computed once and kept on the
-:class:`~skewgentle.covering.CoveringData`: the quivers of the base and the
-total surface, the split presentation with its arrow table, half-swap and
-special vertices, the arrow lifts and the deck action on generators.  The dimension each comparison expects is read off the
-dissection by the closed form of the polygon model of
+Both reductions are one construction read in two directions
+(Reiten--Riedtmann) and take one path: guard the involution, cross with
+it, cut the corner at one idempotent per orbit, check the generator
+images with :func:`~skewgentle.algebra.verify_morphism`, and compare each
+image under the grading signs with the image of its partner under the
+symmetry of the domain.  They read one set of cover stages, computed once
+on the :class:`~skewgentle.covering.CoveringData`, and the dimension each
+comparison expects comes from the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
 
-All arithmetic is exact; the maps of both reductions are given on
-generators and checked by :func:`~skewgentle.algebra.verify_morphism`.  A symmetry that is
-not an algebra involution raises ``NOT_INVOLUTION``, and arrow lifts
-that do not sandwich to a single arrow or disagree on their sheet sign
-raise ``BAD_LIFT``.
+All arithmetic is exact.  A symmetry that is not an algebra involution
+raises ``NOT_INVOLUTION``, and arrow lifts that do not sandwich to a
+single arrow or disagree on their sheet sign raise ``BAD_LIFT``.
 """
 from __future__ import annotations
 
@@ -130,6 +130,52 @@ def _corner_images(
     )
 
 
+def _crossed_corner(
+    A: TableAlgebra, act: BasisMap, vertices: Iterable[str]
+) -> tuple[TableAlgebra, CornerAlgebra]:
+    """The crossed product ``A#ℤ₂`` and its corner at the degree-zero
+    idempotents of ``vertices``, one per orbit."""
+    _require_involution(A, act)
+    skew = skew_group_algebra(A, act)
+    return skew, corner_algebra(skew, orbit_idempotent(skew, vertices))
+
+
+def _vertex(skew: TableAlgebra, v: str, g: int) -> Vector:
+    return skew.element(((v, ()), g))
+
+
+def _arrow(skew: TableAlgebra, pres: Presentation, a: str, g: int) -> Vector:
+    return skew.element(((pres.arrow_by_id[a].source, (a,)), g))
+
+
+def _halves(x: Vector, y: Vector, sign: int) -> Vector:
+    """``(x + sign·y) / 2``."""
+    return vadd(vscale(x, HALF), vscale(y, sign * HALF))
+
+
+def _compare(
+    skew: TableAlgebra,
+    corner: CornerAlgebra,
+    domain: Presentation,
+    raw_images: Mapping[str, Vector],
+    expected_dim: int,
+    symmetry: Mapping[str, str],
+) -> tuple[dict[str, Vector], dict[str, Vector], MorphismVerdict, dict[str, bool]]:
+    """Check that the generator images define an isomorphism of ``domain``
+    onto the corner, and for each generator whether the grading signs of
+    ``skew`` send its image to the image of its ``symmetry`` partner."""
+    vertex_images, arrow_images = _corner_images(corner, domain, raw_images)
+    verdict = verify_morphism(
+        domain, vertex_images, arrow_images, corner.algebra, expected_dim=expected_dim
+    )
+    twist = grading_sign_map(skew)
+    compat = {
+        gen: veq(twist.apply(raw), raw_images[symmetry[gen]])
+        for gen, raw in raw_images.items()
+    }
+    return vertex_images, arrow_images, verdict, compat
+
+
 # ---------------------------------------------------------------------------
 # Base algebra inside the crossed product of the cover
 
@@ -169,10 +215,7 @@ def verify_skew_group_reduction(
     assert not pair.special, "cover presentation has special loops"
     split = cov.split
     lam = graded_path_algebra(pair)
-
     deck_action = induced_basis_map(lam, cov.deck_generators)
-    _require_involution(lam.algebra, deck_action)
-    skew = skew_group_algebra(lam.algebra, deck_action)
 
     special_vertices = cov.special_vertices
     chosen_lifts: dict[str, str] = {}
@@ -182,41 +225,40 @@ def verify_skew_group_reduction(
         else:
             sheet = sheet_choice.get(v, 1) if sheet_choice else 1
             chosen_lifts[v] = cov.arc_image[(v, sheet)][0]
-    idem = orbit_idempotent(skew, chosen_lifts.values())
-    corner = corner_algebra(skew, idem)
-
-    def vert(total_vertex: str, g: int = 0) -> Vector:
-        return skew.element(((total_vertex, ()), g))
-
-    def arr(total_arrow: str, g: int = 0) -> Vector:
-        src = pair.arrow_by_id[total_arrow].source
-        return skew.element(((src, (total_arrow,)), g))
-
-    lifts = cov.arrow_lifts
+    skew, corner = _crossed_corner(lam.algebra, deck_action, chosen_lifts.values())
 
     raw_images: dict[str, Vector] = {}
     for v in triple.vertices:
+        lift = chosen_lifts[v]
         if v in special_vertices:
-            jt = chosen_lifts[v]
-            for eps in (0, 1):
-                sign = 1 if eps == 0 else -1
-                raw_images[split_vertex_ids(v)[eps]] = vadd(
-                    vscale(vert(jt, 0), HALF), vscale(vert(jt, 1), sign * HALF)
+            for eps, sign in enumerate((1, -1)):
+                raw_images[split_vertex_ids(v)[eps]] = _halves(
+                    _vertex(skew, lift, 0), _vertex(skew, lift, 1), sign
                 )
         else:
-            raw_images[v] = vert(chosen_lifts[v], 0)
+            raw_images[v] = _vertex(skew, lift, 0)
 
     survivors: dict[str, tuple[str, int]] = {}
     for sid, (aid, sdec, tdec) in sorted(cov.split_table.items()):
-        arrow = triple.arrow_by_id[aid]
-        i, j = arrow.source, arrow.target
-        plus, minus = lifts[(aid, 1)], lifts[(aid, -1)]
-        if sdec is None and tdec is None:
+        plus, minus = cov.arrow_lifts[(aid, 1)], cov.arrow_lifts[(aid, -1)]
+        undecorated = sdec is None and tdec is None
+        # Both ends decorated: the +1 lift alone.  Otherwise the sum of the
+        # lifts, or their difference at decoration 1, and with no decorated
+        # end also their group-degree-one terms.
+        middle = _arrow(skew, pair, plus, 0)
+        if sdec is None or tdec is None:
+            sign = -1 if sdec or tdec else 1
+            middle = vadd(middle, vscale(_arrow(skew, pair, minus, 0), sign))
+        if undecorated:
             middle = vadd(
-                vadd(arr(plus, 0), arr(minus, 0)),
-                vadd(arr(plus, 1), arr(minus, 1)),
+                middle,
+                vadd(_arrow(skew, pair, plus, 1), _arrow(skew, pair, minus, 1)),
             )
-            img = skew.mul(raw_images[j], skew.mul(middle, raw_images[i]))
+        ends = split.arrow_by_id[sid]
+        img = skew.mul(
+            raw_images[ends.target], skew.mul(middle, raw_images[ends.source])
+        )
+        if undecorated:
             if len(img) != 1:
                 raise error(
                     BAD_LIFT, f"sandwich of arrow {aid!r} has {len(img)} terms, not one"
@@ -228,43 +270,11 @@ def verify_skew_group_reduction(
                 )
             key, g = skew.labels[k]
             survivors[sid] = (key[1][0], g)
-        elif sdec is not None and tdec is None:
-            sign = 1 if sdec == 0 else -1
-            middle = vadd(arr(plus, 0), vscale(arr(minus, 0), sign))
-            img = skew.mul(
-                raw_images[j],
-                skew.mul(middle, raw_images[split_vertex_ids(i)[sdec]]),
-            )
-        elif sdec is None and tdec is not None:
-            sign = 1 if tdec == 0 else -1
-            middle = vadd(arr(plus, 0), vscale(arr(minus, 0), sign))
-            img = skew.mul(
-                raw_images[split_vertex_ids(j)[tdec]],
-                skew.mul(middle, raw_images[i]),
-            )
-        else:
-            img = skew.mul(
-                raw_images[split_vertex_ids(j)[tdec]],
-                skew.mul(arr(plus, 0), raw_images[split_vertex_ids(i)[sdec]]),
-            )
         raw_images[sid] = img
 
-    vertex_images, arrow_images = _corner_images(corner, split, raw_images)
-    verdict = verify_morphism(
-        split,
-        vertex_images,
-        arrow_images,
-        corner.algebra,
-        expected_dim=algebra_dimension(cov.base),
+    vertex_images, arrow_images, verdict, swap_compat = _compare(
+        skew, corner, split, raw_images, algebra_dimension(cov.base), cov.split_swap
     )
-
-    swap = cov.split_swap
-    twist = grading_sign_map(skew)
-    swap_compat = {
-        gen: veq(twist.apply(raw), raw_images[swap[gen]])
-        for gen, raw in raw_images.items()
-    }
-
     return SkewGroupReduction(
         triple=triple,
         split=split,
@@ -346,74 +356,40 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     swap_action = induced_basis_map(
         split_algebra, cov.split_swap, signs=arrow_sign
     )
-    _require_involution(split_algebra.algebra, swap_action)
-    skew = skew_group_algebra(split_algebra.algebra, swap_action)
-
     special_vertices = cov.special_vertices
     idem_vertices = [
-        split_vertex_ids(v)[0] if v in special_vertices else v
-        for v in triple.vertices
+        split_vertex_ids(v)[0] if v in special_vertices else v for v in triple.vertices
     ]
-    idem = orbit_idempotent(skew, idem_vertices)
-    corner = corner_algebra(skew, idem)
-
-    def vert(split_vertex: str, g: int = 0) -> Vector:
-        return skew.element(((split_vertex, ()), g))
-
-    def arr(split_arrow: str, g: int = 0) -> Vector:
-        src = split.arrow_by_id[split_arrow].source
-        return skew.element(((src, (split_arrow,)), g))
+    skew, corner = _crossed_corner(split_algebra.algebra, swap_action, idem_vertices)
 
     raw_images: dict[str, Vector] = {}
     for v in pair.vertices:
         if v in slit_of_lift:
-            raw_images[v] = vert(split_vertex_ids(slit_of_lift[v])[0], 0)
+            raw_images[v] = _vertex(skew, split_vertex_ids(slit_of_lift[v])[0], 0)
         else:
             m, sheet = base_of_vertex[v]
-            raw_images[v] = vadd(
-                vscale(vert(m, 0), HALF), vscale(vert(m, 1), sheet * HALF)
-            )
+            raw_images[v] = _halves(_vertex(skew, m, 0), _vertex(skew, m, 1), sheet)
     for a in pair.arrows:
         aid, sheet = base_of_arrow[a.id]
         arrow = triple.arrow_by_id[aid]
-        src_special = arrow.source in special_vertices
-        tgt_special = arrow.target in special_vertices
+        tdec = 0 if arrow.target in special_vertices else None
         # Framing around an ordinary source forces the group twist to be
         # the sheet label of the lifted source; when the source is a slit
         # the signed swap absorbs any mismatch and the lift table's sheet
         # is the right twist.
-        if src_special:
-            s = sheet
+        if arrow.source in special_vertices:
+            first, second = by_origin[(aid, 0, tdec)], by_origin[(aid, 1, tdec)]
         else:
-            s = base_of_vertex[a.source][1]
-        if not src_special and not tgt_special:
-            first = second = by_origin[(aid, None, None)]
-        elif not src_special and tgt_special:
-            first = second = by_origin[(aid, None, 0)]
-        elif src_special and not tgt_special:
-            first, second = by_origin[(aid, 0, None)], by_origin[(aid, 1, None)]
-        else:
-            first, second = by_origin[(aid, 0, 0)], by_origin[(aid, 1, 0)]
-        raw_images[a.id] = vadd(
-            vscale(arr(first, 0), HALF), vscale(arr(second, 1), s * HALF)
+            first = second = by_origin[(aid, None, tdec)]
+            sheet = base_of_vertex[a.source][1]
+        raw_images[a.id] = _halves(
+            _arrow(skew, split, first, 0), _arrow(skew, split, second, 1), sheet
         )
 
-    vertex_images, arrow_images = _corner_images(corner, pair, raw_images)
-    verdict = verify_morphism(
-        pair,
-        vertex_images,
-        arrow_images,
-        corner.algebra,
-        expected_dim=algebra_dimension(cov.total),
+    vertex_images, arrow_images, verdict, equivariant = _compare(
+        skew, corner, pair, raw_images, algebra_dimension(cov.total),
+        cov.deck_generators,
     )
-
-    gen_map = cov.deck_generators
-    twist = grading_sign_map(skew)
-    equivariant = {
-        gen: veq(raw_images[gen_map[gen]], twist.apply(raw))
-        for gen, raw in raw_images.items()
-    }
-
     return DualReduction(
         split=split,
         split_algebra=split_algebra,
@@ -444,13 +420,10 @@ class IteratedSkewGroup:
     unit_ok: bool
     rank: int
     bijective: bool
-    equivariant: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.homomorphism and self.unit_ok and self.bijective and self.equivariant
-        )
+        return self.homomorphism and self.unit_ok and self.bijective
 
 
 def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
@@ -492,9 +465,8 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     ``M₂(A)`` is built from the product table of ``A`` alone; ``s`` enters
     only through the comparison map
     ``(x ⊗ g) ⊗ j  ↦  Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)``, which is
-    checked to be a unital bijective homomorphism intertwining the residual
-    symmetries on both sides.  For a linear ``s`` of order two it is a
-    homomorphism exactly when ``s`` is multiplicative.
+    checked to be a unital bijective homomorphism.  For a linear ``s`` of
+    order two it is a homomorphism exactly when ``s`` is multiplicative.
     """
     _require_involution(A, act)
     once = skew_group_algebra(A, act)
@@ -513,30 +485,12 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
         images.append(img)
     comparison = BasisMap(images)
 
-    n = double.dimension
     homomorphism = verify_multiplicative(double, endo, comparison)
     unit_ok = veq(comparison.apply(double.unit), endo.unit)
-
     span = SpanBasis()
-    rank = 0
     for img in images:
-        if span.add(img):
-            rank += 1
-    bijective = rank == n == endo.dimension
-
-    # Image of the unit placed in group-degree (0, 1); conjugating by it
-    # realises the residual symmetry on the matrix side.
-    unit_degree_one: Vector = {
-        double.index_of[((A.labels[q], 0), 1)]: c for q, c in A.unit.items()
-    }
-    conj = comparison.apply(unit_degree_one)
-    equivariant = True
-    for i, ((_, g), _) in enumerate(double.labels):
-        lhs = vscale(images[i], -1 if g else 1)
-        rhs = endo.mul(endo.mul(conj, images[i]), conj)
-        if not veq(lhs, rhs):
-            equivariant = False
-            break
+        span.add(img)
+    bijective = span.rank == double.dimension == endo.dimension
 
     return IteratedSkewGroup(
         double=double,
@@ -544,7 +498,6 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
         comparison=comparison,
         homomorphism=homomorphism,
         unit_ok=unit_ok,
-        rank=rank,
+        rank=span.rank,
         bijective=bijective,
-        equivariant=equivariant,
     )

@@ -341,3 +341,18 @@ def associative(algebra) -> bool:
                 if clean(lhs) != clean(rhs):
                     return False
     return True
+
+
+def twist_compat(skew_labels, raw_images, symmetry) -> dict:
+    """For each generator of a crossed-product comparison, whether negating
+    the group-degree-one coefficients of its image (``skew_labels[k]`` is
+    ``(label, g)``) gives the image of its partner under ``symmetry``."""
+    out = {}
+    for gen, image in raw_images.items():
+        twisted = {}
+        for k, c in image.items():
+            if c:
+                twisted[k] = -c if skew_labels[k][1] else c
+        partner = {k: c for k, c in raw_images[symmetry[gen]].items() if c}
+        out[gen] = twisted == partner
+    return out

@@ -209,6 +209,17 @@ def test_reduce_rejects_noncomposable_word():
         alg.reduce(("1", ("b", "a")))
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_path_length_limit_is_bad_input(monkeypatch, value):
+    monkeypatch.setenv("SKEWGENTLE_MAX_PATH_LEN", value)
+    pres = make_presentation(["1"], [])
+    with pytest.raises(ValidationError) as exc:
+        graded_path_algebra(pres)
+    (diagnostic,) = exc.value.diagnostics
+    assert diagnostic.code == "BAD_INPUT"
+    assert "SKEWGENTLE_MAX_PATH_LEN" in diagnostic.message
+
+
 def test_paths_that_never_vanish_raise_not_stabilized(monkeypatch):
     monkeypatch.setenv("SKEWGENTLE_MAX_PATH_LEN", "6")
     loop = make_presentation(["1"], [Arrow("x", "1", "1")])

@@ -266,3 +266,42 @@ def test_invalid_lift_raises(monkeypatch, cylinders):
     with pytest.raises(ValidationError) as err:
         lift_curve(cov, boundary_curve(cylinders[1], "b_bot"))
     assert _codes(err) == ["INVALID_CURVE"]
+
+
+def _bad_lift(err) -> tuple:
+    (diagnostic,) = err.value.diagnostics
+    assert diagnostic.code == "BAD_LIFT"
+    return diagnostic.where
+
+
+def test_colliding_arrow_lifts_raise(cylinders):
+    cov = double_cover(cylinders[1])
+    # both sheets of the first base arrow read the sheet +1 slot upstairs
+    aid, (poly, i) = next(iter(cov.base_quiver.corner_of_arrow.items()))
+    for sheet in (1, -1):
+        cov.slot_image[(poly, i, sheet)] = cov.slot_image[(poly, i, 1)]
+    with pytest.raises(ValidationError) as err:
+        cov.arrow_lifts
+    (arrow,) = _bad_lift(err)
+    assert arrow in cov.total_quiver.presentation.arrow_by_id
+
+
+def test_lift_into_a_foreign_polygon_raises(cylinders):
+    cov = double_cover(cylinders[1])
+    # the boundary curve passes from "lower" into "upper"
+    cov.poly_instance[("upper", 1)] = cov.poly_instance[("upper", -1)] = "nowhere"
+    with pytest.raises(ValidationError) as err:
+        lift_curve(cov, boundary_curve(cylinders[1], "b_bot"))
+    assert _bad_lift(err) == ("boundary.b_bot", 0)
+
+
+def test_lift_through_a_wrong_slot_raises(cylinders):
+    cov = double_cover(cylinders[1])
+    curve = boundary_curve(cylinders[1], "b_bot")
+    nxt = curve.passages[1]
+    for sheet in (1, -1):
+        pid, slot = cov.slot_image[(nxt.polygon, nxt.entry, sheet)]
+        cov.slot_image[(nxt.polygon, nxt.entry, sheet)] = (pid, slot + 1)
+    with pytest.raises(ValidationError) as err:
+        lift_curve(cov, curve)
+    assert _bad_lift(err) == ("boundary.b_bot", 0)
