@@ -2,12 +2,14 @@
 
 Coefficients are exact rationals: ``int`` while integral,
 :class:`fractions.Fraction` otherwise, never float.  A coefficient becomes
-a ``Fraction`` only where a non-integer enters (a pivot division, a
-halving idempotent, a non-integer loop value), so the ±1 coefficients
-that fill the tables stay plain ``int``.  Elements are sparse vectors
-over an explicit basis, algebras carry a full multiplication table with
-an index of its nonzero cells, and linear algebra is done by exact
-Gaussian elimination.
+a ``Fraction`` only where a non-integer enters (a pivot that does not
+divide its row, a non-integer loop value), so the ±1 coefficients that
+fill the tables stay plain ``int``.  Maps whose generator images would
+carry halves, such as the split idempotents ``(e ± s·e)/2``, are checked
+on doubled images through the ``scale`` of :func:`verify_morphism`.
+Elements are sparse vectors over an explicit basis, algebras carry a full
+multiplication table with an index of its nonzero cells, and linear
+algebra is done by exact Gaussian elimination.
 
 One builder, :func:`graded_path_algebra`, covers the three quadratic
 presentations the package meets: gentle pairs (single-path relations),
@@ -158,9 +160,10 @@ class SpanBasis:
     def add(self, row: Vector) -> bool:
         """Insert a vector; returns True when the rank grew.
 
-        The stored row is scaled to pivot 1.  The inverse of the pivot is
-        taken through ``Fraction``, so ``int / int`` never gives a float,
-        and kept as an ``int`` when it is integral.
+        The stored row is scaled to pivot 1.  An ``int`` row that the pivot
+        divides is divided exactly and stays ``int``; otherwise the inverse
+        of the pivot is taken through ``Fraction``, so ``int / int`` never
+        gives a float, and kept as an ``int`` when it is integral.
         """
         row = self._reduce(row)
         if not row:
@@ -168,8 +171,13 @@ class SpanBasis:
         lead = min(row, key=self.order)
         pivot = row[lead]
         if pivot != 1:
-            inv = Fraction(1, pivot)
-            row = vscale(row, inv.numerator if inv.denominator == 1 else inv)
+            if type(pivot) is int and all(
+                type(v) is int and not v % pivot for v in row.values()
+            ):
+                row = {k: v // pivot for k, v in row.items()}
+            else:
+                inv = Fraction(1, pivot)
+                row = vscale(row, inv.numerator if inv.denominator == 1 else inv)
             row[lead] = ONE
         for piv, existing in list(self.rows.items()):
             if lead in existing:
@@ -692,6 +700,7 @@ def verify_morphism(
     expected_dim: int,
     unit_image: Optional[Vector] = None,
     loop_values: Optional[Mapping[str, Coeff]] = None,
+    scale: Coeff = 1,
 ) -> MorphismVerdict:
     """Check that generator images define an algebra map, and whether it
     is onto and an isomorphism.
@@ -702,6 +711,14 @@ def verify_morphism(
     ``expected_dim`` must be the independently computed domain dimension;
     the verdict combines homomorphism, surjectivity and the dimension
     count.
+
+    With ``scale`` = s the images are given scaled: each vertex image is
+    ``s·φ(v)`` and each arrow image ``s²·φ(a)`` for the map φ under test,
+    which is checked through ``ψ_v² = s·ψ_v``, ``Σψ_v = s·1``,
+    ``ψ_t·ψ_a·ψ_s = s²·ψ_a`` and ``ψ_e² = s²·value·ψ_e``.  The
+    orthogonality, relation and span checks do not depend on s.  So maps
+    whose images carry a denominator can be checked on integral multiples;
+    the verdict is the one of φ, failure messages included.
 
     Surjectivity closes the span of the images of the vertices, the unit
     and the path words.  A word with source ``s`` is only extended on the
@@ -722,10 +739,10 @@ def verify_morphism(
     total: Vector = {}
     for v in domain.vertices:
         ev = vertex_images[v]
-        if not veq(target.mul(ev, ev), ev):
+        if not veq(target.mul(ev, ev), vscale(ev, scale)):
             failures.append(f"image of vertex {v!r} is not idempotent")
         total = vadd(total, ev)
-    if not veq(total, unit):
+    if not veq(total, vscale(unit, scale)):
         failures.append("vertex images do not sum to the unit")
     for u in domain.vertices:
         for v in domain.vertices:
@@ -739,7 +756,7 @@ def verify_morphism(
         framed = target.mul(
             vertex_images[a.target], target.mul(img, vertex_images[a.source])
         )
-        if not veq(framed, img):
+        if not veq(framed, vscale(img, scale * scale)):
             failures.append(f"image of arrow {a.id!r} is not framed by its endpoints")
 
     for rel in domain.relations:
@@ -751,7 +768,7 @@ def verify_morphism(
     for e in sorted(domain.special):
         value = _exact(loop_values.get(e, 1)) if loop_values else ONE
         img = arrow_images[e]
-        if not veq(target.mul(img, img), vscale(img, value)):
+        if not veq(target.mul(img, img), vscale(img, scale * scale * value)):
             failures.append(f"special loop {e!r} does not satisfy its square rule")
 
     is_hom = not failures

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .diagnostics import (
+    BAD_INPUT,
     BAD_LIFT,
     CURVE_THROUGH_BRANCH,
     error,
@@ -169,14 +170,24 @@ def _polygon_cuts(surface: DissectedSurface, poly: Polygon) -> list[int]:
         s_in = poly.sides[i]
         point = surface.ray_point(head_ray(s_in))
         if surface.point_by_id[point].kind == ORBIFOLD:
-            assert 1 <= i <= n - 2, "slit corner touches the boundary segment"
+            if not 1 <= i <= n - 2:
+                raise error(
+                    BAD_INPUT,
+                    f"slit corner {i} of polygon {poly.id!r} touches the boundary segment",
+                    (poly.id, i),
+                )
             nxt = poly.sides[i + 1]
-            assert (
+            if not (
                 s_in.is_arc
                 and nxt.is_arc
                 and s_in.ref == nxt.ref
                 and s_in.direction == -nxt.direction
-            ), "orbifold corner is not a slit pair"
+            ):
+                raise error(
+                    BAD_INPUT,
+                    f"orbifold corner {i} of polygon {poly.id!r} is not a slit pair",
+                    (poly.id, i),
+                )
             cuts.append(i)
     return cuts
 
@@ -191,7 +202,8 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
     slit_arcs = {}
     for a in surface.arcs:
         ends_in_x = [e in orbifold for e in (a.tail, a.head)]
-        assert not all(ends_in_x), "arc joins two orbifold points"
+        if all(ends_in_x):
+            raise error(BAD_INPUT, f"arc {a.id!r} joins two orbifold points", (a.id,))
         if any(ends_in_x):
             slit_arcs[a.id] = a.head if a.tail in orbifold else a.tail
 

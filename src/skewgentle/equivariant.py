@@ -29,9 +29,20 @@ comparison expects comes from the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
 
-All arithmetic is exact.  A symmetry that is not an algebra involution
-raises ``NOT_INVOLUTION``, and arrow lifts that do not sandwich to a
-single arrow or disagree on their sheet sign raise ``BAD_LIFT``.
+All arithmetic is exact, and both comparisons run in ``int``.  The split
+idempotents ``(e ± s·e)/2`` carry halves, so each reduction builds its
+generator images doubled: every vertex image is ``2·φ(v)`` (``e ± s·e``,
+or ``2·e`` for a vertex that is not split) and every arrow image is
+``4·φ(a)`` (the sandwich of an arrow between two doubled ends, or its
+half-sum doubled once more).  These integral images go to
+:func:`~skewgentle.algebra.verify_morphism` with ``scale=2`` and to the
+grading-sign comparison, which is linear; the public images are divided
+once at the end, and only there do the halves appear as ``Fraction``.
+
+A symmetry that is not an algebra involution raises ``NOT_INVOLUTION``,
+arrow lifts that do not sandwich to a single arrow or disagree on their
+sheet sign raise ``BAD_LIFT``, and a cover presentation with special
+loops raises ``BAD_INPUT``.
 """
 from __future__ import annotations
 
@@ -41,6 +52,7 @@ from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     BasisMap,
+    Coeff,
     CornerAlgebra,
     MorphismVerdict,
     PathAlgebra,
@@ -51,6 +63,7 @@ from .algebra import (
     graded_path_algebra,
     skew_group_algebra,
     vadd,
+    vaxpy,
     vec,
     veq,
     verify_algebra_involution,
@@ -60,6 +73,7 @@ from .algebra import (
 )
 from .covering import CoveringData
 from .diagnostics import (
+    BAD_INPUT,
     BAD_LIFT,
     NOT_INVOLUTION,
     OUTSIDE_CORNER,
@@ -70,9 +84,6 @@ from .presentations import (
     algebra_dimension,
     split_vertex_ids,
 )
-
-HALF = Fraction(1, 2)
-
 
 def grading_sign_map(skew: TableAlgebra) -> BasisMap:
     """On a crossed product, scale the group-degree-one part by -1."""
@@ -148,32 +159,51 @@ def _arrow(skew: TableAlgebra, pres: Presentation, a: str, g: int) -> Vector:
     return skew.element(((pres.arrow_by_id[a].source, (a,)), g))
 
 
-def _halves(x: Vector, y: Vector, sign: int) -> Vector:
-    """``(x + sign·y) / 2``."""
-    return vadd(vscale(x, HALF), vscale(y, sign * HALF))
+def _divide(c: Coeff, d: int) -> Coeff:
+    """``c / d`` exactly, an ``int`` when it is integral."""
+    q = Fraction(c, d)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _compare(
     skew: TableAlgebra,
     corner: CornerAlgebra,
     domain: Presentation,
-    raw_images: Mapping[str, Vector],
+    doubled: Mapping[str, Vector],
     expected_dim: int,
     symmetry: Mapping[str, str],
-) -> tuple[dict[str, Vector], dict[str, Vector], MorphismVerdict, dict[str, bool]]:
+) -> tuple[
+    dict[str, Vector], dict[str, Vector], dict[str, Vector], MorphismVerdict,
+    dict[str, bool],
+]:
     """Check that the generator images define an isomorphism of ``domain``
     onto the corner, and for each generator whether the grading signs of
-    ``skew`` send its image to the image of its ``symmetry`` partner."""
-    vertex_images, arrow_images = _corner_images(corner, domain, raw_images)
+    ``skew`` send its image to the image of its ``symmetry`` partner.
+
+    ``doubled`` holds ``2·φ(v)`` for each vertex and ``4·φ(a)`` for each
+    arrow.  Returns the raw, vertex and arrow images of φ itself, the
+    verdict and the grading-sign dict."""
+    vertex_doubled, arrow_doubled = _corner_images(corner, domain, doubled)
     verdict = verify_morphism(
-        domain, vertex_images, arrow_images, corner.algebra, expected_dim=expected_dim
+        domain, vertex_doubled, arrow_doubled, corner.algebra,
+        expected_dim=expected_dim, scale=2,
     )
     twist = grading_sign_map(skew)
     compat = {
-        gen: veq(twist.apply(raw), raw_images[symmetry[gen]])
-        for gen, raw in raw_images.items()
+        gen: veq(twist.apply(img), doubled[symmetry[gen]])
+        for gen, img in doubled.items()
     }
-    return vertex_images, arrow_images, verdict, compat
+
+    def undoubled(images: Mapping[str, Vector]) -> dict[str, Vector]:
+        return {
+            gen: {k: _divide(c, 2 if gen in vertex_doubled else 4) for k, c in img.items()}
+            for gen, img in images.items()
+        }
+
+    return (
+        undoubled(doubled), undoubled(vertex_doubled), undoubled(arrow_doubled),
+        verdict, compat,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +242,11 @@ def verify_skew_group_reduction(
     """
     triple = cov.base_quiver.presentation
     pair = cov.total_quiver.presentation
-    assert not pair.special, "cover presentation has special loops"
+    if pair.special:
+        vertex = pair.arrow_by_id[min(pair.special)].source
+        raise error(
+            BAD_INPUT, f"cover presentation has a special loop at {vertex!r}", (vertex,)
+        )
     split = cov.split
     lam = graded_path_algebra(pair)
     deck_action = induced_basis_map(lam, cov.deck_generators)
@@ -227,16 +261,16 @@ def verify_skew_group_reduction(
             chosen_lifts[v] = cov.arc_image[(v, sheet)][0]
     skew, corner = _crossed_corner(lam.algebra, deck_action, chosen_lifts.values())
 
-    raw_images: dict[str, Vector] = {}
+    doubled: dict[str, Vector] = {}
     for v in triple.vertices:
         lift = chosen_lifts[v]
         if v in special_vertices:
             for eps, sign in enumerate((1, -1)):
-                raw_images[split_vertex_ids(v)[eps]] = _halves(
+                doubled[split_vertex_ids(v)[eps]] = vaxpy(
                     _vertex(skew, lift, 0), _vertex(skew, lift, 1), sign
                 )
         else:
-            raw_images[v] = _vertex(skew, lift, 0)
+            doubled[v] = vscale(_vertex(skew, lift, 0), 2)
 
     survivors: dict[str, tuple[str, int]] = {}
     for sid, (aid, sdec, tdec) in sorted(cov.split_table.items()):
@@ -254,26 +288,26 @@ def verify_skew_group_reduction(
                 middle,
                 vadd(_arrow(skew, pair, plus, 1), _arrow(skew, pair, minus, 1)),
             )
+        # between two doubled ends the sandwich is 4·φ(a)
         ends = split.arrow_by_id[sid]
-        img = skew.mul(
-            raw_images[ends.target], skew.mul(middle, raw_images[ends.source])
-        )
+        img = skew.mul(doubled[ends.target], skew.mul(middle, doubled[ends.source]))
         if undecorated:
             if len(img) != 1:
                 raise error(
                     BAD_LIFT, f"sandwich of arrow {aid!r} has {len(img)} terms, not one"
                 )
             ((k, c),) = img.items()
-            if c != 1:
+            if c != 4:
                 raise error(
-                    BAD_LIFT, f"sandwich of arrow {aid!r} has coefficient {c}, not 1"
+                    BAD_LIFT,
+                    f"sandwich of arrow {aid!r} has coefficient {_divide(c, 4)}, not 1",
                 )
             key, g = skew.labels[k]
             survivors[sid] = (key[1][0], g)
-        raw_images[sid] = img
+        doubled[sid] = img
 
-    vertex_images, arrow_images, verdict, swap_compat = _compare(
-        skew, corner, split, raw_images, algebra_dimension(cov.base), cov.split_swap
+    raw_images, vertex_images, arrow_images, verdict, swap_compat = _compare(
+        skew, corner, split, doubled, algebra_dimension(cov.base), cov.split_swap
     )
     return SkewGroupReduction(
         triple=triple,
@@ -362,13 +396,15 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     ]
     skew, corner = _crossed_corner(split_algebra.algebra, swap_action, idem_vertices)
 
-    raw_images: dict[str, Vector] = {}
+    doubled: dict[str, Vector] = {}
     for v in pair.vertices:
         if v in slit_of_lift:
-            raw_images[v] = _vertex(skew, split_vertex_ids(slit_of_lift[v])[0], 0)
+            doubled[v] = vscale(
+                _vertex(skew, split_vertex_ids(slit_of_lift[v])[0], 0), 2
+            )
         else:
             m, sheet = base_of_vertex[v]
-            raw_images[v] = _halves(_vertex(skew, m, 0), _vertex(skew, m, 1), sheet)
+            doubled[v] = vaxpy(_vertex(skew, m, 0), _vertex(skew, m, 1), sheet)
     for a in pair.arrows:
         aid, sheet = base_of_arrow[a.id]
         arrow = triple.arrow_by_id[aid]
@@ -382,12 +418,14 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
         else:
             first = second = by_origin[(aid, None, tdec)]
             sheet = base_of_vertex[a.source][1]
-        raw_images[a.id] = _halves(
-            _arrow(skew, split, first, 0), _arrow(skew, split, second, 1), sheet
+        # the half-sum doubled twice, 4·φ(a)
+        doubled[a.id] = vscale(
+            vaxpy(_arrow(skew, split, first, 0), _arrow(skew, split, second, 1), sheet),
+            2,
         )
 
-    vertex_images, arrow_images, verdict, equivariant = _compare(
-        skew, corner, pair, raw_images, algebra_dimension(cov.total),
+    raw_images, vertex_images, arrow_images, verdict, equivariant = _compare(
+        skew, corner, pair, doubled, algebra_dimension(cov.total),
         cov.deck_generators,
     )
     return DualReduction(

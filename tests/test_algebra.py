@@ -96,6 +96,11 @@ def test_span_basis_scales_rows_to_pivot_one_without_floats():
     assert span.add({1: Fraction(1, 2), 2: 1})
     assert span.rows[1] == {1: 1, 2: 2}
     assert all(type(c) is int for c in span.rows[1].values())
+    # an ``int`` row that its pivot divides is divided exactly
+    span = SpanBasis()
+    assert span.add({0: 2, 1: 4})
+    assert span.rows[0] == {0: 1, 1: 2}
+    assert [type(c) for c in span.rows[0].values()] == [int, int]
 
 
 def test_product_of_fields_is_associative():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from oracles import boundary_circle_count, euler_characteristic, genus_from_counts
 from skewgentle import (
+    Arc,
     CombinatorialCurve,
     Passage,
+    Polygon,
     ValidationError,
     boundary_curve,
     double_cover,
@@ -305,3 +308,44 @@ def test_lift_through_a_wrong_slot_raises(cylinders):
     with pytest.raises(ValidationError) as err:
         lift_curve(cov, curve)
     assert _bad_lift(err) == ("boundary.b_bot", 0)
+
+
+def _cover_unchecked(monkeypatch, surface, corrupted):
+    """``double_cover`` of ``corrupted`` with the input checks reading
+    ``surface`` instead, so the cover construction meets the defect."""
+    monkeypatch.setattr(covering, "validate", lambda s: Report())
+    classification = covering.classify_dissection(surface)
+    monkeypatch.setattr(covering, "classify_dissection", lambda s: classification)
+    with pytest.raises(ValidationError) as err:
+        double_cover(corrupted)
+    (diagnostic,) = err.value.diagnostics
+    assert diagnostic.code == "BAD_INPUT"
+    return diagnostic.where
+
+
+def _with_big_polygon(surface, order):
+    """``surface`` with the sides of its polygon ``big`` reordered."""
+    polygons = tuple(
+        Polygon(p.id, tuple(p.sides[i] for i in order)) if p.id == "big" else p
+        for p in surface.polygons
+    )
+    return dataclasses.replace(surface, polygons=polygons)
+
+
+def test_arc_between_two_orbifold_points_is_bad_input(monkeypatch, disc_xx):
+    arcs = tuple(Arc(a.id, a.tail, "X2") if a.id == "1" else a for a in disc_xx.arcs)
+    corrupted = dataclasses.replace(disc_xx, arcs=arcs)
+    assert _cover_unchecked(monkeypatch, disc_xx, corrupted) == ("1",)
+
+
+def test_slit_corner_at_the_boundary_segment_is_bad_input(monkeypatch, disc_x4):
+    # big is b4, 1⁻, 1⁺, 2, 3, 4: move 1⁻ last, so the orbifold corner is
+    # the last one, next to the boundary segment
+    corrupted = _with_big_polygon(disc_x4, (0, 2, 3, 4, 5, 1))
+    assert _cover_unchecked(monkeypatch, disc_x4, corrupted) == ("big", 5)
+
+
+def test_orbifold_corner_without_a_slit_pair_is_bad_input(monkeypatch, disc_x4):
+    # 1⁻, 2, 1⁺: the side after the orbifold corner is not the slit's return
+    corrupted = _with_big_polygon(disc_x4, (0, 1, 3, 2, 4, 5))
+    assert _cover_unchecked(monkeypatch, disc_x4, corrupted) == ("big", 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -14,6 +15,7 @@ from oracles import (
     twist_compat,
 )
 from skewgentle import (
+    SpanBasis,
     TableAlgebra,
     ValidationError,
     algebra_from_products,
@@ -31,6 +33,7 @@ from skewgentle import (
     validate,
     verify_dual_reduction,
     verify_iterated_skew_group,
+    verify_morphism,
     verify_skew_group_reduction,
 )
 from skewgentle import equivariant
@@ -297,25 +300,43 @@ def test_iterated_check_crosses_with_twisted_rows_twice(monkeypatch, cylinders):
     assert len(calls) == 2
 
 
-def _build_all(covers):
+class Builds(NamedTuple):
+    built: list  # every TableAlgebra constructed
+    runs: list  # (reduction, dual reduction, iterated check) per cover
+    morphisms: list  # (args, kwargs) of each verify_morphism call, two per cover
+    spans: list  # every SpanBasis constructed
+
+
+def _build_all(covers) -> Builds:
     """Both reductions and the iterated check on each cover, with every
-    ``TableAlgebra`` they construct along the way."""
-    built: list[TableAlgebra] = []
+    ``TableAlgebra`` and ``SpanBasis`` they construct along the way and
+    the arguments the reductions pass to ``verify_morphism``."""
+    out = Builds([], [], [], [])
     post_init = TableAlgebra.__post_init__
+    span_init = SpanBasis.__init__
 
     def record(self):
         post_init(self)
-        built.append(self)
+        out.built.append(self)
 
-    runs = []
+    def record_span(self, *args, **kwargs):
+        span_init(self, *args, **kwargs)
+        out.spans.append(self)
+
+    def record_morphism(*args, **kwargs):
+        out.morphisms.append((args, kwargs))
+        return verify_morphism(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TableAlgebra, "__post_init__", record)
+        mp.setattr(SpanBasis, "__init__", record_span)
+        mp.setattr(equivariant, "verify_morphism", record_morphism)
         for cov in covers:
             red = verify_skew_group_reduction(cov)
             dual = verify_dual_reduction(cov)
             rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
-            runs.append((red, dual, rr))
-    return built, runs
+            out.runs.append((red, dual, rr))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -327,10 +348,11 @@ def ladder_builds(cylinder_covers, disc_xx):
     return _build_all(covers)
 
 
-def _assert_exact(built, runs):
+def _assert_exact(builds):
     """No coefficient is a float.  The tables and units are integral and
-    hold ``int``; only the images, through the halving idempotents, carry
-    ``Fraction``."""
+    hold ``int``; only the public images, through the halving idempotents,
+    carry ``Fraction``."""
+    built, runs = builds.built, builds.runs
     table_coeffs = [c for A in built for row in A.table for cell in row for c in cell.values()]
     table_coeffs += [c for A in built for c in A.unit.values()]
     image_coeffs = []
@@ -345,20 +367,80 @@ def _assert_exact(built, runs):
     assert table_coeffs and image_coeffs
     assert {type(c) for c in table_coeffs} == {int}
     assert {type(c) for c in image_coeffs} == {int, Fraction}
+    # an integral value is always held as ``int``
+    span_coeffs = [c for span in builds.spans for row in span.rows.values() for c in row.values()]
+    assert span_coeffs
+    assert not [
+        c for c in image_coeffs + span_coeffs if type(c) is Fraction and c.denominator == 1
+    ]
+    # the reductions check integral multiples of their images
+    assert len(builds.morphisms) == 2 * len(runs)
+    kernel_coeffs = [
+        c
+        for args, _ in builds.morphisms
+        for images in args[1:3]
+        for img in images.values()
+        for c in img.values()
+    ]
+    assert kernel_coeffs and {type(c) for c in kernel_coeffs} == {int}
+
+
+def _assert_scaled_verdicts_match(builds):
+    """The verdict on the doubled images with ``scale=2`` is the verdict on
+    the public images, failure strings included, also when every vertex
+    is sent to the image of the first one; and the public images with
+    ``scale=2`` fail the idempotent and unit checks."""
+    reductions = [red for run in builds.runs for red in run[:2]]
+    for (args, kwargs), red in zip(builds.morphisms, reductions):
+        domain, doubled_vertices, doubled_arrows, target = args
+        assert kwargs["scale"] == 2
+        expected_dim = kwargs["expected_dim"]
+        args = (domain, red.vertex_images, red.arrow_images, target)
+        assert verify_morphism(*args, expected_dim=expected_dim) == red.verdict
+
+        first = domain.vertices[0]
+        merged = verify_morphism(
+            domain, dict.fromkeys(domain.vertices, doubled_vertices[first]),
+            doubled_arrows, target, expected_dim=expected_dim, scale=2,
+        )
+        assert merged == verify_morphism(
+            domain, dict.fromkeys(domain.vertices, red.vertex_images[first]),
+            red.arrow_images, target, expected_dim=expected_dim,
+        )
+        assert len(domain.vertices) == 1 or merged.failures
+
+        unscaled = verify_morphism(*args, expected_dim=expected_dim, scale=2)
+        assert not unscaled.is_homomorphism
+        for v in domain.vertices:
+            assert f"image of vertex {v!r} is not idempotent" in unscaled.failures
+        assert "vertex images do not sum to the unit" in unscaled.failures
+
+
+@pytest.fixture(scope="module")
+def random_builds():
+    rng = random.Random(8801)
+    covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(40)]
+    return _build_all(covers)
 
 
 def test_coefficients_are_exact_on_ladder_fixtures(ladder_builds):
-    _assert_exact(*ladder_builds)
+    _assert_exact(ladder_builds)
 
 
-def test_coefficients_are_exact_on_random_covers():
-    rng = random.Random(8801)
-    covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(40)]
-    _assert_exact(*_build_all(covers))
+def test_coefficients_are_exact_on_random_covers(random_builds):
+    _assert_exact(random_builds)
+
+
+def test_scaled_verdicts_match_public_images_on_ladder_fixtures(ladder_builds):
+    _assert_scaled_verdicts_match(ladder_builds)
+
+
+def test_scaled_verdicts_match_public_images_on_random_covers(random_builds):
+    _assert_scaled_verdicts_match(random_builds)
 
 
 def test_nonzero_index_matches_a_fresh_scan_of_the_table(ladder_builds):
-    built, runs = ladder_builds
+    built, runs = ladder_builds.built, ladder_builds.runs
     # per cover: path algebra, crossed product and corner in each
     # reduction, and the once- and twice-crossed products and M₂(A)
     assert len(built) == 9 * len(runs)
@@ -514,3 +596,15 @@ def test_lifts_with_different_sheet_signs_are_a_bad_lift(cylinders):
     # 4+, while as the sheet +1 lift both its signs are +1
     cov.arrow_lifts[("3.4", -1)] = cov.arrow_lifts[("3.4", 1)]
     assert "sheet sign" in _bad_lift_message(verify_dual_reduction, cov)
+
+
+def test_cover_presentation_with_special_loops_is_bad_input(cylinders):
+    cov = double_cover(cylinders[1])
+    # the base triple, with its special loops, read as the cover's quiver
+    vars(cov)["total_quiver"] = cov.base_quiver
+    with pytest.raises(ValidationError) as exc:
+        verify_skew_group_reduction(cov)
+    (diagnostic,) = exc.value.diagnostics
+    assert diagnostic.code == "BAD_INPUT"
+    triple = cov.base_quiver.presentation
+    assert diagnostic.where == (triple.arrow_by_id[min(triple.special)].source,)
