@@ -11,6 +11,16 @@ Elements are sparse vectors over an explicit basis, algebras carry a full
 multiplication table with an index of its nonzero cells, and linear
 algebra is done by exact Gaussian elimination.
 
+The checks walk that index a row at a time instead of calling
+:meth:`TableAlgebra.mul` for each cell: the twisted rows of a crossed
+product and the rows of ``f(b_i)·f(b_j)`` in :func:`verify_multiplicative`
+come from one helper, and :func:`corner_algebra` computes ``e·b_m`` once
+for every ``m`` and each ``b_i·e`` from the cells of row ``i`` in the
+columns of ``e``.  :class:`SpanBasis` keeps its rows in reduced echelon
+form with an index from each column to the rows that hold it, so a vector
+is reduced in one pass over its pivot columns and a new pivot is cleared
+only from the rows that hold it.
+
 One builder, :func:`graded_path_algebra`, covers the three quadratic
 presentations the package meets: gentle pairs (single-path relations),
 skew-gentle triples (single-path relations plus special loops with
@@ -137,25 +147,30 @@ class SpanBasis:
     """An incrementally maintained reduced row basis (exact RREF).
 
     ``order`` ranks the columns; the smallest rank in a row is its pivot.
+    ``rows`` maps each pivot to its row, which has 1 at its own pivot and
+    no other pivot column.  ``holders`` indexes the other columns: it maps
+    each column that is not a pivot to the pivots of the rows holding it.
+    So a vector is reduced in one pass over the pivot columns it holds,
+    and a new pivot is cleared from exactly the rows in its index entry.
     """
 
     def __init__(self, order: Optional[Callable[[Any], Any]] = None):
         self.order = order if order is not None else (lambda k: k)
         self.rows: dict[Any, Vector] = {}  # pivot key -> reduced row
+        self.holders: dict[Any, set] = {}  # non-pivot column -> pivots of rows holding it
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def _reduce(self, row: Vector) -> Vector:
-        row = dict(row)
-        while row:
-            lead = min(row, key=self.order)
-            hit = self.rows.get(lead)
-            if hit is None:
-                return row
-            row = vaxpy(row, hit, -row[lead])
-        return row
+        # A stored row holds no other pivot column, so clearing one pivot
+        # leaves the coefficients at the others as they are.
+        rows = self.rows
+        out = dict(row)
+        for p in [k for k in row if k in rows]:
+            _accumulate(out, rows[p], -out[p])
+        return out
 
     def add(self, row: Vector) -> bool:
         """Insert a vector; returns True when the rank grew.
@@ -179,9 +194,20 @@ class SpanBasis:
                 inv = Fraction(1, pivot)
                 row = vscale(row, inv.numerator if inv.denominator == 1 else inv)
             row[lead] = ONE
-        for piv, existing in list(self.rows.items()):
-            if lead in existing:
-                self.rows[piv] = vaxpy(existing, row, -existing[lead])
+        holders = self.holders
+        others = [k for k in row if k != lead]
+        for piv in holders.pop(lead, ()):
+            existing = self.rows[piv]
+            held = [k in existing for k in others]
+            _accumulate(existing, row, -existing[lead])
+            for k, was in zip(others, held):
+                if was != (k in existing):
+                    if was:
+                        holders[k].discard(piv)
+                    else:
+                        holders.setdefault(k, set()).add(piv)
+        for k in others:
+            holders.setdefault(k, set()).add(lead)
         self.rows[lead] = row
         return True
 
@@ -227,12 +253,25 @@ class TableAlgebra:
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         out: Vector = {}
+        get = out.get
         for i, ci in x.items():
             row = self.table[i]
             for j, cj in y.items():
                 prod = row[j]
-                if prod:
-                    _accumulate(out, prod, cj if ci == 1 else ci * cj)
+                if not prod:
+                    continue
+                c = cj if ci == 1 else ci * cj
+                for k, v in prod.items():
+                    if c != 1:
+                        v = c * v
+                    prev = get(k)
+                    if prev is None:
+                        if v:
+                            out[k] = v
+                    elif prev + v:
+                        out[k] = prev + v
+                    else:
+                        del out[k]
         return out
 
     def twisted_rows(self, act: BasisMap) -> Iterator[dict[int, Vector]]:
@@ -242,13 +281,25 @@ class TableAlgebra:
         preimages of ``k`` under ``act``; only one row is held at a time.
         """
         preimages = _preimages(act, self.dimension)
-        for row, columns in zip(self.table, self.nonzero):
-            out: dict[int, Vector] = {}
-            for k in columns:
-                cell = row[k]
-                for j, c in preimages[k]:
-                    _accumulate(out.setdefault(j, {}), cell, c)
+        for i in range(self.dimension):
+            out = _products_row(self, {i: ONE}, preimages)
             yield {j: v for j, v in out.items() if v}
+
+
+def _products_row(
+    B: TableAlgebra, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+) -> dict[int, Vector]:
+    """``x * f(b_j)`` in ``B`` for every ``j`` that some nonzero cell
+    reaches, keyed by ``j``, where ``preimages`` lists the pairs of
+    :func:`_preimages` of ``f``.  Products that cancel are left empty."""
+    out: dict[int, Vector] = {}
+    for p, cp in x.items():
+        row = B.table[p]
+        for k in B.nonzero[p]:
+            cell = row[k]
+            for j, c in preimages[k]:
+                _accumulate(out.setdefault(j, {}), cell, c if cp == 1 else cp * c)
+    return out
 
 
 def algebra_from_products(
@@ -537,12 +588,34 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     is the table of A restricted to them.  Raises ``NOT_IDEMPOTENT`` when e
     squares wrong, ``BAD_INPUT`` when some ``e*b*e`` is neither ``b`` nor
     0, and ``NOT_CLOSED`` when a product of kept elements leaves them.
+
+    The table is read row by row: ``e*b_m`` once for every ``m``, from the
+    nonzero cells of the rows of ``e``; each ``b_i*e`` from the cells of
+    row ``i`` in the columns of ``e``; and ``e*b_i*e`` as the sum of the
+    ``e*b_m`` over ``b_i*e``.  The kept cells are renumbered in one pass.
     """
-    if not veq(A.mul(e, e), e):
+    left: dict[int, Vector] = {}  # m -> e*b_m, where nonzero
+    for k, c in e.items():
+        row = A.table[k]
+        for m in A.nonzero[k]:
+            _accumulate(left.setdefault(m, {}), row[m], c)
+
+    def times_e(x: Vector) -> Vector:  # e*x
+        out: Vector = {}
+        for m, c in x.items():
+            if m in left:
+                _accumulate(out, left[m], c)
+        return out
+
+    if not veq(times_e(e), e):
         raise error(NOT_IDEMPOTENT, "corner element does not square to itself")
     indices = []
-    for i in range(A.dimension):
-        sandwich = A.mul(e, A.mul({i: ONE}, e))
+    for i, (row, columns) in enumerate(zip(A.table, A.nonzero)):
+        right: Vector = {}  # b_i*e
+        for k in columns:
+            if k in e:
+                _accumulate(right, row[k], e[k])
+        sandwich = times_e(right)
         if sandwich == {i: ONE}:
             indices.append(i)
         elif sandwich:
@@ -551,24 +624,22 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
                 f"e*b*e is neither b nor 0 for basis element {A.labels[i]!r}",
             )
     position = {i: k for k, i in enumerate(indices)}
-
-    def to_corner(x: Vector) -> Vector:
-        out = _renumber(x, position)
-        if out is None:
-            raise error(NOT_CLOSED, "corner product left the corner span")
-        return out
-
     labels = tuple(f"c{k}" for k in range(len(indices)))
     empty: Vector = {}
     table: list[list[Vector]] = [[empty] * len(indices) for _ in indices]
     nonzero: list[list[int]] = [[] for _ in indices]
-    for a, i in enumerate(indices):
-        for j in A.nonzero[i]:
-            b = position.get(j)
-            if b is not None:
-                table[a][b] = to_corner(A.table[i][j])
-                nonzero[a].append(b)
-    corner = TableAlgebra(labels, table, to_corner(e), nonzero)
+    try:
+        for a, i in enumerate(indices):
+            row, out, columns = A.table[i], table[a], nonzero[a]
+            for j in A.nonzero[i]:
+                b = position.get(j)
+                if b is not None:
+                    out[b] = {position[k]: c for k, c in row[j].items()}
+                    columns.append(b)
+        unit = {position[k]: c for k, c in e.items()}
+    except KeyError:
+        raise error(NOT_CLOSED, "corner product left the corner span") from None
+    corner = TableAlgebra(labels, table, unit, nonzero)
     return CornerAlgebra(A, e, corner, tuple(indices))
 
 
@@ -616,24 +687,24 @@ def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool
     """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
     elements of ``A``, where ``f`` maps ``A`` linearly into ``B``.
 
-    The left side vanishes unless ``b_i * b_j`` is nonzero; the right side
-    vanishes unless some basis elements ``b_p`` in ``f(b_i)`` and ``b_q``
-    in ``f(b_j)`` have a nonzero product in ``B``.  Only those pairs are
-    visited: on every other pair both sides are zero, so this is a check
-    of all pairs.
+    Row ``i`` of the right side is built at once from the nonzero cells of
+    ``B`` in the rows of ``f(b_i)`` and the preimages under ``f`` of their
+    columns, as in :meth:`TableAlgebra.twisted_rows`.  It is compared with
+    ``f`` of the nonzero cells of row ``i`` of ``A``; a nonzero product left
+    over sits where ``A`` has a zero cell, and fails the check.  Every
+    other pair has zero on both sides, so this is a check of all pairs.
     """
-    preimages = [[j for j, _ in pre] for pre in _preimages(f, B.dimension)]
+    preimages = _preimages(f, B.dimension)
     images = f.images
     for i, row in enumerate(A.table):
-        columns = set(A.nonzero[i])
-        for p in images[i]:
-            for q in B.nonzero[p]:
-                columns.update(preimages[q])
-        # ``apply`` and ``mul`` drop zero coefficients, so ``==`` compares
-        # the two sides as vectors.
-        for j in columns:
-            if f.apply(row[j]) != B.mul(images[i], images[j]):
+        products = _products_row(B, images[i], preimages)
+        for j in A.nonzero[i]:
+            # ``apply`` and ``_accumulate`` drop zero coefficients, so
+            # ``!=`` compares the two sides as vectors.
+            if f.apply(row[j]) != products.pop(j, {}):
                 return False
+        if any(products.values()):
+            return False
     return True
 
 

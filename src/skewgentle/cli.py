@@ -35,6 +35,7 @@ from .algebra import Vector
 from .covering import double_cover, quotient
 from .diagnostics import (
     BAD_INPUT,
+    BAD_INVOLUTION,
     SYNTAX,
     ValidationError,
     error,
@@ -223,7 +224,12 @@ def parse_surface_file(text: str) -> SurfaceFile:
         pmap, amap, rev = inv_data
         involution, report = complete_involution(surface, pmap, amap, rev)
         raise_on_error(report)
-        assert involution is not None
+        if involution is None:
+            raise error(
+                BAD_INVOLUTION,
+                f"the involution of {name!r} could not be completed",
+                (name,),
+            )
         inv_report, _ = validate_involution(surface, involution)
         raise_on_error(inv_report)
     for curve in curves.values():

@@ -64,7 +64,6 @@ from .algebra import (
     skew_group_algebra,
     vadd,
     vaxpy,
-    vec,
     veq,
     verify_algebra_involution,
     verify_morphism,
@@ -87,10 +86,7 @@ from .presentations import (
 
 def grading_sign_map(skew: TableAlgebra) -> BasisMap:
     """On a crossed product, scale the group-degree-one part by -1."""
-    images = []
-    for i, (_, g) in enumerate(skew.labels):
-        images.append(vec((i, -1 if g else 1)))
-    return BasisMap(images)
+    return BasisMap([{i: -1 if g else 1} for i, (_, g) in enumerate(skew.labels)])
 
 
 def induced_basis_map(
@@ -161,6 +157,8 @@ def _arrow(skew: TableAlgebra, pres: Presentation, a: str, g: int) -> Vector:
 
 def _divide(c: Coeff, d: int) -> Coeff:
     """``c / d`` exactly, an ``int`` when it is integral."""
+    if type(c) is int and not c % d:
+        return c // d
     q = Fraction(c, d)
     return q.numerator if q.denominator == 1 else q
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .diagnostics import raise_on_error
+from .diagnostics import BAD_INPUT, BAD_INVOLUTION, error, raise_on_error
 from .presentations import (
     Arrow,
     Presentation,
@@ -238,7 +238,8 @@ def two_hole_torus_surface() -> tuple[DissectedSurface, SurfaceInvolution]:
         reversed_arcs=["2", "3"],
     )
     raise_on_error(report)
-    assert inv is not None
+    if inv is None:
+        raise error(BAD_INVOLUTION, "the torus involution could not be completed", ("torus",))
     return surface, inv
 
 
@@ -286,7 +287,8 @@ def special_chain_triple() -> Presentation:
         matchings.append((f"c.{k}", f"s{k}.v"))
     glued, report = glue_puzzle(pieces, matchings)
     raise_on_error(report)
-    assert glued is not None
+    if glued is None:
+        raise error(BAD_INPUT, "the special chain pieces did not glue", tuple(matchings))
     return glued
 
 

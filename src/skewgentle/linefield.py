@@ -198,7 +198,13 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
         cur = (qid, u - 1)
         if cur == start:
             break
-    assert len(passages) == len(corners)
+    if len(passages) != len(corners):
+        raise error(
+            BAD_INPUT,
+            f"the loop around {point_id!r} passes {len(passages)} of its "
+            f"{len(corners)} corners",
+            (point_id,),
+        )
     curve = CombinatorialCurve(f"loop.{point_id}", True, tuple(passages))
     raise_on_error(validate_curve(surface, curve))
     return curve
@@ -329,7 +335,10 @@ def is_dual_dissection(
             if node[0] in ("m", "c"):
                 rot.setdefault(node, []).append((e, end))
     for node, germs in rot.items():
-        assert len(germs) == 2 or node[0] == "g"
+        if len(germs) != 2 and node[0] != "g":
+            report.add(BAD_INPUT, f"overlay node {node!r} has {len(germs)} germs, not 2", node)
+    if not report.ok:
+        return report
 
     # Left-face tracing: leave a node along a germ, arrive at the far end,
     # and continue along the clockwise-next (rotation predecessor) germ.
@@ -349,7 +358,11 @@ def is_dual_dissection(
                 germs = rot[node]
                 r = germs.index((e, 1 - s))
                 cur = germs[(r - 1) % len(germs)]
-            assert cur == walk[0]
+            if cur != walk[0]:
+                report.add(
+                    BAD_INPUT, f"overlay face from germ {walk[0]!r} closes at {cur!r}", walk[0]
+                )
+                return report
             faces.append(walk)
 
     n_interior = 0
@@ -741,7 +754,10 @@ def invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     for kind, pts in ((PUNCTURE, top.punctures), (ORBIFOLD, top.orbifold_points)):
         for p in pts:
             entries.append((winding(surface, puncture_loop(surface, p)), 0, kind))
-    assert top.genus is not None
+    if top.genus is None:
+        raise error(
+            BAD_INPUT, f"connected surface {surface.name!r} has no genus", (surface.name,)
+        )
     return InvariantTuple(top.genus, tuple(sorted(entries)))
 
 

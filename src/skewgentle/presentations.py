@@ -804,9 +804,17 @@ def _assign_ends(pres: Presentation) -> tuple[dict, dict, dict]:
                     for k in (0, 1)
                     if ends[v][k]["out"] is None and ends[v][k]["in"] is None
                 ]
-                assert free, f"no free end for arrow {b.id!r} at vertex {v!r}"
+                if not free:
+                    raise error(
+                        BAD_INPUT, f"no free end for arrow {b.id!r} at vertex {v!r}", (v, b.id)
+                    )
                 k = free[0]
-            assert ends[v][k]["in"] is None, f"end clash at vertex {v!r}"
+            if ends[v][k]["in"] is not None:
+                raise error(
+                    BAD_INPUT,
+                    f"arrows {ends[v][k]['in']!r} and {b.id!r} end at the same end of {v!r}",
+                    (v, k),
+                )
             ends[v][k]["in"] = b.id
             in_end[b.id] = (v, k)
     return ends, out_end, in_end
@@ -823,7 +831,10 @@ def _reconstruct(
     succ: dict[str, str] = {}
     pred: dict[str, str] = {}
     for a1, a2 in pairs:
-        assert a1 not in succ and a2 not in pred
+        if a1 in succ or a2 in pred:
+            raise error(
+                BAD_INPUT, f"relation ({a1!r}, {a2!r}) shares an arrow with another", (a1, a2)
+            )
         succ[a1] = a2
         pred[a2] = a1
     arrow_ids = sorted(a.id for a in companion.arrows)
@@ -853,8 +864,20 @@ def _reconstruct(
     points: list[MarkedPoint] = []
 
     def claim(end: tuple[str, int], pid: str) -> None:
-        assert end not in point_of_end, f"end {end!r} claimed twice"
+        if end in point_of_end:
+            raise error(
+                BAD_INPUT, f"end {end!r} claimed by {point_of_end[end]!r} and {pid!r}", end
+            )
         point_of_end[end] = pid
+
+    def joined(prv: str, nxt: str) -> None:
+        if in_end[prv] != out_end[nxt]:
+            raise error(
+                BAD_INPUT,
+                f"arrows {prv!r}, {nxt!r} follow each other in a relation "
+                f"but meet at ends {in_end[prv]!r}, {out_end[nxt]!r}",
+                (prv, nxt),
+            )
 
     counter = 0
     for chain in chains:
@@ -865,7 +888,7 @@ def _reconstruct(
         for aid in chain:
             claim(in_end[aid], pid)
         for prv, nxt in zip(chain, chain[1:]):
-            assert in_end[prv] == out_end[nxt]
+            joined(prv, nxt)
     solo_ends = sorted(
         (v, k)
         for v in companion.vertices
@@ -889,10 +912,11 @@ def _reconstruct(
         for aid in cyc:
             claim(in_end[aid], pid)
         for prv, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-            assert in_end[prv] == out_end[nxt]
+            joined(prv, nxt)
     for v in companion.vertices:
         for k in (0, 1):
-            assert (v, k) in point_of_end, f"end ({v!r},{k}) unassigned"
+            if (v, k) not in point_of_end:
+                raise error(BAD_INPUT, f"end ({v!r}, {k}) has no marked point", (v, k))
 
     # Arcs: end 0 is the tail, end 1 the head.
     arcs = [
@@ -933,7 +957,8 @@ def _reconstruct(
             nxt = next_side(run[-1])
             if nxt is None:
                 break
-            assert nxt not in placed, "face tracing revisited a side"
+            if nxt in placed:
+                raise error(BAD_INPUT, f"face tracing revisited side {nxt!r}", nxt)
             run.append(nxt)
             placed.add(nxt)
         fcount += 1
@@ -951,7 +976,9 @@ def _reconstruct(
                 (bseg_side(bid),) + tuple(arc_side(v, d) for v, d in run),
             )
         )
-    assert len(placed) == 2 * len(companion.vertices), "face tracing missed a side"
+    missed = sorted(set(all_sides) - placed)
+    if missed:
+        raise error(BAD_INPUT, f"face tracing missed side {missed[0]!r}", missed[0])
     surf = make_surface(name, points, arcs, bsegs, polygons)
     raise_on_error(validate(surf))
     return surf

@@ -343,6 +343,37 @@ def associative(algebra) -> bool:
     return True
 
 
+def multiplicative(A, B, images) -> bool:
+    """``f(b_i b_j) == f(b_i) f(b_j)`` for every pair of basis indices of
+    ``A``, where ``images[i]`` is ``f(b_i)`` in ``B``, by plain loops over
+    both tables with no pruning."""
+
+    def clean(acc):
+        return {k: c for k, c in acc.items() if c}
+
+    def apply(x):
+        out = {}
+        for i, c in x.items():
+            for k, v in images[i].items():
+                out[k] = out.get(k, 0) + c * v
+        return clean(out)
+
+    def mul(x, y):
+        out = {}
+        for p, a in x.items():
+            for q, b in y.items():
+                for k, c in B.table[p][q].items():
+                    out[k] = out.get(k, 0) + a * b * c
+        return clean(out)
+
+    n = len(A.table)
+    return all(
+        apply(A.table[i][j]) == mul(images[i], images[j])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def twist_compat(skew_labels, raw_images, symmetry) -> dict:
     """For each generator of a crossed-product comparison, whether negating
     the group-degree-one coefficients of its image (``skew_labels[k]`` is

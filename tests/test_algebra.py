@@ -10,6 +10,7 @@ from oracles import (
     generated_dimension,
     mat_rank,
     monomial_path_count,
+    multiplicative,
     skew_group_table,
     word_product,
 )
@@ -43,6 +44,7 @@ from skewgentle import (
     verify_associativity,
     verify_deformation_map,
     verify_morphism,
+    verify_multiplicative,
 )
 from skewgentle.algebra import BasisMap, SpanBasis, vadd, vaxpy, veq, vscale, vsub
 from skewgentle.equivariant import grading_sign_map, induced_basis_map
@@ -101,6 +103,66 @@ def test_span_basis_scales_rows_to_pivot_one_without_floats():
     assert span.add({0: 2, 1: 4})
     assert span.rows[0] == {0: 1, 1: 2}
     assert [type(c) for c in span.rows[0].values()] == [int, int]
+
+
+def _dense(row, width):
+    return [Fraction(row.get(j, 0)) for j in range(width)]
+
+
+def _check_span_invariants(span, added, width, probes):
+    pivots = set(span.rows)
+    for piv, row in span.rows.items():
+        assert row[piv] == 1
+        assert min(row, key=span.order) == piv
+        assert set(row) & pivots == {piv}
+        assert all(c for c in row.values())
+    # the column index lists exactly the rows holding each non-pivot column
+    held: dict = {}
+    for piv, row in span.rows.items():
+        for k in row:
+            if k != piv:
+                held.setdefault(k, set()).add(piv)
+    assert {k: v for k, v in span.holders.items() if v} == held
+    dense = [_dense(r, width) for r in added]
+    assert span.rank == mat_rank(dense)
+    for probe in probes:
+        inside = mat_rank(dense + [_dense(probe, width)]) == mat_rank(dense)
+        assert span.contains(probe) == inside
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_span_basis_keeps_rref_and_agrees_with_oracle(kind, reverse):
+    rng = random.Random(4201 + 2 * reverse + (kind == "fraction"))
+    width = 7
+
+    def coeff():
+        if kind == "int":
+            return rng.choice((-2, -1, 0, 0, 0, 1, 1, 3))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def random_row():
+        return {j: c for j in range(width) if (c := coeff())}
+
+    for _ in range(12):
+        span = SpanBasis(order=(lambda k: -k) if reverse else None)
+        added: list = []
+        for _ in range(rng.randint(3, 10)):
+            draw = rng.random()
+            if added and draw < 0.2:  # a duplicate
+                row = dict(rng.choice(added))
+            elif len(added) >= 2 and draw < 0.45:  # reduces to zero
+                row = {}
+                for x in rng.sample(added, min(3, len(added))):
+                    row = vaxpy(row, x, coeff() or 1)
+            else:
+                row = random_row()
+            before = span.rank
+            grew = span.add(row)
+            added.append(row)
+            assert grew == (span.rank == before + 1)
+            probes = [random_row(), vadd(added[0], added[-1]), {}]
+            _check_span_invariants(span, added, width, probes)
 
 
 def test_product_of_fields_is_associative():
@@ -383,6 +445,53 @@ def test_involution_verifier_rejects_non_multiplicative_map():
     perm[a], perm[b] = b, a
     act = basis_map_from_permutation(alg.algebra, perm)
     assert not verify_algebra_involution(alg.algebra, act)
+
+
+def test_verify_multiplicative_fails_where_only_a_zero_cell_is_wrong():
+    # p*q = 0 in k x k, but f(p)*f(q) = p*p = p
+    A = _delta_algebra(["p", "q"])
+    f = BasisMap([{0: 1}, {0: 1}])
+    assert f.apply(A.table[0][0]) == A.mul(f.images[0], f.images[0])
+    assert f.apply(A.table[1][1]) == A.mul(f.images[1], f.images[1])
+    assert not verify_multiplicative(A, A, f)
+    assert not multiplicative(A, A, f.images)
+
+
+def test_verify_multiplicative_fails_where_only_a_nonzero_cell_is_wrong():
+    # every zero cell maps to zero, but f(q*q) = -q while f(q)*f(q) = q
+    A = _delta_algebra(["p", "q"])
+    f = BasisMap([{0: 1}, {1: -1}])
+    assert A.mul(f.images[0], f.images[1]) == A.mul(f.images[1], f.images[0]) == {}
+    assert not verify_multiplicative(A, A, f)
+    assert not multiplicative(A, A, f.images)
+
+
+def test_verify_multiplicative_matches_all_pairs_oracle_on_random_covers():
+    rng = random.Random(8803)
+    verdicts = []
+    for _ in range(12):
+        cov = double_cover(surface_from_triple(random_triple(rng)))
+        alg = graded_path_algebra(cov.total_quiver.presentation)
+        A = alg.algebra
+        deck = induced_basis_map(alg, cov.deck_generators)
+        n = A.dimension
+        candidates = [deck.images, [{i: 1} for i in range(n)]]
+        for _ in range(4):
+            images = [dict(img) for img in deck.images]
+            i, j = rng.randrange(n), rng.randrange(n)
+            move = rng.randrange(3)
+            if move == 0:
+                images[i] = vscale(images[i], -1)
+            elif move == 1:
+                images[i], images[j] = images[j], images[i]
+            else:
+                images[i] = vadd(images[i], images[j])
+            candidates.append(images)
+        for images in candidates:
+            verdict = verify_multiplicative(A, A, BasisMap(images))
+            assert verdict == multiplicative(A, A, images)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_verify_morphism_accepts_identity(cylinders):

@@ -386,3 +386,18 @@ def test_help_text_is_identical_on_repeated_calls(capsys):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith("usage: skewgentle")
+
+
+def test_involution_completion_check_is_a_diagnostic(monkeypatch, capsys):
+    # An involution that completes to nothing, with no finding reported,
+    # gives BAD_INVOLUTION naming the surface and exit 2.
+    from skewgentle.diagnostics import BAD_INVOLUTION, Report, ValidationError
+
+    monkeypatch.setattr(cli, "complete_involution", lambda *args: (None, Report()))
+    with pytest.raises(ValidationError) as exc:
+        parse_surface_file(_data_text("torus"))
+    (diag,) = exc.value.diagnostics
+    assert diag.code == BAD_INVOLUTION
+    assert diag.where == ("torus",)
+    assert main(["validate", str(fixture_path("torus"))]) == 2
+    assert "BAD_INVOLUTION" in capsys.readouterr().err

@@ -525,3 +525,20 @@ def test_complex_refuses_an_algebra_that_kills_a_corner_path():
     with pytest.raises(ValidationError) as exc:
         build_complex(garc, surface, algebra=killed)
     assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, ("c", 1))]
+
+
+def test_invariant_tuple_genus_check_is_a_diagnostic(cylinders, monkeypatch):
+    # A connected topology without a genus is refused with the surface's
+    # name, also under ``python -O``.
+    import dataclasses
+
+    real = linefield.topology
+    monkeypatch.setattr(
+        linefield, "topology", lambda s: dataclasses.replace(real(s), genus=None)
+    )
+    surface = cylinders[1]
+    with pytest.raises(ValidationError) as exc:
+        invariant_tuple(surface)
+    (diag,) = exc.value.diagnostics
+    assert diag.code == BAD_INPUT
+    assert diag.where == (surface.name,)

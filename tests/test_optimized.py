@@ -1,5 +1,6 @@
 """The algebra, equivariance, line-field, covering, surface, presentation,
-command-line and acceptance suites also pass under ``python -O``.
+command-line, acceptance and diagnostics suites also pass under
+``python -O``.
 
 ``-O`` strips ``assert`` statements from the library, so a verdict or a
 guard that rests on one would vanish there; the suites' own assertions
@@ -26,7 +27,7 @@ def test_algebra_and_equivariant_suites_pass_without_asserts():
             "tests/test_algebra.py", "tests/test_equivariant.py",
             "tests/test_linefield.py", "tests/test_covering.py",
             "tests/test_surface.py", "tests/test_presentations.py",
-            "tests/test_cli.py", "tests/test_acceptance.py",
+            "tests/test_cli.py", "tests/test_acceptance.py", "tests/test_diagnostics.py",
         ],
         cwd=ROOT,
         env=env,

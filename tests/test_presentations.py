@@ -289,3 +289,23 @@ def test_reconstruction_check_is_a_diagnostic(monkeypatch):
     with pytest.raises(ValidationError) as exc:
         surface_from_gentle(pair)
     assert [d.code for d in exc.value.diagnostics] == [BAD_EULER]
+
+
+def test_face_tracing_check_is_a_diagnostic(monkeypatch):
+    # Two relations sharing the arrow ``a`` slip past a disabled gentle
+    # check; the reconstruction names the pair instead of asserting.
+    from skewgentle import presentations
+    from skewgentle.diagnostics import BAD_INPUT, Report
+
+    pair = make_presentation(
+        ["1", "2", "3", "4"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "2", "4")],
+        [(("a", "b"),), (("a", "c"),)],
+    )
+    monkeypatch.setattr(presentations, "check_gentle", lambda pres: Report())
+    with pytest.raises(ValidationError) as exc:
+        surface_from_gentle(pair)
+    (diag,) = exc.value.diagnostics
+    assert diag.code == BAD_INPUT
+    assert diag.where in (("a", "b"), ("a", "c"))
+    assert "shares an arrow" in diag.message
