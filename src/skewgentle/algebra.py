@@ -13,10 +13,14 @@ algebra is done by exact Gaussian elimination.
 
 The checks walk that index a row at a time instead of calling
 :meth:`TableAlgebra.mul` for each cell: the twisted rows of a crossed
-product and the rows of ``f(b_i)·f(b_j)`` in :func:`verify_multiplicative`
-come from one helper, and :func:`corner_algebra` computes ``e·b_m`` once
-for every ``m`` and each ``b_i·e`` from the cells of row ``i`` in the
-columns of ``e``.  :class:`SpanBasis` keeps its rows in reduced echelon
+product, the rows of ``f(b_i)·f(b_j)`` in :func:`verify_multiplicative`
+and the products of the vertex images in :func:`verify_morphism` come
+from one helper, and :func:`corner_algebra` computes ``e·b_m`` once for
+every ``m`` and each ``b_i·e`` from the cells of row ``i`` in the columns
+of ``e``.  A symmetry that is a signed permutation, each image one term
+``±b_k``, is crossed without that walk: :func:`skew_group_algebra`
+permutes the cells of each row, shares the ``+`` ones and negates the
+``-`` ones.  :class:`SpanBasis` keeps its rows in reduced echelon
 form with an index from each column to the rows that hold it, so a vector
 is reduced in one pass over its pivot columns and a new pivot is cleared
 only from the rows that hold it.
@@ -231,13 +235,19 @@ class TableAlgebra:
 
     The table is not mutated after construction: the index stays valid,
     and builders share cells between positions and between tables (every
-    empty cell of a table may be one and the same dict).
+    empty cell of a table may be one and the same dict).  ``_crossed``
+    keeps the crossed products of this algebra that
+    :mod:`skewgentle.equivariant` has built, keyed by the ``id`` of the
+    action, each entry holding that action.
     """
 
     labels: tuple[Any, ...]
     table: list[list[Vector]]
     unit: Vector
     nonzero: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
+    _crossed: dict[int, tuple[BasisMap, TableAlgebra]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -693,15 +703,24 @@ def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool
     ``f`` of the nonzero cells of row ``i`` of ``A``; a nonzero product left
     over sits where ``A`` has a zero cell, and fails the check.  Every
     other pair has zero on both sides, so this is a check of all pairs.
+    A cell ``c·b_k`` of one term maps to ``c·f(b_k)``, read from the
+    images, which are cleared of zero coefficients once; only a cell of
+    several terms goes through :meth:`BasisMap.apply`.
     """
     preimages = _preimages(f, B.dimension)
-    images = f.images
+    images = [{k: c for k, c in img.items() if c} for img in f.images]
     for i, row in enumerate(A.table):
         products = _products_row(B, images[i], preimages)
         for j in A.nonzero[i]:
+            cell = row[j]
+            if len(cell) == 1:
+                ((k, c),) = cell.items()
+                left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
+            else:
+                left = f.apply(cell)
             # ``apply`` and ``_accumulate`` drop zero coefficients, so
             # ``!=`` compares the two sides as vectors.
-            if f.apply(row[j]) != products.pop(j, {}):
+            if left != products.pop(j, {}):
                 return False
         if any(products.values()):
             return False
@@ -718,6 +737,13 @@ def verify_algebra_involution(A: TableAlgebra, act: BasisMap) -> bool:
     return verify_multiplicative(A, A, act)
 
 
+def _signed_permutation(act: BasisMap) -> bool:
+    """Whether every image ``act(b_j)`` is a single term ``±b_k``."""
+    return all(
+        len(img) == 1 and next(iter(img.values())) in (1, -1) for img in act.images
+    )
+
+
 def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     """The crossed product of A with the order-two group {1, s}.
 
@@ -726,6 +752,14 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.  The rows with ``g = 0`` are the
     rows of ``A``, sharing its cells; those with ``g = 1`` are its twisted
     rows.
+
+    Every action the package crosses with (a deck action, a signed
+    half-swap, the grading signs) is a signed permutation: each
+    ``s(b_j)`` is one term ``±b_k``.  Then twisted row ``i`` is row ``i``
+    of ``A`` with its columns permuted and signs applied: a ``+`` cell is
+    the cell of ``A`` and its degree-one copy the one of the degree-zero
+    row, both shared, and only a ``-`` cell is negated afresh.  Any other
+    map is crossed through :meth:`TableAlgebra.twisted_rows`.
     """
     n = A.dimension
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
@@ -733,21 +767,42 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     table: list[list[Vector]] = []
     nonzero: list[list[int]] = []
 
-    def add_row(cells: list[tuple[int, Vector]], g: int) -> None:
-        # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1),
-        # in degree g + h; its degree-one copy is keyed n + k
-        row = [empty] * (2 * n)
-        for j, cell in cells:
-            shifted = {k + n: c for k, c in cell.items()}
-            row[j], row[n + j] = (shifted, cell) if g else (cell, shifted)
+    def shift(cell: Vector) -> Vector:
+        return {k + n: c for k, c in cell.items()}
+
+    def add_row(row: list[Vector], columns: list[int]) -> None:
         table.append(row)
-        columns = [j for j, _ in cells]
         nonzero.append(columns + [n + j for j in columns])
 
-    for row, columns in zip(A.table, A.nonzero):
-        add_row([(j, row[j]) for j in columns], 0)
-    for twisted in A.twisted_rows(act):
-        add_row(sorted(twisted.items()), 1)
+    # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
+    # degree g + h; its degree-one copy is keyed n + k
+    for cells, columns in zip(A.table, A.nonzero):
+        row = [empty] * (2 * n)
+        for k in columns:
+            row[k] = cell = cells[k]
+            row[n + k] = shift(cell)
+        add_row(row, columns)
+    if _signed_permutation(act):
+        preimages = _preimages(act, n)
+        for zero, cells, columns in zip(table[:n], A.table, A.nonzero):
+            row = [empty] * (2 * n)
+            twisted_columns = []
+            for k in columns:
+                for j, s in preimages[k]:
+                    if s == 1:
+                        row[j], row[n + j] = zero[n + k], cells[k]
+                    else:
+                        row[n + j] = negated = {m: s * v for m, v in cells[k].items()}
+                        row[j] = shift(negated)
+                    twisted_columns.append(j)
+            twisted_columns.sort()
+            add_row(row, twisted_columns)
+    else:
+        for twisted in A.twisted_rows(act):
+            row = [empty] * (2 * n)
+            for j, cell in twisted.items():
+                row[j], row[n + j] = shift(cell), cell
+            add_row(row, sorted(twisted))
     return TableAlgebra(labels, table, dict(A.unit), nonzero)
 
 
@@ -807,19 +862,22 @@ def verify_morphism(
     failures: list[str] = []
     unit = unit_image if unit_image is not None else target.unit
 
+    # ψ_u·ψ_v for every v at once, keyed by the position of v: one row walk
+    # per vertex image over a preimage index of all of them
+    vertices = domain.vertices
+    images = [vertex_images[v] for v in vertices]
+    preimages = _preimages(BasisMap(images), target.dimension)
+    products = [_products_row(target, ev, preimages) for ev in images]
     total: Vector = {}
-    for v in domain.vertices:
-        ev = vertex_images[v]
-        if not veq(target.mul(ev, ev), vscale(ev, scale)):
+    for p, (v, ev) in enumerate(zip(vertices, images)):
+        if not veq(products[p].get(p, {}), vscale(ev, scale)):
             failures.append(f"image of vertex {v!r} is not idempotent")
         total = vadd(total, ev)
     if not veq(total, vscale(unit, scale)):
         failures.append("vertex images do not sum to the unit")
-    for u in domain.vertices:
-        for v in domain.vertices:
-            if u == v:
-                continue
-            if target.mul(vertex_images[u], vertex_images[v]):
+    for p, u in enumerate(vertices):
+        for q, v in enumerate(vertices):
+            if p != q and products[p].get(q):
                 failures.append(f"images of vertices {u!r}, {v!r} are not orthogonal")
 
     for a in domain.arrows:

@@ -29,6 +29,12 @@ comparison expects comes from the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
 
+There is one crossed product per ``(A, act)``: the involution guard and
+``A#ℤ₂`` run once for each algebra and symmetry, and the result is kept on
+the :class:`~skewgentle.algebra.TableAlgebra`.  A reduction followed by
+:func:`verify_iterated_skew_group` on its cover algebra and deck action
+checks the involution once and crosses with it once.
+
 All arithmetic is exact, and both comparisons run in ``int``.  The split
 idempotents ``(e ± s·e)/2`` carry halves, so each reduction builds its
 generator images doubled: every vertex image is ``2·φ(v)`` (``e ± s·e``,
@@ -120,6 +126,20 @@ def _require_involution(A: TableAlgebra, act: BasisMap) -> None:
         raise error(NOT_INVOLUTION, "the symmetry is not an algebra involution")
 
 
+def _crossed_product(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
+    """``A#ℤ₂`` for the involution ``act``: guarded and built once per
+    ``(A, act)``, then kept on ``A``.
+
+    An entry is stored only after the guard passes.  It holds ``act``, so
+    no other map can take its ``id`` while the entry lives; an action,
+    like a table, is not changed once it is crossed."""
+    kept = A._crossed.get(id(act))
+    if kept is None:
+        _require_involution(A, act)
+        kept = A._crossed[id(act)] = (act, skew_group_algebra(A, act))
+    return kept[1]
+
+
 def _corner_images(
     corner: CornerAlgebra, pres: Presentation, raw_images: Mapping[str, Vector]
 ) -> tuple[dict[str, Vector], dict[str, Vector]]:
@@ -142,8 +162,7 @@ def _crossed_corner(
 ) -> tuple[TableAlgebra, CornerAlgebra]:
     """The crossed product ``A#ℤ₂`` and its corner at the degree-zero
     idempotents of ``vertices``, one per orbit."""
-    _require_involution(A, act)
-    skew = skew_group_algebra(A, act)
+    skew = _crossed_product(A, act)
     return skew, corner_algebra(skew, orbit_idempotent(skew, vertices))
 
 
@@ -504,8 +523,7 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     checked to be a unital bijective homomorphism.  For a linear ``s`` of
     order two it is a homomorphism exactly when ``s`` is multiplicative.
     """
-    _require_involution(A, act)
-    once = skew_group_algebra(A, act)
+    once = _crossed_product(A, act)
     double = skew_group_algebra(once, grading_sign_map(once))
     endo = _matrix_algebra(A)
 

@@ -43,6 +43,7 @@ from skewgentle import (
     verify_algebra_involution,
     verify_associativity,
     verify_deformation_map,
+    verify_dual_reduction,
     verify_morphism,
     verify_multiplicative,
 )
@@ -494,6 +495,81 @@ def test_verify_multiplicative_matches_all_pairs_oracle_on_random_covers():
     assert True in verdicts and False in verdicts
 
 
+def test_verify_multiplicative_ignores_explicit_zero_coefficients():
+    """Images holding ``{k: 0}`` entries give the oracle's verdict, true or
+    false: a zero coefficient is no term of a one-term image."""
+    # k x k with f(q) = 0 is multiplicative; with f(q) = p it is not
+    A = _delta_algebra(["p", "q"])
+    candidates = [(A, [{0: 1, 1: 0}, {1: 0}]), (A, [{0: 1, 1: 0}, {0: 1, 1: 0}])]
+    rng = random.Random(8804)
+    for _ in range(6):
+        cov = double_cover(surface_from_triple(random_triple(rng)))
+        alg = graded_path_algebra(cov.total_quiver.presentation)
+        n = alg.dimension
+        deck = [dict(img) for img in induced_basis_map(alg, cov.deck_generators).images]
+        i, j = rng.sample(range(n), 2)
+        swapped = list(deck)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for images in (deck, swapped):
+            padded = [dict(img) for img in images]
+            for img in padded:
+                img.setdefault(rng.randrange(n), 0)
+            candidates.append((alg.algebra, padded))
+    verdicts = []
+    for B, images in candidates:
+        assert any(0 in img.values() for img in images)
+        verdict = verify_multiplicative(B, B, BasisMap(images))
+        assert verdict == multiplicative(B, B, images)
+        verdicts.append(verdict)
+    assert verdicts[:2] == [True, False]
+    assert True in verdicts[2:] and False in verdicts[2:]
+
+
+def test_verify_morphism_vertex_failures_match_pairwise_products(cylinders):
+    """The idempotent, unit and orthogonality failures, in their order, are
+    the ones read off the products of the vertex images pair by pair."""
+    triple = triple_from_x_dissection(cylinders[1])
+    alg = graded_path_algebra(triple)
+    B, vertices = alg.algebra, triple.vertices
+    arrows = {a.id: alg.arrow(a.id) for a in triple.arrows}
+    rng = random.Random(8805)
+    seen = set()
+
+    def image():
+        # a vertex, a sum of two vertices, or a vertex plus an arrow, whose
+        # products with the others depend on their order
+        out = alg.vertex(rng.choice(vertices))
+        move = rng.randrange(3)
+        if move == 1:
+            out = vadd(out, alg.vertex(rng.choice(vertices)))
+        elif move == 2:
+            out = vadd(out, rng.choice(list(arrows.values())))
+        return out
+
+    for _ in range(20):
+        images = {v: image() for v in vertices}
+        expected = [
+            f"image of vertex {v!r} is not idempotent"
+            for v in vertices
+            if not veq(B.mul(images[v], images[v]), images[v])
+        ]
+        total = {}
+        for v in vertices:
+            total = vadd(total, images[v])
+        if not veq(total, B.unit):
+            expected.append("vertex images do not sum to the unit")
+        expected += [
+            f"images of vertices {u!r}, {v!r} are not orthogonal"
+            for u in vertices
+            for v in vertices
+            if u != v and B.mul(images[u], images[v])
+        ]
+        verdict = verify_morphism(triple, images, arrows, B, expected_dim=B.dimension)
+        assert [f for f in verdict.failures if "vert" in f] == expected
+        seen.update(f.split(" ")[-1] for f in expected)
+    assert {"idempotent", "unit", "orthogonal"} <= seen
+
+
 def test_verify_morphism_accepts_identity(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
     alg = graded_path_algebra(triple)
@@ -618,33 +694,58 @@ def _assert_matches_skew_group_oracle(A, act):
     return skew
 
 
-def _assert_deck_crossed_product_matches_oracle(cov, twice=False):
+def _is_signed_permutation(act):
+    return all(len(img) == 1 and set(img.values()) <= {1, -1} for img in act.images)
+
+
+def _assert_crossed_products_match_oracle(cov, twice=False):
+    """The deck action on the cover algebra and, on the dual side, the
+    signed half-swap on the split algebra: both signed permutations."""
     lam = graded_path_algebra(cov.total_quiver.presentation)
-    once = _assert_matches_skew_group_oracle(
-        lam.algebra, induced_basis_map(lam, cov.deck_generators)
-    )
-    if twice:
-        _assert_matches_skew_group_oracle(once, grading_sign_map(once))
+    deck = induced_basis_map(lam, cov.deck_generators)
+    dual = verify_dual_reduction(cov)
+    for A, act in ((lam.algebra, deck), (dual.split_algebra.algebra, dual.swap_action)):
+        assert _is_signed_permutation(act)
+        once = _assert_matches_skew_group_oracle(A, act)
+        if twice:
+            _assert_matches_skew_group_oracle(once, grading_sign_map(once))
 
 
 def test_skew_group_algebra_matches_oracle_on_ladder_fixtures():
     for v in (1, 2, 3, 4):
-        _assert_deck_crossed_product_matches_oracle(
+        _assert_crossed_products_match_oracle(
             double_cover(two_orbifold_cylinder(v)), twice=v == 1
         )
-    _assert_deck_crossed_product_matches_oracle(
-        double_cover(two_orbifold_disc()), twice=True
-    )
-    _assert_deck_crossed_product_matches_oracle(quotient(*two_hole_torus_surface()))
+    _assert_crossed_products_match_oracle(double_cover(two_orbifold_disc()), twice=True)
+    _assert_crossed_products_match_oracle(quotient(*two_hole_torus_surface()))
     for n in range(4, 9):
-        _assert_deck_crossed_product_matches_oracle(double_cover(one_orbifold_disc(n)))
+        _assert_crossed_products_match_oracle(double_cover(one_orbifold_disc(n)))
 
 
 def test_skew_group_algebra_matches_oracle_on_random_covers():
     rng = random.Random(2207)
     for _ in range(40):
         surface = surface_from_triple(random_triple(rng))
-        _assert_deck_crossed_product_matches_oracle(double_cover(surface))
+        _assert_crossed_products_match_oracle(double_cover(surface))
+
+
+def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(cylinders):
+    # The table is defined for any map: a signed 3-cycle, and the deck
+    # action with the image of one moved element negated, so s²(b) = -b.
+    A = _delta_algebra(["p", "q", "r"])
+    cycle = basis_map_from_permutation(
+        A, {"p": "q", "q": "r", "r": "p"}, signs={"p": -1, "r": -1}
+    )
+    cov = double_cover(cylinders[1])
+    lam = graded_path_algebra(cov.total_quiver.presentation)
+    images = list(induced_basis_map(lam, cov.deck_generators).images)
+    k = next(j for j, img in enumerate(images) if j not in img)
+    images[k] = vscale(images[k], -1)
+    for B, act in ((A, cycle), (lam.algebra, BasisMap(images))):
+        assert _is_signed_permutation(act)
+        assert -1 in {c for img in act.images for c in img.values()}
+        assert not verify_algebra_involution(B, act)
+        _assert_matches_skew_group_oracle(B, act)
 
 
 def test_skew_group_algebra_matches_oracle_with_rational_coefficients():

@@ -37,6 +37,7 @@ from skewgentle import (
     verify_skew_group_reduction,
 )
 from skewgentle import equivariant
+from skewgentle.algebra import BasisMap
 
 ONE = Fraction(1)
 
@@ -197,11 +198,20 @@ def test_double_crossed_product_rejects_non_involution():
     with pytest.raises(ValidationError) as exc:
         verify_iterated_skew_group(k, neg)
     assert [d.code for d in exc.value.diagnostics] == ["NOT_INVOLUTION"]
+    assert k._crossed == {}
+
+
+def _cover_algebra_and_deck(cov):
+    """A fresh cover algebra, which no reduction has crossed, and its deck
+    action."""
+    lam = graded_path_algebra(cov.total_quiver.presentation)
+    return lam.algebra, equivariant.induced_basis_map(lam, cov.deck_generators)
 
 
 def test_iterated_homomorphism_check_rejects_corrupted_action(monkeypatch, cylinders):
-    red = verify_skew_group_reduction(double_cover(cylinders[1]))
-    A = red.cover_algebra.algebra
+    # An algebra no reduction has crossed, so that the iterated check builds
+    # the once-crossed product itself.
+    A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
     # Build the once-crossed product from a corrupted action (two arrows
     # of different sources swapped) while the comparison map keeps the
     # deck action: the two no longer agree on products.
@@ -215,7 +225,7 @@ def test_iterated_homomorphism_check_rejects_corrupted_action(monkeypatch, cylin
         return crossed(B, corrupted if B is A else act)
 
     monkeypatch.setattr(equivariant, "skew_group_algebra", crossed_with_corrupted)
-    rr = verify_iterated_skew_group(A, red.deck_action)
+    rr = verify_iterated_skew_group(A, deck)
     assert not rr.homomorphism
     assert not rr.ok
 
@@ -286,18 +296,70 @@ def test_iterated_target_matches_oracle_on_random_covers():
         _assert_cover_iterated_matches_oracle(cov)
 
 
-def test_iterated_check_crosses_with_twisted_rows_twice(monkeypatch, cylinders):
-    red = verify_skew_group_reduction(double_cover(cylinders[1]))
-    original = TableAlgebra.twisted_rows
-    calls = []
+def _count_crossings(monkeypatch):
+    """Record the dimension of every algebra the equivariant module crosses,
+    checks for an involution, or crosses through twisted rows."""
+    calls = {"crossed": [], "involution": [], "twisted": []}
+    crossed = equivariant.skew_group_algebra
+    involution = equivariant.verify_algebra_involution
+    twisted_rows = TableAlgebra.twisted_rows
 
-    def counted(self, act):
-        calls.append(self.dimension)
-        return original(self, act)
+    def counted_crossed(A, act):
+        calls["crossed"].append(A.dimension)
+        return crossed(A, act)
 
-    monkeypatch.setattr(TableAlgebra, "twisted_rows", counted)
-    verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
-    assert len(calls) == 2
+    def counted_involution(A, act):
+        calls["involution"].append(A.dimension)
+        return involution(A, act)
+
+    def counted_twisted(self, act):
+        calls["twisted"].append(self.dimension)
+        return twisted_rows(self, act)
+
+    monkeypatch.setattr(equivariant, "skew_group_algebra", counted_crossed)
+    monkeypatch.setattr(equivariant, "verify_algebra_involution", counted_involution)
+    monkeypatch.setattr(TableAlgebra, "twisted_rows", counted_twisted)
+    return calls
+
+
+def test_iterated_check_crosses_twice_without_twisted_rows(monkeypatch, cylinders):
+    # The deck action and the grading signs are signed permutations, so
+    # neither crossing walks twisted rows.
+    A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
+    calls = _count_crossings(monkeypatch)
+    verify_iterated_skew_group(A, deck)
+    n = A.dimension
+    assert calls == {"crossed": [n, 2 * n], "involution": [n], "twisted": []}
+
+
+def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
+    monkeypatch, cylinders
+):
+    cov = double_cover(cylinders[1])
+    red = verify_skew_group_reduction(cov)
+    calls = _count_crossings(monkeypatch)
+    rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
+    # only the double product is built, and the involution is not checked again
+    assert calls == {"crossed": [red.skew.dimension], "involution": [], "twisted": []}
+    fresh = verify_iterated_skew_group(*_cover_algebra_and_deck(cov))
+    assert rr.ok
+    assert (rr.double, rr.endo, rr.comparison, rr.rank) == (
+        fresh.double, fresh.endo, fresh.comparison, fresh.rank
+    )
+
+
+def test_a_symmetry_that_is_not_an_involution_is_not_kept(cylinders):
+    A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
+    # negating the image of one moved basis element gives s²(b) = -b
+    k = next(j for j, img in enumerate(deck.images) if j not in img)
+    images = list(deck.images)
+    images[k] = {m: -c for m, c in images[k].items()}
+    with pytest.raises(ValidationError) as exc:
+        verify_iterated_skew_group(A, BasisMap(images))
+    assert [d.code for d in exc.value.diagnostics] == ["NOT_INVOLUTION"]
+    assert A._crossed == {}
+    assert verify_iterated_skew_group(A, deck).ok
+    assert list(A._crossed) == [id(deck)]
 
 
 class Builds(NamedTuple):
@@ -442,8 +504,9 @@ def test_scaled_verdicts_match_public_images_on_random_covers(random_builds):
 def test_nonzero_index_matches_a_fresh_scan_of_the_table(ladder_builds):
     built, runs = ladder_builds.built, ladder_builds.runs
     # per cover: path algebra, crossed product and corner in each
-    # reduction, and the once- and twice-crossed products and M₂(A)
-    assert len(built) == 9 * len(runs)
+    # reduction, and the twice-crossed product and M₂(A); the iterated
+    # check reuses the crossed product of the reduction
+    assert len(built) == 8 * len(runs)
     for A in built:
         assert A.nonzero == [[j for j, cell in enumerate(row) if cell] for row in A.table]
 
