@@ -7,11 +7,13 @@ divide its row, a non-integer loop value), so the ±1 coefficients that
 fill the tables stay plain ``int``.  Maps whose generator images would
 carry halves, such as the split idempotents ``(e ± s·e)/2``, are checked
 on doubled images through the ``scale`` of :func:`verify_morphism`.
-Elements are sparse vectors over an explicit basis, algebras carry a full
-multiplication table with an index of its nonzero cells, and linear
-algebra is done by exact Gaussian elimination.
+Elements are sparse vectors over an explicit basis, algebras store their
+multiplication table as sparse rows that hold only the nonzero products,
+and linear algebra is done by exact Gaussian elimination.  A dense ``n×n``
+view of the table, for readers by position, is built afresh on each read
+of :attr:`TableAlgebra.table` and never kept.
 
-The checks walk that index a row at a time instead of calling
+The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the twisted rows of a crossed
 product, the rows of ``f(b_i)·f(b_j)`` in :func:`verify_multiplicative`
 and the products of the vertex images in :func:`verify_morphism` come
@@ -225,26 +227,25 @@ class SpanBasis:
 
 @dataclass
 class TableAlgebra:
-    """A finite-dimensional unital algebra with a full product table.
+    """A finite-dimensional unital algebra with a sparse product table.
 
-    ``table[i][j]`` is the vector of ``basis_i * basis_j`` in composition
-    order (``basis_j`` is applied first).  Vectors are keyed by basis
-    index.  ``nonzero[i]`` lists, in ascending order, the columns ``j``
-    whose cell ``table[i][j]`` is nonzero; a builder that knows them
-    passes them in, otherwise one scan of the table finds them.
+    ``rows[i]`` maps each column ``j`` whose product ``basis_i * basis_j``
+    (composition order, ``basis_j`` applied first) is nonzero to the
+    vector of that product, keyed by basis index; a zero product is not
+    stored.  The builders store the columns of each row in ascending order.
+    :attr:`table` is a dense view for readers by position, built on each
+    read and never kept.
 
-    The table is not mutated after construction: the index stays valid,
-    and builders share cells between positions and between tables (every
-    empty cell of a table may be one and the same dict).  ``_crossed``
-    keeps the crossed products of this algebra that
-    :mod:`skewgentle.equivariant` has built, keyed by the ``id`` of the
-    action, each entry holding that action.
+    Rows are not mutated after construction, and builders share cells
+    between positions and between algebras.  ``_crossed`` keeps the
+    crossed products of this algebra that :mod:`skewgentle.equivariant`
+    has built, keyed by the ``id`` of the action, each entry holding that
+    action.
     """
 
     labels: tuple[Any, ...]
-    table: list[list[Vector]]
+    rows: list[dict[int, Vector]]
     unit: Vector
-    nonzero: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
     _crossed: dict[int, tuple[BasisMap, TableAlgebra]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -253,10 +254,22 @@ class TableAlgebra:
     def dimension(self) -> int:
         return len(self.labels)
 
+    @property
+    def table(self) -> list[list[Vector]]:
+        """The dense ``n×n`` table, ``table[i][j]`` the vector of
+        ``basis_i * basis_j``: a new list of lists on every read, holding
+        the stored cells and, at every zero product, one shared empty dict."""
+        n, empty = self.dimension, {}
+        table = []
+        for row in self.rows:
+            dense: list[Vector] = [empty] * n
+            for j, cell in row.items():
+                dense[j] = cell
+            table.append(dense)
+        return table
+
     def __post_init__(self):
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
-        if self.nonzero is None:
-            self.nonzero = [[j for j, cell in enumerate(row) if cell] for row in self.table]
 
     def element(self, label: Any, coeff: Coeff = ONE) -> Vector:
         return vec((self.index_of[label], coeff))
@@ -265,10 +278,10 @@ class TableAlgebra:
         out: Vector = {}
         get = out.get
         for i, ci in x.items():
-            row = self.table[i]
+            row = self.rows[i]
             for j, cj in y.items():
-                prod = row[j]
-                if not prod:
+                prod = row.get(j)
+                if prod is None:
                     continue
                 c = cj if ci == 1 else ci * cj
                 for k, v in prod.items():
@@ -287,7 +300,7 @@ class TableAlgebra:
     def twisted_rows(self, act: BasisMap) -> Iterator[dict[int, Vector]]:
         """Row by row, the nonzero products ``b_i * act(b_j)`` keyed by ``j``.
 
-        Each row is assembled from the nonzero cells ``table[i][k]`` and the
+        Each row is assembled from the cells ``rows[i][k]`` and the
         preimages of ``k`` under ``act``; only one row is held at a time.
         """
         preimages = _preimages(act, self.dimension)
@@ -299,14 +312,12 @@ class TableAlgebra:
 def _products_row(
     B: TableAlgebra, x: Vector, preimages: list[list[tuple[int, Coeff]]]
 ) -> dict[int, Vector]:
-    """``x * f(b_j)`` in ``B`` for every ``j`` that some nonzero cell
+    """``x * f(b_j)`` in ``B`` for every ``j`` that some stored cell
     reaches, keyed by ``j``, where ``preimages`` lists the pairs of
     :func:`_preimages` of ``f``.  Products that cancel are left empty."""
     out: dict[int, Vector] = {}
     for p, cp in x.items():
-        row = B.table[p]
-        for k in B.nonzero[p]:
-            cell = row[k]
+        for k, cell in B.rows[p].items():
             for j, c in preimages[k]:
                 _accumulate(out.setdefault(j, {}), cell, c if cp == 1 else cp * c)
     return out
@@ -324,39 +335,42 @@ def algebra_from_products(
     """
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    table = [
-        [
-            {index[k]: _exact(c) for k, c in product(a, b).items() if c}
-            for b in labels
-        ]
+    rows = [
+        {
+            j: cell
+            for j, b in enumerate(labels)
+            if (cell := {index[k]: _exact(c) for k, c in product(a, b).items() if c})
+        }
         for a in labels
     ]
     unit_vec = {index[k]: _exact(c) for k, c in unit.items() if c}
-    return TableAlgebra(labels, table, unit_vec)
+    return TableAlgebra(labels, rows, unit_vec)
 
 
 def verify_associativity(A: TableAlgebra) -> bool:
     """Check unitality and ``(b_i b_j) b_k == b_i (b_j b_k)`` for every
     triple of basis elements.
 
-    The left side vanishes unless ``b_k`` follows some ``b_m`` in
-    ``b_i b_j`` with a nonzero product, and the right side vanishes
-    unless ``b_j b_k`` is nonzero.  Only those ``k`` are visited: on every
-    other triple both sides are zero, so this is a check of all triples.
+    Every ``j`` is visited, also where ``b_i b_j`` is zero.  The left side
+    vanishes unless ``b_k`` follows some ``b_m`` in ``b_i b_j`` with a
+    nonzero product, and the right side vanishes unless ``b_j b_k`` is
+    nonzero.  Only those ``k`` are visited: on every other triple both
+    sides are zero, so this is a check of all triples.
     """
     for i in range(A.dimension):
         bi = {i: ONE}
         if not veq(A.mul(A.unit, bi), bi) or not veq(A.mul(bi, A.unit), bi):
             return False
-    nonzero = A.nonzero
-    for i, row in enumerate(A.table):
+    rows = A.rows
+    for i, row in enumerate(rows):
         bi = {i: ONE}
-        for j, left in enumerate(row):
-            ks = set(nonzero[j])
+        for j, after in enumerate(rows):
+            left = row.get(j, {})
+            ks = set(after)
             for m in left:
-                ks.update(nonzero[m])
+                ks.update(rows[m])
             for k in ks:
-                if not veq(A.mul(left, {k: ONE}), A.mul(bi, A.table[j][k])):
+                if not veq(A.mul(left, {k: ONE}), A.mul(bi, after.get(k, {}))):
                     return False
     return True
 
@@ -539,9 +553,7 @@ def graded_path_algebra(
     by_source: dict[str, list[int]] = {v: [] for v in pres.vertices}
     for i, (src, _) in enumerate(basis):
         by_source[src].append(i)
-    empty: Vector = {}
-    table: list[list[Vector]] = [[empty] * len(basis) for _ in basis]
-    nonzero: list[list[int]] = [[] for _ in basis]
+    rows: list[dict[int, Vector]] = [{} for _ in basis]
     for j, (src, first) in enumerate(basis):
         for i in by_source[path_target(pres, (src, first))]:
             then = basis[i][1]
@@ -551,10 +563,9 @@ def graded_path_algebra(
                 normal_forms, zero_length, (src, word), ONE if c is None else c
             )
             if cell:
-                table[i][j] = cell
-                nonzero[i].append(j)
+                rows[i][j] = cell
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
-    algebra = TableAlgebra(tuple(basis), table, unit, nonzero)
+    algebra = TableAlgebra(tuple(basis), rows, unit)
     return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values)
 
 
@@ -600,15 +611,14 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     0, and ``NOT_CLOSED`` when a product of kept elements leaves them.
 
     The table is read row by row: ``e*b_m`` once for every ``m``, from the
-    nonzero cells of the rows of ``e``; each ``b_i*e`` from the cells of
-    row ``i`` in the columns of ``e``; and ``e*b_i*e`` as the sum of the
-    ``e*b_m`` over ``b_i*e``.  The kept cells are renumbered in one pass.
+    cells of the rows of ``e``; each ``b_i*e`` from the cells of row ``i``
+    in the columns of ``e``; and ``e*b_i*e`` as the sum of the ``e*b_m``
+    over ``b_i*e``.  The kept cells are renumbered in one pass.
     """
     left: dict[int, Vector] = {}  # m -> e*b_m, where nonzero
     for k, c in e.items():
-        row = A.table[k]
-        for m in A.nonzero[k]:
-            _accumulate(left.setdefault(m, {}), row[m], c)
+        for m, cell in A.rows[k].items():
+            _accumulate(left.setdefault(m, {}), cell, c)
 
     def times_e(x: Vector) -> Vector:  # e*x
         out: Vector = {}
@@ -620,11 +630,11 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     if not veq(times_e(e), e):
         raise error(NOT_IDEMPOTENT, "corner element does not square to itself")
     indices = []
-    for i, (row, columns) in enumerate(zip(A.table, A.nonzero)):
+    for i, row in enumerate(A.rows):
         right: Vector = {}  # b_i*e
-        for k in columns:
+        for k, cell in row.items():
             if k in e:
-                _accumulate(right, row[k], e[k])
+                _accumulate(right, cell, e[k])
         sandwich = times_e(right)
         if sandwich == {i: ONE}:
             indices.append(i)
@@ -635,21 +645,19 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
             )
     position = {i: k for k, i in enumerate(indices)}
     labels = tuple(f"c{k}" for k in range(len(indices)))
-    empty: Vector = {}
-    table: list[list[Vector]] = [[empty] * len(indices) for _ in indices]
-    nonzero: list[list[int]] = [[] for _ in indices]
     try:
-        for a, i in enumerate(indices):
-            row, out, columns = A.table[i], table[a], nonzero[a]
-            for j in A.nonzero[i]:
-                b = position.get(j)
-                if b is not None:
-                    out[b] = {position[k]: c for k, c in row[j].items()}
-                    columns.append(b)
+        rows = [
+            {
+                position[j]: {position[k]: c for k, c in cell.items()}
+                for j, cell in A.rows[i].items()
+                if j in position
+            }
+            for i in indices
+        ]
         unit = {position[k]: c for k, c in e.items()}
     except KeyError:
         raise error(NOT_CLOSED, "corner product left the corner span") from None
-    corner = TableAlgebra(labels, table, unit, nonzero)
+    corner = TableAlgebra(labels, rows, unit)
     return CornerAlgebra(A, e, corner, tuple(indices))
 
 
@@ -697,10 +705,10 @@ def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool
     """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
     elements of ``A``, where ``f`` maps ``A`` linearly into ``B``.
 
-    Row ``i`` of the right side is built at once from the nonzero cells of
-    ``B`` in the rows of ``f(b_i)`` and the preimages under ``f`` of their
+    Row ``i`` of the right side is built at once from the cells of ``B``
+    in the rows of ``f(b_i)`` and the preimages under ``f`` of their
     columns, as in :meth:`TableAlgebra.twisted_rows`.  It is compared with
-    ``f`` of the nonzero cells of row ``i`` of ``A``; a nonzero product left
+    ``f`` of the cells of row ``i`` of ``A``; a nonzero product left
     over sits where ``A`` has a zero cell, and fails the check.  Every
     other pair has zero on both sides, so this is a check of all pairs.
     A cell ``c·b_k`` of one term maps to ``c·f(b_k)``, read from the
@@ -709,10 +717,9 @@ def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool
     """
     preimages = _preimages(f, B.dimension)
     images = [{k: c for k, c in img.items() if c} for img in f.images]
-    for i, row in enumerate(A.table):
+    for i, row in enumerate(A.rows):
         products = _products_row(B, images[i], preimages)
-        for j in A.nonzero[i]:
-            cell = row[j]
+        for j, cell in row.items():
             if len(cell) == 1:
                 ((k, c),) = cell.items()
                 left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
@@ -763,47 +770,37 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     """
     n = A.dimension
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
-    empty: Vector = {}
-    table: list[list[Vector]] = []
-    nonzero: list[list[int]] = []
 
     def shift(cell: Vector) -> Vector:
         return {k + n: c for k, c in cell.items()}
 
-    def add_row(row: list[Vector], columns: list[int]) -> None:
-        table.append(row)
-        nonzero.append(columns + [n + j for j in columns])
-
     # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
     # degree g + h; its degree-one copy is keyed n + k
-    for cells, columns in zip(A.table, A.nonzero):
-        row = [empty] * (2 * n)
-        for k in columns:
-            row[k] = cell = cells[k]
+    rows: list[dict[int, Vector]] = []
+    for cells in A.rows:
+        row = dict(cells)
+        for k, cell in cells.items():
             row[n + k] = shift(cell)
-        add_row(row, columns)
+        rows.append(row)
     if _signed_permutation(act):
         preimages = _preimages(act, n)
-        for zero, cells, columns in zip(table[:n], A.table, A.nonzero):
-            row = [empty] * (2 * n)
-            twisted_columns = []
-            for k in columns:
+        for zero, cells in zip(rows[:n], A.rows):
+            row = {}
+            for k, cell in cells.items():
                 for j, s in preimages[k]:
                     if s == 1:
-                        row[j], row[n + j] = zero[n + k], cells[k]
+                        row[j], row[n + j] = zero[n + k], cell
                     else:
-                        row[n + j] = negated = {m: s * v for m, v in cells[k].items()}
+                        row[n + j] = negated = {m: s * v for m, v in cell.items()}
                         row[j] = shift(negated)
-                    twisted_columns.append(j)
-            twisted_columns.sort()
-            add_row(row, twisted_columns)
+            rows.append(dict(sorted(row.items())))
     else:
         for twisted in A.twisted_rows(act):
-            row = [empty] * (2 * n)
-            for j, cell in twisted.items():
-                row[j], row[n + j] = shift(cell), cell
-            add_row(row, sorted(twisted))
-    return TableAlgebra(labels, table, dict(A.unit), nonzero)
+            columns = sorted(twisted)
+            row = {j: shift(twisted[j]) for j in columns}
+            row.update((n + j, twisted[j]) for j in columns)
+            rows.append(row)
+    return TableAlgebra(labels, rows, dict(A.unit))
 
 
 # ---------------------------------------------------------------------------

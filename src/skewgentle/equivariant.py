@@ -487,30 +487,24 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
 
     The basis element ``(r, b_p, c)`` is ``E_rc ⊗ b_p``, indexed
     ``2n*r + 2*p + c``, and ``(E_rm ⊗ b_p)(E_mc ⊗ b_q) = E_rc ⊗ b_p b_q``
-    with ``b_p b_q`` read from ``A.table``.
+    with ``b_p b_q`` read from ``A.rows``.
     """
     n = A.dimension
     labels = tuple((r, lab, c) for r in (0, 1) for lab in A.labels for c in (0, 1))
-    empty: Vector = {}
-    table: list[list[Vector]] = []
-    nonzero: list[list[int]] = []
+    rows: list[dict[int, Vector]] = []
     for r in (0, 1):
-        for row, columns in zip(A.table, A.nonzero):
+        for row in A.rows:
             # the rows of E_r0 ⊗ b_p and E_r1 ⊗ b_p hold the same cells, in
             # the column blocks m = 0 and m = 1
             cells = [
-                (2 * q + c, {2 * n * r + 2 * k + c: v for k, v in row[q].items()})
-                for q in columns
+                (2 * q + c, {2 * n * r + 2 * k + c: v for k, v in cell.items()})
+                for q, cell in row.items()
                 for c in (0, 1)
             ]
             for m in (0, 1):
-                out = [empty] * len(labels)
-                for col, cell in cells:
-                    out[2 * n * m + col] = cell
-                table.append(out)
-                nonzero.append([2 * n * m + col for col, _ in cells])
+                rows.append({2 * n * m + col: cell for col, cell in cells})
     unit = {2 * n * r + 2 * q + r: v for r in (0, 1) for q, v in A.unit.items()}
-    return TableAlgebra(labels, table, unit, nonzero)
+    return TableAlgebra(labels, rows, unit)
 
 
 def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:

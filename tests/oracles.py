@@ -131,6 +131,7 @@ def skew_group_table(algebra, images) -> dict:
     the basis labels, with zero coefficients dropped.
     """
     labels = algebra.labels
+    table = algebra.table
     out = {}
     for i, x in enumerate(labels):
         for g in (0, 1):
@@ -138,7 +139,7 @@ def skew_group_table(algebra, images) -> dict:
                 gy = images[j] if g else {j: Fraction(1)}
                 product: dict = {}
                 for k, c in gy.items():
-                    for m, d in algebra.table[i][k].items():
+                    for m, d in table[i][k].items():
                         product[m] = product.get(m, 0) + c * d
                 for h in (0, 1):
                     out[((x, g), (y, h))] = {
@@ -154,19 +155,20 @@ def corner_dimension(algebra, idempotent) -> int:
     one term at a time into a dense row over the basis; the corner is
     spanned by these rows, so its dimension is their rank.
     """
-    n = len(algebra.table)
+    table = algebra.table
+    n = len(table)
     rows = []
     for i in range(n):
         left = [Fraction(0)] * n  # e · b_i
         for p, c in idempotent.items():
-            for m, d in algebra.table[p][i].items():
+            for m, d in table[p][i].items():
                 left[m] += c * d
         row = [Fraction(0)] * n  # (e · b_i) · e
         for m, c in enumerate(left):
             if not c:
                 continue
             for q, d in idempotent.items():
-                for k, x in algebra.table[m][q].items():
+                for k, x in table[m][q].items():
                     row[k] += c * d * x
         if any(row):
             rows.append(row)
@@ -182,7 +184,8 @@ def generated_dimension(algebra, gens) -> int:
     by every generator on both sides until no product is independent of
     the rows kept; the dimension is the rank of those rows.
     """
-    n = len(algebra.table)
+    table = algebra.table
+    n = len(table)
 
     def dense(x):
         row = [Fraction(0)] * n
@@ -197,7 +200,7 @@ def generated_dimension(algebra, gens) -> int:
             if not c:
                 continue
             for j, d in right:
-                for k, e in algebra.table[i][j].items():
+                for k, e in table[i][j].items():
                     row[k] += c * d * e
         return row
 
@@ -269,10 +272,11 @@ def matrix_table(algebra) -> dict:
     of labels, with zero coefficients dropped.
     """
     labels = algebra.labels
+    table = algebra.table
     out = {}
     for i, x in enumerate(labels):
         for j, y in enumerate(labels):
-            cell = algebra.table[i][j]
+            cell = table[i][j]
             for r in (0, 1):
                 for m in (0, 1):
                     for k in (0, 1):
@@ -358,17 +362,19 @@ def multiplicative(A, B, images) -> bool:
                 out[k] = out.get(k, 0) + c * v
         return clean(out)
 
+    table, target = A.table, B.table
+
     def mul(x, y):
         out = {}
         for p, a in x.items():
             for q, b in y.items():
-                for k, c in B.table[p][q].items():
+                for k, c in target[p][q].items():
                     out[k] = out.get(k, 0) + a * b * c
         return clean(out)
 
-    n = len(A.table)
+    n = len(table)
     return all(
-        apply(A.table[i][j]) == mul(images[i], images[j])
+        apply(table[i][j]) == mul(images[i], images[j])
         for i in range(n)
         for j in range(n)
     )

@@ -225,20 +225,40 @@ def test_verify_associativity_catches_a_failure_behind_a_zero_left_product():
 def test_verify_associativity_matches_brute_force_oracle_on_seeded_tables():
     rng = random.Random(6011)
     corrupt = random.Random(6012)
-    verdicts = []
+    verdicts, deleted_verdicts = [], []
     for _ in range(40):
         triple = random_triple(rng)
         for value in (1, 5):
             A = graded_path_algebra(triple, {e: value for e in triple.special}).algebra
             # one cell replaced by a basis element: often not associative
-            table = [list(row) for row in A.table]
+            replaced = [dict(row) for row in A.rows]
             i, j, k = (corrupt.randrange(A.dimension) for _ in range(3))
-            table[i][j] = {k: ONE}
-            for T in (A, TableAlgebra(A.labels, table, A.unit)):
+            replaced[i][j] = {k: ONE}
+            tables = [A, TableAlgebra(A.labels, replaced, A.unit)]
+            # one stored cell b_i·b_j deleted, where no arrow follows the path
+            # b_i and b_j is an arrow: only the triples (i, j, k), whose left
+            # cell b_i·b_j is now zero, can see it
+            followed = {j for lab, row in zip(A.labels, A.rows) if lab[1] for j in row}
+            cells = [
+                (i, j)
+                for i, row in enumerate(A.rows)
+                if A.labels[i][1] and i not in followed
+                for j in row
+                if len(A.labels[j][1]) == 1
+            ]
+            if cells:
+                deleted = [dict(row) for row in A.rows]
+                i, j = corrupt.choice(cells)
+                del deleted[i][j]
+                tables.append(TableAlgebra(A.labels, deleted, A.unit))
+            for T in tables:
                 verdict = verify_associativity(T)
                 assert verdict == associative(T)
                 verdicts.append(verdict)
+            if cells:
+                deleted_verdicts.append(verdicts[-1])
     assert True in verdicts and False in verdicts
+    assert False in deleted_verdicts
 
 
 def test_linear_quiver_graded_dimensions():
@@ -300,10 +320,11 @@ def _assert_matches_word_products(triple, value):
     values = {e: Fraction(value) for e in triple.special}
     alg = graded_path_algebra(triple, values)
     labels = alg.algebra.labels
+    table = alg.algebra.table
     assert len(labels) == monomial_path_count(triple, nilpotent_loops=triple.special)
     for i, x in enumerate(labels):
         for j, y in enumerate(labels):
-            cell = {labels[k]: c for k, c in alg.algebra.table[i][j].items()}
+            cell = {labels[k]: c for k, c in table[i][j].items()}
             assert cell == word_product(triple, values, x, y), (x, y)
     assert {labels[k]: c for k, c in alg.algebra.unit.items()} == {
         (v, ()): ONE for v in triple.vertices
@@ -684,9 +705,10 @@ def _assert_matches_skew_group_oracle(A, act):
     expected = skew_group_table(A, act.images)
     assert len(skew.labels) == 2 * A.dimension
     assert {(x, y) for x in skew.labels for y in skew.labels} == set(expected)
+    table = skew.table
     for i, x in enumerate(skew.labels):
         for j, y in enumerate(skew.labels):
-            cell = {skew.labels[k]: c for k, c in skew.table[i][j].items()}
+            cell = {skew.labels[k]: c for k, c in table[i][j].items()}
             assert cell == expected[(x, y)], (x, y)
     assert {skew.labels[k]: c for k, c in skew.unit.items()} == {
         (A.labels[k], 0): c for k, c in A.unit.items()
@@ -772,11 +794,12 @@ def test_involution_verifier_checks_pairs_with_zero_source_product():
     act = BasisMap([{0: ONE}, {0: ONE, 1: -ONE}, {2: ONE}])
     assert veq(act.apply(act.apply({1: ONE})), {1: ONE})
     assert veq(act.apply(A.unit), A.unit)
+    table = A.table
     assert all(
-        veq(act.apply(A.table[i][j]), A.mul(act.images[i], act.images[j]))
+        veq(act.apply(table[i][j]), A.mul(act.images[i], act.images[j]))
         for i in range(3)
         for j in range(3)
-        if A.table[i][j]
+        if table[i][j]
     )
     assert not verify_algebra_involution(A, act)
 

@@ -27,6 +27,7 @@ from skewgentle import (
     one_orbifold_disc,
     quotient,
     random_triple,
+    skew_group_algebra,
     surface_from_triple,
     triple_from_x_dissection,
     two_hole_torus_surface,
@@ -262,10 +263,11 @@ def _assert_iterated_matches_oracle(A, act):
         return {endo.labels[k]: c for k, c in v.items()}
 
     table = matrix_table(A)
+    endo_table = endo.table
     assert set(endo.labels) == {x for x, _ in table}
     for a, x in enumerate(endo.labels):
         for b, y in enumerate(endo.labels):
-            assert labelled(endo.table[a][b]) == table[(x, y)]
+            assert labelled(endo_table[a][b]) == table[(x, y)]
     assert labelled(endo.unit) == {
         (r, A.labels[q], r): c for r in (0, 1) for q, c in A.unit.items()
     }
@@ -501,14 +503,48 @@ def test_scaled_verdicts_match_public_images_on_random_covers(random_builds):
     _assert_scaled_verdicts_match(random_builds)
 
 
-def test_nonzero_index_matches_a_fresh_scan_of_the_table(ladder_builds):
+def test_rows_hold_only_nonzero_cells_and_the_dense_view_counts_them(ladder_builds):
     built, runs = ladder_builds.built, ladder_builds.runs
     # per cover: path algebra, crossed product and corner in each
     # reduction, and the twice-crossed product and M₂(A); the iterated
     # check reuses the crossed product of the reduction
     assert len(built) == 8 * len(runs)
     for A in built:
-        assert A.nonzero == [[j for j, cell in enumerate(row) if cell] for row in A.table]
+        n = A.dimension
+        assert len(A.rows) == n
+        assert all(cell for row in A.rows for cell in row.values())
+        assert all(j in range(n) for row in A.rows for j in row)
+        # the dense view is built per read and never kept on the algebra
+        table = A.table
+        assert "table" not in vars(A) and A.table is not table
+        assert len(table) == n and all(len(row) == n for row in table)
+        assert all(table[i][j] == row.get(j, {}) for i, row in enumerate(A.rows) for j in range(n))
+        # the benchmark's table metrics count nonzero cells with this idiom
+        assert sum(1 for row in table for cell in row if cell) == sum(len(r) for r in A.rows)
+
+
+def test_signed_permutation_crossed_product_shares_cells(cylinder_covers):
+    """The degree-zero rows hold the cells of ``A`` itself, and a ``+``
+    twisted cell is the very cell of ``A`` or its shifted copy in the
+    degree-zero row, so crossing with a deck action copies only the
+    shifted and the negated cells."""
+    for cov in (cylinder_covers[2], double_cover(one_orbifold_disc(8))):
+        A, deck = _cover_algebra_and_deck(cov)
+        preimage = {}
+        for j, img in enumerate(deck.images):
+            ((k, sign),) = img.items()
+            preimage[k] = (j, sign)
+        skew = skew_group_algebra(A, deck)
+        n = A.dimension
+        shared = 0
+        for cells, zero, twisted in zip(A.rows, skew.rows[:n], skew.rows[n:]):
+            assert all(zero[k] is cell for k, cell in cells.items())
+            for k, cell in cells.items():
+                j, sign = preimage[k]
+                if sign == 1:
+                    assert twisted[n + j] is cell and twisted[j] is zero[n + k]
+                    shared += 1
+        assert shared
 
 
 def test_corner_coordinates_reject_an_image_outside_the_corner():
@@ -529,9 +565,10 @@ def _assert_corners_match_oracle(cov):
         corner = red.corner
         A, C = red.skew, corner.algebra
         assert C.dimension == corner_dimension(A, corner.idempotent)
+        table, corner_table = A.table, C.table
         for a, i in enumerate(corner.indices):
             for b, j in enumerate(corner.indices):
-                assert corner.express(A.table[i][j]) == C.table[a][b]
+                assert corner.express(table[i][j]) == corner_table[a][b]
         assert corner.express(corner.idempotent) == C.unit
 
 
