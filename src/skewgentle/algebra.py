@@ -821,7 +821,6 @@ def verify_morphism(
     arrow_images: Mapping[str, Vector],
     target: TableAlgebra,
     expected_dim: int,
-    unit_image: Optional[Vector] = None,
     loop_values: Optional[Mapping[str, Coeff]] = None,
     scale: Coeff = 1,
 ) -> MorphismVerdict:
@@ -857,7 +856,6 @@ def verify_morphism(
     says whether the path images the closure reaches span the target.
     """
     failures: list[str] = []
-    unit = unit_image if unit_image is not None else target.unit
 
     # ψ_u·ψ_v for every v at once, keyed by the position of v: one row walk
     # per vertex image over a preimage index of all of them
@@ -870,7 +868,7 @@ def verify_morphism(
         if not veq(products[p].get(p, {}), vscale(ev, scale)):
             failures.append(f"image of vertex {v!r} is not idempotent")
         total = vadd(total, ev)
-    if not veq(total, vscale(unit, scale)):
+    if not veq(total, vscale(target.unit, scale)):
         failures.append("vertex images do not sum to the unit")
     for p, u in enumerate(vertices):
         for q, v in enumerate(vertices):
@@ -904,7 +902,7 @@ def verify_morphism(
     span = SpanBasis()
     for v in domain.vertices:
         span.add(vertex_images[v])
-    span.add(unit)
+    span.add(target.unit)
     into: dict[str, list[Arrow]] = {v: [] for v in domain.vertices}
     frontier: list[tuple[str, Vector]] = []
     for a in domain.arrows:

@@ -1,19 +1,7 @@
-"""Plain-text surface files and the ``skewgentle`` command line tool.
+"""The ``skewgentle`` command line tool.
 
-File format (one record per line; blank lines and ``#`` comments are
-ignored)::
-
-    surface NAME
-    point ID kind=boundary|puncture|orbifold
-    bseg ID from=POINT to=POINT
-    arc ID from=POINT to=POINT
-    poly ID sides=b:BSEG,a:ARC:+,a:ARC:-
-    involution points A<->B ... arcs C<->D E~rev ...
-    curve ID closed|open passages=(POLY,ENTRY,EXIT,left|right);...
-
-Polygon words are counterclockwise with the interior on the left; the
-printer emits the canonical form (boundary segment first, records sorted
-by id), and parsing that output reproduces it byte for byte.
+Each command reads surface files in the format described in
+:mod:`skewgentle.surface`.
 
 Exit codes: 0 success, 1 a comparison decided NOT_EQUIVALENT, 2 invalid
 input (diagnostics on stderr).
@@ -26,21 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Vector
 from .covering import double_cover, quotient
-from .diagnostics import (
-    BAD_INPUT,
-    BAD_INVOLUTION,
-    SYNTAX,
-    ValidationError,
-    error,
-    raise_on_error,
-)
+from .diagnostics import BAD_INPUT, ValidationError, error
 from .equivariant import verify_dual_reduction, verify_skew_group_reduction
 from .linefield import (
     NOT_EQUIVALENT,
@@ -62,223 +41,16 @@ from .presentations import (
 )
 from .surface import (
     BOUNDARY,
-    ORBIFOLD,
-    PUNCTURE,
-    Arc,
-    BoundarySegment,
-    CombinatorialCurve,
     DissectedSurface,
-    MarkedPoint,
-    Passage,
-    Polygon,
-    SurfaceInvolution,
-    arc_side,
-    bseg_side,
+    SurfaceFile,
     classify_dissection,
-    complete_involution,
-    make_surface,
+    format_surface_file,
+    parse_surface_file,
+    passage_winding,
     topology,
-    validate,
-    validate_curve,
-    validate_involution,
 )
 
-__all__ = ["SurfaceFile", "format_surface_file", "main", "parse_surface_file"]
-
-
-# ---------------------------------------------------------------------------
-# File format
-
-
-@dataclass
-class SurfaceFile:
-    surface: DissectedSurface
-    involution: Optional[SurfaceInvolution] = None
-    curves: dict[str, CombinatorialCurve] = field(default_factory=dict)
-
-
-_KINDS = {
-    "boundary": BOUNDARY,
-    "boundary_marked": BOUNDARY,
-    "puncture": PUNCTURE,
-    "orbifold": ORBIFOLD,
-}
-_PASSAGE_RE = re.compile(r"^\(([^,()\s]+),(\d+),(\d+),(left|right)\)$")
-
-
-def _syntax(ln: int, message: str) -> ValidationError:
-    return error(SYNTAX, f"line {ln}: {message}", (ln,))
-
-
-def _keyed(ln: int, token: str, key: str) -> str:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        raise _syntax(ln, f"expected {key}=..., got {token!r}")
-    return token[len(prefix) :]
-
-
-def _parse_side(ln: int, token: str):
-    parts = token.split(":")
-    if parts[0] == "b" and len(parts) == 2:
-        return bseg_side(parts[1])
-    if parts[0] == "a" and len(parts) == 3 and parts[2] in ("+", "-"):
-        return arc_side(parts[1], 1 if parts[2] == "+" else -1)
-    raise _syntax(ln, f"bad polygon side {token!r}")
-
-
-def _parse_involution(ln: int, tokens: list[str]):
-    points: dict[str, str] = {}
-    arcs: dict[str, str] = {}
-    rev: list[str] = []
-    mode = None
-    for tok in tokens:
-        if tok in ("points", "arcs"):
-            mode = tok
-            continue
-        if mode is None:
-            raise _syntax(ln, "involution entries must follow 'points' or 'arcs'")
-        target = points if mode == "points" else arcs
-        if "<->" in tok:
-            a, b = tok.split("<->", 1)
-            target[a], target[b] = b, a
-        elif tok.endswith("~rev") and mode == "arcs":
-            a = tok[: -len("~rev")]
-            arcs[a] = a
-            rev.append(a)
-        else:
-            raise _syntax(ln, f"bad involution entry {tok!r}")
-    return points, arcs, rev
-
-
-def parse_surface_file(text: str) -> SurfaceFile:
-    name: Optional[str] = None
-    points: list[MarkedPoint] = []
-    arcs: list[Arc] = []
-    bsegs: list[BoundarySegment] = []
-    polygons: list[Polygon] = []
-    inv_data = None
-    curves: dict[str, CombinatorialCurve] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "surface":
-            if len(tokens) != 2:
-                raise _syntax(ln, "surface takes exactly one name")
-            name = tokens[1]
-        elif head == "point":
-            if len(tokens) != 3:
-                raise _syntax(ln, "point needs an id and kind=...")
-            kind = _keyed(ln, tokens[2], "kind")
-            if kind not in _KINDS:
-                raise _syntax(ln, f"unknown point kind {kind!r}")
-            points.append(MarkedPoint(tokens[1], _KINDS[kind]))
-        elif head in ("bseg", "arc"):
-            if len(tokens) != 4:
-                raise _syntax(ln, f"{head} needs an id, from=... and to=...")
-            tail = _keyed(ln, tokens[2], "from")
-            headpt = _keyed(ln, tokens[3], "to")
-            if head == "bseg":
-                bsegs.append(BoundarySegment(tokens[1], tail, headpt))
-            else:
-                arcs.append(Arc(tokens[1], tail, headpt))
-        elif head == "poly":
-            if len(tokens) != 3:
-                raise _syntax(ln, "poly needs an id and sides=...")
-            word = _keyed(ln, tokens[2], "sides")
-            sides = tuple(_parse_side(ln, t) for t in word.split(",") if t)
-            if not sides:
-                raise _syntax(ln, "polygon has no sides")
-            polygons.append(Polygon(tokens[1], sides))
-        elif head == "involution":
-            if inv_data is not None:
-                raise _syntax(ln, "more than one involution line")
-            inv_data = _parse_involution(ln, tokens[1:])
-        elif head == "curve":
-            if len(tokens) != 4 or tokens[2] not in ("closed", "open"):
-                raise _syntax(ln, "curve needs an id, closed|open and passages=...")
-            body = _keyed(ln, tokens[3], "passages")
-            passages = []
-            for item in body.split(";"):
-                m = _PASSAGE_RE.match(item)
-                if not m:
-                    raise _syntax(ln, f"bad passage {item!r}")
-                passages.append(
-                    Passage(m.group(1), int(m.group(2)), int(m.group(3)), m.group(4))
-                )
-            if tokens[1] in curves:
-                raise _syntax(ln, f"duplicate curve id {tokens[1]!r}")
-            curves[tokens[1]] = CombinatorialCurve(
-                tokens[1], tokens[2] == "closed", tuple(passages)
-            )
-        else:
-            raise _syntax(ln, f"unknown record {head!r}")
-    if name is None:
-        raise _syntax(0, "missing 'surface NAME' line")
-    surface = make_surface(name, points, arcs, bsegs, polygons)
-    raise_on_error(validate(surface))
-    involution = None
-    if inv_data is not None:
-        pmap, amap, rev = inv_data
-        involution, report = complete_involution(surface, pmap, amap, rev)
-        raise_on_error(report)
-        if involution is None:
-            raise error(
-                BAD_INVOLUTION,
-                f"the involution of {name!r} could not be completed",
-                (name,),
-            )
-        inv_report, _ = validate_involution(surface, involution)
-        raise_on_error(inv_report)
-    for curve in curves.values():
-        raise_on_error(validate_curve(surface, curve))
-    return SurfaceFile(surface, involution, curves)
-
-
-def _format_side(side) -> str:
-    if not side.is_arc:
-        return f"b:{side.ref}"
-    return f"a:{side.ref}:{'+' if side.direction == 1 else '-'}"
-
-
-def format_surface_file(sf: SurfaceFile) -> str:
-    s = sf.surface
-    lines = [f"surface {s.name}"]
-    for p in sorted(s.points, key=lambda x: x.id):
-        lines.append(f"point {p.id} kind={p.kind}")
-    for b in sorted(s.bsegs, key=lambda x: x.id):
-        lines.append(f"bseg {b.id} from={b.tail} to={b.head}")
-    for a in sorted(s.arcs, key=lambda x: x.id):
-        lines.append(f"arc {a.id} from={a.tail} to={a.head}")
-    for poly in sorted(s.polygons, key=lambda x: x.id):
-        word = ",".join(_format_side(x) for x in poly.sides)
-        lines.append(f"poly {poly.id} sides={word}")
-    if sf.involution is not None:
-        inv = sf.involution
-        point_pairs = sorted({tuple(sorted((a, b))) for a, b in inv.points.items()})
-        arc_pairs = sorted(
-            {
-                tuple(sorted((a, b)))
-                for a, b in inv.arcs.items()
-                if a not in inv.reversed_arcs
-            }
-        )
-        parts = ["involution", "points"]
-        parts += [f"{a}<->{b}" for a, b in point_pairs]
-        parts.append("arcs")
-        parts += [f"{a}<->{b}" for a, b in arc_pairs]
-        parts += [f"{a}~rev" for a in sorted(inv.reversed_arcs)]
-        lines.append(" ".join(parts))
-    for cid in sorted(sf.curves):
-        c = sf.curves[cid]
-        body = ";".join(
-            f"({p.polygon},{p.entry},{p.exit},{p.bseg_side})" for p in c.passages
-        )
-        shape = "closed" if c.closed else "open"
-        lines.append(f"curve {c.id} {shape} passages={body}")
-    return "\n".join(lines) + "\n"
+__all__ = ["main"]
 
 
 def _load(path: str) -> SurfaceFile:
@@ -449,8 +221,6 @@ def _cmd_complex(ns) -> int:
         except ValueError:
             raise error(BAD_INPUT, f"bad grade list {ns.grades!r}")
     else:
-        from .surface import passage_winding
-
         acc = [0]
         span = range(1, count) if curve.closed else range(1, len(ps) - 1)
         for j in span:

@@ -3,13 +3,14 @@
 These are the worked examples the package documentation and test-suite
 refer to: four dissected cylinders with two orbifold points each, small
 dissected discs, and a two-holed torus whose quotient by an involution
-is the first cylinder.
+is the first cylinder.  The cylinders, the two-marked disc and the torus
+are read from the bundled ``.surf`` files, so each has one source.
 """
 from __future__ import annotations
 
 from importlib import resources
 
-from .diagnostics import BAD_INPUT, BAD_INVOLUTION, error, raise_on_error
+from .diagnostics import BAD_INPUT, error, raise_on_error
 from .presentations import (
     Arrow,
     Presentation,
@@ -26,11 +27,12 @@ from .surface import (
     DissectedSurface,
     MarkedPoint,
     Polygon,
+    SurfaceFile,
     SurfaceInvolution,
     arc_side,
     bseg_side,
-    complete_involution,
     make_surface,
+    parse_surface_file,
     validate,
 )
 
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 
+def _load(name: str) -> SurfaceFile:
+    return parse_surface_file(fixture_path(name).read_text(encoding="utf-8"))
+
+
 def _checked(surface: DissectedSurface) -> DissectedSurface:
     raise_on_error(validate(surface))
     return surface
@@ -53,75 +59,19 @@ def _checked(surface: DissectedSurface) -> DissectedSurface:
 
 def two_orbifold_cylinder(variant: int = 1) -> DissectedSurface:
     """A cylinder with one marked point per boundary circle and two
-    orbifold points, dissected by four arcs.  The four variants differ in
-    which boundary circle the orbifold arcs and the second cross-arc hang
-    from; all four give skew-gentle presentations with the same vertex
-    count."""
+    orbifold points, dissected by four arcs (the bundled file
+    ``cylinder<variant>.surf``).  The four variants differ in which
+    boundary circle the orbifold arcs and the second cross-arc hang from;
+    all four give skew-gentle presentations with the same vertex count."""
     if variant not in (1, 2, 3, 4):
         raise ValueError(f"variant must be 1..4, got {variant}")
-    points = [
-        MarkedPoint("B", BOUNDARY),
-        MarkedPoint("T", BOUNDARY),
-        MarkedPoint("X1", ORBIFOLD),
-        MarkedPoint("X2", ORBIFOLD),
-    ]
-    bsegs = [BoundarySegment("b_bot", "B", "B"), BoundarySegment("b_top", "T", "T")]
-    ends = {
-        1: {"2": ("T", "X2"), "3": ("T", "X1")},
-        2: {"2": ("T", "X2"), "3": ("B", "X1")},
-        3: {"2": ("T", "X2"), "3": ("B", "X1")},
-        4: {"2": ("B", "X2"), "3": ("B", "X1")},
-    }[variant]
-    arcs = [
-        Arc("1", "B", "T"),
-        Arc("2", *ends["2"]),
-        Arc("3", *ends["3"]),
-        Arc("4", "B", "T"),
-    ]
-    words = {
-        1: (
-            ["b_bot", "1+", "2+", "2-", "3+", "3-", "4-"],
-            ["b_top", "1-", "4+"],
-        ),
-        2: (
-            ["b_bot", "1+", "2+", "2-", "4-", "3+", "3-"],
-            ["b_top", "1-", "4+"],
-        ),
-        3: (
-            ["b_bot", "1+", "2+", "2-", "4-"],
-            ["b_top", "1-", "3+", "3-", "4+"],
-        ),
-        4: (
-            ["b_bot", "1+", "4-", "2+", "2-"],
-            ["b_top", "1-", "3+", "3-", "4+"],
-        ),
-    }[variant]
-
-    def side(token: str):
-        if token.startswith("b_"):
-            return bseg_side(token)
-        return arc_side(token[:-1], 1 if token[-1] == "+" else -1)
-
-    polygons = [
-        Polygon("lower", tuple(side(t) for t in words[0])),
-        Polygon("upper", tuple(side(t) for t in words[1])),
-    ]
-    return _checked(
-        make_surface(f"cylinder{variant}", points, arcs, bsegs, polygons)
-    )
+    return _load(f"cylinder{variant}").surface
 
 
 def two_marked_disc() -> DissectedSurface:
     """A disc with two boundary marked points split into two bigons by a
-    single arc."""
-    points = [MarkedPoint("P1", BOUNDARY), MarkedPoint("P2", BOUNDARY)]
-    bsegs = [BoundarySegment("b1", "P1", "P2"), BoundarySegment("b2", "P2", "P1")]
-    arcs = [Arc("a", "P1", "P2")]
-    polygons = [
-        Polygon("F1", (bseg_side("b1"), arc_side("a", -1))),
-        Polygon("F2", (bseg_side("b2"), arc_side("a", 1))),
-    ]
-    return _checked(make_surface("disc", points, arcs, bsegs, polygons))
+    single arc (the bundled file ``disc.surf``)."""
+    return _load("disc").surface
 
 
 def one_orbifold_disc(marked: int = 4) -> DissectedSurface:
@@ -172,75 +122,10 @@ def two_orbifold_disc() -> DissectedSurface:
 def two_hole_torus_surface() -> tuple[DissectedSurface, SurfaceInvolution]:
     """A genus-one surface with two boundary circles (two marked points
     each) dissected by six arcs, and the sheet-swapping involution whose
-    quotient is ``two_orbifold_cylinder(1)``."""
-    points = [
-        MarkedPoint("Pb1", BOUNDARY),
-        MarkedPoint("Pb2", BOUNDARY),
-        MarkedPoint("Pt1", BOUNDARY),
-        MarkedPoint("Pt2", BOUNDARY),
-    ]
-    bsegs = [
-        BoundarySegment("Bb+", "Pb1", "Pb2"),
-        BoundarySegment("Bb-", "Pb2", "Pb1"),
-        BoundarySegment("Bt+", "Pt1", "Pt2"),
-        BoundarySegment("Bt-", "Pt2", "Pt1"),
-    ]
-    arcs = [
-        Arc("1+", "Pb2", "Pt2"),
-        Arc("1-", "Pb1", "Pt1"),
-        Arc("2", "Pt2", "Pt1"),
-        Arc("3", "Pt1", "Pt2"),
-        Arc("4+", "Pb1", "Pt2"),
-        Arc("4-", "Pb2", "Pt1"),
-    ]
-    polygons = [
-        Polygon(
-            "lowP",
-            (
-                bseg_side("Bb+"),
-                arc_side("1+", 1),
-                arc_side("2", 1),
-                arc_side("3", 1),
-                arc_side("4+", -1),
-            ),
-        ),
-        Polygon(
-            "lowM",
-            (
-                bseg_side("Bb-"),
-                arc_side("1-", 1),
-                arc_side("2", -1),
-                arc_side("3", -1),
-                arc_side("4-", -1),
-            ),
-        ),
-        Polygon(
-            "upP", (bseg_side("Bt+"), arc_side("1+", -1), arc_side("4-", 1))
-        ),
-        Polygon(
-            "upM", (bseg_side("Bt-"), arc_side("1-", -1), arc_side("4+", 1))
-        ),
-    ]
-    surface = _checked(
-        make_surface("torus", points, arcs, bsegs, polygons)
-    )
-    inv, report = complete_involution(
-        surface,
-        point_map={"Pb1": "Pb2", "Pb2": "Pb1", "Pt1": "Pt2", "Pt2": "Pt1"},
-        arc_map={
-            "1+": "1-",
-            "1-": "1+",
-            "2": "2",
-            "3": "3",
-            "4+": "4-",
-            "4-": "4+",
-        },
-        reversed_arcs=["2", "3"],
-    )
-    raise_on_error(report)
-    if inv is None:
-        raise error(BAD_INVOLUTION, "the torus involution could not be completed", ("torus",))
-    return surface, inv
+    quotient is ``two_orbifold_cylinder(1)`` (the bundled file
+    ``torus.surf``)."""
+    sf = _load("torus")
+    return sf.surface, sf.involution
 
 
 def two_hole_torus_pair() -> tuple[Presentation, dict[str, str]]:

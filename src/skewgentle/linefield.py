@@ -707,11 +707,9 @@ def build_complex(
     return cx
 
 
-def verify_d2(
-    cx: ComplexPresentation, algebra: Optional[PathAlgebra] = None
-) -> bool:
+def verify_d2(cx: ComplexPresentation) -> bool:
     """True iff the differential squares to zero in the algebra."""
-    alg = algebra if algebra is not None else cx.algebra
+    alg = cx.algebra.algebra
     n = len(cx.summands)
     for i in range(n):
         for j in range(n):
@@ -720,7 +718,7 @@ def verify_d2(
                 left = cx.differential.get((i, k))
                 right = cx.differential.get((k, j))
                 if left and right:
-                    total = vadd(total, alg.algebra.mul(left, right))
+                    total = vadd(total, alg.mul(left, right))
             if any(total.values()):
                 return False
     return True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import skewgentle
 from skewgentle import (
     cli,
     fixture_path,
@@ -19,8 +21,10 @@ from skewgentle import (
 from skewgentle.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(skewgentle.__file__).resolve().parent
 
-DATA_NAMES = ["cylinder1", "cylinder2", "cylinder3", "cylinder4", "disc", "torus"]
+# every file shipped in the package's data directory
+DATA_NAMES = sorted(path.stem for path in (PACKAGE / "data").glob("*.surf"))
 
 STAIR_LINE = (
     "curve stair open passages="
@@ -391,9 +395,10 @@ def test_help_text_is_identical_on_repeated_calls(capsys):
 def test_involution_completion_check_is_a_diagnostic(monkeypatch, capsys):
     # An involution that completes to nothing, with no finding reported,
     # gives BAD_INVOLUTION naming the surface and exit 2.
+    from skewgentle import surface
     from skewgentle.diagnostics import BAD_INVOLUTION, Report, ValidationError
 
-    monkeypatch.setattr(cli, "complete_involution", lambda *args: (None, Report()))
+    monkeypatch.setattr(surface, "complete_involution", lambda *args: (None, Report()))
     with pytest.raises(ValidationError) as exc:
         parse_surface_file(_data_text("torus"))
     (diag,) = exc.value.diagnostics
@@ -401,3 +406,26 @@ def test_involution_completion_check_is_a_diagnostic(monkeypatch, capsys):
     assert diag.where == ("torus",)
     assert main(["validate", str(fixture_path("torus"))]) == 2
     assert "BAD_INVOLUTION" in capsys.readouterr().err
+
+
+def _imports_cli(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "skewgentle.cli" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module in (None, "skewgentle"):
+            return any(a.name == "cli" for a in node.names)
+        return node.module in ("cli", "skewgentle.cli")
+    return False
+
+
+def test_only_the_package_root_imports_the_cli():
+    """Library modules never import from ``.cli``; ``import skewgentle``
+    still binds ``skewgentle.cli``."""
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _imports_cli(node)
+    }
+    assert importers == {"__init__.py"}
+    assert _fresh_process("import skewgentle; print(skewgentle.cli.main.__name__)") == "main\n"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import skewgentle
-from skewgentle import fixtures, special_chain_triple, two_hole_torus_surface
+from skewgentle import fixtures, special_chain_triple, surface, two_hole_torus_surface
 from skewgentle.diagnostics import BAD_INPUT, BAD_INVOLUTION, Report, ValidationError
 
 SRC = Path(skewgentle.__file__).resolve().parent
@@ -26,7 +26,7 @@ def test_library_has_no_assert_statements():
 
 
 def test_fixture_checks_are_diagnostics(monkeypatch):
-    monkeypatch.setattr(fixtures, "complete_involution", lambda *args, **kw: (None, Report()))
+    monkeypatch.setattr(surface, "complete_involution", lambda *args, **kw: (None, Report()))
     with pytest.raises(ValidationError) as exc:
         two_hole_torus_surface()
     assert [(d.code, d.where) for d in exc.value.diagnostics] == [
