@@ -60,7 +60,6 @@ from .surface import (
     bseg_side,
     chord_bseg_side,
     classify_dissection,
-    head_ray,
     make_surface,
     validate,
     validate_curve,
@@ -162,14 +161,23 @@ def _cuts_before(cuts: Iterable[int], slot: int) -> int:
     return sum(1 for p in cuts if p < slot)
 
 
-def _polygon_cuts(surface: DissectedSurface, poly: Polygon) -> list[int]:
+def _prefix_counts(cuts: Iterable[int], n: int) -> list[int]:
+    """``_cuts_before(cuts, i)`` for every slot ``i < n``."""
+    counts, seen = [], 0
+    for i in range(n):
+        counts.append(seen)
+        if i in cuts:
+            seen += 1
+    return counts
+
+
+def _polygon_cuts(surface: DissectedSurface, poly: Polygon, orbifold: set[str]) -> list[int]:
     """First slots of the slit pairs: corners sitting at orbifold points."""
     cuts = []
     n = len(poly.sides)
-    for i in range(n):
-        s_in = poly.sides[i]
-        point = surface.ray_point(head_ray(s_in))
-        if surface.point_by_id[point].kind == ORBIFOLD:
+    for i, point in enumerate(surface.corner_points[poly.id]):
+        if point in orbifold:
+            s_in = poly.sides[i]
             if not 1 <= i <= n - 2:
                 raise error(
                     BAD_INPUT,
@@ -253,8 +261,9 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
 
     for poly in surface.polygons:
         n = len(poly.sides)
-        cuts = _polygon_cuts(surface, poly)
+        cuts = _polygon_cuts(surface, poly, orbifold)
         cuts_by_poly[poly.id] = tuple(cuts)
+        before = _prefix_counts(cuts, n)
         k = len(cuts)
         b = surface.bseg_by_id[poly.sides[0].ref]
 
@@ -265,11 +274,10 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
             word: list[Side] = [bseg_side(bid)]
             i = 1
             while i < n:
-                sheet = eps * (-1) ** _cuts_before(cuts, i)
+                sheet = -eps if before[i] % 2 else eps
                 side = poly.sides[i]
                 if i in cuts:
-                    direction = 1 if sheet == 1 else -1
-                    word.append(arc_side(side.ref, direction))
+                    word.append(arc_side(side.ref, sheet))
                     i += 2
                     continue
                 word.append(arc_side(f"{side.ref}{_SIGN[sheet]}", side.direction))
@@ -283,7 +291,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
                 )
             )
             for i in range(n):
-                slot_image[(poly.id, i, eps)] = (pid, i - _cuts_before(cuts, i))
+                slot_image[(poly.id, i, eps)] = (pid, i - before[i])
         poly_deck[f"{poly.id}+"] = f"{poly.id}-"
         poly_deck[f"{poly.id}-"] = f"{poly.id}+"
         bseg_deck[f"{b.id}+"] = f"{b.id}-"
@@ -389,6 +397,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
     base_poly_of_total = {}
     for poly in surface.polygons:
         base_poly_of_total[poly.id] = rep(inv.polygons, poly.id)
+    before = {bp.id: _prefix_counts(cuts_by_poly[bp.id], len(bp.sides)) for bp in polygons}
     # Map a total slot back to its base slot (excluding slit expansions).
     base_slot: dict[tuple[str, int], int] = {}
     for bp in polygons:
@@ -396,7 +405,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         for i in range(len(bp.sides)):
             if i in cuts or (i - 1) in cuts:
                 continue
-            base_slot[(bp.id, i - _cuts_before(cuts, i))] = i
+            base_slot[(bp.id, i - before[bp.id][i])] = i
 
     poly_instance: dict[tuple[str, int], str] = {}
     for bp in polygons:
@@ -414,16 +423,16 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
                 for i in range(1, n_base):
                     if i in cuts or (i - 1) in cuts:
                         continue
-                    u = i - _cuts_before(cuts, i)
+                    u = i - before[cur][i]
                     side = total_poly.sides[u]
-                    sheet = eps * (-1) ** _cuts_before(cuts, i)
+                    sheet = -eps if before[cur][i] % 2 else eps
                     other_poly, other_slot = surface.occurrences[
                         (side.ref, -side.direction)
                     ]
                     q = base_poly_of_total[other_poly]
                     # Total slots agree between a polygon and its mirror.
                     e = base_slot[(q, other_slot)]
-                    eps_q = sheet * (-1) ** _cuts_before(cuts_by_poly[q], e)
+                    eps_q = -sheet if before[q][e] % 2 else sheet
                     if (q, eps_q) not in poly_instance:
                         poly_instance[(q, eps_q)] = other_poly
                         poly_instance[(q, -eps_q)] = inv.polygons[other_poly]
@@ -437,11 +446,10 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
 
     slot_image: dict[tuple[str, int, int], tuple[str, int]] = {}
     for bp in polygons:
-        cuts = set(cuts_by_poly[bp.id])
         for eps in (1, -1):
             pid = poly_instance[(bp.id, eps)]
-            for i in range(len(bp.sides)):
-                slot_image[(bp.id, i, eps)] = (pid, i - _cuts_before(cuts, i))
+            for i, k in enumerate(before[bp.id]):
+                slot_image[(bp.id, i, eps)] = (pid, i - k)
 
     # Cell lifts, labelled by the coherent sheets.  Locate one base
     # occurrence of every base arc directly from the words.
@@ -457,7 +465,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
             continue
         bp_id, i = occ_of_base_arc[a.id]
         for sheet in (1, -1):
-            eps = sheet * (-1) ** _cuts_before(cuts_by_poly[bp_id], i)
+            eps = -sheet if before[bp_id][i] % 2 else sheet
             pid, u = slot_image[(bp_id, i, eps)]
             side = surface.polygon_by_id[pid].sides[u]
             arc_image[(a.id, sheet)] = (side.ref, side.direction)

@@ -44,7 +44,6 @@ from .surface import (
     SurfaceInvolution,
     boundary_components,
     curve_crossings,
-    head_ray,
     passage_winding,
     topology,
     validate,
@@ -181,12 +180,7 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
             "interior points only",
             (point_id,),
         )
-    corners = [
-        (poly.id, i)
-        for poly in surface.polygons
-        for i in range(len(poly.sides))
-        if surface.ray_point(head_ray(poly.sides[i])) == point_id
-    ]
+    corners = surface.corners_at_point[point_id]
     start = min(corners)
     passages = []
     cur = start

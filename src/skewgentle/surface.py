@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .diagnostics import (
     ARC_OCCURRENCE,
@@ -166,6 +166,20 @@ def tail_ray(side: Side) -> Ray:
     return ("a", side.ref, "head")
 
 
+class _Walk(NamedTuple):
+    """What one walk over the polygon words finds; see
+    ``DissectedSurface._walk``."""
+
+    arc_sides: dict[str, int]  # arc id -> number of its sides
+    arc_balance: dict[str, int]  # arc id -> sum of its sides' directions
+    bseg_sides: dict[str, int]  # bseg id -> number of its sides
+    bsegs_per_polygon: list[int]
+    unknown_sides: list[tuple[str, str]]  # (polygon id, ref) naming no cell
+    succ: dict[Ray, Ray]  # counterclockwise successor of each ray
+    points: dict[str, tuple]  # polygon id -> point where side i ends
+    mismatches: list[tuple]  # (polygon id, corner, point in, point out)
+
+
 @dataclass(frozen=True)
 class DissectedSurface:
     name: str
@@ -203,7 +217,7 @@ class DissectedSurface:
         occ: dict[tuple[str, int], tuple[str, int]] = {}
         for poly in self.polygons:
             for i, s in enumerate(poly.sides):
-                if s.is_arc:
+                if s.kind == "a":
                     occ[(s.ref, s.direction)] = (poly.id, i)
         return occ
 
@@ -212,11 +226,70 @@ class DissectedSurface:
         occ: dict[str, tuple[str, int]] = {}
         for poly in self.polygons:
             for i, s in enumerate(poly.sides):
-                if not s.is_arc:
+                if s.kind == "b":
                     occ[s.ref] = (poly.id, i)
         return occ
 
     @cached_property
+    def _walk(self) -> _Walk:
+        """One walk over the polygon words: the sides of every cell, the
+        successor of every ray and the point at every corner.
+
+        Corner ``i`` of a polygon lies between side ``i`` (arriving) and
+        side ``i + 1`` (leaving, cyclically).  A side that names no arc or
+        boundary segment is listed, and its endpoints read as ``None``.
+        """
+        arc_ends = {a.id: (a.tail, a.head) for a in self.arcs}
+        bseg_ends = {b.id: (b.tail, b.head) for b in self.bsegs}
+        walk = _Walk(
+            dict.fromkeys(arc_ends, 0), dict.fromkeys(arc_ends, 0),
+            dict.fromkeys(bseg_ends, 0), [], [], {}, {}, [],
+        )
+        arc_sides, arc_balance, bseg_sides = walk.arc_sides, walk.arc_balance, walk.bseg_sides
+        succ, mismatches = walk.succ, walk.mismatches
+        for poly in self.polygons:
+            pid = poly.id
+            heads = []
+            nb = 0
+            for i, s in enumerate(poly.sides):
+                kind, ref, d = s.kind, s.ref, s.direction
+                if kind == "a":
+                    ends = arc_ends.get(ref)
+                    if ends is not None:
+                        arc_sides[ref] += 1
+                        arc_balance[ref] += d
+                else:
+                    nb += 1
+                    ends = bseg_ends.get(ref)
+                    if ends is not None:
+                        bseg_sides[ref] += 1
+                if ends is None:
+                    walk.unknown_sides.append((pid, ref))
+                    ends = (None, None)
+                if d == 1:
+                    tail, head = ends
+                    ray_out, ray_next = (kind, ref, "tail"), (kind, ref, "head")
+                else:
+                    head, tail = ends
+                    ray_out, ray_next = (kind, ref, "head"), (kind, ref, "tail")
+                if i:  # corner i - 1
+                    succ[ray_out] = ray_in
+                    heads.append(p_in)
+                    if p_in != tail:
+                        mismatches.append((pid, i - 1, p_in, tail))
+                else:
+                    first_out, first_tail = ray_out, tail
+                ray_in, p_in = ray_next, head
+            if poly.sides:  # the last corner, back to side 0
+                succ[first_out] = ray_in
+                heads.append(p_in)
+                if p_in != first_tail:
+                    mismatches.append((pid, len(heads) - 1, p_in, first_tail))
+            walk.points[pid] = tuple(heads)
+            walk.bsegs_per_polygon.append(nb)
+        return walk
+
+    @property
     def ccw_next_ray(self) -> dict[Ray, Ray]:
         """Counterclockwise successor of each ray around its point.
 
@@ -224,14 +297,22 @@ class DissectedSurface:
         polygon, the outgoing ray of ``s_out`` is immediately followed,
         counterclockwise, by the incoming ray of ``s_in``.
         """
-        succ: dict[Ray, Ray] = {}
-        for poly in self.polygons:
-            n = len(poly.sides)
-            for i in range(n):
-                s_in = poly.sides[i]
-                s_out = poly.sides[(i + 1) % n]
-                succ[tail_ray(s_out)] = head_ray(s_in)
-        return succ
+        return self._walk.succ
+
+    @property
+    def corner_points(self) -> dict[str, tuple]:
+        """Polygon id -> the point at each corner ``i``, where side ``i`` ends."""
+        return self._walk.points
+
+    @cached_property
+    def corners_at_point(self) -> dict[str, list[tuple[str, int]]]:
+        """The corners ``(polygon id, i)`` at each point of a valid surface,
+        in polygon order; corner ``i`` is where side ``i`` ends."""
+        index: dict[str, list[tuple[str, int]]] = {}
+        for pid, heads in self.corner_points.items():
+            for i, point in enumerate(heads):
+                index.setdefault(point, []).append((pid, i))
+        return index
 
     @cached_property
     def rays_at_point(self) -> dict[str, list[Ray]]:
@@ -247,6 +328,17 @@ class DissectedSurface:
     @cached_property
     def _findings(self) -> tuple[Diagnostic, ...]:
         return tuple(_check_surface(self).diagnostics)
+
+    @cached_property
+    def _curve_findings(self) -> dict:
+        """Curve -> the findings of :func:`validate_curve` on this surface."""
+        return {}
+
+    @cached_property
+    def _involution_findings(self) -> dict:
+        """``id(inv)`` -> ``(inv, its maps, findings, fixed arcs)`` of
+        :func:`validate_involution`; holding ``inv`` keeps its id unique."""
+        return {}
 
     def arc_ray_count(self, point_id: str) -> int:
         return sum(1 for r in self.rays_at_point[point_id] if r[0] == "a")
@@ -266,10 +358,11 @@ def make_surface(
     """
     normalized = []
     for poly in polygons:
-        slots = poly.bseg_slots()
-        if len(slots) == 1 and slots[0] != 0:
-            k = slots[0]
-            poly = Polygon(poly.id, poly.sides[k:] + poly.sides[:k])
+        if poly.sides and poly.sides[0].kind != "b":
+            slots = poly.bseg_slots()
+            if len(slots) == 1:
+                k = slots[0]
+                poly = Polygon(poly.id, poly.sides[k:] + poly.sides[:k])
         normalized.append(poly)
     return DissectedSurface(
         name=name,
@@ -293,157 +386,141 @@ def validate(surface: DissectedSurface) -> Report:
 
 def _check_surface(surface: DissectedSurface) -> Report:
     report = Report()
-    seen: set[str] = set()
     for category, items in (
         ("point", surface.points),
         ("arc", surface.arcs),
         ("bseg", surface.bsegs),
         ("polygon", surface.polygons),
     ):
-        ids = [x.id for x in items]
-        for i in ids:
-            key = f"{category}:{i}"
-            if key in seen:
-                report.add(BAD_INPUT, f"duplicate {category} id {i!r}", (i,))
-            seen.add(key)
+        seen: set[str] = set()
+        for x in items:
+            if x.id in seen:
+                report.add(BAD_INPUT, f"duplicate {category} id {x.id!r}", (x.id,))
+            seen.add(x.id)
 
-    point_ids = {p.id for p in surface.points}
+    # Endpoints, with the number of rays at each point, one arc ray at each
+    # point, and the boundary rays leaving and entering each point.
+    kind_of = {p.id: p.kind for p in surface.points}
+    degree = dict.fromkeys(kind_of, 0)
+    arc_ray: dict[str, Ray] = {}
     for a in surface.arcs:
-        for end in (a.tail, a.head):
-            if end not in point_ids:
+        for end, label in ((a.tail, "tail"), (a.head, "head")):
+            if end not in kind_of:
                 report.add(UNKNOWN_ID, f"arc {a.id!r} endpoint {end!r} unknown", (a.id,))
+                continue
+            degree[end] += 1
+            if end not in arc_ray:
+                arc_ray[end] = ("a", a.id, label)
+    outs: dict[str, list[Ray]] = {}
+    ins: dict[str, list[Ray]] = {}
     for b in surface.bsegs:
         for end in (b.tail, b.head):
-            if end not in point_ids:
+            if end not in kind_of:
                 report.add(UNKNOWN_ID, f"bseg {b.id!r} endpoint {end!r} unknown", (b.id,))
         for end in (b.tail, b.head):
-            if end in point_ids and surface.point_by_id[end].kind != BOUNDARY:
+            if end in kind_of and kind_of[end] != BOUNDARY:
                 report.add(
                     BAD_INPUT,
                     f"bseg {b.id!r} endpoint {end!r} is not a boundary point",
                     (b.id,),
                 )
-    arc_ids = {a.id for a in surface.arcs}
-    bseg_ids = {b.id for b in surface.bsegs}
-    for poly in surface.polygons:
-        for s in poly.sides:
-            pool = arc_ids if s.is_arc else bseg_ids
-            if s.ref not in pool:
-                report.add(UNKNOWN_ID, f"polygon {poly.id!r} refers to unknown side {s.ref!r}", (poly.id,))
+        if b.tail in degree:
+            degree[b.tail] += 1
+            outs.setdefault(b.tail, []).append(("b", b.id, "tail"))
+        if b.head in degree:
+            degree[b.head] += 1
+            ins.setdefault(b.head, []).append(("b", b.id, "head"))
+    walk = surface._walk
+    for pid, ref in walk.unknown_sides:
+        report.add(UNKNOWN_ID, f"polygon {pid!r} refers to unknown side {ref!r}", (pid,))
     if not report.ok:
         return report
 
     # Occurrence counts.
-    arc_occ: dict[str, list[int]] = {a.id: [] for a in surface.arcs}
-    bseg_count: dict[str, int] = {b.id: 0 for b in surface.bsegs}
-    for poly in surface.polygons:
-        nb = 0
-        for s in poly.sides:
-            if s.is_arc:
-                arc_occ[s.ref].append(s.direction)
-            else:
-                bseg_count[s.ref] += 1
-                nb += 1
+    for poly, nb in zip(surface.polygons, walk.bsegs_per_polygon):
         if nb != 1:
             report.add(
                 MULTIPLE_BSEG,
                 f"polygon {poly.id!r} has {nb} boundary segments (need exactly 1)",
                 (poly.id,),
             )
-    for aid, dirs in arc_occ.items():
-        if len(dirs) != 2:
-            report.add(ARC_OCCURRENCE, f"arc {aid!r} occurs {len(dirs)} times (need 2)", (aid,))
-        elif dirs[0] == dirs[1]:
+    for aid, count in walk.arc_sides.items():
+        if count != 2:
+            report.add(ARC_OCCURRENCE, f"arc {aid!r} occurs {count} times (need 2)", (aid,))
+        elif walk.arc_balance[aid]:
             report.add(
                 NONORIENTABLE_GLUING,
                 f"arc {aid!r} occurs twice with the same direction",
                 (aid,),
             )
-    for bid, cnt in bseg_count.items():
+    for bid, cnt in walk.bseg_sides.items():
         if cnt != 1:
             report.add(BSEG_OCCURRENCE, f"bseg {bid!r} occurs {cnt} times (need 1)", (bid,))
     if not report.ok:
         return report
 
     # Corner consistency: consecutive sides of a polygon meet at one point.
-    for poly in surface.polygons:
-        n = len(poly.sides)
-        for i in range(n):
-            s_in = poly.sides[i]
-            s_out = poly.sides[(i + 1) % n]
-            p_in = surface.ray_point(head_ray(s_in))
-            p_out = surface.ray_point(tail_ray(s_out))
-            if p_in != p_out:
-                report.add(
-                    CORNER_MISMATCH,
-                    f"polygon {poly.id!r} corner {i}: sides meet at {p_in!r} vs {p_out!r}",
-                    (poly.id, i),
-                )
+    for pid, i, p_in, p_out in walk.mismatches:
+        report.add(
+            CORNER_MISMATCH,
+            f"polygon {pid!r} corner {i}: sides meet at {p_in!r} vs {p_out!r}",
+            (pid, i),
+        )
     if not report.ok:
         return report
 
-    # Rotation structure at every point.
-    succ = surface.ccw_next_ray
+    # Rotation structure at every point: the successors run from the
+    # outgoing to the incoming boundary ray, or round one cycle, through
+    # every ray at the point.  Every ray they reach lies at the point, since
+    # the corners are consistent; so counting the rays reached suffices.
+    # Interior points touch no boundary segment here: a bseg endpoint that
+    # is not a boundary point was reported above.
+    succ = walk.succ
     for point in surface.points:
-        rays = surface.rays_at_point[point.id]
+        pid = point.id
         if point.kind == BOUNDARY:
-            outs = [r for r in rays if r[0] == "b" and r[2] == "tail"]
-            ins = [r for r in rays if r[0] == "b" and r[2] == "head"]
-            if len(outs) != 1 or len(ins) != 1:
+            out, into = outs.get(pid, ()), ins.get(pid, ())
+            if len(out) != 1 or len(into) != 1:
                 report.add(
                     CORNER_MISMATCH,
-                    f"boundary point {point.id!r} has {len(outs)} outgoing and "
-                    f"{len(ins)} incoming boundary segments (need 1 and 1)",
-                    (point.id,),
+                    f"boundary point {pid!r} has {len(out)} outgoing and "
+                    f"{len(into)} incoming boundary segments (need 1 and 1)",
+                    (pid,),
                 )
-                continue
-            chain = [outs[0]]
-            ok = True
-            while chain[-1] != ins[0]:
-                nxt = succ.get(chain[-1])
-                if nxt is None or nxt in chain or len(chain) > len(rays):
-                    ok = False
-                    break
-                chain.append(nxt)
-            if not ok or set(chain) != set(rays):
+            elif _rays_reached(succ, out[0], into[0]) != degree[pid]:
                 report.add(
                     CORNER_MISMATCH,
-                    f"rays at boundary point {point.id!r} do not form a single chain",
-                    (point.id,),
+                    f"rays at boundary point {pid!r} do not form a single chain",
+                    (pid,),
                 )
-        else:
-            if not rays:
-                report.add(
-                    CORNER_MISMATCH,
-                    f"interior point {point.id!r} has no incident arc ends",
-                    (point.id,),
-                )
-                continue
-            if any(r[0] == "b" for r in rays):
-                report.add(
-                    CORNER_MISMATCH,
-                    f"interior point {point.id!r} touches a boundary segment",
-                    (point.id,),
-                )
-                continue
-            start = rays[0]
-            chain = [start]
-            ok = True
-            while True:
-                nxt = succ.get(chain[-1])
-                if nxt is None or (nxt in chain and nxt != start) or len(chain) > len(rays):
-                    ok = False
-                    break
-                if nxt == start:
-                    break
-                chain.append(nxt)
-            if not ok or set(chain) != set(rays):
-                report.add(
-                    CORNER_MISMATCH,
-                    f"rays at interior point {point.id!r} do not form a single cycle",
-                    (point.id,),
-                )
+        elif not degree[pid]:
+            report.add(
+                CORNER_MISMATCH,
+                f"interior point {pid!r} has no incident arc ends",
+                (pid,),
+            )
+        elif _rays_reached(succ, arc_ray[pid], arc_ray[pid]) != degree[pid]:
+            report.add(
+                CORNER_MISMATCH,
+                f"rays at interior point {pid!r} do not form a single cycle",
+                (pid,),
+            )
     return report
+
+
+def _rays_reached(succ: dict[Ray, Ray], first: Ray, last: Ray) -> int:
+    """The rays on the successor path from ``first`` to ``last`` (back to
+    ``first`` for a cycle); 0 when the path breaks off or meets itself
+    before."""
+    seen = {first}
+    cur = first
+    while True:
+        cur = succ.get(cur)
+        if cur == last:
+            return len(seen) + (last != first)
+        if cur is None or cur in seen:
+            return 0
+        seen.add(cur)
 
 
 @dataclass(frozen=True)
@@ -507,31 +584,31 @@ class Topology:
 
 
 def boundary_components(surface: DissectedSurface) -> list[BoundaryComponent]:
-    out_bseg: dict[str, str] = {}
-    for b in surface.bsegs:
-        out_bseg[b.tail] = b.id
+    leaving = {b.tail: b for b in surface.bsegs}
     seen: set[str] = set()
     comps = []
     for b in sorted(surface.bsegs, key=lambda x: x.id):
         if b.id in seen:
             continue
-        cyc = [b.id]
-        seen.add(b.id)
-        cur = b
-        while True:
-            nxt_id = out_bseg[cur.head]
-            if nxt_id == cyc[0]:
-                break
-            cyc.append(nxt_id)
-            seen.add(nxt_id)
-            cur = surface.bseg_by_id[nxt_id]
-        marked = tuple(surface.bseg_by_id[x].tail for x in cyc)
-        comps.append(BoundaryComponent(tuple(cyc), marked))
+        cyc = [b]
+        nxt = leaving[b.head]
+        while nxt.id != b.id:
+            cyc.append(nxt)
+            nxt = leaving[nxt.head]
+        ids = tuple(x.id for x in cyc)
+        seen.update(ids)
+        comps.append(BoundaryComponent(ids, tuple(x.tail for x in cyc)))
     return comps
 
 
 def _component_labels(surface: DissectedSurface) -> dict[str, int]:
-    """Connected-component label for every point id."""
+    """Connected-component label for every point id.
+
+    Union-find over the arcs, then the boundary segments; a label is the
+    rank of its component's root among the sorted roots.  The corners of a
+    polygon of a valid surface are joined by its sides already, so they add
+    no links.
+    """
     parent: dict[str, str] = {p.id: p.id for p in surface.points}
 
     def find(x: str) -> str:
@@ -540,25 +617,13 @@ def _component_labels(surface: DissectedSurface) -> dict[str, int]:
             x = parent[x]
         return x
 
-    def union(x: str, y: str) -> None:
-        rx, ry = find(x), find(y)
+    for cell in (*surface.arcs, *surface.bsegs):
+        rx, ry = find(cell.tail), find(cell.head)
         if rx != ry:
             parent[rx] = ry
-
-    for a in surface.arcs:
-        union(a.tail, a.head)
-    for b in surface.bsegs:
-        union(b.tail, b.head)
-    for poly in surface.polygons:
-        pts = set()
-        for i, s in enumerate(poly.sides):
-            pts.add(surface.ray_point(tail_ray(s)))
-        pts = sorted(pts)
-        for p in pts[1:]:
-            union(pts[0], p)
-    roots = sorted({find(p.id) for p in surface.points})
-    index = {r: i for i, r in enumerate(roots)}
-    return {p.id: index[find(p.id)] for p in surface.points}
+    roots = {p.id: find(p.id) for p in surface.points}
+    index = {r: i for i, r in enumerate(sorted(set(roots.values())))}
+    return {p: index[r] for p, r in roots.items()}
 
 
 def topology(surface: DissectedSurface) -> Topology:
@@ -567,21 +632,25 @@ def topology(surface: DissectedSurface) -> Topology:
     ncomp = (max(labels.values()) + 1) if labels else 1
     bcomps = boundary_components(surface)
 
-    def comp_of_boundary(bc: BoundaryComponent) -> int:
-        return labels[surface.bseg_by_id[bc.bsegs[0]].tail]
+    # Euler characteristic and boundary circles of each component, one pass
+    # over each kind of cell.
+    chis = [0] * ncomp
+    for p in surface.points:
+        chis[labels[p.id]] += 1
+    for cell in (*surface.arcs, *surface.bsegs):
+        chis[labels[cell.tail]] -= 1
+    corners = surface.corner_points
+    for poly in surface.polygons:
+        # the last corner is where side 0 starts
+        chis[labels[corners[poly.id][-1]]] += 1
+    circles: list[list[BoundaryComponent]] = [[] for _ in range(ncomp)]
+    for bc in bcomps:
+        circles[labels[bc.marked[0]]].append(bc)
 
     comps = []
-    for c in range(ncomp):
+    for c, chi in enumerate(chis):
         pts = [p for p in surface.points if labels[p.id] == c]
-        arcs = [a for a in surface.arcs if labels[a.tail] == c]
-        bsegs = [b for b in surface.bsegs if labels[b.tail] == c]
-        polys = [
-            poly
-            for poly in surface.polygons
-            if labels[surface.ray_point(tail_ray(poly.sides[0]))] == c
-        ]
-        chi = len(pts) - (len(arcs) + len(bsegs)) + len(polys)
-        bdry = tuple(bc for bc in bcomps if comp_of_boundary(bc) == c)
+        bdry = tuple(circles[c])
         twice_genus = 2 - chi - len(bdry)
         if twice_genus < 0 or twice_genus % 2 != 0:
             raise error(
@@ -720,7 +789,37 @@ def validate_involution(
     marked point / puncture / bseg / polygon is fixed, every fixed arc is
     reversed in place, and each polygon word maps to the image polygon word
     by an orientation-preserving (rotation-only) match.
+
+    The findings are kept on the surface for this involution object, with
+    a copy of its maps: a map changed since is checked again.  Each call
+    returns a fresh report and list.
     """
+    maps = (inv.points, inv.arcs, inv.reversed_arcs, inv.bsegs, inv.polygons)
+    memo = surface._involution_findings
+    entry = memo.get(id(inv))
+    if entry is None or entry[1] != maps:
+        report, fixed = _check_involution(surface, inv)
+        copies = (
+            dict(inv.points), dict(inv.arcs), frozenset(inv.reversed_arcs),
+            dict(inv.bsegs), dict(inv.polygons),
+        )
+        entry = (inv, copies, tuple(report.diagnostics), tuple(fixed))
+        memo[id(inv)] = entry
+    return Report(list(entry[2])), list(entry[3])
+
+
+def _is_rotation(word: tuple, target: tuple) -> bool:
+    """Whether ``word`` is a cyclic rotation of ``target``."""
+    return any(
+        target[k:] + target[:k] == word
+        for k in range(len(target))
+        if target[k] == word[0]
+    )
+
+
+def _check_involution(
+    surface: DissectedSurface, inv: SurfaceInvolution
+) -> tuple[Report, list[str]]:
     report = Report()
     for mapping, items, label in (
         (inv.points, surface.points, "point"),
@@ -729,7 +828,7 @@ def validate_involution(
         (inv.polygons, surface.polygons, "polygon"),
     ):
         ids = {x.id for x in items}
-        if set(mapping.keys()) != ids or set(mapping.values()) != ids:
+        if mapping.keys() != ids or set(mapping.values()) != ids:
             report.add(BAD_INVOLUTION, f"{label} map is not a permutation of the {label} ids")
             continue
         for x, y in mapping.items():
@@ -738,21 +837,22 @@ def validate_involution(
     if not report.ok:
         return report, []
 
+    point_map, reversed_arcs = inv.points, inv.reversed_arcs
     for p in surface.points:
         if p.kind == ORBIFOLD:
             report.add(BAD_INPUT, f"orbifold point {p.id!r} present; symmetries act on plain dissections", (p.id,))
-        elif inv.points[p.id] == p.id:
+        elif point_map[p.id] == p.id:
             report.add(FIXED_MARKED_POINT, f"point {p.id!r} is fixed", (p.id,))
 
     fixed_arcs = []
     for a in surface.arcs:
         img = inv.arcs[a.id]
-        rev = a.id in inv.reversed_arcs
-        if rev != (img in inv.reversed_arcs):
+        rev = a.id in reversed_arcs
+        if rev != (img in reversed_arcs):
             report.add(BAD_INVOLUTION, f"reversal flag of arc {a.id!r} not symmetric", (a.id,))
         img_arc = surface.arc_by_id[img]
-        want_tail = inv.points[a.head] if rev else inv.points[a.tail]
-        want_head = inv.points[a.tail] if rev else inv.points[a.head]
+        want_tail = point_map[a.head] if rev else point_map[a.tail]
+        want_head = point_map[a.tail] if rev else point_map[a.head]
         if (img_arc.tail, img_arc.head) != (want_tail, want_head):
             report.add(
                 BAD_INVOLUTION,
@@ -772,7 +872,7 @@ def validate_involution(
             report.add(BAD_INVOLUTION, f"bseg {b.id!r} is fixed", (b.id,))
             continue
         img_b = surface.bseg_by_id[img]
-        if (img_b.tail, img_b.head) != (inv.points[b.tail], inv.points[b.head]):
+        if (img_b.tail, img_b.head) != (point_map[b.tail], point_map[b.head]):
             report.add(
                 ORIENTATION_REVERSED,
                 f"bseg {b.id!r} image {img!r} does not follow the boundary orientation",
@@ -788,18 +888,23 @@ def validate_involution(
         if len(img_poly.sides) != len(poly.sides):
             report.add(BAD_INVOLUTION, f"polygon {poly.id!r} image has different length", (poly.id,))
             continue
+        # Words compare as (kind, ref, direction) keys.
         try:
-            mapped = tuple(inv.side_image(s) for s in poly.sides)
+            mapped = tuple(
+                ("b", inv.bsegs[s.ref], 1)
+                if s.kind == "b"
+                else ("a", inv.arcs[s.ref], -s.direction if s.ref in reversed_arcs else s.direction)
+                for s in poly.sides
+            )
         except KeyError:
             report.add(BAD_INVOLUTION, f"polygon {poly.id!r} sides do not all map", (poly.id,))
             continue
-        n = len(mapped)
-        rotations = [img_poly.sides[k:] + img_poly.sides[:k] for k in range(n)]
-        if mapped not in rotations:
+        target = tuple((x.kind, x.ref, x.direction) for x in img_poly.sides)
+        if not _is_rotation(mapped, target):
             rev_word = tuple(
-                s if s.kind == "b" else s.reversed() for s in reversed(mapped)
+                (kind, ref, 1 if kind == "b" else -d) for kind, ref, d in reversed(mapped)
             )
-            if rev_word in rotations:
+            if _is_rotation(rev_word, target):
                 report.add(
                     ORIENTATION_REVERSED,
                     f"polygon {poly.id!r} maps to {img_id!r} orientation-reversingly",
@@ -882,40 +987,52 @@ def reverse_curve(curve: CombinatorialCurve) -> CombinatorialCurve:
 
 
 def validate_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report:
-    """Check that a curve is a coherent chain of polygon passages."""
+    """Check that a curve is a coherent chain of polygon passages.
+
+    The findings are kept on the surface, keyed by the curve value; each
+    call returns a fresh report."""
+    memo = surface._curve_findings
+    found = memo.get(curve)
+    if found is None:
+        found = memo[curve] = tuple(_check_curve(surface, curve).diagnostics)
+    return Report(list(found))
+
+
+def _check_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report:
     report = Report()
     ps = curve.passages
     if not ps:
         report.add(INVALID_CURVE, f"curve {curve.id!r} has no passages", (curve.id,))
         return report
+    sides_at = []  # per passage: the sides at its entry and exit slots
     for k, p in enumerate(ps):
         poly = surface.polygon_by_id.get(p.polygon)
         if poly is None:
             report.add(UNKNOWN_ID, f"curve {curve.id!r} passage {k}: unknown polygon {p.polygon!r}", (curve.id, k))
             continue
-        n = len(poly.sides)
+        sides = poly.sides
+        n = len(sides)
         for slot in (p.entry, p.exit):
             if not 0 <= slot < n:
                 report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k}: slot {slot} out of range", (curve.id, k))
         if p.bseg_side not in ("left", "right"):
             report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k}: bad bseg side {p.bseg_side!r}", (curve.id, k))
+        if report.ok:
+            sides_at.append((sides[p.entry], sides[p.exit]))
     if not report.ok:
         return report
 
-    def side_at(p: Passage, slot: int) -> Side:
-        return surface.polygon_by_id[p.polygon].sides[slot]
-
-    for k, p in enumerate(ps):
-        first, last = k == 0, k == len(ps) - 1
-        entry_is_b = not side_at(p, p.entry).is_arc
-        exit_is_b = not side_at(p, p.exit).is_arc
-        if curve.closed or not first:
+    closed, last = curve.closed, len(ps) - 1
+    for k, (p, (s_entry, s_exit)) in enumerate(zip(ps, sides_at)):
+        entry_is_b = s_entry.kind == "b"
+        exit_is_b = s_exit.kind == "b"
+        if closed or k != 0:
             if entry_is_b:
                 report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k} enters through the bseg", (curve.id, k))
         else:
             if not entry_is_b:
                 report.add(INVALID_CURVE, f"open curve {curve.id!r} must start at a bseg midpoint", (curve.id, k))
-        if curve.closed or not last:
+        if closed or k != last:
             if exit_is_b:
                 report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k} exits through the bseg", (curve.id, k))
         else:
@@ -934,25 +1051,22 @@ def validate_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Repo
         return report
 
     # Consecutive passages must cross the two occurrences of one arc.
-    pairs = list(range(len(ps) - 1))
-    if curve.closed:
-        pairs.append(len(ps) - 1)
-    else:
-        if len(ps) < 2:
-            report.add(INVALID_CURVE, f"open curve {curve.id!r} crosses no arc", (curve.id,))
-            return report
-    for k in pairs:
-        p, q = ps[k], ps[(k + 1) % len(ps)]
-        s_out = side_at(p, p.exit)
-        s_in = side_at(q, q.entry)
-        if not (s_out.is_arc and s_in.is_arc):
+    if not closed and len(ps) < 2:
+        report.add(INVALID_CURVE, f"open curve {curve.id!r} crosses no arc", (curve.id,))
+        return report
+    for k in range(len(ps) if closed else last):
+        nxt = (k + 1) % len(ps)
+        p, q = ps[k], ps[nxt]
+        s_out = sides_at[k][1]
+        s_in = sides_at[nxt][0]
+        if s_out.kind == "b" or s_in.kind == "b":
             continue
         same_arc = s_out.ref == s_in.ref
         other_occurrence = (p.polygon, p.exit) != (q.polygon, q.entry)
         if not (same_arc and other_occurrence and s_out.direction == -s_in.direction):
             report.add(
                 INVALID_CURVE,
-                f"curve {curve.id!r}: passages {k}->{(k + 1) % len(ps)} do not "
+                f"curve {curve.id!r}: passages {k}->{nxt} do not "
                 "cross matching occurrences of one arc",
                 (curve.id, k),
             )
@@ -1104,19 +1218,25 @@ def _syntax(ln: int, message: str) -> ValidationError:
 
 
 def _keyed(ln: int, token: str, key: str) -> str:
-    prefix = key + "="
-    if not token.startswith(prefix):
+    name, eq, value = token.partition("=")
+    if name != key or not eq:
         raise _syntax(ln, f"expected {key}=..., got {token!r}")
-    return token[len(prefix) :]
+    return value
 
 
-def _parse_side(ln: int, token: str):
-    parts = token.split(":")
-    if parts[0] == "b" and len(parts) == 2:
-        return bseg_side(parts[1])
-    if parts[0] == "a" and len(parts) == 3 and parts[2] in ("+", "-"):
-        return arc_side(parts[1], 1 if parts[2] == "+" else -1)
-    raise _syntax(ln, f"bad polygon side {token!r}")
+def _parse_word(ln: int, word: str) -> tuple[Side, ...]:
+    sides = []
+    for token in word.split(","):
+        if not token:
+            continue
+        parts = token.split(":")
+        if parts[0] == "b" and len(parts) == 2:
+            sides.append(Side("b", parts[1], 1))
+        elif parts[0] == "a" and len(parts) == 3 and parts[2] in ("+", "-"):
+            sides.append(Side("a", parts[1], 1 if parts[2] == "+" else -1))
+        else:
+            raise _syntax(ln, f"bad polygon side {token!r}")
+    return tuple(sides)
 
 
 def _parse_involution(ln: int, tokens: list[str]):
@@ -1160,6 +1280,8 @@ def parse_surface_file(text: str) -> SurfaceFile:
         if head == "surface":
             if len(tokens) != 2:
                 raise _syntax(ln, "surface takes exactly one name")
+            if name is not None:
+                raise _syntax(ln, "more than one surface line")
             name = tokens[1]
         elif head == "point":
             if len(tokens) != 3:
@@ -1181,7 +1303,7 @@ def parse_surface_file(text: str) -> SurfaceFile:
             if len(tokens) != 3:
                 raise _syntax(ln, "poly needs an id and sides=...")
             word = _keyed(ln, tokens[2], "sides")
-            sides = tuple(_parse_side(ln, t) for t in word.split(",") if t)
+            sides = _parse_word(ln, word)
             if not sides:
                 raise _syntax(ln, "polygon has no sides")
             polygons.append(Polygon(tokens[1], sides))

@@ -45,3 +45,26 @@ def torus_with_involution():
 @pytest.fixture(scope="session")
 def cylinder_covers(cylinders):
     return {v: double_cover(s) for v, s in cylinders.items()}
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` records every call of ``module.name``
+    made through any package module that binds it; returns the list of
+    argument tuples, which keeps the arguments alive."""
+
+    def count(module: str, name: str) -> list:
+        original = getattr(sys.modules[module], name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            package = modname.partition(".")[0]
+            if package == "skewgentle" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return count

@@ -47,6 +47,7 @@ from skewgentle import (
     verify_morphism,
     verify_multiplicative,
 )
+from skewgentle.diagnostics import NOT_IDEMPOTENT
 from skewgentle.algebra import BasisMap, SpanBasis, vadd, vaxpy, veq, vscale, vsub
 from skewgentle.equivariant import grading_sign_map, induced_basis_map
 from skewgentle.presentations import companion_pair
@@ -816,6 +817,14 @@ def test_corner_product_outside_the_corner_is_an_error():
     with pytest.raises(ValidationError) as exc:
         corner_algebra(A, A.element("e"))
     assert [d.code for d in exc.value.diagnostics] == ["NOT_CLOSED"]
+
+
+def test_corner_refuses_an_element_that_is_not_idempotent():
+    pres, _ = two_hole_torus_pair()
+    A = graded_path_algebra(pres).algebra
+    with pytest.raises(ValidationError) as exc:
+        corner_algebra(A, vscale(A.unit, 2))
+    assert [d.code for d in exc.value.diagnostics] == [NOT_IDEMPOTENT]
 
 
 def test_corner_refuses_an_idempotent_that_mixes_basis_elements():

@@ -4,8 +4,10 @@ import argparse
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from skewgentle import (
     parse_surface_file,
 )
 from skewgentle.cli import main
+from skewgentle.diagnostics import SYNTAX, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(skewgentle.__file__).resolve().parent
@@ -225,6 +228,20 @@ def test_syntax_error_gives_exit_two(tmp_path, capsys):
     assert "unknown point kind" in err
 
 
+def test_second_surface_line_is_a_syntax_error(tmp_path, capsys):
+    text = _data_text("cylinder1")
+    line = len(text.splitlines()) + 1
+    with pytest.raises(ValidationError) as exc:
+        parse_surface_file(text + "surface other\n")
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(SYNTAX, (line,))]
+    path = tmp_path / "twice.surf"
+    path.write_text(text + "surface other\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [SYNTAX] at ({line},) line {line}: more than one surface line\n"
+    )
+
+
 def test_invalid_surface_gives_exit_two(tmp_path, capsys):
     # arc used once only
     path = tmp_path / "open.surf"
@@ -269,6 +286,99 @@ def _mutate(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIRST_CODE = re.compile(r"error: \[([A-Z_]+)\]")
+
+# (command, exit code, code of the first diagnostic) over the 800 runs below;
+# a change to which check fires first on a malformed file shows up here
+MUTATION_OUTCOMES = {
+    ('compare --mode ghat', 0, None): 5,
+    ('compare --mode ghat', 1, None): 6,
+    ('compare --mode ghat', 2, 'ARC_OCCURRENCE'): 1,
+    ('compare --mode ghat', 2, 'BAD_INPUT'): 21,
+    ('compare --mode ghat', 2, 'CORNER_MISMATCH'): 7,
+    ('compare --mode ghat', 2, 'SYNTAX'): 10,
+    ('compare --mode ghat', 2, 'UNKNOWN_ID'): 7,
+    ('compare --mode tilting', 0, None): 9,
+    ('compare --mode tilting', 1, None): 10,
+    ('compare --mode tilting', 2, 'ARC_OCCURRENCE'): 2,
+    ('compare --mode tilting', 2, 'BAD_INPUT'): 11,
+    ('compare --mode tilting', 2, 'CORNER_MISMATCH'): 7,
+    ('compare --mode tilting', 2, 'SYNTAX'): 8,
+    ('compare --mode tilting', 2, 'UNKNOWN_ID'): 10,
+    ('complex core --grades 0,1', 2, 'ARC_OCCURRENCE'): 2,
+    ('complex core --grades 0,1', 2, 'BAD_INPUT'): 26,
+    ('complex core --grades 0,1', 2, 'CORNER_MISMATCH'): 8,
+    ('complex core --grades 0,1', 2, 'SYNTAX'): 10,
+    ('complex core --grades 0,1', 2, 'UNKNOWN_ID'): 11,
+    ('complex stair', 0, None): 2,
+    ('complex stair', 2, 'ARC_OCCURRENCE'): 1,
+    ('complex stair', 2, 'BAD_INPUT'): 30,
+    ('complex stair', 2, 'CORNER_MISMATCH'): 7,
+    ('complex stair', 2, 'SYNTAX'): 10,
+    ('complex stair', 2, 'UNKNOWN_ID'): 7,
+    ('cover', 0, None): 18,
+    ('cover', 2, 'ARC_OCCURRENCE'): 3,
+    ('cover', 2, 'BAD_INPUT'): 12,
+    ('cover', 2, 'CORNER_MISMATCH'): 7,
+    ('cover', 2, 'SYNTAX'): 7,
+    ('cover', 2, 'UNKNOWN_ID'): 10,
+    ('export-dot', 0, None): 12,
+    ('export-dot', 2, 'ARC_OCCURRENCE'): 2,
+    ('export-dot', 2, 'BAD_INPUT'): 14,
+    ('export-dot', 2, 'CORNER_MISMATCH'): 8,
+    ('export-dot', 2, 'SYNTAX'): 10,
+    ('export-dot', 2, 'UNKNOWN_ID'): 11,
+    ('invariants', 0, None): 8,
+    ('invariants', 2, 'ARC_OCCURRENCE'): 3,
+    ('invariants', 2, 'BAD_INPUT'): 15,
+    ('invariants', 2, 'CORNER_MISMATCH'): 10,
+    ('invariants', 2, 'SYNTAX'): 11,
+    ('invariants', 2, 'UNKNOWN_ID'): 10,
+    ('quiver', 0, None): 14,
+    ('quiver', 2, 'ARC_OCCURRENCE'): 5,
+    ('quiver', 2, 'BAD_INPUT'): 13,
+    ('quiver', 2, 'CORNER_MISMATCH'): 6,
+    ('quiver', 2, 'SYNTAX'): 6,
+    ('quiver', 2, 'UNKNOWN_ID'): 14,
+    ('quotient', 0, None): 4,
+    ('quotient', 2, 'ARC_OCCURRENCE'): 2,
+    ('quotient', 2, 'BAD_INPUT'): 22,
+    ('quotient', 2, 'CORNER_MISMATCH'): 11,
+    ('quotient', 2, 'SYNTAX'): 12,
+    ('quotient', 2, 'UNKNOWN_ID'): 6,
+    ('skewgroup', 0, None): 14,
+    ('skewgroup', 2, 'ARC_OCCURRENCE'): 2,
+    ('skewgroup', 2, 'BAD_INPUT'): 12,
+    ('skewgroup', 2, 'CORNER_MISMATCH'): 11,
+    ('skewgroup', 2, 'SYNTAX'): 12,
+    ('skewgroup', 2, 'UNKNOWN_ID'): 6,
+    ('split', 0, None): 18,
+    ('split', 2, 'ARC_OCCURRENCE'): 3,
+    ('split', 2, 'BAD_INPUT'): 12,
+    ('split', 2, 'CORNER_MISMATCH'): 7,
+    ('split', 2, 'SYNTAX'): 7,
+    ('split', 2, 'UNKNOWN_ID'): 10,
+    ('validate', 0, None): 14,
+    ('validate', 2, 'ARC_OCCURRENCE'): 5,
+    ('validate', 2, 'BAD_INPUT'): 13,
+    ('validate', 2, 'CORNER_MISMATCH'): 6,
+    ('validate', 2, 'SYNTAX'): 6,
+    ('validate', 2, 'UNKNOWN_ID'): 14,
+    ('winding', 0, None): 8,
+    ('winding', 2, 'ARC_OCCURRENCE'): 3,
+    ('winding', 2, 'BAD_INPUT'): 15,
+    ('winding', 2, 'CORNER_MISMATCH'): 10,
+    ('winding', 2, 'SYNTAX'): 11,
+    ('winding', 2, 'UNKNOWN_ID'): 10,
+    ('winding core', 0, None): 4,
+    ('winding core', 2, 'ARC_OCCURRENCE'): 2,
+    ('winding core', 2, 'BAD_INPUT'): 26,
+    ('winding core', 2, 'CORNER_MISMATCH'): 7,
+    ('winding core', 2, 'SYNTAX'): 8,
+    ('winding core', 2, 'UNKNOWN_ID'): 10,
+}
+
+
 def test_mutated_files_never_escape_main(tmp_path, capsys):
     """200 seeded mutations of the packaged files, each run through four of
     the subcommands in turn: every run returns an exit code."""
@@ -294,14 +404,55 @@ def test_mutated_files_never_escape_main(tmp_path, capsys):
         ["export-dot", file],
     ]
     exits = []
+    outcomes = Counter()
     for case in range(200):
         path.write_text(_mutate(rng, texts[rng.choice(DATA_NAMES)]))
         for j in range(4):
             argv = commands[(4 * case + j) % len(commands)]
             exits.append(main(argv))
-            capsys.readouterr()
+            first = _FIRST_CODE.match(capsys.readouterr().err)
+            label = " ".join(a for a in argv if a not in (file, other))
+            outcomes[(label, exits[-1], first and first.group(1))] += 1
     assert all(type(code) is int for code in exits)
     assert {0, 1, 2} <= set(exits)
+    assert dict(outcomes) == MUTATION_OUTCOMES
+
+
+# ---------------------------------------------------------------------------
+# Each surface, curve and involution is checked once per command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "cylinder1"],
+        ["winding", "cylinder2"],
+        ["compare", "--mode", "ghat", "cylinder1", "cylinder2"],
+    ],
+    ids=["invariants", "winding", "compare-ghat"],
+)
+def test_each_curve_and_surface_is_checked_once(count_calls, capsys, argv):
+    asked = count_calls("skewgentle.surface", "validate_curve")
+    curve_checks = count_calls("skewgentle.surface", "_check_curve")
+    surface_checks = count_calls("skewgentle.surface", "_check_surface")
+    args = [str(fixture_path(a)) if a.startswith("cylinder") else a for a in argv]
+    assert main(args) in (0, 1)
+    capsys.readouterr()
+    # the recorded arguments keep every surface alive, so ids stay distinct
+    pairs = {(id(surface), curve) for surface, curve in asked}
+    assert len(asked) > len(pairs)
+    assert len(curve_checks) == len(pairs)
+    per_surface = Counter(id(surface) for (surface,) in surface_checks)
+    assert per_surface and set(per_surface.values()) == {1}
+
+
+def test_quotient_checks_the_involution_once(count_calls, capsys):
+    asked = count_calls("skewgentle.surface", "validate_involution")
+    checks = count_calls("skewgentle.surface", "_check_involution")
+    assert main(["quotient", str(fixture_path("torus"))]) == 0
+    capsys.readouterr()
+    assert len(asked) == 2
+    assert len(checks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,28 @@ from skewgentle import fixtures, special_chain_triple, surface, two_hole_torus_s
 from skewgentle.diagnostics import BAD_INPUT, BAD_INVOLUTION, Report, ValidationError
 
 SRC = Path(skewgentle.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _codes() -> list[str]:
+    """The stable error codes: module-level ``NAME = "NAME"`` in diagnostics.py."""
+    tree = ast.parse((SRC / "diagnostics.py").read_text())
+    return [
+        node.targets[0].id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == node.targets[0].id
+    ]
+
+
+def test_every_diagnostic_code_is_named_by_a_test():
+    codes = _codes()
+    assert len(codes) >= 30
+    text = "\n".join(path.read_text() for path in sorted(TESTS.glob("test_*.py")))
+    unnamed = [c for c in codes if not re.search(rf"\b{c}\b", text)]
+    assert unnamed == []
 
 
 def test_library_has_no_assert_statements():

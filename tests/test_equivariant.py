@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -613,26 +612,9 @@ def test_surjectivity_matches_oracle_on_random_covers():
         _assert_surjectivity_matches_oracle(cov)
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Record every call of ``module.name`` made through any package
-    module that binds it."""
-    original = getattr(sys.modules[module], name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        package = modname.partition(".")[0]
-        if package == "skewgentle" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
-def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
+def test_reductions_compute_each_cover_stage_once(count_calls, cylinders):
     stages = {
-        name: _count_calls(monkeypatch, module, name)
+        name: count_calls(module, name)
         for module, name in (
             ("skewgentle.presentations", "extract_quiver"),
             ("skewgentle.presentations", "split_presentation"),
@@ -645,7 +627,7 @@ def test_reductions_compute_each_cover_stage_once(monkeypatch, cylinders):
             ("skewgentle.algebra", "verify_morphism"),
         )
     }
-    checks = _count_calls(monkeypatch, "skewgentle.surface", "_check_surface")
+    checks = count_calls("skewgentle.surface", "_check_surface")
     cov = double_cover(cylinders[2])
     verify_skew_group_reduction(cov)
     verify_dual_reduction(cov)

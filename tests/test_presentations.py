@@ -32,6 +32,12 @@ from skewgentle import (
     two_hole_torus_pair,
     validate,
 )
+from skewgentle.diagnostics import (
+    NOT_GENTLE,
+    OVERGLUED_VERTEX,
+    SIZE_LIMIT,
+    SUCCESSOR_CLASH,
+)
 from skewgentle.presentations import companion_pair
 
 
@@ -92,6 +98,19 @@ def test_check_gentle_flags_summary_code():
     codes = check_gentle(bad).codes()
     assert "DEGREE_EXCEEDED" in codes
     assert "NOT_GENTLE" in codes
+
+
+def test_check_gentle_rejects_two_relation_successors():
+    bad = make_presentation(
+        ["1", "2", "3"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "2", "3")],
+        [(("a", "b"),), (("a", "c"),)],
+    )
+    report = check_gentle(bad)
+    assert [(d.code, d.where) for d in report.diagnostics] == [
+        (SUCCESSOR_CLASH, ("a",)),
+        (NOT_GENTLE, ()),
+    ]
 
 
 def test_check_gentle_rejects_relation_free_cycle():
@@ -162,7 +181,10 @@ def test_glue_rejects_overused_vertex():
     glued, report = glue_puzzle(
         pieces, [("a.1", "b.1"), ("a.1", "c.1"), ("b.2", "c.2")]
     )
-    assert glued is None or not report.ok
+    assert glued is None
+    assert [(d.code, d.where) for d in report.diagnostics] == [
+        (OVERGLUED_VERTEX, ("a.1",))
+    ]
 
 
 # --- splitting
@@ -273,6 +295,14 @@ def test_iso_presentations_distinguishes():
     assert iso_presentations(a, b)  # opposite orientation is still isomorphic by relabeling
     d = make_presentation(["1"], [Arrow("a", "1", "1")], [])
     assert iso_presentations(a, d) is None
+
+
+def test_iso_presentations_refuses_quivers_over_the_arrow_cap():
+    a = make_presentation(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")], [])
+    assert iso_presentations(a, a, max_arrows=2)
+    with pytest.raises(ValidationError) as exc:
+        iso_presentations(a, a, max_arrows=1)
+    assert [d.code for d in exc.value.diagnostics] == [SIZE_LIMIT]
 
 
 def test_reconstruction_check_is_a_diagnostic(monkeypatch):

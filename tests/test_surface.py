@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from oracles import boundary_circle_count, euler_characteristic, genus_from_counts
@@ -19,7 +21,9 @@ from skewgentle import (
     classify_dissection,
     complete_involution,
     curve_crossings,
+    fixture_path,
     make_surface,
+    parse_surface_file,
     passage_winding,
     reverse_curve,
     surfaces_isomorphic,
@@ -27,6 +31,20 @@ from skewgentle import (
     validate,
     validate_curve,
     validate_involution,
+)
+from skewgentle.diagnostics import (
+    BAD_INPUT,
+    BAD_INVOLUTION,
+    BSEG_OCCURRENCE,
+    CORNER_MISMATCH,
+    FIXED_MARKED_POINT,
+    FIXED_POLYGON,
+    NOT_ORDER_TWO,
+    ORIENTATION_REVERSED,
+    UNKNOWN_ID,
+    UNREVERSED_FIXED_ARC,
+    X_DEGREE,
+    ValidationError,
 )
 from skewgentle.surface import chord_bseg_side
 
@@ -255,3 +273,165 @@ def test_surfaces_isomorphic_distinguishes_variants(cylinders):
 
 def test_point_kinds_exist():
     assert {BOUNDARY, PUNCTURE, ORBIFOLD} == {"boundary", "puncture", "orbifold"}
+
+
+# ---------------------------------------------------------------------------
+# Every finding of the surface and involution checks, pinned by (code, where)
+# in report order on one malformed input each.
+
+
+def _text(name: str) -> str:
+    return fixture_path(name).read_text()
+
+
+def _edit(name: str, *edits: tuple[str, str], append: str = "") -> str:
+    text = _text(name)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text + append
+
+
+def _findings(text: str) -> list[tuple]:
+    with pytest.raises(ValidationError) as exc:
+        parse_surface_file(text)
+    return [(d.code, d.where) for d in exc.value.diagnostics]
+
+
+def test_unknown_ids_of_arc_bseg_and_polygon_side():
+    text = _edit(
+        "disc",
+        ("arc a from=P1 to=P2", "arc a from=P1 to=Q"),
+        ("bseg b2 from=P2 to=P1", "bseg b2 from=Q2 to=P1"),
+        ("poly F2 sides=b:b2,a:a:+", "poly F2 sides=b:b2,a:z:+"),
+    )
+    assert _findings(text) == [
+        (UNKNOWN_ID, ("a",)),
+        (UNKNOWN_ID, ("b2",)),
+        (UNKNOWN_ID, ("F2",)),
+    ]
+
+
+def test_bseg_occurrences_are_counted():
+    text = _edit("disc", ("poly F2 sides=b:b2,a:a:+", "poly F2 sides=b:b1,a:a:+"))
+    assert _findings(text) == [(BSEG_OCCURRENCE, ("b1",)), (BSEG_OCCURRENCE, ("b2",))]
+
+
+def test_duplicate_ids_are_bad_input():
+    text = _edit("disc", append="point P1 kind=boundary\narc a from=P2 to=P1\n")
+    assert _findings(text) == [(BAD_INPUT, ("P1",)), (BAD_INPUT, ("a",))]
+
+
+def test_bseg_at_an_interior_point_is_bad_input():
+    text = _edit("disc", ("point P2 kind=boundary", "point P2 kind=puncture"))
+    assert _findings(text) == [(BAD_INPUT, ("b1",)), (BAD_INPUT, ("b2",))]
+
+
+def test_sides_meeting_at_two_points_are_a_corner_mismatch():
+    text = _edit("disc", ("arc a from=P1 to=P2", "arc a from=P2 to=P1"))
+    assert _findings(text) == [
+        (CORNER_MISMATCH, ("F1", 0)),
+        (CORNER_MISMATCH, ("F1", 1)),
+        (CORNER_MISMATCH, ("F2", 0)),
+        (CORNER_MISMATCH, ("F2", 1)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        # a boundary point with no boundary segment
+        (_edit("disc", append="point P3 kind=boundary\n"), "P3"),
+        # an orbifold point merged into B: B's rays are a chain and a cycle
+        (
+            _edit("cylinder1", ("point X1 kind=orbifold\n", ""), ("to=X1", "to=B")),
+            "B",
+        ),
+        # an interior point with no arc end
+        (_edit("disc", append="point Q kind=puncture\n"), "Q"),
+        # two orbifold points merged into X1: its rays form two cycles
+        (
+            _edit("cylinder1", ("point X2 kind=orbifold\n", ""), ("to=X2", "to=X1")),
+            "X1",
+        ),
+    ],
+    ids=["boundary-segments", "boundary-chain", "interior-empty", "interior-cycle"],
+)
+def test_rotation_check_branches(text, point):
+    assert _findings(text) == [(CORNER_MISMATCH, (point,))]
+
+
+def test_orbifold_point_with_two_arc_ends_is_x_degree():
+    text = "\n".join(
+        [
+            "surface xd",
+            "point P1 kind=boundary",
+            "point P2 kind=boundary",
+            "point X kind=orbifold",
+            "bseg b1 from=P1 to=P2",
+            "bseg b2 from=P2 to=P1",
+            "arc a from=P1 to=X",
+            "arc c from=P2 to=X",
+            "poly F1 sides=b:b1,a:c:+,a:a:-",
+            "poly F2 sides=b:b2,a:a:+,a:c:-",
+        ]
+    )
+    report = classify_dissection(parse_surface_file(text).surface).report
+    assert [(d.code, d.where) for d in report.diagnostics] == [(X_DEGREE, ("X",))]
+
+
+def test_involution_that_is_not_of_order_two():
+    sf = parse_surface_file(_text("torus"))
+    cycle = {"Pb1": "Pb2", "Pb2": "Pt1", "Pt1": "Pb1", "Pt2": "Pt2"}
+    report, fixed = validate_involution(
+        sf.surface, dataclasses.replace(sf.involution, points=cycle)
+    )
+    assert [(d.code, d.where) for d in report.diagnostics] == [(NOT_ORDER_TWO, ())] * 3
+    assert fixed == []
+
+
+def test_involution_fixing_marked_points():
+    text = _edit("torus", ("Pt1<->Pt2", "Pt1<->Pt1 Pt2<->Pt2"))
+    assert _findings(text) == [
+        (FIXED_MARKED_POINT, ("Pt1",)),
+        (FIXED_MARKED_POINT, ("Pt2",)),
+        *[(BAD_INVOLUTION, (a,)) for a in ("1+", "1-", "2", "3", "4+", "4-")],
+        (ORIENTATION_REVERSED, ("Bt+",)),
+        (ORIENTATION_REVERSED, ("Bt-",)),
+    ]
+
+
+def test_involution_fixing_polygons():
+    sf = parse_surface_file(_text("torus"))
+    polygons = {**sf.involution.polygons, "lowM": "lowM", "lowP": "lowP"}
+    report, _ = validate_involution(
+        sf.surface, dataclasses.replace(sf.involution, polygons=polygons)
+    )
+    assert [(d.code, d.where) for d in report.diagnostics] == [
+        (FIXED_POLYGON, ("lowM",)),
+        (FIXED_POLYGON, ("lowP",)),
+    ]
+
+
+def test_involution_fixing_an_arc_without_reversing_it():
+    text = _edit("torus", ("2~rev", "2<->2"))
+    assert _findings(text) == [
+        (BAD_INVOLUTION, ("2",)),
+        (UNREVERSED_FIXED_ARC, ("2",)),
+        (BAD_INVOLUTION, ("lowM",)),
+        (BAD_INVOLUTION, ("lowP",)),
+    ]
+
+
+def test_involution_check_is_kept_until_a_map_changes(count_calls):
+    sf = parse_surface_file(_text("torus"))
+    checks = count_calls("skewgentle.surface", "_check_involution")
+    inv = dataclasses.replace(sf.involution, polygons=dict(sf.involution.polygons))
+    assert validate_involution(sf.surface, inv)[0].ok
+    assert validate_involution(sf.surface, inv)[0].ok
+    assert len(checks) == 1
+    inv.polygons["lowM"] = "lowM"
+    inv.polygons["lowP"] = "lowP"
+    report, _ = validate_involution(sf.surface, inv)
+    assert report.codes() == [FIXED_POLYGON, FIXED_POLYGON]
+    assert len(checks) == 2
