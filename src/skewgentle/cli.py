@@ -19,7 +19,7 @@ from typing import Optional
 
 from .algebra import Vector
 from .covering import double_cover, quotient
-from .diagnostics import BAD_INPUT, ValidationError, error
+from .diagnostics import BAD_INPUT, ValidationError, error, raise_on_error
 from .equivariant import verify_dual_reduction, verify_skew_group_reduction
 from .linefield import (
     NOT_EQUIVALENT,
@@ -77,9 +77,16 @@ def _print_presentation(pres: Presentation) -> None:
         print(f"relation {_format_relation(r)}")
 
 
+def _kind(surface: DissectedSurface) -> str:
+    """``"bullet"`` or ``"x"``; an orbifold point without exactly one arc
+    end raises its ``X_DEGREE`` finding."""
+    cls = classify_dissection(surface)
+    raise_on_error(cls.report)
+    return cls.kind
+
+
 def _triple_of(surface: DissectedSurface) -> Presentation:
-    kind = classify_dissection(surface).kind
-    if kind == "x":
+    if _kind(surface) == "x":
         return triple_from_x_dissection(surface)
     return quiver_from_dissection(surface)
 
@@ -103,7 +110,7 @@ def _format_vector(labels, vec: Vector) -> str:
 def _cmd_validate(ns) -> int:
     sf = _load(ns.file)
     s = sf.surface
-    kind = classify_dissection(s).kind
+    kind = _kind(s)
     top = topology(s)
     genus = top.genus if top.connected else "n/a (disconnected)"
     print(
@@ -163,13 +170,14 @@ def _cmd_skewgroup(ns) -> int:
 def _cmd_invariants(ns) -> int:
     s = _load(ns.file).surface
     t = invariant_tuple(s)
+    orbifold = _kind(s) == "x"
     print(f"genus {t.genus}")
     for w, marked, kind in t.entries:
         if kind == BOUNDARY:
             print(f"boundary winding={w} marked={marked}")
         else:
             print(f"{kind} winding={w}")
-    if classify_dissection(s).kind == "x":
+    if orbifold:
         c = cover_invariant_tuple(s)
         print(f"cover genus {c.genus}")
         for w, marked, kind in c.entries:

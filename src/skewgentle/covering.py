@@ -13,20 +13,21 @@ orbifold points:
   becomes one arc and each reversed fixed arc is cut in half, ending at a
   fresh orbifold point.
 
-Each base polygon has two polygon instances upstairs.  ``cuts`` lists the
-word positions where a slit pair (the two adjacent occurrences of an arc
-at an orbifold point) sits; crossing such a position swaps the sheets.
-The slot maps follow one parity rule: the side at base slot ``i`` carrying
-sheet ``s`` lives in the instance ``s * (-1)^pieces`` at slot
-``i - pieces``, where ``pieces`` counts the cuts before ``i``.
-:func:`lift_curve` uses only this rule to lift combinatorial curves.
+A cover stores four things: the base, the total surface, the deck
+symmetry and the two polygon instances upstairs over each base polygon,
+one per sheet.  Every other map is derived from these by one parity rule.
+``cuts`` lists the word positions where a slit pair (the two adjacent
+occurrences of an arc at an orbifold point) sits; crossing such a
+position swaps the sheets.  The side at base slot ``i`` carrying sheet
+``s`` lives in the instance ``s * (-1)^pieces`` at slot ``i - pieces``,
+where ``pieces`` counts the cuts before ``i``.  The slot map, the lifts
+of arcs and arrows, and :func:`lift_curve` all read this rule.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .diagnostics import (
     BAD_INPUT,
@@ -56,6 +57,7 @@ from .surface import (
     Polygon,
     Side,
     SurfaceInvolution,
+    _moved_passages,
     arc_side,
     bseg_side,
     chord_bseg_side,
@@ -73,27 +75,66 @@ _SIGN = {1: "+", -1: "-"}
 class CoveringData:
     """A two-sheeted branched cover of ``base`` with total space ``total``.
 
-    ``poly_instance[(base_poly, sheet)]`` names the two polygon instances
-    upstairs; ``slot_image[(base_poly, slot, sheet)]`` maps word positions
-    into them; ``cuts[base_poly]`` lists the first slots of slit pairs.
-    ``arc_image`` labels the two lifts of each arc not ending at a branch
-    point, with an orientation flag, and ``slit_image`` names the single
-    lift of each arc into a branch point.
-    ``deck`` is the sheet-swapping symmetry of ``total``.
+    Stored: ``deck``, the sheet-swapping symmetry of ``total``, and
+    ``poly_instance[(base_poly, sheet)]``, the polygon upstairs over each
+    base polygon on each sheet.
 
-    The presentation stages that both crossed-product reductions read are
-    cached properties, so each runs once per cover.
+    Derived, each once per cover: ``branch_points`` (the orbifold points of
+    the base), ``cuts[base_poly]`` (the first slots of its slit pairs),
+    ``slot_image[(base_poly, slot, sheet)]`` (the upstairs slot of a word
+    position in an instance), ``arc_image[(arc, sheet)]`` (the lift of an
+    arc not ending at a branch point on each sheet), ``slit_arcs`` (the
+    arcs ending at a branch point, each its own single lift) and
+    ``arrow_lifts``.  The presentation stages that both crossed-product
+    reductions read are cached too.
     """
 
     base: DissectedSurface
     total: DissectedSurface
     deck: SurfaceInvolution
-    branch_points: tuple[str, ...]
     poly_instance: dict[tuple[str, int], str]
-    slot_image: dict[tuple[str, int, int], tuple[str, int]]
-    cuts: dict[str, tuple[int, ...]]
-    arc_image: dict[tuple[str, int], tuple[str, int]]
-    slit_image: dict[str, str]
+
+    @cached_property
+    def branch_points(self) -> tuple[str, ...]:
+        return tuple(sorted(p.id for p in self.base.points if p.kind == ORBIFOLD))
+
+    @cached_property
+    def cuts(self) -> dict[str, tuple[int, ...]]:
+        return _cuts(self.base)
+
+    @cached_property
+    def _pieces(self) -> dict[str, list[int]]:
+        return _prefix_counts(self.base, self.cuts)
+
+    @cached_property
+    def slot_image(self) -> dict[tuple[str, int, int], tuple[str, int]]:
+        return {
+            (poly, i, eps): (self.poly_instance[(poly, eps)], i - k)
+            for poly, before in self._pieces.items()
+            for eps in (1, -1)
+            for i, k in enumerate(before)
+        }
+
+    def _lift_slot(self, poly: str, i: int, sheet: int) -> tuple[str, int]:
+        """The upstairs slot of base slot ``i`` on sheet ``sheet``."""
+        return self.slot_image[(poly, i, sheet * (-1) ** self._pieces[poly][i])]
+
+    @cached_property
+    def slit_arcs(self) -> frozenset[str]:
+        branch = set(self.branch_points)
+        return frozenset(a.id for a in self.base.arcs if {a.tail, a.head} & branch)
+
+    @cached_property
+    def arc_image(self) -> dict[tuple[str, int], str]:
+        lifts: dict[tuple[str, int], str] = {}
+        for a in self.base.arcs:
+            if a.id in self.slit_arcs:
+                continue
+            poly, i = self.base.occurrences[(a.id, 1)]
+            for sheet in (1, -1):
+                pid, u = self._lift_slot(poly, i, sheet)
+                lifts[(a.id, sheet)] = self.total.polygon_by_id[pid].sides[u].ref
+        return lifts
 
     @cached_property
     def base_quiver(self) -> QuiverExtraction:
@@ -143,8 +184,7 @@ class CoveringData:
             if i in self.cuts[poly]:
                 continue
             for sheet in (1, -1):
-                inst = sheet * (-1) ** _cuts_before(self.cuts[poly], i)
-                lifts[(aid, sheet)] = arrow_at[self.slot_image[(poly, i, inst)]]
+                lifts[(aid, sheet)] = arrow_at[self._lift_slot(poly, i, sheet)]
         hits = Counter(lifts.values())
         for a in self.total_quiver.presentation.arrows:
             if hits[a.id] != 1:
@@ -156,35 +196,24 @@ class CoveringData:
         return lifts
 
 
-def _cuts_before(cuts: Iterable[int], slot: int) -> int:
-    """Slit pairs before ``slot``: the sheet swaps and the slot shift there."""
-    return sum(1 for p in cuts if p < slot)
-
-
-def _prefix_counts(cuts: Iterable[int], n: int) -> list[int]:
-    """``_cuts_before(cuts, i)`` for every slot ``i < n``."""
-    counts, seen = [], 0
-    for i in range(n):
-        counts.append(seen)
-        if i in cuts:
-            seen += 1
-    return counts
-
-
-def _polygon_cuts(surface: DissectedSurface, poly: Polygon, orbifold: set[str]) -> list[int]:
-    """First slots of the slit pairs: corners sitting at orbifold points."""
-    cuts = []
-    n = len(poly.sides)
-    for i, point in enumerate(surface.corner_points[poly.id]):
-        if point in orbifold:
-            s_in = poly.sides[i]
+def _cuts(base: DissectedSurface) -> dict[str, tuple[int, ...]]:
+    """First slots of the slit pairs of every polygon: the corners sitting
+    at orbifold points."""
+    orbifold = {p.id for p in base.points if p.kind == ORBIFOLD}
+    out = {}
+    for poly in base.polygons:
+        cuts = []
+        n = len(poly.sides)
+        for i, point in enumerate(base.corner_points[poly.id]):
+            if point not in orbifold:
+                continue
             if not 1 <= i <= n - 2:
                 raise error(
                     BAD_INPUT,
                     f"slit corner {i} of polygon {poly.id!r} touches the boundary segment",
                     (poly.id, i),
                 )
-            nxt = poly.sides[i + 1]
+            s_in, nxt = poly.sides[i], poly.sides[i + 1]
             if not (
                 s_in.is_arc
                 and nxt.is_arc
@@ -197,7 +226,24 @@ def _polygon_cuts(surface: DissectedSurface, poly: Polygon, orbifold: set[str]) 
                     (poly.id, i),
                 )
             cuts.append(i)
-    return cuts
+        out[poly.id] = tuple(cuts)
+    return out
+
+
+def _prefix_counts(
+    base: DissectedSurface, cuts: dict[str, tuple[int, ...]]
+) -> dict[str, list[int]]:
+    """The slit pairs before each slot of every polygon: the sheet swaps
+    and the slot shift there."""
+    out = {}
+    for poly in base.polygons:
+        counts, seen = [], 0
+        for i in range(len(poly.sides)):
+            counts.append(seen)
+            if i in cuts[poly.id]:
+                seen += 1
+        out[poly.id] = counts
+    return out
 
 
 def double_cover(surface: DissectedSurface) -> CoveringData:
@@ -216,67 +262,48 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
             slit_arcs[a.id] = a.head if a.tail in orbifold else a.tail
 
     points = []
-    point_image: dict[tuple[str, int], str] = {}
+    point_deck: dict[str, str] = {}
     for p in surface.points:
         if p.kind == ORBIFOLD:
             continue
         for eps in (1, -1):
-            pid = f"{p.id}{_SIGN[eps]}"
-            points.append(MarkedPoint(pid, p.kind))
-            point_image[(p.id, eps)] = pid
+            points.append(MarkedPoint(f"{p.id}{_SIGN[eps]}", p.kind))
+            point_deck[f"{p.id}{_SIGN[eps]}"] = f"{p.id}{_SIGN[-eps]}"
 
     arcs = []
-    arc_image: dict[tuple[str, int], tuple[str, int]] = {}
-    slit_image: dict[str, str] = {}
     arc_deck: dict[str, str] = {}
-    reversed_arcs = set()
     for a in surface.arcs:
         if a.id in slit_arcs:
             m = slit_arcs[a.id]
             arcs.append(Arc(a.id, f"{m}+", f"{m}-"))
-            slit_image[a.id] = a.id
             arc_deck[a.id] = a.id
-            reversed_arcs.add(a.id)
-        else:
-            for eps in (1, -1):
-                aid = f"{a.id}{_SIGN[eps]}"
-                arcs.append(Arc(aid, f"{a.tail}{_SIGN[eps]}", f"{a.head}{_SIGN[eps]}"))
-                arc_image[(a.id, eps)] = (aid, 1)
-            arc_deck[f"{a.id}+"] = f"{a.id}-"
-            arc_deck[f"{a.id}-"] = f"{a.id}+"
+            continue
+        for eps in (1, -1):
+            aid = f"{a.id}{_SIGN[eps]}"
+            arcs.append(Arc(aid, f"{a.tail}{_SIGN[eps]}", f"{a.head}{_SIGN[eps]}"))
+            arc_deck[aid] = f"{a.id}{_SIGN[-eps]}"
 
+    cuts = _cuts(surface)
+    pieces = _prefix_counts(surface, cuts)
     bsegs = []
     polygons = []
     poly_instance: dict[tuple[str, int], str] = {}
-    slot_image: dict[tuple[str, int, int], tuple[str, int]] = {}
-    cuts_by_poly: dict[str, tuple[int, ...]] = {}
     bseg_deck: dict[str, str] = {}
     poly_deck: dict[str, str] = {}
-    point_deck = {
-        point_image[(p.id, eps)]: point_image[(p.id, -eps)]
-        for p in surface.points
-        if p.kind != ORBIFOLD
-        for eps in (1, -1)
-    }
-
     for poly in surface.polygons:
         n = len(poly.sides)
-        cuts = _polygon_cuts(surface, poly, orbifold)
-        cuts_by_poly[poly.id] = tuple(cuts)
-        before = _prefix_counts(cuts, n)
-        k = len(cuts)
+        before = pieces[poly.id]
+        k = len(cuts[poly.id])
         b = surface.bseg_by_id[poly.sides[0].ref]
-
         for eps in (1, -1):
-            pid = f"{poly.id}{_SIGN[eps]}"
+            pid, bid = f"{poly.id}{_SIGN[eps]}", f"{b.id}{_SIGN[eps]}"
             poly_instance[(poly.id, eps)] = pid
-            bid = f"{b.id}{_SIGN[eps]}"
             word: list[Side] = [bseg_side(bid)]
             i = 1
             while i < n:
                 sheet = -eps if before[i] % 2 else eps
                 side = poly.sides[i]
-                if i in cuts:
+                if i in cuts[poly.id]:
                     word.append(arc_side(side.ref, sheet))
                     i += 2
                     continue
@@ -290,35 +317,21 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
                     f"{b.head}{_SIGN[eps]}",
                 )
             )
-            for i in range(n):
-                slot_image[(poly.id, i, eps)] = (pid, i - before[i])
-        poly_deck[f"{poly.id}+"] = f"{poly.id}-"
-        poly_deck[f"{poly.id}-"] = f"{poly.id}+"
-        bseg_deck[f"{b.id}+"] = f"{b.id}-"
-        bseg_deck[f"{b.id}-"] = f"{b.id}+"
+            poly_deck[pid] = f"{poly.id}{_SIGN[-eps]}"
+            bseg_deck[bid] = f"{b.id}{_SIGN[-eps]}"
 
     total = make_surface(f"{surface.name}.cover", points, arcs, bsegs, polygons)
     raise_on_error(validate(total))
     deck = SurfaceInvolution(
         points=point_deck,
         arcs=arc_deck,
-        reversed_arcs=frozenset(reversed_arcs),
+        reversed_arcs=frozenset(slit_arcs),
         bsegs=bseg_deck,
         polygons=poly_deck,
     )
     deck_report, _ = validate_involution(total, deck)
     raise_on_error(deck_report)
-    return CoveringData(
-        base=surface,
-        total=total,
-        deck=deck,
-        branch_points=tuple(sorted(orbifold)),
-        poly_instance=poly_instance,
-        slot_image=slot_image,
-        cuts=cuts_by_poly,
-        arc_image=arc_image,
-        slit_image=slit_image,
-    )
+    return CoveringData(surface, total, deck, poly_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -370,45 +383,26 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         return inv.side_image(s)
 
     polygons = []
-    cuts_by_poly: dict[str, tuple[int, ...]] = {}
     for poly in surface.polygons:
         if rep(inv.polygons, poly.id) != poly.id:
             continue
         word: list[Side] = [base_side(poly.sides[0])]
-        cuts: list[int] = []
-        pos = 1
         for s in poly.sides[1:]:
             if s.is_arc and s.ref in fixed:
-                cuts.append(pos)
-                word.append(arc_side(s.ref, 1))
-                word.append(arc_side(s.ref, -1))
-                pos += 2
+                word += (arc_side(s.ref, 1), arc_side(s.ref, -1))
             else:
                 word.append(base_side(s))
-                pos += 1
         polygons.append(Polygon(poly.id, tuple(word)))
-        cuts_by_poly[poly.id] = tuple(cuts)
 
     base = make_surface(f"{surface.name}.quotient", points, arcs, bsegs, polygons)
     raise_on_error(validate(base))
 
     # Sheet-coherent polygon instances: breadth-first propagation along the
-    # arc adjacencies, following the parity rule of the covering.
-    base_poly_of_total = {}
-    for poly in surface.polygons:
-        base_poly_of_total[poly.id] = rep(inv.polygons, poly.id)
-    before = {bp.id: _prefix_counts(cuts_by_poly[bp.id], len(bp.sides)) for bp in polygons}
-    # Map a total slot back to its base slot (excluding slit expansions).
-    base_slot: dict[tuple[str, int], int] = {}
-    for bp in polygons:
-        cuts = set(cuts_by_poly[bp.id])
-        for i in range(len(bp.sides)):
-            if i in cuts or (i - 1) in cuts:
-                continue
-            base_slot[(bp.id, i - before[bp.id][i])] = i
-
+    # arc adjacencies, following the parity rule of the covering.  The total
+    # words of a polygon and its mirror agree slot by slot.
+    pieces = _prefix_counts(base, _cuts(base))
     poly_instance: dict[tuple[str, int], str] = {}
-    for bp in polygons:
+    for bp in base.polygons:
         if (bp.id, 1) in poly_instance:
             continue
         poly_instance[(bp.id, 1)] = bp.id
@@ -416,23 +410,16 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
         queue = [bp.id]
         while queue:
             cur = queue.pop()
-            n_base = len(base.polygon_by_id[cur].sides)
+            before = pieces[cur]
             for eps in (1, -1):
                 total_poly = surface.polygon_by_id[poly_instance[(cur, eps)]]
-                cuts = set(cuts_by_poly[cur])
-                for i in range(1, n_base):
-                    if i in cuts or (i - 1) in cuts:
+                for i, s in enumerate(base.polygon_by_id[cur].sides):
+                    if not s.is_arc or s.ref in fixed:
                         continue
-                    u = i - before[cur][i]
-                    side = total_poly.sides[u]
-                    sheet = -eps if before[cur][i] % 2 else eps
-                    other_poly, other_slot = surface.occurrences[
-                        (side.ref, -side.direction)
-                    ]
-                    q = base_poly_of_total[other_poly]
-                    # Total slots agree between a polygon and its mirror.
-                    e = base_slot[(q, other_slot)]
-                    eps_q = -sheet if before[q][e] % 2 else sheet
+                    side = total_poly.sides[i - before[i]]
+                    other_poly, _ = surface.occurrences[(side.ref, -side.direction)]
+                    q, e = base.occurrences[(s.ref, -s.direction)]
+                    eps_q = eps * (-1) ** (before[i] + pieces[q][e])
                     if (q, eps_q) not in poly_instance:
                         poly_instance[(q, eps_q)] = other_poly
                         poly_instance[(q, -eps_q)] = inv.polygons[other_poly]
@@ -444,43 +431,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
                     # that need the true gluing follow the arc occurrences
                     # of the total surface instead of the parity rule.
 
-    slot_image: dict[tuple[str, int, int], tuple[str, int]] = {}
-    for bp in polygons:
-        for eps in (1, -1):
-            pid = poly_instance[(bp.id, eps)]
-            for i, k in enumerate(before[bp.id]):
-                slot_image[(bp.id, i, eps)] = (pid, i - k)
-
-    # Cell lifts, labelled by the coherent sheets.  Locate one base
-    # occurrence of every base arc directly from the words.
-    arc_image: dict[tuple[str, int], tuple[str, int]] = {}
-    slit_image: dict[str, str] = {j: j for j in sorted(fixed)}
-    occ_of_base_arc: dict[str, tuple[str, int]] = {}
-    for bp in polygons:
-        for i, s in enumerate(bp.sides):
-            if s.is_arc and s.direction == 1:
-                occ_of_base_arc.setdefault(s.ref, (bp.id, i))
-    for a in arcs:
-        if a.id in fixed:
-            continue
-        bp_id, i = occ_of_base_arc[a.id]
-        for sheet in (1, -1):
-            eps = -sheet if before[bp_id][i] % 2 else sheet
-            pid, u = slot_image[(bp_id, i, eps)]
-            side = surface.polygon_by_id[pid].sides[u]
-            arc_image[(a.id, sheet)] = (side.ref, side.direction)
-
-    return CoveringData(
-        base=base,
-        total=surface,
-        deck=inv,
-        branch_points=tuple(f"X_{j}" for j in sorted(fixed)),
-        poly_instance=poly_instance,
-        slot_image=slot_image,
-        cuts=cuts_by_poly,
-        arc_image=arc_image,
-        slit_image=slit_image,
-    )
+    return CoveringData(base, surface, inv, poly_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +466,7 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
                     (curve.id, k),
                 )
     ps = curve.passages
-    inst0 = (-1) ** _cuts_before(cov.cuts[ps[0].polygon], ps[0].entry)
+    inst0 = (-1) ** cov._pieces[ps[0].polygon][ps[0].entry]
     inst = inst0
     lifted: list[Passage] = []
     for k, p in enumerate(ps):
@@ -550,10 +501,7 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
             )
     doubled = curve.closed and inst != inst0
     if doubled:
-        lifted += [
-            Passage(cov.deck.polygons[q.polygon], q.entry, q.exit, q.bseg_side)
-            for q in lifted
-        ]
+        lifted += _moved_passages(cov.deck, lifted)
     out = CombinatorialCurve(f"{curve.id}.lift", curve.closed, tuple(lifted))
     raise_on_error(validate_curve(cov.total, out))
     return LiftedCurve(out, doubled)
@@ -561,8 +509,5 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
 
 def transport_curve(cov: CoveringData, curve: CombinatorialCurve) -> CombinatorialCurve:
     """The deck image of a curve on the total surface (same slots and sides)."""
-    moved = tuple(
-        Passage(cov.deck.polygons[p.polygon], p.entry, p.exit, p.bseg_side)
-        for p in curve.passages
-    )
+    moved = _moved_passages(cov.deck, curve.passages)
     return CombinatorialCurve(f"{curve.id}.deck", curve.closed, moved)

@@ -106,10 +106,16 @@ class Report:
         self.diagnostics.extend(other.diagnostics)
 
     def to_json(self) -> list[dict[str, Any]]:
+        """The findings as JSON data: ``where`` and its nested tuples
+        become lists, so the data reads back equal."""
         return [
-            {"code": d.code, "message": d.message, "where": list(d.where)}
+            {"code": d.code, "message": d.message, "where": _json_list(d.where)}
             for d in self.diagnostics
         ]
+
+
+def _json_list(where: tuple) -> list:
+    return [_json_list(x) if isinstance(x, tuple) else x for x in where]
 
 
 def raise_on_error(report: Report) -> None:

@@ -272,10 +272,10 @@ def verify_skew_group_reduction(
     chosen_lifts: dict[str, str] = {}
     for v in triple.vertices:
         if v in special_vertices:
-            chosen_lifts[v] = cov.slit_image[v]
+            chosen_lifts[v] = v
         else:
             sheet = sheet_choice.get(v, 1) if sheet_choice else 1
-            chosen_lifts[v] = cov.arc_image[(v, sheet)][0]
+            chosen_lifts[v] = cov.arc_image[(v, sheet)]
     skew, corner = _crossed_corner(lam.algebra, deck_action, chosen_lifts.values())
 
     doubled: dict[str, Vector] = {}
@@ -374,10 +374,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     split = cov.split
     split_algebra = graded_path_algebra(split)
 
-    slit_of_lift = {v: j for j, v in cov.slit_image.items()}
-    base_of_vertex = {
-        aid: (m, sheet) for (m, sheet), (aid, _) in cov.arc_image.items()
-    }
+    base_of_vertex = {aid: key for key, aid in cov.arc_image.items()}
     lifts = cov.arrow_lifts
     base_of_arrow = {aid: key for key, aid in lifts.items()}
     split_table = cov.split_table
@@ -395,7 +392,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
         a = pair.arrow_by_id[lifted]
         value = 1
         for end in (a.source, a.target):
-            value *= parity if end in slit_of_lift else base_of_vertex[end][1]
+            value *= parity if end in cov.slit_arcs else base_of_vertex[end][1]
         if sheet_sign.setdefault(aid, value) != value:
             raise error(
                 BAD_LIFT, f"sheet sign of {aid!r} differs between the two lifts"
@@ -415,10 +412,8 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
 
     doubled: dict[str, Vector] = {}
     for v in pair.vertices:
-        if v in slit_of_lift:
-            doubled[v] = vscale(
-                _vertex(skew, split_vertex_ids(slit_of_lift[v])[0], 0), 2
-            )
+        if v in cov.slit_arcs:
+            doubled[v] = vscale(_vertex(skew, split_vertex_ids(v)[0], 0), 2)
         else:
             m, sheet = base_of_vertex[v]
             doubled[v] = vaxpy(_vertex(skew, m, 0), _vertex(skew, m, 1), sheet)

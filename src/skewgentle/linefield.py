@@ -42,6 +42,7 @@ from .surface import (
     DissectedSurface,
     Passage,
     SurfaceInvolution,
+    _moved_passages,
     boundary_components,
     curve_crossings,
     passage_winding,
@@ -590,19 +591,13 @@ def graded_arcs_from_solution(
 def map_graded_arc(
     surface: DissectedSurface, involution: SurfaceInvolution, garc: GradedArc
 ) -> GradedArc:
-    """Push a graded arc through a surface involution.
-
-    Polygon words of an involution pair are slot-aligned, so passages keep
-    their slots and declared sides; grades travel with the crossings.
-    """
+    """Push a graded arc through a surface involution; passages keep their
+    slots and declared sides, and grades travel with the crossings."""
     raise_on_error(validate_curve(surface, garc.curve))
     moved = CombinatorialCurve(
         garc.curve.id + ".inv",
         garc.curve.closed,
-        tuple(
-            Passage(involution.polygons[p.polygon], p.entry, p.exit, p.bseg_side)
-            for p in garc.curve.passages
-        ),
+        _moved_passages(involution, garc.curve.passages),
     )
     raise_on_error(validate_curve(surface, moved))
     return GradedArc(moved, garc.grades)

@@ -152,13 +152,6 @@ class Polygon:
 Ray = tuple[str, str, str]
 
 
-def head_ray(side: Side) -> Ray:
-    """The ray at the endpoint where a traversal of ``side`` arrives."""
-    if side.kind == "b" or side.direction == 1:
-        return (side.kind, side.ref, "head")
-    return ("a", side.ref, "tail")
-
-
 def tail_ray(side: Side) -> Ray:
     """The ray at the endpoint where a traversal of ``side`` starts."""
     if side.kind == "b" or side.direction == 1:
@@ -288,16 +281,6 @@ class DissectedSurface:
             walk.points[pid] = tuple(heads)
             walk.bsegs_per_polygon.append(nb)
         return walk
-
-    @property
-    def ccw_next_ray(self) -> dict[Ray, Ray]:
-        """Counterclockwise successor of each ray around its point.
-
-        For the corner between consecutive sides ``s_in, s_out`` of a
-        polygon, the outgoing ray of ``s_out`` is immediately followed,
-        counterclockwise, by the incoming ray of ``s_in``.
-        """
-        return self._walk.succ
 
     @property
     def corner_points(self) -> dict[str, tuple]:
@@ -947,6 +930,16 @@ class CombinatorialCurve:
     id: str
     closed: bool
     passages: tuple[Passage, ...]
+
+
+def _moved_passages(
+    inv: SurfaceInvolution, passages: Iterable[Passage]
+) -> tuple[Passage, ...]:
+    """Passages pushed through an involution.  Polygon words of an
+    involution pair are slot-aligned, so slots and declared sides stay."""
+    return tuple(
+        Passage(inv.polygons[p.polygon], p.entry, p.exit, p.bseg_side) for p in passages
+    )
 
 
 def chord_bseg_side(entry: int, exit: int) -> str:

@@ -256,6 +256,27 @@ def test_invalid_surface_gives_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_orbifold_point_with_two_arc_ends_gives_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "xd.surf"
+    path.write_text(
+        "surface xd\n"
+        "point P1 kind=boundary\n"
+        "point P2 kind=boundary\n"
+        "point X kind=orbifold\n"
+        "bseg b1 from=P1 to=P2\n"
+        "bseg b2 from=P2 to=P1\n"
+        "arc a from=P1 to=X\n"
+        "arc c from=P2 to=X\n"
+        "poly F1 sides=b:b1,a:c:+,a:a:-\n"
+        "poly F2 sides=b:b2,a:a:+,a:c:-\n"
+    )
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[X_DEGREE] at ('X',)" in captured.err
+
+
 def _mutate(rng: random.Random, text: str) -> str:
     """One seeded mutation: a line deleted, duplicated or swapped, a token
     mangled, or the word of a polygon shuffled."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_deck_symmetry_is_a_valid_involution(cylinder_covers):
     for cov in cylinder_covers.values():
         report, fixed = validate_involution(cov.total, cov.deck)
         assert report.ok
-        assert fixed == sorted(cov.slit_image.values())
+        assert fixed == sorted(cov.slit_arcs)
         for pid, img in cov.deck.polygons.items():
             assert cov.deck.polygons[img] == pid
             assert img != pid  # sheet swap moves every polygon
@@ -77,6 +78,44 @@ def test_branch_points_of_cylinder_covers(cylinder_covers):
         assert sorted(cov.branch_points) == ["X1", "X2"]
         # branch points disappear upstairs
         assert all(p not in cov.total.point_by_id for p in cov.branch_points)
+
+
+def _check_derived_maps(cov):
+    base, total = cov.base, cov.total
+    orbifold = {p.id for p in base.points if p.kind == "orbifold"}
+    assert set(cov.branch_points) == orbifold
+    assert cov.slit_arcs == {a.id for a in base.arcs if {a.tail, a.head} & orbifold}
+    for poly in base.polygons:
+        slit_slots = {c + d for c in cov.cuts[poly.id] for d in (0, 1)}
+        for i, side in enumerate(poly.sides):
+            if not side.is_arc or i in slit_slots:
+                continue
+            lifts = {cov.arc_image[(side.ref, sheet)] for sheet in (1, -1)}
+            for eps in (1, -1):
+                pid, u = cov.slot_image[(poly.id, i, eps)]
+                up = total.polygon_by_id[pid].sides[u]
+                assert up.ref in lifts and up.direction == side.direction
+    owners = Counter(cov.arc_image.values()) + Counter(cov.slit_arcs)
+    assert owners == Counter(a.id for a in total.arcs)
+
+
+def test_derived_maps_follow_the_parity_rule(
+    cylinders, disc_x4, disc_xx, disc, torus_with_involution
+):
+    covers = [quotient(*torus_with_involution)]
+    surfaces = list(cylinders.values()) + [disc_x4, disc_xx, disc]
+    rng = random.Random(8080)
+    surfaces += [random_x_dissection(rng) for _ in range(200)]
+    for surface in surfaces:
+        cov = double_cover(surface)
+        # the canonical cover names the lift of arc a on sheet ±1 "a±"
+        assert all(
+            lift == f"{a}{'+' if sheet == 1 else '-'}"
+            for (a, sheet), lift in cov.arc_image.items()
+        )
+        covers += [cov, quotient(cov.total, cov.deck)]
+    for cov in covers:
+        _check_derived_maps(cov)
 
 
 def test_quotient_undoes_cover_on_fixtures(cylinders, disc_x4, disc_xx):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -36,16 +37,38 @@ def test_every_diagnostic_code_is_named_by_a_test():
     assert unnamed == []
 
 
+def _changes_under_O(node: ast.AST) -> bool:
+    """What ``python -O`` changes: an ``assert`` statement, a read of
+    ``__debug__`` or of ``sys.flags.optimize``."""
+    if isinstance(node, ast.Name):
+        return node.id == "__debug__"
+    return isinstance(node, ast.Assert) or (
+        isinstance(node, ast.Attribute)
+        and node.attr == "optimize"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "flags"
+    )
+
+
 def test_library_has_no_assert_statements():
+    """With nothing that ``python -O`` changes, the package runs the same
+    code with and without it."""
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
     found = [
         f"{path.name}:{node.lineno}"
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        if _changes_under_O(node)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "source", ["assert x", "if __debug__:\n    pass", "import sys\nn = sys.flags.optimize"]
+)
+def test_the_scan_sees_what_python_O_changes(source):
+    assert any(_changes_under_O(node) for node in ast.walk(ast.parse(source)))
 
 
 def test_fixture_checks_are_diagnostics(monkeypatch):
@@ -61,3 +84,17 @@ def test_fixture_checks_are_diagnostics(monkeypatch):
     (diag,) = exc.value.diagnostics
     assert diag.code == BAD_INPUT
     assert diag.where == (("c.2", "s2.v"), ("c.3", "s3.v"), ("c.4", "s4.v"))
+
+
+def test_report_json_survives_a_round_trip(monkeypatch):
+    monkeypatch.setattr(fixtures, "glue_puzzle", lambda pieces, matchings: (None, Report()))
+    with pytest.raises(ValidationError) as exc:
+        special_chain_triple()
+    report = Report(exc.value.diagnostics)
+    report.add(BAD_INVOLUTION, "no image", ("torus", 3))
+    data = report.to_json()
+    assert json.loads(json.dumps(data)) == data
+    assert [d["where"] for d in data] == [
+        [["c.2", "s2.v"], ["c.3", "s3.v"], ["c.4", "s4.v"]],
+        ["torus", 3],
+    ]
