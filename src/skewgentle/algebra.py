@@ -15,8 +15,9 @@ of :attr:`TableAlgebra.table` and never kept.
 
 The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the twisted rows of a crossed
-product, the rows of ``f(b_i)·f(b_j)`` in :func:`verify_multiplicative`
-and the products of the vertex images in :func:`verify_morphism` come
+product, the rows of ``f(x)·f(b_j)`` in the one row comparison behind
+:func:`verify_multiplicative` and the iterated crossed-product check, and
+the products of the vertex images in :func:`verify_morphism` come
 from one helper, and :func:`corner_algebra` computes ``e·b_m`` once for
 every ``m`` and each ``b_i·e`` from the cells of row ``i`` in the columns
 of ``e``.  A symmetry that is a signed permutation, each image one term
@@ -701,24 +702,27 @@ def basis_map_from_permutation(
     return BasisMap(images)
 
 
-def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool:
-    """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
-    elements of ``A``, where ``f`` maps ``A`` linearly into ``B``.
+def _rows_multiplicative(
+    B: TableAlgebra, f: BasisMap, rows: Iterable[tuple[Vector, Mapping[int, Vector]]]
+) -> bool:
+    """Check ``f(x * b_j) == f(x) * f(b_j)`` for every basis index ``j`` of
+    the domain and every left factor ``x`` given as a pair ``(f(x), row)``,
+    where ``row`` maps each ``j`` with ``x * b_j`` nonzero to that product
+    and ``f`` maps the domain linearly into ``B``.
 
-    Row ``i`` of the right side is built at once from the cells of ``B``
-    in the rows of ``f(b_i)`` and the preimages under ``f`` of their
+    The right side of one row is built at once from the cells of ``B``
+    in the rows of ``f(x)`` and the preimages under ``f`` of their
     columns, as in :meth:`TableAlgebra.twisted_rows`.  It is compared with
-    ``f`` of the cells of row ``i`` of ``A``; a nonzero product left
-    over sits where ``A`` has a zero cell, and fails the check.  Every
-    other pair has zero on both sides, so this is a check of all pairs.
-    A cell ``c·b_k`` of one term maps to ``c·f(b_k)``, read from the
-    images, which are cleared of zero coefficients once; only a cell of
-    several terms goes through :meth:`BasisMap.apply`.
+    ``f`` of the cells of ``row``; a nonzero product left over sits where
+    ``row`` has no cell, and fails the check.  Every other ``j`` has zero
+    on both sides.  A cell ``c·b_k`` of one term maps to ``c·f(b_k)``,
+    read from the images, which are cleared of zero coefficients once;
+    only a cell of several terms goes through :meth:`BasisMap.apply`.
     """
     preimages = _preimages(f, B.dimension)
     images = [{k: c for k, c in img.items() if c} for img in f.images]
-    for i, row in enumerate(A.rows):
-        products = _products_row(B, images[i], preimages)
+    for fx, row in rows:
+        products = _products_row(B, fx, preimages)
         for j, cell in row.items():
             if len(cell) == 1:
                 ((k, c),) = cell.items()
@@ -732,6 +736,14 @@ def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool
         if any(products.values()):
             return False
     return True
+
+
+def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool:
+    """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
+    elements of ``A``, where ``f`` maps ``A`` linearly into ``B``: the
+    row comparison of :func:`_rows_multiplicative` on every row of ``A``,
+    so a check of all pairs."""
+    return _rows_multiplicative(B, f, zip(f.images, A.rows))
 
 
 def verify_algebra_involution(A: TableAlgebra, act: BasisMap) -> bool:

@@ -191,6 +191,7 @@ def _cmd_invariants(ns) -> int:
 def _cmd_winding(ns) -> int:
     sf = _load(ns.file)
     s = sf.surface
+    _kind(s)
     if ns.curve is not None:
         if ns.curve not in sf.curves:
             raise error(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))

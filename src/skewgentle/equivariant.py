@@ -12,10 +12,10 @@ the base is recovered inside the crossed product:
   the base carries the half-swapping symmetry, and the cover algebra maps
   isomorphically onto a corner of that crossed product, matching the deck
   action with the grading signs;
-* :func:`verify_iterated_skew_group` crosses with the group twice and
-  compares the result with ``M₂(A)``, built from the product table of
-  ``A`` alone (Cohen--Montgomery duality).  The action enters only through
-  the comparison map, which must be a unital bijective homomorphism, so a
+* :func:`verify_iterated_skew_group` compares the twice-crossed product
+  ``(A#ℤ₂)#ℤ̂₂`` with ``M₂(A)``, built from the product table of ``A``
+  alone (Cohen--Montgomery duality).  The action enters only through the
+  comparison map, which must be a unital bijective homomorphism, so a
   symmetry that does not respect products fails the check.
 
 Both reductions are one construction read in two directions
@@ -34,6 +34,18 @@ There is one crossed product per ``(A, act)``: the involution guard and
 the :class:`~skewgentle.algebra.TableAlgebra`.  A reduction followed by
 :func:`verify_iterated_skew_group` on its cover algebra and deck action
 checks the involution once and crosses with it once.
+
+The iterated check does not build the 4n-dimensional twice-crossed
+product.  It checks the comparison map Φ for multiplicativity only with a
+left factor in ``S``: every ``(b_i⊗0)⊗0``, plus ``(1⊗1)⊗0`` and
+``(1⊗0)⊗1``, whose rows it reads from the rows of ``A#ℤ₂``.  This is
+enough.  ``S`` generates, since
+``(b⊗g)⊗j = ((b⊗0)⊗0)·((1⊗g)⊗0)·((1⊗0)⊗j)``.  Once the involution guard
+has passed, both crossed products and ``M₂(A)`` are associative, so the
+check carries from ``S`` to every product of its elements.  With the
+guard bypassed, the rows at ``(b_i⊗0)⊗0`` test
+``s(b_i·b_q) = s(b_i)·s(b_q)`` and the row at ``(1⊗1)⊗0`` tests
+``s² = id``, so a broken symmetry still fails.
 
 All arithmetic is exact, and both comparisons run in ``int``.  The split
 idempotents ``(e ± s·e)/2`` carry halves, so each reduction builds its
@@ -54,7 +66,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .algebra import (
     BasisMap,
@@ -65,6 +78,7 @@ from .algebra import (
     SpanBasis,
     TableAlgebra,
     Vector,
+    _rows_multiplicative,
     corner_algebra,
     graded_path_algebra,
     skew_group_algebra,
@@ -73,7 +87,6 @@ from .algebra import (
     veq,
     verify_algebra_involution,
     verify_morphism,
-    verify_multiplicative,
     vscale,
 )
 from .covering import CoveringData
@@ -461,15 +474,24 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
 @dataclass(frozen=True)
 class IteratedSkewGroup:
     """Outcome of comparing the twice-crossed product ``double`` with
-    ``endo = M₂(A)`` through the Cohen--Montgomery map ``comparison``."""
+    ``endo = M₂(A)`` through the Cohen--Montgomery map ``comparison``.
 
-    double: TableAlgebra
+    The verdict is reached on the rows of ``once = A#ℤ₂`` alone (see
+    :func:`verify_iterated_skew_group`); ``double``, the 4n-dimensional
+    ``(A#ℤ₂)#ℤ̂₂``, is crossed from ``once`` with the grading signs on its
+    first read and kept."""
+
+    once: TableAlgebra
     endo: TableAlgebra
     comparison: BasisMap
     homomorphism: bool
     unit_ok: bool
     rank: int
     bijective: bool
+
+    @cached_property
+    def double(self) -> TableAlgebra:
+        return skew_group_algebra(self.once, grading_sign_map(self.once))
 
     @property
     def ok(self) -> bool:
@@ -502,6 +524,48 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
     return TableAlgebra(labels, rows, unit)
 
 
+def _row(once: TableAlgebra, x: Vector) -> dict[int, Vector]:
+    """The nonzero products ``x * b_j`` in ``once``, keyed by ``j``."""
+    out: dict[int, Vector] = {}
+    for p, c in x.items():
+        for j, cell in once.rows[p].items():
+            out[j] = vaxpy(out.get(j, {}), cell, c)
+    return {j: cell for j, cell in out.items() if cell}
+
+
+def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Vector]]]:
+    """The generators ``(b_i⊗0)⊗0``, ``(1⊗1)⊗0`` and ``(1⊗0)⊗1`` of
+    ``(A#ℤ₂)#ℤ̂₂``, each with its row there, read from the rows of
+    ``once = A#ℤ₂`` without building the twice-crossed product.
+
+    The index of ``(x⊗g)⊗j`` is ``2n·j + n·g + index(x)``, and
+    ``(y⊗0)·(z⊗k) = y·z ⊗ k`` while ``(y⊗1)·(z⊗k) = y·t(z) ⊗ (1+k)``
+    with ``t`` the grading signs of ``once``."""
+    m = once.dimension
+    n = m // 2
+
+    def both_blocks(cells: dict[int, Vector]) -> dict[int, Vector]:
+        row = dict(cells)
+        for k, cell in cells.items():
+            row[m + k] = {m + q: c for q, c in cell.items()}
+        return row
+
+    # (b_i⊗0)⊗0: row i of A#ℤ₂, in both blocks
+    for i in range(n):
+        yield {i: 1}, both_blocks(once.rows[i])
+    unit = once.unit
+    # (1⊗1)⊗0: Σ_v u_v·(row n+v of A#ℤ₂), in both blocks
+    twist = {n + v: u for v, u in unit.items()}
+    yield twist, both_blocks(_row(once, twist))
+    # (1⊗0)⊗1: the unit's row with the grading signs, in the other block
+    signed: dict[int, Vector] = {}
+    for k, cell in _row(once, unit).items():
+        sign = -1 if k >= n else 1
+        signed[k] = {m + q: sign * c for q, c in cell.items()}
+        signed[m + k] = {q: sign * c for q, c in cell.items()}
+    yield {m + v: u for v, u in unit.items()}, signed
+
+
 def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:
     """Cross ``A`` with its order-two symmetry ``s``, cross again with the
     grading signs, and compare with ``M₂(A)`` (Cohen--Montgomery duality).
@@ -511,32 +575,53 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     ``(x ⊗ g) ⊗ j  ↦  Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)``, which is
     checked to be a unital bijective homomorphism.  For a linear ``s`` of
     order two it is a homomorphism exactly when ``s`` is multiplicative.
+
+    Φ is checked to be multiplicative on the left factors
+    ``S = {(b_i⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}`` against every basis element,
+    which is enough:
+
+    * ``S`` generates, since ``(b⊗g)⊗j = ((b⊗0)⊗0)·((1⊗g)⊗0)·((1⊗0)⊗j)``;
+    * once the involution guard has passed, ``s`` is an automorphism of
+      order two, both crossed products and ``M₂(A)`` are associative, and
+      ``Φ(xy·z) = Φ(x)·Φ(y·z) = Φ(x)Φ(y)·Φ(z)`` carries the check from
+      ``S`` to every product of its elements and so to all of the algebra;
+    * with the guard bypassed the rows still test ``s`` itself: the row at
+      ``(b_i⊗0)⊗0`` holds ``s(b_i·b_q) = s(b_i)·s(b_q)`` for every ``q``,
+      and the row at ``(1⊗1)⊗0`` holds ``s²(b_q) = s(1)·b_q``, so with a
+      unital ``s`` this is ``s² = id``.
+
+    The rows of ``S`` are read from the rows of ``A#ℤ₂`` that the
+    reduction built and keeps on ``A``, so the 4n-dimensional product is
+    not built; :attr:`IteratedSkewGroup.double` builds it on demand.
     """
     once = _crossed_product(A, act)
-    double = skew_group_algebra(once, grading_sign_map(once))
     endo = _matrix_algebra(A)
 
     images: list[Vector] = []
-    for (lab, g), j in double.labels:
-        p = A.index_of[lab]
-        img: Vector = {}
-        for c in (0, 1):
-            r = (g + c) % 2
-            sign = -1 if (j and c) else 1
-            for q, v in (act.images[p] if r else {p: 1}).items():
-                img[endo.index_of[(r, A.labels[q], c)]] = sign * v
-        images.append(img)
+    for j in (0, 1):
+        for lab, g in once.labels:
+            p = A.index_of[lab]
+            img: Vector = {}
+            for c in (0, 1):
+                r = (g + c) % 2
+                sign = -1 if (j and c) else 1
+                for q, v in (act.images[p] if r else {p: 1}).items():
+                    img[endo.index_of[(r, A.labels[q], c)]] = sign * v
+            images.append(img)
     comparison = BasisMap(images)
 
-    homomorphism = verify_multiplicative(double, endo, comparison)
-    unit_ok = veq(comparison.apply(double.unit), endo.unit)
+    homomorphism = _rows_multiplicative(
+        endo, comparison,
+        ((comparison.apply(x), row) for x, row in _generator_rows(once)),
+    )
+    unit_ok = veq(comparison.apply(once.unit), endo.unit)
     span = SpanBasis()
     for img in images:
         span.add(img)
-    bijective = span.rank == double.dimension == endo.dimension
+    bijective = span.rank == 2 * once.dimension == endo.dimension
 
     return IteratedSkewGroup(
-        double=double,
+        once=once,
         endo=endo,
         comparison=comparison,
         homomorphism=homomorphism,

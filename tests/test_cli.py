@@ -256,7 +256,7 @@ def test_invalid_surface_gives_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "invariants"])
+@pytest.mark.parametrize("command", ["validate", "invariants", "winding"])
 def test_orbifold_point_with_two_arc_ends_gives_exit_two(tmp_path, capsys, command):
     path = tmp_path / "xd.surf"
     path.write_text(

@@ -11,6 +11,7 @@ from oracles import (
     corner_dimension,
     generated_dimension,
     matrix_table,
+    multiplicative,
     twist_compat,
 )
 from skewgentle import (
@@ -34,6 +35,7 @@ from skewgentle import (
     verify_dual_reduction,
     verify_iterated_skew_group,
     verify_morphism,
+    verify_multiplicative,
     verify_skew_group_reduction,
 )
 from skewgentle import equivariant
@@ -325,11 +327,14 @@ def _count_crossings(monkeypatch):
 
 def test_iterated_check_crosses_twice_without_twisted_rows(monkeypatch, cylinders):
     # The deck action and the grading signs are signed permutations, so
-    # neither crossing walks twisted rows.
+    # neither crossing walks twisted rows.  The verdict crosses once; the
+    # second crossing waits for the first read of ``double``.
     A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
     calls = _count_crossings(monkeypatch)
-    verify_iterated_skew_group(A, deck)
+    rr = verify_iterated_skew_group(A, deck)
     n = A.dimension
+    assert calls == {"crossed": [n], "involution": [n], "twisted": []}
+    assert rr.double.dimension == 4 * n
     assert calls == {"crossed": [n, 2 * n], "involution": [n], "twisted": []}
 
 
@@ -340,8 +345,8 @@ def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
     red = verify_skew_group_reduction(cov)
     calls = _count_crossings(monkeypatch)
     rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
-    # only the double product is built, and the involution is not checked again
-    assert calls == {"crossed": [red.skew.dimension], "involution": [], "twisted": []}
+    # nothing is crossed, and the involution is not checked again
+    assert calls == {"crossed": [], "involution": [], "twisted": []}
     fresh = verify_iterated_skew_group(*_cover_algebra_and_deck(cov))
     assert rr.ok
     assert (rr.double, rr.endo, rr.comparison, rr.rank) == (
@@ -361,6 +366,101 @@ def test_a_symmetry_that_is_not_an_involution_is_not_kept(cylinders):
     assert A._crossed == {}
     assert verify_iterated_skew_group(A, deck).ok
     assert list(A._crossed) == [id(deck)]
+
+
+def test_double_is_crossed_once_on_first_read_and_kept(monkeypatch, cylinders):
+    A, deck = _cover_algebra_and_deck(double_cover(cylinders[2]))
+    rr = verify_iterated_skew_group(A, deck)
+    calls = _count_crossings(monkeypatch)
+    double = rr.double
+    assert calls["crossed"] == [rr.once.dimension]
+    assert rr.double is double
+    assert calls["crossed"] == [rr.once.dimension]
+    assert rr.once is A._crossed[id(deck)][1]
+    assert double == skew_group_algebra(rr.once, equivariant.grading_sign_map(rr.once))
+
+
+def _assert_generator_check_agrees(A, act) -> bool:
+    """The verdict of the iterated check, reached on the generating rows,
+    is the one of the all-pairs check on the built twice-crossed product
+    and of the independent oracle; returns the homomorphism verdict."""
+    rr = verify_iterated_skew_group(A, act)
+    double, endo, f = rr.double, rr.endo, rr.comparison
+    span = SpanBasis()
+    for img in f.images:
+        span.add(img)
+    rest = (
+        f.apply(double.unit) == endo.unit,
+        span.rank,
+        span.rank == double.dimension == endo.dimension,
+    )
+    verdict = (rr.homomorphism, rr.unit_ok, rr.rank, rr.bijective)
+    assert verdict == (verify_multiplicative(double, endo, f), *rest)
+    assert verdict == (multiplicative(double, endo, f.images), *rest)
+    return rr.homomorphism
+
+
+@pytest.fixture(scope="module")
+def agreement_covers(cylinder_covers, disc_xx):
+    covers = list(cylinder_covers.values())
+    covers.append(double_cover(disc_xx))
+    covers.append(quotient(*two_hole_torus_surface()))
+    covers += [double_cover(one_orbifold_disc(n)) for n in (4, 6, 8)]
+    rng = random.Random(6133)
+    covers += [double_cover(surface_from_triple(random_triple(rng))) for _ in range(200)]
+    return covers
+
+
+def test_generator_check_agrees_with_all_pairs_on_covers(agreement_covers):
+    for cov in agreement_covers:
+        assert _assert_generator_check_agrees(*_cover_algebra_and_deck(cov))
+
+
+def _perturbed_actions(deck, rng):
+    """Linear maps near the deck action that are not algebra involutions:
+    one moved image negated (s² ≠ id; left out when the deck action moves
+    nothing), a random signed permutation, two
+    images swapped, one image with two terms (these two need two basis elements), and
+    twice the deck action."""
+    images = deck.images
+    n = len(images)
+    out = {}
+    moved = next((j for j, img in enumerate(images) if j not in img), None)
+    if moved is not None:
+        negated = list(images)
+        negated[moved] = {m: -c for m, c in images[moved].items()}
+        out["negated"] = negated
+    perm = rng.sample(range(n), n)
+    out["signed permutation"] = [{perm[j]: rng.choice((1, -1))} for j in range(n)]
+    if n > 1:
+        a, b = rng.sample(range(n), 2)
+        swapped = list(images)
+        swapped[a], swapped[b] = images[b], images[a]
+        out["swapped"] = swapped
+        k = rng.randrange(n)
+        extra = rng.choice([m for m in range(n) if m not in images[k]])
+        two_terms = list(images)
+        two_terms[k] = {**images[k], extra: 1}
+        out["two terms"] = two_terms
+    out["twice"] = [{m: 2 * c for m, c in img.items()} for img in images]
+    return {name: BasisMap(imgs) for name, imgs in out.items()}
+
+
+def test_generator_check_agrees_with_all_pairs_on_perturbed_actions(
+    monkeypatch, agreement_covers
+):
+    # Without the involution guard the crossed products of a broken action
+    # need not be associative; the generating rows still catch it.
+    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    rng = random.Random(6134)
+    verdicts = {}
+    for cov in agreement_covers:
+        _, deck = _cover_algebra_and_deck(cov)
+        for name, act in _perturbed_actions(deck, rng).items():
+            A, _ = _cover_algebra_and_deck(cov)
+            verdicts.setdefault(name, set()).add(_assert_generator_check_agrees(A, act))
+    assert len(verdicts) == 5 and all(False in v for v in verdicts.values())
+    assert verdicts["negated"] == verdicts["twice"] == {False}
 
 
 class Builds(NamedTuple):
@@ -505,9 +605,9 @@ def test_scaled_verdicts_match_public_images_on_random_covers(random_builds):
 def test_rows_hold_only_nonzero_cells_and_the_dense_view_counts_them(ladder_builds):
     built, runs = ladder_builds.built, ladder_builds.runs
     # per cover: path algebra, crossed product and corner in each
-    # reduction, and the twice-crossed product and M₂(A); the iterated
-    # check reuses the crossed product of the reduction
-    assert len(built) == 8 * len(runs)
+    # reduction, and M₂(A); the iterated check reuses the crossed product
+    # of the reduction and builds no twice-crossed product
+    assert len(built) == 7 * len(runs)
     for A in built:
         n = A.dimension
         assert len(A.rows) == n
