@@ -590,9 +590,10 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
       and the row at ``(1⊗1)⊗0`` holds ``s²(b_q) = s(1)·b_q``, so with a
       unital ``s`` this is ``s² = id``.
 
-    The rows of ``S`` are read from the rows of ``A#ℤ₂`` that the
-    reduction built and keeps on ``A``, so the 4n-dimensional product is
-    not built; :attr:`IteratedSkewGroup.double` builds it on demand.
+    The rows of ``S`` are read from the rows of ``A#ℤ₂``, kept on ``A``
+    (a reduction on the same pair has built it already), so the
+    4n-dimensional product is not built;
+    :attr:`IteratedSkewGroup.double` builds it on demand.
     """
     once = _crossed_product(A, act)
     endo = _matrix_algebra(A)
