@@ -19,7 +19,7 @@ from typing import Optional
 
 from .algebra import Vector
 from .covering import double_cover, quotient
-from .diagnostics import BAD_INPUT, ValidationError, error, raise_on_error
+from .diagnostics import BAD_INPUT, ValidationError, error
 from .equivariant import verify_dual_reduction, verify_skew_group_reduction
 from .linefield import (
     NOT_EQUIVALENT,
@@ -44,6 +44,7 @@ from .surface import (
     DissectedSurface,
     SurfaceFile,
     classify_dissection,
+    crossing_steps,
     format_surface_file,
     parse_surface_file,
     passage_winding,
@@ -77,16 +78,8 @@ def _print_presentation(pres: Presentation) -> None:
         print(f"relation {_format_relation(r)}")
 
 
-def _kind(surface: DissectedSurface) -> str:
-    """``"bullet"`` or ``"x"``; an orbifold point without exactly one arc
-    end raises its ``X_DEGREE`` finding."""
-    cls = classify_dissection(surface)
-    raise_on_error(cls.report)
-    return cls.kind
-
-
 def _triple_of(surface: DissectedSurface) -> Presentation:
-    if _kind(surface) == "x":
+    if classify_dissection(surface) == "x":
         return triple_from_x_dissection(surface)
     return quiver_from_dissection(surface)
 
@@ -110,7 +103,7 @@ def _format_vector(labels, vec: Vector) -> str:
 def _cmd_validate(ns) -> int:
     sf = _load(ns.file)
     s = sf.surface
-    kind = _kind(s)
+    kind = classify_dissection(s)
     top = topology(s)
     genus = top.genus if top.connected else "n/a (disconnected)"
     print(
@@ -170,7 +163,7 @@ def _cmd_skewgroup(ns) -> int:
 def _cmd_invariants(ns) -> int:
     s = _load(ns.file).surface
     t = invariant_tuple(s)
-    orbifold = _kind(s) == "x"
+    orbifold = classify_dissection(s) == "x"
     print(f"genus {t.genus}")
     for w, marked, kind in t.entries:
         if kind == BOUNDARY:
@@ -191,7 +184,7 @@ def _cmd_invariants(ns) -> int:
 def _cmd_winding(ns) -> int:
     sf = _load(ns.file)
     s = sf.surface
-    _kind(s)
+    classify_dissection(s)
     if ns.curve is not None:
         if ns.curve not in sf.curves:
             raise error(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
@@ -222,20 +215,18 @@ def _cmd_complex(ns) -> int:
     if ns.curve not in sf.curves:
         raise error(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
     curve = sf.curves[ns.curve]
-    ps = curve.passages
-    count = len(ps) if curve.closed else len(ps) - 1
     if ns.grades is not None:
         try:
-            grades = tuple(int(x) for x in ns.grades.split(","))
+            grades = [int(x) for x in ns.grades.split(",")]
         except ValueError:
             raise error(BAD_INPUT, f"bad grade list {ns.grades!r}")
     else:
-        acc = [0]
-        span = range(1, count) if curve.closed else range(1, len(ps) - 1)
-        for j in span:
-            acc.append(acc[-1] + passage_winding(ps[j]))
-        grades = tuple(acc)
-    cx = build_complex(GradedArc(curve, grades), s)
+        count, steps = crossing_steps(curve)
+        grades = [0] * count
+        for j, before, after in steps:
+            if after:  # grades start at 0 on crossing 0
+                grades[after] = grades[before] + passage_winding(curve.passages[j])
+    cx = build_complex(GradedArc(curve, tuple(grades)), s)
     for k, (vertex, shift) in enumerate(cx.summands):
         print(f"summand {k} arc={vertex} shift={shift}")
     labels = cx.algebra.algebra.labels

@@ -147,7 +147,7 @@ class CoveringData:
     @cached_property
     def split(self) -> Presentation:
         """The split presentation of the base triple."""
-        return split_presentation(self.base_quiver.presentation, self.split_table)
+        return split_presentation(self.base_quiver.presentation)
 
     @cached_property
     def split_table(self) -> SplitTable:
@@ -157,7 +157,7 @@ class CoveringData:
     @cached_property
     def split_swap(self) -> dict[str, str]:
         """The half-swapping relabelling of the split generators."""
-        return split_swap_map(self.base_quiver.presentation, self.split_table)
+        return split_swap_map(self.base_quiver.presentation)
 
     @cached_property
     def special_vertices(self) -> frozenset[str]:
@@ -249,8 +249,7 @@ def _prefix_counts(
 def double_cover(surface: DissectedSurface) -> CoveringData:
     """The canonical double cover branched over the orbifold points."""
     raise_on_error(validate(surface))
-    cls = classify_dissection(surface)
-    raise_on_error(cls.report)
+    classify_dissection(surface)
 
     orbifold = {p.id for p in surface.points if p.kind == ORBIFOLD}
     slit_arcs = {}
@@ -329,8 +328,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         bsegs=bseg_deck,
         polygons=poly_deck,
     )
-    deck_report, _ = validate_involution(total, deck)
-    raise_on_error(deck_report)
+    raise_on_error(validate_involution(total, deck))
     return CoveringData(surface, total, deck, poly_instance)
 
 
@@ -343,9 +341,8 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
     points.  The result presents ``surface`` as a double cover of the
     quotient with the same bookkeeping as :func:`double_cover`."""
     raise_on_error(validate(surface))
-    report, fixed_arcs = validate_involution(surface, inv)
-    raise_on_error(report)
-    fixed = set(fixed_arcs)
+    raise_on_error(validate_involution(surface, inv))
+    fixed = {a for a, b in inv.arcs.items() if a == b}
 
     def rep(mapping, x: str) -> str:
         return min(x, mapping[x])

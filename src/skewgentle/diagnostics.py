@@ -1,10 +1,13 @@
-"""Structured error reporting shared by every validator in the package.
+"""Structured error reporting shared by the whole package.
 
-Validation routines never raise on bad input; they return a :class:`Report`
-carrying :class:`Diagnostic` records with a stable error code, a readable
-message, and the offending location.  Callers that prefer exceptions wrap the
-report with :func:`raise_on_error`; a single finding raised on the spot is
-built by :func:`error`.
+One convention holds everywhere.  The validators (``validate``,
+``validate_curve``, ``validate_involution``, ``check_gentle``,
+``check_skew_gentle`` and ``is_dual_dissection``) never raise on bad input;
+they return a :class:`Report` carrying :class:`Diagnostic` records with a
+stable error code, a readable message, and the offending location.  Every
+other function returns its value or raises :class:`ValidationError` with all
+of its findings: :func:`raise_on_error` raises a report's findings, and
+:func:`error` builds the exception for a single finding raised on the spot.
 """
 from __future__ import annotations
 

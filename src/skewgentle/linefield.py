@@ -28,7 +28,6 @@ from .diagnostics import (
     UNKNOWN_ID,
     WINDING_MISMATCH,
     Report,
-    ValidationError,
     error,
     raise_on_error,
 )
@@ -44,6 +43,7 @@ from .surface import (
     SurfaceInvolution,
     _moved_passages,
     boundary_components,
+    crossing_steps,
     curve_crossings,
     passage_winding,
     topology,
@@ -56,7 +56,6 @@ __all__ = [
     "EquivalenceVerdict",
     "EQUIVALENT",
     "GradedArc",
-    "GradingResult",
     "INCONCLUSIVE",
     "InvariantTuple",
     "NOT_EQUIVALENT",
@@ -425,22 +424,14 @@ class GradedArc:
     grades: tuple[int, ...]
 
 
-@dataclass
-class GradingResult:
-    """Outcome of :func:`grading_solver`: crossing grades keyed by
-    ``(curve id, crossing index)``, or ``None`` with diagnostics."""
-
-    values: Optional[dict[tuple[str, int], int]]
-    report: Report
-
-
 def grading_solver(
     surface: DissectedSurface,
     curves: Sequence[CombinatorialCurve],
     anchors: Optional[dict[tuple[str, int], int]] = None,
     symmetric_pairs: Optional[Sequence[tuple[str, str]]] = None,
-) -> GradingResult:
-    """Solve for compatible integer grades at all crossings.
+) -> dict[tuple[str, int], int]:
+    """Solve for compatible integer grades at all crossings, keyed by
+    ``(curve id, crossing index)``.
 
     Constraints: along each curve consecutive crossing grades differ by
     the winding of the passage between them; open curves ending at the
@@ -448,9 +439,10 @@ def grading_solver(
     listed in ``symmetric_pairs`` carry equal grades crossing by
     crossing.  ``anchors`` pin named crossings to given values; without
     anchors each connected constraint block is pinned at its smallest
-    variable.  Contradictory constraints yield an ``INCONSISTENT``
+    variable.  Contradictory constraints raise an ``INCONSISTENT``
     diagnostic with the clashing values; with explicit anchors, blocks
-    no anchor reaches yield ``NOT_CONNECTED_TO_ANCHOR``.
+    no anchor reaches raise ``NOT_CONNECTED_TO_ANCHOR``.  All findings
+    are raised together.
     """
     report = Report()
     raise_on_error(validate(surface))
@@ -466,28 +458,13 @@ def grading_solver(
     ends: dict[str, list[tuple[str, int]]] = {}
     for c in curves:
         ps = c.passages
-        m = len(ps) if c.closed else len(ps) - 1
+        m, steps = crossing_steps(c)
         variables.extend((c.id, k) for k in range(m))
-        if c.closed:
-            for j in range(m):
-                constraints.append(
-                    (
-                        (c.id, (j - 1) % m),
-                        (c.id, j),
-                        passage_winding(ps[j]),
-                        f"passage {j} of {c.id!r}",
-                    )
-                )
-        else:
-            for j in range(1, len(ps) - 1):
-                constraints.append(
-                    (
-                        (c.id, j - 1),
-                        (c.id, j),
-                        passage_winding(ps[j]),
-                        f"passage {j} of {c.id!r}",
-                    )
-                )
+        constraints.extend(
+            ((c.id, before), (c.id, after), passage_winding(ps[j]), f"passage {j} of {c.id!r}")
+            for j, before, after in steps
+        )
+        if not c.closed:
             ends.setdefault(_green_of(surface, ps[0].polygon), []).append((c.id, 0))
             ends.setdefault(_green_of(surface, ps[-1].polygon), []).append(
                 (c.id, m - 1)
@@ -499,9 +476,8 @@ def grading_solver(
         ca, cb = by_id.get(ida), by_id.get(idb)
         if ca is None or cb is None:
             raise error(UNKNOWN_ID, f"unknown curve in pair {(ida, idb)!r}", (ida, idb))
-        ma = len(ca.passages) if ca.closed else len(ca.passages) - 1
-        mb = len(cb.passages) if cb.closed else len(cb.passages) - 1
-        if ma != mb:
+        ma = crossing_steps(ca)[0]
+        if ma != crossing_steps(cb)[0]:
             raise error(
                 BAD_INPUT,
                 f"symmetric pair {(ida, idb)!r} crossing counts differ",
@@ -567,25 +543,20 @@ def grading_solver(
             if var not in values:
                 flood(var, 0)
 
-    if not report.ok:
-        return GradingResult(None, report)
-    return GradingResult(values, report)
+    raise_on_error(report)
+    return values
 
 
 def graded_arcs_from_solution(
     surface: DissectedSurface,
     curves: Sequence[CombinatorialCurve],
-    result: GradingResult,
+    values: dict[tuple[str, int], int],
 ) -> list[GradedArc]:
-    """Attach solved grades to their curves; a failed grading raises with
-    the solver's findings."""
-    if result.values is None:
-        raise ValidationError(result.report.diagnostics)
-    out = []
-    for c in curves:
-        m = len(c.passages) if c.closed else len(c.passages) - 1
-        out.append(GradedArc(c, tuple(result.values[(c.id, k)] for k in range(m))))
-    return out
+    """Attach the grades of :func:`grading_solver` to their curves."""
+    return [
+        GradedArc(c, tuple(values[(c.id, k)] for k in range(crossing_steps(c)[0])))
+        for c in curves
+    ]
 
 
 def map_graded_arc(
@@ -618,11 +589,7 @@ class ComplexPresentation:
     differential: dict[tuple[int, int], Vector]
 
 
-def build_complex(
-    garc: GradedArc,
-    surface: DissectedSurface,
-    algebra: Optional[PathAlgebra] = None,
-) -> ComplexPresentation:
+def build_complex(garc: GradedArc, surface: DissectedSurface) -> ComplexPresentation:
     """Presentation carried by a graded arc: each crossing contributes the
     projective at the crossed arc, shifted by its grade, and each passage
     between two crossings contributes the path of corner arrows walked
@@ -640,15 +607,12 @@ def build_complex(
             (curve.id,),
         )
     ext = extract_quiver(surface)
-    alg = algebra if algebra is not None else graded_path_algebra(ext.presentation)
+    alg = graded_path_algebra(ext.presentation)
     arrow_at = {corner: aid for aid, corner in ext.corner_of_arrow.items()}
 
     ps = curve.passages
-    if curve.closed:
-        spans = [(j, (j - 1) % len(ps), j) for j in range(len(ps))]
-    else:
-        spans = [(j, j - 1, j) for j in range(1, len(ps) - 1)]
-    for j, prev, nxt in spans:
+    _, steps = crossing_steps(curve)
+    for j, prev, nxt in steps:
         if garc.grades[nxt] - garc.grades[prev] != passage_winding(ps[j]):
             raise error(
                 BAD_INPUT,
@@ -658,7 +622,7 @@ def build_complex(
             )
 
     differential: dict[tuple[int, int], Vector] = {}
-    for j, prev, nxt in spans:
+    for j, prev, nxt in steps:
         p = ps[j]
         e, x = p.entry, p.exit
         if e == x:

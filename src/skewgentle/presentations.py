@@ -40,6 +40,7 @@ from .diagnostics import (
     SUCCESSOR_CLASH,
     UNKNOWN_ID,
     Report,
+    ValidationError,
     error,
     raise_on_error,
 )
@@ -338,9 +339,7 @@ def _decorations(v: str, special_vertices: frozenset[str]) -> tuple[Optional[int
     return (0, 1) if v in special_vertices else (None,)
 
 
-def split_presentation(
-    triple: Presentation, table: Optional[SplitTable] = None
-) -> Presentation:
+def split_presentation(triple: Presentation) -> Presentation:
     """Resolve the special loops of a triple into split vertices.
 
     Every special vertex ``v`` becomes two vertices ``v_0, v_1``; its loop
@@ -349,9 +348,6 @@ def split_presentation(
     target.  A monomial relation through an ordinary middle vertex stays a
     family of monomials; one through a special middle vertex becomes the
     family of two-term sums pairing the middle decorations.
-
-    ``table`` is the triple's :func:`split_arrow_table`, computed here when
-    not given.
     """
     raise_on_error(check_skew_gentle(triple))
     special_vertices = _special_vertices(triple)
@@ -363,10 +359,8 @@ def split_presentation(
     def image_vertex(v: str, dec: Optional[int]) -> str:
         return v if dec is None else split_vertex_ids(v)[dec]
 
-    if table is None:
-        table = split_arrow_table(triple)
     arrows: list[Arrow] = []
-    for sid, (aid, s, t) in table.items():
+    for sid, (aid, s, t) in split_arrow_table(triple).items():
         a = triple.arrow_by_id[aid]
         arrows.append(Arrow(sid, image_vertex(a.source, s), image_vertex(a.target, t)))
 
@@ -405,14 +399,9 @@ def split_arrow_table(triple: Presentation) -> SplitTable:
     return table
 
 
-def split_swap_map(
-    triple: Presentation, table: Optional[SplitTable] = None
-) -> dict[str, str]:
+def split_swap_map(triple: Presentation) -> dict[str, str]:
     """Generator relabelling of the split presentation exchanging the two
-    halves of every doubled vertex and flipping arrow decorations.
-
-    ``table`` is the triple's :func:`split_arrow_table`, computed here when
-    not given."""
+    halves of every doubled vertex and flipping arrow decorations."""
     special_vertices = _special_vertices(triple)
     out: dict[str, str] = {}
     for v in triple.vertices:
@@ -425,9 +414,7 @@ def split_swap_map(
     def flip(d: Optional[int]) -> Optional[int]:
         return None if d is None else 1 - d
 
-    if table is None:
-        table = split_arrow_table(triple)
-    for sid, (aid, s, t) in table.items():
+    for sid, (aid, s, t) in split_arrow_table(triple).items():
         out[sid] = _split_arrow_id(aid, flip(s), flip(t))
     return out
 
@@ -479,12 +466,13 @@ def special_piece(prefix: str) -> Presentation:
 def glue_puzzle(
     pieces: Sequence[Presentation],
     matchings: Sequence[tuple[str, str]],
-) -> tuple[Optional[Presentation], Report]:
+) -> Presentation:
     """Glue presentations by identifying vertex pairs.
 
     In a matching pair ``(a, b)`` the vertex ``b`` is merged into ``a``
     (keeping the id ``a``).  Every vertex may appear in at most one
-    matching pair.  The result is validated as a skew-gentle triple.
+    matching pair.  The result is validated as a skew-gentle triple, and
+    every finding raises.
     """
     report = Report()
     all_vertices: list[str] = []
@@ -499,8 +487,7 @@ def glue_puzzle(
     if len(set(all_vertices)) != len(all_vertices) or len(
         {a.id for a in all_arrows}
     ) != len(all_arrows):
-        report.add(BAD_INPUT, "piece ids overlap; give the pieces distinct prefixes", ())
-        return None, report
+        raise error(BAD_INPUT, "piece ids overlap; give the pieces distinct prefixes")
 
     used: set[str] = set()
     vset = set(all_vertices)
@@ -514,8 +501,7 @@ def glue_puzzle(
             used.add(x)
         if a == b:
             report.add(BAD_INPUT, f"matching glues {a!r} to itself", (a,))
-    if not report.ok:
-        return None, report
+    raise_on_error(report)
     for a, b in matchings:
         merge[b] = a
 
@@ -525,27 +511,29 @@ def glue_puzzle(
     vertices = [v for v in all_vertices if v not in merge]
     arrows = [Arrow(x.id, rep(x.source), rep(x.target)) for x in all_arrows]
     glued = make_presentation(vertices, arrows, all_relations, special=all_special)
-    report.extend(check_skew_gentle(glued))
-    if not report.ok:
-        return None, report
-    return glued, report
+    raise_on_error(check_skew_gentle(glued))
+    return glued
 
 
 # ---------------------------------------------------------------------------
 # Presentation isomorphism
 
 
+ISO_MAX_ARROWS = 64
+
+
 def iso_presentations(
-    p1: Presentation, p2: Presentation, max_arrows: int = 64
+    p1: Presentation, p2: Presentation
 ) -> Optional[dict[str, dict[str, str]]]:
     """Search for an isomorphism of presentations.
 
     Matches vertices and arrows compatibly with sources, targets, special
     sets and relations (compared as sets of path families).  Returns
-    ``{"vertices": ..., "arrows": ...}`` or ``None``.
+    ``{"vertices": ..., "arrows": ...}`` or ``None``.  Quivers with more
+    than ``ISO_MAX_ARROWS`` arrows raise ``SIZE_LIMIT``.
     """
-    if max(len(p1.arrows), len(p2.arrows)) > max_arrows:
-        raise error(SIZE_LIMIT, f"quivers exceed {max_arrows} arrows")
+    if max(len(p1.arrows), len(p2.arrows)) > ISO_MAX_ARROWS:
+        raise error(SIZE_LIMIT, f"quivers exceed {ISO_MAX_ARROWS} arrows")
     if (
         len(p1.vertices) != len(p2.vertices)
         or len(p1.arrows) != len(p2.arrows)
@@ -746,9 +734,7 @@ def algebra_dimension(surface: DissectedSurface) -> int:
 
 def quiver_from_dissection(surface: DissectedSurface) -> Presentation:
     """The gentle pair of a dissection without orbifold points."""
-    cls = classify_dissection(surface)
-    raise_on_error(cls.report)
-    if cls.kind != "bullet":
+    if classify_dissection(surface) != "bullet":
         raise error(
             BAD_INPUT, "surface has orbifold points; use triple_from_x_dissection"
         )
@@ -757,9 +743,7 @@ def quiver_from_dissection(surface: DissectedSurface) -> Presentation:
 
 def triple_from_x_dissection(surface: DissectedSurface) -> Presentation:
     """The skew-gentle triple of a dissection with orbifold points."""
-    cls = classify_dissection(surface)
-    raise_on_error(cls.report)
-    if cls.kind != "x":
+    if classify_dissection(surface) != "x":
         raise error(
             BAD_INPUT, "surface has no orbifold points; use quiver_from_dissection"
         )
@@ -1076,8 +1060,9 @@ def random_triple(
                 break
             a, b = rng.sample(avail, 2)
             try_match(a, b)
-        triple, report = glue_puzzle(pieces, matchings)
-        if triple is None or not report.ok:
+        try:
+            triple = glue_puzzle(pieces, matchings)
+        except ValidationError:
             continue
         if not is_connected(triple):
             continue

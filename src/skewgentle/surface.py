@@ -319,7 +319,7 @@ class DissectedSurface:
 
     @cached_property
     def _involution_findings(self) -> dict:
-        """``id(inv)`` -> ``(inv, its maps, findings, fixed arcs)`` of
+        """``id(inv)`` -> ``(inv, its maps, findings)`` of
         :func:`validate_involution`; holding ``inv`` keeps its id unique."""
         return {}
 
@@ -506,18 +506,12 @@ def _rays_reached(succ: dict[Ray, Ray], first: Ray, last: Ray) -> int:
         seen.add(cur)
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: Optional[str]  # "bullet" (no orbifold points) or "x"
-    report: Report
-
-
-def classify_dissection(surface: DissectedSurface) -> Classification:
+def classify_dissection(surface: DissectedSurface) -> str:
     """Decide whether a valid surface is a plain or an orbifold dissection.
 
-    A plain ("bullet") dissection has no orbifold points.  An orbifold
-    ("x") dissection requires every orbifold point to carry exactly one
-    incident arc end; violations are reported as ``X_DEGREE``.
+    A plain (``"bullet"``) dissection has no orbifold points.  An orbifold
+    (``"x"``) dissection requires every orbifold point to carry exactly one
+    incident arc end; violations raise ``X_DEGREE``.
     """
     report = Report()
     orbifold = [p for p in surface.points if p.kind == ORBIFOLD]
@@ -529,9 +523,8 @@ def classify_dissection(surface: DissectedSurface) -> Classification:
                 f"orbifold point {p.id!r} has {deg} incident arc ends (need 1)",
                 (p.id,),
             )
-    if not report.ok:
-        return Classification(None, report)
-    return Classification("x" if orbifold else "bullet", report)
+    raise_on_error(report)
+    return "x" if orbifold else "bullet"
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +690,9 @@ def complete_involution(
     point_map: Mapping[str, str],
     arc_map: Mapping[str, str],
     reversed_arcs: Iterable[str],
-) -> tuple[Optional[SurfaceInvolution], Report]:
-    """Derive the bseg and polygon permutations from point and arc data."""
+) -> SurfaceInvolution:
+    """Derive the bseg and polygon permutations from point and arc data;
+    an image that cannot be found raises ``BAD_INVOLUTION``."""
     report = Report()
     reversed_arcs = frozenset(reversed_arcs)
     partial = SurfaceInvolution(
@@ -743,29 +737,23 @@ def complete_involution(
                 )
                 continue
             poly_map[poly.id] = surface.bseg_occurrence[cands[0].id][0]
-    if not report.ok:
-        return None, report
+    raise_on_error(report)
     for poly in surface.polygons:
         img_poly = surface.polygon_by_id[poly_map[poly.id]]
         own_b = next(s.ref for s in poly.sides if not s.is_arc)
         img_b = next(s.ref for s in img_poly.sides if not s.is_arc)
         bseg_map[own_b] = img_b
-    return (
-        SurfaceInvolution(
-            points=dict(point_map),
-            arcs=dict(arc_map),
-            reversed_arcs=reversed_arcs,
-            bsegs=bseg_map,
-            polygons=poly_map,
-        ),
-        report,
+    return SurfaceInvolution(
+        points=dict(point_map),
+        arcs=dict(arc_map),
+        reversed_arcs=reversed_arcs,
+        bsegs=bseg_map,
+        polygons=poly_map,
     )
 
 
-def validate_involution(
-    surface: DissectedSurface, inv: SurfaceInvolution
-) -> tuple[Report, list[str]]:
-    """Check a half-turn symmetry; return the report and the fixed arcs.
+def validate_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Report:
+    """Check a half-turn symmetry.
 
     Requirements: every map is an order-two permutation of the matching id
     set, arc endpoints transform consistently (with reversal flags), no
@@ -775,20 +763,20 @@ def validate_involution(
 
     The findings are kept on the surface for this involution object, with
     a copy of its maps: a map changed since is checked again.  Each call
-    returns a fresh report and list.
+    returns a fresh report.
     """
     maps = (inv.points, inv.arcs, inv.reversed_arcs, inv.bsegs, inv.polygons)
     memo = surface._involution_findings
     entry = memo.get(id(inv))
     if entry is None or entry[1] != maps:
-        report, fixed = _check_involution(surface, inv)
+        report = _check_involution(surface, inv)
         copies = (
             dict(inv.points), dict(inv.arcs), frozenset(inv.reversed_arcs),
             dict(inv.bsegs), dict(inv.polygons),
         )
-        entry = (inv, copies, tuple(report.diagnostics), tuple(fixed))
+        entry = (inv, copies, tuple(report.diagnostics))
         memo[id(inv)] = entry
-    return Report(list(entry[2])), list(entry[3])
+    return Report(list(entry[2]))
 
 
 def _is_rotation(word: tuple, target: tuple) -> bool:
@@ -800,9 +788,7 @@ def _is_rotation(word: tuple, target: tuple) -> bool:
     )
 
 
-def _check_involution(
-    surface: DissectedSurface, inv: SurfaceInvolution
-) -> tuple[Report, list[str]]:
+def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Report:
     report = Report()
     for mapping, items, label in (
         (inv.points, surface.points, "point"),
@@ -818,7 +804,7 @@ def _check_involution(
             if mapping[y] != x:
                 report.add(NOT_ORDER_TWO, f"{label} map sends {x!r}->{y!r}->{mapping[y]!r}")
     if not report.ok:
-        return report, []
+        return report
 
     point_map, reversed_arcs = inv.points, inv.reversed_arcs
     for p in surface.points:
@@ -827,7 +813,6 @@ def _check_involution(
         elif point_map[p.id] == p.id:
             report.add(FIXED_MARKED_POINT, f"point {p.id!r} is fixed", (p.id,))
 
-    fixed_arcs = []
     for a in surface.arcs:
         img = inv.arcs[a.id]
         rev = a.id in reversed_arcs
@@ -843,11 +828,8 @@ def _check_involution(
                 f"but image arc {img!r} runs {img_arc.tail!r}->{img_arc.head!r}",
                 (a.id,),
             )
-        if img == a.id:
-            if not rev:
-                report.add(UNREVERSED_FIXED_ARC, f"arc {a.id!r} is fixed but not reversed", (a.id,))
-            else:
-                fixed_arcs.append(a.id)
+        if img == a.id and not rev:
+            report.add(UNREVERSED_FIXED_ARC, f"arc {a.id!r} is fixed but not reversed", (a.id,))
 
     for b in surface.bsegs:
         img = inv.bsegs[b.id]
@@ -899,7 +881,7 @@ def _check_involution(
                     f"polygon {poly.id!r} word does not map onto polygon {img_id!r}",
                     (poly.id,),
                 )
-    return report, sorted(fixed_arcs)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1029,7 @@ def _check_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report
     if not closed and len(ps) < 2:
         report.add(INVALID_CURVE, f"open curve {curve.id!r} crosses no arc", (curve.id,))
         return report
-    for k in range(len(ps) if closed else last):
+    for k in range(crossing_steps(curve)[0]):
         nxt = (k + 1) % len(ps)
         p, q = ps[k], ps[nxt]
         s_out = sides_at[k][1]
@@ -1066,18 +1048,28 @@ def _check_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report
     return report
 
 
+def crossing_steps(curve: CombinatorialCurve) -> tuple[int, list[tuple[int, int, int]]]:
+    """The number of crossings of a curve and its steps between them.
+
+    Crossing ``k`` is where passage ``k`` exits: a closed curve crosses
+    once per passage, an open one once fewer.  A step ``(j, before,
+    after)`` is passage ``j`` running from crossing ``before`` to crossing
+    ``after``.  The first and last passage of an open curve lie between
+    no two crossings and give no step.
+    """
+    n = len(curve.passages)
+    if curve.closed:
+        return n, [(j, (j - 1) % n, j) for j in range(n)]
+    return n - 1, [(j, j - 1, j) for j in range(1, n - 1)]
+
+
 def curve_crossings(
     surface: DissectedSurface, curve: CombinatorialCurve
 ) -> list[str]:
     """The arcs crossed, in curve order (one entry per crossing)."""
     ps = curve.passages
-    out = []
-    count = len(ps) if curve.closed else len(ps) - 1
-    for k in range(count):
-        p = ps[k]
-        side = surface.polygon_by_id[p.polygon].sides[p.exit]
-        out.append(side.ref)
-    return out
+    count, _ = crossing_steps(curve)
+    return [surface.polygon_by_id[p.polygon].sides[p.exit].ref for p in ps[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -1329,17 +1321,8 @@ def parse_surface_file(text: str) -> SurfaceFile:
     raise_on_error(validate(surface))
     involution = None
     if inv_data is not None:
-        pmap, amap, rev = inv_data
-        involution, report = complete_involution(surface, pmap, amap, rev)
-        raise_on_error(report)
-        if involution is None:
-            raise error(
-                BAD_INVOLUTION,
-                f"the involution of {name!r} could not be completed",
-                (name,),
-            )
-        inv_report, _ = validate_involution(surface, involution)
-        raise_on_error(inv_report)
+        involution = complete_involution(surface, *inv_data)
+        raise_on_error(validate_involution(surface, involution))
     for curve in curves.values():
         raise_on_error(validate_curve(surface, curve))
     return SurfaceFile(surface, involution, curves)

@@ -10,10 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from oracles import euler_characteristic
 from skewgentle import (
     CombinatorialCurve,
     Passage,
+    ValidationError,
     boundary_curve,
     boundary_curves,
     build_complex,
@@ -211,10 +214,9 @@ def test_08_round_trips(cylinders, disc_x4, disc_xx):
 def test_09_complex_soundness(cylinders, disc_x4, disc_xx):
     for surface in list(cylinders.values()) + [disc_x4, disc_xx]:
         duals = dual_dissection(surface)
-        result = grading_solver(surface, duals)
-        assert result.values is not None
-        assert set(result.values.values()) == {0}
-        for garc in graded_arcs_from_solution(surface, duals, result):
+        grades = grading_solver(surface, duals)
+        assert set(grades.values()) == {0}
+        for garc in graded_arcs_from_solution(surface, duals, grades):
             assert verify_d2(build_complex(garc, surface))
     stair = CombinatorialCurve(
         "stair",
@@ -238,9 +240,9 @@ def test_09_complex_soundness(cylinders, disc_x4, disc_xx):
             Passage("lower", 6, 0, "right"),
         ),
     )
-    bad = grading_solver(cylinders[1], [perturbed])
-    assert bad.values is None
-    assert "INCONSISTENT" in bad.report.codes()
+    with pytest.raises(ValidationError) as exc:
+        grading_solver(cylinders[1], [perturbed])
+    assert "INCONSISTENT" in [d.code for d in exc.value.diagnostics]
 
 
 def test_10_cover_quotient_asymmetry(cylinders, torus_with_involution):

@@ -564,20 +564,21 @@ def test_help_text_is_identical_on_repeated_calls(capsys):
     assert texts[0].startswith("usage: skewgentle")
 
 
-def test_involution_completion_check_is_a_diagnostic(monkeypatch, capsys):
-    # An involution that completes to nothing, with no finding reported,
-    # gives BAD_INVOLUTION naming the surface and exit 2.
-    from skewgentle import surface
-    from skewgentle.diagnostics import BAD_INVOLUTION, Report, ValidationError
+def test_involution_completion_check_is_a_diagnostic(tmp_path, capsys):
+    # Without the pair 1+<->1- the arc map cannot place any polygon of the
+    # torus: one BAD_INVOLUTION per polygon, and exit 2.
+    from skewgentle.diagnostics import BAD_INVOLUTION
 
-    monkeypatch.setattr(surface, "complete_involution", lambda *args: (None, Report()))
+    text = _data_text("torus").replace(" 1+<->1-", "")
     with pytest.raises(ValidationError) as exc:
-        parse_surface_file(_data_text("torus"))
-    (diag,) = exc.value.diagnostics
-    assert diag.code == BAD_INVOLUTION
-    assert diag.where == ("torus",)
-    assert main(["validate", str(fixture_path("torus"))]) == 2
-    assert "BAD_INVOLUTION" in capsys.readouterr().err
+        parse_surface_file(text)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [
+        (BAD_INVOLUTION, (poly,)) for poly in ("lowM", "lowP", "upM", "upP")
+    ]
+    path = tmp_path / "torus.surf"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.count("[BAD_INVOLUTION]") == 4
 
 
 def _imports_cli(node) -> bool:

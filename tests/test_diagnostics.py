@@ -1,4 +1,5 @@
-"""Every check in the library is a diagnostic that survives ``python -O``."""
+"""Every check in the library is a diagnostic that survives ``python -O``,
+and only the validators hand a :class:`Report` back."""
 from __future__ import annotations
 
 import ast
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import skewgentle
-from skewgentle import fixtures, special_chain_triple, surface, two_hole_torus_surface
+from skewgentle import fixtures, special_chain_triple, special_piece, two_hole_torus_surface
 from skewgentle.diagnostics import BAD_INPUT, BAD_INVOLUTION, Report, ValidationError
 
 SRC = Path(skewgentle.__file__).resolve().parent
@@ -71,26 +72,25 @@ def test_the_scan_sees_what_python_O_changes(source):
     assert any(_changes_under_O(node) for node in ast.walk(ast.parse(source)))
 
 
-def test_fixture_checks_are_diagnostics(monkeypatch):
-    monkeypatch.setattr(surface, "complete_involution", lambda *args, **kw: (None, Report()))
+def test_fixture_checks_are_diagnostics(monkeypatch, tmp_path):
+    # The fixtures raise the findings of the functions they call.
+    torus = tmp_path / "torus.surf"
+    torus.write_text(fixtures.fixture_path("torus").read_text().replace(" 1+<->1-", ""))
+    monkeypatch.setattr(fixtures, "fixture_path", lambda name: torus)
     with pytest.raises(ValidationError) as exc:
         two_hole_torus_surface()
     assert [(d.code, d.where) for d in exc.value.diagnostics] == [
-        (BAD_INVOLUTION, ("torus",))
+        (BAD_INVOLUTION, (poly,)) for poly in ("lowM", "lowP", "upM", "upP")
     ]
-    monkeypatch.setattr(fixtures, "glue_puzzle", lambda pieces, matchings: (None, Report()))
+    monkeypatch.setattr(fixtures, "special_piece", lambda prefix: special_piece("s"))
     with pytest.raises(ValidationError) as exc:
         special_chain_triple()
-    (diag,) = exc.value.diagnostics
-    assert diag.code == BAD_INPUT
-    assert diag.where == (("c.2", "s2.v"), ("c.3", "s3.v"), ("c.4", "s4.v"))
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, ())]
 
 
-def test_report_json_survives_a_round_trip(monkeypatch):
-    monkeypatch.setattr(fixtures, "glue_puzzle", lambda pieces, matchings: (None, Report()))
-    with pytest.raises(ValidationError) as exc:
-        special_chain_triple()
-    report = Report(exc.value.diagnostics)
+def test_report_json_survives_a_round_trip():
+    report = Report()
+    report.add(BAD_INPUT, "pieces did not glue", (("c.2", "s2.v"), ("c.3", "s3.v"), ("c.4", "s4.v")))
     report.add(BAD_INVOLUTION, "no image", ("torus", 3))
     data = report.to_json()
     assert json.loads(json.dumps(data)) == data
@@ -98,3 +98,85 @@ def test_report_json_survives_a_round_trip(monkeypatch):
         [["c.2", "s2.v"], ["c.3", "s3.v"], ["c.4", "s4.v"]],
         ["torus", 3],
     ]
+
+
+# ---------------------------------------------------------------------------
+# One error convention: validators return a Report, every other function
+# returns its value or raises ValidationError.
+
+VALIDATORS = {
+    "validate",
+    "validate_curve",
+    "validate_involution",
+    "check_gentle",
+    "check_skew_gentle",
+    "is_dual_dissection",
+}
+
+
+def _names_report(annotation) -> bool:
+    return re.search(r"\bReport\b", ast.unparse(annotation)) is not None
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _report_results(source: str) -> list[str]:
+    """Public functions and methods outside :data:`VALIDATORS` whose return
+    annotation names ``Report``, validators annotated to return anything
+    but a ``Report``, and ``Report`` fields of public dataclasses."""
+    found = []
+    for node in ast.parse(source).body:
+        members = [node]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            members = node.body
+            if _is_dataclass(node):
+                found += [
+                    f"{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and _names_report(field.annotation)
+                ]
+        for f in members:
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("_") or not f.returns:
+                continue
+            if f.name in VALIDATORS:
+                if ast.unparse(f.returns) != "Report":
+                    found.append(f.name)
+            elif _names_report(f.returns):
+                found.append(f.name)
+    return found
+
+
+def test_only_validators_return_a_report():
+    assert all(callable(getattr(skewgentle, name)) for name in VALIDATORS)
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _report_results(path.read_text())
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def build() -> Report: ...",
+        "def build() -> tuple[Optional[int], Report]: ...",
+        "class Factory:\n    def build(self) -> 'Report': ...",
+        "@dataclass(frozen=True)\nclass Result:\n    value: int\n    report: Report",
+        "@dataclasses.dataclass\nclass Result:\n    report: Optional[Report]",
+        "def validate_involution(s, inv) -> tuple[Report, list[str]]: ...",
+    ],
+)
+def test_the_convention_scan_sees_a_report_result(source):
+    assert _report_results(source)
+
+
+def test_the_convention_scan_lets_validators_and_private_helpers_be():
+    source = "def validate(s) -> Report: ...\ndef _check(s) -> Report: ...\n"
+    assert _report_results(source) == []

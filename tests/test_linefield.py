@@ -140,19 +140,13 @@ def test_dual_check_rejects_closed_curve(cylinders):
 def test_grading_of_canonical_duals_is_zero(cylinders, disc_x4):
     for surface in list(cylinders.values()) + [disc_x4]:
         duals = dual_dissection(surface)
-        result = grading_solver(surface, duals)
-        assert result.report.ok
-        assert result.values is not None
-        assert set(result.values.values()) == {0}
+        assert set(grading_solver(surface, duals).values()) == {0}
 
 
 def test_grading_anchor_translates_whole_block(cylinders):
     duals = dual_dissection(cylinders[1])
-    result = grading_solver(
-        cylinders[1], duals, anchors={(duals[0].id, 0): 7}
-    )
-    assert result.values is not None
-    assert set(result.values.values()) == {7}
+    grades = grading_solver(cylinders[1], duals, anchors={(duals[0].id, 0): 7})
+    assert set(grades.values()) == {7}
 
 
 # returns to its starting segment after a net turn, so no grading exists
@@ -168,17 +162,22 @@ PERTURBED = CombinatorialCurve(
 
 
 def test_grading_detects_contradiction(cylinders):
-    result = grading_solver(cylinders[1], [PERTURBED])
-    assert result.values is None
-    assert result.report.codes().count(INCONSISTENT) == 2
+    with pytest.raises(ValidationError) as exc:
+        grading_solver(cylinders[1], [PERTURBED])
+    assert [d.code for d in exc.value.diagnostics].count(INCONSISTENT) == 2
 
 
 def test_graded_arcs_from_failed_grading_raise_its_findings(cylinders):
-    result = grading_solver(cylinders[1], [PERTURBED])
+    # the solver raises every clash it met, in the order it met them,
+    # before any grade reaches graded_arcs_from_solution
     with pytest.raises(ValidationError) as exc:
-        graded_arcs_from_solution(cylinders[1], [PERTURBED], result)
-    assert exc.value.diagnostics == result.report.diagnostics
-    assert [d.code for d in exc.value.diagnostics] == [INCONSISTENT, INCONSISTENT]
+        graded_arcs_from_solution(
+            cylinders[1], [PERTURBED], grading_solver(cylinders[1], [PERTURBED])
+        )
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [
+        (INCONSISTENT, (("perturbed", 1), 0, 1)),
+        (INCONSISTENT, (("perturbed", 0), 1, 0)),
+    ]
 
 
 def test_grading_flags_unanchored_block(disc_x4):
@@ -194,13 +193,12 @@ def test_grading_flags_unanchored_block(disc_x4):
     hook = CombinatorialCurve(
         "d4", False, (Passage("F3", 0, 1, "right"), Passage("big", 5, 0, "right"))
     )
-    anchored = grading_solver(
-        disc_x4, [span, hook], anchors={("d4", 0): 0}
-    )
-    assert anchored.values is None
-    assert NOT_CONNECTED_TO_ANCHOR in anchored.report.codes()
-    free = grading_solver(disc_x4, [span, hook])
-    assert free.values is not None
+    with pytest.raises(ValidationError) as exc:
+        grading_solver(disc_x4, [span, hook], anchors={("d4", 0): 0})
+    assert NOT_CONNECTED_TO_ANCHOR in [d.code for d in exc.value.diagnostics]
+    assert set(grading_solver(disc_x4, [span, hook])) == {
+        ("span", 0), ("span", 1), ("d4", 0)
+    }
 
 
 def test_symmetric_pair_constraint_can_contradict(cylinders):
@@ -224,22 +222,20 @@ def test_symmetric_pair_constraint_can_contradict(cylinders):
             Passage("lower", 3, 0, "right"),
         ),
     )
-    plain = grading_solver(cylinders[1], [falling, rising])
-    assert plain.values is not None
-    paired = grading_solver(
-        cylinders[1],
-        [falling, rising],
-        symmetric_pairs=[("falling", "rising")],
-    )
-    assert paired.values is None
-    assert INCONSISTENT in paired.report.codes()
+    assert len(grading_solver(cylinders[1], [falling, rising])) == 4
+    with pytest.raises(ValidationError) as exc:
+        grading_solver(
+            cylinders[1],
+            [falling, rising],
+            symmetric_pairs=[("falling", "rising")],
+        )
+    assert INCONSISTENT in [d.code for d in exc.value.diagnostics]
 
 
 def test_graded_arc_maps_through_involution(torus_with_involution):
     surface, inv = torus_with_involution
     duals = dual_dissection(surface)
-    result = grading_solver(surface, duals)
-    garcs = graded_arcs_from_solution(surface, duals, result)
+    garcs = graded_arcs_from_solution(surface, duals, grading_solver(surface, duals))
     for garc in garcs:
         moved = map_graded_arc(surface, inv, garc)
         assert moved.curve.id == garc.curve.id + ".inv"
@@ -265,8 +261,7 @@ def test_staircase_curve_complex(cylinders):
     stair = _staircase()
     surface = cylinders[1]
     assert curve_crossings(surface, stair) == ["1", "2", "3"]
-    result = grading_solver(surface, [stair])
-    garcs = graded_arcs_from_solution(surface, [stair], result)
+    garcs = graded_arcs_from_solution(surface, [stair], grading_solver(surface, [stair]))
     assert garcs[0].grades == (0, 1, 2)
     cx = build_complex(garcs[0], surface)
     assert cx.summands == (("1", 0), ("2", 1), ("3", 2))
@@ -288,8 +283,7 @@ def test_complex_whose_differential_squares_nonzero_is_refused(cylinders, monkey
 
     surface = cylinders[1]
     stair = _staircase()
-    result = grading_solver(surface, [stair])
-    (garc,) = graded_arcs_from_solution(surface, [stair], result)
+    (garc,) = graded_arcs_from_solution(surface, [stair], grading_solver(surface, [stair]))
     monkeypatch.setattr(linefield, "verify_d2", lambda cx, algebra=None: False)
     with pytest.raises(ValidationError) as exc:
         build_complex(garc, surface)
@@ -501,7 +495,7 @@ def test_mapped_graded_arc_check_is_a_diagnostic(torus_with_involution, monkeypa
     assert [d.code for d in exc.value.diagnostics] == ["INVALID_CURVE"]
 
 
-def test_complex_refuses_an_algebra_that_kills_a_corner_path():
+def test_complex_refuses_an_algebra_that_kills_a_corner_path(monkeypatch):
     # The A3 disc: the passage through F2 walks the corner path 1.2 then 2.3.
     surface = surface_from_gentle(
         make_presentation(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
@@ -522,8 +516,9 @@ def test_complex_refuses_an_algebra_that_kills_a_corner_path():
     killed = graded_path_algebra(
         make_presentation(pres.vertices, pres.arrows, [(("1.2", "2.3"),)])
     )
+    monkeypatch.setattr(linefield, "graded_path_algebra", lambda pres: killed)
     with pytest.raises(ValidationError) as exc:
-        build_complex(garc, surface, algebra=killed)
+        build_complex(garc, surface)
     assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, ("c", 1))]
 
 

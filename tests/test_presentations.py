@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from oracles import monomial_path_count
 from skewgentle import (
     Arrow,
+    SurfaceFile,
     ValidationError,
     check_gentle,
     check_skew_gentle,
     cycle_piece,
     extract_quiver,
+    format_surface_file,
     glue_puzzle,
     iso_presentations,
     linear_piece,
@@ -38,7 +41,7 @@ from skewgentle.diagnostics import (
     SIZE_LIMIT,
     SUCCESSOR_CLASH,
 )
-from skewgentle.presentations import companion_pair
+from skewgentle.presentations import ISO_MAX_ARROWS, companion_pair
 
 
 # --- oracle-backed dimension facts (enumeration is independent of the
@@ -178,11 +181,9 @@ def test_glue_chain_triple_counts():
 
 def test_glue_rejects_overused_vertex():
     pieces = [linear_piece(2, "a"), linear_piece(2, "b"), linear_piece(2, "c")]
-    glued, report = glue_puzzle(
-        pieces, [("a.1", "b.1"), ("a.1", "c.1"), ("b.2", "c.2")]
-    )
-    assert glued is None
-    assert [(d.code, d.where) for d in report.diagnostics] == [
+    with pytest.raises(ValidationError) as exc:
+        glue_puzzle(pieces, [("a.1", "b.1"), ("a.1", "c.1"), ("b.2", "c.2")])
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [
         (OVERGLUED_VERTEX, ("a.1",))
     ]
 
@@ -287,6 +288,34 @@ def test_random_x_dissections_validate():
         assert len(topology(s).orbifold_points) >= 1
 
 
+def _triple_text(tri) -> str:
+    arrows = [(a.id, a.source, a.target) for a in tri.arrows]
+    return repr((tri.vertices, arrows, tri.relations, sorted(tri.special)))
+
+
+def _fingerprint(draw, text, seed: int) -> str:
+    """A digest of the first 50 draws from ``Random(seed)`` and of the
+    generator's next number after them."""
+    rng = random.Random(seed)
+    lines = [text(draw(rng)) for _ in range(50)]
+    lines.append(repr(rng.random()))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "seed, triples, dissections",
+    [(7, "d87c3ffdb70b6054", "679bea14bf8397ce"), (2024, "0114ab797bde8417", "bfdb1ab95c21ffe6")],
+)
+def test_seeded_generators_draw_what_they_always_drew(seed, triples, dissections):
+    """The benchmark's random workloads are these draws: the same seed
+    gives the same triples and dissections and uses up the generator
+    alike."""
+    triple = lambda rng: random_triple(rng, max_arrows=6)
+    as_file = lambda s: format_surface_file(SurfaceFile(s))
+    assert _fingerprint(triple, _triple_text, seed) == triples
+    assert _fingerprint(random_x_dissection, as_file, seed) == dissections
+
+
 def test_iso_presentations_distinguishes():
     a = make_presentation(["1", "2"], [Arrow("a", "1", "2")], [])
     b = make_presentation(["1", "2"], [Arrow("a", "2", "1")], [])
@@ -298,10 +327,13 @@ def test_iso_presentations_distinguishes():
 
 
 def test_iso_presentations_refuses_quivers_over_the_arrow_cap():
-    a = make_presentation(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")], [])
-    assert iso_presentations(a, a, max_arrows=2)
+    def parallel(n):
+        return make_presentation(["1", "2"], [Arrow(f"a{k}", "1", "2") for k in range(n)], [])
+
+    assert ISO_MAX_ARROWS == 64
+    assert iso_presentations(parallel(2), parallel(2))
     with pytest.raises(ValidationError) as exc:
-        iso_presentations(a, a, max_arrows=1)
+        iso_presentations(parallel(65), parallel(2))
     assert [d.code for d in exc.value.diagnostics] == [SIZE_LIMIT]
 
 

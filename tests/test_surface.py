@@ -17,9 +17,11 @@ from skewgentle import (
     Polygon,
     arc_side,
     boundary_components,
+    boundary_curve,
     bseg_side,
     classify_dissection,
     complete_involution,
+    crossing_steps,
     curve_crossings,
     fixture_path,
     make_surface,
@@ -144,9 +146,9 @@ def test_torus_topology(torus_with_involution):
 
 
 def test_classification_kinds(cylinders, disc, torus_with_involution):
-    assert classify_dissection(cylinders[1]).kind == "x"
-    assert classify_dissection(disc).kind == "bullet"
-    assert classify_dissection(torus_with_involution[0]).kind == "bullet"
+    assert classify_dissection(cylinders[1]) == "x"
+    assert classify_dissection(disc) == "bullet"
+    assert classify_dissection(torus_with_involution[0]) == "bullet"
 
 
 def test_boundary_components_order(cylinders):
@@ -157,17 +159,25 @@ def test_boundary_components_order(cylinders):
 
 def test_complete_involution_rejects_odd_point_map(cylinders):
     s = cylinders[1]
-    inv, report = complete_involution(
+    # The maps complete; the check then finds the orbifold points and
+    # every arc and polygon that does not map onto its image.
+    inv = complete_involution(
         s, {"B": "T", "T": "B", "X1": "X2", "X2": "X1"}, {"1": "4", "4": "1", "2": "3", "3": "2"}, []
     )
-    assert inv is None or not validate_involution(s, inv)[0].ok
+    report = validate_involution(s, inv)
+    assert [(d.code, d.where) for d in report.diagnostics] == [
+        (BAD_INPUT, ("X1",)),
+        (BAD_INPUT, ("X2",)),
+        *[(BAD_INVOLUTION, (a,)) for a in ("1", "2", "3", "4")],
+        (BAD_INVOLUTION, ("lower",)),
+        (BAD_INVOLUTION, ("upper",)),
+    ]
 
 
 def test_torus_involution_valid(torus_with_involution):
     s, inv = torus_with_involution
-    report, fixed = validate_involution(s, inv)
-    assert report.ok
-    assert sorted(fixed) == ["2", "3"]
+    assert validate_involution(s, inv).ok
+    assert sorted(a for a, b in inv.arcs.items() if a == b) == ["2", "3"]
 
 
 def test_chord_side_rule():
@@ -228,6 +238,12 @@ def test_validate_curve_rejects_mismatched_consecutive(cylinders):
 
 def test_curve_crossings(cylinders):
     assert curve_crossings(cylinders[1], _staircase()) == ["1", "2", "3"]
+    # four passages: three crossings, and the two inner passages step
+    assert crossing_steps(_staircase()) == (3, [(1, 0, 1), (2, 1, 2)])
+    loop = boundary_curve(cylinders[1], "b_bot")
+    n = len(loop.passages)
+    assert crossing_steps(loop) == (n, [(0, n - 1, 0)] + [(j, j - 1, j) for j in range(1, n)])
+    assert len(curve_crossings(cylinders[1], loop)) == n
 
 
 def test_reverse_curve_is_involutive(cylinders):
@@ -376,18 +392,16 @@ def test_orbifold_point_with_two_arc_ends_is_x_degree():
             "poly F2 sides=b:b2,a:a:+,a:c:-",
         ]
     )
-    report = classify_dissection(parse_surface_file(text).surface).report
-    assert [(d.code, d.where) for d in report.diagnostics] == [(X_DEGREE, ("X",))]
+    with pytest.raises(ValidationError) as exc:
+        classify_dissection(parse_surface_file(text).surface)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(X_DEGREE, ("X",))]
 
 
 def test_involution_that_is_not_of_order_two():
     sf = parse_surface_file(_text("torus"))
     cycle = {"Pb1": "Pb2", "Pb2": "Pt1", "Pt1": "Pb1", "Pt2": "Pt2"}
-    report, fixed = validate_involution(
-        sf.surface, dataclasses.replace(sf.involution, points=cycle)
-    )
+    report = validate_involution(sf.surface, dataclasses.replace(sf.involution, points=cycle))
     assert [(d.code, d.where) for d in report.diagnostics] == [(NOT_ORDER_TWO, ())] * 3
-    assert fixed == []
 
 
 def test_involution_fixing_marked_points():
@@ -404,9 +418,7 @@ def test_involution_fixing_marked_points():
 def test_involution_fixing_polygons():
     sf = parse_surface_file(_text("torus"))
     polygons = {**sf.involution.polygons, "lowM": "lowM", "lowP": "lowP"}
-    report, _ = validate_involution(
-        sf.surface, dataclasses.replace(sf.involution, polygons=polygons)
-    )
+    report = validate_involution(sf.surface, dataclasses.replace(sf.involution, polygons=polygons))
     assert [(d.code, d.where) for d in report.diagnostics] == [
         (FIXED_POLYGON, ("lowM",)),
         (FIXED_POLYGON, ("lowP",)),
@@ -427,11 +439,10 @@ def test_involution_check_is_kept_until_a_map_changes(count_calls):
     sf = parse_surface_file(_text("torus"))
     checks = count_calls("skewgentle.surface", "_check_involution")
     inv = dataclasses.replace(sf.involution, polygons=dict(sf.involution.polygons))
-    assert validate_involution(sf.surface, inv)[0].ok
-    assert validate_involution(sf.surface, inv)[0].ok
+    assert validate_involution(sf.surface, inv).ok
+    assert validate_involution(sf.surface, inv).ok
     assert len(checks) == 1
     inv.polygons["lowM"] = "lowM"
     inv.polygons["lowP"] = "lowP"
-    report, _ = validate_involution(sf.surface, inv)
-    assert report.codes() == [FIXED_POLYGON, FIXED_POLYGON]
+    assert validate_involution(sf.surface, inv).codes() == [FIXED_POLYGON, FIXED_POLYGON]
     assert len(checks) == 2
