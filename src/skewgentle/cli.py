@@ -125,7 +125,7 @@ def _cmd_quiver(ns) -> int:
 
 
 def _cmd_split(ns) -> int:
-    _print_presentation(split_presentation(_triple_of(_load(ns.file).surface)))
+    _print_presentation(split_presentation(_triple_of(_load(ns.file).surface)).presentation)
     return 0
 
 

@@ -37,14 +37,10 @@ from .diagnostics import (
     raise_on_error,
 )
 from .presentations import (
-    Presentation,
     QuiverExtraction,
-    SplitTable,
-    _special_vertices,
+    Split,
     extract_quiver,
-    split_arrow_table,
     split_presentation,
-    split_swap_map,
 )
 from .surface import (
     ORBIFOLD,
@@ -145,24 +141,10 @@ class CoveringData:
         return extract_quiver(self.total)
 
     @cached_property
-    def split(self) -> Presentation:
-        """The split presentation of the base triple."""
+    def split(self) -> Split:
+        """The split of the base triple, with its arrow origins, half-swap
+        and doubled vertices."""
         return split_presentation(self.base_quiver.presentation)
-
-    @cached_property
-    def split_table(self) -> SplitTable:
-        """Each split arrow's origin, as in :func:`split_arrow_table`."""
-        return split_arrow_table(self.base_quiver.presentation)
-
-    @cached_property
-    def split_swap(self) -> dict[str, str]:
-        """The half-swapping relabelling of the split generators."""
-        return split_swap_map(self.base_quiver.presentation)
-
-    @cached_property
-    def special_vertices(self) -> frozenset[str]:
-        """The base vertices carrying a special loop."""
-        return _special_vertices(self.base_quiver.presentation)
 
     @cached_property
     def deck_generators(self) -> dict[str, str]:

@@ -20,6 +20,7 @@ from typing import Any
 ARC_OCCURRENCE = "ARC_OCCURRENCE"
 BSEG_OCCURRENCE = "BSEG_OCCURRENCE"
 MULTIPLE_BSEG = "MULTIPLE_BSEG"
+BSEG_NOT_FIRST = "BSEG_NOT_FIRST"
 CORNER_MISMATCH = "CORNER_MISMATCH"
 NONORIENTABLE_GLUING = "NONORIENTABLE_GLUING"
 BAD_EULER = "BAD_EULER"

@@ -52,10 +52,12 @@ idempotents ``(e ± s·e)/2`` carry halves, so each reduction builds its
 generator images doubled: every vertex image is ``2·φ(v)`` (``e ± s·e``,
 or ``2·e`` for a vertex that is not split) and every arrow image is
 ``4·φ(a)`` (the sandwich of an arrow between two doubled ends, or its
-half-sum doubled once more).  These integral images go to
-:func:`~skewgentle.algebra.verify_morphism` with ``scale=2`` and to the
-grading-sign comparison, which is linear; the public images are divided
-once at the end, and only there do the halves appear as ``Fraction``.
+half-sum doubled once more).  These integral images go, in corner
+coordinates, to :func:`~skewgentle.algebra.verify_morphism` with
+``scale=2``, and to the grading-sign comparison, which is linear.  Each
+reduction publishes one set of images, in the coordinates of the crossed
+product, divided once at the end; only there do the halves appear as
+``Fraction``.
 
 A symmetry that is not an algebra involution raises ``NOT_INVOLUTION``,
 arrow lifts that do not sandwich to a single arrow or disagree on their
@@ -202,17 +204,14 @@ def _compare(
     doubled: Mapping[str, Vector],
     expected_dim: int,
     symmetry: Mapping[str, str],
-) -> tuple[
-    dict[str, Vector], dict[str, Vector], dict[str, Vector], MorphismVerdict,
-    dict[str, bool],
-]:
+) -> tuple[dict[str, Vector], MorphismVerdict, dict[str, bool]]:
     """Check that the generator images define an isomorphism of ``domain``
     onto the corner, and for each generator whether the grading signs of
     ``skew`` send its image to the image of its ``symmetry`` partner.
 
     ``doubled`` holds ``2·φ(v)`` for each vertex and ``4·φ(a)`` for each
-    arrow.  Returns the raw, vertex and arrow images of φ itself, the
-    verdict and the grading-sign dict."""
+    arrow, in the coordinates of ``skew``.  Returns the images of φ itself
+    there, the verdict and the grading-sign dict."""
     vertex_doubled, arrow_doubled = _corner_images(corner, domain, doubled)
     verdict = verify_morphism(
         domain, vertex_doubled, arrow_doubled, corner.algebra,
@@ -223,17 +222,11 @@ def _compare(
         gen: veq(twist.apply(img), doubled[symmetry[gen]])
         for gen, img in doubled.items()
     }
-
-    def undoubled(images: Mapping[str, Vector]) -> dict[str, Vector]:
-        return {
-            gen: {k: _divide(c, 2 if gen in vertex_doubled else 4) for k, c in img.items()}
-            for gen, img in images.items()
-        }
-
-    return (
-        undoubled(doubled), undoubled(vertex_doubled), undoubled(arrow_doubled),
-        verdict, compat,
-    )
+    images = {
+        gen: {k: _divide(c, 2 if gen in vertex_doubled else 4) for k, c in img.items()}
+        for gen, img in doubled.items()
+    }
+    return images, verdict, compat
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +235,17 @@ def _compare(
 
 @dataclass
 class SkewGroupReduction:
-    """Outcome of comparing the base algebra with a crossed-product corner."""
+    """Outcome of comparing the base algebra with a crossed-product corner.
 
-    triple: Presentation
-    split: Presentation
+    ``images`` holds the image of each generator of the split presentation
+    (``cov.split.presentation``) in the coordinates of ``skew``."""
+
     cover_pair: Presentation
     cover_algebra: PathAlgebra
     deck_action: BasisMap
     skew: TableAlgebra
     corner: CornerAlgebra
-    chosen_lifts: dict[str, str]
-    vertex_images: dict[str, Vector]
-    arrow_images: dict[str, Vector]
-    raw_images: dict[str, Vector]
+    images: dict[str, Vector]
     survivors: dict[str, tuple[str, int]]
     swap_compat: dict[str, bool]
     verdict: MorphismVerdict
@@ -281,7 +272,7 @@ def verify_skew_group_reduction(
     lam = graded_path_algebra(pair)
     deck_action = induced_basis_map(lam, cov.deck_generators)
 
-    special_vertices = cov.special_vertices
+    special_vertices = split.special_vertices
     chosen_lifts: dict[str, str] = {}
     for v in triple.vertices:
         if v in special_vertices:
@@ -303,7 +294,7 @@ def verify_skew_group_reduction(
             doubled[v] = vscale(_vertex(skew, lift, 0), 2)
 
     survivors: dict[str, tuple[str, int]] = {}
-    for sid, (aid, sdec, tdec) in sorted(cov.split_table.items()):
+    for sid, (aid, sdec, tdec) in sorted(split.origin.items()):
         plus, minus = cov.arrow_lifts[(aid, 1)], cov.arrow_lifts[(aid, -1)]
         undecorated = sdec is None and tdec is None
         # Both ends decorated: the +1 lift alone.  Otherwise the sum of the
@@ -319,7 +310,7 @@ def verify_skew_group_reduction(
                 vadd(_arrow(skew, pair, plus, 1), _arrow(skew, pair, minus, 1)),
             )
         # between two doubled ends the sandwich is 4·φ(a)
-        ends = split.arrow_by_id[sid]
+        ends = split.presentation.arrow_by_id[sid]
         img = skew.mul(doubled[ends.target], skew.mul(middle, doubled[ends.source]))
         if undecorated:
             if len(img) != 1:
@@ -336,21 +327,17 @@ def verify_skew_group_reduction(
             survivors[sid] = (key[1][0], g)
         doubled[sid] = img
 
-    raw_images, vertex_images, arrow_images, verdict, swap_compat = _compare(
-        skew, corner, split, doubled, algebra_dimension(cov.base), cov.split_swap
+    images, verdict, swap_compat = _compare(
+        skew, corner, split.presentation, doubled, algebra_dimension(cov.base),
+        split.swap,
     )
     return SkewGroupReduction(
-        triple=triple,
-        split=split,
         cover_pair=pair,
         cover_algebra=lam,
         deck_action=deck_action,
         skew=skew,
         corner=corner,
-        chosen_lifts=chosen_lifts,
-        vertex_images=vertex_images,
-        arrow_images=arrow_images,
-        raw_images=raw_images,
+        images=images,
         survivors=survivors,
         swap_compat=swap_compat,
         verdict=verdict,
@@ -364,16 +351,16 @@ def verify_skew_group_reduction(
 @dataclass
 class DualReduction:
     """Outcome of comparing the cover algebra with a corner of the crossed
-    product of the split algebra by the half-swap."""
+    product of the split algebra by the half-swap.
 
-    split: Presentation
+    ``images`` holds the image of each generator of the cover presentation
+    in the coordinates of ``skew``."""
+
     split_algebra: PathAlgebra
     swap_action: BasisMap
     skew: TableAlgebra
     corner: CornerAlgebra
-    vertex_images: dict[str, Vector]
-    arrow_images: dict[str, Vector]
-    raw_images: dict[str, Vector]
+    images: dict[str, Vector]
     equivariant: dict[str, bool]
     verdict: MorphismVerdict
 
@@ -385,13 +372,12 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     triple = cov.base_quiver.presentation
     pair = cov.total_quiver.presentation
     split = cov.split
-    split_algebra = graded_path_algebra(split)
+    split_algebra = graded_path_algebra(split.presentation)
 
     base_of_vertex = {aid: key for key, aid in cov.arc_image.items()}
     lifts = cov.arrow_lifts
     base_of_arrow = {aid: key for key, aid in lifts.items()}
-    split_table = cov.split_table
-    by_origin = {origin: sid for sid, origin in split_table.items()}
+    by_origin = {origin: sid for sid, origin in split.origin.items()}
 
     # Each base arrow acquires a sign: the product, over the endpoints of
     # either lift, of the endpoint's sheet label (a slit endpoint counts
@@ -411,13 +397,11 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
                 BAD_LIFT, f"sheet sign of {aid!r} differs between the two lifts"
             )
     arrow_sign = {
-        sid: sheet_sign[origin[0]] for sid, origin in split_table.items()
+        sid: sheet_sign[origin[0]] for sid, origin in split.origin.items()
     }
 
-    swap_action = induced_basis_map(
-        split_algebra, cov.split_swap, signs=arrow_sign
-    )
-    special_vertices = cov.special_vertices
+    swap_action = induced_basis_map(split_algebra, split.swap, signs=arrow_sign)
+    special_vertices = split.special_vertices
     idem_vertices = [
         split_vertex_ids(v)[0] if v in special_vertices else v for v in triple.vertices
     ]
@@ -444,24 +428,20 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
             first = second = by_origin[(aid, None, tdec)]
             sheet = base_of_vertex[a.source][1]
         # the half-sum doubled twice, 4·φ(a)
-        doubled[a.id] = vscale(
-            vaxpy(_arrow(skew, split, first, 0), _arrow(skew, split, second, 1), sheet),
-            2,
-        )
+        first_term = _arrow(skew, split.presentation, first, 0)
+        second_term = _arrow(skew, split.presentation, second, 1)
+        doubled[a.id] = vscale(vaxpy(first_term, second_term, sheet), 2)
 
-    raw_images, vertex_images, arrow_images, verdict, equivariant = _compare(
+    images, verdict, equivariant = _compare(
         skew, corner, pair, doubled, algebra_dimension(cov.total),
         cov.deck_generators,
     )
     return DualReduction(
-        split=split,
         split_algebra=split_algebra,
         swap_action=swap_action,
         skew=skew,
         corner=corner,
-        vertex_images=vertex_images,
-        arrow_images=arrow_images,
-        raw_images=raw_images,
+        images=images,
         equivariant=equivariant,
         verdict=verdict,
     )

@@ -548,9 +548,7 @@ def grading_solver(
 
 
 def graded_arcs_from_solution(
-    surface: DissectedSurface,
-    curves: Sequence[CombinatorialCurve],
-    values: dict[tuple[str, int], int],
+    curves: Sequence[CombinatorialCurve], values: dict[tuple[str, int], int]
 ) -> list[GradedArc]:
     """Attach the grades of :func:`grading_solver` to their curves."""
     return [
@@ -595,9 +593,21 @@ def build_complex(garc: GradedArc, surface: DissectedSurface) -> ComplexPresenta
     between two crossings contributes the path of corner arrows walked
     inside the polygon on the side away from the boundary segment.  The
     entry sits over the passage's winding sign: grade-raising passages map
-    the later crossing to the earlier, grade-lowering ones the reverse."""
+    the later crossing to the earlier, grade-lowering ones the reverse.
+
+    Around a closed curve the grade differences sum to its winding, so
+    only a closed curve of winding 0 can be graded."""
     curve = garc.curve
     raise_on_error(validate_curve(surface, curve))
+    if curve.closed:
+        total = winding(surface, curve)
+        if total:
+            raise error(
+                BAD_INPUT,
+                f"closed curve {curve.id!r} has winding {total}; "
+                "only a curve of winding 0 can be graded",
+                (curve.id,),
+            )
     crossings = curve_crossings(surface, curve)
     if len(garc.grades) != len(crossings):
         raise error(

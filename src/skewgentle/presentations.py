@@ -326,20 +326,21 @@ def _split_arrow_id(aid: str, src_dec: Optional[int], tgt_dec: Optional[int]) ->
     return out
 
 
-SplitTable = dict[str, tuple[str, Optional[int], Optional[int]]]
+@dataclass(frozen=True)
+class Split:
+    """The split presentation of a triple with the bookkeeping that maps it
+    back: ``origin`` sends each split arrow to ``(arrow id, source
+    decoration, target decoration)``, ``swap`` is the half-swapping
+    relabelling of the split generators, and ``special_vertices`` are the
+    vertices of the triple that were doubled."""
+
+    presentation: Presentation
+    origin: dict[str, tuple[str, Optional[int], Optional[int]]]
+    swap: dict[str, str]
+    special_vertices: frozenset[str]
 
 
-def _special_vertices(triple: Presentation) -> frozenset[str]:
-    """The vertices of a triple that carry a special loop."""
-    return frozenset(triple.arrow_by_id[e].source for e in triple.special)
-
-
-def _decorations(v: str, special_vertices: frozenset[str]) -> tuple[Optional[int], ...]:
-    """The choices of half at ``v``: ``0, 1`` at a special vertex, else none."""
-    return (0, 1) if v in special_vertices else (None,)
-
-
-def split_presentation(triple: Presentation) -> Presentation:
+def split_presentation(triple: Presentation) -> Split:
     """Resolve the special loops of a triple into split vertices.
 
     Every special vertex ``v`` becomes two vertices ``v_0, v_1``; its loop
@@ -347,30 +348,52 @@ def split_presentation(triple: Presentation) -> Presentation:
     choice at a special source and a left superscript for a special
     target.  A monomial relation through an ordinary middle vertex stays a
     family of monomials; one through a special middle vertex becomes the
-    family of two-term sums pairing the middle decorations.
+    family of two-term sums pairing the middle decorations.  The swap
+    exchanges the two halves of every doubled vertex and flips every
+    arrow decoration.
     """
     raise_on_error(check_skew_gentle(triple))
-    special_vertices = _special_vertices(triple)
+    special_vertices = frozenset(triple.arrow_by_id[e].source for e in triple.special)
 
-    vertices: list[str] = []
-    for v in triple.vertices:
-        vertices.extend(split_vertex_ids(v) if v in special_vertices else [v])
+    def decorations(v: str) -> tuple[Optional[int], ...]:
+        return (0, 1) if v in special_vertices else (None,)
 
     def image_vertex(v: str, dec: Optional[int]) -> str:
         return v if dec is None else split_vertex_ids(v)[dec]
 
+    def flip(dec: Optional[int]) -> Optional[int]:
+        return None if dec is None else 1 - dec
+
+    vertices: list[str] = []
+    swap: dict[str, str] = {}
+    for v in triple.vertices:
+        if v in special_vertices:
+            lo, hi = split_vertex_ids(v)
+            vertices += (lo, hi)
+            swap[lo], swap[hi] = hi, lo
+        else:
+            vertices.append(v)
+            swap[v] = v
+
     arrows: list[Arrow] = []
-    for sid, (aid, s, t) in split_arrow_table(triple).items():
-        a = triple.arrow_by_id[aid]
-        arrows.append(Arrow(sid, image_vertex(a.source, s), image_vertex(a.target, t)))
+    origin: dict[str, tuple[str, Optional[int], Optional[int]]] = {}
+    for a in triple.arrows:
+        if a.id in triple.special:
+            continue
+        for s in decorations(a.source):
+            for t in decorations(a.target):
+                sid = _split_arrow_id(a.id, s, t)
+                origin[sid] = (a.id, s, t)
+                swap[sid] = _split_arrow_id(a.id, flip(s), flip(t))
+                arrows.append(Arrow(sid, image_vertex(a.source, s), image_vertex(a.target, t)))
 
     relations: list[Relation] = []
     for rel in triple.relations:
         ((a1, a2),) = rel  # validated monomial
         first, second = triple.arrow_by_id[a1], triple.arrow_by_id[a2]
         middle = first.target
-        for s in _decorations(first.source, special_vertices):
-            for t in _decorations(second.target, special_vertices):
+        for s in decorations(first.source):
+            for t in decorations(second.target):
                 if middle in special_vertices:
                     relations.append(
                         (
@@ -382,41 +405,8 @@ def split_presentation(triple: Presentation) -> Presentation:
                     relations.append(
                         ((_split_arrow_id(a1, s, None), _split_arrow_id(a2, None, t)),)
                     )
-    return make_presentation(vertices, arrows, relations, special=())
-
-
-def split_arrow_table(triple: Presentation) -> SplitTable:
-    """Map each arrow of the split presentation back to its origin:
-    ``split id -> (arrow id, source choice, target choice)``."""
-    special_vertices = _special_vertices(triple)
-    table: SplitTable = {}
-    for a in triple.arrows:
-        if a.id in triple.special:
-            continue
-        for s in _decorations(a.source, special_vertices):
-            for t in _decorations(a.target, special_vertices):
-                table[_split_arrow_id(a.id, s, t)] = (a.id, s, t)
-    return table
-
-
-def split_swap_map(triple: Presentation) -> dict[str, str]:
-    """Generator relabelling of the split presentation exchanging the two
-    halves of every doubled vertex and flipping arrow decorations."""
-    special_vertices = _special_vertices(triple)
-    out: dict[str, str] = {}
-    for v in triple.vertices:
-        if v in special_vertices:
-            lo, hi = split_vertex_ids(v)
-            out[lo], out[hi] = hi, lo
-        else:
-            out[v] = v
-
-    def flip(d: Optional[int]) -> Optional[int]:
-        return None if d is None else 1 - d
-
-    for sid, (aid, s, t) in split_arrow_table(triple).items():
-        out[sid] = _split_arrow_id(aid, flip(s), flip(t))
-    return out
+    presentation = make_presentation(vertices, arrows, relations, special=())
+    return Split(presentation, origin, swap, special_vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .diagnostics import (
     BAD_EULER,
     BAD_INPUT,
     BAD_INVOLUTION,
+    BSEG_NOT_FIRST,
     BSEG_OCCURRENCE,
     CORNER_MISMATCH,
     FIXED_MARKED_POINT,
@@ -419,12 +420,19 @@ def _check_surface(surface: DissectedSurface) -> Report:
     if not report.ok:
         return report
 
-    # Occurrence counts.
+    # Occurrence counts, and the boundary segment at slot 0, where the
+    # boundary walks, the chord sides and the cover read it.
     for poly, nb in zip(surface.polygons, walk.bsegs_per_polygon):
         if nb != 1:
             report.add(
                 MULTIPLE_BSEG,
                 f"polygon {poly.id!r} has {nb} boundary segments (need exactly 1)",
+                (poly.id,),
+            )
+        elif poly.sides[0].is_arc:
+            report.add(
+                BSEG_NOT_FIRST,
+                f"polygon {poly.id!r} word does not start with its boundary segment",
                 (poly.id,),
             )
     for aid, count in walk.arc_sides.items():
@@ -758,8 +766,10 @@ def validate_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Re
     Requirements: every map is an order-two permutation of the matching id
     set, arc endpoints transform consistently (with reversal flags), no
     marked point / puncture / bseg / polygon is fixed, every fixed arc is
-    reversed in place, and each polygon word maps to the image polygon word
-    by an orientation-preserving (rotation-only) match.
+    reversed in place, and each polygon word maps onto the image polygon
+    word slot by slot, orientation preserved.  The words are compared from
+    their boundary segments, so a surface that fails :func:`validate` gets
+    its own findings back.
 
     The findings are kept on the surface for this involution object, with
     a copy of its maps: a map changed since is checked again.  Each call
@@ -779,17 +789,10 @@ def validate_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Re
     return Report(list(entry[2]))
 
 
-def _is_rotation(word: tuple, target: tuple) -> bool:
-    """Whether ``word`` is a cyclic rotation of ``target``."""
-    return any(
-        target[k:] + target[:k] == word
-        for k in range(len(target))
-        if target[k] == word[0]
-    )
-
-
 def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Report:
-    report = Report()
+    report = validate(surface)
+    if not report.ok:
+        return report
     for mapping, items, label in (
         (inv.points, surface.points, "point"),
         (inv.arcs, surface.arcs, "arc"),
@@ -864,12 +867,15 @@ def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Repo
         except KeyError:
             report.add(BAD_INVOLUTION, f"polygon {poly.id!r} sides do not all map", (poly.id,))
             continue
+        # Both words start with their boundary segment, so an orientation-
+        # preserving match is the identity on slots; the reversed word ends
+        # with its boundary segment and is rotated by one to start there.
         target = tuple((x.kind, x.ref, x.direction) for x in img_poly.sides)
-        if not _is_rotation(mapped, target):
+        if mapped != target:
             rev_word = tuple(
                 (kind, ref, 1 if kind == "b" else -d) for kind, ref, d in reversed(mapped)
             )
-            if _is_rotation(rev_word, target):
+            if rev_word[-1:] + rev_word[:-1] == target:
                 report.add(
                     ORIENTATION_REVERSED,
                     f"polygon {poly.id!r} maps to {img_id!r} orientation-reversingly",
@@ -1082,9 +1088,12 @@ def surfaces_isomorphic(
     """Search for an orientation-preserving isomorphism of dissections.
 
     Returns a mapping with keys ``points``, ``arcs``, ``bsegs``,
-    ``polygons`` or ``None``.  Polygon words may match up to rotation; arcs
-    may be matched with reversed orientation.
+    ``polygons`` or ``None``.  Both surfaces must be valid, so polygon
+    words match slot by slot from their boundary segments; arcs may be
+    matched with reversed orientation.
     """
+    raise_on_error(validate(s1))
+    raise_on_error(validate(s2))
     if (
         len(s1.points) != len(s2.points)
         or len(s1.arcs) != len(s2.arcs)
@@ -1121,12 +1130,8 @@ def surfaces_isomorphic(
         undo.append((cat, a))
         return True
 
-    def match_polygon(p1: Polygon, p2: Polygon, rot: int, undo: list) -> bool:
-        n = len(p1.sides)
-        word2 = p2.sides[rot:] + p2.sides[:rot]
-        for sa, sb in zip(p1.sides, word2):
-            if sa.kind != sb.kind:
-                return False
+    def match_polygon(p1: Polygon, p2: Polygon, undo: list) -> bool:
+        for sa, sb in zip(p1.sides, p2.sides):
             if sa.kind == "b":
                 if not try_assign("bsegs", sa.ref, sb.ref, undo):
                     return False
@@ -1140,9 +1145,9 @@ def surfaces_isomorphic(
                         return False
                     arc_flip[sa.ref] = flip
                     undo.append(("flip", sa.ref))
-        for i in range(n):
-            pa = s1.ray_point(tail_ray(p1.sides[i]))
-            pb = s2.ray_point(tail_ray(word2[i]))
+        for sa, sb in zip(p1.sides, p2.sides):
+            pa = s1.ray_point(tail_ray(sa))
+            pb = s2.ray_point(tail_ray(sb))
             if s1.point_by_id[pa].kind != s2.point_by_id[pb].kind:
                 return False
             if not try_assign("points", pa, pb, undo):
@@ -1156,21 +1161,18 @@ def surfaces_isomorphic(
         for p2 in by_len.get(len(p1.sides), []):
             if p2.id in used_polys:
                 continue
-            for rot in range(len(p2.sides)):
-                if p2.sides[rot].kind != p1.sides[0].kind:
-                    continue
-                undo: list = []
-                state["polygons"][p1.id] = p2.id
-                used_polys.add(p2.id)
-                if match_polygon(p1, p2, rot, undo) and backtrack(i + 1):
-                    return True
-                for tag, key in reversed(undo):
-                    if tag == "flip":
-                        del arc_flip[key]
-                    else:
-                        del state[tag][key]
-                del state["polygons"][p1.id]
-                used_polys.discard(p2.id)
+            undo: list = []
+            state["polygons"][p1.id] = p2.id
+            used_polys.add(p2.id)
+            if match_polygon(p1, p2, undo) and backtrack(i + 1):
+                return True
+            for tag, key in reversed(undo):
+                if tag == "flip":
+                    del arc_flip[key]
+                else:
+                    del state[tag][key]
+            del state["polygons"][p1.id]
+            used_polys.discard(p2.id)
         return False
 
     if backtrack(0):

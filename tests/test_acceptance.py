@@ -72,13 +72,13 @@ def _star_chain(tips_in: int, chain: int, tips_out: int):
 
 
 def test_01_split_shapes_of_disc_dissections():
-    d5 = split_presentation(triple_from_x_dissection(one_orbifold_disc(4)))
+    d5 = split_presentation(triple_from_x_dissection(one_orbifold_disc(4))).presentation
     assert iso_presentations(d5, _star_chain(2, 3, 0)) is not None
-    d4 = split_presentation(triple_from_x_dissection(one_orbifold_disc(3)))
+    d4 = split_presentation(triple_from_x_dissection(one_orbifold_disc(3))).presentation
     assert iso_presentations(d4, _star_chain(2, 2, 0)) is not None
-    affine = split_presentation(triple_from_x_dissection(two_orbifold_disc()))
+    affine = split_presentation(triple_from_x_dissection(two_orbifold_disc())).presentation
     assert iso_presentations(affine, _star_chain(2, 3, 2)) is not None
-    garland = split_presentation(special_chain_triple())
+    garland = split_presentation(special_chain_triple()).presentation
     assert len(garland.relations) == 8
     assert all(len(r) == 2 for r in garland.relations)
     assert all(len(path) == 2 for r in garland.relations for path in r)
@@ -88,7 +88,7 @@ def test_02_cylinder_triple_and_split_relations(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
     assert triple.relations == ((("1.2", "2.3"),), (("2.3", "3.4"),))
     assert sorted(triple.special) == ["2.2", "3.3"]
-    split = split_presentation(triple)
+    split = split_presentation(triple).presentation
     assert len(split.relations) == 4
     assert all(len(r) == 2 for r in split.relations)
     assert all(len(path) == 2 for r in split.relations for path in r)
@@ -216,7 +216,7 @@ def test_09_complex_soundness(cylinders, disc_x4, disc_xx):
         duals = dual_dissection(surface)
         grades = grading_solver(surface, duals)
         assert set(grades.values()) == {0}
-        for garc in graded_arcs_from_solution(surface, duals, grades):
+        for garc in graded_arcs_from_solution(duals, grades):
             assert verify_d2(build_complex(garc, surface))
     stair = CombinatorialCurve(
         "stair",
@@ -229,7 +229,7 @@ def test_09_complex_soundness(cylinders, disc_x4, disc_xx):
         ),
     )
     solved = grading_solver(cylinders[1], [stair])
-    (garc,) = graded_arcs_from_solution(cylinders[1], [stair], solved)
+    (garc,) = graded_arcs_from_solution([stair], solved)
     assert verify_d2(build_complex(garc, cylinders[1]))
     perturbed = CombinatorialCurve(
         "perturbed",

@@ -396,7 +396,7 @@ def test_special_loops_square_to_assigned_multiple(cylinders):
 
 
 def test_two_term_relations_vanish_in_split_algebra(cylinders):
-    split = split_presentation(triple_from_x_dissection(cylinders[1]))
+    split = split_presentation(triple_from_x_dissection(cylinders[1])).presentation
     alg = graded_path_algebra(split)
     for rel in split.relations:
         total: dict = {}
@@ -674,7 +674,7 @@ def _assert_closed_form_on_cover(cov):
     pair = extract_quiver(cov.total).presentation
     base_dim = algebra_dimension(cov.base)
     assert base_dim == monomial_path_count(triple, nilpotent_loops=triple.special)
-    assert base_dim == graded_path_algebra(split_presentation(triple)).dimension
+    assert base_dim == graded_path_algebra(split_presentation(triple).presentation).dimension
     assert algebra_dimension(cov.total) == monomial_path_count(pair)
 
 

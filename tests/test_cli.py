@@ -15,10 +15,13 @@ import pytest
 
 import skewgentle
 from skewgentle import (
+    SurfaceFile,
+    boundary_curves,
     cli,
     fixture_path,
     format_surface_file,
     parse_surface_file,
+    two_orbifold_cylinder,
 )
 from skewgentle.cli import main
 from skewgentle.diagnostics import SYNTAX, ValidationError
@@ -194,6 +197,25 @@ def test_complex_command_propagates_grades(tmp_path, capsys):
     assert "d[2,1] = " in out
     assert main(["complex", path, "stair", "--grades", "0,1,2"]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_complex_of_a_closed_curve_names_its_winding(tmp_path, capsys):
+    surface = two_orbifold_cylinder(1)
+    curves = {c.id: c for c in boundary_curves(surface)}
+    path = tmp_path / "boundaries.surf"
+    path.write_text(format_surface_file(SurfaceFile(surface, None, curves)))
+    # winding -2: no grading exists, whatever grades are given
+    for grades in ([], ["--grades", "0,0,0,0"], ["--grades", "1,2,3"]):
+        assert main(["complex", str(path), "boundary.b_top", *grades]) == 2
+        assert capsys.readouterr().err == (
+            "error: [BAD_INPUT] at ('boundary.b_top',) closed curve "
+            "'boundary.b_top' has winding -2; only a curve of winding 0 can be graded\n"
+        )
+    # winding 0: graded as before
+    assert main(["complex", str(path), "boundary.b_bot"]) == 0
+    assert capsys.readouterr().out == (
+        "summand 0 arc=4 shift=0\nsummand 1 arc=1 shift=-1\nd[0,1] = 1.4\n"
+    )
 
 
 def test_export_dot_emits_graphviz(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -106,7 +107,7 @@ def test_twisted_cover_reduction_is_isomorphism(torus_with_involution):
 def test_twisted_cover_reduction_for_every_sheet_choice(torus_with_involution):
     surface, inv = torus_with_involution
     q = quotient(surface, inv)
-    triple = verify_skew_group_reduction(q).triple
+    triple = q.base_quiver.presentation
     special_vertices = {triple.arrow_by_id[e].source for e in triple.special}
     ordinary = [v for v in triple.vertices if v not in special_vertices]
     assert len(ordinary) == 2
@@ -129,10 +130,10 @@ def _assert_twists_match_oracle(cov):
     red = verify_skew_group_reduction(cov)
     dual = verify_dual_reduction(cov)
     assert red.swap_compat == twist_compat(
-        red.skew.labels, red.raw_images, cov.split_swap
+        red.skew.labels, red.images, cov.split.swap
     )
     assert dual.equivariant == twist_compat(
-        dual.skew.labels, dual.raw_images, cov.deck_generators
+        dual.skew.labels, dual.images, cov.deck_generators
     )
     return red
 
@@ -522,10 +523,7 @@ def _assert_exact(builds):
     for red, dual, rr in runs:
         for f in (red.deck_action, dual.swap_action, rr.comparison):
             image_coeffs += [c for img in f.images for c in img.values()]
-        for images in (
-            red.raw_images, red.vertex_images, red.arrow_images,
-            dual.raw_images, dual.vertex_images, dual.arrow_images,
-        ):
+        for images in (red.images, dual.images):
             image_coeffs += [c for img in images.values() for c in img.values()]
     assert table_coeffs and image_coeffs
     assert {type(c) for c in table_coeffs} == {int}
@@ -548,17 +546,29 @@ def _assert_exact(builds):
     assert kernel_coeffs and {type(c) for c in kernel_coeffs} == {int}
 
 
+def _corner_coordinates(red, domain):
+    """The images of the vertices and of the arrows of ``domain`` in the
+    coordinates of the reduction's corner."""
+    express = red.corner.express
+    return (
+        {v: express(red.images[v]) for v in domain.vertices},
+        {a.id: express(red.images[a.id]) for a in domain.arrows},
+    )
+
+
 def _assert_scaled_verdicts_match(builds):
     """The verdict on the doubled images with ``scale=2`` is the verdict on
-    the public images, failure strings included, also when every vertex
-    is sent to the image of the first one; and the public images with
-    ``scale=2`` fail the idempotent and unit checks."""
+    the public images, read in corner coordinates, failure strings
+    included, also when every vertex is sent to the image of the first
+    one; and the public images with ``scale=2`` fail the idempotent and
+    unit checks."""
     reductions = [red for run in builds.runs for red in run[:2]]
     for (args, kwargs), red in zip(builds.morphisms, reductions):
         domain, doubled_vertices, doubled_arrows, target = args
         assert kwargs["scale"] == 2
         expected_dim = kwargs["expected_dim"]
-        args = (domain, red.vertex_images, red.arrow_images, target)
+        vertex_images, arrow_images = _corner_coordinates(red, domain)
+        args = (domain, vertex_images, arrow_images, target)
         assert verify_morphism(*args, expected_dim=expected_dim) == red.verdict
 
         first = domain.vertices[0]
@@ -567,8 +577,8 @@ def _assert_scaled_verdicts_match(builds):
             doubled_arrows, target, expected_dim=expected_dim, scale=2,
         )
         assert merged == verify_morphism(
-            domain, dict.fromkeys(domain.vertices, red.vertex_images[first]),
-            red.arrow_images, target, expected_dim=expected_dim,
+            domain, dict.fromkeys(domain.vertices, vertex_images[first]),
+            arrow_images, target, expected_dim=expected_dim,
         )
         assert len(domain.vertices) == 1 or merged.failures
 
@@ -584,6 +594,59 @@ def random_builds():
     rng = random.Random(8801)
     covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(40)]
     return _build_all(covers)
+
+
+# Digests of both reductions' outputs, recorded before the split became one
+# record and each reduction one set of images: per group of covers, the
+# skew-group reduction's (verdict, images, swap_compat, survivors) and the
+# dual reduction's (verdict, images, equivariant), in cover order.
+PINNED_DIGESTS = {
+    "ladder": (
+        "7b9aa43f0936be20a0ba34bee9dc44a024cfada93246c6a805c14edba422c241",
+        "eed026dc41a81e68160a0ac6f37fb985c7232f47591401287dfb0dc67eeb1b27",
+    ),
+    1709: (
+        "ca04510504a88a54d5bb4d80c422b0ff7c47b3ad3681284a46e6ab27597aa0c0",
+        "b60a23426518cbb76825396e09421c51813424fb6c9f1a2e2fb27d8899808475",
+    ),
+    2917: (
+        "f600b1b42344f5a76f121af943f7bc55fd06b5a2fad27e6eeaad4a58ec82de24",
+        "523da9e2a1d2e067d0949e2278fc7c57644a65d0dc5e3e9ea42d476974dc2669",
+    ),
+}
+
+
+def _pinned_form(red, compat, survivors=None) -> bytes:
+    v = red.verdict
+    return repr((
+        v.is_homomorphism, v.is_surjective, v.is_isomorphism, v.failures,
+        sorted(
+            (gen, sorted((red.skew.labels[k], str(c)) for k, c in img.items()))
+            for gen, img in red.images.items()
+        ),
+        sorted(compat.items()),
+        None if survivors is None else sorted(survivors.items()),
+    )).encode()
+
+
+def _digests(runs) -> tuple[str, str]:
+    reductions, duals = hashlib.sha256(), hashlib.sha256()
+    for red, dual, *_ in runs:
+        reductions.update(_pinned_form(red, red.swap_compat, red.survivors))
+        duals.update(_pinned_form(dual, dual.equivariant))
+    return reductions.hexdigest(), duals.hexdigest()
+
+
+def test_reduction_outputs_match_pinned_digests(ladder_builds):
+    # the ladder covers, in the order of ``ladder_builds``
+    assert _digests(ladder_builds.runs) == PINNED_DIGESTS["ladder"]
+    for seed in (1709, 2917):
+        rng = random.Random(seed)
+        runs = []
+        for _ in range(50):
+            cov = double_cover(surface_from_triple(random_triple(rng)))
+            runs.append((verify_skew_group_reduction(cov), verify_dual_reduction(cov)))
+        assert _digests(runs) == PINNED_DIGESTS[seed]
 
 
 def test_coefficients_are_exact_on_ladder_fixtures(ladder_builds):
@@ -691,7 +754,7 @@ def _assert_surjectivity_matches_oracle(cov):
     two-sided closure of the generator images fills the corner."""
     for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
         target = red.corner.algebra
-        gens = list(red.vertex_images.values()) + list(red.arrow_images.values())
+        gens = [red.corner.express(img) for img in red.images.values()]
         generated = generated_dimension(target, gens)
         assert red.verdict.is_surjective == (generated == target.dimension)
 
@@ -719,8 +782,6 @@ def test_reductions_compute_each_cover_stage_once(count_calls, cylinders):
             ("skewgentle.presentations", "extract_quiver"),
             ("skewgentle.presentations", "split_presentation"),
             ("skewgentle.algebra", "graded_path_algebra"),
-            ("skewgentle.presentations", "split_arrow_table"),
-            ("skewgentle.presentations", "split_swap_map"),
             ("skewgentle.algebra", "skew_group_algebra"),
             ("skewgentle.algebra", "corner_algebra"),
             ("skewgentle.algebra", "verify_algebra_involution"),
@@ -728,22 +789,28 @@ def test_reductions_compute_each_cover_stage_once(count_calls, cylinders):
         )
     }
     checks = count_calls("skewgentle.surface", "_check_surface")
-    cov = double_cover(cylinders[2])
-    verify_skew_group_reduction(cov)
-    verify_dual_reduction(cov)
-    assert {name: len(calls) for name, calls in stages.items()} == {
+    covers = [double_cover(cylinders[2]), double_cover(cylinders[3])]
+    for cov in covers:
+        verify_skew_group_reduction(cov)
+        verify_dual_reduction(cov)
+    per_cover = {
         "extract_quiver": 2,
         "split_presentation": 1,
         "graded_path_algebra": 2,
-        # the cover's split_table, and once inside the split and the swap
-        "split_arrow_table": 3,
-        "split_swap_map": 1,
         "skew_group_algebra": 2,
         "corner_algebra": 2,
         "verify_algebra_involution": 2,
         "verify_morphism": 2,
     }
+    assert {name: len(calls) for name, calls in stages.items()} == {
+        name: count * len(covers) for name, count in per_cover.items()
+    }
+    # one split per cover, of that cover's base triple
+    assert [args[0] for args in stages["split_presentation"]] == [
+        cov.base_quiver.presentation for cov in covers
+    ]
 
+    cov = covers[-1]
     done = len(checks)
     report = validate(cov.total)
     report.add("BAD_INPUT", "added by the caller")

@@ -171,9 +171,7 @@ def test_graded_arcs_from_failed_grading_raise_its_findings(cylinders):
     # the solver raises every clash it met, in the order it met them,
     # before any grade reaches graded_arcs_from_solution
     with pytest.raises(ValidationError) as exc:
-        graded_arcs_from_solution(
-            cylinders[1], [PERTURBED], grading_solver(cylinders[1], [PERTURBED])
-        )
+        graded_arcs_from_solution([PERTURBED], grading_solver(cylinders[1], [PERTURBED]))
     assert [(d.code, d.where) for d in exc.value.diagnostics] == [
         (INCONSISTENT, (("perturbed", 1), 0, 1)),
         (INCONSISTENT, (("perturbed", 0), 1, 0)),
@@ -235,7 +233,7 @@ def test_symmetric_pair_constraint_can_contradict(cylinders):
 def test_graded_arc_maps_through_involution(torus_with_involution):
     surface, inv = torus_with_involution
     duals = dual_dissection(surface)
-    garcs = graded_arcs_from_solution(surface, duals, grading_solver(surface, duals))
+    garcs = graded_arcs_from_solution(duals, grading_solver(surface, duals))
     for garc in garcs:
         moved = map_graded_arc(surface, inv, garc)
         assert moved.curve.id == garc.curve.id + ".inv"
@@ -261,7 +259,7 @@ def test_staircase_curve_complex(cylinders):
     stair = _staircase()
     surface = cylinders[1]
     assert curve_crossings(surface, stair) == ["1", "2", "3"]
-    garcs = graded_arcs_from_solution(surface, [stair], grading_solver(surface, [stair]))
+    garcs = graded_arcs_from_solution([stair], grading_solver(surface, [stair]))
     assert garcs[0].grades == (0, 1, 2)
     cx = build_complex(garcs[0], surface)
     assert cx.summands == (("1", 0), ("2", 1), ("3", 2))
@@ -283,7 +281,7 @@ def test_complex_whose_differential_squares_nonzero_is_refused(cylinders, monkey
 
     surface = cylinders[1]
     stair = _staircase()
-    (garc,) = graded_arcs_from_solution(surface, [stair], grading_solver(surface, [stair]))
+    (garc,) = graded_arcs_from_solution([stair], grading_solver(surface, [stair]))
     monkeypatch.setattr(linefield, "verify_d2", lambda cx, algebra=None: False)
     with pytest.raises(ValidationError) as exc:
         build_complex(garc, surface)
@@ -488,7 +486,7 @@ def test_puncture_loop_check_is_a_diagnostic(cylinders, monkeypatch):
 def test_mapped_graded_arc_check_is_a_diagnostic(torus_with_involution, monkeypatch):
     surface, inv = torus_with_involution
     duals = dual_dissection(surface)
-    garc = graded_arcs_from_solution(surface, duals, grading_solver(surface, duals))[0]
+    garc = graded_arcs_from_solution(duals, grading_solver(surface, duals))[0]
     _reject_curves(monkeypatch, suffix=".inv")
     with pytest.raises(ValidationError) as exc:
         map_graded_arc(surface, inv, garc)
@@ -509,7 +507,7 @@ def test_complex_refuses_an_algebra_that_kills_a_corner_path(monkeypatch):
             Passage("F4", 1, 0, "right"),
         ),
     )
-    (garc,) = graded_arcs_from_solution(surface, [curve], grading_solver(surface, [curve]))
+    (garc,) = graded_arcs_from_solution([curve], grading_solver(surface, [curve]))
     assert build_complex(garc, surface).differential
     pres = extract_quiver(surface).presentation
     assert pres.relations == ()

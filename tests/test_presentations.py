@@ -26,7 +26,6 @@ from skewgentle import (
     special_chain_triple,
     special_piece,
     split_presentation,
-    split_swap_map,
     split_vertex_ids,
     surface_from_gentle,
     surface_from_triple,
@@ -192,7 +191,7 @@ def test_glue_rejects_overused_vertex():
 
 
 def test_split_chain_shapes():
-    split = split_presentation(special_chain_triple())
+    split = split_presentation(special_chain_triple()).presentation
     assert len(split.arrows) == 12
     assert len(split.relations) == 8
     assert all(len(rel) == 2 for rel in split.relations)
@@ -202,7 +201,7 @@ def test_split_cylinder_relations(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
     assert triple.relations == ((("1.2", "2.3"),), (("2.3", "3.4"),))
     assert triple.special == frozenset({"2.2", "3.3"})
-    split = split_presentation(triple)
+    split = split_presentation(triple).presentation
     assert len(split.relations) == 4
     assert all(len(rel) == 2 for rel in split.relations)
 
@@ -213,8 +212,8 @@ def test_split_vertex_ids():
 
 def test_split_swap_is_involution(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
-    split = split_presentation(triple)
-    swap = split_swap_map(triple)
+    record = split_presentation(triple)
+    split, swap = record.presentation, record.swap
     for v in split.vertices:
         assert swap[swap[v]] == v
     for a in split.arrows:
@@ -224,9 +223,25 @@ def test_split_swap_is_involution(cylinders):
         assert (other.source, other.target) == (image.source, image.target)
 
 
+def test_split_origins_and_doubled_vertices(cylinders):
+    triple = triple_from_x_dissection(cylinders[1])
+    record = split_presentation(triple)
+    special = {triple.arrow_by_id[e].source for e in triple.special}
+    assert record.special_vertices == special
+    assert record.origin.keys() == record.presentation.arrow_by_id.keys()
+
+    def end(v, dec):
+        return v if dec is None else split_vertex_ids(v)[dec]
+
+    for sid, (aid, s, t) in record.origin.items():
+        a, b = triple.arrow_by_id[aid], record.presentation.arrow_by_id[sid]
+        assert (s is None, t is None) == (a.source not in special, a.target not in special)
+        assert (b.source, b.target) == (end(a.source, s), end(a.target, t))
+
+
 def test_split_of_plain_pair_is_identity():
     pres, _ = two_hole_torus_pair()
-    split = split_presentation(pres)
+    split = split_presentation(pres).presentation
     assert iso_presentations(pres, split)
 
 

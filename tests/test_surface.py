@@ -15,6 +15,7 @@ from skewgentle import (
     MarkedPoint,
     Passage,
     Polygon,
+    SurfaceInvolution,
     arc_side,
     boundary_components,
     boundary_curve,
@@ -37,6 +38,7 @@ from skewgentle import (
 from skewgentle.diagnostics import (
     BAD_INPUT,
     BAD_INVOLUTION,
+    BSEG_NOT_FIRST,
     BSEG_OCCURRENCE,
     CORNER_MISMATCH,
     FIXED_MARKED_POINT,
@@ -95,6 +97,33 @@ def test_validate_rejects_multiple_bsegs_in_polygon():
     polygons = [Polygon("F1", (bseg_side("b1"), bseg_side("b2")))]
     s = make_surface("bad", points, [], bsegs, polygons)
     assert "MULTIPLE_BSEG" in validate(s).codes()
+
+
+def _rotated(surface, polygon: str):
+    polygons = tuple(
+        dataclasses.replace(p, sides=p.sides[1:] + p.sides[:1]) if p.id == polygon else p
+        for p in surface.polygons
+    )
+    return dataclasses.replace(surface, polygons=polygons)
+
+
+def test_validate_rejects_a_word_not_starting_with_its_boundary_segment(
+    cylinders, cylinder_covers
+):
+    # every reader of a polygon word takes slot 0 as its boundary segment
+    rotated = _rotated(cylinders[1], "lower")
+    assert [(d.code, d.where) for d in validate(rotated).diagnostics] == [
+        (BSEG_NOT_FIRST, ("lower",))
+    ]
+    with pytest.raises(ValidationError) as exc:
+        surfaces_isomorphic(rotated, cylinders[1])
+    assert exc.value.diagnostics[0].code == BSEG_NOT_FIRST
+    # the involution check names the surface's fault, not the involution
+    cov = cylinder_covers[1]
+    rotated = _rotated(cov.total, "lower+")
+    assert [(d.code, d.where) for d in validate_involution(rotated, cov.deck).diagnostics] == [
+        (BSEG_NOT_FIRST, ("lower+",))
+    ]
 
 
 def test_validate_rejects_corner_mismatch():
@@ -433,6 +462,41 @@ def test_involution_fixing_an_arc_without_reversing_it():
         (BAD_INVOLUTION, ("lowM",)),
         (BAD_INVOLUTION, ("lowP",)),
     ]
+
+
+def test_involution_onto_the_mirror_image_reverses_orientation(disc):
+    """The disjoint union of the disc and its mirror image, each part sent
+    onto the other: every polygon word maps onto the reversed image word."""
+
+    def m(x: str) -> str:
+        return x + "'"
+
+    def swap(items) -> dict:
+        return {**{x.id: m(x.id) for x in items}, **{m(x.id): x.id for x in items}}
+
+    mirror = [
+        Polygon(m(p.id), tuple(
+            arc_side(m(s.ref), -s.direction) if s.is_arc else bseg_side(m(s.ref))
+            for s in reversed(p.sides)
+        ))
+        for p in disc.polygons
+    ]
+    union = make_surface(
+        "mirrored",
+        list(disc.points) + [MarkedPoint(m(p.id), p.kind) for p in disc.points],
+        list(disc.arcs) + [Arc(m(a.id), m(a.tail), m(a.head)) for a in disc.arcs],
+        list(disc.bsegs) + [BoundarySegment(m(b.id), m(b.head), m(b.tail)) for b in disc.bsegs],
+        list(disc.polygons) + mirror,
+    )
+    assert validate(union).ok
+    inv = SurfaceInvolution(
+        points=swap(disc.points), arcs=swap(disc.arcs), reversed_arcs=frozenset(),
+        bsegs=swap(disc.bsegs), polygons=swap(disc.polygons),
+    )
+    found = [(d.code, d.where) for d in validate_involution(union, inv).diagnostics]
+    polygons = [(ORIENTATION_REVERSED, (p.id,)) for p in union.polygons]
+    assert found[-len(polygons):] == polygons
+    assert {code for code, _ in found} == {ORIENTATION_REVERSED}
 
 
 def test_involution_check_is_kept_until_a_map_changes(count_calls):
