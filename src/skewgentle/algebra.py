@@ -324,58 +324,6 @@ def _products_row(
     return out
 
 
-def algebra_from_products(
-    labels: Iterable[Any],
-    product: Callable[[Any, Any], Mapping[Any, Coeff]],
-    unit: Mapping[Any, Coeff],
-) -> TableAlgebra:
-    """Build a table algebra from a label-level product function.
-
-    ``product(a, b)`` returns the label-keyed expansion of ``a * b`` in
-    composition order (``b`` first).
-    """
-    labels = tuple(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    rows = [
-        {
-            j: cell
-            for j, b in enumerate(labels)
-            if (cell := {index[k]: _exact(c) for k, c in product(a, b).items() if c})
-        }
-        for a in labels
-    ]
-    unit_vec = {index[k]: _exact(c) for k, c in unit.items() if c}
-    return TableAlgebra(labels, rows, unit_vec)
-
-
-def verify_associativity(A: TableAlgebra) -> bool:
-    """Check unitality and ``(b_i b_j) b_k == b_i (b_j b_k)`` for every
-    triple of basis elements.
-
-    Every ``j`` is visited, also where ``b_i b_j`` is zero.  The left side
-    vanishes unless ``b_k`` follows some ``b_m`` in ``b_i b_j`` with a
-    nonzero product, and the right side vanishes unless ``b_j b_k`` is
-    nonzero.  Only those ``k`` are visited: on every other triple both
-    sides are zero, so this is a check of all triples.
-    """
-    for i in range(A.dimension):
-        bi = {i: ONE}
-        if not veq(A.mul(A.unit, bi), bi) or not veq(A.mul(bi, A.unit), bi):
-            return False
-    rows = A.rows
-    for i, row in enumerate(rows):
-        bi = {i: ONE}
-        for j, after in enumerate(rows):
-            left = row.get(j, {})
-            ks = set(after)
-            for m in left:
-                ks.update(rows[m])
-            for k in ks:
-                if not veq(A.mul(left, {k: ONE}), A.mul(bi, after.get(k, {}))):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Path-algebra quotients
 
@@ -686,20 +634,6 @@ def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Coeff]]]:
         for k, c in img.items():
             out[k].append((j, c))
     return out
-
-
-def basis_map_from_permutation(
-    A: TableAlgebra,
-    label_map: Mapping[Any, Any],
-    signs: Optional[Mapping[Any, int]] = None,
-) -> BasisMap:
-    """The map sending each basis label to (sign) * (image label)."""
-    images: list[Vector] = []
-    for lab in A.labels:
-        img = label_map[lab]
-        s = signs.get(lab, 1) if signs else ONE
-        images.append(vec((A.index_of[img], s)))
-    return BasisMap(images)
 
 
 def _rows_multiplicative(

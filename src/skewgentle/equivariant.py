@@ -97,7 +97,9 @@ from .diagnostics import (
     BAD_LIFT,
     NOT_INVOLUTION,
     OUTSIDE_CORNER,
+    Report,
     error,
+    raise_on_error,
 )
 from .presentations import (
     Presentation,
@@ -258,8 +260,9 @@ def verify_skew_group_reduction(
     crossed product upstairs cut out by one idempotent per vertex orbit.
 
     ``sheet_choice`` picks the preferred lift (+1 or -1) of each ordinary
-    base vertex; the default takes sheet +1 everywhere.  The verdict
-    records whether the generator images define an isomorphism.
+    base vertex; the default takes sheet +1 everywhere, and any other key
+    or value raises ``BAD_INPUT``.  The verdict records whether the
+    generator images define an isomorphism.
     """
     triple = cov.base_quiver.presentation
     pair = cov.total_quiver.presentation
@@ -269,17 +272,27 @@ def verify_skew_group_reduction(
             BAD_INPUT, f"cover presentation has a special loop at {vertex!r}", (vertex,)
         )
     split = cov.split
+    special_vertices = split.special_vertices
+    sheet_choice = sheet_choice or {}
+    report = Report()
+    for v, sheet in sheet_choice.items():
+        if v not in triple.vertices or v in special_vertices or sheet not in (1, -1):
+            report.add(
+                BAD_INPUT,
+                f"sheet choice {v!r}: {sheet!r} is not a sheet (+1 or -1) of an "
+                "ordinary base vertex",
+                (v,),
+            )
+    raise_on_error(report)
     lam = graded_path_algebra(pair)
     deck_action = induced_basis_map(lam, cov.deck_generators)
 
-    special_vertices = split.special_vertices
     chosen_lifts: dict[str, str] = {}
     for v in triple.vertices:
         if v in special_vertices:
             chosen_lifts[v] = v
         else:
-            sheet = sheet_choice.get(v, 1) if sheet_choice else 1
-            chosen_lifts[v] = cov.arc_image[(v, sheet)]
+            chosen_lifts[v] = cov.arc_image[(v, sheet_choice.get(v, 1))]
     skew, corner = _crossed_corner(lam.algebra, deck_action, chosen_lifts.values())
 
     doubled: dict[str, Vector] = {}

@@ -14,7 +14,7 @@ compare values produced under this one convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .algebra import PathAlgebra, Vector, graded_path_algebra, vadd
 from .covering import double_cover, lift_curve
@@ -36,7 +36,6 @@ from .surface import (
     BOUNDARY,
     ORBIFOLD,
     PUNCTURE,
-    BoundaryComponent,
     CombinatorialCurve,
     DissectedSurface,
     Passage,
@@ -59,7 +58,6 @@ __all__ = [
     "INCONCLUSIVE",
     "InvariantTuple",
     "NOT_EQUIVALENT",
-    "boundary_curve",
     "boundary_curves",
     "build_complex",
     "cover_invariant_tuple",
@@ -129,29 +127,6 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
     curve = CombinatorialCurve(f"boundary.{start_bseg}", True, tuple(passages))
     raise_on_error(validate_curve(surface, curve))
     return curve
-
-
-def boundary_curve(
-    surface: DissectedSurface, component: Union[BoundaryComponent, str]
-) -> CombinatorialCurve:
-    """Canonical simple closed curve parallel to one boundary component.
-
-    ``component`` may be a :class:`BoundaryComponent` or the id of any
-    boundary segment on it.
-    """
-    raise_on_error(validate(surface))
-    if isinstance(component, str):
-        for bc in boundary_components(surface):
-            if component in bc.bsegs:
-                component = bc
-                break
-        else:
-            raise error(
-                UNKNOWN_ID,
-                f"no boundary component contains segment {component!r}",
-                (component,),
-            )
-    return _trace_boundary(surface, min(component.bsegs))
 
 
 def boundary_curves(surface: DissectedSurface) -> list[CombinatorialCurve]:

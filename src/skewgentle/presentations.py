@@ -23,7 +23,6 @@ presentation.  Paths are written in application order: the tuple
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from .diagnostics import (
     INFINITE_DIMENSIONAL,
     NOT_GENTLE,
     OVERGLUED_VERTEX,
-    SIZE_LIMIT,
     SUCCESSOR_CLASH,
     UNKNOWN_ID,
     Report,
@@ -503,136 +501,6 @@ def glue_puzzle(
     glued = make_presentation(vertices, arrows, all_relations, special=all_special)
     raise_on_error(check_skew_gentle(glued))
     return glued
-
-
-# ---------------------------------------------------------------------------
-# Presentation isomorphism
-
-
-ISO_MAX_ARROWS = 64
-
-
-def iso_presentations(
-    p1: Presentation, p2: Presentation
-) -> Optional[dict[str, dict[str, str]]]:
-    """Search for an isomorphism of presentations.
-
-    Matches vertices and arrows compatibly with sources, targets, special
-    sets and relations (compared as sets of path families).  Returns
-    ``{"vertices": ..., "arrows": ...}`` or ``None``.  Quivers with more
-    than ``ISO_MAX_ARROWS`` arrows raise ``SIZE_LIMIT``.
-    """
-    if max(len(p1.arrows), len(p2.arrows)) > ISO_MAX_ARROWS:
-        raise error(SIZE_LIMIT, f"quivers exceed {ISO_MAX_ARROWS} arrows")
-    if (
-        len(p1.vertices) != len(p2.vertices)
-        or len(p1.arrows) != len(p2.arrows)
-        or len(p1.special) != len(p2.special)
-        or sorted(len(r) for r in p1.relations) != sorted(len(r) for r in p2.relations)
-    ):
-        return None
-
-    def vertex_sig(p: Presentation, v: str) -> tuple:
-        return (
-            len(p.outgoing[v]),
-            len(p.incoming[v]),
-            sum(1 for e in p.special if p.arrow_by_id[e].source == v),
-        )
-
-    if sorted(vertex_sig(p1, v) for v in p1.vertices) != sorted(
-        vertex_sig(p2, v) for v in p2.vertices
-    ):
-        return None
-
-    order = sorted(p1.vertices, key=lambda v: (vertex_sig(p1, v), v), reverse=True)
-    vmap: dict[str, str] = {}
-    used_v: set[str] = set()
-
-    def arrows_between(p: Presentation, u: str, v: str) -> list[str]:
-        return sorted(a.id for a in p.outgoing[u] if a.target == v)
-
-    def consistent(v1: str, v2: str) -> bool:
-        if vertex_sig(p1, v1) != vertex_sig(p2, v2):
-            return False
-        for u1, u2 in vmap.items():
-            if len(arrows_between(p1, v1, u1)) != len(arrows_between(p2, v2, u2)):
-                return False
-            if len(arrows_between(p1, u1, v1)) != len(arrows_between(p2, u2, v2)):
-                return False
-        if len(arrows_between(p1, v1, v1)) != len(arrows_between(p2, v2, v2)):
-            return False
-        return True
-
-    def finish() -> Optional[dict[str, str]]:
-        # Assign arrows within each parallel class, trying permutations.
-        classes: list[tuple[list[str], list[str]]] = []
-        for u in p1.vertices:
-            for v in p1.vertices:
-                c1 = arrows_between(p1, u, v)
-                if not c1:
-                    continue
-                c2 = arrows_between(p2, vmap[u], vmap[v])
-                if len(c1) != len(c2):
-                    return None
-                classes.append((c1, c2))
-
-        rel1 = {frozenset(r) for r in p1.relations}
-        rel2 = {frozenset(r) for r in p2.relations}
-        sp1, sp2 = p1.special, p2.special
-
-        def assign(i: int, amap: dict[str, str]) -> Optional[dict[str, str]]:
-            if i == len(classes):
-                mapped = {
-                    frozenset(tuple(amap[x] for x in path) for path in r)
-                    for r in rel1
-                }
-                if mapped != rel2:
-                    return None
-                if {amap[e] for e in sp1} != set(sp2):
-                    return None
-                return dict(amap)
-
-            c1, c2 = classes[i]
-            if len(c1) == 1:
-                perms = [c2]
-            else:
-                perms = [list(p) for p in itertools.permutations(c2)]
-            for perm in perms:
-                nxt = dict(amap)
-                ok = True
-                for x, y in zip(c1, perm):
-                    if (x in sp1) != (y in sp2):
-                        ok = False
-                        break
-                    nxt[x] = y
-                if ok:
-                    res = assign(i + 1, nxt)
-                    if res is not None:
-                        return res
-            return None
-
-        return assign(0, {})
-
-    def backtrack(i: int) -> Optional[dict[str, str]]:
-        if i == len(order):
-            return finish()
-        v1 = order[i]
-        for v2 in p2.vertices:
-            if v2 in used_v or not consistent(v1, v2):
-                continue
-            vmap[v1] = v2
-            used_v.add(v2)
-            res = backtrack(i + 1)
-            if res is not None:
-                return res
-            del vmap[v1]
-            used_v.discard(v2)
-        return None
-
-    amap = backtrack(0)
-    if amap is None:
-        return None
-    return {"vertices": dict(vmap), "arrows": amap}
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,6 @@ class Side:
     def is_arc(self) -> bool:
         return self.kind == "a"
 
-    def reversed(self) -> "Side":
-        if self.kind == "b":
-            raise ValueError("cannot reverse a boundary segment side")
-        return Side("a", self.ref, -self.direction)
-
 
 def arc_side(ref: str, direction: int = 1) -> Side:
     return Side("a", ref, direction)
@@ -521,6 +516,7 @@ def classify_dissection(surface: DissectedSurface) -> str:
     (``"x"``) dissection requires every orbifold point to carry exactly one
     incident arc end; violations raise ``X_DEGREE``.
     """
+    raise_on_error(validate(surface))
     report = Report()
     orbifold = [p for p in surface.points if p.kind == ORBIFOLD]
     for p in orbifold:
@@ -612,6 +608,7 @@ def _component_labels(surface: DissectedSurface) -> dict[str, int]:
 
 def topology(surface: DissectedSurface) -> Topology:
     """Euler characteristic, genus and boundary data of a valid surface."""
+    raise_on_error(validate(surface))
     labels = _component_labels(surface)
     ncomp = (max(labels.values()) + 1) if labels else 1
     bcomps = boundary_components(surface)
@@ -947,24 +944,6 @@ def chord_bseg_side(entry: int, exit: int) -> str:
 
 def passage_winding(p: Passage) -> int:
     return 1 if p.bseg_side == "left" else -1
-
-
-def reverse_curve(curve: CombinatorialCurve) -> CombinatorialCurve:
-    # Distinct slots get the side dictated by the slot order; only a
-    # same-slot passage carries the side as free data, and there the side
-    # flips with the orientation.
-    flipped = tuple(
-        Passage(
-            p.polygon,
-            p.exit,
-            p.entry,
-            ("right" if p.bseg_side == "left" else "left")
-            if p.entry == p.exit
-            else chord_bseg_side(p.exit, p.entry),
-        )
-        for p in reversed(curve.passages)
-    )
-    return CombinatorialCurve(curve.id + ".rev", curve.closed, flipped)
 
 
 def validate_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report:

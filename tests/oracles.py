@@ -3,11 +3,18 @@
 Everything here deliberately avoids the package's own linear algebra and
 topology code: dimensions are obtained by brute-force path enumeration and
 surfaces are measured by counting cells, so agreement with the library is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology.  The presentation isomorphism
+search and the reversal of a curve check the paper's bijection and the sign
+of a winding; the two builders at the end make small algebras and maps from
+labels for hand-made test cases.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+from skewgentle import BasisMap, CombinatorialCurve, Passage, TableAlgebra
+from skewgentle.surface import chord_bseg_side
 
 
 def forbidden_pairs(presentation) -> set[tuple[str, str]]:
@@ -393,3 +400,156 @@ def twist_compat(skew_labels, raw_images, symmetry) -> dict:
         partner = {k: c for k, c in raw_images[symmetry[gen]].items() if c}
         out[gen] = twisted == partner
     return out
+
+
+def iso_presentations(p1, p2):
+    """Search for an isomorphism of presentations.
+
+    Matches vertices and arrows compatibly with sources, targets, special
+    sets and relations (compared as sets of path families).  Returns
+    ``{"vertices": ..., "arrows": ...}`` or ``None``.
+    """
+    if (
+        len(p1.vertices) != len(p2.vertices)
+        or len(p1.arrows) != len(p2.arrows)
+        or len(p1.special) != len(p2.special)
+        or sorted(len(r) for r in p1.relations) != sorted(len(r) for r in p2.relations)
+    ):
+        return None
+
+    def vertex_sig(p, v):
+        return (
+            len(p.outgoing[v]),
+            len(p.incoming[v]),
+            sum(1 for e in p.special if p.arrow_by_id[e].source == v),
+        )
+
+    if sorted(vertex_sig(p1, v) for v in p1.vertices) != sorted(
+        vertex_sig(p2, v) for v in p2.vertices
+    ):
+        return None
+
+    order = sorted(p1.vertices, key=lambda v: (vertex_sig(p1, v), v), reverse=True)
+    vmap = {}
+    used_v = set()
+
+    def arrows_between(p, u, v):
+        return sorted(a.id for a in p.outgoing[u] if a.target == v)
+
+    def consistent(v1, v2):
+        if vertex_sig(p1, v1) != vertex_sig(p2, v2):
+            return False
+        for u1, u2 in vmap.items():
+            if len(arrows_between(p1, v1, u1)) != len(arrows_between(p2, v2, u2)):
+                return False
+            if len(arrows_between(p1, u1, v1)) != len(arrows_between(p2, u2, v2)):
+                return False
+        return len(arrows_between(p1, v1, v1)) == len(arrows_between(p2, v2, v2))
+
+    def finish():
+        # Assign arrows within each parallel class, trying permutations.
+        classes = []
+        for u in p1.vertices:
+            for v in p1.vertices:
+                c1 = arrows_between(p1, u, v)
+                if not c1:
+                    continue
+                c2 = arrows_between(p2, vmap[u], vmap[v])
+                if len(c1) != len(c2):
+                    return None
+                classes.append((c1, c2))
+
+        rel1 = {frozenset(r) for r in p1.relations}
+        rel2 = {frozenset(r) for r in p2.relations}
+        sp1, sp2 = p1.special, p2.special
+
+        def assign(i, amap):
+            if i == len(classes):
+                mapped = {
+                    frozenset(tuple(amap[x] for x in path) for path in r)
+                    for r in rel1
+                }
+                if mapped != rel2 or {amap[e] for e in sp1} != set(sp2):
+                    return None
+                return dict(amap)
+
+            c1, c2 = classes[i]
+            for perm in itertools.permutations(c2):
+                if any((x in sp1) != (y in sp2) for x, y in zip(c1, perm)):
+                    continue
+                res = assign(i + 1, {**amap, **dict(zip(c1, perm))})
+                if res is not None:
+                    return res
+            return None
+
+        return assign(0, {})
+
+    def backtrack(i):
+        if i == len(order):
+            return finish()
+        v1 = order[i]
+        for v2 in p2.vertices:
+            if v2 in used_v or not consistent(v1, v2):
+                continue
+            vmap[v1] = v2
+            used_v.add(v2)
+            res = backtrack(i + 1)
+            if res is not None:
+                return res
+            del vmap[v1]
+            used_v.discard(v2)
+        return None
+
+    amap = backtrack(0)
+    if amap is None:
+        return None
+    return {"vertices": dict(vmap), "arrows": amap}
+
+
+def reverse_curve(curve):
+    """The curve run backwards, with id ``curve.id + ".rev"``.
+
+    Distinct slots get the side dictated by the slot order; only a
+    same-slot passage carries the side as free data, and there the side
+    flips with the orientation.
+    """
+    flipped = tuple(
+        Passage(
+            p.polygon,
+            p.exit,
+            p.entry,
+            ("right" if p.bseg_side == "left" else "left")
+            if p.entry == p.exit
+            else chord_bseg_side(p.exit, p.entry),
+        )
+        for p in reversed(curve.passages)
+    )
+    return CombinatorialCurve(curve.id + ".rev", curve.closed, flipped)
+
+
+def algebra_from_products(labels, product, unit):
+    """A :class:`~skewgentle.TableAlgebra` from a label-level product.
+
+    ``product(a, b)`` returns the label-keyed expansion of ``a * b`` in
+    composition order (``b`` first); ``unit`` is the label-keyed unit.
+    """
+    labels = tuple(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = [
+        {
+            j: cell
+            for j, b in enumerate(labels)
+            if (cell := {index[k]: c for k, c in product(a, b).items() if c})
+        }
+        for a in labels
+    ]
+    return TableAlgebra(labels, rows, {index[k]: c for k, c in unit.items() if c})
+
+
+def basis_map_from_permutation(algebra, label_map, signs=None):
+    """The :class:`~skewgentle.BasisMap` sending each basis label ``x`` to
+    ``signs[x]`` (default 1) times the basis element ``label_map[x]``."""
+    signs = signs or {}
+    return BasisMap(
+        [{algebra.index_of[label_map[lab]]: signs.get(lab, 1)} for lab in algebra.labels]
+    )

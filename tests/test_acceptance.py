@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import euler_characteristic
+from oracles import euler_characteristic, iso_presentations
 from skewgentle import (
     CombinatorialCurve,
     Passage,
     ValidationError,
-    boundary_curve,
     boundary_curves,
     build_complex,
     cover_invariant_tuple,
@@ -28,7 +27,6 @@ from skewgentle import (
     graded_arcs_from_solution,
     grading_solver,
     invariant_tuple,
-    iso_presentations,
     lift_curve,
     make_presentation,
     one_orbifold_disc,

@@ -504,12 +504,18 @@ def test_quotient_checks_the_involution_once(count_calls, capsys):
 
 def _fresh_process(code: str, *args: str) -> str:
     """Standard output of ``python -c code args`` in a new interpreter."""
+    return _python("-c", code, *args)
+
+
+def _python(*argv: str) -> str:
+    """Standard output of ``python argv`` in a new interpreter, which must
+    exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -575,6 +581,13 @@ def test_errors_do_not_leak_between_calls(capsys):
     assert capsys.readouterr().out == _fresh_process(code, "validate", c1)
 
 
+def test_python_m_runs_the_cli_without_warnings(capsys):
+    c1 = str(fixture_path("cylinder1"))
+    assert main(["validate", c1]) == 0
+    expected = capsys.readouterr().out
+    assert _python("-W", "error::RuntimeWarning", "-m", "skewgentle", "validate", c1) == expected
+
+
 def test_help_text_is_identical_on_repeated_calls(capsys):
     texts = []
     for _ in range(2):
@@ -614,13 +627,14 @@ def _imports_cli(node) -> bool:
 
 
 def test_only_the_package_root_imports_the_cli():
-    """Library modules never import from ``.cli``; ``import skewgentle``
-    still binds ``skewgentle.cli``."""
+    """Library modules never import from ``.cli``; only ``__init__`` (so
+    that ``import skewgentle`` binds ``skewgentle.cli``) and ``__main__``
+    (for ``python -m skewgentle``) do."""
     importers = {
         path.name
         for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if _imports_cli(node)
     }
-    assert importers == {"__init__.py"}
+    assert importers == {"__init__.py", "__main__.py"}
     assert _fresh_process("import skewgentle; print(skewgentle.cli.main.__name__)") == "main\n"

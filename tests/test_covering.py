@@ -13,7 +13,7 @@ from skewgentle import (
     Passage,
     Polygon,
     ValidationError,
-    boundary_curve,
+    boundary_curves,
     double_cover,
     lift_curve,
     one_orbifold_disc,
@@ -33,6 +33,11 @@ from skewgentle.diagnostics import CURVE_THROUGH_BRANCH, Report
 from skewgentle.fixtures import fixture_path
 
 EXPECTED_COVER_SHAPE = {1: (0, 4), 2: (0, 4), 3: (1, 2), 4: (1, 2)}
+
+
+def _bottom_curve(cylinder):
+    """The curve parallel to the boundary component of ``b_bot``."""
+    return next(c for c in boundary_curves(cylinder) if c.id == "boundary.b_bot")
 
 
 def test_cover_topology_of_cylinder_fixtures(cylinder_covers):
@@ -158,8 +163,7 @@ def test_twisted_quotient_differs_from_slit_cover(
 
 def test_boundary_curves_lift_to_two_components(cylinders):
     cov = double_cover(cylinders[1])
-    for bseg in ("b_bot", "b_top"):
-        base_curve = boundary_curve(cylinders[1], bseg)
+    for base_curve in boundary_curves(cylinders[1]):
         lift = lift_curve(cov, base_curve)
         assert not lift.doubled
         assert lift.curve.closed
@@ -224,8 +228,8 @@ def test_orbifold_loop_cannot_be_lifted(cylinders):
 def test_boundary_lifts_on_twisted_cover_are_doubled(torus_with_involution):
     surface, inv = torus_with_involution
     q = quotient(surface, inv)
-    for bseg in sorted(q.base.bseg_by_id):
-        lift = lift_curve(q, boundary_curve(q.base, bseg))
+    for curve in boundary_curves(q.base):
+        lift = lift_curve(q, curve)
         assert lift.doubled
 
 
@@ -305,7 +309,7 @@ def test_invalid_lift_raises(monkeypatch, cylinders):
         lambda s, c: _failing("INVALID_CURVE") if s is cov.total else original(s, c),
     )
     with pytest.raises(ValidationError) as err:
-        lift_curve(cov, boundary_curve(cylinders[1], "b_bot"))
+        lift_curve(cov, _bottom_curve(cylinders[1]))
     assert _codes(err) == ["INVALID_CURVE"]
 
 
@@ -332,13 +336,13 @@ def test_lift_into_a_foreign_polygon_raises(cylinders):
     # the boundary curve passes from "lower" into "upper"
     cov.poly_instance[("upper", 1)] = cov.poly_instance[("upper", -1)] = "nowhere"
     with pytest.raises(ValidationError) as err:
-        lift_curve(cov, boundary_curve(cylinders[1], "b_bot"))
+        lift_curve(cov, _bottom_curve(cylinders[1]))
     assert _bad_lift(err) == ("boundary.b_bot", 0)
 
 
 def test_lift_through_a_wrong_slot_raises(cylinders):
     cov = double_cover(cylinders[1])
-    curve = boundary_curve(cylinders[1], "b_bot")
+    curve = _bottom_curve(cylinders[1])
     nxt = curve.passages[1]
     for sheet in (1, -1):
         pid, slot = cov.slot_image[(nxt.polygon, nxt.entry, sheet)]

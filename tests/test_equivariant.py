@@ -8,6 +8,8 @@ from typing import NamedTuple
 import pytest
 
 from oracles import (
+    algebra_from_products,
+    basis_map_from_permutation,
     cohen_montgomery_image,
     corner_dimension,
     generated_dimension,
@@ -19,8 +21,6 @@ from skewgentle import (
     SpanBasis,
     TableAlgebra,
     ValidationError,
-    algebra_from_products,
-    basis_map_from_permutation,
     corner_algebra,
     double_cover,
     graded_path_algebra,
@@ -41,6 +41,7 @@ from skewgentle import (
 )
 from skewgentle import equivariant
 from skewgentle.algebra import BasisMap
+from skewgentle.diagnostics import BAD_INPUT
 
 ONE = Fraction(1)
 
@@ -117,6 +118,31 @@ def test_twisted_cover_reduction_for_every_sheet_choice(torus_with_involution):
                 q, {ordinary[0]: s0, ordinary[1]: s1}
             )
             assert red.verdict.is_isomorphism
+
+
+def test_sheet_choice_names_every_bad_key_and_value(cylinder_covers):
+    cov = cylinder_covers[1]
+    triple = cov.base_quiver.presentation
+    special = next(v for v in triple.vertices if v in cov.split.special_vertices)
+    ordinary = [v for v in triple.vertices if v not in cov.split.special_vertices]
+    for choice, bad in (
+        ({ordinary[0]: 0}, {ordinary[0]: 0}),
+        (
+            {ordinary[0]: 1, special: 1, "nowhere": -1, ordinary[-1]: 2},
+            {special: 1, "nowhere": -1, ordinary[-1]: 2},
+        ),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            verify_skew_group_reduction(cov, choice)
+        assert [(d.code, d.where, d.message) for d in exc.value.diagnostics] == [
+            (
+                BAD_INPUT,
+                (v,),
+                f"sheet choice {v!r}: {sheet!r} is not a sheet (+1 or -1) of an "
+                "ordinary base vertex",
+            )
+            for v, sheet in bad.items()
+        ]
 
 
 def test_twisted_cover_has_swap_incompatible_lifts(torus_with_involution):

