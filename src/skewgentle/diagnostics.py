@@ -4,10 +4,12 @@ One convention holds everywhere.  The validators (``validate``,
 ``validate_curve``, ``validate_involution``, ``check_gentle``,
 ``check_skew_gentle`` and ``is_dual_dissection``) never raise on bad input;
 they return a :class:`Report` carrying :class:`Diagnostic` records with a
-stable error code, a readable message, and the offending location.  Every
-other function returns its value or raises :class:`ValidationError` with all
-of its findings: :func:`raise_on_error` raises a report's findings, and
-:func:`error` builds the exception for a single finding raised on the spot.
+stable error code, a readable message, and the offending location, and on
+a surface that fails ``validate`` they return its findings.  Every other
+function returns its value or raises :class:`ValidationError` with all of
+its findings, a surface's own first: :func:`raise_on_error` raises a
+report's findings, and :func:`error` builds the exception for a single
+finding raised on the spot.
 """
 from __future__ import annotations
 

@@ -186,8 +186,8 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
 def dual_dissection(surface: DissectedSurface) -> list[CombinatorialCurve]:
     """The canonical dual arc system: one open curve per dissection arc,
     joining the midpoints of the boundary segments of its two flanking
-    polygons through a single crossing.  The output is checked to be a
-    dual system (see :func:`is_dual_dissection`)."""
+    polygons through a single crossing of that arc (a dual system in the
+    sense of :func:`is_dual_dissection`)."""
     raise_on_error(validate(surface))
     out = []
     for a in sorted(surface.arc_by_id):
@@ -200,7 +200,6 @@ def dual_dissection(surface: DissectedSurface) -> list[CombinatorialCurve]:
                 (Passage(p1, 0, i1, "right"), Passage(p2, i2, 0, "right")),
             )
         )
-    raise_on_error(is_dual_dissection(surface, out))
     return out
 
 
@@ -212,176 +211,47 @@ def _green_of(surface: DissectedSurface, poly_id: str) -> str:
 def is_dual_dissection(
     surface: DissectedSurface, curves: Sequence[CombinatorialCurve]
 ) -> Report:
-    """Check that open curves form a dual system for the dissection.
+    """Check that open curves form a dual system for the dissection: they
+    cut the surface into discs that each hold one dissection point
+    (Opper--Plamondon--Schroll, arXiv 1801.09659).
 
-    Requirements: every curve is open and valid, every dissection arc is
-    crossed exactly once over all curves, and each region the curves and
-    the boundary cut the surface into is a disc containing exactly one
-    dissection point (on its boundary walk or swept at a crossing).  The
-    regions are found by tracing the faces of the overlay graph whose
-    vertices are boundary marked points, segment midpoints, and crossings.
+    Requirements: every curve is valid and open with its own id, crosses
+    exactly one arc, and every arc is crossed exactly once.  When the C
+    curves cross each of the n arcs once, one arc per curve is the disc
+    condition: in their overlay with the boundary (vertices the boundary
+    marked points, segment midpoints and crossings) marked points and
+    midpoints are equally many and a crossing adds a vertex and an edge,
+    so V - E = -C and there are chi + C regions.  One point per disc
+    makes that P, the number of dissection points, and chi = P - n, so
+    C = n and each curve crosses exactly one arc.  Such a curve is the
+    canonical dual of its arc up to direction, and the canonical duals
+    cut out the stars of the points.
     """
-    report = Report()
-    raise_on_error(validate(surface))
-    crossing_count = {a.id: 0 for a in surface.arcs}
-    crossings_by_curve: dict[str, list[str]] = {}
+    report = validate(surface)
+    if not report.ok:
+        return report
+    seen: set[str] = set()
     for c in curves:
-        sub = validate_curve(surface, c)
-        if not sub.ok:
-            report.extend(sub)
-            continue
+        report.extend(validate_curve(surface, c))
         if c.closed:
             report.add(BAD_INPUT, f"curve {c.id!r} must be open", (c.id,))
-            continue
-        if c.id in crossings_by_curve:
+        if c.id in seen:
             report.add(BAD_INPUT, f"duplicate curve id {c.id!r}", (c.id,))
-            continue
+        seen.add(c.id)
+    if not report.ok:
+        return report
+    crossing_count = {a.id: 0 for a in surface.arcs}
+    for c in curves:
         crossed = curve_crossings(surface, c)
-        crossings_by_curve[c.id] = crossed
+        if len(crossed) != 1:
+            report.add(
+                BAD_INPUT, f"curve {c.id!r} crosses {len(crossed)} arcs (need one)", (c.id,)
+            )
         for a in crossed:
             crossing_count[a] += 1
-    if not report.ok:
-        return report
     for a, k in sorted(crossing_count.items()):
         if k != 1:
-            report.add(
-                BAD_INPUT,
-                f"arc {a!r} is crossed {k} times (need exactly once)",
-                (a,),
-            )
-    if not report.ok:
-        return report
-
-    # Overlay graph.  Nodes: ("m", point) boundary marked points, ("g",
-    # bseg) segment midpoints, ("c", curve, k) crossings.  Edges: two
-    # halves per boundary segment and the chord segments of each curve.
-    edges: list[tuple[tuple, tuple]] = []
-    edge_kind: list[str] = []  # "bh" (boundary half, directed 0 -> 1) | "seg"
-    rot: dict[tuple, list[tuple[int, int]]] = {}
-    side_of_germ: dict[tuple[int, int], int] = {}
-    crossing_arc: dict[tuple, str] = {}
-
-    green_germs: dict[str, list[tuple[int, tuple[int, int]]]] = {}
-    bseg_germs: dict[str, dict[str, tuple[int, int]]] = {}
-    for b in surface.bsegs:
-        e1 = len(edges)
-        edges.append((("m", b.tail), ("g", b.id)))
-        edge_kind.append("bh")
-        e2 = len(edges)
-        edges.append((("g", b.id), ("m", b.head)))
-        edge_kind.append("bh")
-        green_germs[b.id] = []
-        bseg_germs[b.id] = {"fwd": (e2, 0), "bwd": (e1, 1)}
-
-    for c in curves:
-        ps = c.passages
-        m = len(ps) - 1
-        chain: list[tuple] = [("g", _green_of(surface, ps[0].polygon))]
-        chain += [("c", c.id, k) for k in range(m)]
-        chain.append(("g", _green_of(surface, ps[-1].polygon)))
-        for k in range(m):
-            crossing_arc[("c", c.id, k)] = crossings_by_curve[c.id][k]
-        for t in range(len(chain) - 1):
-            e = len(edges)
-            edges.append((chain[t], chain[t + 1]))
-            edge_kind.append("seg")
-            poly = surface.polygon_by_id[ps[t].polygon]
-            if t == 0:
-                green_germs[chain[0][1]].append((ps[0].exit, (e, 0)))
-            else:
-                side_of_germ[(e, 0)] = poly.sides[ps[t].entry].direction
-            if t == len(chain) - 2:
-                green_germs[chain[-1][1]].append((ps[-1].entry, (e, 1)))
-            else:
-                side_of_germ[(e, 1)] = poly.sides[ps[t].exit].direction
-
-    # Rotations (counterclockwise germ order at each node).
-    for b in surface.bsegs:
-        duals = [g for _, g in sorted(green_germs[b.id])]
-        rot[("g", b.id)] = [bseg_germs[b.id]["fwd"], *duals, bseg_germs[b.id]["bwd"]]
-    for e, (n0, n1) in enumerate(edges):
-        for end, node in ((0, n0), (1, n1)):
-            if node[0] in ("m", "c"):
-                rot.setdefault(node, []).append((e, end))
-    for node, germs in rot.items():
-        if len(germs) != 2 and node[0] != "g":
-            report.add(BAD_INPUT, f"overlay node {node!r} has {len(germs)} germs, not 2", node)
-    if not report.ok:
-        return report
-
-    # Left-face tracing: leave a node along a germ, arrive at the far end,
-    # and continue along the clockwise-next (rotation predecessor) germ.
-    visited: set[tuple[int, int]] = set()
-    faces: list[list[tuple[int, int]]] = []
-    for e0 in range(len(edges)):
-        for s0 in (0, 1):
-            if (e0, s0) in visited:
-                continue
-            walk = []
-            cur = (e0, s0)
-            while cur not in visited:
-                visited.add(cur)
-                walk.append(cur)
-                e, s = cur
-                node = edges[e][1 - s]
-                germs = rot[node]
-                r = germs.index((e, 1 - s))
-                cur = germs[(r - 1) % len(germs)]
-            if cur != walk[0]:
-                report.add(
-                    BAD_INPUT, f"overlay face from germ {walk[0]!r} closes at {cur!r}", walk[0]
-                )
-                return report
-            faces.append(walk)
-
-    n_interior = 0
-    claimed = {p.id: 0 for p in surface.points}
-    for walk in faces:
-        exterior = any(edge_kind[e] == "bh" and s == 1 for e, s in walk)
-        if exterior:
-            continue
-        n_interior += 1
-        claims = set()
-        for e, s in walk:
-            node_from = edges[e][s]
-            if node_from[0] == "m":
-                claims.add(node_from[1])
-            node_to = edges[e][1 - s]
-            if node_to[0] == "c":
-                # The face sweeps past the crossing on one side of the
-                # crossed arc; it claims the arc end lying in that sector.
-                arc = surface.arc_by_id[crossing_arc[node_to]]
-                direction = side_of_germ[(e, 1 - s)]
-                claims.add(arc.tail if direction == -1 else arc.head)
-        if len(claims) != 1:
-            report.add(
-                BAD_INPUT,
-                f"an overlay region contains {sorted(claims)!r} dissection "
-                "points (need exactly 1)",
-                tuple(sorted(claims)),
-            )
-            continue
-        for p in claims:
-            claimed[p] += 1
-    if report.ok:
-        for p, k in sorted(claimed.items()):
-            if k != 1:
-                report.add(
-                    BAD_INPUT,
-                    f"dissection point {p!r} lies in {k} overlay regions "
-                    "(need exactly 1)",
-                    (p,),
-                )
-    if report.ok:
-        top = topology(surface)
-        chi = sum(2 - 2 * ct.genus - len(ct.boundary) for ct in top.components)
-        if len(rot) - len(edges) + n_interior != chi:
-            report.add(
-                BAD_INPUT,
-                "overlay regions are not all discs "
-                "(euler characteristic mismatch)",
-                (),
-            )
+            report.add(BAD_INPUT, f"arc {a!r} is crossed {k} times (need exactly once)", (a,))
     return report
 
 

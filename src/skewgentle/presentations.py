@@ -524,6 +524,7 @@ def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
     at orbifold points form the special set; their squares are left out of
     the relation list.
     """
+    raise_on_error(validate(surface))
     arrows: list[Arrow] = []
     corner_of_arrow: dict[str, tuple[str, int]] = {}
     point_of_arrow: dict[str, str] = {}
@@ -585,6 +586,7 @@ def algebra_dimension(surface: DissectedSurface) -> int:
     at an orbifold point counts as two sides, which gives the dimension of
     both the skew-gentle algebra of the triple and its split algebra.
     """
+    raise_on_error(validate(surface))
     return len(surface.arcs) + sum(
         math.comb(len(p.sides) - 1, 2) for p in surface.polygons
     )

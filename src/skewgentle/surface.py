@@ -564,6 +564,7 @@ class Topology:
 
 
 def boundary_components(surface: DissectedSurface) -> list[BoundaryComponent]:
+    raise_on_error(validate(surface))
     leaving = {b.tail: b for b in surface.bsegs}
     seen: set[str] = set()
     comps = []
@@ -698,6 +699,7 @@ def complete_involution(
 ) -> SurfaceInvolution:
     """Derive the bseg and polygon permutations from point and arc data;
     an image that cannot be found raises ``BAD_INVOLUTION``."""
+    raise_on_error(validate(surface))
     report = Report()
     reversed_arcs = frozenset(reversed_arcs)
     partial = SurfaceInvolution(
@@ -947,7 +949,8 @@ def passage_winding(p: Passage) -> int:
 
 
 def validate_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report:
-    """Check that a curve is a coherent chain of polygon passages.
+    """Check that a curve is a coherent chain of polygon passages; a
+    surface that fails :func:`validate` gets its own findings back.
 
     The findings are kept on the surface, keyed by the curve value; each
     call returns a fresh report."""
@@ -959,7 +962,9 @@ def validate_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Repo
 
 
 def _check_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report:
-    report = Report()
+    report = validate(surface)
+    if not report.ok:
+        return report
     ps = curve.passages
     if not ps:
         report.add(INVALID_CURVE, f"curve {curve.id!r} has no passages", (curve.id,))
@@ -1052,6 +1057,7 @@ def curve_crossings(
     surface: DissectedSurface, curve: CombinatorialCurve
 ) -> list[str]:
     """The arcs crossed, in curve order (one entry per crossing)."""
+    raise_on_error(validate(surface))
     ps = curve.passages
     count, _ = crossing_steps(curve)
     return [surface.polygon_by_id[p.polygon].sides[p.exit].ref for p in ps[:count]]

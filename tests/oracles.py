@@ -5,8 +5,9 @@ topology code: dimensions are obtained by brute-force path enumeration and
 surfaces are measured by counting cells, so agreement with the library is
 meaningful evidence rather than a tautology.  The presentation isomorphism
 search and the reversal of a curve check the paper's bijection and the sign
-of a winding; the two builders at the end make small algebras and maps from
-labels for hand-made test cases.
+of a winding, and tracing the faces of a dual arc system checks the
+crossing count of ``is_dual_dissection``; the two builders at the end make
+small algebras and maps from labels for hand-made test cases.
 """
 from __future__ import annotations
 
@@ -98,6 +99,111 @@ def poincare_hopf_total(surface) -> Fraction:
     Lekili-Polishchuk, arXiv 1801.06370), with g from the cell counts."""
     genus = genus_from_counts(euler_characteristic(surface), boundary_circle_count(surface))
     return 4 - 4 * genus
+
+
+def one_point_discs(surface, curves) -> bool:
+    """Whether open curves cut the surface into discs that each hold one
+    dissection point, found by tracing the faces of their overlay with the
+    boundary.
+
+    The overlay's vertices are the boundary marked points, the segment
+    midpoints and the crossings; its edges are the two halves of each
+    boundary segment, directed along the boundary, and the chords of each
+    curve.  A face keeps its edges on its left.  It claims the marked
+    points it leaves and, at each crossing it passes, the end of the
+    crossed arc on its side.  The curves, each of which must pass
+    ``validate_curve``, pass here when they are open with distinct ids and
+    cross every arc once; when each face inside the surface claims one
+    point and each point is claimed once; and when V - E + F is the Euler
+    characteristic, so every face is a disc.
+    """
+    if any(c.closed for c in curves) or len({c.id for c in curves}) != len(curves):
+        return False
+    crossed = {
+        c.id: [surface.polygon_by_id[p.polygon].sides[p.exit].ref for p in c.passages[:-1]]
+        for c in curves
+    }
+    if sorted(a for arcs in crossed.values() for a in arcs) != sorted(a.id for a in surface.arcs):
+        return False
+
+    # Nodes: ("m", point), ("g", bseg) for a segment midpoint, ("c", curve,
+    # k) for a crossing.  A germ (edge, end) is an edge at one of its ends.
+    edges: list[tuple[tuple, tuple]] = []
+    side_of_germ: dict[tuple[int, int], int] = {}
+    crossing_arc: dict[tuple, str] = {}
+    ends_at: dict[str, list] = {b.id: [] for b in surface.bsegs}  # (slot, germ)
+    for b in surface.bsegs:  # edges 2i, 2i + 1: the halves of bseg i, tail -> head
+        edges += [(("m", b.tail), ("g", b.id)), (("g", b.id), ("m", b.head))]
+    for c in curves:
+        ps = c.passages
+        m = len(ps) - 1
+        chain = [("c", c.id, k) for k in range(m)]
+        crossing_arc.update(zip(chain, crossed[c.id]))
+        chain = [("g", _green(surface, ps[0])), *chain, ("g", _green(surface, ps[-1]))]
+        for t in range(m + 1):
+            e = len(edges)
+            edges.append((chain[t], chain[t + 1]))
+            sides = surface.polygon_by_id[ps[t].polygon].sides
+            if t == 0:
+                ends_at[chain[0][1]].append((ps[0].exit, (e, 0)))
+            else:
+                side_of_germ[(e, 0)] = sides[ps[t].entry].direction
+            if t == m:
+                ends_at[chain[-1][1]].append((ps[-1].entry, (e, 1)))
+            else:
+                side_of_germ[(e, 1)] = sides[ps[t].exit].direction
+
+    # Counterclockwise germs at each node.  At a midpoint: the outgoing
+    # boundary half, the curve ends by polygon slot, the incoming half.
+    rot: dict[tuple, list[tuple[int, int]]] = {}
+    for i, b in enumerate(surface.bsegs):
+        rot[("g", b.id)] = [(2 * i + 1, 0), *(g for _, g in sorted(ends_at[b.id])), (2 * i, 1)]
+    for e, pair in enumerate(edges):
+        for end, node in enumerate(pair):
+            if node[0] != "g":
+                rot.setdefault(node, []).append((e, end))
+    if any(len(germs) != 2 for node, germs in rot.items() if node[0] != "g"):
+        return False
+
+    # Leave a node along a germ, arrive at the far end, and go on along the
+    # clockwise-next germ there.
+    visited: set[tuple[int, int]] = set()
+    faces = []
+    for start in itertools.product(range(len(edges)), (0, 1)):
+        walk = []
+        cur = start
+        while cur not in visited:
+            visited.add(cur)
+            walk.append(cur)
+            e, s = cur
+            germs = rot[edges[e][1 - s]]
+            cur = germs[(germs.index((e, 1 - s)) - 1) % len(germs)]
+        if walk and cur != walk[0]:
+            return False
+        if walk and not any(e < 2 * len(surface.bsegs) and s == 1 for e, s in walk):
+            faces.append(walk)
+
+    claimed = {p.id: 0 for p in surface.points}
+    for walk in faces:
+        claims = set()
+        for e, s in walk:
+            node_from, node_to = edges[e][s], edges[e][1 - s]
+            if node_from[0] == "m":
+                claims.add(node_from[1])
+            if node_to[0] == "c":
+                arc = surface.arc_by_id[crossing_arc[node_to]]
+                claims.add(arc.tail if side_of_germ[(e, 1 - s)] == -1 else arc.head)
+        if len(claims) != 1:
+            return False
+        claimed[claims.pop()] += 1
+    if any(k != 1 for k in claimed.values()):
+        return False
+    return len(rot) - len(edges) + len(faces) == euler_characteristic(surface)
+
+
+def _green(surface, passage) -> str:
+    """The boundary segment of the polygon a passage runs through."""
+    return surface.polygon_by_id[passage.polygon].sides[0].ref
 
 
 def mat_rank(rows: list[list[Fraction]]) -> int:

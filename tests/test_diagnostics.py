@@ -3,15 +3,37 @@ and only the validators hand a :class:`Report` back."""
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import skewgentle
-from skewgentle import fixtures, special_chain_triple, special_piece, two_hole_torus_surface
-from skewgentle.diagnostics import BAD_INPUT, BAD_INVOLUTION, SIZE_LIMIT, Report, ValidationError
+from skewgentle import (
+    Arc,
+    BoundarySegment,
+    DissectedSurface,
+    GradedArc,
+    double_cover,
+    dual_dissection,
+    fixtures,
+    puncture_loop,
+    special_chain_triple,
+    special_piece,
+    two_hole_torus_surface,
+    two_orbifold_cylinder,
+)
+from skewgentle.diagnostics import (
+    BAD_INPUT,
+    BAD_INVOLUTION,
+    SIZE_LIMIT,
+    UNKNOWN_ID,
+    Report,
+    ValidationError,
+)
 
 SRC = Path(skewgentle.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -192,3 +214,79 @@ def test_the_convention_scan_sees_a_report_result(source):
 def test_the_convention_scan_lets_validators_and_private_helpers_be():
     source = "def validate(s) -> Report: ...\ndef _check(s) -> Report: ...\n"
     assert _report_results(source) == []
+
+
+# ---------------------------------------------------------------------------
+# The same convention at run time: on a surface that fails ``validate``,
+# every public function taking a surface first hands back or raises the
+# surface's own findings.
+
+
+def _surface_first() -> set[str]:
+    """The public functions whose first parameter is a surface."""
+    found = set()
+    for name in skewgentle.__all__:
+        f = getattr(skewgentle, name)
+        if inspect.isfunction(f):
+            params = list(inspect.signature(f).parameters.values())
+            if params and params[0].annotation in ("DissectedSurface", DissectedSurface):
+                found.add(name)
+    return found
+
+
+def _arguments_after_the_surface(base) -> dict[str, tuple]:
+    """What each surface-first function takes after the surface, built on
+    the valid ``base``; the involution is the deck of its cover, so it
+    belongs to another surface, and the maps given to
+    ``complete_involution`` are empty: the surface's findings come first."""
+    dual = dual_dissection(base)[0]
+    deck = double_cover(base).deck
+    return {
+        "algebra_dimension": (),
+        "boundary_components": (),
+        "boundary_curves": (),
+        "classify_dissection": (),
+        "complete_involution": ({}, {}, ()),
+        "cover_invariant_tuple": (),
+        "curve_crossings": (dual,),
+        "decide_ghat_equiv": (base,),
+        "decide_tilting_equiv": (base,),
+        "double_cover": (),
+        "dual_dissection": (),
+        "extract_quiver": (),
+        "grading_solver": ([dual],),
+        "invariant_tuple": (),
+        "is_dual_dissection": ([dual],),
+        "map_graded_arc": (deck, GradedArc(dual, (0,))),
+        "puncture_loop": ("X1",),
+        "quiver_from_dissection": (),
+        "quotient": (deck,),
+        "surfaces_isomorphic": (base,),
+        "topology": (),
+        "triple_from_x_dissection": (),
+        "validate": (),
+        "validate_curve": (dual,),
+        "validate_involution": (deck,),
+        "winding": (puncture_loop(base, "X1"),),
+    }
+
+
+@pytest.mark.parametrize("broken", ["bz", "zz"])
+def test_every_surface_reader_hands_back_the_surface_findings(broken):
+    # A boundary segment or an arc ending at a point the surface lacks.
+    base = two_orbifold_cylinder(1)
+    surface = {
+        "bz": replace(base, bsegs=base.bsegs + (BoundarySegment("bz", "nowhere", "B"),)),
+        "zz": replace(base, arcs=base.arcs + (Arc("zz", "nowhere", "B"),)),
+    }[broken]
+    table = _arguments_after_the_surface(base)
+    assert set(table) == _surface_first()
+    for name, rest in sorted(table.items()):
+        f = getattr(skewgentle, name)
+        if name in VALIDATORS:
+            report = f(surface, *rest)
+            assert isinstance(report, Report) and UNKNOWN_ID in report.codes(), name
+        else:
+            with pytest.raises(ValidationError) as exc:
+                f(surface, *rest)
+            assert UNKNOWN_ID in [d.code for d in exc.value.diagnostics], name

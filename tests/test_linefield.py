@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poincare_hopf_total, reverse_curve
+from oracles import one_point_discs, poincare_hopf_total, reverse_curve
 
 from skewgentle import (
     BOUNDARY,
@@ -39,6 +39,7 @@ from skewgentle import (
     map_graded_arc,
     parse_surface_file,
     puncture_loop,
+    random_gentle_pair,
     random_x_dissection,
     surface_from_gentle,
     surface_from_triple,
@@ -57,6 +58,7 @@ from skewgentle.diagnostics import (
     WINDING_MISMATCH,
 )
 from skewgentle.presentations import Arrow
+from skewgentle.surface import chord_bseg_side
 
 FIXTURE_NAMES = ["cylinder1", "cylinder2", "cylinder3", "cylinder4", "disc", "torus"]
 
@@ -134,6 +136,81 @@ def test_dual_check_rejects_closed_curve(cylinders):
     )
     report = is_dual_dissection(cylinders[1], duals + [closed])
     assert BAD_INPUT in report.codes()
+
+
+def test_dual_check_names_a_curve_crossing_several_arcs(cylinders):
+    # Every arc is crossed once, yet the staircase crosses three of them.
+    surface = cylinders[1]
+    stair = _staircase()
+    assert curve_crossings(surface, stair) == ["1", "2", "3"]
+    (dual4,) = [c for c in dual_dissection(surface) if c.id == "dual.4"]
+    report = is_dual_dissection(surface, [stair, dual4])
+    assert [(d.code, d.where) for d in report.diagnostics] == [(BAD_INPUT, ("stair",))]
+    assert not one_point_discs(surface, [stair, dual4])
+
+
+def _walk_system(surface, rng: random.Random) -> list[CombinatorialCurve]:
+    """Open curves that together cross every arc once.  Each starts at the
+    midpoint of a polygon with an uncrossed arc side, and after each
+    crossing ends at the midpoint of the polygon it entered or, by a coin
+    flip, crosses another uncrossed arc side of that polygon."""
+    free = set(surface.arc_by_id)
+    curves = []
+    while free:
+        starts = sorted(loc for (a, _), loc in surface.occurrences.items() if a in free)
+        pid, i = rng.choice(starts)
+        passages = [Passage(pid, 0, i, "right")]
+        while True:
+            side = surface.polygon_by_id[pid].sides[i]
+            free.discard(side.ref)
+            pid, u = surface.occurrences[(side.ref, -side.direction)]
+            onward = [
+                j for j, s in enumerate(surface.polygon_by_id[pid].sides)
+                if s.is_arc and s.ref in free
+            ]
+            if not onward or rng.random() < 0.5:
+                passages.append(Passage(pid, u, 0, "right"))
+                break
+            i = rng.choice(onward)
+            passages.append(Passage(pid, u, i, chord_bseg_side(u, i)))
+        curves.append(CombinatorialCurve(f"walk.{len(curves)}", False, tuple(passages)))
+    return curves
+
+
+def test_dual_check_agrees_with_face_tracing(disc, disc_x4, disc_xx, cylinders, torus_with_involution):
+    """The crossing count gives the verdict of tracing the overlay faces on
+    the canonical duals, with some reversed, one dropped or one doubled,
+    and on walk systems crossing every arc once."""
+    rng = random.Random(22)
+    surfaces = [disc, disc_x4, disc_xx, *cylinders.values(), torus_with_involution[0]]
+    for _ in range(50):
+        surfaces.append(random_x_dissection(rng))
+        surfaces.append(surface_from_gentle(random_gentle_pair(rng)))
+    tally = {}
+    for surface in surfaces:
+        duals = dual_dissection(surface)
+        k = rng.randrange(len(duals))
+        systems = [
+            ("dual", duals),
+            ("reversed", [reverse_curve(c) if rng.random() < 0.5 else c for c in duals]),
+            ("reversed", [reverse_curve(c) if rng.random() < 0.5 else c for c in duals]),
+            ("dropped", duals[:k] + duals[k + 1:]),
+            ("doubled", duals + [duals[k]]),
+        ]
+        for _ in range(6):
+            walk = _walk_system(surface, rng)
+            several = any(len(curve_crossings(surface, c)) > 1 for c in walk)
+            systems.append(("several" if several else "walk", walk))
+        for kind, curves in systems:
+            verdict = is_dual_dissection(surface, curves).ok
+            assert verdict == one_point_discs(surface, curves), (surface.name, kind)
+            tally[kind, verdict] = tally.get((kind, verdict), 0) + 1
+    assert sum(tally.values()) >= 1000
+    assert tally[("several", False)] >= 300
+    assert set(tally) == {
+        ("dual", True), ("reversed", True), ("dropped", False), ("doubled", False),
+        ("walk", True), ("several", False),
+    }
 
 
 def test_grading_of_canonical_duals_is_zero(cylinders, disc_x4):
