@@ -14,19 +14,18 @@ view of the table, for readers by position, is built afresh on each read
 of :attr:`TableAlgebra.table` and never kept.
 
 The checks walk the sparse rows instead of calling
-:meth:`TableAlgebra.mul` for each cell: the twisted rows of a crossed
-product, the rows of ``f(x)·f(b_j)`` in the one row comparison behind
-:func:`verify_multiplicative` and the iterated crossed-product check, and
-the products of the vertex images in :func:`verify_morphism` come
-from one helper, and :func:`corner_algebra` computes ``e·b_m`` once for
-every ``m`` and each ``b_i·e`` from the cells of row ``i`` in the columns
-of ``e``.  A symmetry that is a signed permutation, each image one term
-``±b_k``, is crossed without that walk: :func:`skew_group_algebra`
-permutes the cells of each row, shares the ``+`` ones and negates the
-``-`` ones.  :class:`SpanBasis` keeps its rows in reduced echelon
-form with an index from each column to the rows that hold it, so a vector
-is reduced in one pass over its pivot columns and a new pivot is cleared
-only from the rows that hold it.
+:meth:`TableAlgebra.mul` for each cell: the rows of ``f(x)·f(b_j)`` in
+the one row comparison behind :func:`verify_multiplicative` and the
+iterated crossed-product check, and the products of the vertex images in
+:func:`verify_morphism` come from one helper, and the products
+``x·b_j`` of one left factor, as in :func:`corner_algebra`, from
+another.  A symmetry is crossed as the signed permutation it is, each
+image one term ``±b_k``: :func:`skew_group_algebra` permutes the cells of
+each row, shares the ``+`` ones and negates the ``-`` ones.
+:class:`SpanBasis` keeps its rows in reduced echelon form with an index
+from each column to the rows that hold it, so a vector is reduced in one
+pass over its pivot columns and a new pivot is cleared only from the rows
+that hold it.
 
 One builder, :func:`graded_path_algebra`, covers the three quadratic
 presentations the package meets: gentle pairs (single-path relations),
@@ -39,10 +38,9 @@ composition order, so ``mul(x, y)`` applies ``y`` first.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .diagnostics import (
     BAD_INPUT,
@@ -59,22 +57,6 @@ Vector = dict[Any, Coeff]
 
 ONE = 1
 ZERO = 0
-
-
-def default_max_path_length() -> int:
-    """``SKEWGENTLE_MAX_PATH_LEN``, 64 when unset; ``BAD_INPUT`` unless it
-    is an integer of at least 1."""
-    raw = os.environ.get("SKEWGENTLE_MAX_PATH_LEN", "64")
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise error(
-            BAD_INPUT,
-            f"SKEWGENTLE_MAX_PATH_LEN must be an integer of at least 1, not {raw!r}",
-        )
-    return limit
 
 
 def _exact(c: Any) -> Coeff:
@@ -298,16 +280,14 @@ class TableAlgebra:
                         del out[k]
         return out
 
-    def twisted_rows(self, act: BasisMap) -> Iterator[dict[int, Vector]]:
-        """Row by row, the nonzero products ``b_i * act(b_j)`` keyed by ``j``.
 
-        Each row is assembled from the cells ``rows[i][k]`` and the
-        preimages of ``k`` under ``act``; only one row is held at a time.
-        """
-        preimages = _preimages(act, self.dimension)
-        for i in range(self.dimension):
-            out = _products_row(self, {i: ONE}, preimages)
-            yield {j: v for j, v in out.items() if v}
+def _left_products(A: TableAlgebra, x: Vector) -> dict[int, Vector]:
+    """The nonzero products ``x * b_j`` in ``A``, keyed by ``j``."""
+    out: dict[int, Vector] = {}
+    for p, c in x.items():
+        for j, cell in A.rows[p].items():
+            _accumulate(out.setdefault(j, {}), cell, c)
+    return {j: cell for j, cell in out.items() if cell}
 
 
 def _products_row(
@@ -427,14 +407,20 @@ def graded_path_algebra(
     two-term relations are eliminated and the lexicographically first
     paths survive as basis vectors, so the basis does not depend on the
     loop values.  Presentations with special loops must pass
-    :func:`check_skew_gentle`.  Raises ``NOT_STABILIZED`` when the
-    dimensions have not reached zero by ``SKEWGENTLE_MAX_PATH_LEN``.
+    :func:`check_skew_gentle`.
+
+    Paths are enumerated up to length ``len(pres.arrows) + 1``.  In the
+    gentle, skew-gentle and split shapes a nonzero path never repeats an
+    arrow, since a repeat closes a cycle whose powers never vanish, so
+    every path of that length is zero.  Raises ``NOT_STABILIZED`` when
+    some path of that length survives: the presentation is then
+    infinite-dimensional.
     """
     if pres.special:
         raise_on_error(check_skew_gentle(pres))
     loop_values = loop_values or {}
     values = {e: _exact(loop_values.get(e, 1)) for e in pres.special}
-    limit = default_max_path_length()
+    limit = len(pres.arrows) + 1
     binomials = [rel for rel in pres.relations if len(rel) == 2]
 
     basis: list[PathKey] = []
@@ -564,10 +550,7 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     in the columns of ``e``; and ``e*b_i*e`` as the sum of the ``e*b_m``
     over ``b_i*e``.  The kept cells are renumbered in one pass.
     """
-    left: dict[int, Vector] = {}  # m -> e*b_m, where nonzero
-    for k, c in e.items():
-        for m, cell in A.rows[k].items():
-            _accumulate(left.setdefault(m, {}), cell, c)
+    left = _left_products(A, e)  # m -> e*b_m, where nonzero
 
     def times_e(x: Vector) -> Vector:  # e*x
         out: Vector = {}
@@ -646,7 +629,7 @@ def _rows_multiplicative(
 
     The right side of one row is built at once from the cells of ``B``
     in the rows of ``f(x)`` and the preimages under ``f`` of their
-    columns, as in :meth:`TableAlgebra.twisted_rows`.  It is compared with
+    columns.  It is compared with
     ``f`` of the cells of ``row``; a nonzero product left over sits where
     ``row`` has no cell, and fails the check.  Every other ``j`` has zero
     on both sides.  A cell ``c·b_k`` of one term maps to ``c·f(b_k)``,
@@ -706,14 +689,22 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     rows of ``A``, sharing its cells; those with ``g = 1`` are its twisted
     rows.
 
-    Every action the package crosses with (a deck action, a signed
-    half-swap, the grading signs) is a signed permutation: each
-    ``s(b_j)`` is one term ``±b_k``.  Then twisted row ``i`` is row ``i``
-    of ``A`` with its columns permuted and signs applied: a ``+`` cell is
-    the cell of ``A`` and its degree-one copy the one of the degree-zero
-    row, both shared, and only a ``-`` cell is negated afresh.  Any other
-    map is crossed through :meth:`TableAlgebra.twisted_rows`.
+    ``s`` must be a signed permutation, each ``s(b_j)`` one term
+    ``±b_k``; any other map raises ``BAD_INPUT``.  Every action the
+    package crosses with is one.  Relations are single paths or sums of
+    two paths with coefficient one, so the normal form of every path is
+    ±1 times one basis path, or 0, and a relabelling of the quiver that
+    keeps the relations (a deck action, the half-swap of a split) sends
+    each basis path to ± one basis path; the grading signs are ±1 on each
+    basis element.  Twisted row ``i`` is then row ``i`` of ``A`` with its
+    columns permuted and signs applied: a ``+`` cell is the cell of ``A``
+    and its degree-one copy the one of the degree-zero row, both shared,
+    and only a ``-`` cell is negated afresh.
     """
+    if not _signed_permutation(act):
+        raise error(
+            BAD_INPUT, "the symmetry is not a signed permutation of the basis"
+        )
     n = A.dimension
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
 
@@ -728,24 +719,17 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
         for k, cell in cells.items():
             row[n + k] = shift(cell)
         rows.append(row)
-    if _signed_permutation(act):
-        preimages = _preimages(act, n)
-        for zero, cells in zip(rows[:n], A.rows):
-            row = {}
-            for k, cell in cells.items():
-                for j, s in preimages[k]:
-                    if s == 1:
-                        row[j], row[n + j] = zero[n + k], cell
-                    else:
-                        row[n + j] = negated = {m: s * v for m, v in cell.items()}
-                        row[j] = shift(negated)
-            rows.append(dict(sorted(row.items())))
-    else:
-        for twisted in A.twisted_rows(act):
-            columns = sorted(twisted)
-            row = {j: shift(twisted[j]) for j in columns}
-            row.update((n + j, twisted[j]) for j in columns)
-            rows.append(row)
+    preimages = _preimages(act, n)
+    for zero, cells in zip(rows[:n], A.rows):
+        row = {}
+        for k, cell in cells.items():
+            for j, s in preimages[k]:
+                if s == 1:
+                    row[j], row[n + j] = zero[n + k], cell
+                else:
+                    row[n + j] = negated = {m: s * v for m, v in cell.items()}
+                    row[j] = shift(negated)
+        rows.append(dict(sorted(row.items())))
     return TableAlgebra(labels, rows, dict(A.unit))
 
 
@@ -878,15 +862,7 @@ def verify_morphism(
 # Deformation family of a skew-gentle algebra
 
 
-@dataclass(frozen=True)
-class DeformationVerdict:
-    value: Coeff
-    verdict: MorphismVerdict
-
-
-def verify_deformation_map(
-    triple: Presentation, value: Coeff
-) -> DeformationVerdict:
+def verify_deformation_map(triple: Presentation, value: Coeff) -> MorphismVerdict:
     """Check the scaling map from the ``value``-deformed algebra.
 
     The deformed algebra imposes ``e*e = value * e`` on each special loop.
@@ -906,7 +882,7 @@ def verify_deformation_map(
         if a.id in triple.special:
             img = vscale(img, value)
         arrow_images[a.id] = img
-    verdict = verify_morphism(
+    return verify_morphism(
         triple,
         vertex_images,
         arrow_images,
@@ -914,4 +890,3 @@ def verify_deformation_map(
         expected_dim=deformed_dim,
         loop_values={e: value for e in triple.special},
     )
-    return DeformationVerdict(value, verdict)

@@ -55,7 +55,6 @@ BAD_LIFT = "BAD_LIFT"
 WINDING_MISMATCH = "WINDING_MISMATCH"
 # Gradings and complexes
 INCONSISTENT = "INCONSISTENT"
-NOT_CONNECTED_TO_ANCHOR = "NOT_CONNECTED_TO_ANCHOR"
 NOT_A_COMPLEX = "NOT_A_COMPLEX"
 # Parsing / general input
 SYNTAX = "SYNTAX"

@@ -80,6 +80,7 @@ from .algebra import (
     SpanBasis,
     TableAlgebra,
     Vector,
+    _left_products,
     _rows_multiplicative,
     corner_algebra,
     graded_path_algebra,
@@ -517,15 +518,6 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
     return TableAlgebra(labels, rows, unit)
 
 
-def _row(once: TableAlgebra, x: Vector) -> dict[int, Vector]:
-    """The nonzero products ``x * b_j`` in ``once``, keyed by ``j``."""
-    out: dict[int, Vector] = {}
-    for p, c in x.items():
-        for j, cell in once.rows[p].items():
-            out[j] = vaxpy(out.get(j, {}), cell, c)
-    return {j: cell for j, cell in out.items() if cell}
-
-
 def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Vector]]]:
     """The generators ``(b_i⊗0)⊗0``, ``(1⊗1)⊗0`` and ``(1⊗0)⊗1`` of
     ``(A#ℤ₂)#ℤ̂₂``, each with its row there, read from the rows of
@@ -549,10 +541,10 @@ def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Vect
     unit = once.unit
     # (1⊗1)⊗0: Σ_v u_v·(row n+v of A#ℤ₂), in both blocks
     twist = {n + v: u for v, u in unit.items()}
-    yield twist, both_blocks(_row(once, twist))
+    yield twist, both_blocks(_left_products(once, twist))
     # (1⊗0)⊗1: the unit's row with the grading signs, in the other block
     signed: dict[int, Vector] = {}
-    for k, cell in _row(once, unit).items():
+    for k, cell in _left_products(once, unit).items():
         sign = -1 if k >= n else 1
         signed[k] = {m + q: sign * c for q, c in cell.items()}
         signed[m + k] = {q: sign * c for q, c in cell.items()}

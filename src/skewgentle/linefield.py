@@ -24,7 +24,6 @@ from .diagnostics import (
     INCONSISTENT,
     INVALID_CURVE,
     NOT_A_COMPLEX,
-    NOT_CONNECTED_TO_ANCHOR,
     UNKNOWN_ID,
     WINDING_MISMATCH,
     Report,
@@ -48,6 +47,7 @@ from .surface import (
     topology,
     validate,
     validate_curve,
+    validate_involution,
 )
 
 __all__ = [
@@ -96,6 +96,25 @@ def winding(surface: DissectedSurface, curve: CombinatorialCurve) -> int:
 # Canonical curves: boundary parallels and point loops
 
 
+def _walk_corners(surface: DissectedSurface, start: Passage) -> list[Passage]:
+    """The closed walk from ``start``: cross the exit arc of each passage
+    to its other occurrence, then turn right around the corner behind it.
+    The corner behind side 1 is the boundary segment's, passed by the
+    chord from side 1 to the last side with the segment on its left."""
+    passages = [start]
+    while True:
+        last = passages[-1]
+        side = surface.polygon_by_id[last.polygon].sides[last.exit]
+        pid, u = surface.occurrences[(side.ref, -side.direction)]
+        if u == 1:
+            step = Passage(pid, 1, len(surface.polygon_by_id[pid].sides) - 1, "left")
+        else:
+            step = Passage(pid, u, u - 1, "right")
+        if step == start:
+            return passages
+        passages.append(step)
+
+
 def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> CombinatorialCurve:
     """Closed curve parallel to the boundary component of ``start_bseg``,
     oriented with the boundary on its left.
@@ -112,18 +131,7 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
             f"boundary component of {start_bseg!r} meets no arc",
             (start_bseg,),
         )
-    passages = [Passage(first.id, 1, n, "left")]
-    while True:
-        last = passages[-1]
-        s_out = surface.polygon_by_id[last.polygon].sides[last.exit]
-        pid, u = surface.occurrences[(s_out.ref, -s_out.direction)]
-        if u == 1:
-            if pid == first.id:
-                break
-            m = len(surface.polygon_by_id[pid].sides) - 1
-            passages.append(Passage(pid, 1, m, "left"))
-        else:
-            passages.append(Passage(pid, u, u - 1, "right"))
+    passages = _walk_corners(surface, Passage(first.id, 1, n, "left"))
     curve = CombinatorialCurve(f"boundary.{start_bseg}", True, tuple(passages))
     raise_on_error(validate_curve(surface, curve))
     return curve
@@ -156,17 +164,8 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
             (point_id,),
         )
     corners = surface.corners_at_point[point_id]
-    start = min(corners)
-    passages = []
-    cur = start
-    while True:
-        pid, i = cur
-        passages.append(Passage(pid, i + 1, i, "right"))
-        s_i = surface.polygon_by_id[pid].sides[i]
-        qid, u = surface.occurrences[(s_i.ref, -s_i.direction)]
-        cur = (qid, u - 1)
-        if cur == start:
-            break
+    pid, i = min(corners)
+    passages = _walk_corners(surface, Passage(pid, i + 1, i, "right"))
     if len(passages) != len(corners):
         raise error(
             BAD_INPUT,
@@ -272,7 +271,6 @@ class GradedArc:
 def grading_solver(
     surface: DissectedSurface,
     curves: Sequence[CombinatorialCurve],
-    anchors: Optional[dict[tuple[str, int], int]] = None,
     symmetric_pairs: Optional[Sequence[tuple[str, str]]] = None,
 ) -> dict[tuple[str, int], int]:
     """Solve for compatible integer grades at all crossings, keyed by
@@ -282,12 +280,10 @@ def grading_solver(
     the winding of the passage between them; open curves ending at the
     same segment midpoint have equal terminal crossing grades; curves
     listed in ``symmetric_pairs`` carry equal grades crossing by
-    crossing.  ``anchors`` pin named crossings to given values; without
-    anchors each connected constraint block is pinned at its smallest
-    variable.  Contradictory constraints raise an ``INCONSISTENT``
-    diagnostic with the clashing values; with explicit anchors, blocks
-    no anchor reaches raise ``NOT_CONNECTED_TO_ANCHOR``.  All findings
-    are raised together.
+    crossing.  Each connected constraint block is pinned at 0 on its
+    smallest variable; a caller may shift a block's grades together.
+    Contradictory constraints raise an ``INCONSISTENT`` diagnostic with
+    the clashing values, all of them together.
     """
     report = Report()
     raise_on_error(validate(surface))
@@ -361,32 +357,9 @@ def grading_solver(
                     values[v] = want
                     queue.append(v)
 
-    if anchors:
-        for var in sorted(anchors):
-            if var not in adjacency:
-                raise error(UNKNOWN_ID, f"unknown anchor {var!r}", var)
-            if var in values:
-                if values[var] != anchors[var]:
-                    report.add(
-                        INCONSISTENT,
-                        f"anchor {var!r}={anchors[var]} clashes with derived "
-                        f"value {values[var]}",
-                        (var, anchors[var], values[var]),
-                    )
-            else:
-                flood(var, anchors[var])
-        for var in sorted(set(variables) - set(values)):
-            if var not in values:
-                report.add(
-                    NOT_CONNECTED_TO_ANCHOR,
-                    f"crossing {var!r} is not connected to any anchor",
-                    var,
-                )
-                flood(var, 0)  # label the whole block to report it once
-    else:
-        for var in sorted(variables):
-            if var not in values:
-                flood(var, 0)
+    for var in sorted(variables):
+        if var not in values:
+            flood(var, 0)
 
     raise_on_error(report)
     return values
@@ -407,6 +380,7 @@ def map_graded_arc(
 ) -> GradedArc:
     """Push a graded arc through a surface involution; passages keep their
     slots and declared sides, and grades travel with the crossings."""
+    raise_on_error(validate_involution(surface, involution))
     raise_on_error(validate_curve(surface, garc.curve))
     moved = CombinatorialCurve(
         garc.curve.id + ".inv",

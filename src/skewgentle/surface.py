@@ -294,17 +294,6 @@ class DissectedSurface:
         return index
 
     @cached_property
-    def rays_at_point(self) -> dict[str, list[Ray]]:
-        rays: dict[str, list[Ray]] = {p.id: [] for p in self.points}
-        for a in self.arcs:
-            rays[a.tail].append(("a", a.id, "tail"))
-            rays[a.head].append(("a", a.id, "head"))
-        for b in self.bsegs:
-            rays[b.tail].append(("b", b.id, "tail"))
-            rays[b.head].append(("b", b.id, "head"))
-        return rays
-
-    @cached_property
     def _findings(self) -> tuple[Diagnostic, ...]:
         return tuple(_check_surface(self).diagnostics)
 
@@ -318,9 +307,6 @@ class DissectedSurface:
         """``id(inv)`` -> ``(inv, its maps, findings)`` of
         :func:`validate_involution`; holding ``inv`` keeps its id unique."""
         return {}
-
-    def arc_ray_count(self, point_id: str) -> int:
-        return sum(1 for r in self.rays_at_point[point_id] if r[0] == "a")
 
 
 def make_surface(
@@ -520,7 +506,7 @@ def classify_dissection(surface: DissectedSurface) -> str:
     report = Report()
     orbifold = [p for p in surface.points if p.kind == ORBIFOLD]
     for p in orbifold:
-        deg = surface.arc_ray_count(p.id)
+        deg = sum((a.tail, a.head).count(p.id) for a in surface.arcs)
         if deg != 1:
             report.add(
                 X_DEGREE,

@@ -182,12 +182,12 @@ def test_06_skew_group_isomorphisms(cylinders, disc_x4, disc_xx):
 def test_07_deformation_scaling_maps():
     triple = triple_from_x_dissection(one_orbifold_disc(4))
     for t in (2, 3, -1):
-        res = verify_deformation_map(triple, Fraction(t))
-        assert res.verdict.is_homomorphism
-        assert res.verdict.is_isomorphism
+        verdict = verify_deformation_map(triple, Fraction(t))
+        assert verdict.is_homomorphism
+        assert verdict.is_isomorphism
     degenerate = verify_deformation_map(triple, Fraction(0))
-    assert not degenerate.verdict.is_surjective
-    assert not degenerate.verdict.is_isomorphism
+    assert not degenerate.is_surjective
+    assert not degenerate.is_isomorphism
 
 
 def test_08_round_trips(cylinders, disc_x4, disc_xx):

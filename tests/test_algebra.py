@@ -256,19 +256,7 @@ def test_reduce_rejects_noncomposable_word():
         alg.reduce(("1", ("b", "a")))
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_malformed_path_length_limit_is_bad_input(monkeypatch, value):
-    monkeypatch.setenv("SKEWGENTLE_MAX_PATH_LEN", value)
-    pres = make_presentation(["1"], [])
-    with pytest.raises(ValidationError) as exc:
-        graded_path_algebra(pres)
-    (diagnostic,) = exc.value.diagnostics
-    assert diagnostic.code == "BAD_INPUT"
-    assert "SKEWGENTLE_MAX_PATH_LEN" in diagnostic.message
-
-
-def test_paths_that_never_vanish_raise_not_stabilized(monkeypatch):
-    monkeypatch.setenv("SKEWGENTLE_MAX_PATH_LEN", "6")
+def test_paths_that_never_vanish_raise_not_stabilized():
     loop = make_presentation(["1"], [Arrow("x", "1", "1")])
     with pytest.raises(ValidationError) as exc:
         graded_path_algebra(loop)
@@ -588,10 +576,9 @@ def test_verify_morphism_flags_broken_relation():
 def test_deformation_invertible_values_give_isomorphisms(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
     for t in (2, 3, -1, Fraction(1, 2)):
-        res = verify_deformation_map(triple, Fraction(t))
-        assert res.value == Fraction(t)
-        assert res.verdict.is_homomorphism
-        assert res.verdict.is_isomorphism
+        verdict = verify_deformation_map(triple, Fraction(t))
+        assert verdict.is_homomorphism
+        assert verdict.is_isomorphism
 
 
 def test_deformation_refuses_a_triple_that_is_not_skew_gentle():
@@ -606,15 +593,15 @@ def test_deformation_zero_value_is_not_surjective(cylinders):
     is the dimension of the subalgebra the images generate."""
     for surface in (cylinders[1], one_orbifold_disc(4)):
         triple = triple_from_x_dissection(surface)
-        res = verify_deformation_map(triple, Fraction(0))
-        assert res.verdict.is_homomorphism
-        assert not res.verdict.is_surjective
-        assert not res.verdict.is_isomorphism
+        verdict = verify_deformation_map(triple, Fraction(0))
+        assert verdict.is_homomorphism
+        assert not verdict.is_surjective
+        assert not verdict.is_isomorphism
         base = graded_path_algebra(triple)
         gens = [base.vertex(v) for v in triple.vertices]
         gens += [{} if a.id in triple.special else base.arrow(a.id) for a in triple.arrows]
         generated = generated_dimension(base.algebra, gens)
-        assert res.verdict.failures == (
+        assert verdict.failures == (
             f"images generate a subalgebra of dimension {generated} < {base.dimension}",
         )
 
@@ -729,13 +716,21 @@ def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(cylinders):
         _assert_matches_skew_group_oracle(B, act)
 
 
-def test_skew_group_algebra_matches_oracle_with_rational_coefficients():
+def test_skew_group_algebra_refuses_a_map_that_is_not_a_signed_permutation():
+    # Only a map whose every image is one term ±b_k is crossed: rational
+    # coefficients, a coefficient other than ±1, two terms and a zero image
+    # are refused.
     A = _delta_algebra(["p", "q"])
     half = Fraction(1, 2)
-    # The table is defined for any linear map, involution or not; this one
-    # has coefficients other than 1 and sums in the twisted rows.
-    act = BasisMap([{0: half, 1: ONE}, {0: Fraction(3, 2), 1: -half}])
-    _assert_matches_skew_group_oracle(A, act)
+    for images in (
+        [{0: half, 1: ONE}, {0: Fraction(3, 2), 1: -half}],
+        [{1: ONE}, {0: 2 * ONE}],
+        [{0: ONE, 1: ONE}, {1: ONE}],
+        [{1: ONE}, {}],
+    ):
+        with pytest.raises(ValidationError) as exc:
+            skew_group_algebra(A, BasisMap(images))
+        assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
 
 
 def test_involution_verifier_checks_pairs_with_zero_source_product():

@@ -227,15 +227,6 @@ def test_export_dot_emits_graphviz(capsys):
     assert "style=bold" in out
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_malformed_path_length_limit_gives_exit_two(monkeypatch, capsys, value):
-    monkeypatch.setenv("SKEWGENTLE_MAX_PATH_LEN", value)
-    assert main(["skewgroup", str(fixture_path("cylinder1"))]) == 2
-    err = capsys.readouterr().err
-    assert "[BAD_INPUT]" in err
-    assert "SKEWGENTLE_MAX_PATH_LEN" in err
-
-
 def test_missing_file_gives_exit_two(capsys):
     assert main(["validate", "/nonexistent/path.surf"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -99,6 +99,19 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_reads_no_environment_variable():
+    """The library takes every input as an argument: no module reads
+    ``os.environ`` or calls ``os.getenv``."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        path.name
+        for path in modules
+        if re.search(r"\b(environ|getenv)\b", path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "source", ["assert x", "if __debug__:\n    pass", "import sys\nn = sys.flags.optimize"]
 )

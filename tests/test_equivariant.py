@@ -327,12 +327,11 @@ def test_iterated_target_matches_oracle_on_random_covers():
 
 
 def _count_crossings(monkeypatch):
-    """Record the dimension of every algebra the equivariant module crosses,
-    checks for an involution, or crosses through twisted rows."""
-    calls = {"crossed": [], "involution": [], "twisted": []}
+    """Record the dimension of every algebra the equivariant module crosses
+    or checks for an involution."""
+    calls = {"crossed": [], "involution": []}
     crossed = equivariant.skew_group_algebra
     involution = equivariant.verify_algebra_involution
-    twisted_rows = TableAlgebra.twisted_rows
 
     def counted_crossed(A, act):
         calls["crossed"].append(A.dimension)
@@ -342,27 +341,21 @@ def _count_crossings(monkeypatch):
         calls["involution"].append(A.dimension)
         return involution(A, act)
 
-    def counted_twisted(self, act):
-        calls["twisted"].append(self.dimension)
-        return twisted_rows(self, act)
-
     monkeypatch.setattr(equivariant, "skew_group_algebra", counted_crossed)
     monkeypatch.setattr(equivariant, "verify_algebra_involution", counted_involution)
-    monkeypatch.setattr(TableAlgebra, "twisted_rows", counted_twisted)
     return calls
 
 
 def test_iterated_check_crosses_twice_without_twisted_rows(monkeypatch, cylinders):
-    # The deck action and the grading signs are signed permutations, so
-    # neither crossing walks twisted rows.  The verdict crosses once; the
-    # second crossing waits for the first read of ``double``.
+    # The verdict crosses once; the second crossing, with the grading
+    # signs, waits for the first read of ``double``.
     A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
     calls = _count_crossings(monkeypatch)
     rr = verify_iterated_skew_group(A, deck)
     n = A.dimension
-    assert calls == {"crossed": [n], "involution": [n], "twisted": []}
+    assert calls == {"crossed": [n], "involution": [n]}
     assert rr.double.dimension == 4 * n
-    assert calls == {"crossed": [n, 2 * n], "involution": [n], "twisted": []}
+    assert calls == {"crossed": [n, 2 * n], "involution": [n]}
 
 
 def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
@@ -373,7 +366,7 @@ def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
     calls = _count_crossings(monkeypatch)
     rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
     # nothing is crossed, and the involution is not checked again
-    assert calls == {"crossed": [], "involution": [], "twisted": []}
+    assert calls == {"crossed": [], "involution": []}
     fresh = verify_iterated_skew_group(*_cover_algebra_and_deck(cov))
     assert rr.ok
     assert (rr.double, rr.endo, rr.comparison, rr.rank) == (
@@ -477,17 +470,25 @@ def test_generator_check_agrees_with_all_pairs_on_perturbed_actions(
     monkeypatch, agreement_covers
 ):
     # Without the involution guard the crossed products of a broken action
-    # need not be associative; the generating rows still catch it.
+    # need not be associative; the generating rows still catch it.  A map
+    # that is not a signed permutation is not crossed at all.
     monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
     rng = random.Random(6134)
-    verdicts = {}
+    verdicts, refused = {}, set()
     for cov in agreement_covers:
         _, deck = _cover_algebra_and_deck(cov)
         for name, act in _perturbed_actions(deck, rng).items():
             A, _ = _cover_algebra_and_deck(cov)
-            verdicts.setdefault(name, set()).add(_assert_generator_check_agrees(A, act))
-    assert len(verdicts) == 5 and all(False in v for v in verdicts.values())
-    assert verdicts["negated"] == verdicts["twice"] == {False}
+            if name in ("two terms", "twice"):
+                with pytest.raises(ValidationError) as exc:
+                    verify_iterated_skew_group(A, act)
+                assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
+                refused.add(name)
+            else:
+                verdicts.setdefault(name, set()).add(_assert_generator_check_agrees(A, act))
+    assert refused == {"two terms", "twice"}
+    assert len(verdicts) == 3 and all(False in v for v in verdicts.values())
+    assert verdicts["negated"] == {False}
 
 
 class Builds(NamedTuple):

@@ -16,6 +16,7 @@ from skewgentle import (
     PUNCTURE,
     CombinatorialCurve,
     ComplexPresentation,
+    GradedArc,
     MarkedPoint,
     Passage,
     ValidationError,
@@ -51,10 +52,10 @@ from skewgentle import (
 from skewgentle import linefield
 from skewgentle.diagnostics import (
     BAD_INPUT,
+    BAD_INVOLUTION,
     BOUNDARY_POINT,
     INCONSISTENT,
     NOT_A_COMPLEX,
-    NOT_CONNECTED_TO_ANCHOR,
     WINDING_MISMATCH,
 )
 from skewgentle.presentations import Arrow
@@ -219,12 +220,6 @@ def test_grading_of_canonical_duals_is_zero(cylinders, disc_x4):
         assert set(grading_solver(surface, duals).values()) == {0}
 
 
-def test_grading_anchor_translates_whole_block(cylinders):
-    duals = dual_dissection(cylinders[1])
-    grades = grading_solver(cylinders[1], duals, anchors={(duals[0].id, 0): 7})
-    assert set(grades.values()) == {7}
-
-
 # returns to its starting segment after a net turn, so no grading exists
 PERTURBED = CombinatorialCurve(
     "perturbed",
@@ -267,11 +262,10 @@ def test_grading_flags_unanchored_block(disc_x4):
     hook = CombinatorialCurve(
         "d4", False, (Passage("F3", 0, 1, "right"), Passage("big", 5, 0, "right"))
     )
-    with pytest.raises(ValidationError) as exc:
-        grading_solver(disc_x4, [span, hook], anchors={("d4", 0): 0})
-    assert NOT_CONNECTED_TO_ANCHOR in [d.code for d in exc.value.diagnostics]
-    assert set(grading_solver(disc_x4, [span, hook])) == {
-        ("span", 0), ("span", 1), ("d4", 0)
+    # two blocks that share no constraint, each pinned at 0 on its
+    # smallest variable
+    assert grading_solver(disc_x4, [span, hook]) == {
+        ("span", 0): 0, ("span", 1): 1, ("d4", 0): 0
     }
 
 
@@ -316,6 +310,15 @@ def test_graded_arc_maps_through_involution(torus_with_involution):
         assert moved.grades == garc.grades
         back = map_graded_arc(surface, inv, moved)
         assert back.curve.passages == garc.curve.passages
+
+
+def test_graded_arc_refuses_an_involution_of_another_surface(cylinders):
+    # the deck involution of the cover names the cover's polygons
+    surface = cylinders[1]
+    garc = GradedArc(dual_dissection(surface)[0], (0,))
+    with pytest.raises(ValidationError) as exc:
+        map_graded_arc(surface, double_cover(surface).deck, garc)
+    assert {d.code for d in exc.value.diagnostics} == {BAD_INVOLUTION}
 
 
 def _staircase() -> CombinatorialCurve:
