@@ -7,11 +7,15 @@ divide its row, a non-integer loop value), so the ±1 coefficients that
 fill the tables stay plain ``int``.  Maps whose generator images would
 carry halves, such as the split idempotents ``(e ± s·e)/2``, are checked
 on doubled images through the ``scale`` of :func:`verify_morphism`.
-Elements are sparse vectors over an explicit basis, algebras store their
-multiplication table as sparse rows that hold only the nonzero products,
-and linear algebra is done by exact Gaussian elimination.  A dense ``n×n``
-view of the table, for readers by position, is built afresh on each read
-of :attr:`TableAlgebra.table` and never kept.
+Elements are sparse vectors over an explicit basis, and linear algebra is
+done by exact Gaussian elimination.  Every algebra the package builds is
+monomial on its basis: each product of two basis elements is 0 or ``c``
+times one basis element (the path basis of a gentle, skew-gentle or split
+algebra, and what a signed permutation, a corner or ``M₂`` makes of it).
+So a multiplication table is stored as sparse rows that hold only the
+nonzero products, each cell the pair ``(k, c)`` for ``c·b_k``.  A dense
+``n×n`` view of the table, for readers by position, is built afresh on
+each read of :attr:`TableAlgebra.table` and never kept.
 
 The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the rows of ``f(x)·f(b_j)`` in
@@ -21,7 +25,8 @@ iterated crossed-product check, and the products of the vertex images in
 ``x·b_j`` of one left factor, as in :func:`corner_algebra`, from
 another.  A symmetry is crossed as the signed permutation it is, each
 image one term ``±b_k``: :func:`skew_group_algebra` permutes the cells of
-each row, shares the ``+`` ones and negates the ``-`` ones.
+each row, shares the ``+`` ones and negates the ``-`` ones, so the crossed
+product is monomial again.
 :class:`SpanBasis` keeps its rows in reduced echelon form with an index
 from each column to the rows that hold it, so a vector is reduced in one
 pass over its pivot columns and a new pivot is cleared only from the rows
@@ -54,6 +59,7 @@ from .presentations import Arrow, Presentation, check_skew_gentle
 
 Coeff = int | Fraction
 Vector = dict[Any, Coeff]
+Cell = tuple[int, Coeff]  # (k, c): the product c·b_k, with c nonzero
 
 ONE = 1
 ZERO = 0
@@ -78,6 +84,15 @@ def vec(*pairs: tuple[Any, Coeff]) -> Vector:
             if not out[k]:
                 del out[k]
     return out
+
+
+def _add(out: Vector, k: Any, v: Coeff) -> None:
+    """out[k] += v in place, dropping a zero coefficient."""
+    s = out.get(k, ZERO) + v
+    if s:
+        out[k] = s
+    else:
+        out.pop(k, None)
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
@@ -213,11 +228,12 @@ class TableAlgebra:
     """A finite-dimensional unital algebra with a sparse product table.
 
     ``rows[i]`` maps each column ``j`` whose product ``basis_i * basis_j``
-    (composition order, ``basis_j`` applied first) is nonzero to the
-    vector of that product, keyed by basis index; a zero product is not
-    stored.  The builders store the columns of each row in ascending order.
-    :attr:`table` is a dense view for readers by position, built on each
-    read and never kept.
+    (composition order, ``basis_j`` applied first) is nonzero to its cell
+    ``(k, c)``: the product is ``c·basis_k``, with ``c`` a nonzero exact
+    ``int`` or ``Fraction``.  A zero product is not stored, and no product
+    has two terms (see the module docstring).  The builders store the
+    columns of each row in ascending order.  :attr:`table` is a dense view
+    for readers by position, built on each read and never kept.
 
     Rows are not mutated after construction, and builders share cells
     between positions and between algebras.  ``_crossed`` keeps the
@@ -227,7 +243,7 @@ class TableAlgebra:
     """
 
     labels: tuple[Any, ...]
-    rows: list[dict[int, Vector]]
+    rows: list[dict[int, Cell]]
     unit: Vector
     _crossed: dict[int, tuple[BasisMap, TableAlgebra]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -241,13 +257,14 @@ class TableAlgebra:
     def table(self) -> list[list[Vector]]:
         """The dense ``n×n`` table, ``table[i][j]`` the vector of
         ``basis_i * basis_j``: a new list of lists on every read, holding
-        the stored cells and, at every zero product, one shared empty dict."""
+        ``{k: c}`` for each cell ``(k, c)`` and, at every zero product, one
+        shared empty dict."""
         n, empty = self.dimension, {}
         table = []
         for row in self.rows:
             dense: list[Vector] = [empty] * n
-            for j, cell in row.items():
-                dense[j] = cell
+            for j, (k, c) in row.items():
+                dense[j] = {k: c}
             table.append(dense)
         return table
 
@@ -259,35 +276,23 @@ class TableAlgebra:
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         out: Vector = {}
-        get = out.get
         for i, ci in x.items():
             row = self.rows[i]
             for j, cj in y.items():
-                prod = row.get(j)
-                if prod is None:
-                    continue
-                c = cj if ci == 1 else ci * cj
-                for k, v in prod.items():
-                    if c != 1:
-                        v = c * v
-                    prev = get(k)
-                    if prev is None:
-                        if v:
-                            out[k] = v
-                    elif prev + v:
-                        out[k] = prev + v
-                    else:
-                        del out[k]
+                cell = row.get(j)
+                if cell is not None:
+                    k, c = cell
+                    _add(out, k, c * ci * cj)
         return out
 
 
 def _left_products(A: TableAlgebra, x: Vector) -> dict[int, Vector]:
     """The nonzero products ``x * b_j`` in ``A``, keyed by ``j``."""
     out: dict[int, Vector] = {}
-    for p, c in x.items():
-        for j, cell in A.rows[p].items():
-            _accumulate(out.setdefault(j, {}), cell, c)
-    return {j: cell for j, cell in out.items() if cell}
+    for p, cp in x.items():
+        for j, (k, c) in A.rows[p].items():
+            _add(out.setdefault(j, {}), k, cp * c)
+    return {j: prod for j, prod in out.items() if prod}
 
 
 def _products_row(
@@ -298,9 +303,10 @@ def _products_row(
     :func:`_preimages` of ``f``.  Products that cancel are left empty."""
     out: dict[int, Vector] = {}
     for p, cp in x.items():
-        for k, cell in B.rows[p].items():
-            for j, c in preimages[k]:
-                _accumulate(out.setdefault(j, {}), cell, c if cp == 1 else cp * c)
+        for m, (k, c) in B.rows[p].items():
+            c *= cp
+            for j, cj in preimages[m]:
+                _add(out.setdefault(j, {}), k, c * cj)
     return out
 
 
@@ -332,20 +338,6 @@ def _junction(
     if a == b and a in values:
         return values[a]
     return None
-
-
-def _expand(
-    normal_forms: Mapping[PathKey, Vector],
-    zero_length: int,
-    key: PathKey,
-    coeff: Coeff,
-) -> Vector:
-    """``coeff`` times the normal form of a path that crosses no
-    single-path relation and repeats no special loop."""
-    if not coeff or len(key[1]) >= zero_length:
-        return {}
-    nf = normal_forms[key]
-    return dict(nf) if coeff == 1 else vscale(nf, coeff)
 
 
 @dataclass
@@ -387,7 +379,11 @@ class PathAlgebra:
                 word += (a,)
             else:
                 coeff *= c
-        return _expand(self.normal_forms, self.zero_length, (src, word), coeff)
+        # the word crosses no single-path relation and repeats no special loop
+        if not coeff or len(word) >= self.zero_length:
+            return {}
+        nf = self.normal_forms[(src, word)]
+        return dict(nf) if coeff == 1 else vscale(nf, coeff)
 
     @property
     def dimension(self) -> int:
@@ -408,6 +404,14 @@ def graded_path_algebra(
     paths survive as basis vectors, so the basis does not depend on the
     loop values.  Presentations with special loops must pass
     :func:`check_skew_gentle`.
+
+    The normal form of every path is 0 or ``c`` times one basis path, so
+    each product is stored as one cell ``(k, c)``.  The relations are
+    single paths and sums of two paths, so within a graded piece the
+    reduced relations tie the paths of each connected piece of the
+    "related by a two-term relation" graph to one survivor, with sign ±1,
+    or kill the whole piece; a repeated special loop only scales the
+    path by its value.  No normal form has two terms.
 
     Paths are enumerated up to length ``len(pres.arrows) + 1``.  In the
     gentle, skew-gentle and split shapes a nonzero path never repeats an
@@ -488,17 +492,18 @@ def graded_path_algebra(
     by_source: dict[str, list[int]] = {v: [] for v in pres.vertices}
     for i, (src, _) in enumerate(basis):
         by_source[src].append(i)
-    rows: list[dict[int, Vector]] = [{} for _ in basis]
+    rows: list[dict[int, Cell]] = [{} for _ in basis]
     for j, (src, first) in enumerate(basis):
         for i in by_source[path_target(pres, (src, first))]:
             then = basis[i][1]
             c = _junction(pres, values, first[-1], then[0]) if first and then else None
-            word = first + then if c is None else first + then[1:]
-            cell = _expand(
-                normal_forms, zero_length, (src, word), ONE if c is None else c
-            )
-            if cell:
-                rows[i][j] = cell
+            if c is None:
+                c, word = ONE, first + then
+            else:
+                word = first + then[1:]
+            if c and len(word) < zero_length and (nf := normal_forms[(src, word)]):
+                ((k, v),) = nf.items()  # one term: see the docstring
+                rows[i][j] = (k, c * v)
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
     algebra = TableAlgebra(tuple(basis), rows, unit)
     return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values)
@@ -547,8 +552,8 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
 
     The table is read row by row: ``e*b_m`` once for every ``m``, from the
     cells of the rows of ``e``; each ``b_i*e`` from the cells of row ``i``
-    in the columns of ``e``; and ``e*b_i*e`` as the sum of the ``e*b_m``
-    over ``b_i*e``.  The kept cells are renumbered in one pass.
+    looked up in the columns of ``e``; and ``e*b_i*e`` as the sum of the
+    ``e*b_m`` over ``b_i*e``.  The kept cells are renumbered in one pass.
     """
     left = _left_products(A, e)  # m -> e*b_m, where nonzero
 
@@ -564,9 +569,11 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     indices = []
     for i, row in enumerate(A.rows):
         right: Vector = {}  # b_i*e
-        for k, cell in row.items():
-            if k in e:
-                _accumulate(right, cell, e[k])
+        for j, ej in e.items():
+            cell = row.get(j)
+            if cell is not None:
+                k, c = cell
+                _add(right, k, c * ej)
         sandwich = times_e(right)
         if sandwich == {i: ONE}:
             indices.append(i)
@@ -580,8 +587,8 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     try:
         rows = [
             {
-                position[j]: {position[k]: c for k, c in cell.items()}
-                for j, cell in A.rows[i].items()
+                position[j]: (position[k], c)
+                for j, (k, c) in A.rows[i].items()
                 if j in position
             }
             for i in indices
@@ -620,34 +627,29 @@ def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Coeff]]]:
 
 
 def _rows_multiplicative(
-    B: TableAlgebra, f: BasisMap, rows: Iterable[tuple[Vector, Mapping[int, Vector]]]
+    B: TableAlgebra, f: BasisMap, rows: Iterable[tuple[Vector, Mapping[int, Cell]]]
 ) -> bool:
     """Check ``f(x * b_j) == f(x) * f(b_j)`` for every basis index ``j`` of
     the domain and every left factor ``x`` given as a pair ``(f(x), row)``,
-    where ``row`` maps each ``j`` with ``x * b_j`` nonzero to that product
-    and ``f`` maps the domain linearly into ``B``.
+    where ``row`` maps each ``j`` with ``x * b_j`` nonzero to the cell of
+    that product and ``f`` maps the domain linearly into ``B``.
 
     The right side of one row is built at once from the cells of ``B``
     in the rows of ``f(x)`` and the preimages under ``f`` of their
-    columns.  It is compared with
-    ``f`` of the cells of ``row``; a nonzero product left over sits where
-    ``row`` has no cell, and fails the check.  Every other ``j`` has zero
-    on both sides.  A cell ``c·b_k`` of one term maps to ``c·f(b_k)``,
-    read from the images, which are cleared of zero coefficients once;
-    only a cell of several terms goes through :meth:`BasisMap.apply`.
+    columns.  It is compared with ``f`` of the cells of ``row``; a nonzero
+    product left over sits where ``row`` has no cell, and fails the check.
+    Every other ``j`` has zero on both sides.  A cell ``(k, c)`` maps to
+    ``c·f(b_k)``, read from the images, which are cleared of zero
+    coefficients once.
     """
     preimages = _preimages(f, B.dimension)
     images = [{k: c for k, c in img.items() if c} for img in f.images]
     for fx, row in rows:
         products = _products_row(B, fx, preimages)
-        for j, cell in row.items():
-            if len(cell) == 1:
-                ((k, c),) = cell.items()
-                left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
-            else:
-                left = f.apply(cell)
-            # ``apply`` and ``_accumulate`` drop zero coefficients, so
-            # ``!=`` compares the two sides as vectors.
+        for j, (k, c) in row.items():
+            left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
+            # both sides are free of zero coefficients, so ``!=`` compares
+            # them as vectors
             if left != products.pop(j, {}):
                 return False
         if any(products.values()):
@@ -699,7 +701,8 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     basis element.  Twisted row ``i`` is then row ``i`` of ``A`` with its
     columns permuted and signs applied: a ``+`` cell is the cell of ``A``
     and its degree-one copy the one of the degree-zero row, both shared,
-    and only a ``-`` cell is negated afresh.
+    and only a ``-`` cell is negated afresh.  Every cell of the crossed
+    product is again one signed basis element ``(k, c)``.
     """
     if not _signed_permutation(act):
         raise error(
@@ -708,16 +711,13 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     n = A.dimension
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
 
-    def shift(cell: Vector) -> Vector:
-        return {k + n: c for k, c in cell.items()}
-
     # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
     # degree g + h; its degree-one copy is keyed n + k
-    rows: list[dict[int, Vector]] = []
+    rows: list[dict[int, Cell]] = []
     for cells in A.rows:
         row = dict(cells)
-        for k, cell in cells.items():
-            row[n + k] = shift(cell)
+        for k, (m, c) in cells.items():
+            row[n + k] = (m + n, c)
         rows.append(row)
     preimages = _preimages(act, n)
     for zero, cells in zip(rows[:n], A.rows):
@@ -727,8 +727,8 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
                 if s == 1:
                     row[j], row[n + j] = zero[n + k], cell
                 else:
-                    row[n + j] = negated = {m: s * v for m, v in cell.items()}
-                    row[j] = shift(negated)
+                    m, c = cell
+                    row[n + j], row[j] = (m, -c), (m + n, -c)
         rows.append(dict(sorted(row.items())))
     return TableAlgebra(labels, rows, dict(A.unit))
 

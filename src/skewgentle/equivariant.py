@@ -73,6 +73,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .algebra import (
     BasisMap,
+    Cell,
     Coeff,
     CornerAlgebra,
     MorphismVerdict,
@@ -502,14 +503,14 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
     """
     n = A.dimension
     labels = tuple((r, lab, c) for r in (0, 1) for lab in A.labels for c in (0, 1))
-    rows: list[dict[int, Vector]] = []
+    rows: list[dict[int, Cell]] = []
     for r in (0, 1):
         for row in A.rows:
             # the rows of E_r0 ⊗ b_p and E_r1 ⊗ b_p hold the same cells, in
             # the column blocks m = 0 and m = 1
             cells = [
-                (2 * q + c, {2 * n * r + 2 * k + c: v for k, v in cell.items()})
-                for q, cell in row.items()
+                (2 * q + c, (2 * n * r + 2 * k + c, v))
+                for q, (k, v) in row.items()
                 for c in (0, 1)
             ]
             for m in (0, 1):
@@ -518,21 +519,30 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
     return TableAlgebra(labels, rows, unit)
 
 
-def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Vector]]]:
+def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Cell]]]:
     """The generators ``(b_i⊗0)⊗0``, ``(1⊗1)⊗0`` and ``(1⊗0)⊗1`` of
     ``(A#ℤ₂)#ℤ̂₂``, each with its row there, read from the rows of
     ``once = A#ℤ₂`` without building the twice-crossed product.
 
     The index of ``(x⊗g)⊗j`` is ``2n·j + n·g + index(x)``, and
     ``(y⊗0)·(z⊗k) = y·z ⊗ k`` while ``(y⊗1)·(z⊗k) = y·t(z) ⊗ (1+k)``
-    with ``t`` the grading signs of ``once``."""
+    with ``t`` the grading signs of ``once``.  Every product in these
+    rows is one term, since ``1`` is the unit of ``A``: ``(1⊗0)·z = z``
+    and ``(1⊗1)·(b⊗h) = s(b)⊗(1+h)``."""
     m = once.dimension
     n = m // 2
 
-    def both_blocks(cells: dict[int, Vector]) -> dict[int, Vector]:
+    def both_blocks(cells: dict[int, Cell]) -> dict[int, Cell]:
         row = dict(cells)
-        for k, cell in cells.items():
-            row[m + k] = {m + q: c for q, c in cell.items()}
+        for k, (q, c) in cells.items():
+            row[m + k] = (m + q, c)
+        return row
+
+    def left_row(x: Vector) -> dict[int, Cell]:
+        row = {}
+        for k, prod in _left_products(once, x).items():
+            ((q, c),) = prod.items()
+            row[k] = (q, c)
         return row
 
     # (b_i⊗0)⊗0: row i of A#ℤ₂, in both blocks
@@ -541,13 +551,13 @@ def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Vect
     unit = once.unit
     # (1⊗1)⊗0: Σ_v u_v·(row n+v of A#ℤ₂), in both blocks
     twist = {n + v: u for v, u in unit.items()}
-    yield twist, both_blocks(_left_products(once, twist))
+    yield twist, both_blocks(left_row(twist))
     # (1⊗0)⊗1: the unit's row with the grading signs, in the other block
-    signed: dict[int, Vector] = {}
-    for k, cell in _left_products(once, unit).items():
-        sign = -1 if k >= n else 1
-        signed[k] = {m + q: sign * c for q, c in cell.items()}
-        signed[m + k] = {q: sign * c for q, c in cell.items()}
+    signed: dict[int, Cell] = {}
+    for k, (q, c) in left_row(unit).items():
+        if k >= n:
+            c = -c
+        signed[k], signed[m + k] = (m + q, c), (q, c)
     yield {m + v: u for v, u in unit.items()}, signed
 
 
@@ -579,6 +589,13 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     (a reduction on the same pair has built it already), so the
     4n-dimensional product is not built;
     :attr:`IteratedSkewGroup.double` builds it on demand.
+
+    The rank of Φ is read off ``s``.  Φ sends ``(b_p⊗g)⊗j`` to ``u ± v``
+    (``+`` for ``j = 0``) with ``u = E_g0 ⊗ s^g(b_p)`` and
+    ``v = E_(g+1)1 ⊗ s^(g+1)(b_p)``, the exponent and the row index both
+    taken mod 2.  The two signs give ``u`` and ``v`` apart, so the image
+    is ``E00⊗A ⊕ E10⊗s(A) ⊕ E11⊗s(A) ⊕ E01⊗A``, of rank
+    ``2n + 2·rank(s)``, computed over the ``n`` images of ``s``.
     """
     once = _crossed_product(A, act)
     endo = _matrix_algebra(A)
@@ -602,9 +619,10 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
     )
     unit_ok = veq(comparison.apply(once.unit), endo.unit)
     span = SpanBasis()
-    for img in images:
+    for img in act.images:
         span.add(img)
-    bijective = span.rank == 2 * once.dimension == endo.dimension
+    rank = 2 * A.dimension + 2 * span.rank
+    bijective = rank == 2 * once.dimension == endo.dimension
 
     return IteratedSkewGroup(
         once=once,
@@ -612,6 +630,6 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
         comparison=comparison,
         homomorphism=homomorphism,
         unit_ok=unit_ok,
-        rank=span.rank,
+        rank=rank,
         bijective=bijective,
     )

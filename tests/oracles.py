@@ -638,17 +638,24 @@ def algebra_from_products(labels, product, unit):
 
     ``product(a, b)`` returns the label-keyed expansion of ``a * b`` in
     composition order (``b`` first); ``unit`` is the label-keyed unit.
+    Each nonzero product must have one term, stored as the cell
+    ``(k, c)``; a product of two or more terms raises ``ValueError``.
     """
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    rows = [
-        {
-            j: cell
-            for j, b in enumerate(labels)
-            if (cell := {index[k]: c for k, c in product(a, b).items() if c})
-        }
-        for a in labels
-    ]
+    rows = []
+    for a in labels:
+        row = {}
+        for j, b in enumerate(labels):
+            terms = [(index[k], c) for k, c in product(a, b).items() if c]
+            if len(terms) > 1:
+                raise ValueError(
+                    f"product of {a!r} and {b!r} has {len(terms)} terms, "
+                    "but a table cell holds one"
+                )
+            if terms:
+                row[j] = terms[0]
+        rows.append(row)
     return TableAlgebra(labels, rows, {index[k]: c for k, c in unit.items() if c})
 
 

@@ -172,6 +172,18 @@ def test_product_of_fields_is_associative():
     p, q = A.element("p"), A.element("q")
     assert A.mul(p, q) == {}
     assert veq(A.mul(p, p), p)
+    assert A.rows == [{0: (0, 1)}, {1: (1, 1)}]
+
+
+def test_hand_made_product_of_two_terms_is_refused():
+    """A table cell holds one term, so the builder names a product of
+    two and refuses it."""
+    with pytest.raises(ValueError, match=r"product of 'x' and 'x' has 2 terms"):
+        algebra_from_products(
+            ["e", "x"],
+            lambda a, b: {"e": ONE, "x": ONE} if a == b == "x" else {a if b == "e" else b: ONE},
+            {"e": ONE},
+        )
 
 
 def test_verify_associativity_rejects_broken_table():

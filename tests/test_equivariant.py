@@ -33,6 +33,7 @@ from skewgentle import (
     triple_from_x_dissection,
     two_hole_torus_surface,
     validate,
+    verify_deformation_map,
     verify_dual_reduction,
     verify_iterated_skew_group,
     verify_morphism,
@@ -277,6 +278,22 @@ def test_iterated_check_rejects_a_non_multiplicative_action(monkeypatch, cylinde
     rr = verify_iterated_skew_group(A, _swap_two_arrows(A))
     assert not rr.homomorphism
     assert not rr.ok
+
+
+def test_iterated_rank_is_the_span_of_the_comparison_images_when_s_is_singular(monkeypatch):
+    """The rank read off the action, 2n + 2·rank(s), is the rank of the
+    comparison images also when ``s`` is not injective: on k × k, with
+    both idempotents sent to the first, it is 6, not 8."""
+    A = algebra_from_products(
+        ["p", "q"], lambda a, b: {a: ONE} if a == b else {}, {"p": ONE, "q": ONE}
+    )
+    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    rr = verify_iterated_skew_group(A, BasisMap([{0: 1}, {0: 1}]))
+    span = SpanBasis()
+    for img in rr.comparison.images:
+        span.add(img)
+    assert rr.rank == span.rank == 6
+    assert not rr.bijective and not rr.ok
 
 
 def _assert_iterated_matches_oracle(A, act):
@@ -701,15 +718,60 @@ def test_rows_hold_only_nonzero_cells_and_the_dense_view_counts_them(ladder_buil
     for A in built:
         n = A.dimension
         assert len(A.rows) == n
-        assert all(cell for row in A.rows for cell in row.values())
         assert all(j in range(n) for row in A.rows for j in row)
         # the dense view is built per read and never kept on the algebra
         table = A.table
         assert "table" not in vars(A) and A.table is not table
         assert len(table) == n and all(len(row) == n for row in table)
-        assert all(table[i][j] == row.get(j, {}) for i, row in enumerate(A.rows) for j in range(n))
+        dense = [[{} for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(A.rows):
+            for j, (k, c) in row.items():
+                dense[i][j] = {k: c}
+        assert table == dense
         # the benchmark's table metrics count nonzero cells with this idiom
         assert sum(1 for row in table for cell in row if cell) == sum(len(r) for r in A.rows)
+
+
+def _assert_cells_are_signed_basis_elements(A):
+    n = A.dimension
+    for row in A.rows:
+        for cell in row.values():
+            assert type(cell) is tuple and len(cell) == 2
+            k, c = cell
+            assert type(k) is int and 0 <= k < n
+            assert type(c) in (int, Fraction) and c != 0
+
+
+def test_every_table_cell_is_one_signed_basis_element(ladder_builds, cylinders, monkeypatch):
+    """Every product of two basis elements in every table built is stored
+    as one pair ``(k, c)``: the path algebras, crossed products, corners,
+    ``M₂(A)`` and twice-crossed products of the ladder and of random
+    covers, and the tables of the deformation check, together with the
+    deformed algebras, whose loop values reach the cells."""
+    rng = random.Random(8805)
+    random_covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(50)]
+    builds = [ladder_builds, _build_all(random_covers)]
+    built = [A for b in builds for A in b.built]
+    built += [rr.double for b in builds for _, _, rr in b.runs]
+    deformed = []
+    post_init = TableAlgebra.__post_init__
+
+    def record(self):
+        post_init(self)
+        deformed.append(self)
+
+    monkeypatch.setattr(TableAlgebra, "__post_init__", record)
+    surfaces = list(cylinders.values()) + [one_orbifold_disc(n) for n in (4, 6)]
+    for surface in surfaces:
+        triple = triple_from_x_dissection(surface)
+        for value in (5, Fraction(1, 2)):
+            assert verify_deformation_map(triple, value).is_isomorphism
+            graded_path_algebra(triple, {e: value for e in triple.special})
+    monkeypatch.undo()
+    coeffs = {c for A in deformed for row in A.rows for _, c in row.values()}
+    assert {5, Fraction(1, 2)} <= coeffs
+    for A in built + deformed:
+        _assert_cells_are_signed_basis_elements(A)
 
 
 def test_signed_permutation_crossed_product_shares_cells(cylinder_covers):
