@@ -162,6 +162,36 @@ def _check_composability(pres: Presentation, report: Report) -> None:
                 )
 
 
+def _threads(
+    ids: Sequence[str], succ: dict[str, str]
+) -> tuple[list[list[str]], list[list[str]]]:
+    """The maximal chains and the cycles of a successor map in which no
+    arrow has two predecessors.
+
+    Every arrow of ``ids`` lies on exactly one thread.  A chain starts at
+    its arrow without a predecessor and a cycle at its first arrow in
+    ``ids``; both lists follow the order of ``ids``.
+    """
+    has_pred = set(succ.values())
+    chains: list[list[str]] = []
+    for aid in ids:
+        if aid not in has_pred:
+            chain = [aid]
+            while chain[-1] in succ:
+                chain.append(succ[chain[-1]])
+            chains.append(chain)
+    seen = {aid for chain in chains for aid in chain}
+    cycles: list[list[str]] = []
+    for aid in ids:
+        if aid not in seen:
+            cycle = [aid]
+            while succ[cycle[-1]] != aid:
+                cycle.append(succ[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return chains, cycles
+
+
 def _gentle_core(pres: Presentation, report: Report) -> None:
     """Degree, successor and finiteness conditions for a monomial pair."""
     pairs = pres.monomial_pairs
@@ -170,72 +200,31 @@ def _gentle_core(pres: Presentation, report: Report) -> None:
             report.add(DEGREE_EXCEEDED, f"vertex {v!r} has {len(pres.outgoing[v])} outgoing arrows", (v,))
         if len(pres.incoming[v]) > 2:
             report.add(DEGREE_EXCEEDED, f"vertex {v!r} has {len(pres.incoming[v])} incoming arrows", (v,))
+    free_succ: dict[str, str] = {}
     for a in pres.arrows:
-        succs = [b.id for b in pres.outgoing[a.target]]
-        rel_succ = [b for b in succs if (a.id, b) in pairs]
-        free_succ = [b for b in succs if (a.id, b) not in pairs]
-        if len(rel_succ) > 1:
-            report.add(
-                SUCCESSOR_CLASH,
-                f"arrow {a.id!r} has several relation successors {rel_succ!r}",
-                (a.id,),
-            )
-        if len(free_succ) > 1:
-            report.add(
-                SUCCESSOR_CLASH,
-                f"arrow {a.id!r} has several relation-free successors {free_succ!r}",
-                (a.id,),
-            )
-        preds = [b.id for b in pres.incoming[a.source]]
-        rel_pred = [b for b in preds if (b, a.id) in pairs]
-        free_pred = [b for b in preds if (b, a.id) not in pairs]
-        if len(rel_pred) > 1:
-            report.add(
-                SUCCESSOR_CLASH,
-                f"arrow {a.id!r} has several relation predecessors {rel_pred!r}",
-                (a.id,),
-            )
-        if len(free_pred) > 1:
-            report.add(
-                SUCCESSOR_CLASH,
-                f"arrow {a.id!r} has several relation-free predecessors {free_pred!r}",
-                (a.id,),
-            )
+        ahead = [(a.id, b.id) for b in pres.outgoing[a.target]]
+        behind = [(b.id, a.id) for b in pres.incoming[a.source]]
+        for side, paths, other in (("successors", ahead, 1), ("predecessors", behind, 0)):
+            for kind, killed in (("relation", True), ("relation-free", False)):
+                ids = [path[other] for path in paths if (path in pairs) == killed]
+                if len(ids) > 1:
+                    report.add(
+                        SUCCESSOR_CLASH,
+                        f"arrow {a.id!r} has several {kind} {side} {ids!r}",
+                        (a.id,),
+                    )
+        free_succ.update(path for path in ahead if path not in pairs)
     if not report.ok:
         return
     # A relation-free composable cycle makes the path algebra infinite
     # dimensional.
-    color: dict[str, int] = {}
-    stack_trace: list[str] = []
-
-    def dfs(aid: str) -> Optional[list[str]]:
-        color[aid] = 1
-        stack_trace.append(aid)
-        a = pres.arrow_by_id[aid]
-        for b in pres.outgoing[a.target]:
-            if (aid, b.id) in pairs:
-                continue
-            c = color.get(b.id, 0)
-            if c == 0:
-                cyc = dfs(b.id)
-                if cyc is not None:
-                    return cyc
-            elif c == 1:
-                return stack_trace[stack_trace.index(b.id):]
-        color[aid] = 2
-        stack_trace.pop()
-        return None
-
-    for a in pres.arrows:
-        if color.get(a.id, 0) == 0:
-            cyc = dfs(a.id)
-            if cyc is not None:
-                report.add(
-                    INFINITE_DIMENSIONAL,
-                    f"relation-free composable cycle {cyc!r}",
-                    tuple(cyc),
-                )
-                return
+    _, cycles = _threads([a.id for a in pres.arrows], free_succ)
+    if cycles:
+        report.add(
+            INFINITE_DIMENSIONAL,
+            f"relation-free composable cycle {cycles[0]!r}",
+            tuple(cycles[0]),
+        )
 
 
 def check_gentle(pres: Presentation) -> Report:
@@ -673,36 +662,15 @@ def _reconstruct(
 
     # Threads: maximal chains and cycles of relation-composable arrows.
     succ: dict[str, str] = {}
-    pred: dict[str, str] = {}
+    has_pred: set[str] = set()
     for a1, a2 in pairs:
-        if a1 in succ or a2 in pred:
+        if a1 in succ or a2 in has_pred:
             raise error(
                 BAD_INPUT, f"relation ({a1!r}, {a2!r}) shares an arrow with another", (a1, a2)
             )
         succ[a1] = a2
-        pred[a2] = a1
-    arrow_ids = sorted(a.id for a in companion.arrows)
-    visited: set[str] = set()
-    chains: list[list[str]] = []
-    for aid in arrow_ids:
-        if aid in visited or aid in pred:
-            continue
-        chain = [aid]
-        visited.add(aid)
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-            visited.add(chain[-1])
-        chains.append(chain)
-    cycles: list[list[str]] = []
-    for aid in arrow_ids:
-        if aid in visited:
-            continue
-        cyc = [aid]
-        visited.add(aid)
-        while succ[cyc[-1]] != cyc[0]:
-            cyc.append(succ[cyc[-1]])
-            visited.add(cyc[-1])
-        cycles.append(cyc)
+        has_pred.add(a2)
+    chains, cycles = _threads(sorted(a.id for a in companion.arrows), succ)
 
     point_of_end: dict[tuple[str, int], str] = {}
     points: list[MarkedPoint] = []
@@ -844,14 +812,12 @@ def surface_from_triple(triple: Presentation, name: str = "reconstructed") -> Di
 # Random generators (seeded; used by the property tests)
 
 
-def _random_pieces(
-    rng: random.Random, max_ordinary: int, n_special: int
-) -> list[Presentation]:
+def _random_pieces(rng: random.Random, n_special: int) -> list[Presentation]:
     pieces: list[Presentation] = []
-    n_ordinary = rng.randint(1, max_ordinary)
+    n_ordinary = rng.randint(1, 3)
     for i in range(n_ordinary):
         size = rng.randint(1, 4)
-        if rng.random() < 0.25 and size >= 1:
+        if rng.random() < 0.25:
             pieces.append(cycle_piece(size, f"c{i}"))
         else:
             pieces.append(linear_piece(size, f"l{i}"))
@@ -869,16 +835,13 @@ def _degree_ok(p: Presentation, u: str, v: str) -> bool:
 
 
 def random_triple(
-    rng: random.Random,
-    max_ordinary_pieces: int = 3,
-    max_special: int = 3,
-    require_special: bool = True,
-    max_arrows: int = 16,
+    rng: random.Random, max_special: int = 3, max_arrows: int = 16
 ) -> Presentation:
-    """A random connected skew-gentle triple built by puzzle gluing."""
+    """A random connected skew-gentle triple built by puzzle gluing, with
+    between one and ``max_special`` special loops (none when it is 0)."""
     while True:
-        n_special = rng.randint(1 if require_special else 0, max_special)
-        pieces = _random_pieces(rng, max_ordinary_pieces, n_special)
+        n_special = rng.randint(min(1, max_special), max_special)
+        pieces = _random_pieces(rng, n_special)
         joint = make_presentation(
             [v for p in pieces for v in p.vertices],
             [a for p in pieces for a in p.arrows],
@@ -926,23 +889,12 @@ def random_triple(
             continue
         if not is_connected(triple):
             continue
-        if require_special and not triple.special:
-            continue
         return triple
 
 
-def random_gentle_pair(rng: random.Random, max_arrows: int = 12) -> Presentation:
-    """A random connected gentle pair with at most ``max_arrows`` arrows."""
-    while True:
-        triple = random_triple(
-            rng,
-            max_ordinary_pieces=3,
-            max_special=0,
-            require_special=False,
-            max_arrows=max_arrows,
-        )
-        if not triple.special:
-            return triple
+def random_gentle_pair(rng: random.Random) -> Presentation:
+    """A random connected gentle pair with at most 12 arrows."""
+    return random_triple(rng, max_special=0, max_arrows=12)
 
 
 def random_x_dissection(rng: random.Random) -> DissectedSurface:

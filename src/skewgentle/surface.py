@@ -1062,6 +1062,12 @@ def surfaces_isomorphic(
     ``polygons`` or ``None``.  Both surfaces must be valid, so polygon
     words match slot by slot from their boundary segments; arcs may be
     matched with reversed orientation.
+
+    The image of one polygon forces the whole map on its connected
+    component, so each component is matched from its first polygon by
+    ``(-len(sides), id)`` onto the first fitting polygon of ``s2`` in
+    order.  A component is never rematched: if it fits two components of
+    ``s2``, those two are isomorphic, so the first fit is as good as any.
     """
     raise_on_error(validate(s1))
     raise_on_error(validate(s2))
@@ -1077,78 +1083,66 @@ def surfaces_isomorphic(
     if kinds1 != kinds2:
         return None
 
-    polys1 = sorted(s1.polygons, key=lambda p: (-len(p.sides), p.id))
-    by_len: dict[int, list[Polygon]] = {}
-    for p in s2.polygons:
-        by_len.setdefault(len(p.sides), []).append(p)
+    state: dict[str, dict[str, str]] = {"points": {}, "arcs": {}, "bsegs": {}, "polygons": {}}
+    for p1 in sorted(s1.polygons, key=lambda p: (-len(p.sides), p.id)):
+        if p1.id in state["polygons"]:
+            continue
+        taken = set(state["polygons"].values())
+        fits = (
+            _match_component(s1, s2, p1, p2)
+            for p2 in s2.polygons
+            if p2.id not in taken and len(p2.sides) == len(p1.sides)
+        )
+        component = next((maps for maps in fits if maps is not None), None)
+        if component is None:
+            return None
+        for cat, pairs in component.items():
+            state[cat].update(pairs)
+    return state
 
-    state: dict[str, dict[str, str]] = {
-        "points": {},
-        "arcs": {},
-        "bsegs": {},
-        "polygons": {},
-    }
-    arc_flip: dict[str, int] = {}
-    used_polys: set[str] = set()
 
-    def try_assign(cat: str, a: str, b: str, undo: list) -> bool:
-        cur = state[cat].get(a)
-        if cur is not None:
-            return cur == b
-        if b in state[cat].values():
+def _match_component(
+    s1: DissectedSurface, s2: DissectedSurface, p1: Polygon, p2: Polygon
+) -> Optional[dict[str, dict[str, str]]]:
+    """The isomorphism of the component of ``p1`` that sends ``p1`` to
+    ``p2``, pushed across the arcs slot by slot, or ``None``."""
+    maps: dict[str, dict[str, str]] = {"points": {}, "arcs": {}, "bsegs": {}, "polygons": {}}
+    images: dict[str, set[str]] = {cat: set() for cat in maps}
+
+    def assign(cat: str, a: str, b: str) -> bool:
+        if a in maps[cat]:
+            return maps[cat][a] == b
+        if b in images[cat]:
             return False
-        state[cat][a] = b
-        undo.append((cat, a))
+        maps[cat][a] = b
+        images[cat].add(b)
         return True
 
-    def match_polygon(p1: Polygon, p2: Polygon, undo: list) -> bool:
-        for sa, sb in zip(p1.sides, p2.sides):
-            if sa.kind == "b":
-                if not try_assign("bsegs", sa.ref, sb.ref, undo):
-                    return False
+    assign("polygons", p1.id, p2.id)
+    todo = [(p1, p2)]
+    while todo:
+        q1, q2 = todo.pop()
+        if len(q1.sides) != len(q2.sides):
+            return None
+        for sa, sb in zip(q1.sides, q2.sides):
+            if sa.is_arc:
+                # The other side of the arc lands on the other side of its
+                # image, in the same slot of the neighbouring polygon.
+                n1, i1 = s1.occurrences[(sa.ref, -sa.direction)]
+                n2, i2 = s2.occurrences[(sb.ref, -sb.direction)]
+                if n1 not in maps["polygons"]:
+                    todo.append((s1.polygon_by_id[n1], s2.polygon_by_id[n2]))
+                fits = i1 == i2 and assign("arcs", sa.ref, sb.ref) and assign("polygons", n1, n2)
             else:
-                flip = sa.direction * sb.direction
-                if sa.ref in arc_flip:
-                    if arc_flip[sa.ref] != flip or state["arcs"].get(sa.ref) != sb.ref:
-                        return False
-                else:
-                    if not try_assign("arcs", sa.ref, sb.ref, undo):
-                        return False
-                    arc_flip[sa.ref] = flip
-                    undo.append(("flip", sa.ref))
-        for sa, sb in zip(p1.sides, p2.sides):
-            pa = s1.ray_point(tail_ray(sa))
-            pb = s2.ray_point(tail_ray(sb))
-            if s1.point_by_id[pa].kind != s2.point_by_id[pb].kind:
-                return False
-            if not try_assign("points", pa, pb, undo):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(polys1):
-            return True
-        p1 = polys1[i]
-        for p2 in by_len.get(len(p1.sides), []):
-            if p2.id in used_polys:
-                continue
-            undo: list = []
-            state["polygons"][p1.id] = p2.id
-            used_polys.add(p2.id)
-            if match_polygon(p1, p2, undo) and backtrack(i + 1):
-                return True
-            for tag, key in reversed(undo):
-                if tag == "flip":
-                    del arc_flip[key]
-                else:
-                    del state[tag][key]
-            del state["polygons"][p1.id]
-            used_polys.discard(p2.id)
-        return False
-
-    if backtrack(0):
-        return state
-    return None
+                fits = assign("bsegs", sa.ref, sb.ref)
+            pa, pb = s1.ray_point(tail_ray(sa)), s2.ray_point(tail_ray(sb))
+            if not (
+                fits
+                and s1.point_by_id[pa].kind == s2.point_by_id[pb].kind
+                and assign("points", pa, pb)
+            ):
+                return None
+    return maps
 
 
 # ---------------------------------------------------------------------------

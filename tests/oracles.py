@@ -612,6 +612,62 @@ def iso_presentations(p1, p2):
     return {"vertices": dict(vmap), "arrows": amap}
 
 
+def is_dissection_isomorphism(s1, s2, maps) -> bool:
+    """Whether ``maps`` (keys ``points``, ``arcs``, ``bsegs``,
+    ``polygons``) is an orientation-preserving isomorphism of dissections.
+
+    Checked cell by cell, without any search: the four maps are bijections
+    onto the cells of ``s2``, point kinds are kept, every polygon word goes
+    slot by slot onto the word of its image with one flip per arc, and the
+    ends of every arc (swapped when it flips) and boundary segment go
+    through the point map.
+    """
+    cells = {
+        "points": (s1.points, s2.points),
+        "arcs": (s1.arcs, s2.arcs),
+        "bsegs": (s1.bsegs, s2.bsegs),
+        "polygons": (s1.polygons, s2.polygons),
+    }
+    if set(maps) != set(cells):
+        return False
+    for cat, (cells1, cells2) in cells.items():
+        m = maps[cat]
+        if set(m) != {c.id for c in cells1}:
+            return False
+        if sorted(m.values()) != sorted(c.id for c in cells2):
+            return False
+    to_point = maps["points"]
+    kind2 = {p.id: p.kind for p in s2.points}
+    if any(kind2[to_point[p.id]] != p.kind for p in s1.points):
+        return False
+    words2 = {poly.id: poly.sides for poly in s2.polygons}
+    flip = {}
+    for poly in s1.polygons:
+        image = words2[maps["polygons"][poly.id]]
+        if len(image) != len(poly.sides):
+            return False
+        for x, y in zip(poly.sides, image):
+            if x.kind != y.kind:
+                return False
+            if maps["arcs" if x.kind == "a" else "bsegs"][x.ref] != y.ref:
+                return False
+            sign = x.direction * y.direction
+            if flip.setdefault((x.kind, x.ref), sign) != sign:
+                return False
+    arc_ends2 = {a.id: (a.tail, a.head) for a in s2.arcs}
+    for a in s1.arcs:
+        ends = (to_point[a.tail], to_point[a.head])
+        if flip[("a", a.id)] == -1:
+            ends = ends[::-1]
+        if ends != arc_ends2[maps["arcs"][a.id]]:
+            return False
+    bseg_ends2 = {b.id: (b.tail, b.head) for b in s2.bsegs}
+    return all(
+        (to_point[b.tail], to_point[b.head]) == bseg_ends2[maps["bsegs"][b.id]]
+        for b in s1.bsegs
+    )
+
+
 def reverse_curve(curve):
     """The curve run backwards, with id ``curve.id + ".rev"``.
 

@@ -204,7 +204,7 @@ def test_08_round_trips(cylinders, disc_x4, disc_xx):
         )
     rng = random.Random(778)
     for _ in range(200):
-        pair = random_gentle_pair(rng, max_arrows=12)
+        pair = random_gentle_pair(rng)
         rebuilt = quiver_from_dissection(surface_from_gentle(pair))
         assert iso_presentations(pair, rebuilt) is not None
 

@@ -20,6 +20,7 @@ from skewgentle import (
     cli,
     fixture_path,
     format_surface_file,
+    one_orbifold_disc,
     parse_surface_file,
     two_orbifold_cylinder,
 )
@@ -107,6 +108,20 @@ def test_split_prints_two_term_relations(capsys):
     relations = [l for l in out.splitlines() if l.startswith("relation ")]
     assert len(relations) == 4
     assert all(" + " in l for l in relations)
+
+
+def test_split_of_a_long_fan_disc_does_not_recurse(tmp_path, capsys):
+    # Its split presentation is one relation-free chain of 1200 arrows.
+    path = tmp_path / "fan.surf"
+    path.write_text(format_surface_file(SurfaceFile(one_orbifold_disc(1200))))
+    assert main(["split", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert sum(l.startswith("vertex ") for l in lines) == 1201
+    assert sum(l.startswith("arrow ") for l in lines) == 1200
+    assert not any(l.startswith("relation ") for l in lines)
+    assert {"vertex 1_0", "vertex 1_1", "arrow 1199.1200 1199 -> 1200"} <= set(lines)
 
 
 def test_cover_output_is_a_valid_surface_file(capsys):

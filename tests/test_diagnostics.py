@@ -99,6 +99,43 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _self_calls(source: str) -> list[str]:
+    """The functions, nested ones too, that call themselves by name."""
+    return [
+        f"{f.name}:{call.lineno}"
+        for f in ast.walk(ast.parse(source))
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(f)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == f.name
+    ]
+
+
+def test_library_has_no_recursive_function():
+    """A recursion takes one stack frame per step, so a long thread or a
+    large surface would end in ``RecursionError``.  ``_json_list`` is the
+    one exception: it recurses as deep as a ``where`` tuple is nested, and
+    the package writes every ``where`` itself, a few levels deep."""
+    found = [
+        f"{path.name}:{hit}"
+        for path in sorted(SRC.glob("*.py"))
+        for hit in _self_calls(path.read_text())
+    ]
+    assert [hit.rpartition(":")[0] for hit in found] == ["diagnostics.py:_json_list"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(n):\n    return f(n - 1)",
+        "def outer():\n    def dfs(x):\n        return [dfs(y) for y in x]\n    return dfs",
+    ],
+)
+def test_the_recursion_scan_sees_a_self_call(source):
+    assert _self_calls(source)
+
+
 def test_library_reads_no_environment_variable():
     """The library takes every input as an argument: no module reads
     ``os.environ`` or calls ``os.getenv``."""

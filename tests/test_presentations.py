@@ -34,6 +34,8 @@ from skewgentle import (
     validate,
 )
 from skewgentle.diagnostics import (
+    DEGREE_EXCEEDED,
+    INFINITE_DIMENSIONAL,
     NOT_GENTLE,
     OVERGLUED_VERTEX,
     SUCCESSOR_CLASH,
@@ -120,6 +122,63 @@ def test_check_gentle_rejects_relation_free_cycle():
         [],
     )
     assert "INFINITE_DIMENSIONAL" in check_gentle(bad).codes()
+
+
+def _long_thread(n: int, closed: bool):
+    """``n`` relation-free arrows ``a0000 -> a0001 -> ...``, closed into a
+    cycle or left a chain."""
+    vertices = [f"v{k:04d}" for k in range(n + (not closed))]
+    arrows = [
+        Arrow(f"a{k:04d}", vertices[k], vertices[(k + 1) % len(vertices)]) for k in range(n)
+    ]
+    return make_presentation(vertices, arrows, [])
+
+
+def test_check_gentle_walks_long_threads_without_recursing():
+    assert check_gentle(_long_thread(1200, closed=False)).ok
+    cycle = _long_thread(1200, closed=True)
+    report = check_gentle(cycle)
+    assert [d.code for d in report.diagnostics] == [INFINITE_DIMENSIONAL, NOT_GENTLE]
+    assert report.diagnostics[0].where == tuple(a.id for a in cycle.arrows)
+
+
+def _random_monomial_quiver(rng: random.Random):
+    vertices = [str(v) for v in range(rng.randint(1, 6))]
+    arrows = [
+        Arrow(f"a{k}", rng.choice(vertices), rng.choice(vertices))
+        for k in range(rng.randint(1, 8))
+    ]
+    composable = [(a.id, b.id) for a in arrows for b in arrows if a.target == b.source]
+    return make_presentation(vertices, arrows, [(p,) for p in composable if rng.random() < 0.5])
+
+
+def test_finiteness_check_agrees_with_path_enumeration():
+    """On quivers that pass the degree and successor checks, a
+    relation-free cycle is reported exactly when enumerating the paths
+    does not stop.  A finite one has at most 6 + 8 * 8 paths: every path
+    is its first arrow and a length of at most 8, as no arrow repeats."""
+    rng = random.Random(2511)
+    kept = infinite = 0
+    while kept < 2000:
+        pres = _random_monomial_quiver(rng)
+        report = check_gentle(pres)
+        if {DEGREE_EXCEEDED, SUCCESSOR_CLASH} & set(report.codes()):
+            continue
+        kept += 1
+        try:
+            monomial_path_count(pres, cap=200)
+        except RuntimeError:
+            infinite += 1
+            (found,) = [d for d in report.diagnostics if d.code == INFINITE_DIMENSIONAL]
+            cycle = found.where
+            by_id = {a.id: a for a in pres.arrows}
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert by_id[a].target == by_id[b].source
+                assert ((a, b),) not in pres.relations
+            assert len(set(cycle)) == len(cycle)
+        else:
+            assert report.ok
+    assert 300 < infinite < 1700
 
 
 def test_check_skew_gentle_accepts_chain():

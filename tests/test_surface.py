@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
-from oracles import boundary_circle_count, euler_characteristic, genus_from_counts, reverse_curve
+from oracles import (
+    boundary_circle_count,
+    euler_characteristic,
+    genus_from_counts,
+    is_dissection_isomorphism,
+    reverse_curve,
+)
 from skewgentle import (
     BOUNDARY,
     ORBIFOLD,
@@ -24,14 +31,22 @@ from skewgentle import (
     complete_involution,
     crossing_steps,
     curve_crossings,
+    double_cover,
     fixture_path,
     make_surface,
+    one_orbifold_disc,
     parse_surface_file,
     passage_winding,
     quiver_from_dissection,
+    random_gentle_pair,
+    random_x_dissection,
+    surface_from_gentle,
     surfaces_isomorphic,
     topology,
     triple_from_x_dissection,
+    two_hole_torus_surface,
+    two_marked_disc,
+    two_orbifold_disc,
     validate,
     validate_curve,
     validate_involution,
@@ -315,6 +330,88 @@ def test_surfaces_isomorphic_relabeling(cylinders):
 def test_surfaces_isomorphic_distinguishes_variants(cylinders):
     assert surfaces_isomorphic(cylinders[1], cylinders[2]) is None
     assert surfaces_isomorphic(cylinders[1], cylinders[4]) is None
+
+
+def _relabelled(s, rng: random.Random):
+    """A copy of ``s`` with fresh ids, about half its arcs reversed, each
+    polygon word rotated and every list of records shuffled."""
+    def fresh(cells, prefix):
+        ids = [c.id for c in cells]
+        return dict(zip(ids, rng.sample([f"{prefix}{k}" for k in range(len(ids))], len(ids))))
+
+    pt, arc, bseg, poly = (
+        fresh(cells, prefix)
+        for cells, prefix in ((s.points, "q"), (s.arcs, "r"), (s.bsegs, "c"), (s.polygons, "g"))
+    )
+    reversed_arcs = {a.id for a in s.arcs if rng.random() < 0.5}
+    points = [MarkedPoint(pt[p.id], p.kind) for p in s.points]
+    arcs = []
+    for a in s.arcs:
+        tail, head = (a.head, a.tail) if a.id in reversed_arcs else (a.tail, a.head)
+        arcs.append(Arc(arc[a.id], pt[tail], pt[head]))
+    bsegs = [BoundarySegment(bseg[b.id], pt[b.tail], pt[b.head]) for b in s.bsegs]
+    polygons = []
+    for p in s.polygons:
+        word = tuple(
+            arc_side(arc[x.ref], -x.direction if x.ref in reversed_arcs else x.direction)
+            if x.is_arc
+            else bseg_side(bseg[x.ref])
+            for x in p.sides
+        )
+        k = rng.randrange(len(word))
+        polygons.append(Polygon(poly[p.id], word[k:] + word[:k]))
+    for records in (points, arcs, bsegs, polygons):
+        rng.shuffle(records)
+    return make_surface("relabelled", points, arcs, bsegs, polygons)
+
+
+def _assert_isomorphic_to_relabelled_copies(surfaces, rng):
+    for s in surfaces:
+        for other in (s, _relabelled(s, rng)):
+            maps = surfaces_isomorphic(s, other)
+            assert maps is not None
+            assert is_dissection_isomorphism(s, other, maps)
+
+
+def test_isomorphisms_of_the_fixtures_are_isomorphisms(cylinders, cylinder_covers):
+    ladder = [one_orbifold_disc(n) for n in range(2, 15)]
+    fixtures = [two_marked_disc(), two_orbifold_disc(), two_hole_torus_surface()[0]]
+    fixtures += list(cylinders.values())
+    covers = [cov.total for cov in cylinder_covers.values()]
+    covers += [double_cover(s).total for s in ladder + fixtures[:2]]
+    _assert_isomorphic_to_relabelled_copies(ladder + fixtures + covers, random.Random(31))
+
+
+def test_isomorphisms_of_random_dissections_are_isomorphisms():
+    rng = random.Random(32)
+    _assert_isomorphic_to_relabelled_copies([random_x_dissection(rng) for _ in range(200)], rng)
+
+
+def test_isomorphisms_of_disconnected_covers_are_isomorphisms():
+    """A surface without orbifold points is covered by two copies of itself;
+    each copy is a component matched on its own."""
+    rng = random.Random(33)
+    covers = [double_cover(surface_from_gentle(random_gentle_pair(rng))).total for _ in range(50)]
+    assert all(len(topology(c).components) == 2 for c in covers)
+    _assert_isomorphic_to_relabelled_copies(covers, rng)
+
+
+def test_the_isomorphism_oracle_refuses_a_broken_map(cylinders):
+    s = cylinders[1]
+    other = _relabelled(s, random.Random(34))
+    maps = surfaces_isomorphic(s, other)
+    a, b = sorted(maps["points"])[:2]
+    swapped = dict(maps, points={**maps["points"], a: maps["points"][b], b: maps["points"][a]})
+    assert not is_dissection_isomorphism(s, other, swapped)
+    assert not is_dissection_isomorphism(s, other, dict(maps, arcs={}))
+
+
+def test_isomorphism_of_a_long_fan_disc_does_not_recurse():
+    disc = one_orbifold_disc(1200)
+    other = _relabelled(disc, random.Random(35))
+    maps = surfaces_isomorphic(disc, other)
+    assert maps is not None
+    assert is_dissection_isomorphism(disc, other, maps)
 
 
 def test_point_kinds_exist():
