@@ -19,14 +19,17 @@ each read of :attr:`TableAlgebra.table` and never kept.
 
 The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the rows of ``f(x)·f(b_j)`` in
-the one row comparison behind :func:`verify_multiplicative` and the
-iterated crossed-product check, and the products of the vertex images in
-:func:`verify_morphism` come from one helper, and the products
-``x·b_j`` of one left factor, as in :func:`corner_algebra`, from
-another.  A symmetry is crossed as the signed permutation it is, each
-image one term ``±b_k``: :func:`skew_group_algebra` permutes the cells of
-each row, shares the ``+`` ones and negates the ``-`` ones, so the crossed
-product is monomial again.
+the row comparison behind the iterated crossed-product check, and the
+products of the vertex images in :func:`verify_morphism` come from one
+helper, and the products ``x·b_j`` of one left factor, as in
+:func:`corner_algebra`, from another.  A symmetry is read as the signed
+permutation ``(π, σ)`` it is, each image one term ``σ_j·b_{π(j)}``, and
+any other map is refused.  :func:`verify_algebra_involution` checks it
+cell by cell: each stored cell ``(i, j) → (k, c)`` against the cell at
+``(π(i), π(j))``, with no vectors and no pass over the zero products.
+:func:`skew_group_algebra` permutes the cells of each row, shares the
+``+`` ones and negates the ``-`` ones, so the crossed product is monomial
+again.
 :class:`SpanBasis` keeps its rows in reduced echelon form with an index
 from each column to the rows that hold it, so a vector is reduced in one
 pass over its pivot columns and a new pivot is cleared only from the rows
@@ -231,9 +234,10 @@ class TableAlgebra:
     (composition order, ``basis_j`` applied first) is nonzero to its cell
     ``(k, c)``: the product is ``c·basis_k``, with ``c`` a nonzero exact
     ``int`` or ``Fraction``.  A zero product is not stored, and no product
-    has two terms (see the module docstring).  The builders store the
-    columns of each row in ascending order.  :attr:`table` is a dense view
-    for readers by position, built on each read and never kept.
+    has two terms (see the module docstring).  A row's columns are in no
+    set order: the twisted rows of :func:`skew_group_algebra` keep the
+    order of the permutation.  :attr:`table` is a dense view for readers by
+    position, built on each read and never kept.
 
     Rows are not mutated after construction, and builders share cells
     between positions and between algebras.  ``_crossed`` keeps the
@@ -552,8 +556,9 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
 
     The table is read row by row: ``e*b_m`` once for every ``m``, from the
     cells of the rows of ``e``; each ``b_i*e`` from the cells of row ``i``
-    looked up in the columns of ``e``; and ``e*b_i*e`` as the sum of the
-    ``e*b_m`` over ``b_i*e``.  The kept cells are renumbered in one pass.
+    at the columns that ``e`` holds, found by intersecting the two sets of
+    keys; and ``e*b_i*e`` as the sum of the ``e*b_m`` over ``b_i*e``.  The
+    kept cells are renumbered in one pass.
     """
     left = _left_products(A, e)  # m -> e*b_m, where nonzero
 
@@ -567,13 +572,12 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     if not veq(times_e(e), e):
         raise error(NOT_IDEMPOTENT, "corner element does not square to itself")
     indices = []
+    columns = e.keys()
     for i, row in enumerate(A.rows):
         right: Vector = {}  # b_i*e
-        for j, ej in e.items():
-            cell = row.get(j)
-            if cell is not None:
-                k, c = cell
-                _add(right, k, c * ej)
+        for j in row.keys() & columns:
+            k, c = row[j]
+            _add(right, k, c * e[j])
         sandwich = times_e(right)
         if sandwich == {i: ONE}:
             indices.append(i)
@@ -657,29 +661,48 @@ def _rows_multiplicative(
     return True
 
 
-def verify_multiplicative(A: TableAlgebra, B: TableAlgebra, f: BasisMap) -> bool:
-    """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
-    elements of ``A``, where ``f`` maps ``A`` linearly into ``B``: the
-    row comparison of :func:`_rows_multiplicative` on every row of ``A``,
-    so a check of all pairs."""
-    return _rows_multiplicative(B, f, zip(f.images, A.rows))
+def _signed_permutation(act: BasisMap, n: int) -> tuple[list[int], list[Coeff]]:
+    """The pair ``(π, σ)`` with ``act(b_j) = σ_j·b_{π(j)}`` on a basis of
+    ``n`` elements, each ``σ_j`` ±1 and ``π`` not necessarily a bijection;
+    ``BAD_INPUT`` unless ``act`` has one image per basis element, each one
+    term ``±b_k`` with ``0 ≤ k < n``."""
+    pairs = [next(iter(img.items())) for img in act.images if len(img) == 1]
+    if len(pairs) != n or len(act.images) != n or any(
+        c not in (1, -1) or not 0 <= k < n for k, c in pairs
+    ):
+        raise error(BAD_INPUT, "the symmetry is not a signed permutation of the basis")
+    return [k for k, _ in pairs], [c for _, c in pairs]
 
 
 def verify_algebra_involution(A: TableAlgebra, act: BasisMap) -> bool:
-    """Check: order two, fixes the unit, respects all products."""
-    for i, img in enumerate(act.images):
-        if not veq(act.apply(img), {i: ONE}):
+    """Check that the signed permutation ``act`` is an algebra involution
+    of ``A``: order two, fixes the unit, respects all products.
+
+    With ``act(b_i) = σ_i·b_{π(i)}`` this is ``π(π(i)) = i`` and
+    ``σ_i·σ_{π(i)} = 1`` for every ``i``, ``act(1) = 1``, and for every
+    stored cell ``b_i·b_j = c·b_k`` the cell of ``b_{π(i)}·b_{π(j)}`` is
+    ``(π(k), c·σ_i·σ_j·σ_k)``, which is ``act(b_i·b_j) = act(b_i)·act(b_j)``
+    on that pair.  The zero products need no pass of their own: since
+    ``π² = id``, ``(i, j) ↦ (π(i), π(j))`` is a bijection of the pairs, so
+    a map that sends the nonzero cells into the nonzero cells sends them
+    onto them, and sends the zero products to zero products.
+
+    A map that is not a signed permutation raises ``BAD_INPUT``, as in
+    :func:`skew_group_algebra`.
+    """
+    pi, sigma = _signed_permutation(act, A.dimension)
+    for i, p in enumerate(pi):
+        if pi[p] != i or sigma[i] * sigma[p] != 1:
             return False
     if not veq(act.apply(A.unit), A.unit):
         return False
-    return verify_multiplicative(A, A, act)
-
-
-def _signed_permutation(act: BasisMap) -> bool:
-    """Whether every image ``act(b_j)`` is a single term ``±b_k``."""
-    return all(
-        len(img) == 1 and next(iter(img.values())) in (1, -1) for img in act.images
-    )
+    rows = A.rows
+    for i, row in enumerate(rows):
+        image_row, si = rows[pi[i]], sigma[i]
+        for j, (k, c) in row.items():
+            if image_row.get(pi[j]) != (pi[k], c * si * sigma[j] * sigma[k]):
+                return False
+    return True
 
 
 def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
@@ -702,13 +725,12 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
     columns permuted and signs applied: a ``+`` cell is the cell of ``A``
     and its degree-one copy the one of the degree-zero row, both shared,
     and only a ``-`` cell is negated afresh.  Every cell of the crossed
-    product is again one signed basis element ``(k, c)``.
+    product is again one signed basis element ``(k, c)``.  The twisted
+    cells are found through the preimages of each column, so ``s`` need
+    not be a bijection; a twisted row keeps the order they are found in.
     """
-    if not _signed_permutation(act):
-        raise error(
-            BAD_INPUT, "the symmetry is not a signed permutation of the basis"
-        )
     n = A.dimension
+    _signed_permutation(act, n)
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
 
     # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
@@ -729,7 +751,7 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
                 else:
                     m, c = cell
                     row[n + j], row[j] = (m, -c), (m + n, -c)
-        rows.append(dict(sorted(row.items())))
+        rows.append(row)
     return TableAlgebra(labels, rows, dict(A.unit))
 
 

@@ -59,10 +59,12 @@ reduction publishes one set of images, in the coordinates of the crossed
 product, divided once at the end; only there do the halves appear as
 ``Fraction``.
 
-A symmetry that is not an algebra involution raises ``NOT_INVOLUTION``,
-arrow lifts that do not sandwich to a single arrow or disagree on their
-sheet sign raise ``BAD_LIFT``, and a cover presentation with special
-loops raises ``BAD_INPUT``.
+The guard refuses a symmetry in two steps: one that is not a signed
+permutation of the basis raises ``BAD_INPUT`` before any cell is read, and
+a signed permutation that is not an algebra involution raises
+``NOT_INVOLUTION``.  Arrow lifts that do not sandwich to a single arrow
+or disagree on their sheet sign raise ``BAD_LIFT``, and a cover
+presentation with special loops raises ``BAD_INPUT``.
 """
 from __future__ import annotations
 
@@ -120,11 +122,17 @@ def induced_basis_map(
     signs: Optional[Mapping[str, int]] = None,
 ) -> BasisMap:
     """The linear map induced on a path-algebra quotient by relabelling
-    vertices and arrows, optionally scaling each arrow by a sign."""
+    vertices and arrows, optionally scaling each arrow by a sign.
+
+    A relabelled path that is itself a basis path has the normal form
+    ``{index: 1}``, read from the index of the basis; only the others go
+    through :meth:`~skewgentle.algebra.PathAlgebra.reduce`."""
+    index_of = alg.algebra.index_of
     images: list[Vector] = []
     for src, arrows in alg.algebra.labels:
         mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
-        image = alg.reduce(mapped)
+        k = index_of.get(mapped)
+        image = {k: 1} if k is not None else alg.reduce(mapped)
         if signs is not None:
             for a in arrows:
                 image = vscale(image, signs[a])
@@ -221,9 +229,12 @@ def _compare(
         domain, vertex_doubled, arrow_doubled, corner.algebra,
         expected_dim=expected_dim, scale=2,
     )
-    twist = grading_sign_map(skew)
+    # the grading signs negate the group-degree-one part, indices n and up
+    n = skew.dimension // 2
     compat = {
-        gen: veq(twist.apply(img), doubled[symmetry[gen]])
+        gen: veq(
+            {k: -c if k >= n else c for k, c in img.items()}, doubled[symmetry[gen]]
+        )
         for gen, img in doubled.items()
     }
     images = {

@@ -7,7 +7,10 @@ meaningful evidence rather than a tautology.  The presentation isomorphism
 search and the reversal of a curve check the paper's bijection and the sign
 of a winding, and tracing the faces of a dual arc system checks the
 crossing count of ``is_dual_dissection``; the two builders at the end make
-small algebras and maps from labels for hand-made test cases.
+small algebras and maps from labels for hand-made test cases.  The one
+exception is :func:`verify_multiplicative`, the library's own row
+comparison run on every row of a table: it is what the tests hold against
+the all-pairs loop :func:`multiplicative`.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import itertools
 from fractions import Fraction
 
 from skewgentle import BasisMap, CombinatorialCurve, Passage, TableAlgebra
+from skewgentle.algebra import _rows_multiplicative
 from skewgentle.surface import chord_bseg_side
 
 
@@ -722,3 +726,11 @@ def basis_map_from_permutation(algebra, label_map, signs=None):
     return BasisMap(
         [{algebra.index_of[label_map[lab]]: signs.get(lab, 1)} for lab in algebra.labels]
     )
+
+
+def verify_multiplicative(A, B, f) -> bool:
+    """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
+    elements of ``A``, where the :class:`~skewgentle.BasisMap` ``f`` maps
+    ``A`` linearly into ``B``: the library's row comparison on every row
+    of ``A``, so a check of all pairs."""
+    return _rows_multiplicative(B, f, zip(f.images, A.rows))

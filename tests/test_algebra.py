@@ -14,6 +14,7 @@ from oracles import (
     monomial_path_count,
     multiplicative,
     skew_group_table,
+    verify_multiplicative,
     word_product,
 )
 from skewgentle import (
@@ -43,7 +44,6 @@ from skewgentle import (
     verify_deformation_map,
     verify_dual_reduction,
     verify_morphism,
-    verify_multiplicative,
 )
 from skewgentle.diagnostics import NOT_IDEMPOTENT
 from skewgentle.algebra import BasisMap, SpanBasis, vadd, vaxpy, veq, vscale, vsub
@@ -728,10 +728,28 @@ def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(cylinders):
         _assert_matches_skew_group_oracle(B, act)
 
 
+def test_skew_group_algebra_matches_oracle_on_non_injective_maps():
+    # The crossing reads each column's preimages and assumes no bijection:
+    # k × k with both idempotents sent to the first, and random signed
+    # single-term maps on cover algebras that send two basis elements to
+    # one.
+    cases = [(_delta_algebra(["p", "q"]), BasisMap([{0: 1}, {0: 1}]))]
+    rng = random.Random(2208)
+    while len(cases) < 6:
+        cov = double_cover(surface_from_triple(random_triple(rng)))
+        A = graded_path_algebra(cov.total_quiver.presentation).algebra
+        n = A.dimension
+        images = [{rng.randrange(n): rng.choice((1, -1))} for _ in range(n)]
+        if len({k for img in images for k in img}) < n:
+            cases.append((A, BasisMap(images)))
+    for A, act in cases:
+        _assert_matches_skew_group_oracle(A, act)
+
+
 def test_skew_group_algebra_refuses_a_map_that_is_not_a_signed_permutation():
-    # Only a map whose every image is one term ±b_k is crossed: rational
-    # coefficients, a coefficient other than ±1, two terms and a zero image
-    # are refused.
+    # Only a map whose every image is one term ±b_k is crossed or guarded:
+    # rational coefficients, a coefficient other than ±1, two terms, a zero
+    # image, an image outside the basis and a missing image are refused.
     A = _delta_algebra(["p", "q"])
     half = Fraction(1, 2)
     for images in (
@@ -739,16 +757,20 @@ def test_skew_group_algebra_refuses_a_map_that_is_not_a_signed_permutation():
         [{1: ONE}, {0: 2 * ONE}],
         [{0: ONE, 1: ONE}, {1: ONE}],
         [{1: ONE}, {}],
+        [{2: ONE}, {0: ONE}],
+        [{1: ONE}],
     ):
-        with pytest.raises(ValidationError) as exc:
-            skew_group_algebra(A, BasisMap(images))
-        assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
+        for check in (skew_group_algebra, verify_algebra_involution):
+            with pytest.raises(ValidationError) as exc:
+                check(A, BasisMap(images))
+            assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
 
 
 def test_involution_verifier_checks_pairs_with_zero_source_product():
     # k ⊕ V with V = span(x, y) squaring to zero.  The map x -> 1 - x has
     # order two, fixes the unit and respects every product with a nonzero
     # source; it fails only on x*x and x*y, whose source products are zero.
+    # It is not a signed permutation, so the guard refuses it outright.
     def prod(a, b):
         if a == "1":
             return {b: ONE}
@@ -767,7 +789,21 @@ def test_involution_verifier_checks_pairs_with_zero_source_product():
         for j in range(3)
         if table[i][j]
     )
-    assert not verify_algebra_involution(A, act)
+    assert not multiplicative(A, A, act.images)
+    with pytest.raises(ValidationError) as exc:
+        verify_algebra_involution(A, act)
+    assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
+    # A signed permutation is checked on its nonzero cells: on k × k the map
+    # p, q -> p respects both of them and fails only on the zero products
+    # p*q and q*p, and it is refused since π(π(q)) ≠ q.
+    kk = _delta_algebra(["p", "q"])
+    collapse = BasisMap([{0: 1}, {0: 1}])
+    assert all(
+        veq(collapse.apply(cell), kk.mul(collapse.images[i], collapse.images[i]))
+        for i, cell in ((0, kk.table[0][0]), (1, kk.table[1][1]))
+    )
+    assert not multiplicative(kk, kk, collapse.images)
+    assert not verify_algebra_involution(kk, collapse)
 
 
 def test_corner_product_outside_the_corner_is_an_error():

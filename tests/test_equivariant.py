@@ -16,6 +16,7 @@ from oracles import (
     matrix_table,
     multiplicative,
     twist_compat,
+    verify_multiplicative,
 )
 from skewgentle import (
     SpanBasis,
@@ -33,11 +34,11 @@ from skewgentle import (
     triple_from_x_dissection,
     two_hole_torus_surface,
     validate,
+    verify_algebra_involution,
     verify_deformation_map,
     verify_dual_reduction,
     verify_iterated_skew_group,
     verify_morphism,
-    verify_multiplicative,
     verify_skew_group_reduction,
 )
 from skewgentle import equivariant
@@ -506,6 +507,106 @@ def test_generator_check_agrees_with_all_pairs_on_perturbed_actions(
     assert refused == {"two terms", "twice"}
     assert len(verdicts) == 3 and all(False in v for v in verdicts.values())
     assert verdicts["negated"] == {False}
+
+
+@pytest.fixture(scope="module")
+def symmetry_covers(agreement_covers):
+    """The agreement covers and the ladder's larger discs, 10 to 14."""
+    larger = [double_cover(one_orbifold_disc(n)) for n in (10, 12, 14)]
+    return agreement_covers + larger
+
+
+def _is_involution(A, images) -> bool:
+    """Order two, the unit fixed and all pairs multiplicative, by plain
+    loops over the images."""
+
+    def apply(x):
+        out = {}
+        for i, c in x.items():
+            for k, v in images[i].items():
+                out[k] = out.get(k, 0) + c * v
+        return {k: c for k, c in out.items() if c}
+
+    return (
+        all(apply(images[i]) == {i: 1} for i in range(A.dimension))
+        and apply(A.unit) == A.unit
+        and multiplicative(A, A, images)
+    )
+
+
+def test_involution_guard_agrees_with_all_pairs_oracle(symmetry_covers):
+    """The cellwise guard gives the oracle's verdict on the deck action and
+    the signed half-swap of every cover and on the signed maps near the
+    deck action, and refuses a map that is not a signed permutation."""
+    rng = random.Random(6135)
+    verdicts, refused = {}, set()
+    not_signed = {"two terms", "twice", "rational"}
+    for cov in symmetry_covers:
+        A, deck = _cover_algebra_and_deck(cov)
+        dual = verify_dual_reduction(cov)
+        cases = {
+            "deck": (A, deck),
+            "half-swap": (dual.split_algebra.algebra, dual.swap_action),
+        }
+        perturbed = _perturbed_actions(deck, rng)
+        rational = list(deck.images)
+        k = rng.randrange(len(rational))
+        rational[k] = {m: Fraction(c, 2) for m, c in rational[k].items()}
+        perturbed["rational"] = BasisMap(rational)
+        cases.update((name, (A, act)) for name, act in perturbed.items())
+        for name, (B, act) in cases.items():
+            if name in not_signed:
+                with pytest.raises(ValidationError) as exc:
+                    verify_algebra_involution(B, act)
+                assert [d.code for d in exc.value.diagnostics] == [BAD_INPUT]
+                refused.add(name)
+            else:
+                verdict = verify_algebra_involution(B, act)
+                assert verdict == _is_involution(B, act.images), name
+                verdicts.setdefault(name, set()).add(verdict)
+    assert refused == not_signed
+    assert verdicts["deck"] == verdicts["half-swap"] == {True}
+    assert verdicts["negated"] == {False}
+    assert False in verdicts["signed permutation"] and False in verdicts["swapped"]
+
+
+def _reduced_relabelling(alg, generator_map, signs):
+    """The images of the relabelling, each label rewritten through
+    ``reduce``, and how many relabelled paths are not basis paths."""
+    images, misses = [], 0
+    for src, arrows in alg.algebra.labels:
+        mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
+        misses += mapped not in alg.algebra.index_of
+        image = alg.reduce(mapped)
+        for a in arrows:
+            image = {k: c * signs.get(a, 1) for k, c in image.items()}
+        images.append(image)
+    return images, misses
+
+
+def test_induced_map_is_the_reduced_relabelling(symmetry_covers):
+    """On the deck action (monomial relations) and the signed half-swap
+    (two-term relations) ``induced_basis_map`` equals ``reduce`` of every
+    relabelled path; on the split side some of those are not basis paths."""
+    misses = {"deck": 0, "half-swap": 0}
+    for cov in symmetry_covers:
+        lam = graded_path_algebra(cov.total_quiver.presentation)
+        images, missed = _reduced_relabelling(lam, cov.deck_generators, {})
+        assert equivariant.induced_basis_map(lam, cov.deck_generators).images == images
+        misses["deck"] += missed
+        dual = verify_dual_reduction(cov)
+        split = dual.split_algebra
+        # the sign of each arrow is the coefficient of its one-term image
+        signs = {
+            word[0]: c
+            for (_, word), img in zip(split.algebra.labels, dual.swap_action.images)
+            if len(word) == 1
+            for c in img.values()
+        }
+        images, missed = _reduced_relabelling(split, cov.split.swap, signs)
+        assert dual.swap_action.images == images
+        misses["half-swap"] += missed
+    assert misses["deck"] == 0 and misses["half-swap"] > 0
 
 
 class Builds(NamedTuple):
