@@ -18,11 +18,9 @@ nonzero products, each cell the pair ``(k, c)`` for ``c·b_k``.  A dense
 each read of :attr:`TableAlgebra.table` and never kept.
 
 The checks walk the sparse rows instead of calling
-:meth:`TableAlgebra.mul` for each cell: the rows of ``f(x)·f(b_j)`` in
-the row comparison behind the iterated crossed-product check, and the
-products of the vertex images in :func:`verify_morphism` come from one
-helper, and the products ``x·b_j`` of one left factor, as in
-:func:`corner_algebra`, from another.  A symmetry is read as the signed
+:meth:`TableAlgebra.mul` for each cell: the products of the vertex images
+in :func:`verify_morphism` come from one helper, and the products
+``x·b_j`` of one left factor, as in :func:`corner_algebra`, from another.  A symmetry is read as the signed
 permutation ``(π, σ)`` it is, each image one term ``σ_j·b_{π(j)}``, and
 any other map is refused.  :func:`verify_algebra_involution` checks it
 cell by cell: each stored cell ``(i, j) → (k, c)`` against the cell at
@@ -628,37 +626,6 @@ def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Coeff]]]:
         for k, c in img.items():
             out[k].append((j, c))
     return out
-
-
-def _rows_multiplicative(
-    B: TableAlgebra, f: BasisMap, rows: Iterable[tuple[Vector, Mapping[int, Cell]]]
-) -> bool:
-    """Check ``f(x * b_j) == f(x) * f(b_j)`` for every basis index ``j`` of
-    the domain and every left factor ``x`` given as a pair ``(f(x), row)``,
-    where ``row`` maps each ``j`` with ``x * b_j`` nonzero to the cell of
-    that product and ``f`` maps the domain linearly into ``B``.
-
-    The right side of one row is built at once from the cells of ``B``
-    in the rows of ``f(x)`` and the preimages under ``f`` of their
-    columns.  It is compared with ``f`` of the cells of ``row``; a nonzero
-    product left over sits where ``row`` has no cell, and fails the check.
-    Every other ``j`` has zero on both sides.  A cell ``(k, c)`` maps to
-    ``c·f(b_k)``, read from the images, which are cleared of zero
-    coefficients once.
-    """
-    preimages = _preimages(f, B.dimension)
-    images = [{k: c for k, c in img.items() if c} for img in f.images]
-    for fx, row in rows:
-        products = _products_row(B, fx, preimages)
-        for j, (k, c) in row.items():
-            left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
-            # both sides are free of zero coefficients, so ``!=`` compares
-            # them as vectors
-            if left != products.pop(j, {}):
-                return False
-        if any(products.values()):
-            return False
-    return True
 
 
 def _signed_permutation(act: BasisMap, n: int) -> tuple[list[int], list[Coeff]]:

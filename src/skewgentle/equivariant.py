@@ -13,9 +13,9 @@ the base is recovered inside the crossed product:
   isomorphically onto a corner of that crossed product, matching the deck
   action with the grading signs;
 * :func:`verify_iterated_skew_group` compares the twice-crossed product
-  ``(A#ℤ₂)#ℤ̂₂`` with ``M₂(A)``, built from the product table of ``A``
-  alone (Cohen--Montgomery duality).  The action enters only through the
-  comparison map, which must be a unital bijective homomorphism, so a
+  ``(A#ℤ₂)#ℤ̂₂`` with ``M₂(A)``, whose products come from the table of
+  ``A`` alone (Cohen--Montgomery duality).  The action enters only through
+  the comparison map, which must be a unital bijective homomorphism, so a
   symmetry that does not respect products fails the check.
 
 Both reductions are one construction read in two directions
@@ -35,17 +35,17 @@ the :class:`~skewgentle.algebra.TableAlgebra`.  A reduction followed by
 :func:`verify_iterated_skew_group` on its cover algebra and deck action
 checks the involution once and crosses with it once.
 
-The iterated check does not build the 4n-dimensional twice-crossed
-product.  It checks the comparison map Φ for multiplicativity only with a
-left factor in ``S``: every ``(b_i⊗0)⊗0``, plus ``(1⊗1)⊗0`` and
-``(1⊗0)⊗1``, whose rows it reads from the rows of ``A#ℤ₂``.  This is
-enough.  ``S`` generates, since
-``(b⊗g)⊗j = ((b⊗0)⊗0)·((1⊗g)⊗0)·((1⊗0)⊗j)``.  Once the involution guard
-has passed, both crossed products and ``M₂(A)`` are associative, so the
-check carries from ``S`` to every product of its elements.  With the
-guard bypassed, the rows at ``(b_i⊗0)⊗0`` test
-``s(b_i·b_q) = s(b_i)·s(b_q)`` and the row at ``(1⊗1)⊗0`` tests
-``s² = id``, so a broken symmetry still fails.
+The iterated check builds neither the 4n-dimensional twice-crossed
+product, nor ``M₂(A)``, nor the comparison map Φ.  It checks Φ for
+multiplicativity on the left factors ``(b_i⊗0)⊗0``, ``(1⊗1)⊗0`` and
+``(1⊗0)⊗1``, which generate, against the degree-zero half of the basis.
+Every table is monomial and the symmetry is a signed permutation, so by
+the block rule ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy`` each side of each
+comparison is a pair of single cells: ``Φ(x·y)`` read from the rows of
+``A#ℤ₂``, ``Φ(x)·Φ(y)`` from the rows of ``A``.  The blocks test
+``s(b_i·b_q) = s(b_i)·s(b_q)``, ``s²(b_q) = s(1)·b_q`` and
+``s(b_q) = s(1)·s(b_q)``, so a broken symmetry fails also with the guard
+bypassed (see :func:`verify_iterated_skew_group`).
 
 All arithmetic is exact, and both comparisons run in ``int``.  The split
 idempotents ``(e ± s·e)/2`` carry halves, so each reduction builds its
@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     BasisMap,
@@ -80,11 +80,10 @@ from .algebra import (
     CornerAlgebra,
     MorphismVerdict,
     PathAlgebra,
-    SpanBasis,
     TableAlgebra,
     Vector,
     _left_products,
-    _rows_multiplicative,
+    _signed_permutation,
     corner_algebra,
     graded_path_algebra,
     skew_group_algebra,
@@ -479,17 +478,19 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
 
 @dataclass(frozen=True)
 class IteratedSkewGroup:
-    """Outcome of comparing the twice-crossed product ``double`` with
-    ``endo = M₂(A)`` through the Cohen--Montgomery map ``comparison``.
+    """Outcome of comparing the twice-crossed product ``double`` of
+    ``algebra`` by ``action`` with ``endo = M₂(A)`` through the
+    Cohen--Montgomery map ``comparison``.
 
-    The verdict is reached on the rows of ``once = A#ℤ₂`` alone (see
-    :func:`verify_iterated_skew_group`); ``double``, the 4n-dimensional
-    ``(A#ℤ₂)#ℤ̂₂``, is crossed from ``once`` with the grading signs on its
-    first read and kept."""
+    The verdict is reached cell by cell on the rows of ``A`` and of
+    ``once = A#ℤ₂`` (see :func:`verify_iterated_skew_group`).  ``double``,
+    the 4n-dimensional ``(A#ℤ₂)#ℤ̂₂``, is crossed from ``once`` with the
+    grading signs, and ``endo`` and ``comparison`` are built from ``A``
+    and ``action``, each on its first read and then kept."""
 
+    algebra: TableAlgebra
+    action: BasisMap
     once: TableAlgebra
-    endo: TableAlgebra
-    comparison: BasisMap
     homomorphism: bool
     unit_ok: bool
     rank: int
@@ -498,6 +499,29 @@ class IteratedSkewGroup:
     @cached_property
     def double(self) -> TableAlgebra:
         return skew_group_algebra(self.once, grading_sign_map(self.once))
+
+    @cached_property
+    def endo(self) -> TableAlgebra:
+        return _matrix_algebra(self.algebra)
+
+    @cached_property
+    def comparison(self) -> BasisMap:
+        """Φ, sending ``(b_p⊗g)⊗j`` (index ``2n·j + n·g + p`` of
+        ``double``) to ``Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(b_p)``, with
+        ``E_rc ⊗ b_q`` at index ``2n·r + 2q + c`` of ``endo``."""
+        n, images = self.algebra.dimension, self.action.images
+        out: list[Vector] = []
+        for j in (0, 1):
+            for g in (0, 1):
+                for p in range(n):
+                    img: Vector = {}
+                    for c in (0, 1):
+                        r = (g + c) % 2
+                        sign = -1 if (j and c) else 1
+                        for q, v in (images[p] if r else {p: 1}).items():
+                            img[2 * n * r + 2 * q + c] = sign * v
+                    out.append(img)
+        return BasisMap(out)
 
     @property
     def ok(self) -> bool:
@@ -530,117 +554,139 @@ def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
     return TableAlgebra(labels, rows, unit)
 
 
-def _generator_rows(once: TableAlgebra) -> Iterator[tuple[Vector, dict[int, Cell]]]:
-    """The generators ``(b_i⊗0)⊗0``, ``(1⊗1)⊗0`` and ``(1⊗0)⊗1`` of
-    ``(A#ℤ₂)#ℤ̂₂``, each with its row there, read from the rows of
-    ``once = A#ℤ₂`` without building the twice-crossed product.
-
-    The index of ``(x⊗g)⊗j`` is ``2n·j + n·g + index(x)``, and
-    ``(y⊗0)·(z⊗k) = y·z ⊗ k`` while ``(y⊗1)·(z⊗k) = y·t(z) ⊗ (1+k)``
-    with ``t`` the grading signs of ``once``.  Every product in these
-    rows is one term, since ``1`` is the unit of ``A``: ``(1⊗0)·z = z``
-    and ``(1⊗1)·(b⊗h) = s(b)⊗(1+h)``."""
-    m = once.dimension
-    n = m // 2
-
-    def both_blocks(cells: dict[int, Cell]) -> dict[int, Cell]:
-        row = dict(cells)
-        for k, (q, c) in cells.items():
-            row[m + k] = (m + q, c)
-        return row
-
-    def left_row(x: Vector) -> dict[int, Cell]:
-        row = {}
-        for k, prod in _left_products(once, x).items():
-            ((q, c),) = prod.items()
-            row[k] = (q, c)
-        return row
-
-    # (b_i⊗0)⊗0: row i of A#ℤ₂, in both blocks
-    for i in range(n):
-        yield {i: 1}, both_blocks(once.rows[i])
-    unit = once.unit
-    # (1⊗1)⊗0: Σ_v u_v·(row n+v of A#ℤ₂), in both blocks
-    twist = {n + v: u for v, u in unit.items()}
-    yield twist, both_blocks(left_row(twist))
-    # (1⊗0)⊗1: the unit's row with the grading signs, in the other block
-    signed: dict[int, Cell] = {}
-    for k, (q, c) in left_row(unit).items():
-        if k >= n:
-            c = -c
-        signed[k], signed[m + k] = (m + q, c), (q, c)
-    yield {m + v: u for v, u in unit.items()}, signed
+def _blocks_multiplicative(
+    A: TableAlgebra,
+    once: TableAlgebra,
+    pi: list[int],
+    sigma: list[Coeff],
+    s_unit: Vector,
+) -> bool:
+    """``Φ(x·y) = Φ(x)·Φ(y)`` for every left factor ``x`` in ``S`` and
+    every ``y = (b_q⊗g)⊗0``, block by block: ``Φ(x·y)`` from the cells of
+    ``once``, ``Φ(x)·Φ(y)`` from the rows of ``A``, for
+    ``s(b_p) = σ_p·b_π(p)`` and ``s(1)`` given as ``s_unit``.  See
+    :func:`verify_iterated_skew_group` for what each block tests."""
+    n, rows = A.dimension, A.rows
+    # reach[m] = |π⁻¹(columns of row m)|: how many b_q have s(b_q) with a
+    # nonzero product on the left by b_m
+    preimage_count = [0] * n
+    for p in pi:
+        preimage_count[p] += 1
+    reach = [sum(preimage_count[m] for m in row) for row in rows]
+    # (b_i⊗0)⊗0 against (b_q⊗g)⊗0: row i of ``once`` at column n·g + q
+    # holds (n·g + k, c) for b_i·b_q = c·b_k; the E_g0/E_(1-g)1 pair of
+    # blocks then holds b_i·b_q = c·b_k and σ_iσ_q·b_π(i)·b_π(q) = c·σ_k·b_π(k)
+    for i, cells in enumerate(once.rows[:n]):
+        row, image, si = rows[i], rows[pi[i]], sigma[i]
+        # a product nonzero on the right alone would leave fewer cells on
+        # the left than the columns of row i or the preimages of row π(i)
+        if len(cells) != 2 * len(row) or len(row) != reach[pi[i]]:
+            return False
+        for col, (cell_k, c) in cells.items():
+            g, q = divmod(col, n)
+            h, k = divmod(cell_k, n)
+            if (
+                h != g
+                or row.get(q) != (k, c)
+                or image.get(pi[q]) != (pi[k], c * si * sigma[q] * sigma[k])
+            ):
+                return False
+    # (1⊗1)⊗0 and (1⊗0)⊗1 against every column, the zero products too:
+    # (1⊗1)·(b_q⊗g) = s(b_q)⊗(1+g) and (1⊗0)·(b_q⊗g) = b_q⊗g in ``once``
+    twisted = _left_products(once, {n + v: u for v, u in once.unit.items()})
+    plain = _left_products(once, once.unit)
+    s_unit_row = _left_products(A, s_unit)
+    for q in range(n):
+        p, sq = pi[q], sigma[q]
+        # s²(b_q) = s(1)·b_q and s(b_q) = s(1)·s(b_q)
+        if s_unit_row.get(q) != {pi[p]: sq * sigma[p]} or s_unit_row.get(p) != {p: 1}:
+            return False
+        for g in (0, 1):
+            col = n * g + q
+            if twisted.get(col) != {n * (1 - g) + p: sq} or plain.get(col) != {col: 1}:
+                return False
+    return True
 
 
 def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:
     """Cross ``A`` with its order-two symmetry ``s``, cross again with the
     grading signs, and compare with ``M₂(A)`` (Cohen--Montgomery duality).
 
-    ``M₂(A)`` is built from the product table of ``A`` alone; ``s`` enters
-    only through the comparison map
-    ``(x ⊗ g) ⊗ j  ↦  Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)``, which is
+    ``s`` enters only through the comparison map
+    ``Φ: (x ⊗ g) ⊗ j  ↦  Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)``, which is
     checked to be a unital bijective homomorphism.  For a linear ``s`` of
     order two it is a homomorphism exactly when ``s`` is multiplicative.
+    The check builds neither ``M₂(A)``, nor Φ, nor the twice-crossed
+    product: every table is monomial and ``s`` is the signed permutation
+    ``s(b_p) = σ_p·b_π(p)``, so each side of each comparison is a pair of
+    single cells, read from the rows of ``A`` through the block rule
+    ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy``, and from the rows of
+    ``once = A#ℤ₂``, kept on ``A`` (a reduction on the same pair has built
+    it already).  :attr:`IteratedSkewGroup.double`, ``.endo`` and
+    ``.comparison`` are built on demand.
 
     Φ is checked to be multiplicative on the left factors
-    ``S = {(b_i⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}`` against every basis element,
-    which is enough:
+    ``S = {(b_i⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}``, which is enough:
 
     * ``S`` generates, since ``(b⊗g)⊗j = ((b⊗0)⊗0)·((1⊗g)⊗0)·((1⊗0)⊗j)``;
     * once the involution guard has passed, ``s`` is an automorphism of
       order two, both crossed products and ``M₂(A)`` are associative, and
       ``Φ(xy·z) = Φ(x)·Φ(y·z) = Φ(x)Φ(y)·Φ(z)`` carries the check from
-      ``S`` to every product of its elements and so to all of the algebra;
-    * with the guard bypassed the rows still test ``s`` itself: the row at
-      ``(b_i⊗0)⊗0`` holds ``s(b_i·b_q) = s(b_i)·s(b_q)`` for every ``q``,
-      and the row at ``(1⊗1)⊗0`` holds ``s²(b_q) = s(1)·b_q``, so with a
-      unital ``s`` this is ``s² = id``.
+      ``S`` to every product of its elements and so to all of the algebra.
 
-    The rows of ``S`` are read from the rows of ``A#ℤ₂``, kept on ``A``
-    (a reduction on the same pair has built it already), so the
-    4n-dimensional product is not built;
-    :attr:`IteratedSkewGroup.double` builds it on demand.
+    The right factors are only the degree-zero half ``y = (b_q⊗g)⊗0``,
+    since the outer degree-one columns carry the same sign on both sides.
+    Right multiplication by ``D = E_00⊗1 - E_11⊗1`` scales the
+    column-``c`` block by ``(-1)^c``, and by the definition of Φ,
+    ``Φ(w⊗(j+1)) = Φ(w⊗j)·D`` for every ``w`` in ``A#ℤ₂``.  By the
+    product rule of the second crossing, ``x·(z⊗1)`` is ``x·(z⊗0)`` with
+    its outer degree raised by one, so ``Φ(x·(z⊗1)) = Φ(x·(z⊗0))·D`` and
+    ``Φ(x)·Φ(z⊗1) = Φ(x)·Φ(z⊗0)·D``: on both sides the column of outer
+    degree ``k`` is the degree-zero column with its block ``c`` scaled by
+    ``(-1)^(kc)``, and ``D`` is invertible, so the degree-one comparison
+    holds exactly when the degree-zero one does.
 
-    The rank of Φ is read off ``s``.  Φ sends ``(b_p⊗g)⊗j`` to ``u ± v``
+    Per left factor, against ``y = (b_q⊗g)⊗0``, the blocks test:
+
+    * ``(b_i⊗0)⊗0``, with ``Φ = E_00⊗b_i + E_11⊗s(b_i)``: its ``E_0·``
+      block tests ``b_i·b_q`` against row ``i`` of ``A``, and its ``E_1·``
+      block ``s(b_i·b_q) = σ_iσ_q·b_π(i)·b_π(q)`` against row ``π(i)``;
+    * ``(1⊗1)⊗0``, with ``Φ = E_10⊗s(1) + E_01⊗1``: the product in
+      ``once`` must be ``s(b_q)⊗(1+g)``, and then the other block tests
+      ``s²(b_q) = s(1)·b_q``, so with a unital ``s`` this is ``s² = id``;
+    * ``(1⊗0)⊗1``, with ``Φ = E_00⊗1 - E_11⊗s(1)``: the product in
+      ``once`` must be ``b_q⊗g``, and then the ``E_1·`` block tests
+      ``s(b_q) = s(1)·s(b_q)``.
+
+    With the guard bypassed these still test ``s`` itself: the first kind
+    is ``s(b_i·b_q) = s(b_i)·s(b_q)`` for every pair.  A product present
+    on one side only fails.  For ``(b_i⊗0)⊗0`` the nonzero columns on the
+    right are the ``q`` with ``b_i·b_q ≠ 0`` or ``b_π(i)·b_π(q) ≠ 0``; a
+    matched left cell lies in both sets, so the left cells cover them
+    exactly when row ``i`` of ``once`` holds twice as many cells as row
+    ``i`` of ``A``, which holds as many as the preimages under ``π`` of
+    the columns of row ``π(i)``.  The unit factors are nonzero on the
+    right at every column and are compared there.
+
+    The unit check ``Φ(1) = E_00⊗1 + E_11⊗s(1) = 1`` is ``s(1) = 1``.  The
+    rank of Φ is read off ``π``.  Φ sends ``(b_p⊗g)⊗j`` to ``u ± v``
     (``+`` for ``j = 0``) with ``u = E_g0 ⊗ s^g(b_p)`` and
     ``v = E_(g+1)1 ⊗ s^(g+1)(b_p)``, the exponent and the row index both
     taken mod 2.  The two signs give ``u`` and ``v`` apart, so the image
     is ``E00⊗A ⊕ E10⊗s(A) ⊕ E11⊗s(A) ⊕ E01⊗A``, of rank
-    ``2n + 2·rank(s)``, computed over the ``n`` images of ``s``.
+    ``2n + 2·rank(s)``, and the rank of a signed permutation is the size
+    ``|π({0..n−1})|`` of its image.
     """
     once = _crossed_product(A, act)
-    endo = _matrix_algebra(A)
-
-    images: list[Vector] = []
-    for j in (0, 1):
-        for lab, g in once.labels:
-            p = A.index_of[lab]
-            img: Vector = {}
-            for c in (0, 1):
-                r = (g + c) % 2
-                sign = -1 if (j and c) else 1
-                for q, v in (act.images[p] if r else {p: 1}).items():
-                    img[endo.index_of[(r, A.labels[q], c)]] = sign * v
-            images.append(img)
-    comparison = BasisMap(images)
-
-    homomorphism = _rows_multiplicative(
-        endo, comparison,
-        ((comparison.apply(x), row) for x, row in _generator_rows(once)),
-    )
-    unit_ok = veq(comparison.apply(once.unit), endo.unit)
-    span = SpanBasis()
-    for img in act.images:
-        span.add(img)
-    rank = 2 * A.dimension + 2 * span.rank
-    bijective = rank == 2 * once.dimension == endo.dimension
-
+    pi, sigma = _signed_permutation(act, A.dimension)
+    s_unit = act.apply(A.unit)
+    rank = 2 * A.dimension + 2 * len(set(pi))
     return IteratedSkewGroup(
+        algebra=A,
+        action=act,
         once=once,
-        endo=endo,
-        comparison=comparison,
-        homomorphism=homomorphism,
-        unit_ok=unit_ok,
+        homomorphism=_blocks_multiplicative(A, once, pi, sigma, s_unit),
+        unit_ok=veq(s_unit, A.unit),
         rank=rank,
-        bijective=bijective,
+        bijective=rank == 2 * once.dimension,
     )

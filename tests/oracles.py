@@ -8,9 +8,11 @@ search and the reversal of a curve check the paper's bijection and the sign
 of a winding, and tracing the faces of a dual arc system checks the
 crossing count of ``is_dual_dissection``; the two builders at the end make
 small algebras and maps from labels for hand-made test cases.  The one
-exception is :func:`verify_multiplicative`, the library's own row
-comparison run on every row of a table: it is what the tests hold against
-the all-pairs loop :func:`multiplicative`.
+exception is :func:`verify_multiplicative`, a row comparison over the
+library's sparse-row helpers run on every row of a table: the tests hold
+it against the all-pairs loop :func:`multiplicative`, and the iterated
+crossed-product check, which compares single cells block by block,
+against both.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from skewgentle import BasisMap, CombinatorialCurve, Passage, TableAlgebra
-from skewgentle.algebra import _rows_multiplicative
+from skewgentle.algebra import _preimages, _products_row
 from skewgentle.surface import chord_bseg_side
 
 
@@ -731,6 +733,26 @@ def basis_map_from_permutation(algebra, label_map, signs=None):
 def verify_multiplicative(A, B, f) -> bool:
     """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
     elements of ``A``, where the :class:`~skewgentle.BasisMap` ``f`` maps
-    ``A`` linearly into ``B``: the library's row comparison on every row
-    of ``A``, so a check of all pairs."""
-    return _rows_multiplicative(B, f, zip(f.images, A.rows))
+    ``A`` linearly into ``B``, a row of ``A`` at a time.
+
+    The right side of row ``i`` is built at once from the cells of ``B``
+    in the rows of ``f(b_i)`` and the preimages under ``f`` of their
+    columns.  It is compared with ``f`` of the cells of row ``i``; a
+    nonzero product left over sits where the row has no cell, and fails
+    the check.  Every other ``j`` has zero on both sides.  A cell
+    ``(k, c)`` maps to ``c·f(b_k)``, read from the images, which are
+    cleared of zero coefficients once.
+    """
+    preimages = _preimages(f, B.dimension)
+    images = [{k: c for k, c in img.items() if c} for img in f.images]
+    for fx, row in zip(f.images, A.rows):
+        products = _products_row(B, fx, preimages)
+        for j, (k, c) in row.items():
+            left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
+            # both sides are free of zero coefficients, so ``!=`` compares
+            # them as vectors
+            if left != products.pop(j, {}):
+                return False
+        if any(products.values()):
+            return False
+    return True

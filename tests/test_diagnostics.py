@@ -149,6 +149,58 @@ def test_library_reads_no_environment_variable():
     assert found == []
 
 
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions and classes of ``sources`` (a
+    module name to its source) that no code there names outside their own
+    definition, as ``module:name``.  An import does not count as a use."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [f"{module}:{name}" for module, name in defined if name not in used]
+
+
+def test_library_has_no_private_helper_that_only_the_tests_use():
+    """Every private module-level function or class is named in the
+    library outside its own definition: a helper that only the tests call
+    belongs in the tests."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    assert len(sources) >= 10
+    assert _unreferenced_private(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        {"a.py": "def _helper():\n    return 1\n"},
+        {"a.py": "def _walk(x):\n    return [_walk(y) for y in x]\n"},
+        {"a.py": "class _Node:\n    pass\n"},
+        {"a.py": "def _helper(): ...\n", "b.py": "from .a import _helper\n"},
+    ],
+)
+def test_the_private_name_scan_sees_an_unused_helper(sources):
+    assert _unreferenced_private(sources)
+
+
+def test_the_private_name_scan_lets_a_used_helper_be():
+    sources = {
+        "a.py": "def _helper(): ...\nclass _Node: ...\ndef f():\n    return _Node()\n",
+        "b.py": "from . import a\ndef g():\n    return a._helper()\n",
+    }
+    assert _unreferenced_private(sources) == []
+
+
 @pytest.mark.parametrize(
     "source", ["assert x", "if __debug__:\n    pass", "import sys\nn = sys.flags.optimize"]
 )

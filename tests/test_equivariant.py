@@ -297,6 +297,77 @@ def test_iterated_rank_is_the_span_of_the_comparison_images_when_s_is_singular(m
     assert not rr.bijective and not rr.ok
 
 
+def test_iterated_check_catches_a_unital_automorphism_of_order_three(monkeypatch):
+    """On k × k × k the 3-cycle p → q → r → p fixes the unit and respects
+    every product, but it is not of order two.  With the guard bypassed
+    only the block of (1⊗1)⊗0, which tests s²(b_q) = s(1)·b_q, catches it;
+    the verdict is the one of the all-pairs checks on the built
+    twice-crossed product."""
+    labels = ["p", "q", "r"]
+    A = algebra_from_products(
+        labels, lambda a, b: {a: ONE} if a == b else {}, dict.fromkeys(labels, ONE)
+    )
+    cycle = basis_map_from_permutation(A, {"p": "q", "q": "r", "r": "p"})
+    assert multiplicative(A, A, cycle.images)
+    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    rr = verify_iterated_skew_group(A, cycle)
+    assert (rr.homomorphism, rr.unit_ok, rr.rank, rr.bijective) == (False, True, 12, True)
+    assert not _assert_generator_check_agrees(A, cycle)
+
+
+def test_a_product_nonzero_on_the_right_alone_fails(monkeypatch):
+    """On the unital table with ``y·x = y·y = y`` and ``x·x = x·y = 0``
+    the map sending every basis element to ``y`` passes every cell that
+    the left side holds and both unit factors; only the count of the
+    right side's nonzero cells sees that ``b_x·b_x = 0`` while
+    ``s(b_x)·s(b_x) = y``.  The table is not associative, so the guard
+    is bypassed."""
+    products = {("y", "x"): "y", ("y", "y"): "y"}
+
+    def product(a, b):
+        if a == "1" or b == "1":
+            return {b if a == "1" else a: ONE}
+        return {products[a, b]: ONE} if (a, b) in products else {}
+
+    A = algebra_from_products(["1", "x", "y"], product, {"1": ONE})
+    to_y = basis_map_from_permutation(A, dict.fromkeys(A.labels, "y"))
+    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    assert not _assert_generator_check_agrees(A, to_y)
+
+
+def test_the_verdict_builds_neither_the_matrix_algebra_nor_the_comparison(
+    monkeypatch, cylinders
+):
+    """``endo`` and ``comparison`` are built on their first read and kept;
+    Φ is built without ``M₂(A)``."""
+    A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
+    calls = {"endo": 0, "comparison": 0}
+    matrix_algebra, basis_map = equivariant._matrix_algebra, equivariant.BasisMap
+
+    def counted_matrix_algebra(B):
+        calls["endo"] += 1
+        return matrix_algebra(B)
+
+    def counted_basis_map(images):
+        calls["comparison"] += 1
+        return basis_map(images)
+
+    monkeypatch.setattr(equivariant, "_matrix_algebra", counted_matrix_algebra)
+    monkeypatch.setattr(equivariant, "BasisMap", counted_basis_map)
+    rr = verify_iterated_skew_group(A, deck)
+    assert rr.ok
+    assert calls == {"endo": 0, "comparison": 0}
+    comparison = rr.comparison
+    assert calls == {"endo": 0, "comparison": 1}
+    assert rr.comparison is comparison
+    assert calls == {"endo": 0, "comparison": 1}
+    endo = rr.endo
+    assert calls == {"endo": 1, "comparison": 1}
+    assert rr.endo is endo
+    assert calls == {"endo": 1, "comparison": 1}
+    assert endo == matrix_algebra(A) and endo.dimension == len(comparison.images)
+
+
 def _assert_iterated_matches_oracle(A, act):
     """The target is ``M₂(A)`` cell by cell, and the comparison map is the
     Cohen--Montgomery map image by image."""
@@ -813,9 +884,9 @@ def test_scaled_verdicts_match_public_images_on_random_covers(random_builds):
 def test_rows_hold_only_nonzero_cells_and_the_dense_view_counts_them(ladder_builds):
     built, runs = ladder_builds.built, ladder_builds.runs
     # per cover: path algebra, crossed product and corner in each
-    # reduction, and M₂(A); the iterated check reuses the crossed product
-    # of the reduction and builds no twice-crossed product
-    assert len(built) == 7 * len(runs)
+    # reduction; the iterated check reuses the crossed product of the
+    # reduction and builds neither M₂(A) nor the twice-crossed product
+    assert len(built) == 6 * len(runs)
     for A in built:
         n = A.dimension
         assert len(A.rows) == n
@@ -853,7 +924,7 @@ def test_every_table_cell_is_one_signed_basis_element(ladder_builds, cylinders, 
     random_covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(50)]
     builds = [ladder_builds, _build_all(random_covers)]
     built = [A for b in builds for A in b.built]
-    built += [rr.double for b in builds for _, _, rr in b.runs]
+    built += [m for b in builds for _, _, rr in b.runs for m in (rr.endo, rr.double)]
     deformed = []
     post_init = TableAlgebra.__post_init__
 
