@@ -11,7 +11,7 @@ Elements are sparse vectors over an explicit basis, and linear algebra is
 done by exact Gaussian elimination.  Every algebra the package builds is
 monomial on its basis: each product of two basis elements is 0 or ``c``
 times one basis element (the path basis of a gentle, skew-gentle or split
-algebra, and what a signed permutation, a corner or ``M₂`` makes of it).
+algebra, and what a signed permutation or a corner makes of it).
 So a multiplication table is stored as sparse rows that hold only the
 nonzero products, each cell the pair ``(k, c)`` for ``c·b_k``.  A dense
 ``n×n`` view of the table, for readers by position, is built afresh on
@@ -20,14 +20,15 @@ each read of :attr:`TableAlgebra.table` and never kept.
 The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the products of the vertex images
 in :func:`verify_morphism` come from one helper, and the products
-``x·b_j`` of one left factor, as in :func:`corner_algebra`, from another.  A symmetry is read as the signed
-permutation ``(π, σ)`` it is, each image one term ``σ_j·b_{π(j)}``, and
-any other map is refused.  :func:`verify_algebra_involution` checks it
-cell by cell: each stored cell ``(i, j) → (k, c)`` against the cell at
-``(π(i), π(j))``, with no vectors and no pass over the zero products.
-:func:`skew_group_algebra` permutes the cells of each row, shares the
-``+`` ones and negates the ``-`` ones, so the crossed product is monomial
-again.
+``x·b_j`` of one left factor, as in :func:`corner_algebra`, from another.
+A symmetry is a :class:`SignedPermutation` ``(π, σ)``, each image one term
+``σ_j·b_{π(j)}`` with ``π`` a bijection.  Its constructor is the one place
+that checks this shape, so the readers check only its size.
+:func:`verify_algebra_involution` checks it cell by cell: each stored cell
+``(i, j) → (k, c)`` against the cell at ``(π(i), π(j))``, with no vectors
+and no pass over the zero products.  :func:`skew_group_algebra` permutes
+the cells of each row through ``π⁻¹``, shares the ``+`` ones and negates
+the ``-`` ones, so the crossed product is monomial again.
 :class:`SpanBasis` keeps its rows in reduced echelon form with an index
 from each column to the rows that hold it, so a vector is reduced in one
 pass over its pivot columns and a new pivot is cleared only from the rows
@@ -240,14 +241,13 @@ class TableAlgebra:
     Rows are not mutated after construction, and builders share cells
     between positions and between algebras.  ``_crossed`` keeps the
     crossed products of this algebra that :mod:`skewgentle.equivariant`
-    has built, keyed by the ``id`` of the action, each entry holding that
-    action.
+    has built, keyed by the action.
     """
 
     labels: tuple[Any, ...]
     rows: list[dict[int, Cell]]
     unit: Vector
-    _crossed: dict[int, tuple[BasisMap, TableAlgebra]] = field(
+    _crossed: dict[SignedPermutation, TableAlgebra] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -302,7 +302,8 @@ def _products_row(
 ) -> dict[int, Vector]:
     """``x * f(b_j)`` in ``B`` for every ``j`` that some stored cell
     reaches, keyed by ``j``, where ``preimages`` lists the pairs of
-    :func:`_preimages` of ``f``.  Products that cancel are left empty."""
+    :func:`_preimages` of the images ``f(b_j)``.  Products that cancel
+    are left empty."""
     out: dict[int, Vector] = {}
     for p, cp in x.items():
         for m, (k, c) in B.rows[p].items():
@@ -551,6 +552,7 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     is the table of A restricted to them.  Raises ``NOT_IDEMPOTENT`` when e
     squares wrong, ``BAD_INPUT`` when some ``e*b*e`` is neither ``b`` nor
     0, and ``NOT_CLOSED`` when a product of kept elements leaves them.
+    An index of ``e`` outside the basis raises ``BAD_INPUT``.
 
     The table is read row by row: ``e*b_m`` once for every ``m``, from the
     cells of the rows of ``e``; each ``b_i*e`` from the cells of row ``i``
@@ -558,6 +560,12 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
     keys; and ``e*b_i*e`` as the sum of the ``e*b_m`` over ``b_i*e``.  The
     kept cells are renumbered in one pass.
     """
+    for k in e:
+        if not (isinstance(k, int) and 0 <= k < A.dimension):
+            raise error(
+                BAD_INPUT,
+                f"idempotent index {k!r} is outside the basis of {A.dimension} elements",
+            )
     left = _left_products(A, e)  # m -> e*b_m, where nonzero
 
     def times_e(x: Vector) -> Vector:  # e*x
@@ -606,58 +614,69 @@ def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
 # Algebra automorphisms and skew group algebras
 
 
-@dataclass
-class BasisMap:
-    """A linear map given by its images on the basis."""
+@dataclass(frozen=True)
+class SignedPermutation:
+    """The symmetry ``b_j ↦ σ_j·b_{π(j)}`` of a basis of ``n = len(pi)``
+    elements.  The constructor is the one place its shape is checked: it
+    raises ``BAD_INPUT`` unless ``π`` is a bijection of ``range(n)`` and
+    every ``σ_j`` is ±1.  Both are kept as tuples of ``int``, so equal
+    maps compare and hash equal; a reader checks only the size."""
 
-    images: list[Vector]
+    pi: tuple[int, ...]
+    sigma: tuple[int, ...]
+
+    def __post_init__(self):
+        pi, sigma = tuple(self.pi), tuple(self.sigma)
+        if (
+            len(sigma) != len(pi)
+            or not all(isinstance(p, int) for p in pi)
+            or set(pi) != set(range(len(pi)))
+            or any(s not in (1, -1) for s in sigma)
+        ):
+            raise error(BAD_INPUT, "the symmetry is not a signed permutation of the basis")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "sigma", tuple(int(s) for s in sigma))
 
     def apply(self, x: Vector) -> Vector:
-        out: Vector = {}
-        for i, c in x.items():
-            _accumulate(out, self.images[i], c)
-        return out
+        """``s(x)``; the indices of ``x`` go to distinct indices."""
+        pi, sigma = self.pi, self.sigma
+        return {pi[i]: sigma[i] * c for i, c in x.items()}
 
 
-def _preimages(f: BasisMap, size: int) -> list[list[tuple[int, Coeff]]]:
-    """For each target index ``k``, the pairs ``(j, c)`` with ``f(b_j)[k] = c``."""
+def _preimages(images: list[Vector], size: int) -> list[list[tuple[int, Coeff]]]:
+    """For each target index ``k``, the pairs ``(j, c)`` with ``images[j][k] = c``."""
     out: list[list[tuple[int, Coeff]]] = [[] for _ in range(size)]
-    for j, img in enumerate(f.images):
+    for j, img in enumerate(images):
         for k, c in img.items():
             out[k].append((j, c))
     return out
 
 
-def _signed_permutation(act: BasisMap, n: int) -> tuple[list[int], list[Coeff]]:
-    """The pair ``(π, σ)`` with ``act(b_j) = σ_j·b_{π(j)}`` on a basis of
-    ``n`` elements, each ``σ_j`` ±1 and ``π`` not necessarily a bijection;
-    ``BAD_INPUT`` unless ``act`` has one image per basis element, each one
-    term ``±b_k`` with ``0 ≤ k < n``."""
-    pairs = [next(iter(img.items())) for img in act.images if len(img) == 1]
-    if len(pairs) != n or len(act.images) != n or any(
-        c not in (1, -1) or not 0 <= k < n for k, c in pairs
-    ):
-        raise error(BAD_INPUT, "the symmetry is not a signed permutation of the basis")
-    return [k for k, _ in pairs], [c for _, c in pairs]
+def _require_size(A: TableAlgebra, act: SignedPermutation) -> None:
+    if len(act.pi) != A.dimension:
+        raise error(
+            BAD_INPUT,
+            f"the symmetry acts on {len(act.pi)} basis elements, not {A.dimension}",
+        )
 
 
-def verify_algebra_involution(A: TableAlgebra, act: BasisMap) -> bool:
-    """Check that the signed permutation ``act`` is an algebra involution
-    of ``A``: order two, fixes the unit, respects all products.
+def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
+    """Check that ``act`` is an algebra involution of ``A``: order two,
+    fixes the unit, respects all products.
 
     With ``act(b_i) = σ_i·b_{π(i)}`` this is ``π(π(i)) = i`` and
     ``σ_i·σ_{π(i)} = 1`` for every ``i``, ``act(1) = 1``, and for every
     stored cell ``b_i·b_j = c·b_k`` the cell of ``b_{π(i)}·b_{π(j)}`` is
     ``(π(k), c·σ_i·σ_j·σ_k)``, which is ``act(b_i·b_j) = act(b_i)·act(b_j)``
-    on that pair.  The zero products need no pass of their own: since
-    ``π² = id``, ``(i, j) ↦ (π(i), π(j))`` is a bijection of the pairs, so
-    a map that sends the nonzero cells into the nonzero cells sends them
-    onto them, and sends the zero products to zero products.
+    on that pair.  The zero products need no pass of their own: ``π`` is
+    a bijection, so ``(i, j) ↦ (π(i), π(j))`` is a bijection of the pairs,
+    and a map that sends the nonzero cells into the nonzero cells sends
+    them onto them, and sends the zero products to zero products.
 
-    A map that is not a signed permutation raises ``BAD_INPUT``, as in
-    :func:`skew_group_algebra`.
+    An action on a basis of another size raises ``BAD_INPUT``.
     """
-    pi, sigma = _signed_permutation(act, A.dimension)
+    _require_size(A, act)
+    pi, sigma = act.pi, act.sigma
     for i, p in enumerate(pi):
         if pi[p] != i or sigma[i] * sigma[p] != 1:
             return False
@@ -672,32 +691,32 @@ def verify_algebra_involution(A: TableAlgebra, act: BasisMap) -> bool:
     return True
 
 
-def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
+def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     """The crossed product of A with the order-two group {1, s}.
 
     Basis labels are ``(label, g)`` with ``g`` in {0, 1}, indexed
     ``g * n + index``; the product rule is
     ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.  The rows with ``g = 0`` are the
     rows of ``A``, sharing its cells; those with ``g = 1`` are its twisted
-    rows.
+    rows.  An action on a basis of another size raises ``BAD_INPUT``.
 
-    ``s`` must be a signed permutation, each ``s(b_j)`` one term
-    ``±b_k``; any other map raises ``BAD_INPUT``.  Every action the
-    package crosses with is one.  Relations are single paths or sums of
-    two paths with coefficient one, so the normal form of every path is
-    ±1 times one basis path, or 0, and a relabelling of the quiver that
-    keeps the relations (a deck action, the half-swap of a split) sends
-    each basis path to ± one basis path; the grading signs are ±1 on each
-    basis element.  Twisted row ``i`` is then row ``i`` of ``A`` with its
-    columns permuted and signs applied: a ``+`` cell is the cell of ``A``
-    and its degree-one copy the one of the degree-zero row, both shared,
-    and only a ``-`` cell is negated afresh.  Every cell of the crossed
-    product is again one signed basis element ``(k, c)``.  The twisted
-    cells are found through the preimages of each column, so ``s`` need
-    not be a bijection; a twisted row keeps the order they are found in.
+    Relations are single paths or sums of two paths with coefficient one,
+    so the normal form of every path is ±1 times one basis path, or 0,
+    and a relabelling of the quiver that keeps the relations (a deck
+    action, the half-swap of a split) is a signed permutation of the
+    basis; so are the grading signs.  Twisted row ``i`` is then row ``i``
+    of ``A`` with its columns permuted and signs applied: the cell at
+    column ``k`` goes to column ``π⁻¹(k)``, a ``+`` cell is the cell of
+    ``A`` and its degree-one copy the one of the degree-zero row, both
+    shared, and only a ``-`` cell is negated afresh.  Every cell of the
+    crossed product is again one signed basis element ``(k, c)``, and a
+    twisted row keeps the order of the row of ``A``.
     """
-    n = A.dimension
-    _signed_permutation(act, n)
+    _require_size(A, act)
+    n, sigma = A.dimension, act.sigma
+    inverse = [0] * n
+    for j, k in enumerate(act.pi):
+        inverse[k] = j
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
 
     # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
@@ -708,16 +727,15 @@ def skew_group_algebra(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
         for k, (m, c) in cells.items():
             row[n + k] = (m + n, c)
         rows.append(row)
-    preimages = _preimages(act, n)
     for zero, cells in zip(rows[:n], A.rows):
         row = {}
         for k, cell in cells.items():
-            for j, s in preimages[k]:
-                if s == 1:
-                    row[j], row[n + j] = zero[n + k], cell
-                else:
-                    m, c = cell
-                    row[n + j], row[j] = (m, -c), (m + n, -c)
+            j = inverse[k]
+            if sigma[j] == 1:
+                row[j], row[n + j] = zero[n + k], cell
+            else:
+                m, c = cell
+                row[n + j], row[j] = (m, -c), (m + n, -c)
         rows.append(row)
     return TableAlgebra(labels, rows, dict(A.unit))
 
@@ -780,7 +798,7 @@ def verify_morphism(
     # per vertex image over a preimage index of all of them
     vertices = domain.vertices
     images = [vertex_images[v] for v in vertices]
-    preimages = _preimages(BasisMap(images), target.dimension)
+    preimages = _preimages(images, target.dimension)
     products = [_products_row(target, ev, preimages) for ev in images]
     total: Vector = {}
     for p, (v, ev) in enumerate(zip(vertices, images)):

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .algebra import Vector
 from .covering import double_cover, quotient
-from .diagnostics import BAD_INPUT, ValidationError, error
+from .diagnostics import BAD_INPUT, SYNTAX, ValidationError, error
 from .equivariant import verify_dual_reduction, verify_skew_group_reduction
 from .linefield import (
     NOT_EQUIVALENT,
@@ -55,8 +55,14 @@ __all__ = ["main"]
 
 
 def _load(path: str) -> SurfaceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_surface_file(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        ln = data.count(b"\n", 0, exc.start) + 1
+        raise error(SYNTAX, f"line {ln}: not UTF-8 text", (ln,)) from None
+    return parse_surface_file(text)
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,8 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
 
 
 def transport_curve(cov: CoveringData, curve: CombinatorialCurve) -> CombinatorialCurve:
-    """The deck image of a curve on the total surface (same slots and sides)."""
+    """The deck image of a curve on the total surface (same slots and
+    sides); the curve is validated on ``cov.total`` first."""
+    raise_on_error(validate_curve(cov.total, curve))
     moved = _moved_passages(cov.deck, curve.passages)
     return CombinatorialCurve(f"{curve.id}.deck", curve.closed, moved)

@@ -15,8 +15,9 @@ the base is recovered inside the crossed product:
 * :func:`verify_iterated_skew_group` compares the twice-crossed product
   ``(A#ℤ₂)#ℤ̂₂`` with ``M₂(A)``, whose products come from the table of
   ``A`` alone (Cohen--Montgomery duality).  The action enters only through
-  the comparison map, which must be a unital bijective homomorphism, so a
-  symmetry that does not respect products fails the check.
+  the comparison map, which must be a unital homomorphism (it is
+  bijective for every signed permutation), so a symmetry that does not
+  respect products fails the check.
 
 Both reductions are one construction read in two directions
 (Reiten--Riedtmann) and take one path: guard the involution, cross with
@@ -29,11 +30,14 @@ comparison expects comes from the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
 
-There is one crossed product per ``(A, act)``: the involution guard and
-``A#ℤ₂`` run once for each algebra and symmetry, and the result is kept on
-the :class:`~skewgentle.algebra.TableAlgebra`.  A reduction followed by
-:func:`verify_iterated_skew_group` on its cover algebra and deck action
-checks the involution once and crosses with it once.
+Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
+by :func:`induced_basis_map` from a relabelling of the quiver.  There is
+one crossed product per ``(A, act)``: the involution guard and ``A#ℤ₂``
+run once for each algebra and symmetry, and the result is kept on the
+:class:`~skewgentle.algebra.TableAlgebra`, keyed by the symmetry's value.
+A reduction followed by :func:`verify_iterated_skew_group` on its cover
+algebra and deck action checks the involution once and crosses with it
+once.
 
 The iterated check builds neither the 4n-dimensional twice-crossed
 product, nor ``M₂(A)``, nor the comparison map Φ.  It checks Φ for
@@ -59,31 +63,29 @@ reduction publishes one set of images, in the coordinates of the crossed
 product, divided once at the end; only there do the halves appear as
 ``Fraction``.
 
-The guard refuses a symmetry in two steps: one that is not a signed
-permutation of the basis raises ``BAD_INPUT`` before any cell is read, and
-a signed permutation that is not an algebra involution raises
-``NOT_INVOLUTION``.  Arrow lifts that do not sandwich to a single arrow
-or disagree on their sheet sign raise ``BAD_LIFT``, and a cover
-presentation with special loops raises ``BAD_INPUT``.
+A relabelling that does not send each basis path to ± one basis path,
+one to one, raises ``BAD_INPUT`` where the symmetry is made, and so does
+a symmetry of the wrong size where it is read; a signed permutation that
+is not an algebra involution raises ``NOT_INVOLUTION``.  Arrow lifts
+that do not sandwich to a single arrow or disagree on their sheet sign
+raise ``BAD_LIFT``, and a cover presentation with special loops raises
+``BAD_INPUT``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .algebra import (
-    BasisMap,
-    Cell,
     Coeff,
     CornerAlgebra,
     MorphismVerdict,
     PathAlgebra,
+    SignedPermutation,
     TableAlgebra,
     Vector,
     _left_products,
-    _signed_permutation,
     corner_algebra,
     graded_path_algebra,
     skew_group_algebra,
@@ -110,33 +112,39 @@ from .presentations import (
     split_vertex_ids,
 )
 
-def grading_sign_map(skew: TableAlgebra) -> BasisMap:
-    """On a crossed product, scale the group-degree-one part by -1."""
-    return BasisMap([{i: -1 if g else 1} for i, (_, g) in enumerate(skew.labels)])
-
 
 def induced_basis_map(
     alg: PathAlgebra,
     generator_map: Mapping[str, str],
     signs: Optional[Mapping[str, int]] = None,
-) -> BasisMap:
-    """The linear map induced on a path-algebra quotient by relabelling
+) -> SignedPermutation:
+    """The symmetry induced on a path-algebra quotient by relabelling
     vertices and arrows, optionally scaling each arrow by a sign.
 
-    A relabelled path that is itself a basis path has the normal form
-    ``{index: 1}``, read from the index of the basis; only the others go
-    through :meth:`~skewgentle.algebra.PathAlgebra.reduce`."""
+    A relabelled path that is itself a basis path goes to that path, read
+    from the index of the basis; only the others go through
+    :meth:`~skewgentle.algebra.PathAlgebra.reduce`.  Raises ``BAD_INPUT``
+    when a relabelled basis path reduces to 0 or to more than one term,
+    and, through :class:`~skewgentle.algebra.SignedPermutation`, when the
+    images are not ± a permutation of the basis."""
     index_of = alg.algebra.index_of
-    images: list[Vector] = []
+    pi: list[int] = []
+    sigma: list[Coeff] = []
     for src, arrows in alg.algebra.labels:
         mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
-        k = index_of.get(mapped)
-        image = {k: 1} if k is not None else alg.reduce(mapped)
+        k, s = index_of.get(mapped), 1
+        if k is None:
+            image = alg.reduce(mapped)
+            if len(image) != 1:
+                msg = f"basis path {(src, arrows)!r} relabels to {len(image)} terms, not one"
+                raise error(BAD_INPUT, msg)
+            ((k, s),) = image.items()
         if signs is not None:
             for a in arrows:
-                image = vscale(image, signs[a])
-        images.append(image)
-    return BasisMap(images)
+                s *= signs[a]
+        pi.append(k)
+        sigma.append(s)
+    return SignedPermutation(pi, sigma)
 
 
 def orbit_idempotent(skew: TableAlgebra, vertices: Iterable[str]) -> Vector:
@@ -147,23 +155,21 @@ def orbit_idempotent(skew: TableAlgebra, vertices: Iterable[str]) -> Vector:
     return out
 
 
-def _require_involution(A: TableAlgebra, act: BasisMap) -> None:
+def _require_involution(A: TableAlgebra, act: SignedPermutation) -> None:
     if not verify_algebra_involution(A, act):
         raise error(NOT_INVOLUTION, "the symmetry is not an algebra involution")
 
 
-def _crossed_product(A: TableAlgebra, act: BasisMap) -> TableAlgebra:
+def _crossed_product(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     """``A#ℤ₂`` for the involution ``act``: guarded and built once per
-    ``(A, act)``, then kept on ``A``.
-
-    An entry is stored only after the guard passes.  It holds ``act``, so
-    no other map can take its ``id`` while the entry lives; an action,
-    like a table, is not changed once it is crossed."""
-    kept = A._crossed.get(id(act))
-    if kept is None:
+    ``(A, act)``, then kept on ``A`` under ``act``, which is immutable
+    and compares by value.  An entry is stored only after the guard
+    passes."""
+    skew = A._crossed.get(act)
+    if skew is None:
         _require_involution(A, act)
-        kept = A._crossed[id(act)] = (act, skew_group_algebra(A, act))
-    return kept[1]
+        skew = A._crossed[act] = skew_group_algebra(A, act)
+    return skew
 
 
 def _corner_images(
@@ -184,7 +190,7 @@ def _corner_images(
 
 
 def _crossed_corner(
-    A: TableAlgebra, act: BasisMap, vertices: Iterable[str]
+    A: TableAlgebra, act: SignedPermutation, vertices: Iterable[str]
 ) -> tuple[TableAlgebra, CornerAlgebra]:
     """The crossed product ``A#ℤ₂`` and its corner at the degree-zero
     idempotents of ``vertices``, one per orbit."""
@@ -256,7 +262,7 @@ class SkewGroupReduction:
 
     cover_pair: Presentation
     cover_algebra: PathAlgebra
-    deck_action: BasisMap
+    deck_action: SignedPermutation
     skew: TableAlgebra
     corner: CornerAlgebra
     images: dict[str, Vector]
@@ -382,7 +388,7 @@ class DualReduction:
     in the coordinates of ``skew``."""
 
     split_algebra: PathAlgebra
-    swap_action: BasisMap
+    swap_action: SignedPermutation
     skew: TableAlgebra
     corner: CornerAlgebra
     images: dict[str, Vector]
@@ -478,109 +484,45 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
 
 @dataclass(frozen=True)
 class IteratedSkewGroup:
-    """Outcome of comparing the twice-crossed product ``double`` of
-    ``algebra`` by ``action`` with ``endo = M₂(A)`` through the
-    Cohen--Montgomery map ``comparison``.
+    """Outcome of comparing the twice-crossed product of ``algebra`` by
+    ``action`` with ``M₂(A)`` through the Cohen--Montgomery map.
 
     The verdict is reached cell by cell on the rows of ``A`` and of
-    ``once = A#ℤ₂`` (see :func:`verify_iterated_skew_group`).  ``double``,
-    the 4n-dimensional ``(A#ℤ₂)#ℤ̂₂``, is crossed from ``once`` with the
-    grading signs, and ``endo`` and ``comparison`` are built from ``A``
-    and ``action``, each on its first read and then kept."""
+    ``once = A#ℤ₂`` (see :func:`verify_iterated_skew_group`)."""
 
     algebra: TableAlgebra
-    action: BasisMap
+    action: SignedPermutation
     once: TableAlgebra
     homomorphism: bool
     unit_ok: bool
-    rank: int
-    bijective: bool
-
-    @cached_property
-    def double(self) -> TableAlgebra:
-        return skew_group_algebra(self.once, grading_sign_map(self.once))
-
-    @cached_property
-    def endo(self) -> TableAlgebra:
-        return _matrix_algebra(self.algebra)
-
-    @cached_property
-    def comparison(self) -> BasisMap:
-        """Φ, sending ``(b_p⊗g)⊗j`` (index ``2n·j + n·g + p`` of
-        ``double``) to ``Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(b_p)``, with
-        ``E_rc ⊗ b_q`` at index ``2n·r + 2q + c`` of ``endo``."""
-        n, images = self.algebra.dimension, self.action.images
-        out: list[Vector] = []
-        for j in (0, 1):
-            for g in (0, 1):
-                for p in range(n):
-                    img: Vector = {}
-                    for c in (0, 1):
-                        r = (g + c) % 2
-                        sign = -1 if (j and c) else 1
-                        for q, v in (images[p] if r else {p: 1}).items():
-                            img[2 * n * r + 2 * q + c] = sign * v
-                    out.append(img)
-        return BasisMap(out)
 
     @property
     def ok(self) -> bool:
-        return self.homomorphism and self.unit_ok and self.bijective
-
-
-def _matrix_algebra(A: TableAlgebra) -> TableAlgebra:
-    """``M₂(A)``, the right ``A``-module endomorphisms of the free module
-    ``A#ℤ₂`` on ``1 ⊗ 0, 1 ⊗ 1``.
-
-    The basis element ``(r, b_p, c)`` is ``E_rc ⊗ b_p``, indexed
-    ``2n*r + 2*p + c``, and ``(E_rm ⊗ b_p)(E_mc ⊗ b_q) = E_rc ⊗ b_p b_q``
-    with ``b_p b_q`` read from ``A.rows``.
-    """
-    n = A.dimension
-    labels = tuple((r, lab, c) for r in (0, 1) for lab in A.labels for c in (0, 1))
-    rows: list[dict[int, Cell]] = []
-    for r in (0, 1):
-        for row in A.rows:
-            # the rows of E_r0 ⊗ b_p and E_r1 ⊗ b_p hold the same cells, in
-            # the column blocks m = 0 and m = 1
-            cells = [
-                (2 * q + c, (2 * n * r + 2 * k + c, v))
-                for q, (k, v) in row.items()
-                for c in (0, 1)
-            ]
-            for m in (0, 1):
-                rows.append({2 * n * m + col: cell for col, cell in cells})
-    unit = {2 * n * r + 2 * q + r: v for r in (0, 1) for q, v in A.unit.items()}
-    return TableAlgebra(labels, rows, unit)
+        return self.homomorphism and self.unit_ok
 
 
 def _blocks_multiplicative(
-    A: TableAlgebra,
-    once: TableAlgebra,
-    pi: list[int],
-    sigma: list[Coeff],
-    s_unit: Vector,
+    A: TableAlgebra, once: TableAlgebra, act: SignedPermutation, s_unit: Vector
 ) -> bool:
     """``Φ(x·y) = Φ(x)·Φ(y)`` for every left factor ``x`` in ``S`` and
     every ``y = (b_q⊗g)⊗0``, block by block: ``Φ(x·y)`` from the cells of
     ``once``, ``Φ(x)·Φ(y)`` from the rows of ``A``, for
     ``s(b_p) = σ_p·b_π(p)`` and ``s(1)`` given as ``s_unit``.  See
-    :func:`verify_iterated_skew_group` for what each block tests."""
-    n, rows = A.dimension, A.rows
-    # reach[m] = |π⁻¹(columns of row m)|: how many b_q have s(b_q) with a
-    # nonzero product on the left by b_m
-    preimage_count = [0] * n
-    for p in pi:
-        preimage_count[p] += 1
-    reach = [sum(preimage_count[m] for m in row) for row in rows]
+    :func:`verify_iterated_skew_group` for what each block tests.
+
+    A product nonzero on the right alone needs no count of its own.  A
+    matched cell maps column ``q`` of row ``i`` of ``A`` to column ``π(q)``
+    of row ``π(i)``, so ``|row i| ≤ |row π(i)|``.  Summed over the
+    bijection ``π`` the totals are equal.  An extra product on the right
+    therefore leaves some other row with an unmatched cell, and the cell
+    comparison catches that."""
+    n, rows, pi, sigma = A.dimension, A.rows, act.pi, act.sigma
     # (b_i⊗0)⊗0 against (b_q⊗g)⊗0: row i of ``once`` at column n·g + q
     # holds (n·g + k, c) for b_i·b_q = c·b_k; the E_g0/E_(1-g)1 pair of
     # blocks then holds b_i·b_q = c·b_k and σ_iσ_q·b_π(i)·b_π(q) = c·σ_k·b_π(k)
     for i, cells in enumerate(once.rows[:n]):
         row, image, si = rows[i], rows[pi[i]], sigma[i]
-        # a product nonzero on the right alone would leave fewer cells on
-        # the left than the columns of row i or the preimages of row π(i)
-        if len(cells) != 2 * len(row) or len(row) != reach[pi[i]]:
+        if len(cells) != 2 * len(row):
             return False
         for col, (cell_k, c) in cells.items():
             g, q = divmod(col, n)
@@ -608,22 +550,27 @@ def _blocks_multiplicative(
     return True
 
 
-def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGroup:
+def verify_iterated_skew_group(
+    A: TableAlgebra, act: SignedPermutation
+) -> IteratedSkewGroup:
     """Cross ``A`` with its order-two symmetry ``s``, cross again with the
     grading signs, and compare with ``M₂(A)`` (Cohen--Montgomery duality).
 
     ``s`` enters only through the comparison map
     ``Φ: (x ⊗ g) ⊗ j  ↦  Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(x)``, which is
-    checked to be a unital bijective homomorphism.  For a linear ``s`` of
-    order two it is a homomorphism exactly when ``s`` is multiplicative.
+    checked to be a unital homomorphism.  For a linear ``s`` of order two
+    it is a homomorphism exactly when ``s`` is multiplicative.  Φ is
+    bijective for every signed permutation: it sends ``(b_p⊗g)⊗j`` to
+    ``u ± v`` with ``u = E_g0 ⊗ s^g(b_p)`` and
+    ``v = E_(g+1)1 ⊗ s^(g+1)(b_p)``, and ``s`` is onto, so the images
+    span ``M₂(A)``, of the same dimension ``4n``.
     The check builds neither ``M₂(A)``, nor Φ, nor the twice-crossed
     product: every table is monomial and ``s`` is the signed permutation
     ``s(b_p) = σ_p·b_π(p)``, so each side of each comparison is a pair of
     single cells, read from the rows of ``A`` through the block rule
     ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy``, and from the rows of
     ``once = A#ℤ₂``, kept on ``A`` (a reduction on the same pair has built
-    it already).  :attr:`IteratedSkewGroup.double`, ``.endo`` and
-    ``.comparison`` are built on demand.
+    it already).
 
     Φ is checked to be multiplicative on the left factors
     ``S = {(b_i⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}``, which is enough:
@@ -659,34 +606,18 @@ def verify_iterated_skew_group(A: TableAlgebra, act: BasisMap) -> IteratedSkewGr
       ``s(b_q) = s(1)·s(b_q)``.
 
     With the guard bypassed these still test ``s`` itself: the first kind
-    is ``s(b_i·b_q) = s(b_i)·s(b_q)`` for every pair.  A product present
-    on one side only fails.  For ``(b_i⊗0)⊗0`` the nonzero columns on the
-    right are the ``q`` with ``b_i·b_q ≠ 0`` or ``b_π(i)·b_π(q) ≠ 0``; a
-    matched left cell lies in both sets, so the left cells cover them
-    exactly when row ``i`` of ``once`` holds twice as many cells as row
-    ``i`` of ``A``, which holds as many as the preimages under ``π`` of
-    the columns of row ``π(i)``.  The unit factors are nonzero on the
-    right at every column and are compared there.
-
-    The unit check ``Φ(1) = E_00⊗1 + E_11⊗s(1) = 1`` is ``s(1) = 1``.  The
-    rank of Φ is read off ``π``.  Φ sends ``(b_p⊗g)⊗j`` to ``u ± v``
-    (``+`` for ``j = 0``) with ``u = E_g0 ⊗ s^g(b_p)`` and
-    ``v = E_(g+1)1 ⊗ s^(g+1)(b_p)``, the exponent and the row index both
-    taken mod 2.  The two signs give ``u`` and ``v`` apart, so the image
-    is ``E00⊗A ⊕ E10⊗s(A) ⊕ E11⊗s(A) ⊕ E01⊗A``, of rank
-    ``2n + 2·rank(s)``, and the rank of a signed permutation is the size
-    ``|π({0..n−1})|`` of its image.
+    is ``s(b_i·b_q) = s(b_i)·s(b_q)`` for every pair, a product present on
+    one side only failing (see :func:`_blocks_multiplicative`), and the
+    unit factors are nonzero on the right at every column and are
+    compared there.  The unit check ``Φ(1) = E_00⊗1 + E_11⊗s(1) = 1`` is
+    ``s(1) = 1``.
     """
     once = _crossed_product(A, act)
-    pi, sigma = _signed_permutation(act, A.dimension)
     s_unit = act.apply(A.unit)
-    rank = 2 * A.dimension + 2 * len(set(pi))
     return IteratedSkewGroup(
         algebra=A,
         action=act,
         once=once,
-        homomorphism=_blocks_multiplicative(A, once, pi, sigma, s_unit),
+        homomorphism=_blocks_multiplicative(A, once, act, s_unit),
         unit_ok=veq(s_unit, A.unit),
-        rank=rank,
-        bijective=rank == 2 * once.dimension,
     )

@@ -368,11 +368,16 @@ def grading_solver(
 def graded_arcs_from_solution(
     curves: Sequence[CombinatorialCurve], values: dict[tuple[str, int], int]
 ) -> list[GradedArc]:
-    """Attach the grades of :func:`grading_solver` to their curves."""
-    return [
-        GradedArc(c, tuple(values[(c.id, k)] for k in range(crossing_steps(c)[0])))
-        for c in curves
-    ]
+    """Attach the grades of :func:`grading_solver` to their curves;
+    ``BAD_INPUT`` names a crossing that ``values`` has no grade for."""
+    out = []
+    for c in curves:
+        keys = [(c.id, k) for k in range(crossing_steps(c)[0])]
+        missing = next((key for key in keys if key not in values), None)
+        if missing is not None:
+            raise error(BAD_INPUT, f"no grade for crossing {missing!r}", missing)
+        out.append(GradedArc(c, tuple(values[key] for key in keys)))
+    return out
 
 
 def map_graded_arc(

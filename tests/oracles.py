@@ -12,14 +12,23 @@ exception is :func:`verify_multiplicative`, a row comparison over the
 library's sparse-row helpers run on every row of a table: the tests hold
 it against the all-pairs loop :func:`multiplicative`, and the iterated
 crossed-product check, which compares single cells block by block,
-against both.
+against both.  The objects that check compares without building, the
+twice-crossed product, ``M₂(A)`` and the Cohen--Montgomery images, are
+built at the end for those comparisons; the tests hold the last two
+against :func:`matrix_table` and :func:`cohen_montgomery_image`.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from skewgentle import BasisMap, CombinatorialCurve, Passage, TableAlgebra
+from skewgentle import (
+    CombinatorialCurve,
+    Passage,
+    SignedPermutation,
+    TableAlgebra,
+    skew_group_algebra,
+)
 from skewgentle.algebra import _preimages, _products_row
 from skewgentle.surface import chord_bseg_side
 
@@ -474,13 +483,6 @@ def multiplicative(A, B, images) -> bool:
     def clean(acc):
         return {k: c for k, c in acc.items() if c}
 
-    def apply(x):
-        out = {}
-        for i, c in x.items():
-            for k, v in images[i].items():
-                out[k] = out.get(k, 0) + c * v
-        return clean(out)
-
     table, target = A.table, B.table
 
     def mul(x, y):
@@ -493,7 +495,7 @@ def multiplicative(A, B, images) -> bool:
 
     n = len(table)
     return all(
-        apply(table[i][j]) == mul(images[i], images[j])
+        apply_map(images, table[i][j]) == mul(images[i], images[j])
         for i in range(n)
         for j in range(n)
     )
@@ -722,18 +724,35 @@ def algebra_from_products(labels, product, unit):
 
 
 def basis_map_from_permutation(algebra, label_map, signs=None):
-    """The :class:`~skewgentle.BasisMap` sending each basis label ``x`` to
-    ``signs[x]`` (default 1) times the basis element ``label_map[x]``."""
+    """The :class:`~skewgentle.SignedPermutation` sending each basis label
+    ``x`` to ``signs[x]`` (default 1) times the basis element
+    ``label_map[x]``."""
     signs = signs or {}
-    return BasisMap(
-        [{algebra.index_of[label_map[lab]]: signs.get(lab, 1)} for lab in algebra.labels]
+    return SignedPermutation(
+        [algebra.index_of[label_map[lab]] for lab in algebra.labels],
+        [signs.get(lab, 1) for lab in algebra.labels],
     )
 
 
-def verify_multiplicative(A, B, f) -> bool:
+def images_of(act) -> list[dict]:
+    """The images ``s(b_j) = {π(j): σ_j}`` of a signed permutation."""
+    return [{p: s} for p, s in zip(act.pi, act.sigma)]
+
+
+def apply_map(images, x) -> dict:
+    """``f(x)`` for the linear map with ``f(b_i) = images[i]``, zero
+    coefficients dropped."""
+    out = {}
+    for i, c in x.items():
+        for k, v in images[i].items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: c for k, c in out.items() if c}
+
+
+def verify_multiplicative(A, B, images) -> bool:
     """Check ``f(b_i * b_j) == f(b_i) * f(b_j)`` for every pair of basis
-    elements of ``A``, where the :class:`~skewgentle.BasisMap` ``f`` maps
-    ``A`` linearly into ``B``, a row of ``A`` at a time.
+    elements of ``A``, where ``images[i]`` is ``f(b_i)`` in ``B`` for the
+    linear map ``f``, a row of ``A`` at a time.
 
     The right side of row ``i`` is built at once from the cells of ``B``
     in the rows of ``f(b_i)`` and the preimages under ``f`` of their
@@ -743,12 +762,12 @@ def verify_multiplicative(A, B, f) -> bool:
     ``(k, c)`` maps to ``c·f(b_k)``, read from the images, which are
     cleared of zero coefficients once.
     """
-    preimages = _preimages(f, B.dimension)
-    images = [{k: c for k, c in img.items() if c} for img in f.images]
-    for fx, row in zip(f.images, A.rows):
+    preimages = _preimages(images, B.dimension)
+    cleared = [{k: c for k, c in img.items() if c} for img in images]
+    for fx, row in zip(images, A.rows):
         products = _products_row(B, fx, preimages)
         for j, (k, c) in row.items():
-            left = images[k] if c == 1 else {m: c * v for m, v in images[k].items()}
+            left = cleared[k] if c == 1 else {m: c * v for m, v in cleared[k].items()}
             # both sides are free of zero coefficients, so ``!=`` compares
             # them as vectors
             if left != products.pop(j, {}):
@@ -756,3 +775,61 @@ def verify_multiplicative(A, B, f) -> bool:
         if any(products.values()):
             return False
     return True
+
+
+def grading_signs(skew):
+    """On a crossed product, the symmetry that negates the
+    group-degree-one half and fixes the rest."""
+    return SignedPermutation(
+        range(skew.dimension), [-1 if g else 1 for _, g in skew.labels]
+    )
+
+
+def twice_crossed(once):
+    """``(A#ℤ₂)#ℤ̂₂``: ``once`` crossed with its grading signs."""
+    return skew_group_algebra(once, grading_signs(once))
+
+
+def matrix_algebra(A):
+    """``M₂(A)``, the right ``A``-module endomorphisms of the free module
+    ``A#ℤ₂`` on ``1 ⊗ 0, 1 ⊗ 1``, from the sparse rows of ``A``.
+
+    The basis element ``(r, b_p, c)`` is ``E_rc ⊗ b_p``, indexed
+    ``2n*r + 2*p + c``, and ``(E_rm ⊗ b_p)(E_mc ⊗ b_q) = E_rc ⊗ b_p b_q``.
+    """
+    n = A.dimension
+    labels = tuple((r, lab, c) for r in (0, 1) for lab in A.labels for c in (0, 1))
+    rows = []
+    for r in (0, 1):
+        for row in A.rows:
+            # the rows of E_r0 ⊗ b_p and E_r1 ⊗ b_p hold the same cells, in
+            # the column blocks m = 0 and m = 1
+            cells = [
+                (2 * q + c, (2 * n * r + 2 * k + c, v))
+                for q, (k, v) in row.items()
+                for c in (0, 1)
+            ]
+            for m in (0, 1):
+                rows.append({2 * n * m + col: cell for col, cell in cells})
+    unit = {2 * n * r + 2 * q + r: v for r in (0, 1) for q, v in A.unit.items()}
+    return TableAlgebra(labels, rows, unit)
+
+
+def comparison_images(act) -> list[dict]:
+    """The Cohen--Montgomery map Φ, sending ``(b_p⊗g)⊗j`` (index
+    ``2n·j + n·g + p`` of :func:`twice_crossed`) to
+    ``Σ_c (-1)^(jc) E_(g+c)c ⊗ s^(g+c)(b_p)``, with ``E_rc ⊗ b_q`` at
+    index ``2n·r + 2q + c`` of :func:`matrix_algebra`."""
+    n = len(act.pi)
+    out = []
+    for j in (0, 1):
+        for g in (0, 1):
+            for p in range(n):
+                img = {}
+                for c in (0, 1):
+                    r = (g + c) % 2
+                    sign = -1 if (j and c) else 1
+                    q, v = (act.pi[p], act.sigma[p]) if r else (p, 1)
+                    img[2 * n * r + 2 * q + c] = sign * v
+                out.append(img)
+    return out

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import euler_characteristic, iso_presentations
+from oracles import euler_characteristic, iso_presentations, twice_crossed
 from skewgentle import (
     CombinatorialCurve,
     Passage,
@@ -173,10 +173,10 @@ def test_06_skew_group_isomorphisms(cylinders, disc_x4, disc_xx):
     for red in (torus, disc):
         rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
         assert rr.ok
-        assert rr.double.dimension == 4 * red.cover_algebra.dimension
-    assert verify_iterated_skew_group(
-        torus.cover_algebra.algebra, torus.deck_action
-    ).double.dimension == 80
+        assert twice_crossed(rr.once).dimension == 4 * red.cover_algebra.dimension
+    assert twice_crossed(
+        verify_iterated_skew_group(torus.cover_algebra.algebra, torus.deck_action).once
+    ).dimension == 80
 
 
 def test_07_deformation_scaling_maps():

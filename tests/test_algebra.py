@@ -7,9 +7,12 @@ import pytest
 
 from oracles import (
     algebra_from_products,
+    apply_map,
     associative,
     basis_map_from_permutation,
     generated_dimension,
+    grading_signs,
+    images_of,
     mat_rank,
     monomial_path_count,
     multiplicative,
@@ -19,6 +22,7 @@ from oracles import (
 )
 from skewgentle import (
     Arrow,
+    SignedPermutation,
     ValidationError,
     algebra_dimension,
     corner_algebra,
@@ -46,8 +50,8 @@ from skewgentle import (
     verify_morphism,
 )
 from skewgentle.diagnostics import NOT_IDEMPOTENT
-from skewgentle.algebra import BasisMap, SpanBasis, vadd, vaxpy, veq, vscale, vsub
-from skewgentle.equivariant import grading_sign_map, induced_basis_map
+from skewgentle.algebra import SpanBasis, vadd, vaxpy, veq, vscale, vsub
+from skewgentle.equivariant import induced_basis_map
 from skewgentle.presentations import companion_pair
 
 ONE = Fraction(1)
@@ -431,20 +435,20 @@ def test_involution_verifier_rejects_non_multiplicative_map():
 def test_verify_multiplicative_fails_where_only_a_zero_cell_is_wrong():
     # p*q = 0 in k x k, but f(p)*f(q) = p*p = p
     A = _delta_algebra(["p", "q"])
-    f = BasisMap([{0: 1}, {0: 1}])
-    assert f.apply(A.table[0][0]) == A.mul(f.images[0], f.images[0])
-    assert f.apply(A.table[1][1]) == A.mul(f.images[1], f.images[1])
+    f = [{0: 1}, {0: 1}]
+    assert apply_map(f, A.table[0][0]) == A.mul(f[0], f[0])
+    assert apply_map(f, A.table[1][1]) == A.mul(f[1], f[1])
     assert not verify_multiplicative(A, A, f)
-    assert not multiplicative(A, A, f.images)
+    assert not multiplicative(A, A, f)
 
 
 def test_verify_multiplicative_fails_where_only_a_nonzero_cell_is_wrong():
     # every zero cell maps to zero, but f(q*q) = -q while f(q)*f(q) = q
     A = _delta_algebra(["p", "q"])
-    f = BasisMap([{0: 1}, {1: -1}])
-    assert A.mul(f.images[0], f.images[1]) == A.mul(f.images[1], f.images[0]) == {}
+    f = [{0: 1}, {1: -1}]
+    assert A.mul(f[0], f[1]) == A.mul(f[1], f[0]) == {}
     assert not verify_multiplicative(A, A, f)
-    assert not multiplicative(A, A, f.images)
+    assert not multiplicative(A, A, f)
 
 
 def test_verify_multiplicative_matches_all_pairs_oracle_on_random_covers():
@@ -454,11 +458,11 @@ def test_verify_multiplicative_matches_all_pairs_oracle_on_random_covers():
         cov = double_cover(surface_from_triple(random_triple(rng)))
         alg = graded_path_algebra(cov.total_quiver.presentation)
         A = alg.algebra
-        deck = induced_basis_map(alg, cov.deck_generators)
+        deck = images_of(induced_basis_map(alg, cov.deck_generators))
         n = A.dimension
-        candidates = [deck.images, [{i: 1} for i in range(n)]]
+        candidates = [deck, [{i: 1} for i in range(n)]]
         for _ in range(4):
-            images = [dict(img) for img in deck.images]
+            images = [dict(img) for img in deck]
             i, j = rng.randrange(n), rng.randrange(n)
             move = rng.randrange(3)
             if move == 0:
@@ -469,7 +473,7 @@ def test_verify_multiplicative_matches_all_pairs_oracle_on_random_covers():
                 images[i] = vadd(images[i], images[j])
             candidates.append(images)
         for images in candidates:
-            verdict = verify_multiplicative(A, A, BasisMap(images))
+            verdict = verify_multiplicative(A, A, images)
             assert verdict == multiplicative(A, A, images)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
@@ -486,7 +490,7 @@ def test_verify_multiplicative_ignores_explicit_zero_coefficients():
         cov = double_cover(surface_from_triple(random_triple(rng)))
         alg = graded_path_algebra(cov.total_quiver.presentation)
         n = alg.dimension
-        deck = [dict(img) for img in induced_basis_map(alg, cov.deck_generators).images]
+        deck = images_of(induced_basis_map(alg, cov.deck_generators))
         i, j = rng.sample(range(n), 2)
         swapped = list(deck)
         swapped[i], swapped[j] = swapped[j], swapped[i]
@@ -498,7 +502,7 @@ def test_verify_multiplicative_ignores_explicit_zero_coefficients():
     verdicts = []
     for B, images in candidates:
         assert any(0 in img.values() for img in images)
-        verdict = verify_multiplicative(B, B, BasisMap(images))
+        verdict = verify_multiplicative(B, B, images)
         assert verdict == multiplicative(B, B, images)
         verdicts.append(verdict)
     assert verdicts[:2] == [True, False]
@@ -660,7 +664,7 @@ def test_closed_form_dimension_matches_ladder_fixtures():
 
 def _assert_matches_skew_group_oracle(A, act):
     skew = skew_group_algebra(A, act)
-    expected = skew_group_table(A, act.images)
+    expected = skew_group_table(A, images_of(act))
     assert len(skew.labels) == 2 * A.dimension
     assert {(x, y) for x in skew.labels for y in skew.labels} == set(expected)
     table = skew.table
@@ -674,21 +678,16 @@ def _assert_matches_skew_group_oracle(A, act):
     return skew
 
 
-def _is_signed_permutation(act):
-    return all(len(img) == 1 and set(img.values()) <= {1, -1} for img in act.images)
-
-
 def _assert_crossed_products_match_oracle(cov, twice=False):
     """The deck action on the cover algebra and, on the dual side, the
-    signed half-swap on the split algebra: both signed permutations."""
+    signed half-swap on the split algebra."""
     lam = graded_path_algebra(cov.total_quiver.presentation)
     deck = induced_basis_map(lam, cov.deck_generators)
     dual = verify_dual_reduction(cov)
     for A, act in ((lam.algebra, deck), (dual.split_algebra.algebra, dual.swap_action)):
-        assert _is_signed_permutation(act)
         once = _assert_matches_skew_group_oracle(A, act)
         if twice:
-            _assert_matches_skew_group_oracle(once, grading_sign_map(once))
+            _assert_matches_skew_group_oracle(once, grading_signs(once))
 
 
 def test_skew_group_algebra_matches_oracle_on_ladder_fixtures():
@@ -718,51 +717,41 @@ def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(cylinders):
     )
     cov = double_cover(cylinders[1])
     lam = graded_path_algebra(cov.total_quiver.presentation)
-    images = list(induced_basis_map(lam, cov.deck_generators).images)
-    k = next(j for j, img in enumerate(images) if j not in img)
-    images[k] = vscale(images[k], -1)
-    for B, act in ((A, cycle), (lam.algebra, BasisMap(images))):
-        assert _is_signed_permutation(act)
-        assert -1 in {c for img in act.images for c in img.values()}
+    deck = induced_basis_map(lam, cov.deck_generators)
+    k = next(j for j, p in enumerate(deck.pi) if p != j)
+    sigma = list(deck.sigma)
+    sigma[k] = -sigma[k]
+    for B, act in ((A, cycle), (lam.algebra, SignedPermutation(deck.pi, sigma))):
+        assert -1 in act.sigma
         assert not verify_algebra_involution(B, act)
         _assert_matches_skew_group_oracle(B, act)
 
 
-def test_skew_group_algebra_matches_oracle_on_non_injective_maps():
-    # The crossing reads each column's preimages and assumes no bijection:
-    # k × k with both idempotents sent to the first, and random signed
-    # single-term maps on cover algebras that send two basis elements to
-    # one.
-    cases = [(_delta_algebra(["p", "q"]), BasisMap([{0: 1}, {0: 1}]))]
-    rng = random.Random(2208)
-    while len(cases) < 6:
-        cov = double_cover(surface_from_triple(random_triple(rng)))
-        A = graded_path_algebra(cov.total_quiver.presentation).algebra
-        n = A.dimension
-        images = [{rng.randrange(n): rng.choice((1, -1))} for _ in range(n)]
-        if len({k for img in images for k in img}) < n:
-            cases.append((A, BasisMap(images)))
-    for A, act in cases:
-        _assert_matches_skew_group_oracle(A, act)
-
-
 def test_skew_group_algebra_refuses_a_map_that_is_not_a_signed_permutation():
-    # Only a map whose every image is one term ±b_k is crossed or guarded:
-    # rational coefficients, a coefficient other than ±1, two terms, a zero
-    # image, an image outside the basis and a missing image are refused.
-    A = _delta_algebra(["p", "q"])
-    half = Fraction(1, 2)
-    for images in (
-        [{0: half, 1: ONE}, {0: Fraction(3, 2), 1: -half}],
-        [{1: ONE}, {0: 2 * ONE}],
-        [{0: ONE, 1: ONE}, {1: ONE}],
-        [{1: ONE}, {}],
-        [{2: ONE}, {0: ONE}],
-        [{1: ONE}],
+    # A symmetry is made only from a bijection π of the basis and signs
+    # ±1, of equal lengths: rational coefficients, a coefficient other
+    # than ±1, two elements sent to one, an index outside the basis and a
+    # missing sign are refused where it is made.
+    for pi, sigma in (
+        ([0, 1], [Fraction(1, 2), 1]),
+        ([1, 0], [1, 2]),
+        ([0, 0], [1, 1]),
+        ([2, 0], [1, 1]),
+        ([1, 0], [1]),
     ):
+        with pytest.raises(ValidationError) as exc:
+            SignedPermutation(pi, sigma)
+        assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
+    # a sign equal to ±1 is kept as ``int``
+    act = SignedPermutation([1, 0], [ONE, -ONE])
+    assert act == SignedPermutation((1, 0), (1, -1))
+    assert {type(s) for s in act.sigma} == {int}
+    # the crossing and the guard refuse a signed permutation of another size
+    A = _delta_algebra(["p", "q"])
+    for act in (SignedPermutation([0], [1]), SignedPermutation([2, 0, 1], [1, 1, 1])):
         for check in (skew_group_algebra, verify_algebra_involution):
             with pytest.raises(ValidationError) as exc:
-                check(A, BasisMap(images))
+                check(A, act)
             assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
 
 
@@ -770,7 +759,7 @@ def test_involution_verifier_checks_pairs_with_zero_source_product():
     # k ⊕ V with V = span(x, y) squaring to zero.  The map x -> 1 - x has
     # order two, fixes the unit and respects every product with a nonzero
     # source; it fails only on x*x and x*y, whose source products are zero.
-    # It is not a signed permutation, so the guard refuses it outright.
+    # It is not a signed permutation, so no symmetry can be made of it.
     def prod(a, b):
         if a == "1":
             return {b: ONE}
@@ -779,31 +768,31 @@ def test_involution_verifier_checks_pairs_with_zero_source_product():
         return {}
 
     A = algebra_from_products(["1", "x", "y"], prod, {"1": ONE})
-    act = BasisMap([{0: ONE}, {0: ONE, 1: -ONE}, {2: ONE}])
-    assert veq(act.apply(act.apply({1: ONE})), {1: ONE})
-    assert veq(act.apply(A.unit), A.unit)
+    act = [{0: ONE}, {0: ONE, 1: -ONE}, {2: ONE}]
+    assert veq(apply_map(act, apply_map(act, {1: ONE})), {1: ONE})
+    assert veq(apply_map(act, A.unit), A.unit)
     table = A.table
     assert all(
-        veq(act.apply(table[i][j]), A.mul(act.images[i], act.images[j]))
+        veq(apply_map(act, table[i][j]), A.mul(act[i], act[j]))
         for i in range(3)
         for j in range(3)
         if table[i][j]
     )
-    assert not multiplicative(A, A, act.images)
-    with pytest.raises(ValidationError) as exc:
-        verify_algebra_involution(A, act)
-    assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
-    # A signed permutation is checked on its nonzero cells: on k × k the map
-    # p, q -> p respects both of them and fails only on the zero products
-    # p*q and q*p, and it is refused since π(π(q)) ≠ q.
+    assert not multiplicative(A, A, act)
+    # A signed permutation is checked on its nonzero cells, which is enough
+    # for a bijection.  On k × k the map p, q -> p respects both nonzero
+    # cells and fails only on the zero products p*q and q*p; it is not a
+    # bijection, so it is refused where it would be made.
     kk = _delta_algebra(["p", "q"])
-    collapse = BasisMap([{0: 1}, {0: 1}])
+    collapse = [{0: 1}, {0: 1}]
     assert all(
-        veq(collapse.apply(cell), kk.mul(collapse.images[i], collapse.images[i]))
+        veq(apply_map(collapse, cell), kk.mul(collapse[i], collapse[i]))
         for i, cell in ((0, kk.table[0][0]), (1, kk.table[1][1]))
     )
-    assert not multiplicative(kk, kk, collapse.images)
-    assert not verify_algebra_involution(kk, collapse)
+    assert not multiplicative(kk, kk, collapse)
+    with pytest.raises(ValidationError) as exc:
+        SignedPermutation([0, 0], [1, 1])
+    assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
 
 
 def test_corner_product_outside_the_corner_is_an_error():

@@ -467,6 +467,37 @@ def test_mutated_files_never_escape_main(tmp_path, capsys):
     assert dict(outcomes) == MUTATION_OUTCOMES
 
 
+def test_a_file_that_is_not_utf8_is_a_syntax_error_in_every_command(tmp_path, capsys):
+    """Bytes that are not UTF-8 exit 2 with a ``SYNTAX`` diagnostic naming
+    their line, in every subcommand and in either place of ``compare``."""
+    path = tmp_path / "bad.surf"
+    path.write_bytes(b"surface x\n\xff\xfe\n")
+    file, other = str(path), str(fixture_path("cylinder2"))
+    commands = [
+        ["validate", file],
+        ["quiver", file],
+        ["split", file],
+        ["cover", file],
+        ["quotient", file],
+        ["skewgroup", file],
+        ["invariants", file],
+        ["winding", file],
+        ["compare", "--mode", "tilting", file, other],
+        ["compare", "--mode", "ghat", other, file],
+        ["complex", file, "core"],
+        ["export-dot", file],
+    ]
+    subparsers = next(
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {argv[0] for argv in commands} == set(subparsers.choices)
+    for argv in commands:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert _FIRST_CODE.match(err).group(1) == SYNTAX, argv
+        assert "line 2: not UTF-8 text" in err, argv
+
+
 # ---------------------------------------------------------------------------
 # Each surface, curve and involution is checked once per command
 

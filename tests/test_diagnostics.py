@@ -17,12 +17,17 @@ from skewgentle import (
     BoundarySegment,
     DissectedSurface,
     GradedArc,
+    corner_algebra,
     double_cover,
     dual_dissection,
     fixtures,
+    graded_arcs_from_solution,
+    graded_path_algebra,
     puncture_loop,
     special_chain_triple,
     special_piece,
+    transport_curve,
+    triple_from_x_dissection,
     two_hole_torus_surface,
     two_orbifold_cylinder,
 )
@@ -392,3 +397,29 @@ def test_every_surface_reader_hands_back_the_surface_findings(broken):
             with pytest.raises(ValidationError) as exc:
                 f(surface, *rest)
             assert UNKNOWN_ID in [d.code for d in exc.value.diagnostics], name
+
+
+def _cylinder_and_dual():
+    s = two_orbifold_cylinder(1)
+    return s, dual_dissection(s)[0]
+
+
+@pytest.mark.parametrize(
+    "call, code",
+    [
+        # a curve on the base read on the total surface of the cover
+        (lambda s, d: transport_curve(double_cover(s), d), UNKNOWN_ID),
+        (lambda s, d: graded_arcs_from_solution([d], {}), BAD_INPUT),
+        (
+            lambda s, d: corner_algebra(
+                graded_path_algebra(triple_from_x_dissection(s)).algebra, {99999: 1}
+            ),
+            BAD_INPUT,
+        ),
+    ],
+    ids=["transport_curve", "graded_arcs_from_solution", "corner_algebra"],
+)
+def test_bad_arguments_raise_a_validation_error(call, code):
+    with pytest.raises(ValidationError) as exc:
+        call(*_cylinder_and_dual())
+    assert code in [d.code for d in exc.value.diagnostics]

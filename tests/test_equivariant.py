@@ -9,16 +9,23 @@ import pytest
 
 from oracles import (
     algebra_from_products,
+    apply_map,
     basis_map_from_permutation,
     cohen_montgomery_image,
+    comparison_images,
     corner_dimension,
     generated_dimension,
+    images_of,
+    matrix_algebra,
     matrix_table,
     multiplicative,
+    twice_crossed,
     twist_compat,
     verify_multiplicative,
 )
 from skewgentle import (
+    Arrow,
+    SignedPermutation,
     SpanBasis,
     TableAlgebra,
     ValidationError,
@@ -42,7 +49,6 @@ from skewgentle import (
     verify_skew_group_reduction,
 )
 from skewgentle import equivariant
-from skewgentle.algebra import BasisMap
 from skewgentle.diagnostics import BAD_INPUT
 
 ONE = Fraction(1)
@@ -194,12 +200,10 @@ def test_cover_into_dual_corner_is_equivariant_isomorphism(
 def test_double_crossed_product_is_matrix_algebra(cylinders):
     red = verify_skew_group_reduction(double_cover(cylinders[1]))
     rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
-    assert rr.double.dimension == 4 * red.cover_algebra.dimension == 80
-    assert rr.endo.dimension == 80
+    assert twice_crossed(rr.once).dimension == 4 * red.cover_algebra.dimension == 80
+    assert matrix_algebra(rr.algebra).dimension == 80
     assert rr.homomorphism
     assert rr.unit_ok
-    assert rr.rank == 80
-    assert rr.bijective
     assert rr.ok
 
 
@@ -207,7 +211,7 @@ def test_double_crossed_product_on_trivial_algebra():
     k = algebra_from_products(["e"], lambda a, b: {"e": ONE}, {"e": ONE})
     ident = basis_map_from_permutation(k, {"e": "e"})
     rr = verify_iterated_skew_group(k, ident)
-    assert rr.double.dimension == 4
+    assert twice_crossed(rr.once).dimension == 4
     assert rr.ok
 
 
@@ -219,7 +223,7 @@ def test_double_crossed_product_on_swapped_pair():
     )
     swap = basis_map_from_permutation(A, {"p": "q", "q": "p"})
     rr = verify_iterated_skew_group(A, swap)
-    assert rr.double.dimension == 8
+    assert twice_crossed(rr.once).dimension == 8
     assert rr.ok
 
 
@@ -281,22 +285,6 @@ def test_iterated_check_rejects_a_non_multiplicative_action(monkeypatch, cylinde
     assert not rr.ok
 
 
-def test_iterated_rank_is_the_span_of_the_comparison_images_when_s_is_singular(monkeypatch):
-    """The rank read off the action, 2n + 2·rank(s), is the rank of the
-    comparison images also when ``s`` is not injective: on k × k, with
-    both idempotents sent to the first, it is 6, not 8."""
-    A = algebra_from_products(
-        ["p", "q"], lambda a, b: {a: ONE} if a == b else {}, {"p": ONE, "q": ONE}
-    )
-    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
-    rr = verify_iterated_skew_group(A, BasisMap([{0: 1}, {0: 1}]))
-    span = SpanBasis()
-    for img in rr.comparison.images:
-        span.add(img)
-    assert rr.rank == span.rank == 6
-    assert not rr.bijective and not rr.ok
-
-
 def test_iterated_check_catches_a_unital_automorphism_of_order_three(monkeypatch):
     """On k × k × k the 3-cycle p → q → r → p fixes the unit and respects
     every product, but it is not of order two.  With the guard bypassed
@@ -308,72 +296,40 @@ def test_iterated_check_catches_a_unital_automorphism_of_order_three(monkeypatch
         labels, lambda a, b: {a: ONE} if a == b else {}, dict.fromkeys(labels, ONE)
     )
     cycle = basis_map_from_permutation(A, {"p": "q", "q": "r", "r": "p"})
-    assert multiplicative(A, A, cycle.images)
+    assert multiplicative(A, A, images_of(cycle))
     monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
     rr = verify_iterated_skew_group(A, cycle)
-    assert (rr.homomorphism, rr.unit_ok, rr.rank, rr.bijective) == (False, True, 12, True)
+    assert (rr.homomorphism, rr.unit_ok) == (False, True)
     assert not _assert_generator_check_agrees(A, cycle)
 
 
 def test_a_product_nonzero_on_the_right_alone_fails(monkeypatch):
-    """On the unital table with ``y·x = y·y = y`` and ``x·x = x·y = 0``
-    the map sending every basis element to ``y`` passes every cell that
-    the left side holds and both unit factors; only the count of the
-    right side's nonzero cells sees that ``b_x·b_x = 0`` while
-    ``s(b_x)·s(b_x) = y``.  The table is not associative, so the guard
-    is bypassed."""
-    products = {("y", "x"): "y", ("y", "y"): "y"}
+    """On span(1, x, y) with ``y·y = y`` and ``x·x = x·y = y·x = 0`` the
+    swap of x and y fails only where ``b_x·b_x = 0`` while
+    ``s(b_x)·s(b_x) = y``, a product present on the right alone.  Row x
+    has one cell and row π(x) = y has two, so the cell comparison finds
+    the row y cell ``y·y = y`` unmatched, as the count over the bijection
+    says.  The swap is not an involution of the algebra, so the guard is
+    bypassed."""
 
     def product(a, b):
         if a == "1" or b == "1":
             return {b if a == "1" else a: ONE}
-        return {products[a, b]: ONE} if (a, b) in products else {}
+        return {"y": ONE} if a == b == "y" else {}
 
     A = algebra_from_products(["1", "x", "y"], product, {"1": ONE})
-    to_y = basis_map_from_permutation(A, dict.fromkeys(A.labels, "y"))
+    swap = basis_map_from_permutation(A, {"1": "1", "x": "y", "y": "x"})
     monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
-    assert not _assert_generator_check_agrees(A, to_y)
-
-
-def test_the_verdict_builds_neither_the_matrix_algebra_nor_the_comparison(
-    monkeypatch, cylinders
-):
-    """``endo`` and ``comparison`` are built on their first read and kept;
-    Φ is built without ``M₂(A)``."""
-    A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
-    calls = {"endo": 0, "comparison": 0}
-    matrix_algebra, basis_map = equivariant._matrix_algebra, equivariant.BasisMap
-
-    def counted_matrix_algebra(B):
-        calls["endo"] += 1
-        return matrix_algebra(B)
-
-    def counted_basis_map(images):
-        calls["comparison"] += 1
-        return basis_map(images)
-
-    monkeypatch.setattr(equivariant, "_matrix_algebra", counted_matrix_algebra)
-    monkeypatch.setattr(equivariant, "BasisMap", counted_basis_map)
-    rr = verify_iterated_skew_group(A, deck)
-    assert rr.ok
-    assert calls == {"endo": 0, "comparison": 0}
-    comparison = rr.comparison
-    assert calls == {"endo": 0, "comparison": 1}
-    assert rr.comparison is comparison
-    assert calls == {"endo": 0, "comparison": 1}
-    endo = rr.endo
-    assert calls == {"endo": 1, "comparison": 1}
-    assert rr.endo is endo
-    assert calls == {"endo": 1, "comparison": 1}
-    assert endo == matrix_algebra(A) and endo.dimension == len(comparison.images)
+    assert not _assert_generator_check_agrees(A, swap)
 
 
 def _assert_iterated_matches_oracle(A, act):
-    """The target is ``M₂(A)`` cell by cell, and the comparison map is the
+    """The verdict holds, and the target and the comparison map that the
+    agreement checks build are ``M₂(A)`` cell by cell and the
     Cohen--Montgomery map image by image."""
     rr = verify_iterated_skew_group(A, act)
     assert rr.ok
-    endo = rr.endo
+    endo = matrix_algebra(A)
     assert endo.dimension == 4 * A.dimension
 
     def labelled(v):
@@ -388,10 +344,9 @@ def _assert_iterated_matches_oracle(A, act):
     assert labelled(endo.unit) == {
         (r, A.labels[q], r): c for r in (0, 1) for q, c in A.unit.items()
     }
-    for i, label in enumerate(rr.double.labels):
-        assert labelled(rr.comparison.images[i]) == cohen_montgomery_image(
-            A, act.images, label
-        )
+    images = comparison_images(act)
+    for i, label in enumerate(twice_crossed(rr.once).labels):
+        assert labelled(images[i]) == cohen_montgomery_image(A, images_of(act), label)
 
 
 def _assert_cover_iterated_matches_oracle(cov):
@@ -437,14 +392,13 @@ def _count_crossings(monkeypatch):
 
 def test_iterated_check_crosses_twice_without_twisted_rows(monkeypatch, cylinders):
     # The verdict crosses once; the second crossing, with the grading
-    # signs, waits for the first read of ``double``.
+    # signs, is never built.
     A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
     calls = _count_crossings(monkeypatch)
     rr = verify_iterated_skew_group(A, deck)
     n = A.dimension
+    assert rr.ok
     assert calls == {"crossed": [n], "involution": [n]}
-    assert rr.double.dimension == 4 * n
-    assert calls == {"crossed": [n, 2 * n], "involution": [n]}
 
 
 def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
@@ -458,35 +412,38 @@ def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
     assert calls == {"crossed": [], "involution": []}
     fresh = verify_iterated_skew_group(*_cover_algebra_and_deck(cov))
     assert rr.ok
-    assert (rr.double, rr.endo, rr.comparison, rr.rank) == (
-        fresh.double, fresh.endo, fresh.comparison, fresh.rank
+    assert (rr.homomorphism, rr.unit_ok, rr.once) == (
+        fresh.homomorphism, fresh.unit_ok, fresh.once
     )
 
 
 def test_a_symmetry_that_is_not_an_involution_is_not_kept(cylinders):
     A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
-    # negating the image of one moved basis element gives s²(b) = -b
-    k = next(j for j, img in enumerate(deck.images) if j not in img)
-    images = list(deck.images)
-    images[k] = {m: -c for m, c in images[k].items()}
+    # negating the sign of one moved basis element gives s²(b) = -b
+    k = next(j for j, p in enumerate(deck.pi) if p != j)
+    sigma = list(deck.sigma)
+    sigma[k] = -sigma[k]
     with pytest.raises(ValidationError) as exc:
-        verify_iterated_skew_group(A, BasisMap(images))
+        verify_iterated_skew_group(A, SignedPermutation(deck.pi, sigma))
     assert [d.code for d in exc.value.diagnostics] == ["NOT_INVOLUTION"]
     assert A._crossed == {}
     assert verify_iterated_skew_group(A, deck).ok
-    assert list(A._crossed) == [id(deck)]
+    assert list(A._crossed) == [deck]
 
 
-def test_double_is_crossed_once_on_first_read_and_kept(monkeypatch, cylinders):
+def test_the_crossed_product_is_kept_under_the_value_of_the_action(
+    monkeypatch, cylinders
+):
+    """An equal action made afresh finds the kept crossed product, and
+    nothing is guarded or crossed again."""
     A, deck = _cover_algebra_and_deck(double_cover(cylinders[2]))
     rr = verify_iterated_skew_group(A, deck)
+    assert rr.once is A._crossed[deck]
     calls = _count_crossings(monkeypatch)
-    double = rr.double
-    assert calls["crossed"] == [rr.once.dimension]
-    assert rr.double is double
-    assert calls["crossed"] == [rr.once.dimension]
-    assert rr.once is A._crossed[id(deck)][1]
-    assert double == skew_group_algebra(rr.once, equivariant.grading_sign_map(rr.once))
+    again = SignedPermutation(list(deck.pi), list(deck.sigma))
+    assert again == deck and again is not deck
+    assert verify_iterated_skew_group(A, again).once is rr.once
+    assert calls == {"crossed": [], "involution": []}
 
 
 def _assert_generator_check_agrees(A, act) -> bool:
@@ -494,18 +451,16 @@ def _assert_generator_check_agrees(A, act) -> bool:
     is the one of the all-pairs check on the built twice-crossed product
     and of the independent oracle; returns the homomorphism verdict."""
     rr = verify_iterated_skew_group(A, act)
-    double, endo, f = rr.double, rr.endo, rr.comparison
+    double, endo, f = twice_crossed(rr.once), matrix_algebra(A), comparison_images(act)
+    # Φ is bijective for every signed permutation
     span = SpanBasis()
-    for img in f.images:
+    for img in f:
         span.add(img)
-    rest = (
-        f.apply(double.unit) == endo.unit,
-        span.rank,
-        span.rank == double.dimension == endo.dimension,
-    )
-    verdict = (rr.homomorphism, rr.unit_ok, rr.rank, rr.bijective)
-    assert verdict == (verify_multiplicative(double, endo, f), *rest)
-    assert verdict == (multiplicative(double, endo, f.images), *rest)
+    assert span.rank == double.dimension == endo.dimension
+    unit_ok = apply_map(f, double.unit) == endo.unit
+    verdict = (rr.homomorphism, rr.unit_ok)
+    assert verdict == (verify_multiplicative(double, endo, f), unit_ok)
+    assert verdict == (multiplicative(double, endo, f), unit_ok)
     return rr.homomorphism
 
 
@@ -526,33 +481,42 @@ def test_generator_check_agrees_with_all_pairs_on_covers(agreement_covers):
 
 
 def _perturbed_actions(deck, rng):
-    """Linear maps near the deck action that are not algebra involutions:
-    one moved image negated (s² ≠ id; left out when the deck action moves
-    nothing), a random signed permutation, two
-    images swapped, one image with two terms (these two need two basis elements), and
-    twice the deck action."""
-    images = deck.images
-    n = len(images)
+    """Signed maps near the deck action, as pairs ``(π, σ)``: one moved
+    sign negated (s² ≠ id; left out when the deck action moves nothing),
+    a random signed permutation, two images swapped, two basis elements
+    sent to one (these two need two basis elements), and twice the deck
+    action.  The last two are not signed permutations."""
+    pi, sigma = list(deck.pi), list(deck.sigma)
+    n = len(pi)
     out = {}
-    moved = next((j for j, img in enumerate(images) if j not in img), None)
+    moved = next((j for j, p in enumerate(pi) if p != j), None)
     if moved is not None:
-        negated = list(images)
-        negated[moved] = {m: -c for m, c in images[moved].items()}
-        out["negated"] = negated
-    perm = rng.sample(range(n), n)
-    out["signed permutation"] = [{perm[j]: rng.choice((1, -1))} for j in range(n)]
+        negated = list(sigma)
+        negated[moved] = -negated[moved]
+        out["negated"] = (pi, negated)
+    out["signed permutation"] = (
+        rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)]
+    )
     if n > 1:
         a, b = rng.sample(range(n), 2)
-        swapped = list(images)
-        swapped[a], swapped[b] = images[b], images[a]
-        out["swapped"] = swapped
-        k = rng.randrange(n)
-        extra = rng.choice([m for m in range(n) if m not in images[k]])
-        two_terms = list(images)
-        two_terms[k] = {**images[k], extra: 1}
-        out["two terms"] = two_terms
-    out["twice"] = [{m: 2 * c for m, c in img.items()} for img in images]
-    return {name: BasisMap(imgs) for name, imgs in out.items()}
+        swapped, swapped_signs = list(pi), list(sigma)
+        swapped[a], swapped[b] = pi[b], pi[a]
+        swapped_signs[a], swapped_signs[b] = sigma[b], sigma[a]
+        out["swapped"] = (swapped, swapped_signs)
+        two_to_one = list(pi)
+        two_to_one[a] = pi[b]
+        out["two to one"] = (two_to_one, sigma)
+    out["twice"] = (pi, [2 * s for s in sigma])
+    return out
+
+
+NOT_SIGNED = {"two to one", "twice"}
+
+
+def _assert_refused(pi, sigma) -> None:
+    with pytest.raises(ValidationError) as exc:
+        SignedPermutation(pi, sigma)
+    assert [d.code for d in exc.value.diagnostics] == [BAD_INPUT]
 
 
 def test_generator_check_agrees_with_all_pairs_on_perturbed_actions(
@@ -560,22 +524,21 @@ def test_generator_check_agrees_with_all_pairs_on_perturbed_actions(
 ):
     # Without the involution guard the crossed products of a broken action
     # need not be associative; the generating rows still catch it.  A map
-    # that is not a signed permutation is not crossed at all.
+    # that is not a signed permutation cannot be made into a symmetry.
     monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
     rng = random.Random(6134)
     verdicts, refused = {}, set()
     for cov in agreement_covers:
         _, deck = _cover_algebra_and_deck(cov)
-        for name, act in _perturbed_actions(deck, rng).items():
+        for name, (pi, sigma) in _perturbed_actions(deck, rng).items():
             A, _ = _cover_algebra_and_deck(cov)
-            if name in ("two terms", "twice"):
-                with pytest.raises(ValidationError) as exc:
-                    verify_iterated_skew_group(A, act)
-                assert [d.code for d in exc.value.diagnostics] == ["BAD_INPUT"]
+            if name in NOT_SIGNED:
+                _assert_refused(pi, sigma)
                 refused.add(name)
             else:
+                act = SignedPermutation(pi, sigma)
                 verdicts.setdefault(name, set()).add(_assert_generator_check_agrees(A, act))
-    assert refused == {"two terms", "twice"}
+    assert refused == NOT_SIGNED
     assert len(verdicts) == 3 and all(False in v for v in verdicts.values())
     assert verdicts["negated"] == {False}
 
@@ -590,17 +553,9 @@ def symmetry_covers(agreement_covers):
 def _is_involution(A, images) -> bool:
     """Order two, the unit fixed and all pairs multiplicative, by plain
     loops over the images."""
-
-    def apply(x):
-        out = {}
-        for i, c in x.items():
-            for k, v in images[i].items():
-                out[k] = out.get(k, 0) + c * v
-        return {k: c for k, c in out.items() if c}
-
     return (
-        all(apply(images[i]) == {i: 1} for i in range(A.dimension))
-        and apply(A.unit) == A.unit
+        all(apply_map(images, images[i]) == {i: 1} for i in range(A.dimension))
+        and apply_map(images, A.unit) == A.unit
         and multiplicative(A, A, images)
     )
 
@@ -608,10 +563,11 @@ def _is_involution(A, images) -> bool:
 def test_involution_guard_agrees_with_all_pairs_oracle(symmetry_covers):
     """The cellwise guard gives the oracle's verdict on the deck action and
     the signed half-swap of every cover and on the signed maps near the
-    deck action, and refuses a map that is not a signed permutation."""
+    deck action; a map that is not a signed permutation cannot be made
+    into a symmetry."""
     rng = random.Random(6135)
     verdicts, refused = {}, set()
-    not_signed = {"two terms", "twice", "rational"}
+    not_signed = NOT_SIGNED | {"rational"}
     for cov in symmetry_covers:
         A, deck = _cover_algebra_and_deck(cov)
         dual = verify_dual_reduction(cov)
@@ -620,21 +576,20 @@ def test_involution_guard_agrees_with_all_pairs_oracle(symmetry_covers):
             "half-swap": (dual.split_algebra.algebra, dual.swap_action),
         }
         perturbed = _perturbed_actions(deck, rng)
-        rational = list(deck.images)
+        rational = list(deck.sigma)
         k = rng.randrange(len(rational))
-        rational[k] = {m: Fraction(c, 2) for m, c in rational[k].items()}
-        perturbed["rational"] = BasisMap(rational)
-        cases.update((name, (A, act)) for name, act in perturbed.items())
-        for name, (B, act) in cases.items():
+        rational[k] = Fraction(rational[k], 2)
+        perturbed["rational"] = (deck.pi, rational)
+        for name, (pi, sigma) in perturbed.items():
             if name in not_signed:
-                with pytest.raises(ValidationError) as exc:
-                    verify_algebra_involution(B, act)
-                assert [d.code for d in exc.value.diagnostics] == [BAD_INPUT]
+                _assert_refused(pi, sigma)
                 refused.add(name)
             else:
-                verdict = verify_algebra_involution(B, act)
-                assert verdict == _is_involution(B, act.images), name
-                verdicts.setdefault(name, set()).add(verdict)
+                cases[name] = (A, SignedPermutation(pi, sigma))
+        for name, (B, act) in cases.items():
+            verdict = verify_algebra_involution(B, act)
+            assert verdict == _is_involution(B, images_of(act)), name
+            verdicts.setdefault(name, set()).add(verdict)
     assert refused == not_signed
     assert verdicts["deck"] == verdicts["half-swap"] == {True}
     assert verdicts["negated"] == {False}
@@ -663,21 +618,36 @@ def test_induced_map_is_the_reduced_relabelling(symmetry_covers):
     for cov in symmetry_covers:
         lam = graded_path_algebra(cov.total_quiver.presentation)
         images, missed = _reduced_relabelling(lam, cov.deck_generators, {})
-        assert equivariant.induced_basis_map(lam, cov.deck_generators).images == images
+        assert images_of(equivariant.induced_basis_map(lam, cov.deck_generators)) == images
         misses["deck"] += missed
         dual = verify_dual_reduction(cov)
         split = dual.split_algebra
-        # the sign of each arrow is the coefficient of its one-term image
+        # the sign of each arrow is the sign of its image
         signs = {
-            word[0]: c
-            for (_, word), img in zip(split.algebra.labels, dual.swap_action.images)
+            word[0]: s
+            for (_, word), s in zip(split.algebra.labels, dual.swap_action.sigma)
             if len(word) == 1
-            for c in img.values()
         }
         images, missed = _reduced_relabelling(split, cov.split.swap, signs)
-        assert dual.swap_action.images == images
+        assert images_of(dual.swap_action) == images
         misses["half-swap"] += missed
     assert misses["deck"] == 0 and misses["half-swap"] > 0
+
+
+def test_induced_map_refuses_a_relabelling_that_sends_a_basis_path_to_zero():
+    # a·c is a basis path, and swapping b and c sends it to the relation a·b
+    pres = make_presentation(
+        ["1", "2", "3"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "2", "3")],
+        [(("a", "b"),)],
+    )
+    alg = graded_path_algebra(pres)
+    assert ("1", ("a", "c")) in alg.algebra.index_of
+    swap = {"1": "1", "2": "2", "3": "3", "a": "a", "b": "c", "c": "b"}
+    with pytest.raises(ValidationError) as exc:
+        equivariant.induced_basis_map(alg, swap)
+    (diagnostic,) = exc.value.diagnostics
+    assert diagnostic.code == BAD_INPUT and "0 terms" in diagnostic.message
 
 
 class Builds(NamedTuple):
@@ -737,8 +707,8 @@ def _assert_exact(builds):
     table_coeffs += [c for A in built for c in A.unit.values()]
     image_coeffs = []
     for red, dual, rr in runs:
-        for f in (red.deck_action, dual.swap_action, rr.comparison):
-            image_coeffs += [c for img in f.images for c in img.values()]
+        for act in (red.deck_action, dual.swap_action):
+            image_coeffs += act.sigma
         for images in (red.images, dual.images):
             image_coeffs += [c for img in images.values() for c in img.values()]
     assert table_coeffs and image_coeffs
@@ -924,7 +894,12 @@ def test_every_table_cell_is_one_signed_basis_element(ladder_builds, cylinders, 
     random_covers = [double_cover(surface_from_triple(random_triple(rng))) for _ in range(50)]
     builds = [ladder_builds, _build_all(random_covers)]
     built = [A for b in builds for A in b.built]
-    built += [m for b in builds for _, _, rr in b.runs for m in (rr.endo, rr.double)]
+    built += [
+        m
+        for b in builds
+        for _, _, rr in b.runs
+        for m in (matrix_algebra(rr.algebra), twice_crossed(rr.once))
+    ]
     deformed = []
     post_init = TableAlgebra.__post_init__
 
@@ -953,10 +928,7 @@ def test_signed_permutation_crossed_product_shares_cells(cylinder_covers):
     shifted and the negated cells."""
     for cov in (cylinder_covers[2], double_cover(one_orbifold_disc(8))):
         A, deck = _cover_algebra_and_deck(cov)
-        preimage = {}
-        for j, img in enumerate(deck.images):
-            ((k, sign),) = img.items()
-            preimage[k] = (j, sign)
+        preimage = {k: (j, sign) for j, (k, sign) in enumerate(zip(deck.pi, deck.sigma))}
         skew = skew_group_algebra(A, deck)
         n = A.dimension
         shared = 0
