@@ -11,7 +11,7 @@ Elements are sparse vectors over an explicit basis, and linear algebra is
 done by exact Gaussian elimination.  Every algebra the package builds is
 monomial on its basis: each product of two basis elements is 0 or ``c``
 times one basis element (the path basis of a gentle, skew-gentle or split
-algebra, and what a signed permutation or a corner makes of it).
+algebra, and what a signed permutation makes of it).
 So a multiplication table is stored as sparse rows that hold only the
 nonzero products, each cell the pair ``(k, c)`` for ``c·b_k``.  A dense
 ``n×n`` view of the table, for readers by position, is built afresh on
@@ -20,7 +20,11 @@ each read of :attr:`TableAlgebra.table` and never kept.
 The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the products of the vertex images
 in :func:`verify_morphism` come from one helper, and the products
-``x·b_j`` of one left factor, as in :func:`corner_algebra`, from another.
+``x·b_j`` of one left factor, for the iterated check of
+:mod:`skewgentle.equivariant`, from another.  A corner ``e·A·e`` is a
+:class:`CornerAlgebra`, the basis indices it spans and no table of its
+own: :func:`verify_morphism` checks a map into it on the rows of ``A``,
+with ``e`` for the unit.
 A symmetry is a :class:`SignedPermutation` ``(π, σ)``, each image one term
 ``σ_j·b_{π(j)}`` with ``π`` a bijection.  Its constructor is the one place
 that checks this shape, so the readers check only its size.
@@ -49,14 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .diagnostics import (
-    BAD_INPUT,
-    NOT_CLOSED,
-    NOT_IDEMPOTENT,
-    NOT_STABILIZED,
-    error,
-    raise_on_error,
-)
+from .diagnostics import BAD_INPUT, NOT_STABILIZED, error, raise_on_error
 from .presentations import Arrow, Presentation, check_skew_gentle
 
 Coeff = int | Fraction
@@ -368,14 +365,15 @@ class PathAlgebra:
         return self.reduce((arr.source, (a,)))
 
     def reduce(self, key: PathKey) -> Vector:
-        """The expansion of a composable path over the basis."""
+        """The expansion of a composable path over the basis; a word that
+        does not compose in the quiver raises ``BAD_INPUT``."""
         src, arrows = key
         pres = self.presentation
         coeff, word, at = ONE, (), src
         for a in arrows:
             arr = pres.arrow_by_id.get(a)
             if arr is None or arr.source != at:
-                raise KeyError(f"path {key!r} is not composable in the quiver")
+                raise error(BAD_INPUT, f"path {key!r} is not composable in the quiver")
             at = arr.target
             c = _junction(pres, self.loop_values, word[-1], a) if word else None
             if c is None:
@@ -518,96 +516,33 @@ def graded_path_algebra(
 
 @dataclass
 class CornerAlgebra:
-    """The subalgebra e*A*e, spanned by the parent basis elements it keeps.
-
-    ``indices`` lists those parent basis indices in order; corner basis
-    element ``k`` is parent basis element ``indices[k]``.
-    """
+    """The corner ``e*A*e`` of ``parent``, kept as the parent basis indices
+    that span it, for an idempotent ``e`` with ``e*b*e`` equal to ``b`` or
+    to 0 for every basis element ``b`` (as for a sum of vertex
+    idempotents).  No table is built: the corner's products are the
+    parent's, in the parent's coordinates, so :attr:`rows` and
+    :meth:`mul` are the parent's, :attr:`unit` is ``e`` and
+    :attr:`dimension` counts ``indices``.  :func:`verify_morphism` reads a
+    corner as it reads a :class:`TableAlgebra`."""
 
     parent: TableAlgebra
     idempotent: Vector
-    algebra: TableAlgebra
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        self._position = {i: k for k, i in enumerate(self.indices)}
+    @property
+    def dimension(self) -> int:
+        return len(self.indices)
 
-    def express(self, x: Vector) -> Optional[Vector]:
-        """Corner coordinates of a parent vector, or None if outside."""
-        return _renumber(x, self._position)
+    @property
+    def rows(self) -> list[dict[int, Cell]]:
+        return self.parent.rows
 
+    @property
+    def unit(self) -> Vector:
+        return self.idempotent
 
-def _renumber(x: Vector, position: Mapping[int, int]) -> Optional[Vector]:
-    if not all(k in position for k in x):
-        return None
-    return {position[k]: c for k, c in x.items()}
-
-
-def corner_algebra(A: TableAlgebra, e: Vector) -> CornerAlgebra:
-    """Cut e*A*e out of the product table of A by basis index.
-
-    ``e`` must be an idempotent with ``e*b*e`` equal to ``b`` or to 0 for
-    every basis element ``b``, as for any sum of vertex idempotents; the
-    corner then keeps the basis elements with ``e*b*e = b``, and its table
-    is the table of A restricted to them.  Raises ``NOT_IDEMPOTENT`` when e
-    squares wrong, ``BAD_INPUT`` when some ``e*b*e`` is neither ``b`` nor
-    0, and ``NOT_CLOSED`` when a product of kept elements leaves them.
-    An index of ``e`` outside the basis raises ``BAD_INPUT``.
-
-    The table is read row by row: ``e*b_m`` once for every ``m``, from the
-    cells of the rows of ``e``; each ``b_i*e`` from the cells of row ``i``
-    at the columns that ``e`` holds, found by intersecting the two sets of
-    keys; and ``e*b_i*e`` as the sum of the ``e*b_m`` over ``b_i*e``.  The
-    kept cells are renumbered in one pass.
-    """
-    for k in e:
-        if not (isinstance(k, int) and 0 <= k < A.dimension):
-            raise error(
-                BAD_INPUT,
-                f"idempotent index {k!r} is outside the basis of {A.dimension} elements",
-            )
-    left = _left_products(A, e)  # m -> e*b_m, where nonzero
-
-    def times_e(x: Vector) -> Vector:  # e*x
-        out: Vector = {}
-        for m, c in x.items():
-            if m in left:
-                _accumulate(out, left[m], c)
-        return out
-
-    if not veq(times_e(e), e):
-        raise error(NOT_IDEMPOTENT, "corner element does not square to itself")
-    indices = []
-    columns = e.keys()
-    for i, row in enumerate(A.rows):
-        right: Vector = {}  # b_i*e
-        for j in row.keys() & columns:
-            k, c = row[j]
-            _add(right, k, c * e[j])
-        sandwich = times_e(right)
-        if sandwich == {i: ONE}:
-            indices.append(i)
-        elif sandwich:
-            raise error(
-                BAD_INPUT,
-                f"e*b*e is neither b nor 0 for basis element {A.labels[i]!r}",
-            )
-    position = {i: k for k, i in enumerate(indices)}
-    labels = tuple(f"c{k}" for k in range(len(indices)))
-    try:
-        rows = [
-            {
-                position[j]: (position[k], c)
-                for j, (k, c) in A.rows[i].items()
-                if j in position
-            }
-            for i in indices
-        ]
-        unit = {position[k]: c for k, c in e.items()}
-    except KeyError:
-        raise error(NOT_CLOSED, "corner product left the corner span") from None
-    corner = TableAlgebra(labels, rows, unit)
-    return CornerAlgebra(A, e, corner, tuple(indices))
+    def mul(self, x: Vector, y: Vector) -> Vector:
+        return self.parent.mul(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +691,7 @@ def verify_morphism(
     domain: Presentation,
     vertex_images: Mapping[str, Vector],
     arrow_images: Mapping[str, Vector],
-    target: TableAlgebra,
+    target: TableAlgebra | CornerAlgebra,
     expected_dim: int,
     loop_values: Optional[Mapping[str, Coeff]] = None,
     scale: Coeff = 1,
@@ -769,7 +704,17 @@ def verify_morphism(
     ``e*e = value * e`` (value 1 unless overridden via ``loop_values``).
     ``expected_dim`` must be the independently computed domain dimension;
     the verdict combines homomorphism, surjectivity and the dimension
-    count.
+    count.  A vertex or arrow of ``domain`` with no image raises
+    ``BAD_INPUT`` before any product is taken.
+
+    A :class:`TableAlgebra` and a :class:`CornerAlgebra` target are read
+    the same way: products from its ``rows`` and ``mul``, the unit from
+    ``unit`` and the dimension from ``dimension``.  The images into a corner are given
+    in the coordinates of its parent ``B``, and the corner's unit is its
+    idempotent ``e``.  Images that pass the homomorphism checks lie in
+    ``e*B*e``: the vertex images are orthogonal idempotents summing to
+    ``e``, so each is ``e·f(v)·e``, and each arrow image is framed by two
+    of them.  So the span below counts dimensions inside the corner.
 
     With ``scale`` = s the images are given scaled: each vertex image is
     ``s·φ(v)`` and each arrow image ``s²·φ(a)`` for the map φ under test,
@@ -792,13 +737,19 @@ def verify_morphism(
     and ``is_isomorphism`` is false anyway; ``is_surjective`` then only
     says whether the path images the closure reaches span the target.
     """
+    missing = [v for v in domain.vertices if v not in vertex_images]
+    missing += [a.id for a in domain.arrows if a.id not in arrow_images]
+    if missing:
+        raise error(
+            BAD_INPUT, f"no image is given for the generators {missing!r}", tuple(missing)
+        )
     failures: list[str] = []
 
     # ψ_u·ψ_v for every v at once, keyed by the position of v: one row walk
     # per vertex image over a preimage index of all of them
     vertices = domain.vertices
     images = [vertex_images[v] for v in vertices]
-    preimages = _preimages(images, target.dimension)
+    preimages = _preimages(images, len(target.rows))
     products = [_products_row(target, ev, preimages) for ev in images]
     total: Vector = {}
     for p, (v, ev) in enumerate(zip(vertices, images)):

@@ -156,7 +156,7 @@ def _cmd_skewgroup(ns) -> int:
     dual = verify_dual_reduction(cov)
     print(f"cover algebra dimension: {red.cover_algebra.dimension}")
     print(f"skew group algebra dimension: {red.skew.dimension}")
-    print(f"corner dimension: {red.corner.algebra.dimension}")
+    print(f"corner dimension: {red.corner.dimension}")
     print(f"reduction is isomorphism: {red.verdict.is_isomorphism}")
     print(f"dual reduction is isomorphism: {dual.verdict.is_isomorphism}")
     print(

@@ -43,9 +43,7 @@ OVERGLUED_VERTEX = "OVERGLUED_VERTEX"
 SIZE_LIMIT = "SIZE_LIMIT"
 # Algebra engine
 NOT_STABILIZED = "NOT_STABILIZED"
-NOT_IDEMPOTENT = "NOT_IDEMPOTENT"
 NOT_INVOLUTION = "NOT_INVOLUTION"
-NOT_CLOSED = "NOT_CLOSED"
 OUTSIDE_CORNER = "OUTSIDE_CORNER"
 # Covers and curves
 CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"

@@ -30,6 +30,14 @@ comparison expects comes from the closed form of the polygon model of
 Opper--Plamondon--Schroll (:func:`~skewgentle.presentations.algebra_dimension`),
 so no algebra is built only to be measured.
 
+The corner is a :class:`~skewgentle.algebra.CornerAlgebra`, an index set
+and no table.  With ``e`` the sum of the chosen vertex idempotents in
+degree zero, ``e·(b⊗g)·e`` is ``b⊗g`` when the path ``b`` ends at a
+chosen vertex and starts at the image of one under ``s^g``, and 0
+otherwise.  So the kept indices are read off the ends of the basis paths
+(see :func:`_crossed_corner`), and the morphism check reads the corner's
+products from the rows of ``A#ℤ₂``.
+
 Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
 by :func:`induced_basis_map` from a relabelling of the quiver.  There is
 one crossed product per ``(A, act)``: the involution guard and ``A#ℤ₂``
@@ -56,11 +64,11 @@ idempotents ``(e ± s·e)/2`` carry halves, so each reduction builds its
 generator images doubled: every vertex image is ``2·φ(v)`` (``e ± s·e``,
 or ``2·e`` for a vertex that is not split) and every arrow image is
 ``4·φ(a)`` (the sandwich of an arrow between two doubled ends, or its
-half-sum doubled once more).  These integral images go, in corner
-coordinates, to :func:`~skewgentle.algebra.verify_morphism` with
-``scale=2``, and to the grading-sign comparison, which is linear.  Each
-reduction publishes one set of images, in the coordinates of the crossed
-product, divided once at the end; only there do the halves appear as
+half-sum doubled once more).  These integral images go, in the
+coordinates of the crossed product, to
+:func:`~skewgentle.algebra.verify_morphism` with ``scale=2``, and to the
+grading-sign comparison, which is linear.  Each reduction publishes the
+same images divided once at the end; only there do the halves appear as
 ``Fraction``.
 
 A relabelling that does not send each basis path to ± one basis path,
@@ -68,8 +76,9 @@ one to one, raises ``BAD_INPUT`` where the symmetry is made, and so does
 a symmetry of the wrong size where it is read; a signed permutation that
 is not an algebra involution raises ``NOT_INVOLUTION``.  Arrow lifts
 that do not sandwich to a single arrow or disagree on their sheet sign
-raise ``BAD_LIFT``, and a cover presentation with special loops raises
-``BAD_INPUT``.
+raise ``BAD_LIFT``, a generator image with a term outside the corner
+raises ``OUTSIDE_CORNER``, and a cover presentation with special loops
+raises ``BAD_INPUT``.
 """
 from __future__ import annotations
 
@@ -86,8 +95,8 @@ from .algebra import (
     TableAlgebra,
     Vector,
     _left_products,
-    corner_algebra,
     graded_path_algebra,
+    path_target,
     skew_group_algebra,
     vadd,
     vaxpy,
@@ -172,30 +181,33 @@ def _crossed_product(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     return skew
 
 
-def _corner_images(
-    corner: CornerAlgebra, pres: Presentation, raw_images: Mapping[str, Vector]
-) -> tuple[dict[str, Vector], dict[str, Vector]]:
-    """Corner coordinates of the images of the vertices and the arrows."""
-
-    def coords(gen: str) -> Vector:
-        out = corner.express(raw_images[gen])
-        if out is None:
-            raise error(OUTSIDE_CORNER, f"image of {gen!r} left the corner")
-        return out
-
-    return (
-        {v: coords(v) for v in pres.vertices},
-        {a.id: coords(a.id) for a in pres.arrows},
-    )
-
-
 def _crossed_corner(
-    A: TableAlgebra, act: SignedPermutation, vertices: Iterable[str]
+    alg: PathAlgebra, act: SignedPermutation, vertices: Iterable[str]
 ) -> tuple[TableAlgebra, CornerAlgebra]:
-    """The crossed product ``A#ℤ₂`` and its corner at the degree-zero
-    idempotents of ``vertices``, one per orbit."""
+    """The crossed product ``A#ℤ₂`` of ``A = alg.algebra`` and its corner
+    at ``e``, the sum of the degree-zero idempotents of ``vertices``, one
+    per orbit, as the indices it keeps.
+
+    No product is taken.  ``(e_v⊗0)(b⊗g) = e_v·b⊗g`` and
+    ``(b⊗g)(e_w⊗0) = b·s^g(e_w)⊗g``, and once the involution guard has
+    passed, ``s`` sends each vertex idempotent to one, ``e_π(w)``, with
+    sign +1.  So ``e·(b_i⊗g)·e`` is ``b_i⊗g`` when the path ``b_i`` ends in
+    ``V`` and starts in ``π^g(V)``, and 0 otherwise; the corner keeps the
+    first kind, read off the ends of each basis path."""
+    A, pres = alg.algebra, alg.presentation
     skew = _crossed_product(A, act)
-    return skew, corner_algebra(skew, orbit_idempotent(skew, vertices))
+    vertices = tuple(vertices)
+    ends = set(vertices)
+    index_of, labels = A.index_of, A.labels
+    starts = (ends, {labels[act.pi[index_of[(v, ())]]][0] for v in ends})
+    n = A.dimension
+    indices = tuple(
+        g * n + i
+        for g in (0, 1)
+        for i, key in enumerate(labels)
+        if key[0] in starts[g] and path_target(pres, key) in ends
+    )
+    return skew, CornerAlgebra(skew, orbit_idempotent(skew, vertices), indices)
 
 
 def _vertex(skew: TableAlgebra, v: str, g: int) -> Vector:
@@ -227,12 +239,17 @@ def _compare(
     ``skew`` send its image to the image of its ``symmetry`` partner.
 
     ``doubled`` holds ``2·φ(v)`` for each vertex and ``4·φ(a)`` for each
-    arrow, in the coordinates of ``skew``.  Returns the images of φ itself
-    there, the verdict and the grading-sign dict."""
-    vertex_doubled, arrow_doubled = _corner_images(corner, domain, doubled)
+    arrow, in the coordinates of ``skew``, where the morphism check reads
+    them too.  An image with an index outside the corner raises
+    ``OUTSIDE_CORNER``.  Returns the images of φ itself there, the verdict
+    and the grading-sign dict."""
+    kept = set(corner.indices)
+    vertices = set(domain.vertices)
+    for gen in (*domain.vertices, *(a.id for a in domain.arrows)):
+        if not kept.issuperset(doubled[gen]):
+            raise error(OUTSIDE_CORNER, f"image of {gen!r} left the corner")
     verdict = verify_morphism(
-        domain, vertex_doubled, arrow_doubled, corner.algebra,
-        expected_dim=expected_dim, scale=2,
+        domain, doubled, doubled, corner, expected_dim=expected_dim, scale=2
     )
     # the grading signs negate the group-degree-one part, indices n and up
     n = skew.dimension // 2
@@ -243,7 +260,7 @@ def _compare(
         for gen, img in doubled.items()
     }
     images = {
-        gen: {k: _divide(c, 2 if gen in vertex_doubled else 4) for k, c in img.items()}
+        gen: {k: _divide(c, 2 if gen in vertices else 4) for k, c in img.items()}
         for gen, img in doubled.items()
     }
     return images, verdict, compat
@@ -311,7 +328,7 @@ def verify_skew_group_reduction(
             chosen_lifts[v] = v
         else:
             chosen_lifts[v] = cov.arc_image[(v, sheet_choice.get(v, 1))]
-    skew, corner = _crossed_corner(lam.algebra, deck_action, chosen_lifts.values())
+    skew, corner = _crossed_corner(lam, deck_action, chosen_lifts.values())
 
     doubled: dict[str, Vector] = {}
     for v in triple.vertices:
@@ -436,7 +453,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     idem_vertices = [
         split_vertex_ids(v)[0] if v in special_vertices else v for v in triple.vertices
     ]
-    skew, corner = _crossed_corner(split_algebra.algebra, swap_action, idem_vertices)
+    skew, corner = _crossed_corner(split_algebra, swap_action, idem_vertices)
 
     doubled: dict[str, Vector] = {}
     for v in pair.vertices:

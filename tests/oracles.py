@@ -6,8 +6,11 @@ surfaces are measured by counting cells, so agreement with the library is
 meaningful evidence rather than a tautology.  The presentation isomorphism
 search and the reversal of a curve check the paper's bijection and the sign
 of a winding, and tracing the faces of a dual arc system checks the
-crossing count of ``is_dual_dissection``; the two builders at the end make
-small algebras and maps from labels for hand-made test cases.  The one
+crossing count of ``is_dual_dissection``; :func:`corner_algebra` cuts a
+corner ``e·A·e`` by the sandwich ``e·b·e`` of every basis element, the
+reference for the index set the reductions read off the path ends; the
+two builders at the end make small algebras and maps from labels for
+hand-made test cases.  The one
 exception is :func:`verify_multiplicative`, a row comparison over the
 library's sparse-row helpers run on every row of a table: the tests hold
 it against the all-pairs loop :func:`multiplicative`, and the iterated
@@ -20,6 +23,7 @@ against :func:`matrix_table` and :func:`cohen_montgomery_image`.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from skewgentle import (
@@ -301,6 +305,57 @@ def corner_dimension(algebra, idempotent) -> int:
         if any(row):
             rows.append(row)
     return mat_rank(rows)
+
+
+@dataclass
+class Corner:
+    """The corner ``e·A·e`` of ``parent`` as a table of its own: corner
+    basis element ``k`` is parent basis element ``indices[k]``."""
+
+    parent: TableAlgebra
+    idempotent: dict
+    algebra: TableAlgebra
+    indices: tuple
+
+    def express(self, x):
+        """Corner coordinates of a parent vector, or None if outside."""
+        position = {i: k for k, i in enumerate(self.indices)}
+        if not all(k in position for k in x):
+            return None
+        return {position[k]: c for k, c in x.items()}
+
+
+def corner_algebra(A, e) -> Corner:
+    """Cut ``e·A·e`` out of the product table of ``A`` by basis index.
+
+    ``e`` must be an idempotent with ``e·b·e`` equal to ``b`` or to 0 for
+    every basis element ``b``; the corner keeps the ``b`` with
+    ``e·b·e = b``, each sandwich taken with ``TableAlgebra.mul``, and its
+    table is the table of ``A`` restricted to them and renumbered.  Raises
+    ``ValueError`` when an index of ``e`` is outside the basis, when ``e``
+    squares wrong and when some ``e·b·e`` is neither ``b`` nor 0.
+    """
+    n = A.dimension
+    for k in e:
+        if not (isinstance(k, int) and 0 <= k < n):
+            raise ValueError(f"idempotent index {k!r} is outside the basis of {n} elements")
+    if A.mul(e, e) != e:
+        raise ValueError("corner element does not square to itself")
+    indices = []
+    for i in range(n):
+        sandwich = A.mul(A.mul(e, {i: 1}), e)
+        if sandwich == {i: 1}:
+            indices.append(i)
+        elif sandwich:
+            raise ValueError(f"e*b*e is neither b nor 0 for basis element {A.labels[i]!r}")
+    position = {i: k for k, i in enumerate(indices)}
+    rows = [
+        {position[j]: (position[k], c) for j, (k, c) in A.rows[i].items() if j in position}
+        for i in indices
+    ]
+    unit = {position[k]: c for k, c in e.items()}
+    labels = tuple(f"c{k}" for k in range(len(indices)))
+    return Corner(A, e, TableAlgebra(labels, rows, unit), tuple(indices))
 
 
 def generated_dimension(algebra, gens) -> int:

@@ -17,7 +17,6 @@ from skewgentle import (
     BoundarySegment,
     DissectedSurface,
     GradedArc,
-    corner_algebra,
     double_cover,
     dual_dissection,
     fixtures,
@@ -30,6 +29,7 @@ from skewgentle import (
     triple_from_x_dissection,
     two_hole_torus_surface,
     two_orbifold_cylinder,
+    verify_morphism,
 )
 from skewgentle.diagnostics import (
     BAD_INPUT,
@@ -410,14 +410,16 @@ def _cylinder_and_dual():
         # a curve on the base read on the total surface of the cover
         (lambda s, d: transport_curve(double_cover(s), d), UNKNOWN_ID),
         (lambda s, d: graded_arcs_from_solution([d], {}), BAD_INPUT),
+        # no image for any generator of the split presentation
         (
-            lambda s, d: corner_algebra(
-                graded_path_algebra(triple_from_x_dissection(s)).algebra, {99999: 1}
+            lambda s, d: verify_morphism(
+                double_cover(s).split.presentation, {}, {},
+                graded_path_algebra(triple_from_x_dissection(s)).algebra, 3,
             ),
             BAD_INPUT,
         ),
     ],
-    ids=["transport_curve", "graded_arcs_from_solution", "corner_algebra"],
+    ids=["transport_curve", "graded_arcs_from_solution", "verify_morphism"],
 )
 def test_bad_arguments_raise_a_validation_error(call, code):
     with pytest.raises(ValidationError) as exc:

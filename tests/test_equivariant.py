@@ -13,6 +13,7 @@ from oracles import (
     basis_map_from_permutation,
     cohen_montgomery_image,
     comparison_images,
+    corner_algebra,
     corner_dimension,
     generated_dimension,
     images_of,
@@ -25,11 +26,11 @@ from oracles import (
 )
 from skewgentle import (
     Arrow,
+    CornerAlgebra,
     SignedPermutation,
     SpanBasis,
     TableAlgebra,
     ValidationError,
-    corner_algebra,
     double_cover,
     graded_path_algebra,
     make_presentation,
@@ -69,26 +70,26 @@ def test_cylinder_reduction_dimensions(cylinders):
     red = verify_skew_group_reduction(double_cover(cylinders[1]))
     assert red.cover_algebra.dimension == 20
     assert red.skew.dimension == 40
-    assert red.corner.algebra.dimension == 20
+    assert red.corner.dimension == 20
 
 
 def test_disc_reduction_dimensions(disc_x4):
     red = verify_skew_group_reduction(double_cover(disc_x4))
     assert red.cover_algebra.dimension == 19
     assert red.skew.dimension == 38
-    assert red.corner.algebra.dimension == 14
+    assert red.corner.dimension == 14
 
 
 def test_smaller_disc_corner_dimension():
     red = verify_skew_group_reduction(double_cover(one_orbifold_disc(3)))
-    assert red.corner.algebra.dimension == 9
+    assert red.corner.dimension == 9
     assert red.verdict.is_isomorphism
 
 
 def test_corner_matches_base_algebra_dimension(cylinders, disc_x4, disc_xx):
     for surface, red in _canonical_reductions(cylinders, disc_x4, disc_xx):
         base_dim = graded_path_algebra(triple_from_x_dissection(surface)).dimension
-        assert red.corner.algebra.dimension == base_dim
+        assert red.corner.dimension == base_dim
 
 
 def test_split_into_corner_is_isomorphism_on_fixtures(cylinders, disc_x4, disc_xx):
@@ -109,7 +110,7 @@ def test_twisted_cover_reduction_is_isomorphism(torus_with_involution):
     red = verify_skew_group_reduction(quotient(surface, inv))
     assert red.cover_algebra.dimension == 20
     assert red.skew.dimension == 40
-    assert red.corner.algebra.dimension == 20
+    assert red.corner.dimension == 20
     assert red.verdict.is_isomorphism
 
 
@@ -732,28 +733,20 @@ def _assert_exact(builds):
     assert kernel_coeffs and {type(c) for c in kernel_coeffs} == {int}
 
 
-def _corner_coordinates(red, domain):
-    """The images of the vertices and of the arrows of ``domain`` in the
-    coordinates of the reduction's corner."""
-    express = red.corner.express
-    return (
-        {v: express(red.images[v]) for v in domain.vertices},
-        {a.id: express(red.images[a.id]) for a in domain.arrows},
-    )
-
-
 def _assert_scaled_verdicts_match(builds):
     """The verdict on the doubled images with ``scale=2`` is the verdict on
-    the public images, read in corner coordinates, failure strings
-    included, also when every vertex is sent to the image of the first
-    one; and the public images with ``scale=2`` fail the idempotent and
-    unit checks."""
+    the public images, failure strings included, also when every vertex is
+    sent to the image of the first one; and the public images with
+    ``scale=2`` fail the idempotent and unit checks.  Both are read in the
+    coordinates of the crossed product, into the reduction's corner."""
     reductions = [red for run in builds.runs for red in run[:2]]
     for (args, kwargs), red in zip(builds.morphisms, reductions):
         domain, doubled_vertices, doubled_arrows, target = args
         assert kwargs["scale"] == 2
+        assert target is red.corner
         expected_dim = kwargs["expected_dim"]
-        vertex_images, arrow_images = _corner_coordinates(red, domain)
+        vertex_images = {v: red.images[v] for v in domain.vertices}
+        arrow_images = {a.id: red.images[a.id] for a in domain.arrows}
         args = (domain, vertex_images, arrow_images, target)
         assert verify_morphism(*args, expected_dim=expected_dim) == red.verdict
 
@@ -853,10 +846,10 @@ def test_scaled_verdicts_match_public_images_on_random_covers(random_builds):
 
 def test_rows_hold_only_nonzero_cells_and_the_dense_view_counts_them(ladder_builds):
     built, runs = ladder_builds.built, ladder_builds.runs
-    # per cover: path algebra, crossed product and corner in each
-    # reduction; the iterated check reuses the crossed product of the
-    # reduction and builds neither M₂(A) nor the twice-crossed product
-    assert len(built) == 6 * len(runs)
+    # per cover: path algebra and crossed product in each reduction; the
+    # iterated check reuses the crossed product of the reduction and builds
+    # neither M₂(A) nor the twice-crossed product
+    assert len(built) == 4 * len(runs)
     for A in built:
         n = A.dimension
         assert len(A.rows) == n
@@ -886,7 +879,7 @@ def _assert_cells_are_signed_basis_elements(A):
 
 def test_every_table_cell_is_one_signed_basis_element(ladder_builds, cylinders, monkeypatch):
     """Every product of two basis elements in every table built is stored
-    as one pair ``(k, c)``: the path algebras, crossed products, corners,
+    as one pair ``(k, c)``: the path algebras, crossed products,
     ``M₂(A)`` and twice-crossed products of the ladder and of random
     covers, and the tables of the deformation check, together with the
     deformed algebras, whose loop values reach the cells."""
@@ -947,47 +940,55 @@ def test_corner_coordinates_reject_an_image_outside_the_corner():
     A = algebra_from_products(
         ["u", "v"], lambda a, b: {a: ONE} if a == b else {}, {"u": ONE, "v": ONE}
     )
-    corner = corner_algebra(A, A.element("u"))
+    corner = CornerAlgebra(A, A.element("u"), (0,))
+    doubled = {"u": A.element("u"), "v": A.element("v")}
     with pytest.raises(ValidationError) as exc:
-        equivariant._corner_images(corner, pres, {"u": A.element("u"), "v": A.element("v")})
+        equivariant._compare(A, corner, pres, doubled, 1, {"u": "u", "v": "v"})
     assert [d.code for d in exc.value.diagnostics] == ["OUTSIDE_CORNER"]
 
 
-def _assert_corners_match_oracle(cov):
-    """Both reductions' corners have the oracle's dimension, and their
-    tables and units are the parent's, renumbered."""
-    for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
+def _assert_corners_match_oracle(reductions, rank=True):
+    """Each reduction's corner keeps the indices of the oracle's cut, with
+    ``e·b·e`` taken by sandwich; the oracle's table is the parent's
+    restricted to them and closed under the product, its unit the
+    idempotent; with ``rank`` its dimension is also the rank of the
+    sandwiches."""
+    for red in reductions:
         corner = red.corner
-        A, C = red.skew, corner.algebra
-        assert C.dimension == corner_dimension(A, corner.idempotent)
-        table, corner_table = A.table, C.table
+        A = red.skew
+        assert corner.parent is A and corner.unit is corner.idempotent
+        cut = corner_algebra(A, corner.idempotent)
+        assert corner.indices == cut.indices
+        assert corner.dimension == cut.algebra.dimension
+        if rank:
+            assert corner.dimension == corner_dimension(A, corner.idempotent)
+        table, cut_table = A.table, cut.algebra.table
         for a, i in enumerate(corner.indices):
             for b, j in enumerate(corner.indices):
-                assert corner.express(table[i][j]) == corner_table[a][b]
-        assert corner.express(corner.idempotent) == C.unit
+                assert cut.express(table[i][j]) == cut_table[a][b]
+        assert cut.express(corner.idempotent) == cut.algebra.unit
 
 
-def test_corners_match_oracle_on_ladder_fixtures(cylinder_covers, disc_xx):
-    for cov in cylinder_covers.values():
-        _assert_corners_match_oracle(cov)
-    _assert_corners_match_oracle(double_cover(disc_xx))
-    _assert_corners_match_oracle(quotient(*two_hole_torus_surface()))
-    for n in (4, 6, 8):
-        _assert_corners_match_oracle(double_cover(one_orbifold_disc(n)))
+def test_corners_match_oracle_on_ladder_fixtures(ladder_builds):
+    assert len(ladder_builds.runs) == 12
+    _assert_corners_match_oracle(red for run in ladder_builds.runs for red in run[:2])
 
 
 def test_corners_match_oracle_on_random_covers():
     rng = random.Random(3301)
-    for _ in range(20):
-        _assert_corners_match_oracle(double_cover(surface_from_triple(random_triple(rng))))
+    for k in range(200):
+        cov = double_cover(surface_from_triple(random_triple(rng)))
+        reductions = (verify_skew_group_reduction(cov), verify_dual_reduction(cov))
+        _assert_corners_match_oracle(reductions, rank=k < 20)
 
 
 def _assert_surjectivity_matches_oracle(cov):
     """Both reductions call their map onto exactly when the oracle's
     two-sided closure of the generator images fills the corner."""
     for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
-        target = red.corner.algebra
-        gens = [red.corner.express(img) for img in red.images.values()]
+        cut = corner_algebra(red.skew, red.corner.idempotent)
+        target = cut.algebra
+        gens = [cut.express(img) for img in red.images.values()]
         generated = generated_dimension(target, gens)
         assert red.verdict.is_surjective == (generated == target.dimension)
 
@@ -1008,7 +1009,7 @@ def test_surjectivity_matches_oracle_on_random_covers():
         _assert_surjectivity_matches_oracle(cov)
 
 
-def test_reductions_compute_each_cover_stage_once(count_calls, cylinders):
+def test_reductions_compute_each_cover_stage_once(count_calls, monkeypatch, cylinders):
     stages = {
         name: count_calls(module, name)
         for module, name in (
@@ -1016,22 +1017,36 @@ def test_reductions_compute_each_cover_stage_once(count_calls, cylinders):
             ("skewgentle.presentations", "split_presentation"),
             ("skewgentle.algebra", "graded_path_algebra"),
             ("skewgentle.algebra", "skew_group_algebra"),
-            ("skewgentle.algebra", "corner_algebra"),
             ("skewgentle.algebra", "verify_algebra_involution"),
             ("skewgentle.algebra", "verify_morphism"),
         )
     }
     checks = count_calls("skewgentle.surface", "_check_surface")
+    built = []
+    post_init = TableAlgebra.__post_init__
+
+    def record(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(TableAlgebra, "__post_init__", record)
     covers = [double_cover(cylinders[2]), double_cover(cylinders[3])]
     for cov in covers:
-        verify_skew_group_reduction(cov)
-        verify_dual_reduction(cov)
+        # each reduction builds two tables, its path algebra and its crossed
+        # product, and no table for its corner
+        for reduction, path_algebra in (
+            (verify_skew_group_reduction, lambda red: red.cover_algebra),
+            (verify_dual_reduction, lambda red: red.split_algebra),
+        ):
+            done = len(built)
+            red = reduction(cov)
+            assert len(built) == done + 2
+            assert built[done] is path_algebra(red).algebra and built[-1] is red.skew
     per_cover = {
         "extract_quiver": 2,
         "split_presentation": 1,
         "graded_path_algebra": 2,
         "skew_group_algebra": 2,
-        "corner_algebra": 2,
         "verify_algebra_involution": 2,
         "verify_morphism": 2,
     }
