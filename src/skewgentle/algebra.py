@@ -36,7 +36,9 @@ the ``-`` ones, so the crossed product is monomial again.
 :class:`SpanBasis` keeps its rows in reduced echelon form with an index
 from each column to the rows that hold it, so a vector is reduced in one
 pass over its pivot columns and a new pivot is cleared only from the rows
-that hold it.
+that hold it; :func:`graded_path_algebra` reads those rows as normal
+forms.  A check that reads only a rank counts it in a fraction-free
+echelon form with no back-substitution and no division.
 
 One builder, :func:`graded_path_algebra`, covers the three quadratic
 presentations the package meets: gentle pairs (single-path relations),
@@ -139,7 +141,8 @@ def vsub(x: Vector, y: Vector) -> Vector:
 
 
 def veq(x: Vector, y: Vector) -> bool:
-    return not vsub(x, y)
+    # equal dicts have a zero difference, so the subtraction is skipped
+    return x == y or not vsub(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,10 @@ def veq(x: Vector, y: Vector) -> bool:
 
 class SpanBasis:
     """An incrementally maintained reduced row basis (exact RREF).
+
+    Its only library user is :func:`graded_path_algebra`, which reads
+    the reduced rows as normal forms; :func:`verify_morphism` needs only
+    a rank and counts it with :class:`_EchelonRank`.
 
     ``order`` ranks the columns; the smallest rank in a row is its pivot.
     ``rows`` maps each pivot to its row, which has 1 at its own pivot and
@@ -216,6 +223,48 @@ class SpanBasis:
 
     def contains(self, row: Vector) -> bool:
         return not self._reduce(row)
+
+
+class _EchelonRank:
+    """The rank of a growing set of vectors, and nothing else.
+
+    The rows are kept in echelon form, fraction-free: each row is keyed by
+    its lowest index, and a vector meeting a row at that index ``k`` is
+    replaced by ``p·vector − c·row``, with ``p`` the row's coefficient and
+    ``c`` the vector's at ``k``.  This clears ``k`` and touches no lower
+    index, so the lowest index grows at each step.  There is no
+    back-substitution and no division, so an ``int`` vector never makes a
+    ``Fraction``.  Keys must be mutually comparable.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[Any, Vector] = {}  # lowest index -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: Vector) -> bool:
+        """Insert a vector, which is not mutated; returns True when the
+        rank grew."""
+        rows = self.rows
+        while row:
+            lead = min(row)
+            c = row[lead]
+            if not c:  # a zero kept in the input
+                row = {k: v for k, v in row.items() if v}
+                continue
+            pivot = rows.get(lead)
+            if pivot is None:
+                rows[lead] = row
+                return True
+            p = pivot[lead]
+            out = dict(row) if p == 1 else {k: p * v for k, v in row.items()}
+            _accumulate(out, pivot, -c)
+            row = out
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +774,13 @@ def verify_morphism(
     the verdict is the one of φ, failure messages included.
 
     Surjectivity closes the span of the images of the vertices, the unit
-    and the path words.  A word with source ``s`` is only extended on the
-    right by the arrows ending at ``s``, and only while it raises the
-    rank.  This is exact for every map that passes the homomorphism
-    checks, indeed whenever the vertex images are orthogonal idempotents
-    summing to the unit and each arrow image is framed by its endpoints:
+    and the path words, and counts only its rank, by a fraction-free
+    echelon form that keeps no reduced basis (:class:`_EchelonRank`).  A
+    word with source ``s`` is only extended on the right by the arrows
+    ending at ``s``, and only while it raises the rank.  This is exact
+    for every map that passes the homomorphism checks, indeed whenever
+    the vertex images are orthogonal idempotents summing to the unit and
+    each arrow image is framed by its endpoints:
     then ``f(p)·f(a) = f(p)·f(s(p))·f(t(a))·f(a)`` vanishes unless
     ``t(a) = s(p)``, so the span contains the unit, is closed under right
     multiplication by every generator, and is the subalgebra they
@@ -755,13 +806,13 @@ def verify_morphism(
     for p, (v, ev) in enumerate(zip(vertices, images)):
         if not veq(products[p].get(p, {}), vscale(ev, scale)):
             failures.append(f"image of vertex {v!r} is not idempotent")
-        total = vadd(total, ev)
+        _accumulate(total, ev, ONE)
     if not veq(total, vscale(target.unit, scale)):
         failures.append("vertex images do not sum to the unit")
+    # only a stored product can be nonzero; ascending q keeps the pair order
     for p, u in enumerate(vertices):
-        for q, v in enumerate(vertices):
-            if p != q and products[p].get(q):
-                failures.append(f"images of vertices {u!r}, {v!r} are not orthogonal")
+        for q in sorted(q for q, prod in products[p].items() if prod and q != p):
+            failures.append(f"images of vertices {u!r}, {vertices[q]!r} are not orthogonal")
 
     for a in domain.arrows:
         img = arrow_images[a.id]
@@ -774,7 +825,7 @@ def verify_morphism(
     for rel in domain.relations:
         acc: Vector = {}
         for a1, a2 in rel:
-            acc = vadd(acc, target.mul(arrow_images[a2], arrow_images[a1]))
+            _accumulate(acc, target.mul(arrow_images[a2], arrow_images[a1]), ONE)
         if acc:
             failures.append(f"relation {rel!r} does not map to zero")
     for e in sorted(domain.special):
@@ -787,7 +838,7 @@ def verify_morphism(
 
     # Close the span of the path images: a word with source s only grows by
     # the arrows ending at s, since every other product is zero.
-    span = SpanBasis()
+    span = _EchelonRank()
     for v in domain.vertices:
         span.add(vertex_images[v])
     span.add(target.unit)

@@ -228,6 +228,16 @@ def _prefix_counts(
     return out
 
 
+def _with_cuts(
+    cov: CoveringData, cuts: dict[str, tuple[int, ...]], pieces: dict[str, list[int]]
+) -> CoveringData:
+    """``cov`` with the cuts and prefix counts of its base, which its
+    builder has computed already, filled into the cached properties
+    ``cuts`` and ``_pieces`` (a cached property reads the instance dict)."""
+    vars(cov).update(cuts=cuts, _pieces=pieces)
+    return cov
+
+
 def double_cover(surface: DissectedSurface) -> CoveringData:
     """The canonical double cover branched over the orbifold points."""
     raise_on_error(validate(surface))
@@ -311,7 +321,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         polygons=poly_deck,
     )
     raise_on_error(validate_involution(total, deck))
-    return CoveringData(surface, total, deck, poly_instance)
+    return _with_cuts(CoveringData(surface, total, deck, poly_instance), cuts, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +389,8 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
     # Sheet-coherent polygon instances: breadth-first propagation along the
     # arc adjacencies, following the parity rule of the covering.  The total
     # words of a polygon and its mirror agree slot by slot.
-    pieces = _prefix_counts(base, _cuts(base))
+    cuts = _cuts(base)
+    pieces = _prefix_counts(base, cuts)
     poly_instance: dict[tuple[str, int], str] = {}
     for bp in base.polygons:
         if (bp.id, 1) in poly_instance:
@@ -410,7 +421,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
                     # that need the true gluing follow the arc occurrences
                     # of the total surface instead of the parity rule.
 
-    return CoveringData(base, surface, inv, poly_instance)
+    return _with_cuts(CoveringData(base, surface, inv, poly_instance), cuts, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,10 @@ or ``2·e`` for a vertex that is not split) and every arrow image is
 half-sum doubled once more).  These integral images go, in the
 coordinates of the crossed product, to
 :func:`~skewgentle.algebra.verify_morphism` with ``scale=2``, and to the
-grading-sign comparison, which is linear.  Each reduction publishes the
-same images divided once at the end; only there do the halves appear as
-``Fraction``.
+grading-sign comparison, which is linear.  Each reduction keeps these
+integral images as ``doubled``; its ``images`` divides them on first read
+and keeps the result, and only there do the halves appear as
+``Fraction``.  A verdict that never reads ``images`` never divides.
 
 A relabelling that does not send each basis path to ± one basis path,
 one to one, raises ``BAD_INPUT`` where the symmetry is made, and so does
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .algebra import (
@@ -226,6 +228,23 @@ def _divide(c: Coeff, d: int) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
+class _HalvedImages:
+    """The ``images`` of a reduction: its kept ``doubled`` images of the
+    ``domain`` generators, each vertex image divided by 2 and each arrow
+    image by 4, on first read."""
+
+    domain: Presentation
+    doubled: dict[str, Vector]
+
+    @cached_property
+    def images(self) -> dict[str, Vector]:
+        vertices = set(self.domain.vertices)
+        return {
+            gen: {k: _divide(c, 2 if gen in vertices else 4) for k, c in img.items()}
+            for gen, img in self.doubled.items()
+        }
+
+
 def _compare(
     skew: TableAlgebra,
     corner: CornerAlgebra,
@@ -233,7 +252,7 @@ def _compare(
     doubled: Mapping[str, Vector],
     expected_dim: int,
     symmetry: Mapping[str, str],
-) -> tuple[dict[str, Vector], MorphismVerdict, dict[str, bool]]:
+) -> tuple[MorphismVerdict, dict[str, bool]]:
     """Check that the generator images define an isomorphism of ``domain``
     onto the corner, and for each generator whether the grading signs of
     ``skew`` send its image to the image of its ``symmetry`` partner.
@@ -241,10 +260,8 @@ def _compare(
     ``doubled`` holds ``2·φ(v)`` for each vertex and ``4·φ(a)`` for each
     arrow, in the coordinates of ``skew``, where the morphism check reads
     them too.  An image with an index outside the corner raises
-    ``OUTSIDE_CORNER``.  Returns the images of φ itself there, the verdict
-    and the grading-sign dict."""
+    ``OUTSIDE_CORNER``.  Returns the verdict and the grading-sign dict."""
     kept = set(corner.indices)
-    vertices = set(domain.vertices)
     for gen in (*domain.vertices, *(a.id for a in domain.arrows)):
         if not kept.issuperset(doubled[gen]):
             raise error(OUTSIDE_CORNER, f"image of {gen!r} left the corner")
@@ -259,11 +276,7 @@ def _compare(
         )
         for gen, img in doubled.items()
     }
-    images = {
-        gen: {k: _divide(c, 2 if gen in vertices else 4) for k, c in img.items()}
-        for gen, img in doubled.items()
-    }
-    return images, verdict, compat
+    return verdict, compat
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +284,21 @@ def _compare(
 
 
 @dataclass
-class SkewGroupReduction:
+class SkewGroupReduction(_HalvedImages):
     """Outcome of comparing the base algebra with a crossed-product corner.
 
-    ``images`` holds the image of each generator of the split presentation
-    (``cov.split.presentation``) in the coordinates of ``skew``."""
+    ``domain`` is the split presentation (``cov.split.presentation``).
+    ``doubled`` holds the checked image of each of its generators in the
+    coordinates of ``skew``, ``2·φ(v)`` or ``4·φ(a)``, and ``images`` the
+    image ``φ`` itself, divided on first read."""
 
     cover_pair: Presentation
     cover_algebra: PathAlgebra
     deck_action: SignedPermutation
     skew: TableAlgebra
     corner: CornerAlgebra
-    images: dict[str, Vector]
+    domain: Presentation
+    doubled: dict[str, Vector]
     survivors: dict[str, tuple[str, int]]
     swap_compat: dict[str, bool]
     verdict: MorphismVerdict
@@ -375,7 +391,7 @@ def verify_skew_group_reduction(
             survivors[sid] = (key[1][0], g)
         doubled[sid] = img
 
-    images, verdict, swap_compat = _compare(
+    verdict, swap_compat = _compare(
         skew, corner, split.presentation, doubled, algebra_dimension(cov.base),
         split.swap,
     )
@@ -385,7 +401,8 @@ def verify_skew_group_reduction(
         deck_action=deck_action,
         skew=skew,
         corner=corner,
-        images=images,
+        domain=split.presentation,
+        doubled=doubled,
         survivors=survivors,
         swap_compat=swap_compat,
         verdict=verdict,
@@ -397,18 +414,21 @@ def verify_skew_group_reduction(
 
 
 @dataclass
-class DualReduction:
+class DualReduction(_HalvedImages):
     """Outcome of comparing the cover algebra with a corner of the crossed
     product of the split algebra by the half-swap.
 
-    ``images`` holds the image of each generator of the cover presentation
-    in the coordinates of ``skew``."""
+    ``domain`` is the cover presentation.  ``doubled`` holds the checked
+    image of each of its generators in the coordinates of ``skew``,
+    ``2·φ(v)`` or ``4·φ(a)``, and ``images`` the image ``φ`` itself,
+    divided on first read."""
 
     split_algebra: PathAlgebra
     swap_action: SignedPermutation
     skew: TableAlgebra
     corner: CornerAlgebra
-    images: dict[str, Vector]
+    domain: Presentation
+    doubled: dict[str, Vector]
     equivariant: dict[str, bool]
     verdict: MorphismVerdict
 
@@ -480,7 +500,7 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
         second_term = _arrow(skew, split.presentation, second, 1)
         doubled[a.id] = vscale(vaxpy(first_term, second_term, sheet), 2)
 
-    images, verdict, equivariant = _compare(
+    verdict, equivariant = _compare(
         skew, corner, pair, doubled, algebra_dimension(cov.total),
         cov.deck_generators,
     )
@@ -489,7 +509,8 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
         swap_action=swap_action,
         skew=skew,
         corner=corner,
-        images=images,
+        domain=pair,
+        doubled=doubled,
         equivariant=equivariant,
         verdict=verdict,
     )

@@ -62,37 +62,42 @@ Path = tuple[str, str]
 Relation = tuple[Path, ...]  # one or two paths, summed with coefficient one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     id: str
     source: str
     target: str
 
 
+_NO_SPECIAL: frozenset = frozenset()  # shared by every presentation without loops
+
+
 @dataclass(frozen=True)
 class Presentation:
+    """A quiver with relations; its cached lookups hold tuples."""
+
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...]
-    special: frozenset = frozenset()
+    special: frozenset = _NO_SPECIAL
 
     @cached_property
     def arrow_by_id(self) -> dict[str, Arrow]:
         return {a.id: a for a in self.arrows}
 
     @cached_property
-    def outgoing(self) -> dict[str, list[Arrow]]:
+    def outgoing(self) -> dict[str, tuple[Arrow, ...]]:
         out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             out.setdefault(a.source, []).append(a)
-        return {v: sorted(lst, key=lambda a: a.id) for v, lst in out.items()}
+        return {v: tuple(sorted(lst, key=lambda a: a.id)) for v, lst in out.items()}
 
     @cached_property
-    def incoming(self) -> dict[str, list[Arrow]]:
+    def incoming(self) -> dict[str, tuple[Arrow, ...]]:
         inc: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             inc.setdefault(a.target, []).append(a)
-        return {v: sorted(lst, key=lambda a: a.id) for v, lst in inc.items()}
+        return {v: tuple(sorted(lst, key=lambda a: a.id)) for v, lst in inc.items()}
 
     @cached_property
     def monomial_pairs(self) -> frozenset:
@@ -112,7 +117,7 @@ def make_presentation(
         vertices=tuple(sorted(set(vertices))),
         arrows=tuple(sorted(set(arrows), key=lambda a: a.id)),
         relations=tuple(rels),
-        special=frozenset(special),
+        special=frozenset(special) or _NO_SPECIAL,
     )
 
 

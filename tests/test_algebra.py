@@ -51,7 +51,7 @@ from skewgentle import (
     verify_skew_group_reduction,
 )
 from skewgentle.diagnostics import BAD_INPUT
-from skewgentle.algebra import SpanBasis, vadd, vaxpy, veq, vscale, vsub
+from skewgentle.algebra import SpanBasis, _EchelonRank, vadd, vaxpy, veq, vscale, vsub
 from skewgentle.equivariant import induced_basis_map
 from skewgentle.presentations import companion_pair
 
@@ -168,6 +168,150 @@ def test_span_basis_keeps_rref_and_agrees_with_oracle(kind, reverse):
             assert grew == (span.rank == before + 1)
             probes = [random_row(), vadd(added[0], added[-1]), {}]
             _check_span_invariants(span, added, width, probes)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_echelon_rank_agrees_with_span_basis(kind):
+    """The rank-only count of ``verify_morphism`` grows exactly when
+    ``SpanBasis`` does, on zero rows, rows sharing a lead index, rows that
+    cancel in full and keys inserted in any order; an ``int`` input makes
+    no ``Fraction``."""
+    rng = random.Random(7301 + (kind == "fraction"))
+    width = 8
+
+    def coeff():
+        if kind == "int":
+            return rng.choice((-4, -2, -1, 0, 0, 0, 1, 2, 3))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def shuffled(row):
+        items = list(row.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    for _ in range(40):
+        echelon, span, added = _EchelonRank(), SpanBasis(), []
+        lead = rng.randrange(width // 2)
+        for _ in range(rng.randint(3, 12)):
+            draw = rng.random()
+            if draw < 0.1:
+                row = {}
+            elif added and draw < 0.3:  # a multiple of a sum of earlier rows
+                row = {}
+                for x in rng.sample(added, min(3, len(added))):
+                    row = vaxpy(row, x, coeff() or 1)
+                row = vscale(row, coeff() or -1)
+            elif draw < 0.65:  # the shared lead index
+                row = {lead: coeff() or 1}
+                row.update((j, c) for j in range(lead + 1, width) if (c := coeff()))
+            else:
+                row = {j: c for j in range(width) if (c := coeff())}
+            row = shuffled(row)
+            assert echelon.add(row) == span.add(row)
+            assert echelon.rank == span.rank
+            added.append(row)
+        assert echelon.rank == mat_rank([_dense(r, width) for r in added])
+        assert all(min(row) == k and row[k] for k, row in echelon.rows.items())
+        if kind == "int":
+            assert {type(c) for row in echelon.rows.values() for c in row.values()} <= {int}
+    # a zero kept in the input is dropped, not taken for a lead
+    echelon = _EchelonRank()
+    assert echelon.add({0: 0, 2: 1}) and echelon.add({0: 0, 1: 0, 3: 5})
+    assert not echelon.add({0: 0, 2: 3, 3: -5}) and echelon.rank == 2
+
+
+def test_verify_morphism_failures_are_pinned(cylinders):
+    """Verdicts and failure strings on perturbed maps, in their order, as
+    recorded when the span was still a ``SpanBasis`` and the vertex pairs
+    were walked all against all."""
+    triple = triple_from_x_dissection(cylinders[1])
+    alg = graded_path_algebra(triple)
+    B = alg.algebra
+    vertices = {v: alg.vertex(v) for v in triple.vertices}
+    arrows = {a.id: alg.arrow(a.id) for a in triple.arrows}
+
+    def run(domain, vertex_images, arrow_images, target, **kwargs):
+        v = verify_morphism(domain, vertex_images, arrow_images, target, **kwargs)
+        return v.is_homomorphism, v.is_surjective, v.is_isomorphism, v.failures
+
+    not_framed = "image of arrow {!r} is not framed by its endpoints".format
+    not_orthogonal = "images of vertices {!r}, {!r} are not orthogonal".format
+    cases = [
+        # a vertex image that is not idempotent
+        (
+            {**vertices, "1": vscale(vertices["1"], 2)}, arrows,
+            (False, True, False, (
+                "image of vertex '1' is not idempotent",
+                "vertex images do not sum to the unit",
+                not_framed("1.2"), not_framed("1.4"),
+            )),
+        ),
+        # several pairs that are not orthogonal, each in both orders
+        (
+            {**vertices, "1": vadd(vertices["1"], vertices["2"]),
+             "3": vadd(vertices["3"], vertices["2"])}, arrows,
+            (False, True, False, (
+                "vertex images do not sum to the unit",
+                not_orthogonal("1", "2"), not_orthogonal("1", "3"),
+                not_orthogonal("2", "1"), not_orthogonal("2", "3"),
+                not_orthogonal("3", "1"), not_orthogonal("3", "2"),
+            )),
+        ),
+        # a special loop off its square rule
+        (
+            vertices, {**arrows, "2.2": vscale(arrows["2.2"], 2)},
+            (False, True, False, ("special loop '2.2' does not satisfy its square rule",)),
+        ),
+        # a homomorphism that is not onto: the message gives the rank
+        (
+            vertices, {**arrows, "1.2": {}},
+            (True, False, False, ("images generate a subalgebra of dimension 15 < 20",)),
+        ),
+    ]
+    for vertex_images, arrow_images, expected in cases:
+        assert run(triple, vertex_images, arrow_images, B, expected_dim=20) == expected
+
+    # a relation that does not map to zero, into the free algebra
+    pres = make_presentation(
+        ["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")], [(("a", "b"),)]
+    )
+    free = graded_path_algebra(make_presentation(pres.vertices, pres.arrows, []))
+    assert run(
+        pres,
+        {v: free.vertex(v) for v in pres.vertices},
+        {a.id: free.arrow(a.id) for a in pres.arrows},
+        free.algebra,
+        expected_dim=5,
+    ) == (False, True, False, (
+        "relation (('a', 'b'),) does not map to zero",
+        "domain dimension 5 differs from target dimension 6",
+    ))
+
+    # doubled images into a reduction's corner, with scale=2
+    red = verify_skew_group_reduction(double_cover(cylinders[1]))
+    split = red.domain
+    doubled_vertices = {v: red.doubled[v] for v in split.vertices}
+    doubled_arrows = {a.id: red.doubled[a.id] for a in split.arrows}
+    merged = {
+        **doubled_vertices,
+        "1": vadd(doubled_vertices["1"], doubled_vertices["2_1"]),
+        "3_0": {},
+    }
+    assert run(
+        split, merged, doubled_arrows, red.corner, expected_dim=20, scale=2
+    ) == (False, True, False, (
+        "vertex images do not sum to the unit",
+        not_orthogonal("1", "2_1"), not_orthogonal("2_1", "1"),
+        not_framed("3.4^0"), not_framed("^02.3^0"), not_framed("^02.3^1"),
+    ))
+    assert run(
+        split, doubled_vertices, {**doubled_arrows, "3.4^0": {}}, red.corner,
+        expected_dim=20, scale=2,
+    ) == (False, False, False, (
+        "relation (('^02.3^0', '3.4^0'), ('^12.3^0', '3.4^1')) does not map to zero",
+        "relation (('^02.3^1', '3.4^0'), ('^12.3^1', '3.4^1')) does not map to zero",
+        "images generate a subalgebra of dimension 19 < 20",
+    ))
 
 
 def test_product_of_fields_is_associative():

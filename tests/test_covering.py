@@ -122,6 +122,29 @@ def test_derived_maps_follow_the_parity_rule(
         _check_derived_maps(cov)
 
 
+def test_cover_builders_hand_over_their_cuts(cylinders, torus_with_involution, monkeypatch):
+    """``double_cover`` and ``quotient`` compute the cuts and slit counts of
+    the base once and hand them to the cover they return."""
+    calls = []
+    cuts = covering._cuts
+
+    def counted(base):
+        calls.append(base.name)
+        return cuts(base)
+
+    monkeypatch.setattr(covering, "_cuts", counted)
+    covers = [double_cover(s) for s in cylinders.values()]
+    covers.append(quotient(*torus_with_involution))
+    assert len(calls) == len(covers)
+    for cov in covers:
+        assert {"cuts", "_pieces"} <= set(vars(cov))
+        assert cov.cuts == cuts(cov.base)
+        assert cov._pieces == covering._prefix_counts(cov.base, cov.cuts)
+        _check_derived_maps(cov)
+        assert cov.arrow_lifts
+    assert len(calls) == len(covers)
+
+
 def test_quotient_undoes_cover_on_fixtures(cylinders, disc_x4, disc_xx):
     for surface in list(cylinders.values()) + [disc_x4, disc_xx]:
         cov = double_cover(surface)
@@ -326,7 +349,7 @@ def test_colliding_arrow_lifts_raise(cylinders):
     for sheet in (1, -1):
         cov.slot_image[(poly, i, sheet)] = cov.slot_image[(poly, i, 1)]
     with pytest.raises(ValidationError) as err:
-        cov.arrow_lifts
+        assert cov.arrow_lifts
     (arrow,) = _bad_lift(err)
     assert arrow in cov.total_quiver.presentation.arrow_by_id
 

@@ -836,6 +836,27 @@ def test_coefficients_are_exact_on_random_covers(random_builds):
     _assert_exact(random_builds)
 
 
+def test_images_are_halved_on_first_read(cylinder_covers):
+    """A reduction keeps the integral images it checked, ``2·φ(v)`` and
+    ``4·φ(a)``, and divides them only when ``images`` is first read."""
+    halves = 0
+    for cov in cylinder_covers.values():
+        for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
+            assert "images" not in vars(red)
+            assert {type(c) for img in red.doubled.values() for c in img.values()} == {int}
+            images = red.images
+            assert vars(red)["images"] is images and red.images is images
+            vertices = set(red.domain.vertices)
+            assert set(images) == set(red.doubled) == vertices | {
+                a.id for a in red.domain.arrows
+            }
+            for gen, img in red.doubled.items():
+                d = 2 if gen in vertices else 4
+                assert images[gen] == {k: Fraction(c, d) for k, c in img.items()}
+                halves += sum(type(c) is Fraction for c in images[gen].values())
+    assert halves
+
+
 def test_scaled_verdicts_match_public_images_on_ladder_fixtures(ladder_builds):
     _assert_scaled_verdicts_match(ladder_builds)
 

@@ -86,6 +86,27 @@ def test_make_presentation_sorts_and_dedups():
     assert len(pres.relations) == 1
 
 
+def test_kept_presentations_are_compact():
+    """A presentation is kept per cover verdict, so its parts carry no
+    spare room: an ``Arrow`` has slots and no ``__dict__``, the cached
+    lookups hold tuples, and presentations without special loops share
+    one empty set."""
+    pres = make_presentation(
+        ["1", "2", "3"], [Arrow("b", "2", "3"), Arrow("a", "1", "2"), Arrow("c", "1", "3")]
+    )
+    assert all(not hasattr(a, "__dict__") for a in pres.arrows)
+    for lookup in (pres.outgoing, pres.incoming):
+        assert set(lookup) == set(pres.vertices)
+        assert all(type(arrows) is tuple for arrows in lookup.values())
+    assert [a.id for a in pres.outgoing["1"]] == ["a", "c"]
+    assert [a.id for a in pres.incoming["3"]] == ["b", "c"]
+    other = make_presentation(["1"], [], special=())
+    assert pres.special is other.special == frozenset()
+    for p in (two_hole_torus_pair()[0], special_chain_triple(), random_triple(random.Random(5))):
+        assert all(not hasattr(a, "__dict__") for a in p.arrows)
+        assert all(type(t) is tuple for t in (*p.outgoing.values(), *p.incoming.values()))
+
+
 def test_check_gentle_accepts_torus_pair():
     pres, _ = two_hole_torus_pair()
     assert check_gentle(pres).ok
