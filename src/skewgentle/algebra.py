@@ -2,13 +2,12 @@
 
 Coefficients are exact rationals: ``int`` while integral,
 :class:`fractions.Fraction` otherwise, never float.  A coefficient becomes
-a ``Fraction`` only where a non-integer enters (a pivot that does not
-divide its row, a non-integer loop value), so the ±1 coefficients that
-fill the tables stay plain ``int``.  Maps whose generator images would
-carry halves, such as the split idempotents ``(e ± s·e)/2``, are checked
-on doubled images through the ``scale`` of :func:`verify_morphism`.
-Elements are sparse vectors over an explicit basis, and linear algebra is
-done by exact Gaussian elimination.  Every algebra the package builds is
+a ``Fraction`` only where a non-integer enters (a non-integer loop
+value, a caller's map), so the ±1 coefficients that fill the tables stay
+plain ``int``.  Maps whose generator images would carry halves, such as
+the split idempotents ``(e ± s·e)/2``, are checked on doubled images
+through the ``scale`` of :func:`verify_morphism`.  Elements are sparse
+vectors over an explicit basis.  Every algebra the package builds is
 monomial on its basis: each product of two basis elements is 0 or ``c``
 times one basis element (the path basis of a gentle, skew-gentle or split
 algebra, and what a signed permutation makes of it).
@@ -33,12 +32,11 @@ that checks this shape, so the readers check only its size.
 and no pass over the zero products.  :func:`skew_group_algebra` permutes
 the cells of each row through ``π⁻¹``, shares the ``+`` ones and negates
 the ``-`` ones, so the crossed product is monomial again.
-:class:`SpanBasis` keeps its rows in reduced echelon form with an index
-from each column to the rows that hold it, so a vector is reduced in one
-pass over its pivot columns and a new pivot is cleared only from the rows
-that hold it; :func:`graded_path_algebra` reads those rows as normal
-forms.  A check that reads only a rank counts it in a fraction-free
-echelon form with no back-substitution and no division.
+:func:`graded_path_algebra` needs no linear algebra: its only sums are
+the two-term relations, ties ``p = ±q`` that a signed union-find resolves,
+so a normal form is ±1 times one basis path, or 0.  The only elimination
+is the rank count of :func:`verify_morphism`, in a fraction-free echelon
+form with no back-substitution and no division.
 
 One builder, :func:`graded_path_algebra`, covers the three quadratic
 presentations the package meets: gentle pairs (single-path relations),
@@ -53,10 +51,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
-from .diagnostics import BAD_INPUT, NOT_STABILIZED, error, raise_on_error
-from .presentations import Arrow, Presentation, check_skew_gentle
+from .diagnostics import BAD_INPUT, NOT_STABILIZED, Report, error, raise_on_error
+from .presentations import (
+    Arrow,
+    Presentation,
+    _check_composability,
+    _check_ids,
+    check_skew_gentle,
+)
 
 Coeff = int | Fraction
 Vector = dict[Any, Coeff]
@@ -147,82 +151,6 @@ def veq(x: Vector, y: Vector) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exact row reduction
-
-
-class SpanBasis:
-    """An incrementally maintained reduced row basis (exact RREF).
-
-    Its only library user is :func:`graded_path_algebra`, which reads
-    the reduced rows as normal forms; :func:`verify_morphism` needs only
-    a rank and counts it with :class:`_EchelonRank`.
-
-    ``order`` ranks the columns; the smallest rank in a row is its pivot.
-    ``rows`` maps each pivot to its row, which has 1 at its own pivot and
-    no other pivot column.  ``holders`` indexes the other columns: it maps
-    each column that is not a pivot to the pivots of the rows holding it.
-    So a vector is reduced in one pass over the pivot columns it holds,
-    and a new pivot is cleared from exactly the rows in its index entry.
-    """
-
-    def __init__(self, order: Optional[Callable[[Any], Any]] = None):
-        self.order = order if order is not None else (lambda k: k)
-        self.rows: dict[Any, Vector] = {}  # pivot key -> reduced row
-        self.holders: dict[Any, set] = {}  # non-pivot column -> pivots of rows holding it
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, row: Vector) -> Vector:
-        # A stored row holds no other pivot column, so clearing one pivot
-        # leaves the coefficients at the others as they are.
-        rows = self.rows
-        out = dict(row)
-        for p in [k for k in row if k in rows]:
-            _accumulate(out, rows[p], -out[p])
-        return out
-
-    def add(self, row: Vector) -> bool:
-        """Insert a vector; returns True when the rank grew.
-
-        The stored row is scaled to pivot 1.  An ``int`` row that the pivot
-        divides is divided exactly and stays ``int``; otherwise the inverse
-        of the pivot is taken through ``Fraction``, so ``int / int`` never
-        gives a float, and kept as an ``int`` when it is integral.
-        """
-        row = self._reduce(row)
-        if not row:
-            return False
-        lead = min(row, key=self.order)
-        pivot = row[lead]
-        if pivot != 1:
-            if type(pivot) is int and all(
-                type(v) is int and not v % pivot for v in row.values()
-            ):
-                row = {k: v // pivot for k, v in row.items()}
-            else:
-                inv = Fraction(1, pivot)
-                row = vscale(row, inv.numerator if inv.denominator == 1 else inv)
-            row[lead] = ONE
-        holders = self.holders
-        others = [k for k in row if k != lead]
-        for piv in holders.pop(lead, ()):
-            existing = self.rows[piv]
-            held = [k in existing for k in others]
-            _accumulate(existing, row, -existing[lead])
-            for k, was in zip(others, held):
-                if was != (k in existing):
-                    if was:
-                        holders[k].discard(piv)
-                    else:
-                        holders.setdefault(k, set()).add(piv)
-        for k in others:
-            holders.setdefault(k, set()).add(lead)
-        self.rows[lead] = row
-        return True
-
-    def contains(self, row: Vector) -> bool:
-        return not self._reduce(row)
 
 
 class _EchelonRank:
@@ -363,6 +291,7 @@ def _products_row(
 # Path-algebra quotients
 
 PathKey = tuple[str, tuple[str, ...]]  # (source vertex, arrows in application order)
+Link = tuple[Optional[PathKey], int]  # (parent, ±1): the path is ±parent; None is zero
 
 
 def path_target(pres: Presentation, key: PathKey) -> str:
@@ -407,16 +336,21 @@ class PathAlgebra:
     loop_values: Mapping[str, Coeff]
 
     def vertex(self, v: str) -> Vector:
-        return self.algebra.element((v, ()))
+        return self.reduce((v, ()))
 
     def arrow(self, a: str) -> Vector:
-        arr = self.presentation.arrow_by_id[a]
+        arr = self.presentation.arrow_by_id.get(a)
+        if arr is None:
+            raise error(BAD_INPUT, f"unknown arrow {a!r}")
         return self.reduce((arr.source, (a,)))
 
     def reduce(self, key: PathKey) -> Vector:
         """The expansion of a composable path over the basis; a word that
-        does not compose in the quiver raises ``BAD_INPUT``."""
+        starts at an unknown vertex or does not compose in the quiver
+        raises ``BAD_INPUT``."""
         src, arrows = key
+        if (src, ()) not in self.normal_forms:
+            raise error(BAD_INPUT, f"path {key!r} starts at an unknown vertex")
         pres = self.presentation
         coeff, word, at = ONE, (), src
         for a in arrows:
@@ -448,20 +382,23 @@ def graded_path_algebra(
     Relations are single length-two paths or two-term sums (both with
     coefficient one); each special loop ``e`` also satisfies
     ``e*e = value * e``, with the value from ``loop_values`` (default 1).
-    Paths are enumerated length by length, never across a single-path
-    relation or a repeated special loop.  Within each graded piece the
-    two-term relations are eliminated and the lexicographically first
-    paths survive as basis vectors, so the basis does not depend on the
-    loop values.  Presentations with special loops must pass
-    :func:`check_skew_gentle`.
+    The ids of ``pres`` and the composability of its relations are checked
+    first (``UNKNOWN_ID``, ``BAD_INPUT``); presentations with special loops
+    must pass :func:`check_skew_gentle`.  Paths are enumerated length by
+    length, never across a single-path relation or a repeated special loop.
 
-    The normal form of every path is 0 or ``c`` times one basis path, so
-    each product is stored as one cell ``(k, c)``.  The relations are
-    single paths and sums of two paths, so within a graded piece the
-    reduced relations tie the paths of each connected piece of the
-    "related by a two-term relation" graph to one survivor, with sign ±1,
-    or kill the whole piece; a repeated special loop only scales the
-    path by its value.  No normal form has two terms.
+    A two-term relation ``p + q = 0`` is the tie ``p = -q``.  The ties of
+    each length are those of the last length followed by an arrow, and the
+    two-term relations preceded by a path; a term that is not an enumerated
+    word is zero.  They are resolved by a signed union-find over the words
+    of that length: ``up[p] = (parent, ±1)`` says ``p = ±parent``, and the
+    zero path ``None`` is a root of its own.  A tie joins two roots, and the
+    lexicographically first path of a piece survives as a basis vector, or
+    it closes a cycle; a cycle whose signs multiply to -1 says ``2p = 0``,
+    and the piece joins zero.  So the normal form of every path is 0 or ±1
+    times one basis path, with no division; a repeated special loop only
+    scales a path by its value, so the basis does not depend on the loop
+    values, and each product is stored as one cell ``(k, c)``.
 
     Paths are enumerated up to length ``len(pres.arrows) + 1``.  In the
     gentle, skew-gentle and split shapes a nonzero path never repeats an
@@ -472,6 +409,12 @@ def graded_path_algebra(
     """
     if pres.special:
         raise_on_error(check_skew_gentle(pres))
+    else:
+        report = Report()
+        _check_ids(pres, report)
+        if report.ok:
+            _check_composability(pres, report)
+        raise_on_error(report)
     loop_values = loop_values or {}
     values = {e: _exact(loop_values.get(e, 1)) for e in pres.special}
     limit = len(pres.arrows) + 1
@@ -493,7 +436,7 @@ def graded_path_algebra(
     for key in layers[0] + layers[1]:
         admit(key)
     dims = [len(layers[0]), len(layers[1])]
-    ideal: list[Vector] = []  # the reduced relation rows of the last length
+    ties: dict[PathKey, Link] = {}  # the last length's dead or tied words
     while dims[-1]:
         length = len(dims)
         if length > limit:
@@ -508,33 +451,45 @@ def graded_path_algebra(
             if _junction(pres, values, arrows[-1], b.id) is None
         ]
         layers.append(words)
-        # Sorted by graded piece, then lexicographically; each relation row
-        # lies in one piece, and within it the lex-last path leads.
+        # Sorted by graded piece, then lexicographically, so each survivor
+        # is admitted before the words tied to it.
         words.sort(key=lambda k: (k[0], path_target(pres, k), k[1]))
-        rank_of = {k: -i for i, k in enumerate(words)}
-        span = SpanBasis(order=rank_of.__getitem__)
+        known = set(words)
+        up: dict[PathKey, Link] = {}
 
-        def relate(terms: Iterable[tuple[PathKey, Coeff]]) -> None:
-            # Terms through a single-path relation are zero already.
-            span.add({key: c for key, c in terms if key in rank_of})
+        def find(p: Optional[PathKey]) -> Link:
+            sign = 1
+            while p in up:
+                p, s = up[p]
+                sign *= s
+            return p, sign
 
-        # The relations of this length: those of the last length followed by
-        # an arrow, and the two-term relations preceded by a path.
-        for row in ideal:
-            for b in pres.outgoing[path_target(pres, next(iter(row)))]:
-                relate(((src, arrows + (b.id,)), c) for (src, arrows), c in row.items())
+        def tie(p: Optional[PathKey], q: Optional[PathKey], s: int) -> None:
+            (p, sp), (q, sq) = (find(k if k in known else None) for k in (p, q))
+            s *= sp * sq  # now root p = s·(root q)
+            if p != q:  # keep the zero root, else the lex-first one
+                keep, drop = sorted((p, q), key=lambda k: (k is not None, k))
+                up[drop] = (keep, s)
+            elif p is not None and s != 1:  # p = -p
+                up[p] = (None, 1)
+
+        for p, (q, s) in ties.items():
+            for b in pres.outgoing[path_target(pres, p)]:
+                tie((p[0], p[1] + (b.id,)), q and (q[0], q[1] + (b.id,)), s)
         for rel in binomials:
             rsrc = pres.arrow_by_id[rel[0][0]].source
             for src, arrows in layers[-3]:
                 if path_target(pres, (src, arrows)) == rsrc:
-                    relate(((src, arrows + path), ONE) for path in rel)
+                    tie((src, arrows + rel[0]), (src, arrows + rel[1]), -1)
+        ties = {}
         for key in words:
-            if key not in span.rows:
+            root, s = find(key)
+            if root == key:
                 admit(key)
-        for piv, row in span.rows.items():
-            normal_forms[piv] = {index_of[k]: -c for k, c in row.items() if k != piv}
-        ideal = list(span.rows.values())
-        dims.append(len(words) - span.rank)
+            else:
+                ties[key] = (root, s)
+                normal_forms[key] = {} if root is None else {index_of[root]: s}
+        dims.append(len(words) - len(ties))
     zero_length = len(dims) - 1
 
     # x * y in composition order: y is traversed first, and only the basis

@@ -19,6 +19,10 @@ against both.  The objects that check compares without building, the
 twice-crossed product, ``M₂(A)`` and the Cohen--Montgomery images, are
 built at the end for those comparisons; the tests hold the last two
 against :func:`matrix_table` and :func:`cohen_montgomery_image`.
+:class:`SpanBasis`, an exact reduced row basis on the library's sparse
+vector helpers, spans the relations independently of the signed
+union-find that reaches the normal forms of ``graded_path_algebra``, and
+is the reference for the rank count of ``verify_morphism``.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from skewgentle import (
     TableAlgebra,
     skew_group_algebra,
 )
-from skewgentle.algebra import _preimages, _products_row
+from skewgentle.algebra import _accumulate, _preimages, _products_row, vscale
 from skewgentle.surface import chord_bseg_side
 
 
@@ -251,6 +255,117 @@ def mat_rank(rows: list[list[Fraction]]) -> int:
         if row == len(m):
             break
     return rank
+
+
+class SpanBasis:
+    """An incrementally maintained reduced row basis (exact RREF): the
+    reference for the normal forms of ``graded_path_algebra`` and for the
+    rank that ``verify_morphism`` counts.
+
+    ``order`` ranks the columns; the smallest rank in a row is its pivot.
+    ``rows`` maps each pivot to its row, which has 1 at its own pivot and
+    no other pivot column.  ``holders`` indexes the other columns: it maps
+    each column that is not a pivot to the pivots of the rows holding it.
+    So a vector is reduced in one pass over the pivot columns it holds,
+    and a new pivot is cleared from exactly the rows in its index entry.
+    """
+
+    def __init__(self, order=None):
+        self.order = order if order is not None else (lambda k: k)
+        self.rows: dict = {}  # pivot key -> reduced row
+        self.holders: dict = {}  # non-pivot column -> pivots of rows holding it
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, row: dict) -> dict:
+        # A stored row holds no other pivot column, so clearing one pivot
+        # leaves the coefficients at the others as they are.
+        rows = self.rows
+        out = dict(row)
+        for p in [k for k in row if k in rows]:
+            _accumulate(out, rows[p], -out[p])
+        return out
+
+    def add(self, row: dict) -> bool:
+        """Insert a vector; returns True when the rank grew.
+
+        The stored row is scaled to pivot 1.  An ``int`` row that the pivot
+        divides is divided exactly and stays ``int``; otherwise the inverse
+        of the pivot is taken through ``Fraction``, so ``int / int`` never
+        gives a float, and kept as an ``int`` when it is integral.
+        """
+        row = self._reduce(row)
+        if not row:
+            return False
+        lead = min(row, key=self.order)
+        pivot = row[lead]
+        if pivot != 1:
+            if type(pivot) is int and all(
+                type(v) is int and not v % pivot for v in row.values()
+            ):
+                row = {k: v // pivot for k, v in row.items()}
+            else:
+                inv = Fraction(1, pivot)
+                row = vscale(row, inv.numerator if inv.denominator == 1 else inv)
+            row[lead] = 1
+        holders = self.holders
+        others = [k for k in row if k != lead]
+        for piv in holders.pop(lead, ()):
+            existing = self.rows[piv]
+            held = [k in existing for k in others]
+            _accumulate(existing, row, -existing[lead])
+            for k, was in zip(others, held):
+                if was != (k in existing):
+                    if was:
+                        holders[k].discard(piv)
+                    else:
+                        holders.setdefault(k, set()).add(piv)
+        for k in others:
+            holders.setdefault(k, set()).add(lead)
+        self.rows[lead] = row
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self._reduce(row)
+
+
+def relation_spans(presentation) -> list:
+    """For each length ``L`` from 0, the pair ``(words, span)``: the words
+    of length ``L`` that avoid the single-path relations and the square of
+    each special loop, and a :class:`SpanBasis` of the two-term relations
+    ``u·(p + q)·v`` among them, a term that is not a word being zero.  The
+    list stops at the first length whose quotient ``words / span`` is 0;
+    the ideal is two-sided, so every longer quotient is 0 as well."""
+    forbidden = {rel[0] for rel in presentation.relations if len(rel) == 1}
+    forbidden.update((e, e) for e in presentation.special)
+    binomials = [rel for rel in presentation.relations if len(rel) == 2]
+    target = {a.id: a.target for a in presentation.arrows}
+    out = []
+    layer = [(v, ()) for v in presentation.vertices]
+    while True:
+        words, span = set(layer), SpanBasis()
+        for src, arrows in layer:
+            for i in range(len(arrows) - 1):
+                for p, q in binomials:
+                    for here, there in ((p, q), (q, p)):
+                        if arrows[i : i + 2] == here:
+                            row = {(src, arrows): 1}
+                            other = (src, arrows[:i] + there + arrows[i + 2 :])
+                            if other in words:
+                                row[other] = row.get(other, 0) + 1
+                            span.add(row)
+        out.append((layer, span))
+        if span.rank == len(layer):
+            return out
+        layer = [
+            (src, arrows + (a.id,))
+            for src, arrows in layer
+            for a in presentation.arrows
+            if a.source == (target[arrows[-1]] if arrows else src)
+            and (not arrows or (arrows[-1], a.id) not in forbidden)
+        ]
 
 
 def skew_group_table(algebra, images) -> dict:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    SpanBasis,
     algebra_from_products,
     apply_map,
     associative,
@@ -17,6 +18,7 @@ from oracles import (
     mat_rank,
     monomial_path_count,
     multiplicative,
+    relation_spans,
     skew_group_table,
     verify_multiplicative,
     word_product,
@@ -36,6 +38,7 @@ from skewgentle import (
     random_gentle_pair,
     random_triple,
     skew_group_algebra,
+    special_chain_triple,
     split_presentation,
     surface_from_gentle,
     surface_from_triple,
@@ -51,7 +54,7 @@ from skewgentle import (
     verify_skew_group_reduction,
 )
 from skewgentle.diagnostics import BAD_INPUT
-from skewgentle.algebra import SpanBasis, _EchelonRank, vadd, vaxpy, veq, vscale, vsub
+from skewgentle.algebra import _EchelonRank, vadd, vaxpy, veq, vscale, vsub
 from skewgentle.equivariant import induced_basis_map
 from skewgentle.presentations import companion_pair
 
@@ -417,6 +420,15 @@ def test_reduce_rejects_noncomposable_word():
         alg.reduce(("1", ("b", "a")))
     (diagnostic,) = exc.value.diagnostics
     assert diagnostic.code == BAD_INPUT and "not composable" in diagnostic.message
+    for read, arg, message in [
+        (alg.reduce, ("zz", ()), "path ('zz', ()) starts at an unknown vertex"),
+        (alg.reduce, ("1", ("zz",)), "path ('1', ('zz',)) is not composable in the quiver"),
+        (alg.vertex, "zz", "path ('zz', ()) starts at an unknown vertex"),
+        (alg.arrow, "zz", "unknown arrow 'zz'"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            read(arg)
+        assert [(d.code, d.message) for d in exc.value.diagnostics] == [(BAD_INPUT, message)]
 
 
 def test_relabelling_onto_a_noncomposable_word_is_bad_input():
@@ -434,6 +446,40 @@ def test_relabelling_onto_a_noncomposable_word_is_bad_input():
     (diagnostic,) = exc.value.diagnostics
     assert diagnostic.code == BAD_INPUT
     assert diagnostic.message == "path ('1', ('c', 'b')) is not composable in the quiver"
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows, relations, finding",
+    [
+        ("1", [("a", "1", "2")], [], ("UNKNOWN_ID", "arrow 'a' endpoint '2' unknown")),
+        (
+            "123",
+            [("a", "1", "2"), ("b", "2", "3")],
+            [(("a", "z"),)],
+            ("UNKNOWN_ID", "relation mentions unknown arrow 'z'"),
+        ),
+        (
+            "1234",
+            [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")],
+            [(("a", "b", "c"),)],
+            (BAD_INPUT, "relation path ('a', 'b', 'c') is not quadratic"),
+        ),
+        (
+            "123",
+            [("a", "1", "2"), ("b", "1", "3")],
+            [(("a", "b"),)],
+            (BAD_INPUT, "relation path ('a','b') is not composable"),
+        ),
+    ],
+    ids=["unknown-endpoint", "unknown-arrow", "cubic", "not-composable"],
+)
+def test_graded_path_algebra_refuses_a_malformed_presentation(
+    vertices, arrows, relations, finding
+):
+    pres = make_presentation(vertices, [Arrow(*a) for a in arrows], relations)
+    with pytest.raises(ValidationError) as exc:
+        graded_path_algebra(pres)
+    assert [(d.code, d.message) for d in exc.value.diagnostics] == [finding]
 
 
 def test_paths_that_never_vanish_raise_not_stabilized():
@@ -531,6 +577,96 @@ def test_two_term_relations_vanish_in_split_algebra(cylinders):
             src = split.arrow_by_id[path[0]].source
             total = vadd(total, alg.reduce((src, path)))
         assert total == {}
+
+
+
+def _assert_normal_forms_span_the_relations(pres):
+    """Each normal form against the relation span built by the oracle: the
+    graded dimensions agree, every path ``p`` with normal form ``s·r`` has
+    ``p - s·r`` in the span, and every vanishing path lies in it."""
+    alg = graded_path_algebra(pres)
+    spans = relation_spans(pres)
+    assert alg.dims_by_length == tuple(len(words) - span.rank for words, span in spans)
+    assert set(alg.normal_forms) == {p for words, _ in spans for p in words}
+    labels = alg.algebra.labels
+    for words, span in spans:
+        for p in words:
+            nf = alg.normal_forms[p]
+            if not nf:
+                assert span.contains({p: 1}), p
+                continue
+            ((r, s),) = nf.items()
+            assert type(s) is int and s in (1, -1)
+            if labels[r] == p:
+                assert s == 1
+            else:
+                assert span.contains({p: 1, labels[r]: -s}), p
+    return alg
+
+
+def test_normal_forms_span_the_relations_on_fixtures(cylinders, disc, disc_xx):
+    triples = [triple_from_x_dissection(s) for s in cylinders.values()]
+    triples += [triple_from_x_dissection(disc_xx), special_chain_triple()]
+    triples += [triple_from_x_dissection(one_orbifold_disc(n)) for n in (4, 5, 8)]
+    for triple in triples:
+        _assert_normal_forms_span_the_relations(triple)
+        _assert_normal_forms_span_the_relations(split_presentation(triple).presentation)
+    _assert_normal_forms_span_the_relations(two_hole_torus_pair()[0])
+    _assert_normal_forms_span_the_relations(quiver_from_dissection(disc))
+
+
+def test_normal_forms_span_the_relations_on_ladder_covers(cylinder_covers, disc_xx):
+    covers = list(cylinder_covers.values())
+    covers.append(double_cover(disc_xx))
+    covers.append(quotient(*two_hole_torus_surface()))
+    covers += [double_cover(one_orbifold_disc(n)) for n in (4, 6, 8, 10, 12, 14)]
+    assert len(covers) == 12
+    for cov in covers:
+        _assert_normal_forms_span_the_relations(cov.split.presentation)
+        _assert_normal_forms_span_the_relations(cov.total_quiver.presentation)
+
+
+def test_normal_forms_span_the_relations_on_random_splits():
+    rng = random.Random(3107)
+    tied = 0
+    for _ in range(200):
+        split = split_presentation(random_triple(rng)).presentation
+        _assert_normal_forms_span_the_relations(split)
+        tied += any(len(rel) == 2 for rel in split.relations)
+    assert tied > 50
+
+
+def _vanishing(vertices, arrows, relations):
+    pres = make_presentation(vertices, [Arrow(*a) for a in arrows], relations)
+    alg = _assert_normal_forms_span_the_relations(pres)
+    zeros = {key for key, nf in alg.normal_forms.items() if not nf}
+    return alg, zeros
+
+
+def test_a_piece_that_meets_zero_vanishes():
+    # a·b + a·c = 0 and b·d = 0, so a·c·d = -a·b·d = 0
+    arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "3"), ("d", "3", "4")]
+    alg, zeros = _vanishing("1234", arrows, [(("a", "b"), ("a", "c")), (("b", "d"),)])
+    assert alg.dims_by_length == (4, 4, 2, 0)
+    assert zeros == {("1", ("a", "c", "d"))}
+    ab = alg.algebra.index_of[("1", ("a", "b"))]
+    assert alg.normal_forms[("1", ("a", "c"))] == {ab: -1}
+
+
+def test_a_piece_with_an_odd_cycle_of_ties_vanishes():
+    # a·b = -a·c = a·d = -a·b, so 2·a·b = 0
+    arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "3"), ("d", "2", "3")]
+    relations = [(("a", "b"), ("a", "c")), (("a", "c"), ("a", "d")), (("a", "b"), ("a", "d"))]
+    alg, zeros = _vanishing("123", arrows, relations)
+    assert alg.dims_by_length == (3, 4, 0)
+    assert zeros == {("1", ("a", "b")), ("1", ("a", "c")), ("1", ("a", "d"))}
+
+
+def test_a_repeated_path_summed_to_zero_vanishes():
+    arrows = [("a", "1", "2"), ("b", "2", "3")]
+    alg, zeros = _vanishing("123", arrows, [(("a", "b"), ("a", "b"))])
+    assert alg.dims_by_length == (3, 2, 0)
+    assert zeros == {("1", ("a", "b"))}
 
 
 def test_corner_of_unit_is_whole_algebra():

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from oracles import (
+    SpanBasis,
     algebra_from_products,
     apply_map,
     basis_map_from_permutation,
@@ -28,7 +29,6 @@ from skewgentle import (
     Arrow,
     CornerAlgebra,
     SignedPermutation,
-    SpanBasis,
     TableAlgebra,
     ValidationError,
     double_cover,
@@ -655,24 +655,18 @@ class Builds(NamedTuple):
     built: list  # every TableAlgebra constructed
     runs: list  # (reduction, dual reduction, iterated check) per cover
     morphisms: list  # (args, kwargs) of each verify_morphism call, two per cover
-    spans: list  # every SpanBasis constructed
 
 
 def _build_all(covers) -> Builds:
     """Both reductions and the iterated check on each cover, with every
-    ``TableAlgebra`` and ``SpanBasis`` they construct along the way and
-    the arguments the reductions pass to ``verify_morphism``."""
-    out = Builds([], [], [], [])
+    ``TableAlgebra`` they construct along the way and the arguments the
+    reductions pass to ``verify_morphism``."""
+    out = Builds([], [], [])
     post_init = TableAlgebra.__post_init__
-    span_init = SpanBasis.__init__
 
     def record(self):
         post_init(self)
         out.built.append(self)
-
-    def record_span(self, *args, **kwargs):
-        span_init(self, *args, **kwargs)
-        out.spans.append(self)
 
     def record_morphism(*args, **kwargs):
         out.morphisms.append((args, kwargs))
@@ -680,7 +674,6 @@ def _build_all(covers) -> Builds:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TableAlgebra, "__post_init__", record)
-        mp.setattr(SpanBasis, "__init__", record_span)
         mp.setattr(equivariant, "verify_morphism", record_morphism)
         for cov in covers:
             red = verify_skew_group_reduction(cov)
@@ -700,9 +693,9 @@ def ladder_builds(cylinder_covers, disc_xx):
 
 
 def _assert_exact(builds):
-    """No coefficient is a float.  The tables and units are integral and
-    hold ``int``; only the public images, through the halving idempotents,
-    carry ``Fraction``."""
+    """No coefficient is a float.  The tables, units and normal forms are
+    integral and hold ``int``; only the public images, through the halving
+    idempotents, carry ``Fraction``."""
     built, runs = builds.built, builds.runs
     table_coeffs = [c for A in built for row in A.table for cell in row for c in cell.values()]
     table_coeffs += [c for A in built for c in A.unit.values()]
@@ -716,11 +709,17 @@ def _assert_exact(builds):
     assert {type(c) for c in table_coeffs} == {int}
     assert {type(c) for c in image_coeffs} == {int, Fraction}
     # an integral value is always held as ``int``
-    span_coeffs = [c for span in builds.spans for row in span.rows.values() for c in row.values()]
-    assert span_coeffs
-    assert not [
-        c for c in image_coeffs + span_coeffs if type(c) is Fraction and c.denominator == 1
+    assert not [c for c in image_coeffs if type(c) is Fraction and c.denominator == 1]
+    # every normal form is 0 or ±1 times one basis path
+    forms = [
+        nf
+        for red, dual, _ in runs
+        for alg in (red.cover_algebra, dual.split_algebra)
+        for nf in alg.normal_forms.values()
     ]
+    assert all(len(nf) <= 1 for nf in forms)
+    form_coeffs = [c for nf in forms for c in nf.values()]
+    assert {type(c) for c in form_coeffs} == {int} and set(form_coeffs) == {1, -1}
     # the reductions check integral multiples of their images
     assert len(builds.morphisms) == 2 * len(runs)
     kernel_coeffs = [
