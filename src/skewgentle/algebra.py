@@ -466,11 +466,11 @@ def graded_path_algebra(
 
         def tie(p: Optional[PathKey], q: Optional[PathKey], s: int) -> None:
             (p, sp), (q, sq) = (find(k if k in known else None) for k in (p, q))
-            s *= sp * sq  # now root p = s·(root q)
+            s *= sp * sq  # p and q are roots now, with p = s·q
             if p != q:  # keep the zero root, else the lex-first one
                 keep, drop = sorted((p, q), key=lambda k: (k is not None, k))
                 up[drop] = (keep, s)
-            elif p is not None and s != 1:  # p = -p
+            elif p is not None and s != 1:  # a cycle: p = -p, so 2p = 0
                 up[p] = (None, 1)
 
         for p, (q, s) in ties.items():
