@@ -27,14 +27,18 @@ with ``e`` for the unit.
 A symmetry is a :class:`SignedPermutation` ``(π, σ)``, each image one term
 ``σ_j·b_{π(j)}`` with ``π`` a bijection.  Its constructor is the one place
 that checks this shape, so the readers check only its size.
-:func:`verify_algebra_involution` checks it cell by cell: each stored cell
-``(i, j) → (k, c)`` against the cell at ``(π(i), π(j))``, with no vectors
-and no pass over the zero products.  :func:`skew_group_algebra` permutes
+:func:`verify_algebra_involution` reads only the rows of the generators
+(:attr:`TableAlgebra.generators`, the vertices and arrows of a path
+algebra), each cell against the cell at ``(π(g), π(j))`` and each row's
+count against its image's, since a map multiplicative on generators is
+multiplicative.  :func:`skew_group_algebra` permutes
 the cells of each row through ``π⁻¹``, shares the ``+`` ones and negates
 the ``-`` ones, so the crossed product is monomial again.
 :func:`graded_path_algebra` needs no linear algebra: its only sums are
 the two-term relations, ties ``p = ±q`` that a signed union-find resolves,
-so a normal form is ±1 times one basis path, or 0.  The only elimination
+so a normal form is ±1 times one basis path, or 0.  It keeps the cell of
+each basis path followed by each arrow, and fills the row of a basis
+path ``a·p`` from the row of ``p``, one lookup per cell.  The only elimination
 is the rank count of :func:`verify_morphism`, in a fraction-free echelon
 form with no back-substitution and no division.
 
@@ -210,7 +214,9 @@ class TableAlgebra:
     has two terms (see the module docstring).  A row's columns are in no
     set order: the twisted rows of :func:`skew_group_algebra` keep the
     order of the permutation.  :attr:`table` is a dense view for readers by
-    position, built on each read and never kept.
+    position, built on each read and never kept.  The basis elements
+    indexed by ``generators`` generate the algebra (all of them unless a
+    builder says less); the checks of multiplicativity read only their rows.
 
     Rows are not mutated after construction, and builders share cells
     between positions and between algebras.  ``_crossed`` keeps the
@@ -221,6 +227,7 @@ class TableAlgebra:
     labels: tuple[Any, ...]
     rows: list[dict[int, Cell]]
     unit: Vector
+    generators: Optional[range] = None
     _crossed: dict[SignedPermutation, TableAlgebra] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -246,6 +253,7 @@ class TableAlgebra:
 
     def __post_init__(self):
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
+        self.generators = self.generators or range(len(self.labels))
 
     def element(self, label: Any, coeff: Coeff = ONE) -> Vector:
         return vec((self.index_of[label], coeff))
@@ -301,23 +309,6 @@ def path_target(pres: Presentation, key: PathKey) -> str:
     return pres.arrow_by_id[arrows[-1]].target
 
 
-def _junction(
-    pres: Presentation, values: Mapping[str, Coeff], a: str, b: str
-) -> Optional[Coeff]:
-    """The rule for arrow ``b`` right after arrow ``a`` in a path.
-
-    ``None`` when the two concatenate.  Otherwise the pair collapses to
-    ``a`` times the returned coefficient: 0 when ``(a, b)`` is a
-    single-path relation, the loop's value when ``b`` repeats the special
-    loop ``a``.
-    """
-    if (a, b) in pres.monomial_pairs:
-        return ZERO
-    if a == b and a in values:
-        return values[a]
-    return None
-
-
 @dataclass
 class PathAlgebra:
     """A quotient of a path algebra with a chosen monomial basis.
@@ -325,7 +316,9 @@ class PathAlgebra:
     ``normal_forms`` sends every enumerated path key to its expansion over
     the basis (by index); paths at or beyond ``zero_length`` vanish, and so
     do paths through a single-path relation.  Each special loop ``e``
-    satisfies ``e*e = loop_values[e] * e``.
+    satisfies ``e*e = loop_values[e] * e``.  ``extensions[j]`` maps each
+    arrow ``a`` with ``a·b_j`` nonzero to its cell (see
+    :func:`graded_path_algebra`).
     """
 
     presentation: Presentation
@@ -334,6 +327,7 @@ class PathAlgebra:
     zero_length: int
     dims_by_length: tuple[int, ...]
     loop_values: Mapping[str, Coeff]
+    extensions: list[dict[str, Cell]]
 
     def vertex(self, v: str) -> Vector:
         return self.reduce((v, ()))
@@ -345,29 +339,24 @@ class PathAlgebra:
         return self.reduce((arr.source, (a,)))
 
     def reduce(self, key: PathKey) -> Vector:
-        """The expansion of a composable path over the basis; a word that
-        starts at an unknown vertex or does not compose in the quiver
-        raises ``BAD_INPUT``."""
+        """The expansion of a composable path over the basis, walked one
+        extension cell per arrow; a word that starts at an unknown vertex
+        or does not compose in the quiver raises ``BAD_INPUT``."""
         src, arrows = key
-        if (src, ()) not in self.normal_forms:
+        k = self.algebra.index_of.get((src, ()))
+        if k is None:
             raise error(BAD_INPUT, f"path {key!r} starts at an unknown vertex")
         pres = self.presentation
-        coeff, word, at = ONE, (), src
+        coeff, at = ONE, src
         for a in arrows:
             arr = pres.arrow_by_id.get(a)
             if arr is None or arr.source != at:
                 raise error(BAD_INPUT, f"path {key!r} is not composable in the quiver")
             at = arr.target
-            c = _junction(pres, self.loop_values, word[-1], a) if word else None
-            if c is None:
-                word += (a,)
-            else:
+            if coeff:  # the path so far is coeff·b_k
+                k, c = self.extensions[k].get(a, (k, ZERO))
                 coeff *= c
-        # the word crosses no single-path relation and repeats no special loop
-        if not coeff or len(word) >= self.zero_length:
-            return {}
-        nf = self.normal_forms[(src, word)]
-        return dict(nf) if coeff == 1 else vscale(nf, coeff)
+        return {k: coeff} if coeff else {}
 
     @property
     def dimension(self) -> int:
@@ -400,6 +389,21 @@ def graded_path_algebra(
     scales a path by its value, so the basis does not depend on the loop
     values, and each product is stored as one cell ``(k, c)``.
 
+    While it enumerates, the builder keeps ``extensions[j][a]``, the cell
+    of ``b_j`` followed by the arrow ``a`` (the product ``a·b_j``): the
+    normal form of the longer word, the loop value times ``b_j`` where
+    ``a`` repeats a special loop, and no entry across a single-path
+    relation or for a zero product.  A vertex row holds the paths ending
+    there.  A longer basis path is ``b_i = a·b_m``, with ``a`` its last
+    arrow and ``b_m`` its prefix, so row ``i`` is
+    ``b_i·b_j = a·(b_m·b_j)``: one lookup per cell of row ``m``, with no
+    word built or hashed.  The prefix of a basis path is a basis path: a
+    word tied to the survivor ``q`` of its piece extends to a word tied
+    to the extension of ``q``, which sorts first, or to zero.  The ties
+    join only parallel paths (checked first), so a normal form ends where
+    its word does.  The vertices and arrows, first in the basis, are the
+    algebra's ``generators``.
+
     Paths are enumerated up to length ``len(pres.arrows) + 1``.  In the
     gentle, skew-gentle and split shapes a nonzero path never repeats an
     arrow, since a repeat closes a cycle whose powers never vanish, so
@@ -423,11 +427,13 @@ def graded_path_algebra(
     basis: list[PathKey] = []
     index_of: dict[PathKey, int] = {}
     normal_forms: dict[PathKey, Vector] = {}
+    extensions: list[dict[str, Cell]] = []
 
     def admit(key: PathKey) -> None:
         index_of[key] = len(basis)
         normal_forms[key] = {len(basis): ONE}
         basis.append(key)
+        extensions.append({})
 
     layers: list[list[PathKey]] = [
         [(v, ()) for v in pres.vertices],
@@ -435,6 +441,8 @@ def graded_path_algebra(
     ]
     for key in layers[0] + layers[1]:
         admit(key)
+    for key in layers[1]:
+        extensions[index_of[(key[0], ())]][key[1][0]] = (index_of[key], ONE)
     dims = [len(layers[0]), len(layers[1])]
     ties: dict[PathKey, Link] = {}  # the last length's dead or tied words
     while dims[-1]:
@@ -444,12 +452,21 @@ def graded_path_algebra(
                 NOT_STABILIZED,
                 f"graded dimensions did not vanish by length {limit}",
             )
-        words = [
-            (src, arrows + (b.id,))
-            for src, arrows in layers[-1]
-            for b in pres.outgoing[path_target(pres, (src, arrows))]
-            if _junction(pres, values, arrows[-1], b.id) is None
-        ]
+        words: list[PathKey] = []
+        children: list[tuple[int, str, PathKey]] = []  # (basis parent, arrow, word)
+        for p in layers[-1]:
+            src, arrows = p
+            i = index_of.get(p)
+            for b in pres.outgoing[path_target(pres, p)]:
+                if (arrows[-1], b.id) in pres.monomial_pairs:
+                    continue
+                if arrows[-1] == b.id and b.id in values:  # e·e = value·e
+                    if values[b.id] and i is not None:
+                        extensions[i][b.id] = (i, values[b.id])
+                    continue
+                words.append(word := (src, arrows + (b.id,)))
+                if i is not None:
+                    children.append((i, b.id, word))
         layers.append(words)
         # Sorted by graded piece, then lexicographically, so each survivor
         # is admitted before the words tied to it.
@@ -490,28 +507,26 @@ def graded_path_algebra(
                 ties[key] = (root, s)
                 normal_forms[key] = {} if root is None else {index_of[root]: s}
         dims.append(len(words) - len(ties))
+        for i, b, word in children:
+            if nf := normal_forms[word]:
+                extensions[i][b] = next(iter(nf.items()))
     zero_length = len(dims) - 1
 
-    # x * y in composition order: y is traversed first, and only the basis
-    # paths starting where y ends can follow it.
-    by_source: dict[str, list[int]] = {v: [] for v in pres.vertices}
-    for i, (src, _) in enumerate(basis):
-        by_source[src].append(i)
-    rows: list[dict[int, Cell]] = [{} for _ in basis]
-    for j, (src, first) in enumerate(basis):
-        for i in by_source[path_target(pres, (src, first))]:
-            then = basis[i][1]
-            c = _junction(pres, values, first[-1], then[0]) if first and then else None
-            if c is None:
-                c, word = ONE, first + then
-            else:
-                word = first + then[1:]
-            if c and len(word) < zero_length and (nf := normal_forms[(src, word)]):
-                ((k, v),) = nf.items()  # one term: see the docstring
-                rows[i][j] = (k, c * v)
+    # b_i·b_j in composition order: a vertex row holds the paths ending
+    # there, and b_i = a·b_m, with ``a`` its last arrow and b_m the path
+    # before it, has b_i·b_j = a·(b_m·b_j), one extension cell for each
+    # cell of row m.
+    ends: dict[str, dict[int, Cell]] = {v: {} for v in pres.vertices}
+    for j, key in enumerate(basis):
+        ends[path_target(pres, key)][j] = (j, ONE)
+    rows = [ends[v] for v in pres.vertices]
+    for src, arrows in basis[len(rows):]:
+        row, a = rows[index_of[(src, arrows[:-1])]], arrows[-1]
+        rows.append({j: (e[0], c * e[1]) for j, (k, c) in row.items()
+                     if (e := extensions[k].get(a))})
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
-    algebra = TableAlgebra(tuple(basis), rows, unit)
-    return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values)
+    algebra = TableAlgebra(tuple(basis), rows, unit, range(len(layers[0]) + dims[1]))
+    return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values, extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +619,15 @@ def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
     fixes the unit, respects all products.
 
     With ``act(b_i) = σ_i·b_{π(i)}`` this is ``π(π(i)) = i`` and
-    ``σ_i·σ_{π(i)} = 1`` for every ``i``, ``act(1) = 1``, and for every
-    stored cell ``b_i·b_j = c·b_k`` the cell of ``b_{π(i)}·b_{π(j)}`` is
-    ``(π(k), c·σ_i·σ_j·σ_k)``, which is ``act(b_i·b_j) = act(b_i)·act(b_j)``
-    on that pair.  The zero products need no pass of their own: ``π`` is
-    a bijection, so ``(i, j) ↦ (π(i), π(j))`` is a bijection of the pairs,
-    and a map that sends the nonzero cells into the nonzero cells sends
-    them onto them, and sends the zero products to zero products.
+    ``σ_i·σ_{π(i)} = 1`` for every ``i``, ``act(1) = 1``, and
+    ``act(b_g·b_j) = act(b_g)·act(b_j)`` for every ``j`` and each ``g`` in
+    ``A.generators``, which is enough: by induction on ``k``,
+    ``f(g₁⋯g_k·y) = f(g₁)·f(g₂⋯g_k·y) = f(g₁⋯g_k)·f(y)``.  Each stored
+    cell ``b_g·b_j = c·b_k`` must meet ``(π(k), c·σ_g·σ_j·σ_k)`` at column
+    ``π(j)`` of row ``π(g)``, and the two rows must hold as many cells:
+    ``π`` is one to one on the columns, so the zero products of row ``g``
+    then go to zero products.  The guard reads about ``2·dim`` cells on a
+    gentle algebra, not all of them.
 
     An action on a basis of another size raises ``BAD_INPUT``.
     """
@@ -622,10 +639,12 @@ def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
     if not veq(act.apply(A.unit), A.unit):
         return False
     rows = A.rows
-    for i, row in enumerate(rows):
-        image_row, si = rows[pi[i]], sigma[i]
+    for g in A.generators:
+        row, image_row, sg = rows[g], rows[pi[g]], sigma[g]
+        if len(row) != len(image_row):
+            return False
         for j, (k, c) in row.items():
-            if image_row.get(pi[j]) != (pi[k], c * si * sigma[j] * sigma[k]):
+            if image_row.get(pi[j]) != (pi[k], c * sg * sigma[j] * sigma[k]):
                 return False
     return True
 

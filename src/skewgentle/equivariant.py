@@ -49,13 +49,14 @@ once.
 
 The iterated check builds neither the 4n-dimensional twice-crossed
 product, nor ``M₂(A)``, nor the comparison map Φ.  It checks Φ for
-multiplicativity on the left factors ``(b_i⊗0)⊗0``, ``(1⊗1)⊗0`` and
-``(1⊗0)⊗1``, which generate, against the degree-zero half of the basis.
+multiplicativity on the left factors ``(g⊗0)⊗0`` for the generators
+``g`` of ``A``, ``(1⊗1)⊗0`` and ``(1⊗0)⊗1``, which generate, against the
+degree-zero half of the basis.
 Every table is monomial and the symmetry is a signed permutation, so by
 the block rule ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy`` each side of each
 comparison is a pair of single cells: ``Φ(x·y)`` read from the rows of
 ``A#ℤ₂``, ``Φ(x)·Φ(y)`` from the rows of ``A``.  The blocks test
-``s(b_i·b_q) = s(b_i)·s(b_q)``, ``s²(b_q) = s(1)·b_q`` and
+``s(b_g·b_q) = s(b_g)·s(b_q)``, ``s²(b_q) = s(1)·b_q`` and
 ``s(b_q) = s(1)·s(b_q)``, so a broken symmetry fails also with the guard
 bypassed (see :func:`verify_iterated_skew_group`).
 
@@ -132,24 +133,32 @@ def induced_basis_map(
     """The symmetry induced on a path-algebra quotient by relabelling
     vertices and arrows, optionally scaling each arrow by a sign.
 
-    A relabelled path that is itself a basis path goes to that path, read
-    from the index of the basis; only the others go through
-    :meth:`~skewgentle.algebra.PathAlgebra.reduce`.  Raises ``BAD_INPUT``
-    when a relabelled basis path reduces to 0 or to more than one term,
-    and, through :class:`~skewgentle.algebra.SignedPermutation`, when the
-    images are not ± a permutation of the basis."""
-    index_of = alg.algebra.index_of
+    Each basis path goes to the class of its relabelled word.  A path
+    ``a·p`` goes to ``σ_p`` times the extension cell of ``b_π(p)`` by the
+    image of ``a``, where its prefix ``p``, a basis path, went to
+    ``σ_p·b_π(p)`` (ties join only parallel paths).  The vertices and the
+    paths whose cell is empty go through
+    :meth:`~skewgentle.algebra.PathAlgebra.reduce`, which raises
+    ``BAD_INPUT`` for a word that does not compose.  Raises
+    ``BAD_INPUT`` when a relabelled basis path reduces to 0 or to more
+    than one term, and, through
+    :class:`~skewgentle.algebra.SignedPermutation`, when the images are
+    not ± a permutation of the basis."""
+    index_of, extensions = alg.algebra.index_of, alg.extensions
     pi: list[int] = []
     sigma: list[Coeff] = []
     for src, arrows in alg.algebra.labels:
-        mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
-        k, s = index_of.get(mapped), 1
-        if k is None:
-            image = alg.reduce(mapped)
+        m = index_of[(src, arrows[:-1])] if arrows else None
+        cell = None if m is None else extensions[pi[m]].get(generator_map[arrows[-1]])
+        if cell is None:
+            image = alg.reduce((generator_map[src], tuple(generator_map[a] for a in arrows)))
             if len(image) != 1:
                 msg = f"basis path {(src, arrows)!r} relabels to {len(image)} terms, not one"
                 raise error(BAD_INPUT, msg)
             ((k, s),) = image.items()
+        else:
+            k, s = cell[0], cell[1] * sigma[m]
+            arrows = arrows[-1:]  # the prefix's signs are in σ_p
         if signs is not None:
             for a in arrows:
                 s *= signs[a]
@@ -548,19 +557,19 @@ def _blocks_multiplicative(
     ``s(b_p) = σ_p·b_π(p)`` and ``s(1)`` given as ``s_unit``.  See
     :func:`verify_iterated_skew_group` for what each block tests.
 
-    A product nonzero on the right alone needs no count of its own.  A
-    matched cell maps column ``q`` of row ``i`` of ``A`` to column ``π(q)``
-    of row ``π(i)``, so ``|row i| ≤ |row π(i)|``.  Summed over the
-    bijection ``π`` the totals are equal.  An extra product on the right
-    therefore leaves some other row with an unmatched cell, and the cell
-    comparison catches that."""
+    It reads the rows of the generators of ``A``, their images under
+    ``π`` and the unit rows.  A product nonzero on the right alone fails
+    the count: the matched cells send column ``q`` of row ``i`` one to one
+    to column ``π(q)`` of row ``π(i)``, so the two rows hold as many
+    cells."""
     n, rows, pi, sigma = A.dimension, A.rows, act.pi, act.sigma
-    # (b_i⊗0)⊗0 against (b_q⊗g)⊗0: row i of ``once`` at column n·g + q
-    # holds (n·g + k, c) for b_i·b_q = c·b_k; the E_g0/E_(1-g)1 pair of
-    # blocks then holds b_i·b_q = c·b_k and σ_iσ_q·b_π(i)·b_π(q) = c·σ_k·b_π(k)
-    for i, cells in enumerate(once.rows[:n]):
-        row, image, si = rows[i], rows[pi[i]], sigma[i]
-        if len(cells) != 2 * len(row):
+    # (b_i⊗0)⊗0 for a generator b_i against (b_q⊗g)⊗0: row i of ``once``
+    # at column n·g + q holds (n·g + k, c) for b_i·b_q = c·b_k; the
+    # E_g0/E_(1-g)1 pair of blocks then holds b_i·b_q = c·b_k and
+    # σ_iσ_q·b_π(i)·b_π(q) = c·σ_k·b_π(k)
+    for i in A.generators:
+        cells, row, image, si = once.rows[i], rows[i], rows[pi[i]], sigma[i]
+        if len(cells) != 2 * len(row) or len(image) != len(row):
             return False
         for col, (cell_k, c) in cells.items():
             g, q = divmod(col, n)
@@ -611,9 +620,12 @@ def verify_iterated_skew_group(
     it already).
 
     Φ is checked to be multiplicative on the left factors
-    ``S = {(b_i⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}``, which is enough:
+    ``S = {(g⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}``, for ``g`` in
+    ``A.generators`` (the vertices and arrows of a path algebra, every
+    basis element of another table), which is enough:
 
-    * ``S`` generates, since ``(b⊗g)⊗j = ((b⊗0)⊗0)·((1⊗g)⊗0)·((1⊗0)⊗j)``;
+    * ``S`` generates, since ``(b⊗g)⊗j = ((b⊗0)⊗0)·((1⊗g)⊗0)·((1⊗0)⊗j)``
+      and each ``(b⊗0)⊗0`` is a product of the ``(g⊗0)⊗0``;
     * once the involution guard has passed, ``s`` is an automorphism of
       order two, both crossed products and ``M₂(A)`` are associative, and
       ``Φ(xy·z) = Φ(x)·Φ(y·z) = Φ(x)Φ(y)·Φ(z)`` carries the check from
@@ -633,9 +645,9 @@ def verify_iterated_skew_group(
 
     Per left factor, against ``y = (b_q⊗g)⊗0``, the blocks test:
 
-    * ``(b_i⊗0)⊗0``, with ``Φ = E_00⊗b_i + E_11⊗s(b_i)``: its ``E_0·``
-      block tests ``b_i·b_q`` against row ``i`` of ``A``, and its ``E_1·``
-      block ``s(b_i·b_q) = σ_iσ_q·b_π(i)·b_π(q)`` against row ``π(i)``;
+    * ``(g⊗0)⊗0``, with ``Φ = E_00⊗b_g + E_11⊗s(b_g)``: its ``E_0·``
+      block tests ``b_g·b_q`` against row ``g`` of ``A``, and its ``E_1·``
+      block ``s(b_g·b_q) = σ_gσ_q·b_π(g)·b_π(q)`` against row ``π(g)``;
     * ``(1⊗1)⊗0``, with ``Φ = E_10⊗s(1) + E_01⊗1``: the product in
       ``once`` must be ``s(b_q)⊗(1+g)``, and then the other block tests
       ``s²(b_q) = s(1)·b_q``, so with a unital ``s`` this is ``s² = id``;
@@ -644,11 +656,13 @@ def verify_iterated_skew_group(
       ``s(b_q) = s(1)·s(b_q)``.
 
     With the guard bypassed these still test ``s`` itself: the first kind
-    is ``s(b_i·b_q) = s(b_i)·s(b_q)`` for every pair, a product present on
-    one side only failing (see :func:`_blocks_multiplicative`), and the
-    unit factors are nonzero on the right at every column and are
-    compared there.  The unit check ``Φ(1) = E_00⊗1 + E_11⊗s(1) = 1`` is
-    ``s(1) = 1``.
+    is ``s(b_g·b_q) = s(b_g)·s(b_q)`` for every generator and every ``q``,
+    a product present on one side only failing (see
+    :func:`_blocks_multiplicative`), which by the induction of
+    :func:`~skewgentle.algebra.verify_algebra_involution` holds exactly
+    when ``s`` is multiplicative; the unit factors are nonzero on the
+    right at every column and are compared there.  The unit check
+    ``Φ(1) = E_00⊗1 + E_11⊗s(1) = 1`` is ``s(1) = 1``.
     """
     once = _crossed_product(A, act)
     s_unit = act.apply(A.unit)

@@ -156,6 +156,7 @@ def _check_ids(pres: Presentation, report: Report) -> None:
 
 
 def _check_composability(pres: Presentation, report: Report) -> None:
+    """Each relation path composes; a two-term relation sums parallel paths."""
     by_id = pres.arrow_by_id
     for rel in pres.relations:
         for a1, a2 in rel:
@@ -165,6 +166,9 @@ def _check_composability(pres: Presentation, report: Report) -> None:
                     f"relation path ({a1!r},{a2!r}) is not composable",
                     (a1, a2),
                 )
+        ends = {(by_id[p[0]].source, by_id[p[-1]].target) for p in rel}
+        if len(ends) > 1:
+            report.add(BAD_INPUT, f"relation {rel!r} sums paths that are not parallel", (rel,))
 
 
 def _threads(

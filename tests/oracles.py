@@ -22,7 +22,13 @@ against :func:`matrix_table` and :func:`cohen_montgomery_image`.
 :class:`SpanBasis`, an exact reduced row basis on the library's sparse
 vector helpers, spans the relations independently of the signed
 union-find that reaches the normal forms of ``graded_path_algebra``, and
-is the reference for the rank count of ``verify_morphism``.
+is the reference for the rank count of ``verify_morphism``.  At the end,
+:func:`word_rows`, :func:`word_reduce` and :func:`relabelled_basis_map`
+rebuild by rewriting words what the library reads off the extension
+table of ``graded_path_algebra``, and :func:`involution_all_cells` and
+:func:`blocks_all_rows` are the involution guard and the iterated
+check's block comparison on every row, the references for the versions
+that read only the generator rows.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from skewgentle import (
     TableAlgebra,
     skew_group_algebra,
 )
-from skewgentle.algebra import _accumulate, _preimages, _products_row, vscale
+from skewgentle.algebra import _accumulate, _left_products, _preimages, _products_row, vscale
 from skewgentle.surface import chord_bseg_side
 
 
@@ -1003,3 +1009,132 @@ def comparison_images(act) -> list[dict]:
                     img[2 * n * r + 2 * q + c] = sign * v
                 out.append(img)
     return out
+
+
+def _word_junction(presentation, values, a, b):
+    """The rule for arrow ``b`` right after arrow ``a`` in a word: ``None``
+    when they concatenate, else the coefficient the pair collapses to
+    ``a`` with (0 across a single-path relation, the value of a repeated
+    special loop)."""
+    if (a, b) in presentation.monomial_pairs:
+        return 0
+    if a == b and a in values:
+        return values[a]
+    return None
+
+
+def word_reduce(alg, key) -> dict:
+    """The expansion of the composable word ``key`` in the path algebra
+    ``alg``, by rewriting the word and reading the normal form of the
+    result: each repeated special loop collapses to its value, a
+    single-path relation kills the word, and a word of length
+    ``zero_length`` or more vanishes.  Raises ``ValueError`` for a word
+    that does not compose."""
+    pres, (src, arrows) = alg.presentation, key
+    coeff, word, at = 1, (), src
+    for a in arrows:
+        arrow = pres.arrow_by_id[a]
+        if arrow.source != at:
+            raise ValueError(f"{key!r} does not compose")
+        at = arrow.target
+        c = _word_junction(pres, alg.loop_values, word[-1], a) if word else None
+        if c is None:
+            word += (a,)
+        else:
+            coeff *= c
+    if not coeff or len(word) >= alg.zero_length:
+        return {}
+    return {k: coeff * v for k, v in alg.normal_forms[(src, word)].items()}
+
+
+def word_rows(alg) -> list:
+    """The sparse rows of ``alg.algebra`` by concatenating words: the cell
+    of ``b_i·b_j`` (``b_j`` first) is the normal form of the word of
+    ``b_j`` followed by the word of ``b_i``, after the junction rule at
+    the seam, with columns in ascending order.  Each nonzero product is
+    one signed basis element."""
+    pres, labels, values = alg.presentation, alg.algebra.labels, alg.loop_values
+    ends = {a.id: a.target for a in pres.arrows}
+    rows = [{} for _ in labels]
+    for j, (src, first) in enumerate(labels):
+        end = ends[first[-1]] if first else src
+        for i, (start, then) in enumerate(labels):
+            if start != end:
+                continue
+            c = _word_junction(pres, values, first[-1], then[0]) if first and then else None
+            c, word = (1, first + then) if c is None else (c, first + then[1:])
+            if c and len(word) < alg.zero_length and (nf := alg.normal_forms[(src, word)]):
+                ((k, v),) = nf.items()
+                rows[i][j] = (k, c * v)
+    return rows
+
+
+def relabelled_basis_map(alg, generator_map, signs=None):
+    """The symmetry of ``alg`` induced by relabelling vertices and arrows,
+    each basis path sent to the expansion of its relabelled word by
+    :func:`word_reduce`, times the signs of its arrows; ``ValueError``
+    when a relabelled word does not compose or reduces to other than one
+    term."""
+    pi, sigma = [], []
+    for src, arrows in alg.algebra.labels:
+        mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
+        image = word_reduce(alg, mapped)
+        if len(image) != 1:
+            raise ValueError(f"{(src, arrows)!r} relabels to {len(image)} terms")
+        ((k, s),) = image.items()
+        for a in arrows:
+            s *= (signs or {}).get(a, 1)
+        pi.append(k)
+        sigma.append(s)
+    return pi, sigma
+
+
+def involution_all_cells(A, act) -> bool:
+    """The involution guard on every stored cell: ``π² = id``,
+    ``σ_i·σ_π(i) = 1``, ``s(1) = 1``, and each cell ``b_i·b_j = c·b_k``
+    met by ``(π(k), c·σ_i·σ_j·σ_k)`` at ``(π(i), π(j))``; the zero
+    products follow, since ``(i, j) ↦ (π(i), π(j))`` is a bijection of
+    the pairs."""
+    pi, sigma = act.pi, act.sigma
+    if any(pi[p] != i or sigma[i] * sigma[p] != 1 for i, p in enumerate(pi)):
+        return False
+    if act.apply(A.unit) != A.unit:
+        return False
+    return all(
+        A.rows[pi[i]].get(pi[j]) == (pi[k], c * sigma[i] * sigma[j] * sigma[k])
+        for i, row in enumerate(A.rows)
+        for j, (k, c) in row.items()
+    )
+
+
+def blocks_all_rows(A, once, act) -> bool:
+    """The iterated check's block comparison with every ``(b_i⊗0)⊗0`` as
+    a left factor, and the unit factors ``(1⊗1)⊗0`` and ``(1⊗0)⊗1``
+    against every column; a product on the right alone is caught by the
+    cell counts summed over the bijection ``π``."""
+    n, rows, pi, sigma = A.dimension, A.rows, act.pi, act.sigma
+    for i in range(n):
+        cells, row, image = once.rows[i], rows[i], rows[pi[i]]
+        if len(cells) != 2 * len(row):
+            return False
+        for col, (cell_k, c) in cells.items():
+            g, q = divmod(col, n)
+            h, k = divmod(cell_k, n)
+            if (
+                h != g
+                or row.get(q) != (k, c)
+                or image.get(pi[q]) != (pi[k], c * sigma[i] * sigma[q] * sigma[k])
+            ):
+                return False
+    twisted = _left_products(once, {n + v: u for v, u in once.unit.items()})
+    plain = _left_products(once, once.unit)
+    s_unit_row = _left_products(A, act.apply(A.unit))
+    for q in range(n):
+        p, sq = pi[q], sigma[q]
+        if s_unit_row.get(q) != {pi[p]: sq * sigma[p]} or s_unit_row.get(p) != {p: 1}:
+            return False
+        for g in (0, 1):
+            col = n * g + q
+            if twisted.get(col) != {n * (1 - g) + p: sq} or plain.get(col) != {col: 1}:
+                return False
+    return True

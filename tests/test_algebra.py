@@ -18,10 +18,13 @@ from oracles import (
     mat_rank,
     monomial_path_count,
     multiplicative,
+    relabelled_basis_map,
     relation_spans,
     skew_group_table,
     verify_multiplicative,
     word_product,
+    word_reduce,
+    word_rows,
 )
 from skewgentle import (
     Arrow,
@@ -470,8 +473,15 @@ def test_relabelling_onto_a_noncomposable_word_is_bad_input():
             [(("a", "b"),)],
             (BAD_INPUT, "relation path ('a','b') is not composable"),
         ),
+        (
+            # a·b + a·c = 0 ties a path ending at 3 to one ending at 4
+            "1234",
+            [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")],
+            [(("a", "b"), ("a", "c"))],
+            (BAD_INPUT, "relation (('a', 'b'), ('a', 'c')) sums paths that are not parallel"),
+        ),
     ],
-    ids=["unknown-endpoint", "unknown-arrow", "cubic", "not-composable"],
+    ids=["unknown-endpoint", "unknown-arrow", "cubic", "not-composable", "not-parallel"],
 )
 def test_graded_path_algebra_refuses_a_malformed_presentation(
     vertices, arrows, relations, finding
@@ -1135,3 +1145,96 @@ def test_corner_refuses_an_idempotent_that_mixes_basis_elements():
     assert A.mul(e, A.mul(A.element("11"), e)) == e
     with pytest.raises(ValueError, match="neither b nor 0"):
         corner_algebra(A, e)
+
+
+# ---------------------------------------------------------------------------
+# The extension table against words
+
+
+LOOP_VALUES = (1, 0, Fraction(3, 7))
+
+
+def _assert_extension_fill_matches_words(pres, values=None):
+    """The rows filled from the extension table equal the rows made by
+    concatenating words (``oracles.word_rows``), column order included,
+    and no cell holds a zero; every enumerated word reduces through the
+    table as by rewriting it; the prefix of every basis path is a basis
+    path; the graded dimensions count the basis paths by length, and the
+    generators are the vertices and arrows."""
+    alg = graded_path_algebra(pres, values)
+    A = alg.algebra
+    assert [list(row.items()) for row in A.rows] == [list(r.items()) for r in word_rows(alg)]
+    assert all(c for row in A.rows for _, c in row.values())
+    for key in alg.normal_forms:
+        assert alg.reduce(key) == word_reduce(alg, key), key
+    assert all((src, word[:-1]) in A.index_of for src, word in A.labels if word)
+    lengths = [len(word) for _, word in A.labels]
+    assert alg.dims_by_length == tuple(map(lengths.count, range(alg.zero_length + 1)))
+    assert list(A.generators) == [i for i, n in enumerate(lengths) if n <= 1]
+    return alg
+
+
+def _assert_triple_fills_match_words(triple):
+    """A triple at each loop value, then its split presentation."""
+    for value in LOOP_VALUES:
+        _assert_extension_fill_matches_words(triple, {e: value for e in triple.special})
+    _assert_extension_fill_matches_words(split_presentation(triple).presentation)
+
+
+def _assert_cover_fills_match_words(cov):
+    """The base, split and cover presentations, and the deck action and
+    the signed half-swap against the relabelled words."""
+    _assert_triple_fills_match_words(cov.base_quiver.presentation)
+    lam = _assert_extension_fill_matches_words(cov.total_quiver.presentation)
+    deck = induced_basis_map(lam, cov.deck_generators)
+    assert [list(deck.pi), list(deck.sigma)] == list(
+        relabelled_basis_map(lam, cov.deck_generators)
+    )
+    dual = verify_dual_reduction(cov)
+    split, swap = dual.split_algebra, dual.swap_action
+    # the sign of each arrow is the sign of its image
+    signs = {w[0]: s for (_, w), s in zip(split.algebra.labels, swap.sigma) if len(w) == 1}
+    assert [list(swap.pi), list(swap.sigma)] == list(
+        relabelled_basis_map(split, cov.split.swap, signs)
+    )
+
+
+def test_extension_fill_matches_words_on_fixtures(cylinders, disc, disc_xx):
+    triples = [triple_from_x_dissection(s) for s in cylinders.values()]
+    triples += [triple_from_x_dissection(disc_xx), special_chain_triple()]
+    triples += [triple_from_x_dissection(one_orbifold_disc(n)) for n in (4, 5, 8)]
+    for triple in triples:
+        _assert_triple_fills_match_words(triple)
+    _assert_extension_fill_matches_words(two_hole_torus_pair()[0])
+    _assert_extension_fill_matches_words(quiver_from_dissection(disc))
+
+
+def test_extension_fill_matches_words_on_ladder_covers(cylinder_covers, disc_xx):
+    covers = list(cylinder_covers.values())
+    covers.append(double_cover(disc_xx))
+    covers.append(quotient(*two_hole_torus_surface()))
+    covers += [double_cover(one_orbifold_disc(n)) for n in (4, 6, 8, 10, 12, 14, 16, 24)]
+    for cov in covers:
+        _assert_cover_fills_match_words(cov)
+
+
+def test_extension_fill_matches_words_on_random_draws():
+    rng = random.Random(3209)
+    for k in range(600):
+        kwargs = {"max_special": 7, "max_arrows": 24} if k % 2 else {}
+        _assert_cover_fills_match_words(double_cover(surface_from_triple(random_triple(rng, **kwargs))))
+    for _ in range(200):
+        _assert_extension_fill_matches_words(random_gentle_pair(rng))
+
+
+def test_a_zero_loop_value_leaves_no_zero_cell(cylinders):
+    """At value 0 the product e·e is zero: its cell is left out of the
+    extension table and of the rows, while the basis keeps e."""
+    triple = triple_from_x_dissection(cylinders[1])
+    e = min(triple.special)
+    alg = graded_path_algebra(triple, {x: 0 for x in triple.special})
+    loop = alg.algebra.index_of[(triple.arrow_by_id[e].source, (e,))]
+    assert e not in alg.extensions[loop]
+    assert loop not in alg.algebra.rows[loop]
+    assert alg.reduce((triple.arrow_by_id[e].source, (e, e))) == {}
+    assert all(c for row in alg.algebra.rows for _, c in row.values())

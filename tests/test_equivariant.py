@@ -12,12 +12,14 @@ from oracles import (
     algebra_from_products,
     apply_map,
     basis_map_from_permutation,
+    blocks_all_rows,
     cohen_montgomery_image,
     comparison_images,
     corner_algebra,
     corner_dimension,
     generated_dimension,
     images_of,
+    involution_all_cells,
     matrix_algebra,
     matrix_table,
     multiplicative,
@@ -1126,3 +1128,149 @@ def test_cover_presentation_with_special_loops_is_bad_input(cylinders):
     assert diagnostic.code == "BAD_INPUT"
     triple = cov.base_quiver.presentation
     assert diagnostic.where == (triple.arrow_by_id[min(triple.special)].source,)
+
+
+# ---------------------------------------------------------------------------
+# Generator rows only
+
+
+def _assert_generator_rows_agree_with_all_cells(A, act) -> tuple[bool, bool]:
+    """The guard and the block comparison, on the generator rows, give the
+    verdicts of their all-cells versions; returns both verdicts."""
+    guard = verify_algebra_involution(A, act)
+    assert guard == involution_all_cells(A, act)
+    once = skew_group_algebra(A, act)
+    blocks = equivariant._blocks_multiplicative(A, once, act, act.apply(A.unit))
+    assert blocks == blocks_all_rows(A, once, act)
+    return guard, blocks
+
+
+def test_generator_rows_agree_with_all_cells(agreement_covers):
+    """On the ladder and 200 random covers, with the deck action and the
+    signed maps near it, and on the unital 3-cycle of k × k × k."""
+    rng = random.Random(6136)
+    verdicts = {"guard": set(), "blocks": set()}
+    for cov in agreement_covers:
+        A, deck = _cover_algebra_and_deck(cov)
+        actions = [deck]
+        for name, (pi, sigma) in _perturbed_actions(deck, rng).items():
+            if name not in NOT_SIGNED:
+                actions.append(SignedPermutation(pi, sigma))
+        for act in actions:
+            guard, blocks = _assert_generator_rows_agree_with_all_cells(A, act)
+            verdicts["guard"].add(guard)
+            verdicts["blocks"].add(blocks)
+    labels = ["p", "q", "r"]
+    A = algebra_from_products(
+        labels, lambda a, b: {a: ONE} if a == b else {}, dict.fromkeys(labels, ONE)
+    )
+    cycle = basis_map_from_permutation(A, {"p": "q", "q": "r", "r": "p"})
+    assert _assert_generator_rows_agree_with_all_cells(A, cycle) == (False, False)
+    assert verdicts == {"guard": {True, False}, "blocks": {True, False}}
+
+
+def _flip_one_long_path(A, deck):
+    """The deck action with the sign of one basis path of length ≥ 2
+    negated, and of its partner when it has one: still a signed
+    permutation of order two fixing the unit, but not multiplicative."""
+    k = next(i for i, (_, word) in enumerate(A.labels) if len(word) >= 2)
+    sigma = list(deck.sigma)
+    sigma[k] = -sigma[k]
+    if deck.pi[k] != k:
+        sigma[deck.pi[k]] = -sigma[deck.pi[k]]
+    return k, SignedPermutation(deck.pi, sigma)
+
+
+def test_flipping_a_long_path_fails_the_guard_and_the_iterated_check(
+    monkeypatch, agreement_covers
+):
+    """No generator row is the row of the flipped path: the generator
+    rows catch it through the induction, as a product that reaches it."""
+    flipped = 0
+    for cov in agreement_covers:
+        A, deck = _cover_algebra_and_deck(cov)
+        if not any(len(word) >= 2 for _, word in A.labels):
+            continue
+        k, act = _flip_one_long_path(A, deck)
+        assert k not in A.generators
+        assert not verify_algebra_involution(A, act)
+        assert not involution_all_cells(A, act)
+        with monkeypatch.context() as m:
+            m.setattr(equivariant, "_require_involution", lambda A, act: None)
+            rr = verify_iterated_skew_group(A, act)
+        assert (rr.homomorphism, rr.unit_ok) == (False, True)
+        flipped += 1
+    assert flipped >= 150
+
+
+@pytest.mark.parametrize("ids", ["xyz", "yzx", "zxy"], ids=["last", "first", "middle"])
+def test_each_arrow_row_can_be_the_only_witness(monkeypatch, ids):
+    """On 1 -u-> 2 -v-> 3 -w-> 4 with no relations, negating the paths of
+    length ≥ 2 that end with ``w`` gives a signed permutation of order two
+    that fixes the unit.  It fails ``s(w·p) = s(w)·s(p)`` and every other
+    generator row holds, so row ``w`` is the only witness; ``w`` sorts
+    last, first or in the middle of the arrows, so a check that skips the
+    row of any one arrow position fails here."""
+    u, v, w = ids
+    pres = make_presentation(
+        "1234", [Arrow(u, "1", "2"), Arrow(v, "2", "3"), Arrow(w, "3", "4")]
+    )
+    A = graded_path_algebra(pres).algebra
+    sigma = [-1 if len(word) >= 2 and word[-1] == w else 1 for _, word in A.labels]
+    act = SignedPermutation(range(A.dimension), sigma)
+    witnesses = [
+        g
+        for g in A.generators
+        if any(
+            A.rows[g].get(j) != (k, c * sigma[g] * sigma[j] * sigma[k])
+            for j, (k, c) in A.rows[g].items()
+        )
+    ]
+    assert witnesses == [A.index_of[("3", (w,))]]
+    assert not verify_algebra_involution(A, act)
+    assert not involution_all_cells(A, act)
+    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    rr = verify_iterated_skew_group(A, act)
+    assert (rr.homomorphism, rr.unit_ok) == (False, True)
+
+
+class _CountedRows(list):
+    """Rows that record the index of every row read, and refuse a pass
+    over all of them."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read: set[int] = set()
+
+    def __getitem__(self, i):
+        assert isinstance(i, int), "a slice of the rows"
+        self.read.add(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        raise AssertionError("a pass over every row")
+
+
+def test_generator_checks_read_only_generator_rows(cylinder_covers, disc_xx):
+    """The guard and the block comparison read the generator rows, their
+    images under π and the unit rows, and no other row: they stay
+    O(generators), never O(nnz)."""
+    covers = list(cylinder_covers.values()) + [double_cover(disc_xx)]
+    covers += [double_cover(one_orbifold_disc(n)) for n in (8, 14)]
+    for cov in covers:
+        A, deck = _cover_algebra_and_deck(cov)
+        n, pi = A.dimension, deck.pi
+        once = equivariant._crossed_product(A, deck)
+        A.rows, once.rows = _CountedRows(A.rows), _CountedRows(once.rows)
+        gens = set(A.generators)
+        units = set(A.unit)
+        assert gens < set(range(n)) and units <= gens
+        images = {pi[g] for g in gens}
+        assert verify_algebra_involution(A, deck)
+        assert A.rows.read <= gens | images
+        assert once.rows.read == set()
+        rr = verify_iterated_skew_group(A, deck)
+        assert rr.ok and rr.once is once
+        assert A.rows.read <= gens | images
+        assert once.rows.read <= gens | {n + u for u in units}
+    assert len(A.rows.read) <= 2 * len(gens) < n
