@@ -16,24 +16,33 @@ nonzero products, each cell the pair ``(k, c)`` for ``c·b_k``.  A dense
 ``n×n`` view of the table, for readers by position, is built afresh on
 each read of :attr:`TableAlgebra.table` and never kept.
 
+Each algebra names the basis elements that generate it
+(:attr:`TableAlgebra.generators`); the span of the others is an ideal
+``N`` inside the square of the radical.  The builders store only the
+generator rows when they build: the vertices and arrows of a path algebra
+(and, with special loops, the paths with one ordinary arrow), and their
+two copies in a crossed product.  Every other row is filled on its first
+read, from the row of its prefix in a path algebra and from the row of
+``A`` in a crossed product, and then kept.  The verdicts read only
+generator rows, so they never fill the rest:
+:func:`verify_algebra_involution` checks each generator row against its
+image under ``π``, since a map multiplicative on generators is
+multiplicative, and :func:`verify_morphism` closes the span of the images
+modulo ``N`` (Nakayama's lemma, see there), which on a graded target
+stops after the generators.
+
 The checks walk the sparse rows instead of calling
 :meth:`TableAlgebra.mul` for each cell: the products of the vertex images
-in :func:`verify_morphism` come from one helper, and the products
-``x·b_j`` of one left factor, for the iterated check of
-:mod:`skewgentle.equivariant`, from another.  A corner ``e·A·e`` is a
+in :func:`verify_morphism` come from one helper.  A corner ``e·A·e`` is a
 :class:`CornerAlgebra`, the basis indices it spans and no table of its
 own: :func:`verify_morphism` checks a map into it on the rows of ``A``,
 with ``e`` for the unit.
 A symmetry is a :class:`SignedPermutation` ``(π, σ)``, each image one term
 ``σ_j·b_{π(j)}`` with ``π`` a bijection.  Its constructor is the one place
 that checks this shape, so the readers check only its size.
-:func:`verify_algebra_involution` reads only the rows of the generators
-(:attr:`TableAlgebra.generators`, the vertices and arrows of a path
-algebra), each cell against the cell at ``(π(g), π(j))`` and each row's
-count against its image's, since a map multiplicative on generators is
-multiplicative.  :func:`skew_group_algebra` permutes
-the cells of each row through ``π⁻¹``, shares the ``+`` ones and negates
-the ``-`` ones, so the crossed product is monomial again.
+:func:`skew_group_algebra` permutes the cells of each row through
+``π⁻¹``, shares the ``+`` ones and negates the ``-`` ones, so the crossed
+product is monomial again.
 :func:`graded_path_algebra` needs no linear algebra: its only sums are
 the two-term relations, ties ``p = ±q`` that a signed union-find resolves,
 so a normal form is ±1 times one basis path, or 0.  It keeps the cell of
@@ -55,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import Any, Collection, Mapping, Optional, Sequence
 
 from .diagnostics import BAD_INPUT, NOT_STABILIZED, Report, error, raise_on_error
 from .presentations import (
@@ -203,6 +212,48 @@ class _EchelonRank:
 # Algebras with explicit product tables
 
 
+class _Rows:
+    """The rows of a product table, each filled on its first read.
+
+    ``cells[i]`` is row ``i`` once it is filled and ``None`` before.  A
+    builder fills the rows of the generators as it builds, in one call of
+    :meth:`fill`; any other row is filled the first time it is read, and
+    the row is kept.  Reading by index, ``len``, iteration and ``==``, the
+    last two filling every row, act as on a list of the rows."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: list[Optional[dict[int, Cell]]]):
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i: int) -> dict[int, Cell]:
+        row = self.cells[i]
+        if row is None:
+            self.fill((i,))
+            row = self.cells[i]
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.cells)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_Rows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    @property
+    def filled(self) -> int:
+        """The number of rows filled so far."""
+        return len(self.cells) - self.cells.count(None)
+
+    def fill(self, indices: Collection[int]) -> None:
+        """Fill the rows at ``indices`` that are not filled yet."""
+        raise NotImplementedError
+
+
 @dataclass
 class TableAlgebra:
     """A finite-dimensional unital algebra with a sparse product table.
@@ -214,20 +265,28 @@ class TableAlgebra:
     has two terms (see the module docstring).  A row's columns are in no
     set order: the twisted rows of :func:`skew_group_algebra` keep the
     order of the permutation.  :attr:`table` is a dense view for readers by
-    position, built on each read and never kept.  The basis elements
-    indexed by ``generators`` generate the algebra (all of them unless a
-    builder says less); the checks of multiplicativity read only their rows.
+    position, built on each read and never kept.
 
-    Rows are not mutated after construction, and builders share cells
-    between positions and between algebras.  ``_crossed`` keeps the
-    crossed products of this algebra that :mod:`skewgentle.equivariant`
-    has built, keyed by the action.
+    ``generators`` (a ``range`` or a ``frozenset``) indexes basis elements
+    that generate the algebra, and the span ``N`` of the other basis
+    elements is an ideal inside ``J²``, the square of the radical.  The
+    default, every index, gives ``N = 0`` and is always sound.  The checks
+    of multiplicativity read only the generator rows, and the surjectivity
+    check of :func:`verify_morphism` closes its span modulo ``N``.
+
+    ``rows`` is a list, or the rows of a builder that stores the generator
+    rows when it builds and fills every other row on its first read
+    (``rows.filled`` counts the rows filled so far); :meth:`mul`,
+    :attr:`table` and iteration see every row.  A row is not changed once
+    it is filled, and builders share cells between positions and between
+    algebras.  ``_crossed`` keeps the crossed products of this algebra that
+    :mod:`skewgentle.equivariant` has built, keyed by the action.
     """
 
     labels: tuple[Any, ...]
-    rows: list[dict[int, Cell]]
+    rows: Sequence[dict[int, Cell]]
     unit: Vector
-    generators: Optional[range] = None
+    generators: Optional[Collection[int]] = None
     _crossed: dict[SignedPermutation, TableAlgebra] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -241,7 +300,7 @@ class TableAlgebra:
         """The dense ``n×n`` table, ``table[i][j]`` the vector of
         ``basis_i * basis_j``: a new list of lists on every read, holding
         ``{k: c}`` for each cell ``(k, c)`` and, at every zero product, one
-        shared empty dict."""
+        shared empty dict.  It fills every row."""
         n, empty = self.dimension, {}
         table = []
         for row in self.rows:
@@ -253,7 +312,8 @@ class TableAlgebra:
 
     def __post_init__(self):
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
-        self.generators = self.generators or range(len(self.labels))
+        if self.generators is None:
+            self.generators = range(len(self.labels))
 
     def element(self, label: Any, coeff: Coeff = ONE) -> Vector:
         return vec((self.index_of[label], coeff))
@@ -270,13 +330,9 @@ class TableAlgebra:
         return out
 
 
-def _left_products(A: TableAlgebra, x: Vector) -> dict[int, Vector]:
-    """The nonzero products ``x * b_j`` in ``A``, keyed by ``j``."""
-    out: dict[int, Vector] = {}
-    for p, cp in x.items():
-        for j, (k, c) in A.rows[p].items():
-            _add(out.setdefault(j, {}), k, cp * c)
-    return {j: prod for j, prod in out.items() if prod}
+def _restrict(x: Vector, keep: Collection[int]) -> Vector:
+    """The terms of ``x`` whose index is in ``keep``."""
+    return {k: c for k, c in x.items() if k in keep}
 
 
 def _products_row(
@@ -307,6 +363,37 @@ def path_target(pres: Presentation, key: PathKey) -> str:
     if not arrows:
         return src
     return pres.arrow_by_id[arrows[-1]].target
+
+
+class _PathRows(_Rows):
+    """The rows of a path algebra.  A vertex row holds the paths ending
+    there.  A longer basis path is ``b_i = a·b_m``, with ``a`` its last
+    arrow and ``b_m`` its prefix, so row ``i`` is ``b_i·b_j = a·(b_m·b_j)``:
+    one extension cell for each cell of row ``m``.  Prefixes not yet filled
+    are filled first, shortest first, in a loop."""
+
+    __slots__ = ("labels", "index_of", "extensions")
+
+    def __init__(self, cells, labels, index_of, extensions):
+        self.cells, self.labels, self.index_of = cells, labels, index_of
+        self.extensions = extensions
+
+    def fill(self, indices: Collection[int]) -> None:
+        cells, labels, index_of, extensions = (
+            self.cells, self.labels, self.index_of, self.extensions
+        )
+        for i in indices:
+            if cells[i] is not None:
+                continue
+            chain = []  # (i, m, a) with b_i = a·b_m, row i not yet filled
+            while cells[i] is None:
+                src, arrows = labels[i]
+                m = index_of[(src, arrows[:-1])]
+                chain.append((i, m, arrows[-1]))
+                i = m
+            for i, m, a in reversed(chain):
+                cells[i] = {j: (e[0], c * e[1]) for j, (k, c) in cells[m].items()
+                            if (e := extensions[k].get(a))}
 
 
 @dataclass
@@ -401,8 +488,17 @@ def graded_path_algebra(
     word tied to the survivor ``q`` of its piece extends to a word tied
     to the extension of ``q``, which sorts first, or to zero.  The ties
     join only parallel paths (checked first), so a normal form ends where
-    its word does.  The vertices and arrows, first in the basis, are the
-    algebra's ``generators``.
+    its word does.
+
+    The ``generators`` are the basis paths with at most one ordinary
+    (non-special) arrow: the vertices and arrows, first in the basis, and
+    with special loops also paths such as ``e·a``, which is not in ``J²``
+    while ``e² = value·e``.  A path with two ordinary arrows is the product
+    of two paths in the ideal the ordinary arrows generate, which is
+    nilpotent, so it lies in ``J²``; these paths span an ideal, since a
+    product keeps every ordinary arrow or vanishes.  Only the generator
+    rows are filled here; every other row is filled from its prefix's row
+    on its first read.
 
     Paths are enumerated up to length ``len(pres.arrows) + 1``.  In the
     gentle, skew-gentle and split shapes a nonzero path never repeats an
@@ -512,20 +608,22 @@ def graded_path_algebra(
                 extensions[i][b] = next(iter(nf.items()))
     zero_length = len(dims) - 1
 
-    # b_i·b_j in composition order: a vertex row holds the paths ending
-    # there, and b_i = a·b_m, with ``a`` its last arrow and b_m the path
-    # before it, has b_i·b_j = a·(b_m·b_j), one extension cell for each
-    # cell of row m.
+    # the paths with at most one ordinary arrow, of length 3 or less (e·a·e')
+    if values:
+        generators: Collection[int] = frozenset(
+            i for i in range(sum(dims[:4]))
+            if sum(a not in values for a in basis[i][1]) <= 1
+        )
+    else:
+        generators = range(len(layers[0]) + dims[1])
     ends: dict[str, dict[int, Cell]] = {v: {} for v in pres.vertices}
     for j, key in enumerate(basis):
         ends[path_target(pres, key)][j] = (j, ONE)
-    rows = [ends[v] for v in pres.vertices]
-    for src, arrows in basis[len(rows):]:
-        row, a = rows[index_of[(src, arrows[:-1])]], arrows[-1]
-        rows.append({j: (e[0], c * e[1]) for j, (k, c) in row.items()
-                     if (e := extensions[k].get(a))})
+    cells = [ends[v] for v in pres.vertices] + [None] * (len(basis) - len(ends))
+    rows = _PathRows(cells, basis, index_of, extensions)
+    rows.fill(generators)  # the vertex rows are filled already
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
-    algebra = TableAlgebra(tuple(basis), rows, unit, range(len(layers[0]) + dims[1]))
+    algebra = TableAlgebra(tuple(basis), rows, unit, generators)
     return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values, extensions)
 
 
@@ -542,18 +640,32 @@ class CornerAlgebra:
     parent's, in the parent's coordinates, so :attr:`rows` and
     :meth:`mul` are the parent's, :attr:`unit` is ``e`` and
     :attr:`dimension` counts ``indices``.  :func:`verify_morphism` reads a
-    corner as it reads a :class:`TableAlgebra`."""
+    corner as it reads a :class:`TableAlgebra`.
+
+    ``generators`` are the kept indices that generate the corner, under the
+    contract of :attr:`TableAlgebra.generators`; the default, every kept
+    index, is always sound.  For a full idempotent (``A·e·A = A``) the
+    kept generators of the parent qualify: ``e·N·e`` is an ideal of the
+    corner spanned by the other kept indices, and it lies in
+    ``e·J²·e = (e·J·e)²``, the square of the corner's radical ``e·J·e``,
+    since ``1 = Σ x_i·e·y_i`` gives ``e·J·J·e = Σ (e·J·x_i·e)(e·y_i·J·e)``.
+    """
 
     parent: TableAlgebra
     idempotent: Vector
     indices: tuple[int, ...]
+    generators: Optional[Collection[int]] = None
+
+    def __post_init__(self):
+        if self.generators is None:
+            self.generators = frozenset(self.indices)
 
     @property
     def dimension(self) -> int:
         return len(self.indices)
 
     @property
-    def rows(self) -> list[dict[int, Cell]]:
+    def rows(self) -> Sequence[dict[int, Cell]]:
         return self.parent.rows
 
     @property
@@ -649,6 +761,43 @@ def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
     return True
 
 
+class _CrossedRows(_Rows):
+    """The rows of ``A#ℤ₂`` from the rows ``base`` of ``A`` (see
+    :func:`skew_group_algebra`): row ``i < n`` is row ``i`` of ``A`` and
+    its degree-one copy, row ``n + i`` its twist, which shares the cells of
+    row ``i``."""
+
+    __slots__ = ("base", "inverse", "sigma")
+
+    def __init__(self, base, inverse, sigma):
+        self.cells = [None] * (2 * len(base))
+        self.base, self.inverse, self.sigma = base, inverse, sigma
+
+    def fill(self, indices: Collection[int]) -> None:
+        cells, base, n = self.cells, self.base, len(self.base)
+        inverse, sigma = self.inverse, self.sigma
+        # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
+        # degree g + h; its degree-one copy is keyed n + k
+        for i in indices:
+            if cells[i] is not None:
+                continue
+            base_row = base[i % n]
+            if i < n:
+                row = dict(base_row)
+                for k, (m, c) in base_row.items():
+                    row[n + k] = (m + n, c)
+            else:
+                zero, row = self[i - n], {}
+                for k, cell in base_row.items():
+                    j = inverse[k]
+                    if sigma[j] == 1:
+                        row[j], row[n + j] = zero[n + k], cell
+                    else:
+                        m, c = cell
+                        row[n + j], row[j] = (m, -c), (m + n, -c)
+            cells[i] = row
+
+
 def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     """The crossed product of A with the order-two group {1, s}.
 
@@ -669,33 +818,32 @@ def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     shared, and only a ``-`` cell is negated afresh.  Every cell of the
     crossed product is again one signed basis element ``(k, c)``, and a
     twisted row keeps the order of the row of ``A``.
+
+    When ``π`` permutes the generators of ``A``, the ``generators`` of the
+    crossed product are their two copies ``g·n + i``, for ``g`` = 0 and 1,
+    and only their rows are filled here; otherwise every index is a
+    generator and every row is filled.  The other basis elements span
+    ``N⊗ℤ₂``, an ideal because ``π`` then keeps the span ``N`` of the
+    other basis elements of ``A``, and it lies inside
+    ``J(A)²⊗ℤ₂ ⊆ (J(A)#ℤ₂)²``, the square of the radical of the crossed
+    product in characteristic 0 (Reiten--Riedtmann).  The copies span the
+    crossed product modulo ``N⊗ℤ₂``, so they generate it (Nakayama's
+    lemma, see :func:`verify_morphism`).
     """
     _require_size(A, act)
-    n, sigma = A.dimension, act.sigma
+    n, gens = A.dimension, A.generators
     inverse = [0] * n
     for j, k in enumerate(act.pi):
         inverse[k] = j
     labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
-
-    # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
-    # degree g + h; its degree-one copy is keyed n + k
-    rows: list[dict[int, Cell]] = []
-    for cells in A.rows:
-        row = dict(cells)
-        for k, (m, c) in cells.items():
-            row[n + k] = (m + n, c)
-        rows.append(row)
-    for zero, cells in zip(rows[:n], A.rows):
-        row = {}
-        for k, cell in cells.items():
-            j = inverse[k]
-            if sigma[j] == 1:
-                row[j], row[n + j] = zero[n + k], cell
-            else:
-                m, c = cell
-                row[n + j], row[j] = (m, -c), (m + n, -c)
-        rows.append(row)
-    return TableAlgebra(labels, rows, dict(A.unit))
+    rows = _CrossedRows(A.rows, inverse, act.sigma)
+    generators = frozenset(gens)
+    if generators.issuperset(map(act.pi.__getitem__, gens)):  # π permutes them
+        generators = generators.union(map(n.__add__, gens))
+    else:
+        generators = frozenset(range(2 * n))
+    rows.fill(generators)
+    return TableAlgebra(labels, rows, dict(A.unit), generators)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +880,8 @@ def verify_morphism(
 
     A :class:`TableAlgebra` and a :class:`CornerAlgebra` target are read
     the same way: products from its ``rows`` and ``mul``, the unit from
-    ``unit`` and the dimension from ``dimension``.  The images into a corner are given
+    ``unit``, the generators from ``generators`` and the dimension from
+    ``dimension``.  The images into a corner are given
     in the coordinates of its parent ``B``, and the corner's unit is its
     idempotent ``e``.  Images that pass the homomorphism checks lie in
     ``e*B*e``: the vertex images are orthogonal idempotents summing to
@@ -748,19 +897,38 @@ def verify_morphism(
     the verdict is the one of φ, failure messages included.
 
     Surjectivity closes the span of the images of the vertices, the unit
-    and the path words, and counts only its rank, by a fraction-free
-    echelon form that keeps no reduced basis (:class:`_EchelonRank`).  A
-    word with source ``s`` is only extended on the right by the arrows
-    ending at ``s``, and only while it raises the rank.  This is exact
-    for every map that passes the homomorphism checks, indeed whenever
-    the vertex images are orthogonal idempotents summing to the unit and
-    each arrow image is framed by its endpoints:
-    then ``f(p)·f(a) = f(p)·f(s(p))·f(t(a))·f(a)`` vanishes unless
-    ``t(a) = s(p)``, so the span contains the unit, is closed under right
-    multiplication by every generator, and is the subalgebra they
-    generate.  For a map that fails those checks no algebra map exists
-    and ``is_isomorphism`` is false anyway; ``is_surjective`` then only
-    says whether the path images the closure reaches span the target.
+    and the path words modulo ``N``, the span of the basis elements that
+    are not among the target's ``generators``: each vector added drops its
+    coordinates outside the generators first.  It counts only the rank,
+    by a fraction-free echelon form that keeps no reduced basis
+    (:class:`_EchelonRank`), and calls the map onto when the rank is the
+    number of generators.  A word with source ``s`` is only extended on the
+    right by the arrows ending at ``s``, and only while it raises the rank.
+    This is exact for every map that passes the homomorphism checks,
+    indeed whenever the vertex images are orthogonal idempotents summing
+    to the unit and each arrow image is framed by its endpoints: then
+    ``f(p)·f(a) = f(p)·f(s(p))·f(t(a))·f(a)`` vanishes unless
+    ``t(a) = s(p)``, and since ``N`` is an ideal a word taken modulo ``N``
+    times ``f(a)`` is the word times ``f(a)`` modulo ``N``; so the span is
+    ``(S + N)/N`` for the subalgebra ``S`` the images generate, which
+    contains the unit and is closed under right multiplication by every
+    generator.  Its rank is the number of generators exactly when
+    ``S + N`` is the target ``C``, and then ``S = C`` by Nakayama's lemma,
+    since ``N ⊆ J²``: every ``x`` in ``J`` is ``s + y`` with ``s`` in ``S``
+    and ``y`` in ``J²``, so ``J = (S∩J) + J²``, ``J^k ⊆ S + J^(k+1)``
+    for every ``k``, and ``C = S + J² ⊆ S + J³ ⊆ ⋯ ⊆ S`` as ``J`` is
+    nilpotent.  The contract of ``N`` holds for every target the package
+    builds: a path algebra's ``N`` is spanned by the paths with two
+    ordinary arrows (:func:`graded_path_algebra`); a crossed product's is
+    ``N⊗ℤ₂``, inside ``J(A#ℤ₂)² = (J(A)#ℤ₂)²`` (Reiten--Riedtmann, in
+    characteristic 0; :func:`skew_group_algebra`); a corner at a full
+    idempotent ``e`` has ``e·N·e`` inside ``e·J²·e``, the square of its
+    radical (:class:`CornerAlgebra`).  On a graded target a product of two
+    arrow images lies in ``N``, so the closure stops after the generators
+    and no long path is ever multiplied.  For a map that fails the
+    homomorphism checks no algebra map exists and ``is_isomorphism`` is
+    false anyway; ``is_surjective`` then only says whether the images the
+    closure reaches span the target modulo ``N``.
     """
     missing = [v for v in domain.vertices if v not in vertex_images]
     missing += [a.id for a in domain.arrows if a.id not in arrow_images]
@@ -810,28 +978,32 @@ def verify_morphism(
 
     is_hom = not failures
 
-    # Close the span of the path images: a word with source s only grows by
-    # the arrows ending at s, since every other product is zero.
+    # Close the span of the path images modulo N: each vector keeps only its
+    # generator coordinates, and a word with source s only grows by the
+    # arrows ending at s, since every other product is zero.
+    gens = target.generators
     span = _EchelonRank()
     for v in domain.vertices:
-        span.add(vertex_images[v])
-    span.add(target.unit)
+        span.add(_restrict(vertex_images[v], gens))
+    span.add(_restrict(target.unit, gens))
     into: dict[str, list[Arrow]] = {v: [] for v in domain.vertices}
     frontier: list[tuple[str, Vector]] = []
     for a in domain.arrows:
         into[a.target].append(a)
-        if span.add(arrow_images[a.id]):
-            frontier.append((a.source, arrow_images[a.id]))
+        img = _restrict(arrow_images[a.id], gens)
+        if span.add(img):
+            frontier.append((a.source, img))
     while frontier:
         s, w = frontier.pop()
         for a in into[s]:
-            prod = target.mul(w, arrow_images[a.id])
+            prod = _restrict(target.mul(w, arrow_images[a.id]), gens)
             if prod and span.add(prod):
                 frontier.append((a.source, prod))
-    is_surj = span.rank == target.dimension
+    is_surj = span.rank == len(gens)
     if not is_surj:
         failures.append(
-            f"images generate a subalgebra of dimension {span.rank} < {target.dimension}"
+            f"images generate {span.rank} < {len(gens)} dimensions of the target "
+            "modulo its non-generators"
         )
     is_iso = is_hom and is_surj and expected_dim == target.dimension
     if expected_dim != target.dimension:

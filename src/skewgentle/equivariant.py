@@ -36,7 +36,12 @@ degree zero, ``e·(b⊗g)·e`` is ``b⊗g`` when the path ``b`` ends at a
 chosen vertex and starts at the image of one under ``s^g``, and 0
 otherwise.  So the kept indices are read off the ends of the basis paths
 (see :func:`_crossed_corner`), and the morphism check reads the corner's
-products from the rows of ``A#ℤ₂``.
+products from the rows of ``A#ℤ₂``.  The corner marks the kept generators
+of ``A#ℤ₂`` as its own, and the morphism check closes the span of the
+images modulo the other kept indices, which lie in the square of the
+corner's radical since ``e`` is full; so a verdict reads only generator
+rows, and fills no other row of the cover or split algebra or of their
+crossed products.
 
 Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
 by :func:`induced_basis_map` from a relabelling of the quiver.  There is
@@ -90,6 +95,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .algebra import (
+    Cell,
     Coeff,
     CornerAlgebra,
     MorphismVerdict,
@@ -97,7 +103,7 @@ from .algebra import (
     SignedPermutation,
     TableAlgebra,
     Vector,
-    _left_products,
+    _add,
     graded_path_algebra,
     path_target,
     skew_group_algebra,
@@ -204,13 +210,27 @@ def _crossed_corner(
     passed, ``s`` sends each vertex idempotent to one, ``e_π(w)``, with
     sign +1.  So ``e·(b_i⊗g)·e`` is ``b_i⊗g`` when the path ``b_i`` ends in
     ``V`` and starts in ``π^g(V)``, and 0 otherwise; the corner keeps the
-    first kind, read off the ends of each basis path."""
+    first kind, read off the ends of each basis path, and marks the kept
+    generators of ``A#ℤ₂`` as its own, counted once here.
+
+    The vertices must meet every orbit ``{v, π(v)}``, or ``BAD_INPUT`` is
+    raised.  Then ``e`` is full: ``(1⊗1)(e_v⊗0)(1⊗1) = e_π(v)⊗0``, so the
+    ideal ``e`` generates holds every vertex idempotent and the unit, and
+    the kept generators meet the contract of
+    :attr:`~skewgentle.algebra.CornerAlgebra.generators`."""
     A, pres = alg.algebra, alg.presentation
     skew = _crossed_product(A, act)
     vertices = tuple(vertices)
     ends = set(vertices)
     index_of, labels = A.index_of, A.labels
     starts = (ends, {labels[act.pi[index_of[(v, ())]]][0] for v in ends})
+    if len(ends | starts[1]) < len(pres.vertices):
+        missed = set(pres.vertices) - ends - starts[1]
+        raise error(
+            BAD_INPUT,
+            f"the corner's vertices miss the orbits of {sorted(missed)!r}",
+            tuple(sorted(missed)),
+        )
     n = A.dimension
     indices = tuple(
         g * n + i
@@ -218,7 +238,9 @@ def _crossed_corner(
         for i, key in enumerate(labels)
         if key[0] in starts[g] and path_target(pres, key) in ends
     )
-    return skew, CornerAlgebra(skew, orbit_idempotent(skew, vertices), indices)
+    generators = skew.generators.intersection(indices)
+    corner = CornerAlgebra(skew, orbit_idempotent(skew, vertices), indices, generators)
+    return skew, corner
 
 
 def _vertex(skew: TableAlgebra, v: str, g: int) -> Vector:
@@ -561,7 +583,8 @@ def _blocks_multiplicative(
     ``π`` and the unit rows.  A product nonzero on the right alone fails
     the count: the matched cells send column ``q`` of row ``i`` one to one
     to column ``π(q)`` of row ``π(i)``, so the two rows hold as many
-    cells."""
+    cells.  The unit factors' products are read as one cell per column
+    (:func:`_left_cells`) and each is compared in place."""
     n, rows, pi, sigma = A.dimension, A.rows, act.pi, act.sigma
     # (b_i⊗0)⊗0 for a generator b_i against (b_q⊗g)⊗0: row i of ``once``
     # at column n·g + q holds (n·g + k, c) for b_i·b_q = c·b_k; the
@@ -582,19 +605,43 @@ def _blocks_multiplicative(
                 return False
     # (1⊗1)⊗0 and (1⊗0)⊗1 against every column, the zero products too:
     # (1⊗1)·(b_q⊗g) = s(b_q)⊗(1+g) and (1⊗0)·(b_q⊗g) = b_q⊗g in ``once``
-    twisted = _left_products(once, {n + v: u for v, u in once.unit.items()})
-    plain = _left_products(once, once.unit)
-    s_unit_row = _left_products(A, s_unit)
+    twisted = _left_cells(once.rows, {n + v: u for v, u in once.unit.items()}, 2 * n)
+    plain = _left_cells(once.rows, once.unit, 2 * n)
+    s_unit_cells = _left_cells(rows, s_unit, n)
     for q in range(n):
         p, sq = pi[q], sigma[q]
         # s²(b_q) = s(1)·b_q and s(b_q) = s(1)·s(b_q)
-        if s_unit_row.get(q) != {pi[p]: sq * sigma[p]} or s_unit_row.get(p) != {p: 1}:
+        if s_unit_cells[q] != (pi[p], sq * sigma[p]) or s_unit_cells[p] != (p, 1):
             return False
         for g in (0, 1):
             col = n * g + q
-            if twisted.get(col) != {n * (1 - g) + p: sq} or plain.get(col) != {col: 1}:
+            if twisted[col] != (n * (1 - g) + p, sq) or plain[col] != (col, 1):
                 return False
     return True
+
+
+def _left_cells(rows, x: Vector, size: int) -> list[Optional[Cell]]:
+    """``x·b_j`` for every column ``j < size``, as the cell ``(k, c)``
+    when it is ``c·b_k``, and ``None`` when it is zero or has more terms.
+    Each cell of the rows of ``x`` is taken in place, shared when its
+    coefficient in ``x`` is 1; only a column that two rows reach is
+    summed."""
+    out: list[Optional[Cell]] = [None] * size
+    shared: dict[int, Vector] = {}  # column -> sum, for columns reached twice
+    for p, u in x.items():
+        for j, cell in rows[p].items():
+            if u != 1:
+                cell = (cell[0], u * cell[1])
+            if j in shared:
+                _add(shared[j], *cell)
+            elif out[j] is None:
+                out[j] = cell
+            else:
+                shared[j] = dict([out[j]])
+                _add(shared[j], *cell)
+    for j, total in shared.items():
+        out[j] = next(iter(total.items())) if len(total) == 1 else None
+    return out
 
 
 def verify_iterated_skew_group(

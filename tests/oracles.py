@@ -28,7 +28,11 @@ rebuild by rewriting words what the library reads off the extension
 table of ``graded_path_algebra``, and :func:`involution_all_cells` and
 :func:`blocks_all_rows` are the involution guard and the iterated
 check's block comparison on every row, the references for the versions
-that read only the generator rows.
+that read only the generator rows.  :func:`crossed_rows` is the crossed
+product cell by cell from its product rule, the reference for the rows
+``skew_group_algebra`` fills on first read, and :func:`generates` the full
+two-sided closure that the surjectivity check of ``verify_morphism``
+takes modulo the span of the target's non-generators.
 """
 from __future__ import annotations
 
@@ -38,12 +42,13 @@ from fractions import Fraction
 
 from skewgentle import (
     CombinatorialCurve,
+    CornerAlgebra,
     Passage,
     SignedPermutation,
     TableAlgebra,
     skew_group_algebra,
 )
-from skewgentle.algebra import _accumulate, _left_products, _preimages, _products_row, vscale
+from skewgentle.algebra import _accumulate, _add, _preimages, _products_row, vscale
 from skewgentle.surface import chord_bseg_side
 
 
@@ -482,49 +487,72 @@ def corner_algebra(A, e) -> Corner:
 def generated_dimension(algebra, gens) -> int:
     """Dimension of the unital subalgebra generated by ``gens``.
 
-    Every element is a dense row over the basis, and a product is expanded
-    through the product table of ``algebra`` one term at a time.  Starting
-    from the unit and the generators, every independent row is multiplied
-    by every generator on both sides until no product is independent of
-    the rows kept; the dimension is the rank of those rows.
+    Every element is a vector over the basis, and a product is expanded
+    through the dense product table of ``algebra`` one term at a time.
+    Starting from the unit and the generators, every independent vector is
+    multiplied by every generator on both sides until no product is
+    independent of the vectors kept; the dimension is the rank of those
+    vectors.
     """
-    table = algebra.table
-    n = len(table)
+    n = algebra.dimension
+    return mat_rank([[row.get(k, 0) for k in range(n)] for row in _generated_rows(algebra, gens)])
 
-    def dense(x):
-        row = [Fraction(0)] * n
-        for k, c in x.items():
-            row[k] += c
-        return row
+
+def generated_rank_modulo(algebra, gens, kept) -> int:
+    """The dimension of ``(S + N)/N``, for ``S`` the unital subalgebra
+    generated by ``gens`` and ``N`` the span of the basis elements whose
+    index is not in ``kept``: the rank of the vectors spanning ``S`` (see
+    :func:`generated_dimension`) cut down to the coordinates in ``kept``."""
+    kept = sorted(kept)
+    return mat_rank([[row.get(k, 0) for k in kept] for row in _generated_rows(algebra, gens)])
+
+
+def generates(target, images) -> bool:
+    """Whether the unital subalgebra that ``images`` generate is all of
+    ``target``, a table or a :class:`~skewgentle.CornerAlgebra`, whose
+    images are given in its parent's coordinates: the full two-sided
+    closure of :func:`generated_dimension`, on the corner's own table cut
+    by :func:`corner_algebra`."""
+    if isinstance(target, CornerAlgebra):
+        cut = corner_algebra(target.parent, target.idempotent)
+        target, images = cut.algebra, [cut.express(img) for img in images]
+    return generated_dimension(target, images) == target.dimension
+
+
+def _generated_rows(algebra, gens) -> list:
+    """Vectors, as dicts of their nonzero coordinates, spanning the unital
+    subalgebra generated by ``gens``."""
+    table = algebra.table
 
     def times(x, y):
-        row = [Fraction(0)] * n
-        right = [(j, d) for j, d in enumerate(y) if d]
-        for i, c in enumerate(x):
-            if not c:
-                continue
-            for j, d in right:
+        out = {}
+        for i, c in x.items():
+            for j, d in y.items():
                 for k, e in table[i][j].items():
-                    row[k] += c * d * e
-        return row
+                    out[k] = out.get(k, 0) + c * d * e
+        return {k: v for k, v in out.items() if v}
 
-    echelon: list[tuple[int, list]] = []  # (pivot column, row with pivot 1)
+    # (pivot, the row with 1 at the pivot and 0 at every earlier pivot)
+    echelon: list[tuple[int, dict]] = []
 
     def independent(row) -> bool:
-        row = list(row)
+        row = dict(row)
         for col, basis_row in echelon:
-            if row[col]:
-                factor = row[col]
-                row = [x - factor * y for x, y in zip(row, basis_row)]
-        col = next((k for k, x in enumerate(row) if x), None)
-        if col is None:
+            factor = row.get(col)
+            if factor:
+                for k, y in basis_row.items():
+                    row[k] = row.get(k, 0) - factor * y
+        row = {k: v for k, v in row.items() if v}
+        if not row:
             return False
+        col = min(row)
         inv = Fraction(1) / row[col]
-        echelon.append((col, [x * inv for x in row]))
+        echelon.append((col, {k: x * inv for k, x in row.items()}))
         return True
 
-    generators = [dense(g) for g in gens]
-    kept = [row for row in [dense(algebra.unit)] + generators if independent(row)]
+    generators = [{k: c for k, c in g.items() if c} for g in gens]
+    unit = {k: c for k, c in algebra.unit.items() if c}
+    kept = [row for row in [unit] + generators if independent(row)]
     frontier = list(kept)
     while frontier:
         new = []
@@ -535,7 +563,7 @@ def generated_dimension(algebra, gens) -> int:
                         kept.append(row)
                         new.append(row)
         frontier = new
-    return mat_rank(kept)
+    return kept
 
 
 def word_product(presentation, values, x, y) -> dict:
@@ -1089,6 +1117,25 @@ def relabelled_basis_map(alg, generator_map, signs=None):
     return pi, sigma
 
 
+def crossed_rows(A, act) -> list:
+    """The rows of ``A#ℤ₂`` as dicts, straight from the product rule
+    ``(x⊗g)(y⊗h) = x·s^g(y)⊗(g+h)`` with ``s(b_j) = σ_j·b_π(j)``: the
+    cell of ``b_i·b_π(j) = c·b_k`` gives ``(b_i⊗1)(b_j⊗h) = σ_j·c·b_k⊗(1+h)``,
+    indexed ``g·n + i`` as in ``skew_group_algebra``."""
+    n, pi, sigma = A.dimension, act.pi, act.sigma
+    inverse = {p: j for j, p in enumerate(pi)}
+    rows = []
+    for g in (0, 1):
+        for i in range(n):
+            row = {}
+            for col, (k, c) in A.rows[i].items():
+                j, sign = (inverse[col], sigma[inverse[col]]) if g else (col, 1)
+                for h in (0, 1):
+                    row[h * n + j] = ((g + h) % 2 * n + k, sign * c)
+            rows.append(row)
+    return rows
+
+
 def involution_all_cells(A, act) -> bool:
     """The involution guard on every stored cell: ``π² = id``,
     ``σ_i·σ_π(i) = 1``, ``s(1) = 1``, and each cell ``b_i·b_j = c·b_k``
@@ -1105,6 +1152,15 @@ def involution_all_cells(A, act) -> bool:
         for i, row in enumerate(A.rows)
         for j, (k, c) in row.items()
     )
+
+
+def _left_products(A, x) -> dict:
+    """The nonzero products ``x * b_j`` in ``A``, keyed by ``j``."""
+    out: dict = {}
+    for p, cp in x.items():
+        for j, (k, c) in A.rows[p].items():
+            _add(out.setdefault(j, {}), k, cp * c)
+    return {j: prod for j, prod in out.items() if prod}
 
 
 def blocks_all_rows(A, once, act) -> bool:

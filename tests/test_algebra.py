@@ -13,6 +13,8 @@ from oracles import (
     basis_map_from_permutation,
     corner_algebra,
     generated_dimension,
+    generated_rank_modulo,
+    generates,
     grading_signs,
     images_of,
     mat_rank,
@@ -229,7 +231,9 @@ def test_echelon_rank_agrees_with_span_basis(kind):
 def test_verify_morphism_failures_are_pinned(cylinders):
     """Verdicts and failure strings on perturbed maps, in their order, as
     recorded when the span was still a ``SpanBasis`` and the vertex pairs
-    were walked all against all."""
+    were walked all against all.  The surjectivity failures give the rank
+    of the span modulo the target's non-generators, which the oracle
+    ``generated_rank_modulo`` also gives."""
     triple = triple_from_x_dissection(cylinders[1])
     alg = graded_path_algebra(triple)
     B = alg.algebra
@@ -238,10 +242,14 @@ def test_verify_morphism_failures_are_pinned(cylinders):
 
     def run(domain, vertex_images, arrow_images, target, **kwargs):
         v = verify_morphism(domain, vertex_images, arrow_images, target, **kwargs)
+        if v.is_homomorphism:  # onto as the full two-sided closure says
+            images = [*vertex_images.values(), *arrow_images.values()]
+            assert v.is_surjective == generates(target, images)
         return v.is_homomorphism, v.is_surjective, v.is_isomorphism, v.failures
 
     not_framed = "image of arrow {!r} is not framed by its endpoints".format
     not_orthogonal = "images of vertices {!r}, {!r} are not orthogonal".format
+    not_onto = "images generate {} < {} dimensions of the target modulo its non-generators".format
     cases = [
         # a vertex image that is not idempotent
         (
@@ -271,7 +279,7 @@ def test_verify_morphism_failures_are_pinned(cylinders):
         # a homomorphism that is not onto: the message gives the rank
         (
             vertices, {**arrows, "1.2": {}},
-            (True, False, False, ("images generate a subalgebra of dimension 15 < 20",)),
+            (True, False, False, (not_onto(13, 15),)),
         ),
     ]
     for vertex_images, arrow_images, expected in cases:
@@ -316,7 +324,7 @@ def test_verify_morphism_failures_are_pinned(cylinders):
     ) == (False, False, False, (
         "relation (('^02.3^0', '3.4^0'), ('^12.3^0', '3.4^1')) does not map to zero",
         "relation (('^02.3^1', '3.4^0'), ('^12.3^1', '3.4^1')) does not map to zero",
-        "images generate a subalgebra of dimension 19 < 20",
+        not_onto(14, 15),
     ))
 
 
@@ -934,7 +942,9 @@ def test_deformation_refuses_a_triple_that_is_not_skew_gentle():
 
 def test_deformation_zero_value_is_not_surjective(cylinders):
     """At value 0 the special loops map to zero; the rank in the failure
-    is the dimension of the subalgebra the images generate."""
+    is the dimension of the subalgebra the images generate modulo the span
+    of the paths with two ordinary arrows, against the number of the
+    other basis paths, the generators."""
     for surface in (cylinders[1], one_orbifold_disc(4)):
         triple = triple_from_x_dissection(surface)
         verdict = verify_deformation_map(triple, Fraction(0))
@@ -944,9 +954,12 @@ def test_deformation_zero_value_is_not_surjective(cylinders):
         base = graded_path_algebra(triple)
         gens = [base.vertex(v) for v in triple.vertices]
         gens += [{} if a.id in triple.special else base.arrow(a.id) for a in triple.arrows]
-        generated = generated_dimension(base.algebra, gens)
+        assert generated_dimension(base.algebra, gens) < base.dimension
+        kept = base.algebra.generators
+        generated = generated_rank_modulo(base.algebra, gens, kept)
         assert verdict.failures == (
-            f"images generate a subalgebra of dimension {generated} < {base.dimension}",
+            f"images generate {generated} < {len(kept)} dimensions of the target "
+            "modulo its non-generators",
         )
 
 
@@ -1160,7 +1173,8 @@ def _assert_extension_fill_matches_words(pres, values=None):
     and no cell holds a zero; every enumerated word reduces through the
     table as by rewriting it; the prefix of every basis path is a basis
     path; the graded dimensions count the basis paths by length, and the
-    generators are the vertices and arrows."""
+    generators are the basis paths with at most one ordinary arrow: the
+    vertices and arrows, and with special loops paths such as ``e·a``."""
     alg = graded_path_algebra(pres, values)
     A = alg.algebra
     assert [list(row.items()) for row in A.rows] == [list(r.items()) for r in word_rows(alg)]
@@ -1170,7 +1184,10 @@ def _assert_extension_fill_matches_words(pres, values=None):
     assert all((src, word[:-1]) in A.index_of for src, word in A.labels if word)
     lengths = [len(word) for _, word in A.labels]
     assert alg.dims_by_length == tuple(map(lengths.count, range(alg.zero_length + 1)))
-    assert list(A.generators) == [i for i, n in enumerate(lengths) if n <= 1]
+    ordinary = [sum(a not in pres.special for a in word) for _, word in A.labels]
+    assert sorted(A.generators) == [i for i, n in enumerate(ordinary) if n <= 1]
+    if not pres.special:
+        assert list(A.generators) == [i for i, n in enumerate(lengths) if n <= 1]
     return alg
 
 

@@ -154,6 +154,35 @@ def test_library_reads_no_environment_variable():
     assert found == []
 
 
+def _table_reads(source: str) -> list[int]:
+    """The lines that read an attribute named ``table``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "table"
+    ]
+
+
+def test_library_reads_no_dense_table():
+    """``TableAlgebra.table`` builds the dense ``n×n`` view and fills every
+    row, where a verdict reads only the generator rows: no module under
+    ``src/`` reads an attribute named ``table``."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        f"{path.name}:{line}" for path in modules for line in _table_reads(path.read_text())
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["alg.table", "dense = skew.table[0][1]", "def f(A):\n    return [r for r in A.table]"],
+)
+def test_the_table_scan_sees_a_dense_read(source):
+    assert _table_reads(source)
+
+
 def _unreferenced_private(sources: dict[str, str]) -> list[str]:
     """The private module-level functions and classes of ``sources`` (a
     module name to its source) that no code there names outside their own

@@ -11,13 +11,15 @@ from oracles import (
     SpanBasis,
     algebra_from_products,
     apply_map,
+    associative,
     basis_map_from_permutation,
     blocks_all_rows,
     cohen_montgomery_image,
     comparison_images,
     corner_algebra,
     corner_dimension,
-    generated_dimension,
+    crossed_rows,
+    generates,
     images_of,
     involution_all_cells,
     matrix_algebra,
@@ -26,6 +28,7 @@ from oracles import (
     twice_crossed,
     twist_compat,
     verify_multiplicative,
+    word_rows,
 )
 from skewgentle import (
     Arrow,
@@ -51,6 +54,7 @@ from skewgentle import (
     verify_morphism,
     verify_skew_group_reduction,
 )
+from skewgentle import algebra as algebra_module
 from skewgentle import equivariant
 from skewgentle.diagnostics import BAD_INPUT
 
@@ -685,13 +689,18 @@ def _build_all(covers) -> Builds:
     return out
 
 
-@pytest.fixture(scope="module")
-def ladder_builds(cylinder_covers, disc_xx):
+def _ladder_covers(cylinder_covers, disc_xx) -> list:
+    """The twelve covers of the bench's ``cover_ladder``."""
     covers = list(cylinder_covers.values())
     covers.append(double_cover(disc_xx))
     covers.append(quotient(*two_hole_torus_surface()))
     covers += [double_cover(one_orbifold_disc(n)) for n in (4, 6, 8, 10, 12, 14)]
-    return _build_all(covers)
+    return covers
+
+
+@pytest.fixture(scope="module")
+def ladder_builds(cylinder_covers, disc_xx):
+    return _build_all(_ladder_covers(cylinder_covers, disc_xx))
 
 
 def _assert_exact(builds):
@@ -947,7 +956,8 @@ def test_signed_permutation_crossed_product_shares_cells(cylinder_covers):
         skew = skew_group_algebra(A, deck)
         n = A.dimension
         shared = 0
-        for cells, zero, twisted in zip(A.rows, skew.rows[:n], skew.rows[n:]):
+        rows = list(skew.rows)
+        for cells, zero, twisted in zip(A.rows, rows[:n], rows[n:]):
             assert all(zero[k] is cell for k, cell in cells.items())
             for k, cell in cells.items():
                 j, sign = preimage[k]
@@ -1004,31 +1014,82 @@ def test_corners_match_oracle_on_random_covers():
         _assert_corners_match_oracle(reductions, rank=k < 20)
 
 
-def _assert_surjectivity_matches_oracle(cov):
+def _assert_onto_matches_closure(verdict, target, images, expected_dim):
+    """On a homomorphism ``is_surjective`` is the verdict of the full
+    two-sided closure of the images (``oracles.generates``); on every map
+    ``is_isomorphism`` is a homomorphism that is onto, between algebras of
+    one dimension."""
+    onto = generates(target, images)
+    if verdict.is_homomorphism:
+        assert verdict.is_surjective == onto
+    assert verdict.is_isomorphism == (
+        verdict.is_homomorphism and onto and expected_dim == target.dimension
+    )
+
+
+def _assert_surjectivity_matches_oracle(cov, perturb=True):
     """Both reductions call their map onto exactly when the oracle's
-    two-sided closure of the generator images fills the corner."""
+    two-sided closure of the generator images fills the corner; with
+    ``perturb``, so do the maps with one arrow image zero and with every
+    vertex sent to the image of the first, each on its doubled images."""
     for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
-        cut = corner_algebra(red.skew, red.corner.idempotent)
-        target = cut.algebra
-        gens = [cut.express(img) for img in red.images.values()]
-        generated = generated_dimension(target, gens)
-        assert red.verdict.is_surjective == (generated == target.dimension)
+        vertices = {v: red.doubled[v] for v in red.domain.vertices}
+        arrows = {a.id: red.doubled[a.id] for a in red.domain.arrows}
+        expected_dim = red.corner.dimension
+        maps = [(vertices, arrows)]
+        if perturb:
+            first_vertex, first_arrow = red.domain.vertices[0], min(arrows, default=None)
+            maps.append((dict.fromkeys(vertices, vertices[first_vertex]), arrows))
+            if first_arrow is not None:
+                maps.append((vertices, {**arrows, first_arrow: {}}))
+        for vertex_images, arrow_images in maps:
+            verdict = verify_morphism(
+                red.domain, vertex_images, arrow_images, red.corner,
+                expected_dim=expected_dim, scale=2,
+            )
+            images = [*vertex_images.values(), *arrow_images.values()]
+            _assert_onto_matches_closure(verdict, red.corner, images, expected_dim)
+        assert red.verdict.is_isomorphism
 
 
 def test_surjectivity_matches_oracle_on_ladder_fixtures(cylinder_covers, disc_xx):
-    for cov in cylinder_covers.values():
+    for cov in _ladder_covers(cylinder_covers, disc_xx):
         _assert_surjectivity_matches_oracle(cov)
-    _assert_surjectivity_matches_oracle(double_cover(disc_xx))
-    _assert_surjectivity_matches_oracle(quotient(*two_hole_torus_surface()))
-    for n in (4, 6, 8):
-        _assert_surjectivity_matches_oracle(double_cover(one_orbifold_disc(n)))
 
 
 def test_surjectivity_matches_oracle_on_random_covers():
     rng = random.Random(5501)
-    for _ in range(40):
+    for k in range(200):
         cov = double_cover(surface_from_triple(random_triple(rng)))
-        _assert_surjectivity_matches_oracle(cov)
+        _assert_surjectivity_matches_oracle(cov, perturb=k < 40)
+
+
+def test_surjectivity_matches_oracle_on_deformation_maps(cylinders):
+    """The scaling map from the deformed algebra, whose target has special
+    loops, at the values 0, 1 and 3/7, and with one arrow image zero."""
+    surfaces = list(cylinders.values()) + [one_orbifold_disc(n) for n in (4, 6)]
+    for surface in surfaces:
+        triple = triple_from_x_dissection(surface)
+        base = graded_path_algebra(triple)
+        vertices = {v: base.vertex(v) for v in triple.vertices}
+        for value in (0, 1, Fraction(3, 7)):
+            arrows = {
+                a.id: {k: c * value for k, c in base.arrow(a.id).items() if c * value}
+                if a.id in triple.special else base.arrow(a.id)
+                for a in triple.arrows
+            }
+            verdict = verify_deformation_map(triple, value)
+            images = [*vertices.values(), *arrows.values()]
+            _assert_onto_matches_closure(verdict, base.algebra, images, base.dimension)
+            assert verdict.is_isomorphism == (value != 0)
+            ordinary = min(a.id for a in triple.arrows if a.id not in triple.special)
+            loops = {e: value for e in triple.special}
+            verdict = verify_morphism(
+                triple, vertices, {**arrows, ordinary: {}}, base.algebra,
+                expected_dim=base.dimension, loop_values=loops,
+            )
+            images = [*vertices.values(), *{**arrows, ordinary: {}}.values()]
+            _assert_onto_matches_closure(verdict, base.algebra, images, base.dimension)
 
 
 def test_reductions_compute_each_cover_stage_once(count_calls, monkeypatch, cylinders):
@@ -1274,3 +1335,131 @@ def test_generator_checks_read_only_generator_rows(cylinder_covers, disc_xx):
         assert A.rows.read <= gens | images
         assert once.rows.read <= gens | {n + u for u in units}
     assert len(A.rows.read) <= 2 * len(gens) < n
+
+
+def _dense(rows, n) -> list:
+    """The dense table of sparse rows, as :attr:`TableAlgebra.table` reads."""
+    return [[{row[j][0]: row[j][1]} if j in row else {} for j in range(n)] for row in rows]
+
+
+def test_verdicts_fill_only_generator_rows(cylinder_covers, disc_xx):
+    """After both reductions and the iterated check, the rows filled in the
+    cover algebra Λ, Λ#ℤ₂, the split algebra S and S#ℤ₂ are exactly their
+    generator rows: 284, 568, 197 and 394 of 728, 1 456, 477 and 954 rows
+    over the twelve ladder covers, and 125, 250, 65 and 130 of 1 055,
+    2 110, 560 and 1 120 at n = 32.  A full read then fills the rest as
+    the words (``oracles.word_rows``) and the product rule of the crossing
+    (``oracles.crossed_rows``) give them."""
+    covers = _ladder_covers(cylinder_covers, disc_xx)
+    covers.append(double_cover(one_orbifold_disc(32)))
+    filled, sizes = [], []
+    for cov in covers:
+        red, dual = verify_skew_group_reduction(cov), verify_dual_reduction(cov)
+        rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
+        assert red.verdict.is_isomorphism and dual.verdict.is_isomorphism and rr.ok
+        pairs = ((red.cover_algebra, red.skew, red.deck_action),
+                 (dual.split_algebra, dual.skew, dual.swap_action))
+        algebras = [A for alg, skew, _ in pairs for A in (alg.algebra, skew)]
+        for A in algebras:
+            cells = A.rows.cells
+            assert {i for i, row in enumerate(cells) if row is not None} == set(A.generators)
+        filled.append([A.rows.filled for A in algebras])
+        sizes.append([A.dimension for A in algebras])
+        for alg, skew, act in pairs:
+            A = alg.algebra
+            assert A.table == _dense(word_rows(alg), A.dimension)
+            assert skew.table == _dense(crossed_rows(A, act), skew.dimension)
+            assert A.rows.filled == A.dimension and skew.rows.filled == skew.dimension
+    assert [sum(col) for col in zip(*filled[:12])] == [284, 568, 197, 394]
+    assert [sum(col) for col in zip(*sizes[:12])] == [728, 1456, 477, 954]
+    assert (filled[12], sizes[12]) == ([125, 250, 65, 130], [1055, 2110, 560, 1120])
+
+
+def test_closure_coefficients_stay_small(monkeypatch, cylinder_covers, disc_xx):
+    """The largest coefficient ``_EchelonRank`` stores over both
+    reductions has 5 bits on the twelve ladder covers and 4 at n = 16 and
+    n = 32.  The closure now stops after the generators; when it
+    multiplied the doubled path images out to full length, each arrow
+    bringing a factor 4, it stored 52, 60 and 124 bits there."""
+    made = []
+
+    class Recorded(algebra_module._EchelonRank):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(algebra_module, "_EchelonRank", Recorded)
+
+    def largest_bits(covers) -> int:
+        made.clear()
+        for cov in covers:
+            verify_skew_group_reduction(cov)
+            verify_dual_reduction(cov)
+        assert len(made) == 2 * len(covers)
+        return max(abs(c).bit_length() for e in made for r in e.rows.values() for c in r.values())
+
+    discs = [[double_cover(one_orbifold_disc(n))] for n in (16, 32)]
+    bits = [largest_bits(_ladder_covers(cylinder_covers, disc_xx))]
+    bits += [largest_bits(covers) for covers in discs]
+    assert bits == [5, 4, 4]
+
+
+def test_a_corner_whose_vertices_miss_an_orbit_is_bad_input(cylinder_covers):
+    """The corner's idempotent must be full: its vertices meet every orbit
+    of the symmetry, or ``_crossed_corner`` refuses them."""
+    cov = cylinder_covers[1]
+    lam = graded_path_algebra(cov.total_quiver.presentation)
+    deck = equivariant.induced_basis_map(lam, cov.deck_generators)
+    vertices = lam.presentation.vertices
+    skew, corner = equivariant._crossed_corner(lam, deck, vertices)
+    assert corner.dimension == skew.dimension  # e = 1⊗0 is the unit
+    first = vertices[0]
+    partner = lam.algebra.labels[deck.pi[lam.algebra.index_of[(first, ())]]][0]
+    with pytest.raises(ValidationError) as exc:
+        equivariant._crossed_corner(lam, deck, [first])
+    (diagnostic,) = exc.value.diagnostics
+    assert diagnostic.code == BAD_INPUT
+    missed = set(vertices) - {first, partner}
+    assert missed and diagnostic.where == tuple(sorted(missed))
+
+
+def test_unit_factors_sum_a_column_that_two_unit_terms_reach():
+    """On span(b0, b1, b2) with b0·b2 = b1·b0 = b1·b2 = b0, b1·b1 = b1 and
+    b2·b2 = b2 the unit is -b0 + b1 + b2, and all three of its terms reach
+    the column of b2: 1·b2 = -b0 + b0 + b2.  The unit factors of the
+    iterated check sum such a column, and agree with the oracle."""
+    labels = ("b0", "b1", "b2")
+    rows = [{2: (0, 1)}, {0: (0, 1), 1: (1, 1), 2: (0, 1)}, {2: (2, 1)}]
+    A = TableAlgebra(labels, rows, {0: -1, 1: 1, 2: 1})
+    assert associative(A)
+    for i in range(3):
+        assert A.mul(A.unit, {i: 1}) == {i: 1} == A.mul({i: 1}, A.unit)
+    identity = SignedPermutation(range(3), (1, 1, 1))
+    rr = verify_iterated_skew_group(A, identity)
+    assert rr.ok
+    assert equivariant._blocks_multiplicative(A, rr.once, identity, A.unit)
+    assert blocks_all_rows(A, rr.once, identity)
+    # a unit factor row that breaks the sum fails both
+    broken = TableAlgebra(labels, [{2: (0, 1)}, {0: (0, 1), 1: (1, 1)}, {2: (2, 1)}], A.unit)
+    once = skew_group_algebra(broken, identity)
+    assert not equivariant._blocks_multiplicative(broken, once, identity, broken.unit)
+    assert not blocks_all_rows(broken, once, identity)
+
+
+def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators():
+    """On 1 -a-> 2 -b-> 3 the swap of the arrows' basis elements permutes
+    the generators, and the crossed product marks their two copies and
+    fills only their rows; a swap of the arrow ``a`` with the path ``a·b``
+    does not, and it marks and fills every index."""
+    pres = make_presentation("123", [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    A = graded_path_algebra(pres).algebra
+    n = A.dimension
+    assert list(A.generators) == [0, 1, 2, 3, 4] and n == 6
+    swap_arrows = SignedPermutation((0, 1, 2, 4, 3, 5), (1,) * n)
+    skew = skew_group_algebra(A, swap_arrows)
+    assert skew.generators == frozenset(range(5)) | frozenset(range(n, n + 5))
+    assert skew.rows.filled == 10
+    path = A.index_of[("1", ("a", "b"))]
+    swap_out = SignedPermutation((0, 1, 2, path, 4, A.index_of[("1", ("a",))]), (1,) * n)
+    skew = skew_group_algebra(A, swap_out)
+    assert skew.generators == frozenset(range(2 * n)) and skew.rows.filled == 2 * n
