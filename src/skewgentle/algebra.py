@@ -358,38 +358,28 @@ PathKey = tuple[str, tuple[str, ...]]  # (source vertex, arrows in application o
 Link = tuple[Optional[PathKey], int]  # (parent, ±1): the path is ±parent; None is zero
 
 
-def path_target(pres: Presentation, key: PathKey) -> str:
-    src, arrows = key
-    if not arrows:
-        return src
-    return pres.arrow_by_id[arrows[-1]].target
-
-
 class _PathRows(_Rows):
     """The rows of a path algebra.  A vertex row holds the paths ending
-    there.  A longer basis path is ``b_i = a·b_m``, with ``a`` its last
-    arrow and ``b_m`` its prefix, so row ``i`` is ``b_i·b_j = a·(b_m·b_j)``:
-    one extension cell for each cell of row ``m``.  Prefixes not yet filled
-    are filled first, shortest first, in a loop."""
+    there.  A longer basis path is ``b_i = a·b_m``, linked to its prefix
+    ``b_m`` and last arrow ``a`` by ``prefix[i] = (m, a)``, so row ``i`` is
+    ``b_i·b_j = a·(b_m·b_j)``: one extension cell for each cell of row
+    ``m``.  Prefixes not yet filled are filled first, shortest first, in a
+    loop; no label is read or hashed."""
 
-    __slots__ = ("labels", "index_of", "extensions")
+    __slots__ = ("prefix", "extensions")
 
-    def __init__(self, cells, labels, index_of, extensions):
-        self.cells, self.labels, self.index_of = cells, labels, index_of
-        self.extensions = extensions
+    def __init__(self, cells, prefix, extensions):
+        self.cells, self.prefix, self.extensions = cells, prefix, extensions
 
     def fill(self, indices: Collection[int]) -> None:
-        cells, labels, index_of, extensions = (
-            self.cells, self.labels, self.index_of, self.extensions
-        )
+        cells, prefix, extensions = self.cells, self.prefix, self.extensions
         for i in indices:
             if cells[i] is not None:
                 continue
             chain = []  # (i, m, a) with b_i = a·b_m, row i not yet filled
             while cells[i] is None:
-                src, arrows = labels[i]
-                m = index_of[(src, arrows[:-1])]
-                chain.append((i, m, arrows[-1]))
+                m, a = prefix[i]
+                chain.append((i, m, a))
                 i = m
             for i, m, a in reversed(chain):
                 cells[i] = {j: (e[0], c * e[1]) for j, (k, c) in cells[m].items()
@@ -404,8 +394,10 @@ class PathAlgebra:
     the basis (by index); paths at or beyond ``zero_length`` vanish, and so
     do paths through a single-path relation.  Each special loop ``e``
     satisfies ``e*e = loop_values[e] * e``.  ``extensions[j]`` maps each
-    arrow ``a`` with ``a·b_j`` nonzero to its cell (see
-    :func:`graded_path_algebra`).
+    arrow ``a`` with ``a·b_j`` nonzero to its cell; ``prefix[j]`` links a
+    basis path ``b_j = a·b_m`` to its prefix and last arrow as ``(m, a)``,
+    ``None`` for a vertex, and ``target[j]`` is the vertex where ``b_j``
+    ends (see :func:`graded_path_algebra`).
     """
 
     presentation: Presentation
@@ -415,6 +407,8 @@ class PathAlgebra:
     dims_by_length: tuple[int, ...]
     loop_values: Mapping[str, Coeff]
     extensions: list[dict[str, Cell]]
+    prefix: list[Optional[tuple[int, str]]]
+    target: list[str]
 
     def vertex(self, v: str) -> Vector:
         return self.reduce((v, ()))
@@ -450,6 +444,38 @@ class PathAlgebra:
         return self.algebra.dimension
 
 
+def _resolve_ties(
+    ties: list[tuple[PathKey, Optional[PathKey], int]], known: set[PathKey]
+) -> dict[PathKey, Link]:
+    """The words of one length that the ties ``p = s·q`` join to another
+    word, each mapped to ``(root, ±1)``: ``p = ±root``, ``None`` for zero.
+    A term not in ``known`` is zero.  Every other word is a root.
+
+    A signed union-find: ``up[p] = (parent, ±1)`` says ``p = ±parent``, and
+    the zero path ``None`` is a root of its own.  A tie joins two roots,
+    and the lexicographically first path of a piece survives, or it closes
+    a cycle; a cycle whose signs multiply to -1 says ``2p = 0``, and the
+    piece joins zero."""
+    up: dict[PathKey, Link] = {}
+
+    def find(p: Optional[PathKey]) -> Link:
+        sign = 1
+        while p in up:
+            p, s = up[p]
+            sign *= s
+        return p, sign
+
+    for p, q, s in ties:
+        (p, sp), (q, sq) = (find(k if k in known else None) for k in (p, q))
+        s *= sp * sq  # p and q are roots now, with p = s·q
+        if p != q:  # keep the zero root, else the lex-first one
+            keep, drop = sorted((p, q), key=lambda k: (k is not None, k))
+            up[drop] = (keep, s)
+        elif p is not None and s != 1:  # a cycle: p = -p, so 2p = 0
+            up[p] = (None, 1)
+    return {p: find(p) for p in up}
+
+
 def graded_path_algebra(
     pres: Presentation, loop_values: Optional[Mapping[str, Coeff]] = None
 ) -> PathAlgebra:
@@ -462,33 +488,38 @@ def graded_path_algebra(
     first (``UNKNOWN_ID``, ``BAD_INPUT``); presentations with special loops
     must pass :func:`check_skew_gentle`.  Paths are enumerated length by
     length, never across a single-path relation or a repeated special loop.
+    Each word is built once, as the record (source, target, word, link to
+    its prefix), from a word of the last length and an arrow that may
+    follow it; the records of a length are sorted once, by graded piece
+    (source, target) and then lexicographically.
 
     A two-term relation ``p + q = 0`` is the tie ``p = -q``.  The ties of
     each length are those of the last length followed by an arrow, and the
     two-term relations preceded by a path; a term that is not an enumerated
     word is zero.  They are resolved by a signed union-find over the words
-    of that length: ``up[p] = (parent, ±1)`` says ``p = ±parent``, and the
-    zero path ``None`` is a root of its own.  A tie joins two roots, and the
-    lexicographically first path of a piece survives as a basis vector, or
-    it closes a cycle; a cycle whose signs multiply to -1 says ``2p = 0``,
-    and the piece joins zero.  So the normal form of every path is 0 or ±1
-    times one basis path, with no division; a repeated special loop only
-    scales a path by its value, so the basis does not depend on the loop
-    values, and each product is stored as one cell ``(k, c)``.
+    of that length (:func:`_resolve_ties`), so the normal form of every
+    path is 0 or ±1 times one basis path, with no division; a repeated
+    special loop only scales a path by its value, so the basis does not
+    depend on the loop values, and each product is stored as one cell
+    ``(k, c)``.  A length that no tie reaches (every length of a gentle
+    pair, whose relations are single paths) has nothing to resolve, and
+    each of its words is admitted as it comes.
 
-    While it enumerates, the builder keeps ``extensions[j][a]``, the cell
-    of ``b_j`` followed by the arrow ``a`` (the product ``a·b_j``): the
-    normal form of the longer word, the loop value times ``b_j`` where
-    ``a`` repeats a special loop, and no entry across a single-path
-    relation or for a zero product.  A vertex row holds the paths ending
-    there.  A longer basis path is ``b_i = a·b_m``, with ``a`` its last
-    arrow and ``b_m`` its prefix, so row ``i`` is
+    Each basis path is admitted with its links: ``prefix[i] = (m, a)`` for
+    ``b_i = a·b_m``, with ``b_m`` its prefix and ``a`` its last arrow
+    (``None`` for a vertex), and ``target[i]``, the vertex where it ends.
+    The prefix of a basis path is a basis path: a word tied to the
+    survivor ``q`` of its piece extends to a word tied to the extension of
+    ``q``, which sorts first, or to zero.  The ties join only parallel
+    paths (checked first), so a normal form ends where its word does.
+    Each word also sets the cell of its prefix followed by its last arrow,
+    ``extensions[m][a]``, the product ``a·b_m``: the normal form of the
+    word, and no entry for a zero product or across a single-path
+    relation; a basis path ending in a special loop ``e`` gets the cell of
+    ``e`` followed by ``e``, the loop value times itself.  A vertex row
+    holds the paths ending there.  Row ``i`` of a longer basis path is
     ``b_i·b_j = a·(b_m·b_j)``: one lookup per cell of row ``m``, with no
-    word built or hashed.  The prefix of a basis path is a basis path: a
-    word tied to the survivor ``q`` of its piece extends to a word tied
-    to the extension of ``q``, which sorts first, or to zero.  The ties
-    join only parallel paths (checked first), so a normal form ends where
-    its word does.
+    word built or hashed.
 
     The ``generators`` are the basis paths with at most one ordinary
     (non-special) arrow: the vertices and arrows, first in the basis, and
@@ -517,95 +548,104 @@ def graded_path_algebra(
         raise_on_error(report)
     loop_values = loop_values or {}
     values = {e: _exact(loop_values.get(e, 1)) for e in pres.special}
+    repeats = {e: c for e, c in values.items() if c and (e, e) not in pres.monomial_pairs}
     limit = len(pres.arrows) + 1
-    binomials = [rel for rel in pres.relations if len(rel) == 2]
+    outgoing, monomial_pairs = pres.outgoing, pres.monomial_pairs
+    # the arrows that may follow a, with their targets
+    follow = {
+        a.id: [
+            (b.id, b.target)
+            for b in outgoing[a.target]
+            if (a.id, b.id) not in monomial_pairs and not (a.id == b.id and b.id in values)
+        ]
+        for a in pres.arrows
+    }
+    binomials = [
+        (rel[0], rel[1], pres.arrow_by_id[rel[0][0]].source)
+        for rel in pres.relations
+        if len(rel) == 2
+    ]
+    vertex_index = {v: i for i, v in enumerate(pres.vertices)}
 
     basis: list[PathKey] = []
-    index_of: dict[PathKey, int] = {}
     normal_forms: dict[PathKey, Vector] = {}
     extensions: list[dict[str, Cell]] = []
-
-    def admit(key: PathKey) -> None:
-        index_of[key] = len(basis)
-        normal_forms[key] = {len(basis): ONE}
-        basis.append(key)
-        extensions.append({})
-
-    layers: list[list[PathKey]] = [
-        [(v, ()) for v in pres.vertices],
-        [(a.source, (a.id,)) for a in sorted(pres.arrows, key=lambda a: a.id)],
-    ]
-    for key in layers[0] + layers[1]:
-        admit(key)
-    for key in layers[1]:
-        extensions[index_of[(key[0], ())]][key[1][0]] = (index_of[key], ONE)
-    dims = [len(layers[0]), len(layers[1])]
-    ties: dict[PathKey, Link] = {}  # the last length's dead or tied words
-    while dims[-1]:
+    prefix: list[Optional[tuple[int, str]]] = []
+    target: list[str] = []
+    dims: list[int] = []
+    # the records of a length and of the two before it, the basis index of
+    # each record of the last one (None for a word tied to another or to
+    # zero), and that length's tied words (source, word, target, root, ±1)
+    records: list = [(v, v, (), None) for v in pres.vertices]
+    before: list = []
+    layer: list = []
+    own: list[Optional[int]] = []
+    ties: list[tuple[str, tuple[str, ...], str, Optional[PathKey], int]] = []
+    while True:
+        pending = [
+            ((src, arrows + (b.id,)), q and (q[0], q[1] + (b.id,)), s)
+            for src, arrows, tgt, q, s in ties
+            for b in outgoing[tgt]
+        ]
+        pending += [
+            ((src, arrows + r), (src, arrows + q), -1)
+            for r, q, rsrc in binomials
+            for src, tgt, arrows, _ in before
+            if tgt == rsrc
+        ]
+        tied = _resolve_ties(pending, {(r[0], r[2]) for r in records}) if pending else {}
+        ties, own = [], []
+        for src, tgt, arrows, link in records:
+            key = (src, arrows)
+            hit = tied.get(key) if tied else None
+            if hit is not None:
+                root, s = hit
+                ties.append((src, arrows, tgt, root, s))
+                own.append(None)
+                if root is None:
+                    normal_forms[key] = {}
+                else:
+                    (k,) = normal_forms[root]  # the root's index, admitted first
+                    normal_forms[key] = {k: s}
+                    if link:
+                        extensions[link[0]][link[1]] = (k, s)
+                continue
+            i = len(basis)
+            own.append(i)
+            basis.append(key)
+            normal_forms[key] = {i: ONE}
+            prefix.append(link)
+            target.append(tgt)
+            if link:
+                m, a = link
+                extensions[m][a] = (i, ONE)
+                extensions.append({a: (i, repeats[a])} if a in repeats else {})
+            else:
+                extensions.append({})
+        dims.append(len(records) - len(ties))
+        before, layer = layer, records
         length = len(dims)
+        if length == 1:
+            records = [
+                (a.source, a.target, (a.id,), (vertex_index[a.source], a.id))
+                for a in sorted(pres.arrows, key=lambda a: a.id)
+            ]
+            continue
+        if not dims[-1]:
+            break
         if length > limit:
             raise error(
                 NOT_STABILIZED,
                 f"graded dimensions did not vanish by length {limit}",
             )
-        words: list[PathKey] = []
-        children: list[tuple[int, str, PathKey]] = []  # (basis parent, arrow, word)
-        for p in layers[-1]:
-            src, arrows = p
-            i = index_of.get(p)
-            for b in pres.outgoing[path_target(pres, p)]:
-                if (arrows[-1], b.id) in pres.monomial_pairs:
-                    continue
-                if arrows[-1] == b.id and b.id in values:  # e·e = value·e
-                    if values[b.id] and i is not None:
-                        extensions[i][b.id] = (i, values[b.id])
-                    continue
-                words.append(word := (src, arrows + (b.id,)))
-                if i is not None:
-                    children.append((i, b.id, word))
-        layers.append(words)
+        records = [
+            (src, t, arrows + (b,), None if i is None else (i, b))
+            for (src, _, arrows, _), i in zip(layer, own)
+            for b, t in follow[arrows[-1]]
+        ]
         # Sorted by graded piece, then lexicographically, so each survivor
         # is admitted before the words tied to it.
-        words.sort(key=lambda k: (k[0], path_target(pres, k), k[1]))
-        known = set(words)
-        up: dict[PathKey, Link] = {}
-
-        def find(p: Optional[PathKey]) -> Link:
-            sign = 1
-            while p in up:
-                p, s = up[p]
-                sign *= s
-            return p, sign
-
-        def tie(p: Optional[PathKey], q: Optional[PathKey], s: int) -> None:
-            (p, sp), (q, sq) = (find(k if k in known else None) for k in (p, q))
-            s *= sp * sq  # p and q are roots now, with p = s·q
-            if p != q:  # keep the zero root, else the lex-first one
-                keep, drop = sorted((p, q), key=lambda k: (k is not None, k))
-                up[drop] = (keep, s)
-            elif p is not None and s != 1:  # a cycle: p = -p, so 2p = 0
-                up[p] = (None, 1)
-
-        for p, (q, s) in ties.items():
-            for b in pres.outgoing[path_target(pres, p)]:
-                tie((p[0], p[1] + (b.id,)), q and (q[0], q[1] + (b.id,)), s)
-        for rel in binomials:
-            rsrc = pres.arrow_by_id[rel[0][0]].source
-            for src, arrows in layers[-3]:
-                if path_target(pres, (src, arrows)) == rsrc:
-                    tie((src, arrows + rel[0]), (src, arrows + rel[1]), -1)
-        ties = {}
-        for key in words:
-            root, s = find(key)
-            if root == key:
-                admit(key)
-            else:
-                ties[key] = (root, s)
-                normal_forms[key] = {} if root is None else {index_of[root]: s}
-        dims.append(len(words) - len(ties))
-        for i, b, word in children:
-            if nf := normal_forms[word]:
-                extensions[i][b] = next(iter(nf.items()))
+        records.sort()
     zero_length = len(dims) - 1
 
     # the paths with at most one ordinary arrow, of length 3 or less (e·a·e')
@@ -615,16 +655,19 @@ def graded_path_algebra(
             if sum(a not in values for a in basis[i][1]) <= 1
         )
     else:
-        generators = range(len(layers[0]) + dims[1])
+        generators = range(dims[0] + dims[1])
     ends: dict[str, dict[int, Cell]] = {v: {} for v in pres.vertices}
-    for j, key in enumerate(basis):
-        ends[path_target(pres, key)][j] = (j, ONE)
+    for j, t in enumerate(target):
+        ends[t][j] = (j, ONE)
     cells = [ends[v] for v in pres.vertices] + [None] * (len(basis) - len(ends))
-    rows = _PathRows(cells, basis, index_of, extensions)
+    rows = _PathRows(cells, prefix, extensions)
     rows.fill(generators)  # the vertex rows are filled already
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
     algebra = TableAlgebra(tuple(basis), rows, unit, generators)
-    return PathAlgebra(pres, algebra, normal_forms, zero_length, tuple(dims), values, extensions)
+    return PathAlgebra(
+        pres, algebra, normal_forms, zero_length, tuple(dims), values, extensions,
+        prefix, target,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +918,9 @@ def verify_morphism(
     ``e*e = value * e`` (value 1 unless overridden via ``loop_values``).
     ``expected_dim`` must be the independently computed domain dimension;
     the verdict combines homomorphism, surjectivity and the dimension
-    count.  A vertex or arrow of ``domain`` with no image raises
-    ``BAD_INPUT`` before any product is taken.
+    count.  A vertex or arrow of ``domain`` with no image, or with an
+    image whose index is not an ``int`` in ``range(len(target.rows))``,
+    raises ``BAD_INPUT`` before any product is taken.
 
     A :class:`TableAlgebra` and a :class:`CornerAlgebra` target are read
     the same way: products from its ``rows`` and ``mul``, the unit from
@@ -903,7 +947,9 @@ def verify_morphism(
     by a fraction-free echelon form that keeps no reduced basis
     (:class:`_EchelonRank`), and calls the map onto when the rank is the
     number of generators.  A word with source ``s`` is only extended on the
-    right by the arrows ending at ``s``, and only while it raises the rank.
+    right by the arrows ending at ``s``, and only while it raises the rank;
+    the closure stops once the rank is the number of generators, which it
+    cannot pass, since every vector added lies in their span.
     This is exact for every map that passes the homomorphism checks,
     indeed whenever the vertex images are orthogonal idempotents summing
     to the unit and each arrow image is framed by its endpoints: then
@@ -935,6 +981,19 @@ def verify_morphism(
     if missing:
         raise error(
             BAD_INPUT, f"no image is given for the generators {missing!r}", tuple(missing)
+        )
+    size = len(target.rows)
+    named = [(v, vertex_images[v]) for v in domain.vertices]
+    named += [(a.id, arrow_images[a.id]) for a in domain.arrows]
+    outside = [
+        gen for gen, img in named if not all(isinstance(k, int) and 0 <= k < size for k in img)
+    ]
+    if outside:
+        raise error(
+            BAD_INPUT,
+            f"the images of the generators {outside!r} have indices outside "
+            f"the target's {size} basis elements",
+            tuple(outside),
         )
     failures: list[str] = []
 
@@ -993,7 +1052,7 @@ def verify_morphism(
         img = _restrict(arrow_images[a.id], gens)
         if span.add(img):
             frontier.append((a.source, img))
-    while frontier:
+    while frontier and span.rank < len(gens):
         s, w = frontier.pop()
         for a in into[s]:
             prod = _restrict(target.mul(w, arrow_images[a.id]), gens)

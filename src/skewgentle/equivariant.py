@@ -105,7 +105,6 @@ from .algebra import (
     Vector,
     _add,
     graded_path_algebra,
-    path_target,
     skew_group_algebra,
     vadd,
     vaxpy,
@@ -141,7 +140,8 @@ def induced_basis_map(
 
     Each basis path goes to the class of its relabelled word.  A path
     ``a·p`` goes to ``σ_p`` times the extension cell of ``b_π(p)`` by the
-    image of ``a``, where its prefix ``p``, a basis path, went to
+    image of ``a``, where its prefix ``p``, a basis path read off the
+    link :attr:`~skewgentle.algebra.PathAlgebra.prefix`, went to
     ``σ_p·b_π(p)`` (ties join only parallel paths).  The vertices and the
     paths whose cell is empty go through
     :meth:`~skewgentle.algebra.PathAlgebra.reduce`, which raises
@@ -150,12 +150,12 @@ def induced_basis_map(
     than one term, and, through
     :class:`~skewgentle.algebra.SignedPermutation`, when the images are
     not ± a permutation of the basis."""
-    index_of, extensions = alg.algebra.index_of, alg.extensions
+    extensions = alg.extensions
     pi: list[int] = []
     sigma: list[Coeff] = []
-    for src, arrows in alg.algebra.labels:
-        m = index_of[(src, arrows[:-1])] if arrows else None
-        cell = None if m is None else extensions[pi[m]].get(generator_map[arrows[-1]])
+    for (src, arrows), link in zip(alg.algebra.labels, alg.prefix):
+        m = None if link is None else link[0]
+        cell = None if m is None else extensions[pi[m]].get(generator_map[link[1]])
         if cell is None:
             image = alg.reduce((generator_map[src], tuple(generator_map[a] for a in arrows)))
             if len(image) != 1:
@@ -210,7 +210,8 @@ def _crossed_corner(
     passed, ``s`` sends each vertex idempotent to one, ``e_π(w)``, with
     sign +1.  So ``e·(b_i⊗g)·e`` is ``b_i⊗g`` when the path ``b_i`` ends in
     ``V`` and starts in ``π^g(V)``, and 0 otherwise; the corner keeps the
-    first kind, read off the ends of each basis path, and marks the kept
+    first kind, read off the ends each basis path keeps
+    (:attr:`~skewgentle.algebra.PathAlgebra.target`), and marks the kept
     generators of ``A#ℤ₂`` as its own, counted once here.
 
     The vertices must meet every orbit ``{v, π(v)}``, or ``BAD_INPUT`` is
@@ -232,12 +233,8 @@ def _crossed_corner(
             tuple(sorted(missed)),
         )
     n = A.dimension
-    indices = tuple(
-        g * n + i
-        for g in (0, 1)
-        for i, key in enumerate(labels)
-        if key[0] in starts[g] and path_target(pres, key) in ends
-    )
+    ending = [i for i, t in enumerate(alg.target) if t in ends]
+    indices = tuple(g * n + i for g in (0, 1) for i in ending if labels[i][0] in starts[g])
     generators = skew.generators.intersection(indices)
     corner = CornerAlgebra(skew, orbit_idempotent(skew, vertices), indices, generators)
     return skew, corner

@@ -1051,6 +1051,12 @@ def _word_junction(presentation, values, a, b):
     return None
 
 
+def path_target(presentation, key) -> str:
+    """The vertex where the path ``key`` ends, read off its last arrow."""
+    src, arrows = key
+    return presentation.arrow_by_id[arrows[-1]].target if arrows else src
+
+
 def word_reduce(alg, key) -> dict:
     """The expansion of the composable word ``key`` in the path algebra
     ``alg``, by rewriting the word and reading the normal form of the

@@ -20,6 +20,7 @@ from oracles import (
     mat_rank,
     monomial_path_count,
     multiplicative,
+    path_target,
     relabelled_basis_map,
     relation_spans,
     skew_group_table,
@@ -1171,17 +1172,20 @@ def _assert_extension_fill_matches_words(pres, values=None):
     """The rows filled from the extension table equal the rows made by
     concatenating words (``oracles.word_rows``), column order included,
     and no cell holds a zero; every enumerated word reduces through the
-    table as by rewriting it; the prefix of every basis path is a basis
-    path; the graded dimensions count the basis paths by length, and the
-    generators are the basis paths with at most one ordinary arrow: the
-    vertices and arrows, and with special loops paths such as ``e·a``."""
+    table as by rewriting it; the links of every basis path are its prefix
+    and last arrow and its end, as its label gives them; the graded
+    dimensions count the basis paths by length, and the generators are the
+    basis paths with at most one ordinary arrow: the vertices and arrows,
+    and with special loops paths such as ``e·a``."""
     alg = graded_path_algebra(pres, values)
     A = alg.algebra
     assert [list(row.items()) for row in A.rows] == [list(r.items()) for r in word_rows(alg)]
     assert all(c for row in A.rows for _, c in row.values())
     for key in alg.normal_forms:
         assert alg.reduce(key) == word_reduce(alg, key), key
-    assert all((src, word[:-1]) in A.index_of for src, word in A.labels if word)
+    for j, (src, word) in enumerate(A.labels):
+        assert alg.prefix[j] == ((A.index_of[(src, word[:-1])], word[-1]) if word else None)
+        assert alg.target[j] == path_target(pres, (src, word))
     lengths = [len(word) for _, word in A.labels]
     assert alg.dims_by_length == tuple(map(lengths.count, range(alg.zero_length + 1)))
     ordinary = [sum(a not in pres.special for a in word) for _, word in A.labels]
@@ -1255,3 +1259,66 @@ def test_a_zero_loop_value_leaves_no_zero_cell(cylinders):
     assert loop not in alg.algebra.rows[loop]
     assert alg.reduce((triple.arrow_by_id[e].source, (e, e))) == {}
     assert all(c for row in alg.algebra.rows for _, c in row.values())
+
+
+class _CountedIndex(dict):
+    """An ``index_of`` that counts every read of an entry."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        self.read += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read += 1
+        return super().__contains__(key)
+
+
+def test_the_row_fill_reads_no_index_entry(cylinder_covers):
+    """``_PathRows.fill`` walks the prefix links: with ``index_of`` a
+    counting stand-in, filling every row of the cover, split and base
+    algebras reads no entry, and the rows equal the words'."""
+    for cov in [*cylinder_covers.values(), double_cover(one_orbifold_disc(8))]:
+        triple = cov.base_quiver.presentation
+        for pres in (cov.total_quiver.presentation, cov.split.presentation, triple):
+            alg = graded_path_algebra(pres)
+            A = alg.algebra
+            A.index_of = counted = _CountedIndex(A.index_of)
+            rows = [list(row.items()) for row in A.rows]
+            assert counted.read == 0 and A.rows.filled == A.dimension
+            assert rows == [list(row.items()) for row in word_rows(alg)]
+
+
+def test_verify_morphism_refuses_image_indices_outside_the_target():
+    """Every index of a generator image must be an ``int`` in
+    ``range(len(target.rows))``, or ``BAD_INPUT`` names the generators
+    before any product: an index past the end no longer raises a bare
+    ``IndexError``, nor is -1 read as the last row."""
+    pres = make_presentation(["1", "2"], [Arrow("a", "1", "2")])
+    alg = graded_path_algebra(pres)
+    A = alg.algebra
+    assert A.dimension == 3
+    vertices = {v: alg.vertex(v) for v in pres.vertices}
+    arrows = {"a": alg.arrow("a")}
+    assert verify_morphism(pres, vertices, arrows, A, 3).is_isomorphism
+    cases = [
+        (vertices, {"a": {7: 1}}, ("a",)),
+        ({**vertices, "2": {9: 1}}, arrows, ("2",)),
+        (vertices, {"a": {-1: 1}}, ("a",)),
+        ({**vertices, "1": {0: 1, 3: 1}}, {"a": {Fraction(2): 1}}, ("1", "a")),
+        (vertices, {"a": {"2": 1}}, ("a",)),
+    ]
+    for vertex_images, arrow_images, named in cases:
+        with pytest.raises(ValidationError) as exc:
+            verify_morphism(pres, vertex_images, arrow_images, A, 3)
+        (d,) = exc.value.diagnostics
+        assert d.code == "BAD_INPUT" and d.where == named
+        assert d.message == (
+            f"the images of the generators {list(named)!r} have indices outside "
+            "the target's 3 basis elements"
+        )
