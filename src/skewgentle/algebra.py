@@ -85,23 +85,18 @@ ZERO = 0
 
 def _exact(c: Any) -> Coeff:
     """``c`` as an exact rational: an ``int`` or ``Fraction`` as it is,
-    anything else (a float, a decimal string) through ``Fraction``."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+    anything else (a float, a decimal string) through ``Fraction``; what
+    ``Fraction`` cannot read raises ``BAD_INPUT``."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ArithmeticError):
+        raise error(BAD_INPUT, f"{c!r} is not an exact rational number") from None
 
 
 # ---------------------------------------------------------------------------
 # Sparse vectors
-
-
-def vec(*pairs: tuple[Any, Coeff]) -> Vector:
-    out: Vector = {}
-    for k, c in pairs:
-        c = _exact(c)
-        if c:
-            out[k] = out.get(k, ZERO) + c
-            if not out[k]:
-                del out[k]
-    return out
 
 
 def _add(out: Vector, k: Any, v: Coeff) -> None:
@@ -258,6 +253,10 @@ class _Rows:
 class TableAlgebra:
     """A finite-dimensional unital algebra with a sparse product table.
 
+    A basis element is its position ``i`` in vectors, rows and cells;
+    ``labels[i]`` only names it, and no index from labels is kept (a path
+    algebra reads words through :attr:`PathAlgebra.normal_forms`).
+
     ``rows[i]`` maps each column ``j`` whose product ``basis_i * basis_j``
     (composition order, ``basis_j`` applied first) is nonzero to its cell
     ``(k, c)``: the product is ``c·basis_k``, with ``c`` a nonzero exact
@@ -311,12 +310,8 @@ class TableAlgebra:
         return table
 
     def __post_init__(self):
-        self.index_of = {lab: i for i, lab in enumerate(self.labels)}
         if self.generators is None:
             self.generators = range(len(self.labels))
-
-    def element(self, label: Any, coeff: Coeff = ONE) -> Vector:
-        return vec((self.index_of[label], coeff))
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         out: Vector = {}
@@ -391,13 +386,15 @@ class PathAlgebra:
     """A quotient of a path algebra with a chosen monomial basis.
 
     ``normal_forms`` sends every enumerated path key to its expansion over
-    the basis (by index); paths at or beyond ``zero_length`` vanish, and so
-    do paths through a single-path relation.  Each special loop ``e``
-    satisfies ``e*e = loop_values[e] * e``.  ``extensions[j]`` maps each
-    arrow ``a`` with ``a·b_j`` nonzero to its cell; ``prefix[j]`` links a
-    basis path ``b_j = a·b_m`` to its prefix and last arrow as ``(m, a)``,
-    ``None`` for a vertex, and ``target[j]`` is the vertex where ``b_j``
-    ends (see :func:`graded_path_algebra`).
+    the basis (by position); paths at or beyond ``zero_length`` vanish, and
+    so do paths through a single-path relation.  It is the package's one
+    map from words to positions, read by :meth:`reduce`, :meth:`vertex`
+    and :meth:`arrow`.  Each special loop ``e`` satisfies
+    ``e*e = loop_values[e] * e``.  ``extensions[j]`` maps each arrow ``a``
+    with ``a·b_j`` nonzero to its cell; ``prefix[j]`` links a basis path
+    ``b_j = a·b_m`` to its prefix and last arrow as ``(m, a)``, ``None`` for
+    a vertex, and ``target[j]`` is the vertex where ``b_j`` ends (see
+    :func:`graded_path_algebra`).
     """
 
     presentation: Presentation
@@ -424,9 +421,10 @@ class PathAlgebra:
         extension cell per arrow; a word that starts at an unknown vertex
         or does not compose in the quiver raises ``BAD_INPUT``."""
         src, arrows = key
-        k = self.algebra.index_of.get((src, ()))
-        if k is None:
+        start = self.normal_forms.get((src, ()))
+        if start is None:
             raise error(BAD_INPUT, f"path {key!r} starts at an unknown vertex")
+        (k,) = start
         pres = self.presentation
         coeff, at = ONE, src
         for a in arrows:
@@ -476,6 +474,15 @@ def _resolve_ties(
     return {p: find(p) for p in up}
 
 
+def _require_special_keys(pres: Presentation, loop_values: Mapping[str, Coeff]) -> None:
+    """Raise ``BAD_INPUT`` naming each key of ``loop_values`` that is not a
+    special loop of ``pres``."""
+    unknown = [e for e in loop_values if e not in pres.special]
+    if unknown:
+        msg = f"loop values are given for {unknown!r}, which are not special loops"
+        raise error(BAD_INPUT, msg, tuple(unknown))
+
+
 def graded_path_algebra(
     pres: Presentation, loop_values: Optional[Mapping[str, Coeff]] = None
 ) -> PathAlgebra:
@@ -486,12 +493,14 @@ def graded_path_algebra(
     ``e*e = value * e``, with the value from ``loop_values`` (default 1).
     The ids of ``pres`` and the composability of its relations are checked
     first (``UNKNOWN_ID``, ``BAD_INPUT``); presentations with special loops
-    must pass :func:`check_skew_gentle`.  Paths are enumerated length by
-    length, never across a single-path relation or a repeated special loop.
-    Each word is built once, as the record (source, target, word, link to
-    its prefix), from a word of the last length and an arrow that may
-    follow it; the records of a length are sorted once, by graded piece
-    (source, target) and then lexicographically.
+    must pass :func:`check_skew_gentle`.  A ``loop_values`` key that is not
+    a special loop, or a value that is not an exact rational, raises
+    ``BAD_INPUT``.  Paths are enumerated length by length, never across a
+    single-path relation or a repeated special loop.  Each word is built
+    once, as the record (source, target, word, link to its prefix), from a
+    word of the last length and an arrow that may follow it; the records of
+    a length are sorted once, by graded piece (source, target) and then
+    lexicographically.
 
     A two-term relation ``p + q = 0`` is the tie ``p = -q``.  The ties of
     each length are those of the last length followed by an arrow, and the
@@ -547,6 +556,7 @@ def graded_path_algebra(
             _check_composability(pres, report)
         raise_on_error(report)
     loop_values = loop_values or {}
+    _require_special_keys(pres, loop_values)
     values = {e: _exact(loop_values.get(e, 1)) for e in pres.special}
     repeats = {e: c for e, c in values.items() if c and (e, e) not in pres.monomial_pairs}
     limit = len(pres.arrows) + 1
@@ -920,7 +930,8 @@ def verify_morphism(
     the verdict combines homomorphism, surjectivity and the dimension
     count.  A vertex or arrow of ``domain`` with no image, or with an
     image whose index is not an ``int`` in ``range(len(target.rows))``,
-    raises ``BAD_INPUT`` before any product is taken.
+    raises ``BAD_INPUT`` before any product is taken, and so does a
+    ``loop_values`` key that is not a special loop of ``domain``.
 
     A :class:`TableAlgebra` and a :class:`CornerAlgebra` target are read
     the same way: products from its ``rows`` and ``mul``, the unit from
@@ -995,6 +1006,8 @@ def verify_morphism(
             f"the target's {size} basis elements",
             tuple(outside),
         )
+    if loop_values:
+        _require_special_keys(domain, loop_values)
     failures: list[str] = []
 
     # ψ_u·ψ_v for every v at once, keyed by the position of v: one row walk

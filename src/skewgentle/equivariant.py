@@ -41,7 +41,9 @@ of ``A#ℤ₂`` as its own, and the morphism check closes the span of the
 images modulo the other kept indices, which lie in the square of the
 corner's radical since ``e`` is full; so a verdict reads only generator
 rows, and fills no other row of the cover or split algebra or of their
-crossed products.
+crossed products.  A basis element is its position, ``b_i⊗g`` at
+``g·n + i``, and a label only names it: ``e`` and the lifts of vertices
+and arrows are read off the path algebra's positions, moved by ``g·n``.
 
 Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
 by :func:`induced_basis_map` from a relabelling of the quiver.  There is
@@ -92,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from .algebra import (
     Cell,
@@ -146,10 +148,19 @@ def induced_basis_map(
     paths whose cell is empty go through
     :meth:`~skewgentle.algebra.PathAlgebra.reduce`, which raises
     ``BAD_INPUT`` for a word that does not compose.  Raises
-    ``BAD_INPUT`` when a relabelled basis path reduces to 0 or to more
-    than one term, and, through
+    ``BAD_INPUT`` before the walk when ``generator_map`` misses a vertex or
+    an arrow, or ``signs`` an arrow, naming them; when a relabelled basis
+    path reduces to 0 or to more than one term; and, through
     :class:`~skewgentle.algebra.SignedPermutation`, when the images are
     not ± a permutation of the basis."""
+    pres = alg.presentation
+    arrow_ids = [a.id for a in pres.arrows]
+    unmapped = [x for x in (*pres.vertices, *arrow_ids) if x not in generator_map]
+    unsigned = [a for a in arrow_ids if signs is not None and a not in signs]
+    for missing, what in ((unmapped, "image"), (unsigned, "sign")):
+        if missing:
+            msg = f"no {what} is given for the generators {missing!r}"
+            raise error(BAD_INPUT, msg, tuple(missing))
     extensions = alg.extensions
     pi: list[int] = []
     sigma: list[Coeff] = []
@@ -173,14 +184,6 @@ def induced_basis_map(
     return SignedPermutation(pi, sigma)
 
 
-def orbit_idempotent(skew: TableAlgebra, vertices: Iterable[str]) -> Vector:
-    """Sum of the degree-zero vertex idempotents over the given vertices."""
-    out: Vector = {}
-    for v in vertices:
-        out = vadd(out, skew.element(((v, ()), 0)))
-    return out
-
-
 def _require_involution(A: TableAlgebra, act: SignedPermutation) -> None:
     if not verify_algebra_involution(A, act):
         raise error(NOT_INVOLUTION, "the symmetry is not an algebra involution")
@@ -199,11 +202,12 @@ def _crossed_product(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
 
 
 def _crossed_corner(
-    alg: PathAlgebra, act: SignedPermutation, vertices: Iterable[str]
+    alg: PathAlgebra, act: SignedPermutation, vertices: Collection[str]
 ) -> tuple[TableAlgebra, CornerAlgebra]:
     """The crossed product ``A#ℤ₂`` of ``A = alg.algebra`` and its corner
     at ``e``, the sum of the degree-zero idempotents of ``vertices``, one
-    per orbit, as the indices it keeps.
+    per orbit, as the indices it keeps; ``e`` sits at the positions
+    ``alg.vertex`` gives the vertices, in degree zero.
 
     No product is taken.  ``(e_v⊗0)(b⊗g) = e_v·b⊗g`` and
     ``(b⊗g)(e_w⊗0) = b·s^g(e_w)⊗g``, and once the involution guard has
@@ -221,10 +225,10 @@ def _crossed_corner(
     :attr:`~skewgentle.algebra.CornerAlgebra.generators`."""
     A, pres = alg.algebra, alg.presentation
     skew = _crossed_product(A, act)
-    vertices = tuple(vertices)
     ends = set(vertices)
-    index_of, labels = A.index_of, A.labels
-    starts = (ends, {labels[act.pi[index_of[(v, ())]]][0] for v in ends})
+    positions = [k for v in vertices for k in alg.vertex(v)]
+    labels = A.labels
+    starts = (ends, {labels[act.pi[k]][0] for k in positions})
     if len(ends | starts[1]) < len(pres.vertices):
         missed = set(pres.vertices) - ends - starts[1]
         raise error(
@@ -236,16 +240,20 @@ def _crossed_corner(
     ending = [i for i, t in enumerate(alg.target) if t in ends]
     indices = tuple(g * n + i for g in (0, 1) for i in ending if labels[i][0] in starts[g])
     generators = skew.generators.intersection(indices)
-    corner = CornerAlgebra(skew, orbit_idempotent(skew, vertices), indices, generators)
+    corner = CornerAlgebra(skew, dict.fromkeys(positions, 1), indices, generators)
     return skew, corner
 
 
-def _vertex(skew: TableAlgebra, v: str, g: int) -> Vector:
-    return skew.element(((v, ()), g))
+def _vertex(alg: PathAlgebra, v: str, g: int) -> Vector:
+    """``e_v⊗g`` in ``A#ℤ₂``: ``e_v = b_k`` in ``A`` moved to ``g·n + k``."""
+    (k,) = alg.normal_forms[(v, ())]
+    return {g * alg.dimension + k: 1}
 
 
-def _arrow(skew: TableAlgebra, pres: Presentation, a: str, g: int) -> Vector:
-    return skew.element(((pres.arrow_by_id[a].source, (a,)), g))
+def _arrow(alg: PathAlgebra, a: str, g: int) -> Vector:
+    """``a⊗g`` in ``A#ℤ₂``: ``a = b_k`` in ``A`` moved to ``g·n + k``."""
+    (k,) = alg.normal_forms[(alg.presentation.arrow_by_id[a].source, (a,))]
+    return {g * alg.dimension + k: 1}
 
 
 def _divide(c: Coeff, d: int) -> Coeff:
@@ -380,10 +388,10 @@ def verify_skew_group_reduction(
         if v in special_vertices:
             for eps, sign in enumerate((1, -1)):
                 doubled[split_vertex_ids(v)[eps]] = vaxpy(
-                    _vertex(skew, lift, 0), _vertex(skew, lift, 1), sign
+                    _vertex(lam, lift, 0), _vertex(lam, lift, 1), sign
                 )
         else:
-            doubled[v] = vscale(_vertex(skew, lift, 0), 2)
+            doubled[v] = vscale(_vertex(lam, lift, 0), 2)
 
     survivors: dict[str, tuple[str, int]] = {}
     for sid, (aid, sdec, tdec) in sorted(split.origin.items()):
@@ -392,15 +400,12 @@ def verify_skew_group_reduction(
         # Both ends decorated: the +1 lift alone.  Otherwise the sum of the
         # lifts, or their difference at decoration 1, and with no decorated
         # end also their group-degree-one terms.
-        middle = _arrow(skew, pair, plus, 0)
+        middle = _arrow(lam, plus, 0)
         if sdec is None or tdec is None:
             sign = -1 if sdec or tdec else 1
-            middle = vadd(middle, vscale(_arrow(skew, pair, minus, 0), sign))
+            middle = vadd(middle, vscale(_arrow(lam, minus, 0), sign))
         if undecorated:
-            middle = vadd(
-                middle,
-                vadd(_arrow(skew, pair, plus, 1), _arrow(skew, pair, minus, 1)),
-            )
+            middle = vadd(middle, vadd(_arrow(lam, plus, 1), _arrow(lam, minus, 1)))
         # between two doubled ends the sandwich is 4·φ(a)
         ends = split.presentation.arrow_by_id[sid]
         img = skew.mul(doubled[ends.target], skew.mul(middle, doubled[ends.source]))
@@ -506,10 +511,11 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
     doubled: dict[str, Vector] = {}
     for v in pair.vertices:
         if v in cov.slit_arcs:
-            doubled[v] = vscale(_vertex(skew, split_vertex_ids(v)[0], 0), 2)
+            doubled[v] = vscale(_vertex(split_algebra, split_vertex_ids(v)[0], 0), 2)
         else:
             m, sheet = base_of_vertex[v]
-            doubled[v] = vaxpy(_vertex(skew, m, 0), _vertex(skew, m, 1), sheet)
+            lifts = _vertex(split_algebra, m, 0), _vertex(split_algebra, m, 1)
+            doubled[v] = vaxpy(*lifts, sheet)
     for a in pair.arrows:
         aid, sheet = base_of_arrow[a.id]
         arrow = triple.arrow_by_id[aid]
@@ -524,8 +530,8 @@ def verify_dual_reduction(cov: CoveringData) -> DualReduction:
             first = second = by_origin[(aid, None, tdec)]
             sheet = base_of_vertex[a.source][1]
         # the half-sum doubled twice, 4·φ(a)
-        first_term = _arrow(skew, split.presentation, first, 0)
-        second_term = _arrow(skew, split.presentation, second, 1)
+        first_term = _arrow(split_algebra, first, 0)
+        second_term = _arrow(split_algebra, second, 1)
         doubled[a.id] = vscale(vaxpy(first_term, second_term, sheet), 2)
 
     verdict, equivariant = _compare(

@@ -10,7 +10,9 @@ crossing count of ``is_dual_dissection``; :func:`corner_algebra` cuts a
 corner ``e·A·e`` by the sandwich ``e·b·e`` of every basis element, the
 reference for the index set the reductions read off the path ends; the
 two builders at the end make small algebras and maps from labels for
-hand-made test cases.  The one
+hand-made test cases, and :func:`index_of` and :func:`element` read a
+basis element's position off its label, which the library never does;
+:class:`CountedReads` counts the reads of an index.  The one
 exception is :func:`verify_multiplicative`, a row comparison over the
 library's sparse-row helpers run on every row of a table: the tests hold
 it against the all-pairs loop :func:`multiplicative`, and the iterated
@@ -927,13 +929,43 @@ def algebra_from_products(labels, product, unit):
     return TableAlgebra(labels, rows, {index[k]: c for k, c in unit.items() if c})
 
 
+def index_of(algebra) -> dict:
+    """The position of each basis label of ``algebra``: the library keeps
+    labels for display only and addresses basis elements by position."""
+    return {lab: i for i, lab in enumerate(algebra.labels)}
+
+
+def element(algebra, label) -> dict:
+    """The basis element labelled ``label``, as a one-term vector."""
+    return {algebra.labels.index(label): 1}
+
+
+class CountedReads(dict):
+    """A dict that counts every read of an entry, for tests that bound the
+    lookups of an index such as ``PathAlgebra.normal_forms``."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        self.read += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read += 1
+        return super().__contains__(key)
+
+
 def basis_map_from_permutation(algebra, label_map, signs=None):
     """The :class:`~skewgentle.SignedPermutation` sending each basis label
     ``x`` to ``signs[x]`` (default 1) times the basis element
     ``label_map[x]``."""
-    signs = signs or {}
+    signs, index = signs or {}, index_of(algebra)
     return SignedPermutation(
-        [algebra.index_of[label_map[lab]] for lab in algebra.labels],
+        [index[label_map[lab]] for lab in algebra.labels],
         [signs.get(lab, 1) for lab in algebra.labels],
     )
 

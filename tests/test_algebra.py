@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    CountedReads,
     SpanBasis,
     algebra_from_products,
     apply_map,
     associative,
     basis_map_from_permutation,
     corner_algebra,
+    element,
     generated_dimension,
     generated_rank_modulo,
     generates,
     grading_signs,
     images_of,
+    index_of,
     mat_rank,
     monomial_path_count,
     multiplicative,
@@ -333,7 +336,7 @@ def test_product_of_fields_is_associative():
     A = _delta_algebra(["p", "q"])
     assert A.dimension == 2
     assert associative(A)
-    p, q = A.element("p"), A.element("q")
+    p, q = element(A, "p"), element(A, "q")
     assert A.mul(p, q) == {}
     assert veq(A.mul(p, p), p)
     assert A.rows == [{0: (0, 1)}, {1: (1, 1)}]
@@ -382,7 +385,7 @@ def test_verify_associativity_catches_a_failure_behind_a_zero_left_product():
 
     labels = ["e", "a", "b", "c", "d", "f"]
     A = algebra_from_products(labels, prod, {"e": ONE})
-    basis = {lab: A.element(lab) for lab in labels}
+    basis = {lab: element(A, lab) for lab in labels}
     failing = [
         (x, y, z)
         for x in labels
@@ -546,7 +549,7 @@ def test_reduce_kills_relations_and_collapses_special_loops(cylinders):
     alg = graded_path_algebra(triple, {e: Fraction(5) for e in triple.special})
     assert alg.reduce(("1", ("1.2", "2.3"))) == {}
     assert alg.reduce(("1", ("1.2", "2.2", "2.3", "3.4"))) == {}
-    collapsed = alg.algebra.index_of[("1", ("1.2", "2.2"))]
+    collapsed = index_of(alg.algebra)[("1", ("1.2", "2.2"))]
     assert alg.reduce(("1", ("1.2", "2.2", "2.2"))) == {collapsed: Fraction(5)}
     assert alg.reduce(("1", ("1.2", "2.2", "2.2", "2.2"))) == {collapsed: Fraction(25)}
     with pytest.raises(ValidationError) as exc:
@@ -668,7 +671,7 @@ def test_a_piece_that_meets_zero_vanishes():
     alg, zeros = _vanishing("1234", arrows, [(("a", "b"), ("a", "c")), (("b", "d"),)])
     assert alg.dims_by_length == (4, 4, 2, 0)
     assert zeros == {("1", ("a", "c", "d"))}
-    ab = alg.algebra.index_of[("1", ("a", "b"))]
+    ab = index_of(alg.algebra)[("1", ("a", "b"))]
     assert alg.normal_forms[("1", ("a", "c"))] == {ab: -1}
 
 
@@ -1154,9 +1157,9 @@ def test_corner_refuses_an_idempotent_that_mixes_basis_elements():
 
     A = algebra_from_products(["11", "12", "22"], prod, {"11": ONE, "22": ONE})
     assert associative(A)
-    e = vadd(A.element("11"), A.element("12"))
+    e = vadd(element(A, "11"), element(A, "12"))
     assert A.mul(e, e) == e
-    assert A.mul(e, A.mul(A.element("11"), e)) == e
+    assert A.mul(e, A.mul(element(A, "11"), e)) == e
     with pytest.raises(ValueError, match="neither b nor 0"):
         corner_algebra(A, e)
 
@@ -1183,8 +1186,9 @@ def _assert_extension_fill_matches_words(pres, values=None):
     assert all(c for row in A.rows for _, c in row.values())
     for key in alg.normal_forms:
         assert alg.reduce(key) == word_reduce(alg, key), key
+    index = index_of(A)
     for j, (src, word) in enumerate(A.labels):
-        assert alg.prefix[j] == ((A.index_of[(src, word[:-1])], word[-1]) if word else None)
+        assert alg.prefix[j] == ((index[(src, word[:-1])], word[-1]) if word else None)
         assert alg.target[j] == path_target(pres, (src, word))
     lengths = [len(word) for _, word in A.labels]
     assert alg.dims_by_length == tuple(map(lengths.count, range(alg.zero_length + 1)))
@@ -1254,41 +1258,24 @@ def test_a_zero_loop_value_leaves_no_zero_cell(cylinders):
     triple = triple_from_x_dissection(cylinders[1])
     e = min(triple.special)
     alg = graded_path_algebra(triple, {x: 0 for x in triple.special})
-    loop = alg.algebra.index_of[(triple.arrow_by_id[e].source, (e,))]
+    loop = index_of(alg.algebra)[(triple.arrow_by_id[e].source, (e,))]
     assert e not in alg.extensions[loop]
     assert loop not in alg.algebra.rows[loop]
     assert alg.reduce((triple.arrow_by_id[e].source, (e, e))) == {}
     assert all(c for row in alg.algebra.rows for _, c in row.values())
 
 
-class _CountedIndex(dict):
-    """An ``index_of`` that counts every read of an entry."""
-
-    read = 0
-
-    def __getitem__(self, key):
-        self.read += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read += 1
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.read += 1
-        return super().__contains__(key)
-
-
 def test_the_row_fill_reads_no_index_entry(cylinder_covers):
-    """``_PathRows.fill`` walks the prefix links: with ``index_of`` a
-    counting stand-in, filling every row of the cover, split and base
-    algebras reads no entry, and the rows equal the words'."""
+    """``_PathRows.fill`` walks the prefix links: with ``normal_forms``, the
+    one index from words to positions, a counting stand-in, filling every
+    row of the cover, split and base algebras reads no entry, and the rows
+    equal the words'."""
     for cov in [*cylinder_covers.values(), double_cover(one_orbifold_disc(8))]:
         triple = cov.base_quiver.presentation
         for pres in (cov.total_quiver.presentation, cov.split.presentation, triple):
             alg = graded_path_algebra(pres)
             A = alg.algebra
-            A.index_of = counted = _CountedIndex(A.index_of)
+            alg.normal_forms = counted = CountedReads(alg.normal_forms)
             rows = [list(row.items()) for row in A.rows]
             assert counted.read == 0 and A.rows.filled == A.dimension
             assert rows == [list(row.items()) for row in word_rows(alg)]

@@ -14,6 +14,7 @@ import pytest
 import skewgentle
 from skewgentle import (
     Arc,
+    Arrow,
     BoundarySegment,
     DissectedSurface,
     GradedArc,
@@ -22,6 +23,7 @@ from skewgentle import (
     fixtures,
     graded_arcs_from_solution,
     graded_path_algebra,
+    make_presentation,
     puncture_loop,
     special_chain_triple,
     special_piece,
@@ -29,6 +31,7 @@ from skewgentle import (
     triple_from_x_dissection,
     two_hole_torus_surface,
     two_orbifold_cylinder,
+    verify_deformation_map,
     verify_morphism,
 )
 from skewgentle.diagnostics import (
@@ -39,6 +42,7 @@ from skewgentle.diagnostics import (
     Report,
     ValidationError,
 )
+from skewgentle.equivariant import induced_basis_map
 
 SRC = Path(skewgentle.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -433,12 +437,39 @@ def _cylinder_and_dual():
     return s, dual_dissection(s)[0]
 
 
+def _line_algebra():
+    """The path algebra of 1 -a→ 2 -b→ 3."""
+    return graded_path_algebra(
+        make_presentation("123", [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    )
+
+
+_LINE_MAP = {"1": "1", "2": "2", "3": "3", "a": "a", "b": "b"}
+
+
+def _at_first_loop(s, value):
+    """``graded_path_algebra`` on the triple of ``s`` with ``value`` at its
+    first special loop."""
+    triple = triple_from_x_dissection(s)
+    return graded_path_algebra(triple, {min(triple.special): value})
+
+
+def _identity_check(s, loop_values):
+    """``verify_morphism`` of the identity of the triple of ``s``, with
+    ``loop_values``."""
+    triple = triple_from_x_dissection(s)
+    alg = graded_path_algebra(triple)
+    vertices = {v: alg.vertex(v) for v in triple.vertices}
+    arrows = {a.id: alg.arrow(a.id) for a in triple.arrows}
+    return verify_morphism(triple, vertices, arrows, alg.algebra, alg.dimension, loop_values)
+
+
 @pytest.mark.parametrize(
-    "call, code",
+    "call, code, where",
     [
         # a curve on the base read on the total surface of the cover
-        (lambda s, d: transport_curve(double_cover(s), d), UNKNOWN_ID),
-        (lambda s, d: graded_arcs_from_solution([d], {}), BAD_INPUT),
+        (lambda s, d: transport_curve(double_cover(s), d), UNKNOWN_ID, None),
+        (lambda s, d: graded_arcs_from_solution([d], {}), BAD_INPUT, None),
         # no image for any generator of the split presentation
         (
             lambda s, d: verify_morphism(
@@ -446,11 +477,45 @@ def _cylinder_and_dual():
                 graded_path_algebra(triple_from_x_dissection(s)).algebra, 3,
             ),
             BAD_INPUT,
+            None,
         ),
+        # a relabelling without the arrow b, and signs without it
+        (
+            lambda s, d: induced_basis_map(
+                _line_algebra(), {k: v for k, v in _LINE_MAP.items() if k != "b"}
+            ),
+            BAD_INPUT,
+            ("b",),
+        ),
+        (
+            lambda s, d: induced_basis_map(_line_algebra(), _LINE_MAP, {"a": 1}),
+            BAD_INPUT,
+            ("b",),
+        ),
+        # a loop value keyed by no special loop, or not an exact rational
+        (
+            lambda s, d: graded_path_algebra(triple_from_x_dissection(s), {"zz": 2}),
+            BAD_INPUT,
+            ("zz",),
+        ),
+        (lambda s, d: _at_first_loop(s, "abc"), BAD_INPUT, None),
+        (lambda s, d: _at_first_loop(s, None), BAD_INPUT, None),
+        (
+            lambda s, d: verify_deformation_map(triple_from_x_dissection(s), "abc"),
+            BAD_INPUT,
+            None,
+        ),
+        (lambda s, d: _identity_check(s, {"zz": 2}), BAD_INPUT, ("zz",)),
     ],
-    ids=["transport_curve", "graded_arcs_from_solution", "verify_morphism"],
+    ids=[
+        "transport_curve", "graded_arcs_from_solution", "verify_morphism",
+        "induced_basis_map-image", "induced_basis_map-sign", "graded_path_algebra-key",
+        "graded_path_algebra-text", "graded_path_algebra-none", "verify_deformation_map",
+        "verify_morphism-loop",
+    ],
 )
-def test_bad_arguments_raise_a_validation_error(call, code):
+def test_bad_arguments_raise_a_validation_error(call, code, where):
     with pytest.raises(ValidationError) as exc:
         call(*_cylinder_and_dual())
     assert code in [d.code for d in exc.value.diagnostics]
+    assert where is None or where in [d.where for d in exc.value.diagnostics]

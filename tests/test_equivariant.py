@@ -8,6 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from oracles import (
+    CountedReads,
     SpanBasis,
     algebra_from_products,
     apply_map,
@@ -19,8 +20,10 @@ from oracles import (
     corner_algebra,
     corner_dimension,
     crossed_rows,
+    element,
     generates,
     images_of,
+    index_of,
     involution_all_cells,
     matrix_algebra,
     matrix_table,
@@ -607,10 +610,10 @@ def test_involution_guard_agrees_with_all_pairs_oracle(symmetry_covers):
 def _reduced_relabelling(alg, generator_map, signs):
     """The images of the relabelling, each label rewritten through
     ``reduce``, and how many relabelled paths are not basis paths."""
-    images, misses = [], 0
+    images, misses, index = [], 0, index_of(alg.algebra)
     for src, arrows in alg.algebra.labels:
         mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
-        misses += mapped not in alg.algebra.index_of
+        misses += mapped not in index
         image = alg.reduce(mapped)
         for a in arrows:
             image = {k: c * signs.get(a, 1) for k, c in image.items()}
@@ -650,7 +653,7 @@ def test_induced_map_refuses_a_relabelling_that_sends_a_basis_path_to_zero():
         [(("a", "b"),)],
     )
     alg = graded_path_algebra(pres)
-    assert ("1", ("a", "c")) in alg.algebra.index_of
+    assert ("1", ("a", "c")) in alg.algebra.labels
     swap = {"1": "1", "2": "2", "3": "3", "a": "a", "b": "c", "c": "b"}
     with pytest.raises(ValidationError) as exc:
         equivariant.induced_basis_map(alg, swap)
@@ -973,8 +976,8 @@ def test_corner_coordinates_reject_an_image_outside_the_corner():
     A = algebra_from_products(
         ["u", "v"], lambda a, b: {a: ONE} if a == b else {}, {"u": ONE, "v": ONE}
     )
-    corner = CornerAlgebra(A, A.element("u"), (0,))
-    doubled = {"u": A.element("u"), "v": A.element("v")}
+    corner = CornerAlgebra(A, element(A, "u"), (0,))
+    doubled = {"u": element(A, "u"), "v": element(A, "v")}
     with pytest.raises(ValidationError) as exc:
         equivariant._compare(A, corner, pres, doubled, 1, {"u": "u", "v": "v"})
     assert [d.code for d in exc.value.diagnostics] == ["OUTSIDE_CORNER"]
@@ -1309,7 +1312,7 @@ def test_each_arrow_row_can_be_the_only_witness(monkeypatch, ids):
             for j, (k, c) in A.rows[g].items()
         )
     ]
-    assert witnesses == [A.index_of[("3", (w,))]]
+    assert witnesses == [index_of(A)[("3", (w,))]]
     assert not verify_algebra_involution(A, act)
     assert not involution_all_cells(A, act)
     monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
@@ -1448,6 +1451,34 @@ def test_the_closure_takes_no_product_on_the_ladder(monkeypatch, cylinder_covers
     assert (len(cut), images) == (505, 505)
 
 
+def test_the_reductions_look_up_words_per_generator_on_the_ladder(
+    monkeypatch, cylinder_covers, disc_xx
+):
+    """Both reductions turn words into positions only through the
+    ``normal_forms`` of the path algebras they build, for the vertices and
+    arrows they lift, map and cut at: on the twelve ladder covers each
+    algebra reads it at most ``6·(|Q₀| + |Q₁|)`` times (the most is 4.6
+    times, on a split), whatever its dimension, and no crossed product
+    keeps a label index."""
+    built = []
+    build = equivariant.graded_path_algebra
+
+    def counted(pres, *args):
+        alg = build(pres, *args)
+        alg.normal_forms = CountedReads(alg.normal_forms)
+        built.append(alg)
+        return alg
+
+    monkeypatch.setattr(equivariant, "graded_path_algebra", counted)
+    for cov in _ladder_covers(cylinder_covers, disc_xx):
+        for red in (verify_skew_group_reduction(cov), verify_dual_reduction(cov)):
+            assert red.verdict.is_isomorphism and not hasattr(red.skew, "index_of")
+    assert len(built) == 24
+    for alg in built:
+        pres = alg.presentation
+        assert 0 < alg.normal_forms.read <= 6 * (len(pres.vertices) + len(pres.arrows))
+
+
 def test_a_corner_whose_vertices_miss_an_orbit_is_bad_input(cylinder_covers):
     """The corner's idempotent must be full: its vertices meet every orbit
     of the symmetry, or ``_crossed_corner`` refuses them."""
@@ -1458,7 +1489,7 @@ def test_a_corner_whose_vertices_miss_an_orbit_is_bad_input(cylinder_covers):
     skew, corner = equivariant._crossed_corner(lam, deck, vertices)
     assert corner.dimension == skew.dimension  # e = 1⊗0 is the unit
     first = vertices[0]
-    partner = lam.algebra.labels[deck.pi[lam.algebra.index_of[(first, ())]]][0]
+    partner = lam.algebra.labels[deck.pi[index_of(lam.algebra)[(first, ())]]][0]
     with pytest.raises(ValidationError) as exc:
         equivariant._crossed_corner(lam, deck, [first])
     (diagnostic,) = exc.value.diagnostics
@@ -1503,7 +1534,8 @@ def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators():
     skew = skew_group_algebra(A, swap_arrows)
     assert skew.generators == frozenset(range(5)) | frozenset(range(n, n + 5))
     assert skew.rows.filled == 10
-    path = A.index_of[("1", ("a", "b"))]
-    swap_out = SignedPermutation((0, 1, 2, path, 4, A.index_of[("1", ("a",))]), (1,) * n)
+    index = index_of(A)
+    path, a = index[("1", ("a", "b"))], index[("1", ("a",))]
+    swap_out = SignedPermutation((0, 1, 2, path, 4, a), (1,) * n)
     skew = skew_group_algebra(A, swap_out)
     assert skew.generators == frozenset(range(2 * n)) and skew.rows.filled == 2 * n
