@@ -254,8 +254,8 @@ class TableAlgebra:
     """A finite-dimensional unital algebra with a sparse product table.
 
     A basis element is its position ``i`` in vectors, rows and cells;
-    ``labels[i]`` only names it, and no index from labels is kept (a path
-    algebra reads words through :attr:`PathAlgebra.normal_forms`).
+    ``labels[i]`` names it, and no index from labels is kept (a path
+    algebra starts its walks at :attr:`PathAlgebra.vertex_index`).
 
     ``rows[i]`` maps each column ``j`` whose product ``basis_i * basis_j``
     (composition order, ``basis_j`` applied first) is nonzero to its cell
@@ -385,23 +385,22 @@ class _PathRows(_Rows):
 class PathAlgebra:
     """A quotient of a path algebra with a chosen monomial basis.
 
-    ``normal_forms`` sends every enumerated path key to its expansion over
-    the basis (by position); paths at or beyond ``zero_length`` vanish, and
-    so do paths through a single-path relation.  It is the package's one
-    map from words to positions, read by :meth:`reduce`, :meth:`vertex`
-    and :meth:`arrow`.  Each special loop ``e`` satisfies
-    ``e*e = loop_values[e] * e``.  ``extensions[j]`` maps each arrow ``a``
-    with ``a·b_j`` nonzero to its cell; ``prefix[j]`` links a basis path
-    ``b_j = a·b_m`` to its prefix and last arrow as ``(m, a)``, ``None`` for
-    a vertex, and ``target[j]`` is the vertex where ``b_j`` ends (see
-    :func:`graded_path_algebra`).
+    The labels of ``algebra`` are its basis paths ``(source, arrows)``.
+    The vertices come first in the basis, in ``presentation.vertices``
+    order, and ``vertex_index`` maps each vertex to its position: the
+    package's one lookup from names to positions.  ``extensions[j]`` maps
+    each arrow ``a`` with ``a·b_j`` nonzero to its cell, the normal form of
+    ``a·b_j``; this table is the only record of the normal forms, and
+    :meth:`reduce` walks it from the start vertex of a word.  Each special
+    loop ``e`` satisfies ``e*e = loop_values[e] * e``.  ``prefix[j]``
+    links a basis path ``b_j = a·b_m`` to its prefix and last arrow as
+    ``(m, a)``, ``None`` for a vertex, and ``target[j]`` is the vertex
+    where ``b_j`` ends (see :func:`graded_path_algebra`).
     """
 
     presentation: Presentation
     algebra: TableAlgebra
-    normal_forms: dict[PathKey, Vector]
-    zero_length: int
-    dims_by_length: tuple[int, ...]
+    vertex_index: dict[str, int]
     loop_values: Mapping[str, Coeff]
     extensions: list[dict[str, Cell]]
     prefix: list[Optional[tuple[int, str]]]
@@ -421,10 +420,9 @@ class PathAlgebra:
         extension cell per arrow; a word that starts at an unknown vertex
         or does not compose in the quiver raises ``BAD_INPUT``."""
         src, arrows = key
-        start = self.normal_forms.get((src, ()))
-        if start is None:
+        k = self.vertex_index.get(src)
+        if k is None:
             raise error(BAD_INPUT, f"path {key!r} starts at an unknown vertex")
-        (k,) = start
         pres = self.presentation
         coeff, at = ONE, src
         for a in arrows:
@@ -507,7 +505,9 @@ def graded_path_algebra(
     two-term relations preceded by a path; a term that is not an enumerated
     word is zero.  They are resolved by a signed union-find over the words
     of that length (:func:`_resolve_ties`), so the normal form of every
-    path is 0 or ±1 times one basis path, with no division; a repeated
+    path is 0 or ±1 times one basis path, with no division; a tied word
+    reads the index of its root, admitted first, off the survivors of its
+    length, indexed only at a length that a tie reaches.  A repeated
     special loop only scales a path by its value, so the basis does not
     depend on the loop values, and each product is stored as one cell
     ``(k, c)``.  A length that no tie reaches (every length of a gentle
@@ -578,7 +578,6 @@ def graded_path_algebra(
     vertex_index = {v: i for i, v in enumerate(pres.vertices)}
 
     basis: list[PathKey] = []
-    normal_forms: dict[PathKey, Vector] = {}
     extensions: list[dict[str, Cell]] = []
     prefix: list[Optional[tuple[int, str]]] = []
     target: list[str] = []
@@ -604,6 +603,7 @@ def graded_path_algebra(
             if tgt == rsrc
         ]
         tied = _resolve_ties(pending, {(r[0], r[2]) for r in records}) if pending else {}
+        roots: dict[PathKey, int] = {}  # this length's survivors, if a tie reaches it
         ties, own = [], []
         for src, tgt, arrows, link in records:
             key = (src, arrows)
@@ -612,18 +612,14 @@ def graded_path_algebra(
                 root, s = hit
                 ties.append((src, arrows, tgt, root, s))
                 own.append(None)
-                if root is None:
-                    normal_forms[key] = {}
-                else:
-                    (k,) = normal_forms[root]  # the root's index, admitted first
-                    normal_forms[key] = {k: s}
-                    if link:
-                        extensions[link[0]][link[1]] = (k, s)
+                if root is not None and link:
+                    extensions[link[0]][link[1]] = (roots[root], s)
                 continue
             i = len(basis)
             own.append(i)
             basis.append(key)
-            normal_forms[key] = {i: ONE}
+            if tied:
+                roots[key] = i
             prefix.append(link)
             target.append(tgt)
             if link:
@@ -656,7 +652,6 @@ def graded_path_algebra(
         # Sorted by graded piece, then lexicographically, so each survivor
         # is admitted before the words tied to it.
         records.sort()
-    zero_length = len(dims) - 1
 
     # the paths with at most one ordinary arrow, of length 3 or less (e·a·e')
     if values:
@@ -674,10 +669,7 @@ def graded_path_algebra(
     rows.fill(generators)  # the vertex rows are filled already
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
     algebra = TableAlgebra(tuple(basis), rows, unit, generators)
-    return PathAlgebra(
-        pres, algebra, normal_forms, zero_length, tuple(dims), values, extensions,
-        prefix, target,
-    )
+    return PathAlgebra(pres, algebra, vertex_index, values, extensions, prefix, target)
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +749,14 @@ class SignedPermutation:
         object.__setattr__(self, "sigma", tuple(int(s) for s in sigma))
 
     def apply(self, x: Vector) -> Vector:
-        """``s(x)``; the indices of ``x`` go to distinct indices."""
+        """``s(x)``; the indices of ``x`` go to distinct indices.  An index
+        that is not an ``int`` in ``range(n)`` raises ``BAD_INPUT``, so -1
+        is not read as the last basis element."""
         pi, sigma = self.pi, self.sigma
+        outside = [i for i in x if not (isinstance(i, int) and 0 <= i < len(pi))]
+        if outside:
+            msg = f"the indices {outside!r} are outside the {len(pi)} basis elements"
+            raise error(BAD_INPUT, msg, tuple(outside))
         return {pi[i]: sigma[i] * c for i, c in x.items()}
 
 

@@ -42,8 +42,11 @@ images modulo the other kept indices, which lie in the square of the
 corner's radical since ``e`` is full; so a verdict reads only generator
 rows, and fills no other row of the cover or split algebra or of their
 crossed products.  A basis element is its position, ``b_i⊗g`` at
-``g·n + i``, and a label only names it: ``e`` and the lifts of vertices
-and arrows are read off the path algebra's positions, moved by ``g·n``.
+``g·n + i``: ``e`` and the lifts are read off the path algebra's
+``vertex_index`` and extension cells, moved by ``g·n``, and a survivor at
+``g·n + i`` off the word of ``b_i``.  No crossed product's label is read;
+a path algebra's labels are its basis paths, read for the sources in the
+corner cut and for the words :func:`induced_basis_map` relabels.
 
 Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
 by :func:`induced_basis_map` from a relabelling of the quiver.  There is
@@ -206,8 +209,10 @@ def _crossed_corner(
 ) -> tuple[TableAlgebra, CornerAlgebra]:
     """The crossed product ``A#ℤ₂`` of ``A = alg.algebra`` and its corner
     at ``e``, the sum of the degree-zero idempotents of ``vertices``, one
-    per orbit, as the indices it keeps; ``e`` sits at the positions
-    ``alg.vertex`` gives the vertices, in degree zero.
+    per orbit, as the indices it keeps; ``e`` sits at the vertices'
+    positions in ``alg.vertex_index``, in degree zero.  The vertices come
+    first in the basis, in the presentation's order, so ``s`` sends the
+    one at ``k`` to ``pres.vertices[π(k)]``.
 
     No product is taken.  ``(e_v⊗0)(b⊗g) = e_v·b⊗g`` and
     ``(b⊗g)(e_w⊗0) = b·s^g(e_w)⊗g``, and once the involution guard has
@@ -226,9 +231,8 @@ def _crossed_corner(
     A, pres = alg.algebra, alg.presentation
     skew = _crossed_product(A, act)
     ends = set(vertices)
-    positions = [k for v in vertices for k in alg.vertex(v)]
-    labels = A.labels
-    starts = (ends, {labels[act.pi[k]][0] for k in positions})
+    positions = [alg.vertex_index[v] for v in vertices]
+    starts = (ends, {pres.vertices[act.pi[k]] for k in positions})
     if len(ends | starts[1]) < len(pres.vertices):
         missed = set(pres.vertices) - ends - starts[1]
         raise error(
@@ -238,6 +242,7 @@ def _crossed_corner(
         )
     n = A.dimension
     ending = [i for i, t in enumerate(alg.target) if t in ends]
+    labels = A.labels
     indices = tuple(g * n + i for g in (0, 1) for i in ending if labels[i][0] in starts[g])
     generators = skew.generators.intersection(indices)
     corner = CornerAlgebra(skew, dict.fromkeys(positions, 1), indices, generators)
@@ -245,14 +250,14 @@ def _crossed_corner(
 
 
 def _vertex(alg: PathAlgebra, v: str, g: int) -> Vector:
-    """``e_v⊗g`` in ``A#ℤ₂``: ``e_v = b_k`` in ``A`` moved to ``g·n + k``."""
-    (k,) = alg.normal_forms[(v, ())]
-    return {g * alg.dimension + k: 1}
+    """``e_v⊗g`` in ``A#ℤ₂``: ``e_v = b_k``, ``k = vertex_index[v]``, at ``g·n + k``."""
+    return {g * alg.dimension + alg.vertex_index[v]: 1}
 
 
 def _arrow(alg: PathAlgebra, a: str, g: int) -> Vector:
-    """``a⊗g`` in ``A#ℤ₂``: ``a = b_k`` in ``A`` moved to ``g·n + k``."""
-    (k,) = alg.normal_forms[(alg.presentation.arrow_by_id[a].source, (a,))]
+    """``a⊗g`` in ``A#ℤ₂``: ``a = b_k``, its source's cell by ``a``, at ``g·n + k``."""
+    source = alg.vertex_index[alg.presentation.arrow_by_id[a].source]
+    k, _ = alg.extensions[source][a]
     return {g * alg.dimension + k: 1}
 
 
@@ -420,8 +425,8 @@ def verify_skew_group_reduction(
                     BAD_LIFT,
                     f"sandwich of arrow {aid!r} has coefficient {_divide(c, 4)}, not 1",
                 )
-            key, g = skew.labels[k]
-            survivors[sid] = (key[1][0], g)
+            g, i = divmod(k, lam.dimension)
+            survivors[sid] = (lam.algebra.labels[i][1][0], g)
         doubled[sid] = img
 
     verdict, swap_compat = _compare(

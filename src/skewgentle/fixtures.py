@@ -9,8 +9,9 @@ are read from the bundled ``.surf`` files, so each has one source.
 from __future__ import annotations
 
 from importlib import resources
+from typing import Optional
 
-from .diagnostics import raise_on_error
+from .diagnostics import BAD_INPUT, error, raise_on_error
 from .presentations import (
     Arrow,
     Presentation,
@@ -57,14 +58,27 @@ def _checked(surface: DissectedSurface) -> DissectedSurface:
     return surface
 
 
+def _require_int(name: str, value, least: int, most: Optional[int] = None) -> None:
+    """Raise ``BAD_INPUT`` naming ``name`` unless ``value`` is an ``int``,
+    not a ``bool``, from ``least`` up to ``most`` (no bound when ``None``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < least
+        or (most is not None and value > most)
+    ):
+        span = f"{least} or more" if most is None else f"{least}..{most}"
+        raise error(BAD_INPUT, f"{name} must be an int {span}, got {value!r}", (name,))
+
+
 def two_orbifold_cylinder(variant: int = 1) -> DissectedSurface:
     """A cylinder with one marked point per boundary circle and two
     orbifold points, dissected by four arcs (the bundled file
     ``cylinder<variant>.surf``).  The four variants differ in which
     boundary circle the orbifold arcs and the second cross-arc hang from;
-    all four give skew-gentle presentations with the same vertex count."""
-    if variant not in (1, 2, 3, 4):
-        raise ValueError(f"variant must be 1..4, got {variant}")
+    all four give skew-gentle presentations with the same vertex count.
+    Any other ``variant`` raises ``BAD_INPUT``."""
+    _require_int("variant", variant, 1, 4)
     return _load(f"cylinder{variant}").surface
 
 
@@ -77,9 +91,9 @@ def two_marked_disc() -> DissectedSurface:
 def one_orbifold_disc(marked: int = 4) -> DissectedSurface:
     """A disc with ``marked`` boundary points and one orbifold point,
     dissected by a fan: one arc from the orbifold point to the boundary
-    and a chain of boundary-to-boundary arcs."""
-    if marked < 2:
-        raise ValueError("need at least two boundary marked points")
+    and a chain of boundary-to-boundary arcs.  ``marked`` must be an
+    ``int`` of 2 or more, or ``BAD_INPUT`` is raised."""
+    _require_int("marked", marked, 2)
     n = marked
     points = [MarkedPoint(f"P{i}", BOUNDARY) for i in range(1, n + 1)]
     points.append(MarkedPoint("X", ORBIFOLD))
@@ -174,5 +188,9 @@ def special_chain_triple() -> Presentation:
 
 
 def fixture_path(name: str):
-    """Path of a bundled ``.surf`` data file (for the CLI and tests)."""
-    return resources.files("skewgentle") / "data" / f"{name}.surf"
+    """Path of the bundled data file ``<name>.surf`` (for the CLI and
+    tests); ``BAD_INPUT`` when no bundled file has that name."""
+    data = resources.files("skewgentle") / "data"
+    if name not in [p.name[:-5] for p in data.iterdir() if p.name.endswith(".surf")]:
+        raise error(BAD_INPUT, f"no bundled data file is named {name!r}", (name,))
+    return data / f"{name}.surf"

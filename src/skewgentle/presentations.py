@@ -847,7 +847,15 @@ def random_triple(
     rng: random.Random, max_special: int = 3, max_arrows: int = 16
 ) -> Presentation:
     """A random connected skew-gentle triple built by puzzle gluing, with
-    between one and ``max_special`` special loops (none when it is 0)."""
+    between one and ``max_special`` special loops (none when it is 0) and
+    at most ``max_arrows`` arrows.  A special loop is an arrow, so
+    ``BAD_INPUT`` names ``max_special`` when it is negative and
+    ``max_arrows`` when it is below ``min(max_special, 1)``: no draw would
+    ever fit."""
+    bounds = (("max_special", max_special, 0), ("max_arrows", max_arrows, min(max_special, 1)))
+    for name, value, least in bounds:
+        if value < least:
+            raise error(BAD_INPUT, f"{name} must be {least} or more, got {value!r}", (name,))
     while True:
         n_special = rng.randint(min(1, max_special), max_special)
         pieces = _random_pieces(rng, n_special)

@@ -25,12 +25,13 @@ against :func:`matrix_table` and :func:`cohen_montgomery_image`.
 vector helpers, spans the relations independently of the signed
 union-find that reaches the normal forms of ``graded_path_algebra``, and
 is the reference for the rank count of ``verify_morphism``.  At the end,
+:func:`word_normal_forms` reduces every word modulo those spans, and
 :func:`word_rows`, :func:`word_reduce` and :func:`relabelled_basis_map`
-rebuild by rewriting words what the library reads off the extension
-table of ``graded_path_algebra``, and :func:`involution_all_cells` and
-:func:`blocks_all_rows` are the involution guard and the iterated
-check's block comparison on every row, the references for the versions
-that read only the generator rows.  :func:`crossed_rows` is the crossed
+rebuild from its normal forms, by rewriting words, what the library
+reads off the extension table of ``graded_path_algebra``, and
+:func:`involution_all_cells` and :func:`blocks_all_rows` are the
+involution guard and the iterated check's block comparison on every
+row, the references for the versions that read only the generator rows.  :func:`crossed_rows` is the crossed
 product cell by cell from its product rule, the reference for the rows
 ``skew_group_algebra`` fills on first read, and :func:`generates` the full
 two-sided closure that the surjectivity check of ``verify_morphism``
@@ -350,7 +351,14 @@ def relation_spans(presentation) -> list:
     each special loop, and a :class:`SpanBasis` of the two-term relations
     ``u·(p + q)·v`` among them, a term that is not a word being zero.  The
     list stops at the first length whose quotient ``words / span`` is 0;
-    the ideal is two-sided, so every longer quotient is 0 as well."""
+    the ideal is two-sided, so every longer quotient is 0 as well.
+
+    The span ranks the words in reverse lexicographic order, so the
+    lexicographically first word of each piece that survives is the one
+    column its rows leave free (the relations among ``m`` words of a piece
+    have rank ``m - 1`` and a kernel of full support, so any ``m - 1`` of
+    its columns are pivots): a word reduced modulo the span is its normal
+    form over those words (:func:`word_normal_forms`)."""
     forbidden = {rel[0] for rel in presentation.relations if len(rel) == 1}
     forbidden.update((e, e) for e in presentation.special)
     binomials = [rel for rel in presentation.relations if len(rel) == 2]
@@ -358,7 +366,9 @@ def relation_spans(presentation) -> list:
     out = []
     layer = [(v, ()) for v in presentation.vertices]
     while True:
-        words, span = set(layer), SpanBasis()
+        words = set(layer)
+        rank = {w: -i for i, w in enumerate(sorted(words))}
+        span = SpanBasis(rank.__getitem__)
         for src, arrows in layer:
             for i in range(len(arrows) - 1):
                 for p, q in binomials:
@@ -942,7 +952,7 @@ def element(algebra, label) -> dict:
 
 class CountedReads(dict):
     """A dict that counts every read of an entry, for tests that bound the
-    lookups of an index such as ``PathAlgebra.normal_forms``."""
+    lookups of an index such as ``PathAlgebra.vertex_index``."""
 
     read = 0
 
@@ -1089,13 +1099,27 @@ def path_target(presentation, key) -> str:
     return presentation.arrow_by_id[arrows[-1]].target if arrows else src
 
 
-def word_reduce(alg, key) -> dict:
+def word_normal_forms(alg) -> dict:
+    """The normal form of every word that :func:`relation_spans` enumerates
+    for ``alg.presentation``, over the positions of ``alg.algebra``: the
+    word reduced modulo its relation span, each remaining word looked up
+    among the labels.  Built without the library's tie resolution or
+    extension table."""
+    index = index_of(alg.algebra)
+    return {
+        p: {index[r]: c for r, c in span._reduce({p: 1}).items()}
+        for words, span in relation_spans(alg.presentation)
+        for p in words
+    }
+
+
+def word_reduce(alg, key, forms) -> dict:
     """The expansion of the composable word ``key`` in the path algebra
     ``alg``, by rewriting the word and reading the normal form of the
-    result: each repeated special loop collapses to its value, a
-    single-path relation kills the word, and a word of length
-    ``zero_length`` or more vanishes.  Raises ``ValueError`` for a word
-    that does not compose."""
+    result in ``forms`` (:func:`word_normal_forms`): each repeated special
+    loop collapses to its value, a single-path relation kills the word,
+    and a word longer than every word of ``forms`` vanishes.  Raises
+    ``ValueError`` for a word that does not compose."""
     pres, (src, arrows) = alg.presentation, key
     coeff, word, at = 1, (), src
     for a in arrows:
@@ -1108,18 +1132,19 @@ def word_reduce(alg, key) -> dict:
             word += (a,)
         else:
             coeff *= c
-    if not coeff or len(word) >= alg.zero_length:
+    if not coeff:
         return {}
-    return {k: coeff * v for k, v in alg.normal_forms[(src, word)].items()}
+    return {k: coeff * v for k, v in forms.get((src, word), {}).items()}
 
 
 def word_rows(alg) -> list:
     """The sparse rows of ``alg.algebra`` by concatenating words: the cell
-    of ``b_i·b_j`` (``b_j`` first) is the normal form of the word of
-    ``b_j`` followed by the word of ``b_i``, after the junction rule at
-    the seam, with columns in ascending order.  Each nonzero product is
-    one signed basis element."""
+    of ``b_i·b_j`` (``b_j`` first) is the normal form
+    (:func:`word_normal_forms`) of the word of ``b_j`` followed by the
+    word of ``b_i``, after the junction rule at the seam, with columns in
+    ascending order.  Each nonzero product is one signed basis element."""
     pres, labels, values = alg.presentation, alg.algebra.labels, alg.loop_values
+    forms = word_normal_forms(alg)
     ends = {a.id: a.target for a in pres.arrows}
     rows = [{} for _ in labels]
     for j, (src, first) in enumerate(labels):
@@ -1129,7 +1154,7 @@ def word_rows(alg) -> list:
                 continue
             c = _word_junction(pres, values, first[-1], then[0]) if first and then else None
             c, word = (1, first + then) if c is None else (c, first + then[1:])
-            if c and len(word) < alg.zero_length and (nf := alg.normal_forms[(src, word)]):
+            if c and (nf := forms.get((src, word))):
                 ((k, v),) = nf.items()
                 rows[i][j] = (k, c * v)
     return rows
@@ -1141,10 +1166,11 @@ def relabelled_basis_map(alg, generator_map, signs=None):
     :func:`word_reduce`, times the signs of its arrows; ``ValueError``
     when a relabelled word does not compose or reduces to other than one
     term."""
+    forms = word_normal_forms(alg)
     pi, sigma = [], []
     for src, arrows in alg.algebra.labels:
         mapped = (generator_map[src], tuple(generator_map[a] for a in arrows))
-        image = word_reduce(alg, mapped)
+        image = word_reduce(alg, mapped, forms)
         if len(image) != 1:
             raise ValueError(f"{(src, arrows)!r} relabels to {len(image)} terms")
         ((k, s),) = image.items()

@@ -29,7 +29,7 @@ from oracles import (
     skew_group_table,
     verify_multiplicative,
     word_product,
-    word_reduce,
+    word_normal_forms,
     word_rows,
 )
 from skewgentle import (
@@ -407,8 +407,7 @@ def test_linear_quiver_graded_dimensions():
     )
     alg = graded_path_algebra(pres)
     assert alg.dimension == 5  # three vertices + two arrows, ba = 0
-    assert alg.dims_by_length[0] == 3
-    assert alg.dims_by_length[1] == 2
+    assert _graded_dimensions(alg) == (3, 2, 0)
 
 
 def test_composition_applies_second_argument_first():
@@ -602,18 +601,27 @@ def test_two_term_relations_vanish_in_split_algebra(cylinders):
 
 
 
+def _graded_dimensions(alg) -> tuple:
+    """The number of basis paths of each length, counted from the labels,
+    up to the first length with none."""
+    lengths = [len(word) for _, word in alg.algebra.labels]
+    return tuple(map(lengths.count, range(max(lengths) + 2)))
+
+
 def _assert_normal_forms_span_the_relations(pres):
     """Each normal form against the relation span built by the oracle: the
-    graded dimensions agree, every path ``p`` with normal form ``s·r`` has
-    ``p - s·r`` in the span, and every vanishing path lies in it."""
+    graded dimensions counted from the labels agree, every basis path is
+    an enumerated word, every enumerated path ``p`` that ``reduce`` sends
+    to ``s·r`` has ``p - s·r`` in the span, and every vanishing path lies
+    in it."""
     alg = graded_path_algebra(pres)
     spans = relation_spans(pres)
-    assert alg.dims_by_length == tuple(len(words) - span.rank for words, span in spans)
-    assert set(alg.normal_forms) == {p for words, _ in spans for p in words}
+    assert _graded_dimensions(alg) == tuple(len(words) - span.rank for words, span in spans)
     labels = alg.algebra.labels
+    assert set(labels) <= {p for words, _ in spans for p in words}
     for words, span in spans:
         for p in words:
-            nf = alg.normal_forms[p]
+            nf = alg.reduce(p)
             if not nf:
                 assert span.contains({p: 1}), p
                 continue
@@ -661,7 +669,7 @@ def test_normal_forms_span_the_relations_on_random_splits():
 def _vanishing(vertices, arrows, relations):
     pres = make_presentation(vertices, [Arrow(*a) for a in arrows], relations)
     alg = _assert_normal_forms_span_the_relations(pres)
-    zeros = {key for key, nf in alg.normal_forms.items() if not nf}
+    zeros = {p for words, _ in relation_spans(pres) for p in words if not alg.reduce(p)}
     return alg, zeros
 
 
@@ -669,10 +677,10 @@ def test_a_piece_that_meets_zero_vanishes():
     # a·b + a·c = 0 and b·d = 0, so a·c·d = -a·b·d = 0
     arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "3"), ("d", "3", "4")]
     alg, zeros = _vanishing("1234", arrows, [(("a", "b"), ("a", "c")), (("b", "d"),)])
-    assert alg.dims_by_length == (4, 4, 2, 0)
+    assert _graded_dimensions(alg) == (4, 4, 2, 0)
     assert zeros == {("1", ("a", "c", "d"))}
     ab = index_of(alg.algebra)[("1", ("a", "b"))]
-    assert alg.normal_forms[("1", ("a", "c"))] == {ab: -1}
+    assert alg.reduce(("1", ("a", "c"))) == {ab: -1}
 
 
 def test_a_piece_with_an_odd_cycle_of_ties_vanishes():
@@ -680,14 +688,14 @@ def test_a_piece_with_an_odd_cycle_of_ties_vanishes():
     arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "3"), ("d", "2", "3")]
     relations = [(("a", "b"), ("a", "c")), (("a", "c"), ("a", "d")), (("a", "b"), ("a", "d"))]
     alg, zeros = _vanishing("123", arrows, relations)
-    assert alg.dims_by_length == (3, 4, 0)
+    assert _graded_dimensions(alg) == (3, 4, 0)
     assert zeros == {("1", ("a", "b")), ("1", ("a", "c")), ("1", ("a", "d"))}
 
 
 def test_a_repeated_path_summed_to_zero_vanishes():
     arrows = [("a", "1", "2"), ("b", "2", "3")]
     alg, zeros = _vanishing("123", arrows, [(("a", "b"), ("a", "b"))])
-    assert alg.dims_by_length == (3, 2, 0)
+    assert _graded_dimensions(alg) == (3, 2, 0)
     assert zeros == {("1", ("a", "b"))}
 
 
@@ -1175,23 +1183,25 @@ def _assert_extension_fill_matches_words(pres, values=None):
     """The rows filled from the extension table equal the rows made by
     concatenating words (``oracles.word_rows``), column order included,
     and no cell holds a zero; every enumerated word reduces through the
-    table as by rewriting it; the links of every basis path are its prefix
-    and last arrow and its end, as its label gives them; the graded
-    dimensions count the basis paths by length, and the generators are the
-    basis paths with at most one ordinary arrow: the vertices and arrows,
-    and with special loops paths such as ``e·a``."""
+    table to its normal form modulo the relation span
+    (``oracles.word_normal_forms``), and each basis path to itself; the
+    links of every basis path are its prefix and last arrow and its end,
+    as its label gives them; and the generators are the basis paths with
+    at most one ordinary arrow: the vertices and arrows, and with special
+    loops paths such as ``e·a``."""
     alg = graded_path_algebra(pres, values)
     A = alg.algebra
     assert [list(row.items()) for row in A.rows] == [list(r.items()) for r in word_rows(alg)]
     assert all(c for row in A.rows for _, c in row.values())
-    for key in alg.normal_forms:
-        assert alg.reduce(key) == word_reduce(alg, key), key
+    forms = word_normal_forms(alg)
+    for key, nf in forms.items():
+        assert alg.reduce(key) == nf, key
     index = index_of(A)
+    assert all(forms[label] == {j: 1} for label, j in index.items())
     for j, (src, word) in enumerate(A.labels):
         assert alg.prefix[j] == ((index[(src, word[:-1])], word[-1]) if word else None)
         assert alg.target[j] == path_target(pres, (src, word))
     lengths = [len(word) for _, word in A.labels]
-    assert alg.dims_by_length == tuple(map(lengths.count, range(alg.zero_length + 1)))
     ordinary = [sum(a not in pres.special for a in word) for _, word in A.labels]
     assert sorted(A.generators) == [i for i, n in enumerate(ordinary) if n <= 1]
     if not pres.special:
@@ -1266,16 +1276,16 @@ def test_a_zero_loop_value_leaves_no_zero_cell(cylinders):
 
 
 def test_the_row_fill_reads_no_index_entry(cylinder_covers):
-    """``_PathRows.fill`` walks the prefix links: with ``normal_forms``, the
-    one index from words to positions, a counting stand-in, filling every
-    row of the cover, split and base algebras reads no entry, and the rows
-    equal the words'."""
+    """``_PathRows.fill`` walks the prefix links: with ``vertex_index``,
+    the one index from names to positions, a counting stand-in, filling
+    every row of the cover, split and base algebras reads no entry, and the
+    rows equal the words'."""
     for cov in [*cylinder_covers.values(), double_cover(one_orbifold_disc(8))]:
         triple = cov.base_quiver.presentation
         for pres in (cov.total_quiver.presentation, cov.split.presentation, triple):
             alg = graded_path_algebra(pres)
             A = alg.algebra
-            alg.normal_forms = counted = CountedReads(alg.normal_forms)
+            alg.vertex_index = counted = CountedReads(alg.vertex_index)
             rows = [list(row.items()) for row in A.rows]
             assert counted.read == 0 and A.rows.filled == A.dimension
             assert rows == [list(row.items()) for row in word_rows(alg)]

@@ -8,6 +8,7 @@ import json
 import re
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -18,13 +19,17 @@ from skewgentle import (
     BoundarySegment,
     DissectedSurface,
     GradedArc,
+    SignedPermutation,
     double_cover,
     dual_dissection,
+    fixture_path,
     fixtures,
     graded_arcs_from_solution,
     graded_path_algebra,
     make_presentation,
+    one_orbifold_disc,
     puncture_loop,
+    random_triple,
     special_chain_triple,
     special_piece,
     transport_curve,
@@ -454,6 +459,13 @@ def _at_first_loop(s, value):
     return graded_path_algebra(triple, {min(triple.special): value})
 
 
+def _chain_identity():
+    """The identity of the 33-element basis of ``special_chain_triple()``."""
+    n = graded_path_algebra(special_chain_triple()).dimension
+    assert n == 33
+    return SignedPermutation(tuple(range(n)), (1,) * n)
+
+
 def _identity_check(s, loop_values):
     """``verify_morphism`` of the identity of the triple of ``s``, with
     ``loop_values``."""
@@ -506,12 +518,32 @@ def _identity_check(s, loop_values):
             None,
         ),
         (lambda s, d: _identity_check(s, {"zz": 2}), BAD_INPUT, ("zz",)),
+        # bounds that no draw fits: a special loop is an arrow
+        (lambda s, d: random_triple(Random(1), 2, 0), BAD_INPUT, ("max_arrows",)),
+        (lambda s, d: random_triple(Random(1), 1, -1), BAD_INPUT, ("max_arrows",)),
+        (lambda s, d: random_triple(Random(1), -1), BAD_INPUT, ("max_special",)),
+        # fixture sizes that are not an int in range, and a missing file
+        (lambda s, d: one_orbifold_disc(0), BAD_INPUT, ("marked",)),
+        (lambda s, d: one_orbifold_disc(1), BAD_INPUT, ("marked",)),
+        (lambda s, d: one_orbifold_disc("3"), BAD_INPUT, ("marked",)),
+        (lambda s, d: one_orbifold_disc(2.5), BAD_INPUT, ("marked",)),
+        (lambda s, d: two_orbifold_cylinder(0), BAD_INPUT, ("variant",)),
+        (lambda s, d: two_orbifold_cylinder(True), BAD_INPUT, ("variant",)),
+        (lambda s, d: two_orbifold_cylinder(1.0), BAD_INPUT, ("variant",)),
+        (lambda s, d: fixture_path("zz"), BAD_INPUT, ("zz",)),
+        # an index outside the 33 basis elements of the chain's algebra
+        (lambda s, d: _chain_identity().apply({-1: 1}), BAD_INPUT, (-1,)),
+        (lambda s, d: _chain_identity().apply({33: 1}), BAD_INPUT, (33,)),
     ],
     ids=[
         "transport_curve", "graded_arcs_from_solution", "verify_morphism",
         "induced_basis_map-image", "induced_basis_map-sign", "graded_path_algebra-key",
         "graded_path_algebra-text", "graded_path_algebra-none", "verify_deformation_map",
-        "verify_morphism-loop",
+        "verify_morphism-loop", "random_triple-arrows", "random_triple-negative-arrows",
+        "random_triple-special", "one_orbifold_disc-0", "one_orbifold_disc-1",
+        "one_orbifold_disc-text", "one_orbifold_disc-float", "two_orbifold_cylinder-0",
+        "two_orbifold_cylinder-bool", "two_orbifold_cylinder-float", "fixture_path",
+        "apply-negative", "apply-past-the-end",
     ],
 )
 def test_bad_arguments_raise_a_validation_error(call, code, where):

@@ -725,15 +725,14 @@ def _assert_exact(builds):
     assert {type(c) for c in image_coeffs} == {int, Fraction}
     # an integral value is always held as ``int``
     assert not [c for c in image_coeffs if type(c) is Fraction and c.denominator == 1]
-    # every normal form is 0 or ±1 times one basis path
-    forms = [
-        nf
+    # every normal form, kept as an extension cell, is ±1 times one basis path
+    form_coeffs = [
+        c
         for red, dual, _ in runs
         for alg in (red.cover_algebra, dual.split_algebra)
-        for nf in alg.normal_forms.values()
+        for cells in alg.extensions
+        for _, c in cells.values()
     ]
-    assert all(len(nf) <= 1 for nf in forms)
-    form_coeffs = [c for nf in forms for c in nf.values()]
     assert {type(c) for c in form_coeffs} == {int} and set(form_coeffs) == {1, -1}
     # the reductions check integral multiples of their images
     assert len(builds.morphisms) == 2 * len(runs)
@@ -1454,8 +1453,8 @@ def test_the_closure_takes_no_product_on_the_ladder(monkeypatch, cylinder_covers
 def test_the_reductions_look_up_words_per_generator_on_the_ladder(
     monkeypatch, cylinder_covers, disc_xx
 ):
-    """Both reductions turn words into positions only through the
-    ``normal_forms`` of the path algebras they build, for the vertices and
+    """Both reductions turn names into positions only through the
+    ``vertex_index`` of the path algebras they build, for the vertices and
     arrows they lift, map and cut at: on the twelve ladder covers each
     algebra reads it at most ``6·(|Q₀| + |Q₁|)`` times (the most is 4.6
     times, on a split), whatever its dimension, and no crossed product
@@ -1465,7 +1464,7 @@ def test_the_reductions_look_up_words_per_generator_on_the_ladder(
 
     def counted(pres, *args):
         alg = build(pres, *args)
-        alg.normal_forms = CountedReads(alg.normal_forms)
+        alg.vertex_index = CountedReads(alg.vertex_index)
         built.append(alg)
         return alg
 
@@ -1476,7 +1475,7 @@ def test_the_reductions_look_up_words_per_generator_on_the_ladder(
     assert len(built) == 24
     for alg in built:
         pres = alg.presentation
-        assert 0 < alg.normal_forms.read <= 6 * (len(pres.vertices) + len(pres.arrows))
+        assert 0 < alg.vertex_index.read <= 6 * (len(pres.vertices) + len(pres.arrows))
 
 
 def test_a_corner_whose_vertices_miss_an_orbit_is_bad_input(cylinder_covers):

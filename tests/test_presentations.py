@@ -409,6 +409,17 @@ def test_seeded_generators_draw_what_they_always_drew(seed, triples, dissections
     assert _fingerprint(random_x_dissection, as_file, seed) == dissections
 
 
+def test_random_triple_draws_at_its_tightest_bounds():
+    """Bounds that some triple fits still draw: no special loop and no
+    arrow gives a quiver with no arrow, and one special loop fits in one
+    arrow only with nothing else."""
+    rng = random.Random(1)
+    empty = random_triple(rng, max_special=0, max_arrows=0)
+    assert not empty.arrows and not empty.special
+    one = random_triple(rng, max_special=1, max_arrows=1)
+    assert len(one.special) == len(one.arrows) == 1
+
+
 def test_iso_presentations_distinguishes():
     a = make_presentation(["1", "2"], [Arrow("a", "1", "2")], [])
     b = make_presentation(["1", "2"], [Arrow("a", "2", "1")], [])
