@@ -14,7 +14,7 @@ finding raised on the spot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 # Stable error codes (part of the public API; the CLI prints them verbatim).
 
@@ -124,3 +124,16 @@ def _json_list(where: tuple) -> list:
 def raise_on_error(report: Report) -> None:
     if not report.ok:
         raise ValidationError(report.diagnostics)
+
+
+def _require_int(name: str, value, least: int, most: Optional[int] = None) -> None:
+    """Raise ``BAD_INPUT`` naming ``name`` unless ``value`` is an ``int``,
+    not a ``bool``, from ``least`` up to ``most`` (no bound when ``None``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < least
+        or (most is not None and value > most)
+    ):
+        span = f"{least} or more" if most is None else f"{least}..{most}"
+        raise error(BAD_INPUT, f"{name} must be an int {span}, got {value!r}", (name,))

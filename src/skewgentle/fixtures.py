@@ -9,9 +9,8 @@ are read from the bundled ``.surf`` files, so each has one source.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Optional
 
-from .diagnostics import BAD_INPUT, error, raise_on_error
+from .diagnostics import BAD_INPUT, _require_int, error, raise_on_error
 from .presentations import (
     Arrow,
     Presentation,
@@ -56,19 +55,6 @@ def _load(name: str) -> SurfaceFile:
 def _checked(surface: DissectedSurface) -> DissectedSurface:
     raise_on_error(validate(surface))
     return surface
-
-
-def _require_int(name: str, value, least: int, most: Optional[int] = None) -> None:
-    """Raise ``BAD_INPUT`` naming ``name`` unless ``value`` is an ``int``,
-    not a ``bool``, from ``least`` up to ``most`` (no bound when ``None``)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < least
-        or (most is not None and value > most)
-    ):
-        span = f"{least} or more" if most is None else f"{least}..{most}"
-        raise error(BAD_INPUT, f"{name} must be an int {span}, got {value!r}", (name,))
 
 
 def two_orbifold_cylinder(variant: int = 1) -> DissectedSurface:

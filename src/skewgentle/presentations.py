@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -37,8 +38,9 @@ from .diagnostics import (
     OVERGLUED_VERTEX,
     SUCCESSOR_CLASH,
     UNKNOWN_ID,
+    Diagnostic,
     Report,
-    ValidationError,
+    _require_int,
     error,
     raise_on_error,
 )
@@ -74,7 +76,8 @@ _NO_SPECIAL: frozenset = frozenset()  # shared by every presentation without loo
 
 @dataclass(frozen=True)
 class Presentation:
-    """A quiver with relations; its cached lookups hold tuples."""
+    """A quiver with relations; its cached lookups hold tuples, and it keeps
+    the findings of :func:`check_gentle` and :func:`check_skew_gentle`."""
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
@@ -103,6 +106,14 @@ class Presentation:
     def monomial_pairs(self) -> frozenset:
         """The length-two paths appearing as single-term relations."""
         return frozenset(r[0] for r in self.relations if len(r) == 1)
+
+    @cached_property
+    def _gentle_findings(self) -> tuple[Diagnostic, ...]:
+        return tuple(_check_gentle(self).diagnostics)
+
+    @cached_property
+    def _triple_findings(self) -> tuple[Diagnostic, ...]:
+        return tuple(_check_triple(self).diagnostics)
 
 
 def make_presentation(
@@ -155,10 +166,13 @@ def _check_ids(pres: Presentation, report: Report) -> None:
             report.add(UNKNOWN_ID, f"special arrow {s!r} unknown", (s,))
 
 
-def _check_composability(pres: Presentation, report: Report) -> None:
-    """Each relation path composes; a two-term relation sums parallel paths."""
+def _check_composability(
+    pres: Presentation, report: Report, relations: Optional[Iterable[Relation]] = None
+) -> None:
+    """Each relation path composes; a two-term relation sums parallel paths.
+    The relations are those of ``pres`` unless ``relations`` is given."""
     by_id = pres.arrow_by_id
-    for rel in pres.relations:
+    for rel in pres.relations if relations is None else relations:
         for a1, a2 in rel:
             if by_id[a1].target != by_id[a2].source:
                 report.add(
@@ -201,16 +215,17 @@ def _threads(
     return chains, cycles
 
 
-def _gentle_core(pres: Presentation, report: Report) -> None:
-    """Degree, successor and finiteness conditions for a monomial pair."""
-    pairs = pres.monomial_pairs
-    for v in pres.vertices:
+def _gentle_core(pres: Presentation, vertices, arrows, pairs: frozenset, report: Report) -> None:
+    """Degree, successor and finiteness conditions for the quiver of
+    ``pres`` with the monomial relations ``pairs``, walked in the order of
+    ``vertices`` and ``arrows``; any finding closes with ``NOT_GENTLE``."""
+    for v in vertices:
         if len(pres.outgoing[v]) > 2:
             report.add(DEGREE_EXCEEDED, f"vertex {v!r} has {len(pres.outgoing[v])} outgoing arrows", (v,))
         if len(pres.incoming[v]) > 2:
             report.add(DEGREE_EXCEEDED, f"vertex {v!r} has {len(pres.incoming[v])} incoming arrows", (v,))
     free_succ: dict[str, str] = {}
-    for a in pres.arrows:
+    for a in arrows:
         ahead = [(a.id, b.id) for b in pres.outgoing[a.target]]
         behind = [(b.id, a.id) for b in pres.incoming[a.source]]
         for side, paths, other in (("successors", ahead, 1), ("predecessors", behind, 0)):
@@ -223,21 +238,29 @@ def _gentle_core(pres: Presentation, report: Report) -> None:
                         (a.id,),
                     )
         free_succ.update(path for path in ahead if path not in pairs)
+    if report.ok:
+        # A relation-free composable cycle makes the path algebra infinite
+        # dimensional.
+        _, cycles = _threads([a.id for a in arrows], free_succ)
+        if cycles:
+            report.add(
+                INFINITE_DIMENSIONAL,
+                f"relation-free composable cycle {cycles[0]!r}",
+                tuple(cycles[0]),
+            )
     if not report.ok:
-        return
-    # A relation-free composable cycle makes the path algebra infinite
-    # dimensional.
-    _, cycles = _threads([a.id for a in pres.arrows], free_succ)
-    if cycles:
-        report.add(
-            INFINITE_DIMENSIONAL,
-            f"relation-free composable cycle {cycles[0]!r}",
-            tuple(cycles[0]),
-        )
+        report.add(NOT_GENTLE, "presentation is not a gentle pair", ())
 
 
 def check_gentle(pres: Presentation) -> Report:
-    """Validate a gentle pair: monomial relations, no special loops."""
+    """Validate a gentle pair: monomial relations, no special loops.
+
+    The findings are kept on the presentation; each call returns a fresh
+    report."""
+    return Report(list(pres._gentle_findings))
+
+
+def _check_gentle(pres: Presentation) -> Report:
     report = Report()
     _check_ids(pres, report)
     if not report.ok:
@@ -250,24 +273,30 @@ def check_gentle(pres: Presentation) -> Report:
     if not report.ok:
         return report
     _check_composability(pres, report)
-    if not report.ok:
-        return report
-    _gentle_core(pres, report)
-    if not report.ok:
-        report.add(NOT_GENTLE, "presentation is not a gentle pair", ())
+    if report.ok:
+        _gentle_core(pres, pres.vertices, pres.arrows, pres.monomial_pairs, report)
     return report
 
 
-def companion_pair(triple: Presentation) -> Presentation:
-    """The gentle pair whose relations add the square of each special loop."""
-    extra = tuple(((e, e),) for e in sorted(triple.special))
-    return make_presentation(
-        triple.vertices, triple.arrows, triple.relations + extra, special=()
-    )
+def _companion_pairs(triple: Presentation) -> frozenset:
+    """The monomial relations of a triple's companion gentle pair: its own
+    and the square of each special loop."""
+    if not triple.special:
+        return triple.monomial_pairs
+    return triple.monomial_pairs.union((e, e) for e in triple.special)
 
 
 def check_skew_gentle(triple: Presentation) -> Report:
-    """Validate a skew-gentle triple via its companion gentle pair."""
+    """Validate a skew-gentle triple: its relations and the squares of its
+    special loops make a gentle pair, the companion pair.
+
+    The companion is not built: the gentle checks walk the triple with the
+    loop squares added to its monomial pairs, in sorted order as if built.
+    The findings are kept on the triple; each call returns a fresh report."""
+    return Report(list(triple._triple_findings))
+
+
+def _check_triple(triple: Presentation) -> Report:
     report = Report()
     _check_ids(triple, report)
     if not report.ok:
@@ -283,7 +312,11 @@ def check_skew_gentle(triple: Presentation) -> Report:
             report.add(BAD_INPUT, f"square of special loop {e!r} already in the relations", (e,))
     if not report.ok:
         return report
-    report.extend(check_gentle(companion_pair(triple)))
+    # The companion pair's checks, in the order make_presentation gives it.
+    _check_composability(triple, report, sorted(set(triple.relations)))
+    if report.ok:
+        arrows = sorted(triple.arrows, key=lambda a: a.id)
+        _gentle_core(triple, sorted(triple.vertices), arrows, _companion_pairs(triple), report)
     return report
 
 
@@ -457,9 +490,20 @@ def glue_puzzle(
 
     In a matching pair ``(a, b)`` the vertex ``b`` is merged into ``a``
     (keeping the id ``a``).  Every vertex may appear in at most one
-    matching pair.  The result is validated as a skew-gentle triple, and
-    every finding raises.
+    matching pair.  The result is validated as a skew-gentle triple, which
+    keeps the findings, and every finding raises.
     """
+    glued = _merge(pieces, matchings)
+    raise_on_error(check_skew_gentle(glued))
+    return glued
+
+
+def _merge(
+    pieces: Sequence[Presentation],
+    matchings: Sequence[tuple[str, str]],
+) -> Presentation:
+    """The glued presentation of :func:`glue_puzzle`, not yet checked;
+    raises on overlapping pieces and on bad matchings."""
     report = Report()
     all_vertices: list[str] = []
     all_arrows: list[Arrow] = []
@@ -496,9 +540,7 @@ def glue_puzzle(
 
     vertices = [v for v in all_vertices if v not in merge]
     arrows = [Arrow(x.id, rep(x.source), rep(x.target)) for x in all_arrows]
-    glued = make_presentation(vertices, arrows, all_relations, special=all_special)
-    raise_on_error(check_skew_gentle(glued))
-    return glued
+    return make_presentation(vertices, arrows, all_relations, special=all_special)
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +654,22 @@ def triple_from_x_dissection(surface: DissectedSurface) -> Presentation:
 # Dissection from a presentation
 
 
-def _assign_ends(pres: Presentation) -> tuple[dict, dict, dict]:
+def _assign_ends(pres: Presentation, vertices, pairs: frozenset) -> tuple[dict, dict, dict]:
     """Distribute the arrows at each vertex onto the two ends of its arc.
 
     Returns ``(ends, out_end, in_end)`` where ``ends[v][k]`` is a dict
     with keys ``"in"``/``"out"`` and ``out_end[a]`` / ``in_end[a]`` give
     the end ``(v, k)`` hosting the arrow ``a`` on its source / target
     side.  An incoming and an outgoing arrow share an end exactly when
-    their composite lies in the relations.
+    their composite lies in ``pairs``, the monomial relations.
     """
-    pairs = pres.monomial_pairs
     ends: dict[str, list[dict]] = {
         v: [{"in": None, "out": None}, {"in": None, "out": None}]
-        for v in pres.vertices
+        for v in vertices
     }
     out_end: dict[str, tuple[str, int]] = {}
     in_end: dict[str, tuple[str, int]] = {}
-    for v in pres.vertices:
+    for v in vertices:
         for k, a in enumerate(pres.outgoing[v]):
             ends[v][k]["out"] = a.id
             out_end[a.id] = (v, k)
@@ -663,11 +704,13 @@ def _assign_ends(pres: Presentation) -> tuple[dict, dict, dict]:
 
 
 def _reconstruct(
-    companion: Presentation, special: frozenset, name: str
+    pres: Presentation, vertices, pairs: frozenset, special: frozenset, name: str
 ) -> DissectedSurface:
-    """Build the dissected surface realizing a validated companion pair."""
-    pairs = companion.monomial_pairs
-    ends, out_end, in_end = _assign_ends(companion)
+    """Build the dissected surface realizing the validated gentle pair of
+    the quiver of ``pres`` and the monomial relations ``pairs``, one arc per
+    vertex in the order of ``vertices``; the one-arrow cycles of
+    ``special`` end at orbifold points."""
+    ends, out_end, in_end = _assign_ends(pres, vertices, pairs)
 
     # Threads: maximal chains and cycles of relation-composable arrows.
     succ: dict[str, str] = {}
@@ -679,7 +722,7 @@ def _reconstruct(
             )
         succ[a1] = a2
         has_pred.add(a2)
-    chains, cycles = _threads(sorted(a.id for a in companion.arrows), succ)
+    chains, cycles = _threads(sorted(a.id for a in pres.arrows), succ)
 
     point_of_end: dict[tuple[str, int], str] = {}
     points: list[MarkedPoint] = []
@@ -712,7 +755,7 @@ def _reconstruct(
             joined(prv, nxt)
     solo_ends = sorted(
         (v, k)
-        for v in companion.vertices
+        for v in vertices
         for k in (0, 1)
         if ends[v][k]["in"] is None and ends[v][k]["out"] is None
     )
@@ -734,14 +777,14 @@ def _reconstruct(
             claim(in_end[aid], pid)
         for prv, nxt in zip(cyc, cyc[1:] + cyc[:1]):
             joined(prv, nxt)
-    for v in companion.vertices:
+    for v in vertices:
         for k in (0, 1):
             if (v, k) not in point_of_end:
                 raise error(BAD_INPUT, f"end ({v!r}, {k}) has no marked point", (v, k))
 
     # Arcs: end 0 is the tail, end 1 the head.
     arcs = [
-        Arc(v, point_of_end[(v, 0)], point_of_end[(v, 1)]) for v in companion.vertices
+        Arc(v, point_of_end[(v, 0)], point_of_end[(v, 1)]) for v in vertices
     ]
 
     def head_end(side: tuple[str, int]) -> tuple[str, int]:
@@ -761,7 +804,7 @@ def _reconstruct(
         return (w, 1 if kk == 0 else -1)
 
     all_sides = sorted(
-        ((v, d) for v in companion.vertices for d in (1, -1)),
+        ((v, d) for v in vertices for d in (1, -1)),
         key=lambda s: (s[0], -s[1]),
     )
     starts = [s for s in all_sides if ends[tail_end(s)[0]][tail_end(s)[1]]["in"] is None]
@@ -808,39 +851,21 @@ def _reconstruct(
 def surface_from_gentle(pair: Presentation, name: str = "reconstructed") -> DissectedSurface:
     """The dissected surface whose quiver is the given gentle pair."""
     raise_on_error(check_gentle(pair))
-    return _reconstruct(pair, frozenset(), name)
+    return _reconstruct(pair, pair.vertices, pair.monomial_pairs, frozenset(), name)
 
 
 def surface_from_triple(triple: Presentation, name: str = "reconstructed") -> DissectedSurface:
-    """The orbifold dissection whose triple is the given skew-gentle triple."""
+    """The orbifold dissection whose triple is the given skew-gentle triple:
+    that of its companion pair, read off the triple and its loop squares
+    without building the pair, with an orbifold point on each loop."""
     raise_on_error(check_skew_gentle(triple))
-    return _reconstruct(companion_pair(triple), triple.special, name)
+    return _reconstruct(
+        triple, sorted(triple.vertices), _companion_pairs(triple), triple.special, name
+    )
 
 
 # ---------------------------------------------------------------------------
 # Random generators (seeded; used by the property tests)
-
-
-def _random_pieces(rng: random.Random, n_special: int) -> list[Presentation]:
-    pieces: list[Presentation] = []
-    n_ordinary = rng.randint(1, 3)
-    for i in range(n_ordinary):
-        size = rng.randint(1, 4)
-        if rng.random() < 0.25:
-            pieces.append(cycle_piece(size, f"c{i}"))
-        else:
-            pieces.append(linear_piece(size, f"l{i}"))
-    for j in range(n_special):
-        pieces.append(special_piece(f"s{j}"))
-    return pieces
-
-
-def _degree_ok(p: Presentation, u: str, v: str) -> bool:
-    def deg(v0: str) -> tuple[int, int]:
-        return (len(p.incoming[v0]), len(p.outgoing[v0]))
-
-    du, dv = deg(u), deg(v)
-    return du[0] + dv[0] <= 2 and du[1] + dv[1] <= 2
 
 
 def random_triple(
@@ -848,26 +873,30 @@ def random_triple(
 ) -> Presentation:
     """A random connected skew-gentle triple built by puzzle gluing, with
     between one and ``max_special`` special loops (none when it is 0) and
-    at most ``max_arrows`` arrows.  A special loop is an arrow, so
-    ``BAD_INPUT`` names ``max_special`` when it is negative and
-    ``max_arrows`` when it is below ``min(max_special, 1)``: no draw would
-    ever fit."""
-    bounds = (("max_special", max_special, 0), ("max_arrows", max_arrows, min(max_special, 1)))
-    for name, value, least in bounds:
-        if value < least:
-            raise error(BAD_INPUT, f"{name} must be {least} or more, got {value!r}", (name,))
+    at most ``max_arrows`` arrows.  An attempt whose piece shapes hold too
+    many arrows is drawn again before any piece is built, and a glued one
+    is tested for connectedness before it is checked.
+
+    ``BAD_INPUT`` names a bound that is not an ``int`` (a ``bool`` is not),
+    ``max_special`` when it is negative and ``max_arrows`` when it is below
+    ``min(max_special, 1)``: a special loop is an arrow, so no draw fits."""
+    _require_int("max_special", max_special, 0)
+    _require_int("max_arrows", max_arrows, min(max_special, 1))
     while True:
         n_special = rng.randint(min(1, max_special), max_special)
-        pieces = _random_pieces(rng, n_special)
-        joint = make_presentation(
-            [v for p in pieces for v in p.vertices],
-            [a for p in pieces for a in p.arrows],
-            [r for p in pieces for r in p.relations],
-            special={e for p in pieces for e in p.special},
-        )
-        if len(joint.arrows) > max_arrows:
+        # (size, is a cycle) of each ordinary piece
+        shapes = [(rng.randint(1, 4), rng.random() < 0.25) for _ in range(rng.randint(1, 3))]
+        if sum(size - (not cyclic) for size, cyclic in shapes) + n_special > max_arrows:
             continue
-        free = [v for v in joint.vertices]
+        pieces = [
+            cycle_piece(size, f"c{i}") if cyclic else linear_piece(size, f"l{i}")
+            for i, (size, cyclic) in enumerate(shapes)
+        ]
+        pieces += [special_piece(f"s{j}") for j in range(n_special)]
+        arrows = [a for p in pieces for a in p.arrows]
+        indegree = Counter(a.target for a in arrows)
+        outdegree = Counter(a.source for a in arrows)
+        free = sorted(v for p in pieces for v in p.vertices)
         rng.shuffle(free)
         matchings: list[tuple[str, str]] = []
         used: set[str] = set()
@@ -875,16 +904,14 @@ def random_triple(
         def try_match(a: str, b: str) -> bool:
             if a == b or a in used or b in used:
                 return False
-            if not _degree_ok(joint, a, b):
+            if indegree[a] + indegree[b] > 2 or outdegree[a] + outdegree[b] > 2:
                 return False
             matchings.append((a, b))
             used.update((a, b))
             return True
 
         ok = True
-        for j, p in enumerate(pieces):
-            if not p.special:
-                continue
+        for p in pieces[len(shapes):]:
             sp_v = p.vertices[0]
             candidates = [v for v in free if not v.startswith("s") and v not in used]
             rng.shuffle(candidates)
@@ -900,13 +927,9 @@ def random_triple(
                 break
             a, b = rng.sample(avail, 2)
             try_match(a, b)
-        try:
-            triple = glue_puzzle(pieces, matchings)
-        except ValidationError:
-            continue
-        if not is_connected(triple):
-            continue
-        return triple
+        triple = _merge(pieces, matchings)
+        if is_connected(triple) and check_skew_gentle(triple).ok:
+            return triple
 
 
 def random_gentle_pair(rng: random.Random) -> Presentation:

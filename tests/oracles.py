@@ -3,10 +3,13 @@
 Everything here deliberately avoids the package's own linear algebra and
 topology code: dimensions are obtained by brute-force path enumeration and
 surfaces are measured by counting cells, so agreement with the library is
-meaningful evidence rather than a tautology.  The presentation isomorphism
-search and the reversal of a curve check the paper's bijection and the sign
-of a winding, and tracing the faces of a dual arc system checks the
-crossing count of ``is_dual_dissection``; :func:`corner_algebra` cuts a
+meaningful evidence rather than a tautology.  :func:`companion_check`
+validates a skew-gentle triple through its built companion gentle pair,
+the reference for the library's one walk over the triple.  The
+presentation isomorphism search and the reversal of a curve check the
+paper's bijection and the sign of a winding, and tracing the faces of a
+dual arc system checks the crossing count of ``is_dual_dissection``;
+:func:`corner_algebra` cuts a
 corner ``e·A·e`` by the sandwich ``e·b·e`` of every basis element, the
 reference for the index set the reductions read off the path ends; the
 two builders at the end make small algebras and maps from labels for
@@ -49,9 +52,13 @@ from skewgentle import (
     Passage,
     SignedPermutation,
     TableAlgebra,
+    check_gentle,
+    make_presentation,
     skew_group_algebra,
 )
 from skewgentle.algebra import _accumulate, _add, _preimages, _products_row, vscale
+from skewgentle.diagnostics import BAD_INPUT, Report
+from skewgentle.presentations import _check_ids
 from skewgentle.surface import chord_bseg_side
 
 
@@ -94,6 +101,36 @@ def monomial_path_count(presentation, cap: int = 100000, nilpotent_loops=()) -> 
             if (last.id, nxt.id) not in pairs:
                 stack.append(path + (nxt,))
     return total
+
+
+def companion_pair(triple):
+    """The gentle pair whose relations add the square of each special loop."""
+    extra = tuple(((e, e),) for e in sorted(triple.special))
+    return make_presentation(
+        triple.vertices, triple.arrows, triple.relations + extra, special=()
+    )
+
+
+def companion_check(triple) -> Report:
+    """The findings of ``check_skew_gentle`` by the companion route: the
+    triple's own id, two-term and loop checks, then ``check_gentle`` on the
+    built :func:`companion_pair`."""
+    report = Report()
+    _check_ids(triple, report)
+    if not report.ok:
+        return report
+    for rel in triple.relations:
+        if len(rel) != 1:
+            report.add(BAD_INPUT, f"two-term relation {rel!r} in a triple", (rel,))
+    for e in sorted(triple.special):
+        a = triple.arrow_by_id[e]
+        if a.source != a.target:
+            report.add(BAD_INPUT, f"special arrow {e!r} is not a loop", (e,))
+        if ((e, e),) in triple.relations:
+            report.add(BAD_INPUT, f"square of special loop {e!r} already in the relations", (e,))
+    if report.ok:
+        report.extend(check_gentle(companion_pair(triple)))
+    return report
 
 
 def euler_characteristic(surface) -> int:

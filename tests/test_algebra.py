@@ -12,6 +12,7 @@ from oracles import (
     apply_map,
     associative,
     basis_map_from_permutation,
+    companion_pair,
     corner_algebra,
     element,
     generated_dimension,
@@ -65,7 +66,6 @@ from skewgentle import (
 from skewgentle.diagnostics import BAD_INPUT
 from skewgentle.algebra import _EchelonRank, vadd, vaxpy, veq, vscale, vsub
 from skewgentle.equivariant import induced_basis_map
-from skewgentle.presentations import companion_pair
 
 ONE = Fraction(1)
 

@@ -522,6 +522,11 @@ def _identity_check(s, loop_values):
         (lambda s, d: random_triple(Random(1), 2, 0), BAD_INPUT, ("max_arrows",)),
         (lambda s, d: random_triple(Random(1), 1, -1), BAD_INPUT, ("max_arrows",)),
         (lambda s, d: random_triple(Random(1), -1), BAD_INPUT, ("max_special",)),
+        # bounds that are not an int: a float, a string, a bool
+        (lambda s, d: random_triple(Random(1), 2.5), BAD_INPUT, ("max_special",)),
+        (lambda s, d: random_triple(Random(1), 2, "3"), BAD_INPUT, ("max_arrows",)),
+        (lambda s, d: random_triple(Random(1), True), BAD_INPUT, ("max_special",)),
+        (lambda s, d: random_triple(Random(1), 1, False), BAD_INPUT, ("max_arrows",)),
         # fixture sizes that are not an int in range, and a missing file
         (lambda s, d: one_orbifold_disc(0), BAD_INPUT, ("marked",)),
         (lambda s, d: one_orbifold_disc(1), BAD_INPUT, ("marked",)),
@@ -540,7 +545,8 @@ def _identity_check(s, loop_values):
         "induced_basis_map-image", "induced_basis_map-sign", "graded_path_algebra-key",
         "graded_path_algebra-text", "graded_path_algebra-none", "verify_deformation_map",
         "verify_morphism-loop", "random_triple-arrows", "random_triple-negative-arrows",
-        "random_triple-special", "one_orbifold_disc-0", "one_orbifold_disc-1",
+        "random_triple-special", "random_triple-float", "random_triple-text",
+        "random_triple-bool", "random_triple-bool-arrows", "one_orbifold_disc-0", "one_orbifold_disc-1",
         "one_orbifold_disc-text", "one_orbifold_disc-float", "two_orbifold_cylinder-0",
         "two_orbifold_cylinder-bool", "two_orbifold_cylinder-float", "fixture_path",
         "apply-negative", "apply-past-the-end",
