@@ -40,9 +40,9 @@ with ``e`` for the unit.
 A symmetry is a :class:`SignedPermutation` ``(π, σ)``, each image one term
 ``σ_j·b_{π(j)}`` with ``π`` a bijection.  Its constructor is the one place
 that checks this shape, so the readers check only its size.
-:func:`skew_group_algebra` permutes the cells of each row through
-``π⁻¹``, shares the ``+`` ones and negates the ``-`` ones, so the crossed
-product is monomial again.
+:func:`skew_group_algebra`, the one crossing, guards the action, keeps
+``A#ℤ₂`` on ``A``, and permutes the cells of each row through ``π⁻¹``,
+sharing the ``+`` ones and negating the ``-`` ones: monomial again.
 :func:`graded_path_algebra` needs no linear algebra: its only sums are
 the two-term relations, ties ``p = ±q`` that a signed union-find resolves,
 so a normal form is ±1 times one basis path, or 0.  It keeps the cell of
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Collection, Mapping, Optional, Sequence
 
-from .diagnostics import BAD_INPUT, NOT_STABILIZED, Report, error, raise_on_error
+from .diagnostics import BAD_INPUT, NOT_INVOLUTION, NOT_STABILIZED, Report, error, raise_on_error
 from .presentations import (
     Arrow,
     Presentation,
@@ -268,10 +268,11 @@ class TableAlgebra:
 
     ``generators`` (a ``range`` or a ``frozenset``) indexes basis elements
     that generate the algebra, and the span ``N`` of the other basis
-    elements is an ideal inside ``J²``, the square of the radical.  The
-    default, every index, gives ``N = 0`` and is always sound.  The checks
-    of multiplicativity read only the generator rows, and the surjectivity
-    check of :func:`verify_morphism` closes its span modulo ``N``.
+    elements is an ideal inside ``J²``, the square of the radical.  Every
+    builder names them; every index, ``range(n)``, gives ``N = 0`` and is
+    always sound.  The checks of multiplicativity read only the generator
+    rows, and the surjectivity check of :func:`verify_morphism` closes its
+    span modulo ``N``.
 
     ``rows`` is a list, or the rows of a builder that stores the generator
     rows when it builds and fills every other row on its first read
@@ -279,13 +280,14 @@ class TableAlgebra:
     :attr:`table` and iteration see every row.  A row is not changed once
     it is filled, and builders share cells between positions and between
     algebras.  ``_crossed`` keeps the crossed products of this algebra that
-    :mod:`skewgentle.equivariant` has built, keyed by the action.
+    :func:`skew_group_algebra` has built, keyed by the action; no other
+    function reads or writes it.
     """
 
     labels: tuple[Any, ...]
     rows: Sequence[dict[int, Cell]]
     unit: Vector
-    generators: Optional[Collection[int]] = None
+    generators: Collection[int]
     _crossed: dict[SignedPermutation, TableAlgebra] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -308,10 +310,6 @@ class TableAlgebra:
                 dense[j] = {k: c}
             table.append(dense)
         return table
-
-    def __post_init__(self):
-        if self.generators is None:
-            self.generators = range(len(self.labels))
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         out: Vector = {}
@@ -688,8 +686,8 @@ class CornerAlgebra:
     corner as it reads a :class:`TableAlgebra`.
 
     ``generators`` are the kept indices that generate the corner, under the
-    contract of :attr:`TableAlgebra.generators`; the default, every kept
-    index, is always sound.  For a full idempotent (``A·e·A = A``) the
+    contract of :attr:`TableAlgebra.generators`; every kept index is always
+    sound.  For a full idempotent (``A·e·A = A``) the
     kept generators of the parent qualify: ``e·N·e`` is an ideal of the
     corner spanned by the other kept indices, and it lies in
     ``e·J²·e = (e·J·e)²``, the square of the corner's radical ``e·J·e``,
@@ -699,11 +697,7 @@ class CornerAlgebra:
     parent: TableAlgebra
     idempotent: Vector
     indices: tuple[int, ...]
-    generators: Optional[Collection[int]] = None
-
-    def __post_init__(self):
-        if self.generators is None:
-            self.generators = frozenset(self.indices)
+    generators: Collection[int]
 
     @property
     def dimension(self) -> int:
@@ -769,14 +763,6 @@ def _preimages(images: list[Vector], size: int) -> list[list[tuple[int, Coeff]]]
     return out
 
 
-def _require_size(A: TableAlgebra, act: SignedPermutation) -> None:
-    if len(act.pi) != A.dimension:
-        raise error(
-            BAD_INPUT,
-            f"the symmetry acts on {len(act.pi)} basis elements, not {A.dimension}",
-        )
-
-
 def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
     """Check that ``act`` is an algebra involution of ``A``: order two,
     fixes the unit, respects all products.
@@ -794,7 +780,11 @@ def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
 
     An action on a basis of another size raises ``BAD_INPUT``.
     """
-    _require_size(A, act)
+    if len(act.pi) != A.dimension:
+        raise error(
+            BAD_INPUT,
+            f"the symmetry acts on {len(act.pi)} basis elements, not {A.dimension}",
+        )
     pi, sigma = act.pi, act.sigma
     for i, p in enumerate(pi):
         if pi[p] != i or sigma[i] * sigma[p] != 1:
@@ -850,13 +840,19 @@ class _CrossedRows(_Rows):
 
 
 def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
-    """The crossed product of A with the order-two group {1, s}.
+    """The crossed product ``A#ℤ₂`` of A with the order-two group {1, s}:
+    the package's one crossing, built once per ``(A, act)`` and kept on
+    ``A`` under ``act``, which compares by value, so an equal action finds
+    the same table.  ``A#ℤ₂`` needs a ℤ₂-action (Reiten--Riedtmann), so
+    :func:`verify_algebra_involution` guards each build: an action of
+    another size raises ``BAD_INPUT``, a map that is not an algebra
+    involution ``NOT_INVOLUTION``, and nothing is kept.
 
     Basis labels are ``(label, g)`` with ``g`` in {0, 1}, indexed
     ``g * n + index``; the product rule is
     ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.  The rows with ``g = 0`` are the
     rows of ``A``, sharing its cells; those with ``g = 1`` are its twisted
-    rows.  An action on a basis of another size raises ``BAD_INPUT``.
+    rows.
 
     Relations are single paths or sums of two paths with coefficient one,
     so the normal form of every path is ±1 times one basis path, or 0,
@@ -872,16 +868,23 @@ def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
 
     When ``π`` permutes the generators of ``A``, the ``generators`` of the
     crossed product are their two copies ``g·n + i``, for ``g`` = 0 and 1,
-    and only their rows are filled here; otherwise every index is a
-    generator and every row is filled.  The other basis elements span
+    and only their rows are filled here.  The other basis elements span
     ``N⊗ℤ₂``, an ideal because ``π`` then keeps the span ``N`` of the
     other basis elements of ``A``, and it lies inside
     ``J(A)²⊗ℤ₂ ⊆ (J(A)#ℤ₂)²``, the square of the radical of the crossed
     product in characteristic 0 (Reiten--Riedtmann).  The copies span the
     crossed product modulo ``N⊗ℤ₂``, so they generate it (Nakayama's
-    lemma, see :func:`verify_morphism`).
+    lemma, see :func:`verify_morphism`).  Otherwise every index is a
+    generator and every row is filled: the guard reads only the declared
+    generators and their images, so it passes an involution that moves a
+    declared generator off the declared set (a table that declares an
+    element of ``J²`` and not its image).
     """
-    _require_size(A, act)
+    skew = A._crossed.get(act)
+    if skew is not None:
+        return skew
+    if not verify_algebra_involution(A, act):
+        raise error(NOT_INVOLUTION, "the symmetry is not an algebra involution")
     n, gens = A.dimension, A.generators
     inverse = [0] * n
     for j, k in enumerate(act.pi):
@@ -894,7 +897,8 @@ def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     else:
         generators = frozenset(range(2 * n))
     rows.fill(generators)
-    return TableAlgebra(labels, rows, dict(A.unit), generators)
+    skew = A._crossed[act] = TableAlgebra(labels, rows, dict(A.unit), generators)
+    return skew
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,7 @@ from .linefield import (
     winding,
 )
 from .linefield import boundary_curves as _boundary_curves
-from .presentations import (
-    Presentation,
-    quiver_from_dissection,
-    split_presentation,
-    triple_from_x_dissection,
-)
+from .presentations import Presentation, extract_quiver, split_presentation
 from .surface import (
     BOUNDARY,
     DissectedSurface,
@@ -85,9 +80,10 @@ def _print_presentation(pres: Presentation) -> None:
 
 
 def _triple_of(surface: DissectedSurface) -> Presentation:
-    if classify_dissection(surface) == "x":
-        return triple_from_x_dissection(surface)
-    return quiver_from_dissection(surface)
+    """The gentle pair or skew-gentle triple of a dissection, classified
+    once (``X_DEGREE`` for a bad orbifold point)."""
+    classify_dissection(surface)
+    return extract_quiver(surface).presentation
 
 
 def _format_vector(labels, vec: Vector) -> str:

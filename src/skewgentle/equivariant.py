@@ -20,10 +20,11 @@ the base is recovered inside the crossed product:
   respect products fails the check.
 
 Both reductions are one construction read in two directions
-(Reiten--Riedtmann) and take one path: guard the involution, cross with
-it, cut the corner at one idempotent per orbit, check the generator
-images with :func:`~skewgentle.algebra.verify_morphism`, and compare each
-image under the grading signs with the image of its partner under the
+(Reiten--Riedtmann) and take one path: cross with the involution
+through :func:`~skewgentle.algebra.skew_group_algebra`, cut the corner at
+one idempotent per orbit, check the generator images with
+:func:`~skewgentle.algebra.verify_morphism`, and compare each image under
+the grading signs with the image of its partner under the
 symmetry of the domain.  They read one set of cover stages, computed once
 on the :class:`~skewgentle.covering.CoveringData`, and the dimension each
 comparison expects comes from the closed form of the polygon model of
@@ -49,13 +50,12 @@ a path algebra's labels are its basis paths, read for the sources in the
 corner cut and for the words :func:`induced_basis_map` relabels.
 
 Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
-by :func:`induced_basis_map` from a relabelling of the quiver.  There is
-one crossed product per ``(A, act)``: the involution guard and ``A#ℤ₂``
-run once for each algebra and symmetry, and the result is kept on the
-:class:`~skewgentle.algebra.TableAlgebra`, keyed by the symmetry's value.
-A reduction followed by :func:`verify_iterated_skew_group` on its cover
-algebra and deck action checks the involution once and crosses with it
-once.
+by :func:`induced_basis_map` from a relabelling of the quiver.  Every
+crossing goes through :func:`~skewgentle.algebra.skew_group_algebra`, which
+guards the involution and keeps one ``A#ℤ₂`` per ``(A, act)``; this module
+keeps nothing of its own.  A reduction followed by
+:func:`verify_iterated_skew_group` on its cover algebra and deck action
+checks the involution once and crosses with it once.
 
 The iterated check builds neither the 4n-dimensional twice-crossed
 product, nor ``M₂(A)``, nor the comparison map Φ.  It checks Φ for
@@ -85,12 +85,12 @@ and keeps the result, and only there do the halves appear as
 
 A relabelling that does not send each basis path to ± one basis path,
 one to one, raises ``BAD_INPUT`` where the symmetry is made, and so does
-a symmetry of the wrong size where it is read; a signed permutation that
-is not an algebra involution raises ``NOT_INVOLUTION``.  Arrow lifts
-that do not sandwich to a single arrow or disagree on their sheet sign
-raise ``BAD_LIFT``, a generator image with a term outside the corner
-raises ``OUTSIDE_CORNER``, and a cover presentation with special loops
-raises ``BAD_INPUT``.
+a symmetry of the wrong size where it is crossed; a signed permutation
+that is not an algebra involution raises ``NOT_INVOLUTION`` there.
+Arrow lifts that do not sandwich to a single arrow or disagree on their
+sheet sign raise ``BAD_LIFT``, a generator image with a term outside the
+corner raises ``OUTSIDE_CORNER``, and a cover presentation with special
+loops raises ``BAD_INPUT``.
 """
 from __future__ import annotations
 
@@ -114,7 +114,6 @@ from .algebra import (
     vadd,
     vaxpy,
     veq,
-    verify_algebra_involution,
     verify_morphism,
     vscale,
 )
@@ -122,7 +121,6 @@ from .covering import CoveringData
 from .diagnostics import (
     BAD_INPUT,
     BAD_LIFT,
-    NOT_INVOLUTION,
     OUTSIDE_CORNER,
     Report,
     error,
@@ -187,23 +185,6 @@ def induced_basis_map(
     return SignedPermutation(pi, sigma)
 
 
-def _require_involution(A: TableAlgebra, act: SignedPermutation) -> None:
-    if not verify_algebra_involution(A, act):
-        raise error(NOT_INVOLUTION, "the symmetry is not an algebra involution")
-
-
-def _crossed_product(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
-    """``A#ℤ₂`` for the involution ``act``: guarded and built once per
-    ``(A, act)``, then kept on ``A`` under ``act``, which is immutable
-    and compares by value.  An entry is stored only after the guard
-    passes."""
-    skew = A._crossed.get(act)
-    if skew is None:
-        _require_involution(A, act)
-        skew = A._crossed[act] = skew_group_algebra(A, act)
-    return skew
-
-
 def _crossed_corner(
     alg: PathAlgebra, act: SignedPermutation, vertices: Collection[str]
 ) -> tuple[TableAlgebra, CornerAlgebra]:
@@ -229,7 +210,7 @@ def _crossed_corner(
     the kept generators meet the contract of
     :attr:`~skewgentle.algebra.CornerAlgebra.generators`."""
     A, pres = alg.algebra, alg.presentation
-    skew = _crossed_product(A, act)
+    skew = skew_group_algebra(A, act)
     ends = set(vertices)
     positions = [alg.vertex_index[v] for v in vertices]
     starts = (ends, {pres.vertices[act.pi[k]] for k in positions})
@@ -671,8 +652,8 @@ def verify_iterated_skew_group(
     ``s(b_p) = σ_p·b_π(p)``, so each side of each comparison is a pair of
     single cells, read from the rows of ``A`` through the block rule
     ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy``, and from the rows of
-    ``once = A#ℤ₂``, kept on ``A`` (a reduction on the same pair has built
-    it already).
+    ``once = A#ℤ₂`` from :func:`~skewgentle.algebra.skew_group_algebra`,
+    kept on ``A`` (a reduction on the same pair has built it already).
 
     Φ is checked to be multiplicative on the left factors
     ``S = {(g⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}``, for ``g`` in
@@ -719,7 +700,7 @@ def verify_iterated_skew_group(
     right at every column and are compared there.  The unit check
     ``Φ(1) = E_00⊗1 + E_11⊗s(1) = 1`` is ``s(1) = 1``.
     """
-    once = _crossed_product(A, act)
+    once = skew_group_algebra(A, act)
     s_unit = act.apply(A.unit)
     return IteratedSkewGroup(
         algebra=A,

@@ -122,11 +122,13 @@ def make_presentation(
     relations: Iterable[Sequence[Path]] = (),
     special: Iterable[str] = (),
 ) -> Presentation:
-    """Normalize and freeze presentation data (sorted, deduplicated)."""
+    """Normalize and freeze presentation data (sorted, deduplicated).  The
+    arrows sort by ``(id, source, target)``, so arrows that share an id
+    keep an order that does not depend on the string hash."""
     rels = sorted({tuple(sorted(tuple(map(tuple, r)))) for r in relations})
     return Presentation(
         vertices=tuple(sorted(set(vertices))),
-        arrows=tuple(sorted(set(arrows), key=lambda a: a.id)),
+        arrows=tuple(sorted(set(arrows), key=lambda a: (a.id, a.source, a.target))),
         relations=tuple(rels),
         special=frozenset(special) or _NO_SPECIAL,
     )
@@ -137,6 +139,9 @@ def make_presentation(
 
 
 def _check_ids(pres: Presentation, report: Report) -> None:
+    """Duplicate and unknown ids, in the order of the presentation.  No id
+    may name both a vertex and an arrow: the generator maps key both in
+    one dict."""
     seen_v: set[str] = set()
     for v in pres.vertices:
         if v in seen_v:
@@ -146,6 +151,8 @@ def _check_ids(pres: Presentation, report: Report) -> None:
     for a in pres.arrows:
         if a.id in seen_a:
             report.add(BAD_INPUT, f"duplicate arrow id {a.id!r}", (a.id,))
+        if a.id in seen_v:
+            report.add(BAD_INPUT, f"id {a.id!r} names both a vertex and an arrow", (a.id,))
         seen_a.add(a.id)
         for end in (a.source, a.target):
             if end not in seen_v:
@@ -161,7 +168,7 @@ def _check_ids(pres: Presentation, report: Report) -> None:
             for aid in path:
                 if aid not in seen_a:
                     report.add(UNKNOWN_ID, f"relation mentions unknown arrow {aid!r}", (aid,))
-    for s in pres.special:
+    for s in sorted(pres.special):
         if s not in seen_a:
             report.add(UNKNOWN_ID, f"special arrow {s!r} unknown", (s,))
 
@@ -379,7 +386,9 @@ def split_presentation(triple: Presentation) -> Split:
     family of monomials; one through a special middle vertex becomes the
     family of two-term sums pairing the middle decorations.  The swap
     exchanges the two halves of every doubled vertex and flips every
-    arrow decoration.
+    arrow decoration.  A derived id that names another vertex or arrow of
+    the split (when the triple has a vertex ``v_0``, say) raises
+    ``BAD_INPUT`` naming it.
     """
     raise_on_error(check_skew_gentle(triple))
     special_vertices = frozenset(triple.arrow_by_id[e].source for e in triple.special)
@@ -434,6 +443,12 @@ def split_presentation(triple: Presentation) -> Split:
                     relations.append(
                         ((_split_arrow_id(a1, s, None), _split_arrow_id(a2, None, t)),)
                     )
+    ids = Counter(vertices)
+    ids.update(a.id for a in arrows)
+    clashes = sorted(i for i, count in ids.items() if count > 1)
+    if clashes:
+        msg = f"the split ids {clashes!r} name more than one vertex or arrow"
+        raise error(BAD_INPUT, msg, tuple(clashes))
     presentation = make_presentation(vertices, arrows, relations, special=())
     return Split(presentation, origin, swap, special_vertices)
 
@@ -562,13 +577,15 @@ def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
     corner and the entry side of the second are different occurrences of
     their common arc (the composite turns around at a point).  Loop arrows
     at orbifold points form the special set; their squares are left out of
-    the relation list.
+    the relation list.  An arrow id ``src.tgt`` that names an arc or an
+    earlier arrow takes the first free suffix ``#k`` instead.
     """
     raise_on_error(validate(surface))
     arrows: list[Arrow] = []
     corner_of_arrow: dict[str, tuple[str, int]] = {}
     point_of_arrow: dict[str, str] = {}
     id_count: dict[tuple[str, str], int] = {}
+    taken = {a.id for a in surface.arcs}
     for poly in surface.polygons:
         n = len(poly.sides)
         for i in range(n):
@@ -577,10 +594,13 @@ def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
             if not (s_in.is_arc and s_out.is_arc):
                 continue
             src, tgt = s_in.ref, s_out.ref
-            id_count[(src, tgt)] = id_count.get((src, tgt), 0) + 1
-            aid = f"{src}.{tgt}"
-            if id_count[(src, tgt)] > 1:
-                aid = f"{aid}#{id_count[(src, tgt)]}"
+            k = id_count.get((src, tgt), 0) + 1
+            aid = f"{src}.{tgt}" if k == 1 else f"{src}.{tgt}#{k}"
+            while aid in taken:
+                k += 1
+                aid = f"{src}.{tgt}#{k}"
+            id_count[(src, tgt)] = k
+            taken.add(aid)
             arrows.append(Arrow(aid, src, tgt))
             corner_of_arrow[aid] = (poly.id, i)
             point_of_arrow[aid] = surface.ray_point(

@@ -530,7 +530,7 @@ def corner_algebra(A, e) -> Corner:
     ]
     unit = {position[k]: c for k, c in e.items()}
     labels = tuple(f"c{k}" for k in range(len(indices)))
-    return Corner(A, e, TableAlgebra(labels, rows, unit), tuple(indices))
+    return Corner(A, e, TableAlgebra(labels, rows, unit, range(len(labels))), tuple(indices))
 
 
 def generated_dimension(algebra, gens) -> int:
@@ -973,7 +973,9 @@ def algebra_from_products(labels, product, unit):
             if terms:
                 row[j] = terms[0]
         rows.append(row)
-    return TableAlgebra(labels, rows, {index[k]: c for k, c in unit.items() if c})
+    return TableAlgebra(
+        labels, rows, {index[k]: c for k, c in unit.items() if c}, range(len(labels))
+    )
 
 
 def index_of(algebra) -> dict:
@@ -1095,7 +1097,7 @@ def matrix_algebra(A):
             for m in (0, 1):
                 rows.append({2 * n * m + col: cell for col, cell in cells})
     unit = {2 * n * r + 2 * q + r: v for r in (0, 1) for q, v in A.unit.items()}
-    return TableAlgebra(labels, rows, unit)
+    return TableAlgebra(labels, rows, unit, range(len(labels)))
 
 
 def comparison_images(act) -> list[dict]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -35,7 +36,9 @@ from oracles import (
 )
 from skewgentle import (
     Arrow,
+    CornerAlgebra,
     SignedPermutation,
+    TableAlgebra,
     ValidationError,
     algebra_dimension,
     double_cover,
@@ -64,6 +67,7 @@ from skewgentle import (
     verify_skew_group_reduction,
 )
 from skewgentle.diagnostics import BAD_INPUT
+from skewgentle import algebra as algebra_module
 from skewgentle.algebra import _EchelonRank, vadd, vaxpy, veq, vscale, vsub
 from skewgentle.equivariant import induced_basis_map
 
@@ -491,8 +495,13 @@ def test_relabelling_onto_a_noncomposable_word_is_bad_input():
             [(("a", "b"), ("a", "c"))],
             (BAD_INPUT, "relation (('a', 'b'), ('a', 'c')) sums paths that are not parallel"),
         ),
+        # the generator maps key vertices and arrows in one dict
+        ("12", [("1", "1", "2")], [], (BAD_INPUT, "id '1' names both a vertex and an arrow")),
     ],
-    ids=["unknown-endpoint", "unknown-arrow", "cubic", "not-composable", "not-parallel"],
+    ids=[
+        "unknown-endpoint", "unknown-arrow", "cubic", "not-composable", "not-parallel",
+        "vertex-and-arrow",
+    ],
 )
 def test_graded_path_algebra_refuses_a_malformed_presentation(
     vertices, arrows, relations, finding
@@ -741,6 +750,29 @@ def test_skew_group_of_swap_on_k_squared():
     B = skew_group_algebra(A, swap)
     assert B.dimension == 4
     assert associative(B)
+
+
+def test_skew_group_algebra_guards_and_keeps_one_crossing():
+    """A map that is not an algebra involution raises ``NOT_INVOLUTION``
+    and keeps nothing; an involution is crossed once, and an equal action
+    made afresh finds the same table."""
+    k = _delta_algebra(["e"])
+    neg = basis_map_from_permutation(k, {"e": "e"}, signs={"e": -1})
+    with pytest.raises(ValidationError) as exc:
+        skew_group_algebra(k, neg)
+    assert [d.code for d in exc.value.diagnostics] == ["NOT_INVOLUTION"]
+    assert k._crossed == {}
+    A = _delta_algebra(["p", "q"])
+    swap = basis_map_from_permutation(A, {"p": "q", "q": "p"})
+    B = skew_group_algebra(A, swap)
+    assert skew_group_algebra(A, SignedPermutation(list(swap.pi), list(swap.sigma))) is B
+    assert A._crossed == {swap: B}
+
+
+def test_tables_and_corners_name_their_generators():
+    for cls in (TableAlgebra, CornerAlgebra):
+        (gens,) = (f for f in dataclasses.fields(cls) if f.name == "generators")
+        assert gens.default is dataclasses.MISSING and not hasattr(cls, "__post_init__")
 
 
 def test_involution_verifier_rejects_sign_flip_of_unit():
@@ -1061,9 +1093,10 @@ def test_skew_group_algebra_matches_oracle_on_random_covers():
         _assert_crossed_products_match_oracle(double_cover(surface))
 
 
-def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(cylinders):
-    # The table is defined for any map: a signed 3-cycle, and the deck
-    # action with the image of one moved element negated, so s²(b) = -b.
+def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(monkeypatch, cylinders):
+    # With its guard bypassed the crossing builds a table for any signed
+    # permutation: a signed 3-cycle, and the deck action with the image of
+    # one moved element negated, so s²(b) = -b.
     A = _delta_algebra(["p", "q", "r"])
     cycle = basis_map_from_permutation(
         A, {"p": "q", "q": "r", "r": "p"}, signs={"p": -1, "r": -1}
@@ -1077,7 +1110,9 @@ def test_skew_group_algebra_matches_oracle_on_signed_non_involutions(cylinders):
     for B, act in ((A, cycle), (lam.algebra, SignedPermutation(deck.pi, sigma))):
         assert -1 in act.sigma
         assert not verify_algebra_involution(B, act)
-        _assert_matches_skew_group_oracle(B, act)
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "verify_algebra_involution", lambda A, act: True)
+            _assert_matches_skew_group_oracle(B, act)
 
 
 def test_skew_group_algebra_refuses_a_map_that_is_not_a_signed_permutation():

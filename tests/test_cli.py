@@ -526,6 +526,14 @@ def test_each_curve_and_surface_is_checked_once(count_calls, capsys, argv):
     assert per_surface and set(per_surface.values()) == {1}
 
 
+@pytest.mark.parametrize("command", ["quiver", "split", "export-dot"])
+def test_presentation_commands_classify_the_dissection_once(count_calls, capsys, command):
+    classified = count_calls("skewgentle.surface", "classify_dissection")
+    assert main([command, str(fixture_path("cylinder1"))]) == 0
+    capsys.readouterr()
+    assert len(classified) == 1
+
+
 def test_quotient_checks_the_involution_once(count_calls, capsys):
     asked = count_calls("skewgentle.surface", "validate_involution")
     checks = count_calls("skewgentle.surface", "_check_involution")

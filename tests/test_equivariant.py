@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -34,16 +36,20 @@ from oracles import (
     verify_multiplicative,
     word_rows,
 )
+import skewgentle
 from skewgentle import (
     Arrow,
     CornerAlgebra,
     SignedPermutation,
+    SurfaceFile,
     TableAlgebra,
     ValidationError,
     double_cover,
+    format_surface_file,
     graded_path_algebra,
     make_presentation,
     one_orbifold_disc,
+    parse_surface_file,
     quotient,
     random_triple,
     skew_group_algebra,
@@ -60,9 +66,27 @@ from skewgentle import (
 )
 from skewgentle import algebra as algebra_module
 from skewgentle import equivariant
+from skewgentle.cli import main
 from skewgentle.diagnostics import BAD_INPUT
 
 ONE = Fraction(1)
+
+
+def _bypass_guard(mp) -> None:
+    """Let ``skew_group_algebra`` cross any signed permutation of the right
+    size: its one guard, ``verify_algebra_involution``, passes everything."""
+    mp.setattr(algebra_module, "verify_algebra_involution", lambda A, act: True)
+
+
+def _record_tables(mp, built: list) -> None:
+    """Append every ``TableAlgebra`` constructed from now on to ``built``."""
+    init = TableAlgebra.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    mp.setattr(TableAlgebra, "__init__", record)
 
 
 def _canonical_reductions(cylinders, disc_x4, disc_xx):
@@ -271,6 +295,7 @@ def test_iterated_homomorphism_check_rejects_corrupted_action(monkeypatch, cylin
         return crossed(B, corrupted if B is A else act)
 
     monkeypatch.setattr(equivariant, "skew_group_algebra", crossed_with_corrupted)
+    _bypass_guard(monkeypatch)
     rr = verify_iterated_skew_group(A, deck)
     assert not rr.homomorphism
     assert not rr.ok
@@ -290,7 +315,7 @@ def _swap_two_arrows(A):
 def test_iterated_check_rejects_a_non_multiplicative_action(monkeypatch, cylinders):
     red = verify_skew_group_reduction(double_cover(cylinders[1]))
     A = red.cover_algebra.algebra
-    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    _bypass_guard(monkeypatch)
     rr = verify_iterated_skew_group(A, _swap_two_arrows(A))
     assert not rr.homomorphism
     assert not rr.ok
@@ -308,7 +333,7 @@ def test_iterated_check_catches_a_unital_automorphism_of_order_three(monkeypatch
     )
     cycle = basis_map_from_permutation(A, {"p": "q", "q": "r", "r": "p"})
     assert multiplicative(A, A, images_of(cycle))
-    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    _bypass_guard(monkeypatch)
     rr = verify_iterated_skew_group(A, cycle)
     assert (rr.homomorphism, rr.unit_ok) == (False, True)
     assert not _assert_generator_check_agrees(A, cycle)
@@ -330,7 +355,7 @@ def test_a_product_nonzero_on_the_right_alone_fails(monkeypatch):
 
     A = algebra_from_products(["1", "x", "y"], product, {"1": ONE})
     swap = basis_map_from_permutation(A, {"1": "1", "x": "y", "y": "x"})
-    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    _bypass_guard(monkeypatch)
     assert not _assert_generator_check_agrees(A, swap)
 
 
@@ -382,22 +407,22 @@ def test_iterated_target_matches_oracle_on_random_covers():
 
 
 def _count_crossings(monkeypatch):
-    """Record the dimension of every algebra the equivariant module crosses
-    or checks for an involution."""
+    """Record the dimension of every algebra that ``skew_group_algebra``
+    guards for an involution or crosses into a new table."""
     calls = {"crossed": [], "involution": []}
-    crossed = equivariant.skew_group_algebra
-    involution = equivariant.verify_algebra_involution
+    involution = algebra_module.verify_algebra_involution
 
-    def counted_crossed(A, act):
-        calls["crossed"].append(A.dimension)
-        return crossed(A, act)
+    class CountedRows(algebra_module._CrossedRows):
+        def __init__(self, base, inverse, sigma):
+            calls["crossed"].append(len(base))
+            super().__init__(base, inverse, sigma)
 
     def counted_involution(A, act):
         calls["involution"].append(A.dimension)
         return involution(A, act)
 
-    monkeypatch.setattr(equivariant, "skew_group_algebra", counted_crossed)
-    monkeypatch.setattr(equivariant, "verify_algebra_involution", counted_involution)
+    monkeypatch.setattr(algebra_module, "_CrossedRows", CountedRows)
+    monkeypatch.setattr(algebra_module, "verify_algebra_involution", counted_involution)
     return calls
 
 
@@ -426,6 +451,18 @@ def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
     assert (rr.homomorphism, rr.unit_ok, rr.once) == (
         fresh.homomorphism, fresh.unit_ok, fresh.once
     )
+
+
+def test_only_the_algebra_module_touches_the_kept_crossed_products():
+    """``skew_group_algebra`` is the one crossing: no other module guards,
+    keeps or reads a crossed product of its own, and no module but
+    ``algebra.py`` reads or writes ``_crossed``."""
+    package = Path(skewgentle.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    for gone in ("_crossed_product", "_require_involution", "_require_size"):
+        assert not [name for name, text in sources.items() if gone in text], gone
+    touching = [name for name, text in sources.items() if re.search(r"\b_crossed\b", text)]
+    assert touching == ["algebra.py"]
 
 
 def test_a_symmetry_that_is_not_an_involution_is_not_kept(cylinders):
@@ -536,7 +573,7 @@ def test_generator_check_agrees_with_all_pairs_on_perturbed_actions(
     # Without the involution guard the crossed products of a broken action
     # need not be associative; the generating rows still catch it.  A map
     # that is not a signed permutation cannot be made into a symmetry.
-    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    _bypass_guard(monkeypatch)
     rng = random.Random(6134)
     verdicts, refused = {}, set()
     for cov in agreement_covers:
@@ -672,18 +709,13 @@ def _build_all(covers) -> Builds:
     ``TableAlgebra`` they construct along the way and the arguments the
     reductions pass to ``verify_morphism``."""
     out = Builds([], [], [])
-    post_init = TableAlgebra.__post_init__
-
-    def record(self):
-        post_init(self)
-        out.built.append(self)
 
     def record_morphism(*args, **kwargs):
         out.morphisms.append((args, kwargs))
         return verify_morphism(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TableAlgebra, "__post_init__", record)
+        _record_tables(mp, out.built)
         mp.setattr(equivariant, "verify_morphism", record_morphism)
         for cov in covers:
             red = verify_skew_group_reduction(cov)
@@ -928,13 +960,7 @@ def test_every_table_cell_is_one_signed_basis_element(ladder_builds, cylinders, 
         for m in (matrix_algebra(rr.algebra), twice_crossed(rr.once))
     ]
     deformed = []
-    post_init = TableAlgebra.__post_init__
-
-    def record(self):
-        post_init(self)
-        deformed.append(self)
-
-    monkeypatch.setattr(TableAlgebra, "__post_init__", record)
+    _record_tables(monkeypatch, deformed)
     surfaces = list(cylinders.values()) + [one_orbifold_disc(n) for n in (4, 6)]
     for surface in surfaces:
         triple = triple_from_x_dissection(surface)
@@ -975,7 +1001,7 @@ def test_corner_coordinates_reject_an_image_outside_the_corner():
     A = algebra_from_products(
         ["u", "v"], lambda a, b: {a: ONE} if a == b else {}, {"u": ONE, "v": ONE}
     )
-    corner = CornerAlgebra(A, element(A, "u"), (0,))
+    corner = CornerAlgebra(A, element(A, "u"), (0,), frozenset({0}))
     doubled = {"u": element(A, "u"), "v": element(A, "v")}
     with pytest.raises(ValidationError) as exc:
         equivariant._compare(A, corner, pres, doubled, 1, {"u": "u", "v": "v"})
@@ -1130,13 +1156,7 @@ def test_reductions_compute_each_cover_stage_once(count_calls, monkeypatch, cyli
     }
     checks = count_calls("skewgentle.surface", "_check_surface")
     built = []
-    post_init = TableAlgebra.__post_init__
-
-    def record(self):
-        post_init(self)
-        built.append(self)
-
-    monkeypatch.setattr(TableAlgebra, "__post_init__", record)
+    _record_tables(monkeypatch, built)
     covers = [double_cover(cylinders[2]), double_cover(cylinders[3])]
     for cov in covers:
         # each reduction builds two tables, its path algebra and its crossed
@@ -1221,10 +1241,13 @@ def test_cover_presentation_with_special_loops_is_bad_input(cylinders):
 
 def _assert_generator_rows_agree_with_all_cells(A, act) -> tuple[bool, bool]:
     """The guard and the block comparison, on the generator rows, give the
-    verdicts of their all-cells versions; returns both verdicts."""
+    verdicts of their all-cells versions; returns both verdicts.  The
+    crossing bypasses the guard, so that a broken action is crossed too."""
     guard = verify_algebra_involution(A, act)
     assert guard == involution_all_cells(A, act)
-    once = skew_group_algebra(A, act)
+    with pytest.MonkeyPatch.context() as mp:
+        _bypass_guard(mp)
+        once = skew_group_algebra(A, act)
     blocks = equivariant._blocks_multiplicative(A, once, act, act.apply(A.unit))
     assert blocks == blocks_all_rows(A, once, act)
     return guard, blocks
@@ -1281,7 +1304,7 @@ def test_flipping_a_long_path_fails_the_guard_and_the_iterated_check(
         assert not verify_algebra_involution(A, act)
         assert not involution_all_cells(A, act)
         with monkeypatch.context() as m:
-            m.setattr(equivariant, "_require_involution", lambda A, act: None)
+            _bypass_guard(m)
             rr = verify_iterated_skew_group(A, act)
         assert (rr.homomorphism, rr.unit_ok) == (False, True)
         flipped += 1
@@ -1314,7 +1337,7 @@ def test_each_arrow_row_can_be_the_only_witness(monkeypatch, ids):
     assert witnesses == [index_of(A)[("3", (w,))]]
     assert not verify_algebra_involution(A, act)
     assert not involution_all_cells(A, act)
-    monkeypatch.setattr(equivariant, "_require_involution", lambda A, act: None)
+    _bypass_guard(monkeypatch)
     rr = verify_iterated_skew_group(A, act)
     assert (rr.homomorphism, rr.unit_ok) == (False, True)
 
@@ -1345,7 +1368,7 @@ def test_generator_checks_read_only_generator_rows(cylinder_covers, disc_xx):
     for cov in covers:
         A, deck = _cover_algebra_and_deck(cov)
         n, pi = A.dimension, deck.pi
-        once = equivariant._crossed_product(A, deck)
+        once = skew_group_algebra(A, deck)
         A.rows, once.rows = _CountedRows(A.rows), _CountedRows(once.rows)
         gens = set(A.generators)
         units = set(A.unit)
@@ -1504,7 +1527,7 @@ def test_unit_factors_sum_a_column_that_two_unit_terms_reach():
     iterated check sum such a column, and agree with the oracle."""
     labels = ("b0", "b1", "b2")
     rows = [{2: (0, 1)}, {0: (0, 1), 1: (1, 1), 2: (0, 1)}, {2: (2, 1)}]
-    A = TableAlgebra(labels, rows, {0: -1, 1: 1, 2: 1})
+    A = TableAlgebra(labels, rows, {0: -1, 1: 1, 2: 1}, range(3))
     assert associative(A)
     for i in range(3):
         assert A.mul(A.unit, {i: 1}) == {i: 1} == A.mul({i: 1}, A.unit)
@@ -1514,27 +1537,70 @@ def test_unit_factors_sum_a_column_that_two_unit_terms_reach():
     assert equivariant._blocks_multiplicative(A, rr.once, identity, A.unit)
     assert blocks_all_rows(A, rr.once, identity)
     # a unit factor row that breaks the sum fails both
-    broken = TableAlgebra(labels, [{2: (0, 1)}, {0: (0, 1), 1: (1, 1)}, {2: (2, 1)}], A.unit)
+    broken = TableAlgebra(
+        labels, [{2: (0, 1)}, {0: (0, 1), 1: (1, 1)}, {2: (2, 1)}], A.unit, range(3)
+    )
     once = skew_group_algebra(broken, identity)
     assert not equivariant._blocks_multiplicative(broken, once, identity, broken.unit)
     assert not blocks_all_rows(broken, once, identity)
 
 
-def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators():
+def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators(monkeypatch):
     """On 1 -a-> 2 -b-> 3 the swap of the arrows' basis elements permutes
     the generators, and the crossed product marks their two copies and
-    fills only their rows; a swap of the arrow ``a`` with the path ``a·b``
-    does not, and it marks and fills every index."""
+    fills only their rows (the swap is not multiplicative, so the guard is
+    bypassed).  On two copies of that quiver the swap of the copies is an
+    involution; a table that declares the path ``a·b`` of one copy a
+    generator, and not its image, passes the guard, and its crossing marks
+    and fills every index."""
     pres = make_presentation("123", [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
     A = graded_path_algebra(pres).algebra
     n = A.dimension
     assert list(A.generators) == [0, 1, 2, 3, 4] and n == 6
     swap_arrows = SignedPermutation((0, 1, 2, 4, 3, 5), (1,) * n)
-    skew = skew_group_algebra(A, swap_arrows)
+    with monkeypatch.context() as m:
+        _bypass_guard(m)
+        skew = skew_group_algebra(A, swap_arrows)
     assert skew.generators == frozenset(range(5)) | frozenset(range(n, n + 5))
     assert skew.rows.filled == 10
-    index = index_of(A)
-    path, a = index[("1", ("a", "b"))], index[("1", ("a",))]
-    swap_out = SignedPermutation((0, 1, 2, path, 4, a), (1,) * n)
-    skew = skew_group_algebra(A, swap_out)
+    copies = [Arrow("a", "1", "2"), Arrow("b", "2", "3")]
+    copies += [Arrow("c", "4", "5"), Arrow("d", "5", "6")]
+    alg = graded_path_algebra(make_presentation("123456", copies))
+    half = dict(zip("123ab", "456cd"))
+    swap = equivariant.induced_basis_map(alg, {**half, **{v: k for k, v in half.items()}})
+    path = index_of(alg.algebra)[("1", ("a", "b"))]
+    A = TableAlgebra(
+        alg.algebra.labels, list(alg.algebra.rows), alg.algebra.unit,
+        frozenset(alg.algebra.generators) | {path},
+    )
+    n = A.dimension
+    assert verify_algebra_involution(A, swap) and swap.pi[path] not in A.generators
+    skew = skew_group_algebra(A, swap)
     assert skew.generators == frozenset(range(2 * n)) and skew.rows.filled == 2 * n
+
+
+def test_renamed_arcs_give_isomorphisms_or_a_named_bad_input(tmp_path, capsys):
+    """Arc 5 of ``one_orbifold_disc(5)`` renamed to an id the package
+    derives: ``2.3``, the plain id of the arrow from arc 2 to arc 3, still
+    gives two isomorphisms; ``1_0`` and ``1_1``, the halves of the split
+    orbifold arc 1, give ``BAD_INPUT`` naming them from both reductions and
+    exit 2 from the CLI, never a false verdict."""
+    for name in ("2.3", "1_0", "1_1"):
+        text = format_surface_file(SurfaceFile(one_orbifold_disc(5)))
+        text = text.replace("arc 5 ", f"arc {name} ").replace("a:5:", f"a:{name}:")
+        path = tmp_path / f"{name}.surf"
+        path.write_text(text)
+        cov = double_cover(parse_surface_file(text).surface)
+        code = main(["skewgroup", str(path)])
+        out, err = capsys.readouterr()
+        if name == "2.3":
+            assert verify_skew_group_reduction(cov).verdict.is_isomorphism
+            assert verify_dual_reduction(cov).verdict.is_isomorphism
+            assert code == 0 and err == ""
+            assert "reduction is isomorphism: True\ndual reduction is isomorphism: True" in out
+            continue
+        for reduction in (verify_skew_group_reduction, verify_dual_reduction):
+            with pytest.raises(ValidationError) as exc:
+                reduction(cov)
+            assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, (name,))]
+        assert (code, out) == (2, "") and repr(name) in err

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from skewgentle import (
     glue_puzzle,
     linear_piece,
     make_presentation,
+    one_orbifold_disc,
+    parse_surface_file,
     quiver_from_dissection,
     random_gentle_pair,
     random_triple,
@@ -597,3 +603,78 @@ def test_face_tracing_check_is_a_diagnostic(monkeypatch):
     assert diag.code == BAD_INPUT
     assert diag.where in (("a", "b"), ("a", "c"))
     assert "shares an arrow" in diag.message
+
+
+# ---------------------------------------------------------------------------
+# Derived ids never name the caller's ids
+
+
+def _disc_x5_with_arc(name: str):
+    """``one_orbifold_disc(5)`` with its arc ``5`` renamed ``name``."""
+    text = format_surface_file(SurfaceFile(one_orbifold_disc(5)))
+    text = text.replace("arc 5 ", f"arc {name} ").replace("a:5:", f"a:{name}:")
+    return parse_surface_file(text).surface
+
+
+def test_an_arrow_id_that_names_an_arc_takes_the_next_suffix():
+    """With arc 5 renamed ``2.3``, the arrow from arc 2 to arc 3 is
+    ``2.3#2``; the arrow into the renamed arc keeps ``4.2.3``."""
+    pres = extract_quiver(_disc_x5_with_arc("2.3")).presentation
+    assert pres.arrow_by_id["2.3#2"] == Arrow("2.3#2", "2", "3")
+    assert pres.arrow_by_id["4.2.3"] == Arrow("4.2.3", "4", "2.3")
+    assert "2.3" not in pres.arrow_by_id and "2.3" in pres.vertices
+    assert check_skew_gentle(pres).ok
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows, clash",
+    [
+        (["v", "v_0"], [Arrow("x", "v", "v_0")], "v_0"),
+        (["u", "v", "w"], [Arrow("x", "v", "w"), Arrow("x^0", "u", "w")], "x^0"),
+    ],
+    ids=["half-vertex", "decorated-arrow"],
+)
+def test_a_split_id_that_names_another_is_bad_input(vertices, arrows, clash):
+    """The halves of the special vertex ``v`` are ``v_0`` and ``v_1``, and
+    ``x`` out of it splits into ``x^0`` and ``x^1``: a triple that already
+    has one of these ids is refused, naming it, before any id is merged."""
+    triple = make_presentation(vertices, [Arrow("e", "v", "v"), *arrows], special=["e"])
+    assert check_skew_gentle(triple).ok
+    with pytest.raises(ValidationError) as exc:
+        split_presentation(triple)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, (clash,))]
+
+
+_CRAFTED_FINDINGS = """
+from skewgentle import Arrow, check_skew_gentle, make_presentation
+arrows = [Arrow("a", "1", "2"), Arrow("a", "1", "9")]
+pres = make_presentation(["1", "2"], arrows, special=["xx", "yy", "zz"])
+for d in check_skew_gentle(pres).diagnostics:
+    print(d)
+"""
+
+
+def _findings_under_hash_seed(seed: str) -> str:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRAFTED_FINDINGS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_findings_do_not_depend_on_the_string_hash_seed():
+    """A duplicate arrow id with an unknown end and three unknown special
+    loops: the findings come in one order under any string hash seed."""
+    first, second = (_findings_under_hash_seed(seed) for seed in ("1", "2"))
+    assert first == second
+    assert first.splitlines() == [
+        "[BAD_INPUT] at ('a',) duplicate arrow id 'a'",
+        "[UNKNOWN_ID] at ('a',) arrow 'a' endpoint '9' unknown",
+        *(f"[UNKNOWN_ID] at ('{e}',) special arrow '{e}' unknown" for e in ("xx", "yy", "zz")),
+    ]
