@@ -27,7 +27,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .diagnostics import (
@@ -327,24 +327,6 @@ def _check_triple(triple: Presentation) -> Report:
     return report
 
 
-def is_connected(pres: Presentation) -> bool:
-    if not pres.vertices:
-        return True
-    parent = {v: v for v in pres.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in pres.arrows:
-        rx, ry = find(a.source), find(a.target)
-        if rx != ry:
-            parent[rx] = ry
-    return len({find(v) for v in pres.vertices}) == 1
-
-
 # ---------------------------------------------------------------------------
 # Split presentations
 
@@ -458,7 +440,9 @@ def split_presentation(triple: Presentation) -> Split:
 
 
 def linear_piece(n: int, prefix: str) -> Presentation:
-    """A chain of ``n`` vertices with all composites in the relations."""
+    """A chain of ``n`` vertices with all composites in the relations;
+    ``BAD_INPUT`` names ``n`` unless it is an ``int`` of at least 1."""
+    _require_int("n", n, 1)
     vertices = [f"{prefix}.{k}" for k in range(1, n + 1)]
     arrows = [
         Arrow(f"{prefix}.a{k}", f"{prefix}.{k}", f"{prefix}.{k + 1}")
@@ -471,7 +455,9 @@ def linear_piece(n: int, prefix: str) -> Presentation:
 
 
 def cycle_piece(n: int, prefix: str) -> Presentation:
-    """A cyclic quiver on ``n`` vertices with all composites killed."""
+    """A cyclic quiver on ``n`` vertices with all composites killed;
+    ``BAD_INPUT`` names ``n`` unless it is an ``int`` of at least 1."""
+    _require_int("n", n, 1)
     vertices = [f"{prefix}.{k}" for k in range(1, n + 1)]
     arrows = [
         Arrow(
@@ -505,8 +491,9 @@ def glue_puzzle(
 
     In a matching pair ``(a, b)`` the vertex ``b`` is merged into ``a``
     (keeping the id ``a``).  Every vertex may appear in at most one
-    matching pair.  The result is validated as a skew-gentle triple, which
-    keeps the findings, and every finding raises.
+    matching pair, and a matching that is not a pair of vertex ids raises
+    ``BAD_INPUT`` naming it.  The result is validated as a skew-gentle
+    triple, which keeps the findings, and every finding raises.
     """
     glued = _merge(pieces, matchings)
     raise_on_error(check_skew_gentle(glued))
@@ -519,6 +506,10 @@ def _merge(
 ) -> Presentation:
     """The glued presentation of :func:`glue_puzzle`, not yet checked;
     raises on overlapping pieces and on bad matchings."""
+    for m in matchings:
+        pair = isinstance(m, (tuple, list)) and len(m) == 2
+        if not (pair and all(isinstance(x, str) for x in m)):
+            raise error(BAD_INPUT, f"matching {m!r} is not a pair of vertex ids", (m,))
     report = Report()
     all_vertices: list[str] = []
     all_arrows: list[Arrow] = []
@@ -888,18 +879,58 @@ def surface_from_triple(triple: Presentation, name: str = "reconstructed") -> Di
 # Random generators (seeded; used by the property tests)
 
 
+# Bounded: 24 ordinary pieces, and as many special ones as max_special reaches.
+@lru_cache(maxsize=256)
+def _piece(kind: str, size: int, index: int) -> Presentation:
+    """The puzzle piece ``random_triple`` places at ``index``: a linear
+    (``"l"``) or cyclic (``"c"``) piece of ``size`` vertices, or a special
+    (``"s"``) one.  Pieces are frozen, so every attempt shares one build."""
+    if kind == "s":
+        return special_piece(f"s{index}")
+    build = cycle_piece if kind == "c" else linear_piece
+    return build(size, f"{kind}{index}")
+
+
+def _pieces_connected(
+    pieces: Sequence[Presentation], matchings: Sequence[tuple[str, str]]
+) -> bool:
+    """Whether gluing ``pieces``, each connected, along ``matchings`` gives
+    a connected quiver: a union-find over the piece indices."""
+    owner = {v: k for k, p in enumerate(pieces) for v in p.vertices}
+    parent = list(range(len(pieces)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    components = len(pieces)
+    for a, b in matchings:
+        ra, rb = find(owner[a]), find(owner[b])
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return components <= 1
+
+
 def random_triple(
     rng: random.Random, max_special: int = 3, max_arrows: int = 16
 ) -> Presentation:
     """A random connected skew-gentle triple built by puzzle gluing, with
     between one and ``max_special`` special loops (none when it is 0) and
     at most ``max_arrows`` arrows.  An attempt whose piece shapes hold too
-    many arrows is drawn again before any piece is built, and a glued one
-    is tested for connectedness before it is checked.
+    many arrows is drawn again before any piece is taken, each piece is
+    built once per shape and position and shared by every attempt, and
+    connectedness is decided on the graph of pieces and matchings, so
+    only a connected attempt is glued and checked.
 
-    ``BAD_INPUT`` names a bound that is not an ``int`` (a ``bool`` is not),
-    ``max_special`` when it is negative and ``max_arrows`` when it is below
+    ``BAD_INPUT`` names an ``rng`` that is not a ``random.Random``, a
+    bound that is not an ``int`` (a ``bool`` is not), ``max_special`` when
+    it is negative and ``max_arrows`` when it is below
     ``min(max_special, 1)``: a special loop is an arrow, so no draw fits."""
+    if not isinstance(rng, random.Random):
+        raise error(BAD_INPUT, f"rng must be a random.Random, got {rng!r}", ("rng",))
     _require_int("max_special", max_special, 0)
     _require_int("max_arrows", max_arrows, min(max_special, 1))
     while True:
@@ -909,10 +940,9 @@ def random_triple(
         if sum(size - (not cyclic) for size, cyclic in shapes) + n_special > max_arrows:
             continue
         pieces = [
-            cycle_piece(size, f"c{i}") if cyclic else linear_piece(size, f"l{i}")
-            for i, (size, cyclic) in enumerate(shapes)
+            _piece("c" if cyclic else "l", size, i) for i, (size, cyclic) in enumerate(shapes)
         ]
-        pieces += [special_piece(f"s{j}") for j in range(n_special)]
+        pieces += [_piece("s", 1, j) for j in range(n_special)]
         arrows = [a for p in pieces for a in p.arrows]
         indegree = Counter(a.target for a in arrows)
         outdegree = Counter(a.source for a in arrows)
@@ -947,8 +977,10 @@ def random_triple(
                 break
             a, b = rng.sample(avail, 2)
             try_match(a, b)
+        if not _pieces_connected(pieces, matchings):
+            continue
         triple = _merge(pieces, matchings)
-        if is_connected(triple) and check_skew_gentle(triple).ok:
+        if check_skew_gentle(triple).ok:
             return triple
 
 

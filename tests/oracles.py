@@ -5,7 +5,9 @@ topology code: dimensions are obtained by brute-force path enumeration and
 surfaces are measured by counting cells, so agreement with the library is
 meaningful evidence rather than a tautology.  :func:`companion_check`
 validates a skew-gentle triple through its built companion gentle pair,
-the reference for the library's one walk over the triple.  The
+the reference for the library's one walk over the triple, and
+:func:`is_connected` searches a glued quiver's underlying graph, the
+reference for the piece-graph decision of ``random_triple``.  The
 presentation isomorphism search and the reversal of a curve check the
 paper's bijection and the sign of a winding, and tracing the faces of a
 dual arc system checks the crossing count of ``is_dual_dissection``;
@@ -131,6 +133,24 @@ def companion_check(triple) -> Report:
     if report.ok:
         report.extend(check_gentle(companion_pair(triple)))
     return report
+
+
+def is_connected(pres) -> bool:
+    """Whether the underlying graph of the quiver is connected, by a
+    search from its first vertex; the empty quiver is connected."""
+    if not pres.vertices:
+        return True
+    neighbours = {v: set() for v in pres.vertices}
+    for a in pres.arrows:
+        neighbours[a.source].add(a.target)
+        neighbours[a.target].add(a.source)
+    seen = {pres.vertices[0]}
+    stack = [pres.vertices[0]]
+    while stack:
+        for w in neighbours[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == len(pres.vertices)
 
 
 def euler_characteristic(surface) -> int:

@@ -20,16 +20,21 @@ from skewgentle import (
     DissectedSurface,
     GradedArc,
     SignedPermutation,
+    cycle_piece,
     double_cover,
     dual_dissection,
     fixture_path,
     fixtures,
+    glue_puzzle,
     graded_arcs_from_solution,
     graded_path_algebra,
+    linear_piece,
     make_presentation,
     one_orbifold_disc,
     puncture_loop,
+    random_gentle_pair,
     random_triple,
+    random_x_dissection,
     special_chain_triple,
     special_piece,
     transport_curve,
@@ -527,6 +532,21 @@ def _identity_check(s, loop_values):
         (lambda s, d: random_triple(Random(1), 2, "3"), BAD_INPUT, ("max_arrows",)),
         (lambda s, d: random_triple(Random(1), True), BAD_INPUT, ("max_special",)),
         (lambda s, d: random_triple(Random(1), 1, False), BAD_INPUT, ("max_arrows",)),
+        # a generator that is not a random.Random
+        (lambda s, d: random_triple(None), BAD_INPUT, ("rng",)),
+        (lambda s, d: random_triple(5), BAD_INPUT, ("rng",)),
+        (lambda s, d: random_gentle_pair(None), BAD_INPUT, ("rng",)),
+        (lambda s, d: random_x_dissection(None), BAD_INPUT, ("rng",)),
+        # piece sizes that are not an int of at least 1
+        (lambda s, d: linear_piece("3", "x"), BAD_INPUT, ("n",)),
+        (lambda s, d: linear_piece(2.5, "x"), BAD_INPUT, ("n",)),
+        (lambda s, d: linear_piece(0, "x"), BAD_INPUT, ("n",)),
+        (lambda s, d: cycle_piece(0, "c"), BAD_INPUT, ("n",)),
+        (lambda s, d: cycle_piece(True, "c"), BAD_INPUT, ("n",)),
+        # matchings that are not a pair of vertex ids
+        (lambda s, d: glue_puzzle([linear_piece(2, "l")], [("l.1",)]), BAD_INPUT, (("l.1",),)),
+        (lambda s, d: glue_puzzle([linear_piece(2, "l")], ["ab"]), BAD_INPUT, ("ab",)),
+        (lambda s, d: glue_puzzle([linear_piece(2, "l")], [("l.1", 2)]), BAD_INPUT, (("l.1", 2),)),
         # fixture sizes that are not an int in range, and a missing file
         (lambda s, d: one_orbifold_disc(0), BAD_INPUT, ("marked",)),
         (lambda s, d: one_orbifold_disc(1), BAD_INPUT, ("marked",)),
@@ -546,7 +566,11 @@ def _identity_check(s, loop_values):
         "graded_path_algebra-text", "graded_path_algebra-none", "verify_deformation_map",
         "verify_morphism-loop", "random_triple-arrows", "random_triple-negative-arrows",
         "random_triple-special", "random_triple-float", "random_triple-text",
-        "random_triple-bool", "random_triple-bool-arrows", "one_orbifold_disc-0", "one_orbifold_disc-1",
+        "random_triple-bool", "random_triple-bool-arrows", "random_triple-rng-none",
+        "random_triple-rng-int", "random_gentle_pair-rng", "random_x_dissection-rng",
+        "linear_piece-text", "linear_piece-float", "linear_piece-0", "cycle_piece-0",
+        "cycle_piece-bool", "glue_puzzle-single", "glue_puzzle-text", "glue_puzzle-int",
+        "one_orbifold_disc-0", "one_orbifold_disc-1",
         "one_orbifold_disc-text", "one_orbifold_disc-float", "two_orbifold_cylinder-0",
         "two_orbifold_cylinder-bool", "two_orbifold_cylinder-float", "fixture_path",
         "apply-negative", "apply-past-the-end",

@@ -5,11 +5,18 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from oracles import companion_check, companion_pair, iso_presentations, monomial_path_count
+from oracles import (
+    companion_check,
+    companion_pair,
+    is_connected,
+    iso_presentations,
+    monomial_path_count,
+)
 from skewgentle import (
     Arrow,
     Presentation,
@@ -25,6 +32,7 @@ from skewgentle import (
     make_presentation,
     one_orbifold_disc,
     parse_surface_file,
+    presentations,
     quiver_from_dissection,
     random_gentle_pair,
     random_triple,
@@ -333,15 +341,68 @@ class _CountedAttempts(random.Random):
 def test_a_draw_with_too_many_arrows_builds_no_presentation(count_calls):
     """With no arrow allowed, only chain pieces of one vertex fit; every
     other draw is refused on its shapes, before any piece is built, so the
-    only presentations built are the last attempt's pieces and their
-    gluing."""
+    only presentations built are those pieces, once each, and the gluing
+    of the one connected attempt."""
+    presentations._piece.cache_clear()
     built = count_calls("skewgentle.presentations", "make_presentation")
     rng = _CountedAttempts(8)
     triple = random_triple(rng, max_special=0, max_arrows=0)
     assert len(triple.vertices) == 1 and not triple.arrows
     assert rng.attempts > 1
     pieces = [r[0] for r in built[:-1]]
-    assert pieces == [[f"l{i}.1"] for i in range(len(pieces))]
+    assert pieces and pieces == [[f"l{i}.1"] for i in range(len(pieces))]
+
+
+def test_set_up_draws_build_each_piece_once_and_glue_connected_attempts(count_calls):
+    """The benchmark's set-up draws from seed 5, 637 triples for
+    random_skewgroup and 441 dissections for random_cli, build each piece
+    once per shape and position, 24 ordinary and 3 special, and glue only
+    the connected attempts: 907 and 660 gluings, where gluing every
+    attempt made 1 543 and 1 318."""
+    names = ("linear_piece", "cycle_piece", "special_piece")
+    built = {name: count_calls("skewgentle.presentations", name) for name in names}
+    glued = count_calls("skewgentle.presentations", "_merge")
+    triple = lambda rng: random_triple(rng, max_arrows=6)
+    for draw, n, gluings in ((triple, 637, 907), (random_x_dissection, 441, 660)):
+        presentations._piece.cache_clear()
+        for calls in (*built.values(), glued):
+            calls.clear()
+        rng = random.Random(5)
+        for _ in range(n):
+            draw(rng)
+        shapes = Counter((name, *args) for name, calls in built.items() for args in calls)
+        assert len(shapes) == 27 and set(shapes.values()) == {1}
+        assert len(glued) == gluings
+
+
+def test_the_piece_graph_decides_connectedness_of_every_glued_attempt(monkeypatch):
+    """On every attempt of seeds 0-19 that reaches the gluing, connected
+    or not, the decision on the graph of pieces and matchings is the
+    oracle's on the glued presentation; every shared piece equals a fresh
+    build and is the one object for its shape and position."""
+    decide = presentations._pieces_connected
+    fresh = {"l": linear_piece, "c": cycle_piece, "s": lambda n, prefix: special_piece(prefix)}
+    shared: dict = {}
+    decisions: Counter = Counter()
+
+    def checked(pieces, matchings):
+        for p in pieces:
+            prefix = p.vertices[0].partition(".")[0]
+            assert p == fresh[prefix[0]](len(p.vertices), prefix)
+            assert shared.setdefault((prefix, len(p.vertices)), p) is p
+        connected = decide(pieces, matchings)
+        assert connected == is_connected(presentations._merge(pieces, matchings))
+        decisions[connected] += 1
+        return connected
+
+    monkeypatch.setattr(presentations, "_pieces_connected", checked)
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(10):
+            random_triple(rng)
+        random_gentle_pair(rng)
+        random_x_dissection(rng)
+    assert decisions[True] >= 20 * 12 and decisions[False] > 100
 
 
 def test_presentations_keep_their_findings():
@@ -570,7 +631,6 @@ def test_iso_presentations_distinguishes():
 
 
 def test_reconstruction_check_is_a_diagnostic(monkeypatch):
-    from skewgentle import presentations
     from skewgentle.diagnostics import BAD_EULER, Report
 
     def refuse(surface):
@@ -588,7 +648,6 @@ def test_reconstruction_check_is_a_diagnostic(monkeypatch):
 def test_face_tracing_check_is_a_diagnostic(monkeypatch):
     # Two relations sharing the arrow ``a`` slip past a disabled gentle
     # check; the reconstruction names the pair instead of asserting.
-    from skewgentle import presentations
     from skewgentle.diagnostics import BAD_INPUT, Report
 
     pair = make_presentation(
