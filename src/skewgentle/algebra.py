@@ -392,8 +392,9 @@ class PathAlgebra:
     :meth:`reduce` walks it from the start vertex of a word.  Each special
     loop ``e`` satisfies ``e*e = loop_values[e] * e``.  ``prefix[j]``
     links a basis path ``b_j = a·b_m`` to its prefix and last arrow as
-    ``(m, a)``, ``None`` for a vertex, and ``target[j]`` is the vertex
-    where ``b_j`` ends (see :func:`graded_path_algebra`).
+    ``(m, a)``, ``None`` for a vertex, and ``source[j]`` and ``target[j]``
+    are the vertices where ``b_j`` starts and ends (see
+    :func:`graded_path_algebra`).
     """
 
     presentation: Presentation
@@ -402,6 +403,7 @@ class PathAlgebra:
     loop_values: Mapping[str, Coeff]
     extensions: list[dict[str, Cell]]
     prefix: list[Optional[tuple[int, str]]]
+    source: list[str]
     target: list[str]
 
     def vertex(self, v: str) -> Vector:
@@ -514,7 +516,8 @@ def graded_path_algebra(
 
     Each basis path is admitted with its links: ``prefix[i] = (m, a)`` for
     ``b_i = a·b_m``, with ``b_m`` its prefix and ``a`` its last arrow
-    (``None`` for a vertex), and ``target[i]``, the vertex where it ends.
+    (``None`` for a vertex), and ``source[i]`` and ``target[i]``, the
+    vertices where it starts and ends.
     The prefix of a basis path is a basis path: a word tied to the
     survivor ``q`` of its piece extends to a word tied to the extension of
     ``q``, which sorts first, or to zero.  The ties join only parallel
@@ -578,6 +581,7 @@ def graded_path_algebra(
     basis: list[PathKey] = []
     extensions: list[dict[str, Cell]] = []
     prefix: list[Optional[tuple[int, str]]] = []
+    source: list[str] = []
     target: list[str] = []
     dims: list[int] = []
     # the records of a length and of the two before it, the basis index of
@@ -619,6 +623,7 @@ def graded_path_algebra(
             if tied:
                 roots[key] = i
             prefix.append(link)
+            source.append(src)
             target.append(tgt)
             if link:
                 m, a = link
@@ -667,7 +672,7 @@ def graded_path_algebra(
     rows.fill(generators)  # the vertex rows are filled already
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
     algebra = TableAlgebra(tuple(basis), rows, unit, generators)
-    return PathAlgebra(pres, algebra, vertex_index, values, extensions, prefix, target)
+    return PathAlgebra(pres, algebra, vertex_index, values, extensions, prefix, source, target)
 
 
 # ---------------------------------------------------------------------------

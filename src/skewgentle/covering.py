@@ -13,15 +13,16 @@ orbifold points:
   becomes one arc and each reversed fixed arc is cut in half, ending at a
   fresh orbifold point.
 
-A cover stores four things: the base, the total surface, the deck
-symmetry and the two polygon instances upstairs over each base polygon,
-one per sheet.  Every other map is derived from these by one parity rule.
-``cuts`` lists the word positions where a slit pair (the two adjacent
-occurrences of an arc at an orbifold point) sits; crossing such a
-position swaps the sheets.  The side at base slot ``i`` carrying sheet
-``s`` lives in the instance ``s * (-1)^pieces`` at slot ``i - pieces``,
-where ``pieces`` counts the cuts before ``i``.  The slot map, the lifts
-of arcs and arrows, and :func:`lift_curve` all read this rule.
+A cover stores the base, the total surface, the deck symmetry and the
+two polygon instances upstairs over each base polygon, one per sheet, and
+with them the cuts and slit counts its builder computed.  Every other map
+is derived from these by one parity rule.  ``cuts`` lists the word
+positions where a slit pair (the two adjacent occurrences of an arc at an
+orbifold point) sits; crossing such a position swaps the sheets.  The
+side at base slot ``i`` carrying sheet ``s`` lives in the instance
+``s * (-1)^pieces`` at slot ``i - pieces``, where ``pieces`` counts the
+cuts before ``i``.  The slot map, the lifts of arcs and arrows, and
+:func:`lift_curve` all read this rule.
 """
 from __future__ import annotations
 
@@ -71,49 +72,44 @@ _SIGN = {1: "+", -1: "-"}
 class CoveringData:
     """A two-sheeted branched cover of ``base`` with total space ``total``.
 
-    Stored: ``deck``, the sheet-swapping symmetry of ``total``, and
+    Stored: ``deck``, the sheet-swapping symmetry of ``total``;
     ``poly_instance[(base_poly, sheet)]``, the polygon upstairs over each
-    base polygon on each sheet.
+    base polygon on each sheet; and, as the builder computed them with
+    :func:`_cuts`, ``cuts[base_poly]`` (the first slots of its slit pairs)
+    and ``pieces[base_poly][slot]`` (the slit pairs before each slot).
 
     Derived, each once per cover: ``branch_points`` (the orbifold points of
-    the base), ``cuts[base_poly]`` (the first slots of its slit pairs),
-    ``slot_image[(base_poly, slot, sheet)]`` (the upstairs slot of a word
-    position in an instance), ``arc_image[(arc, sheet)]`` (the lift of an
-    arc not ending at a branch point on each sheet), ``slit_arcs`` (the
-    arcs ending at a branch point, each its own single lift) and
-    ``arrow_lifts``.  The presentation stages that both crossed-product
-    reductions read are cached too.
+    the base), ``slot_image[(base_poly, slot, sheet)]`` (the upstairs slot
+    of a word position in an instance), ``arc_image[(arc, sheet)]`` (the
+    lift of an arc not ending at a branch point on each sheet),
+    ``slit_arcs`` (the arcs ending at a branch point, each its own single
+    lift) and ``arrow_lifts``.  The presentation stages that both
+    crossed-product reductions read are cached too.
     """
 
     base: DissectedSurface
     total: DissectedSurface
     deck: SurfaceInvolution
     poly_instance: dict[tuple[str, int], str]
+    cuts: dict[str, tuple[int, ...]]
+    pieces: dict[str, list[int]]
 
     @cached_property
     def branch_points(self) -> tuple[str, ...]:
         return tuple(sorted(p.id for p in self.base.points if p.kind == ORBIFOLD))
 
     @cached_property
-    def cuts(self) -> dict[str, tuple[int, ...]]:
-        return _cuts(self.base)
-
-    @cached_property
-    def _pieces(self) -> dict[str, list[int]]:
-        return _prefix_counts(self.base, self.cuts)
-
-    @cached_property
     def slot_image(self) -> dict[tuple[str, int, int], tuple[str, int]]:
         return {
             (poly, i, eps): (self.poly_instance[(poly, eps)], i - k)
-            for poly, before in self._pieces.items()
+            for poly, before in self.pieces.items()
             for eps in (1, -1)
             for i, k in enumerate(before)
         }
 
     def _lift_slot(self, poly: str, i: int, sheet: int) -> tuple[str, int]:
         """The upstairs slot of base slot ``i`` on sheet ``sheet``."""
-        return self.slot_image[(poly, i, sheet * (-1) ** self._pieces[poly][i])]
+        return self.slot_image[(poly, i, sheet * (-1) ** self.pieces[poly][i])]
 
     @cached_property
     def slit_arcs(self) -> frozenset[str]:
@@ -178,15 +174,17 @@ class CoveringData:
         return lifts
 
 
-def _cuts(base: DissectedSurface) -> dict[str, tuple[int, ...]]:
-    """First slots of the slit pairs of every polygon: the corners sitting
-    at orbifold points."""
+def _cuts(base: DissectedSurface) -> tuple[dict[str, tuple[int, ...]], dict[str, list[int]]]:
+    """One pass over the corners of every polygon: the first slots of its
+    slit pairs, the corners sitting at orbifold points, and the slit pairs
+    before each slot, the sheet swaps and the slot shift there."""
     orbifold = {p.id for p in base.points if p.kind == ORBIFOLD}
-    out = {}
+    cuts, pieces = {}, {}
     for poly in base.polygons:
-        cuts = []
+        at, before = [], []
         n = len(poly.sides)
         for i, point in enumerate(base.corner_points[poly.id]):
+            before.append(len(at))
             if point not in orbifold:
                 continue
             if not 1 <= i <= n - 2:
@@ -207,35 +205,10 @@ def _cuts(base: DissectedSurface) -> dict[str, tuple[int, ...]]:
                     f"orbifold corner {i} of polygon {poly.id!r} is not a slit pair",
                     (poly.id, i),
                 )
-            cuts.append(i)
-        out[poly.id] = tuple(cuts)
-    return out
-
-
-def _prefix_counts(
-    base: DissectedSurface, cuts: dict[str, tuple[int, ...]]
-) -> dict[str, list[int]]:
-    """The slit pairs before each slot of every polygon: the sheet swaps
-    and the slot shift there."""
-    out = {}
-    for poly in base.polygons:
-        counts, seen = [], 0
-        for i in range(len(poly.sides)):
-            counts.append(seen)
-            if i in cuts[poly.id]:
-                seen += 1
-        out[poly.id] = counts
-    return out
-
-
-def _with_cuts(
-    cov: CoveringData, cuts: dict[str, tuple[int, ...]], pieces: dict[str, list[int]]
-) -> CoveringData:
-    """``cov`` with the cuts and prefix counts of its base, which its
-    builder has computed already, filled into the cached properties
-    ``cuts`` and ``_pieces`` (a cached property reads the instance dict)."""
-    vars(cov).update(cuts=cuts, _pieces=pieces)
-    return cov
+            at.append(i)
+        cuts[poly.id] = tuple(at)
+        pieces[poly.id] = before
+    return cuts, pieces
 
 
 def double_cover(surface: DissectedSurface) -> CoveringData:
@@ -274,8 +247,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
             arcs.append(Arc(aid, f"{a.tail}{_SIGN[eps]}", f"{a.head}{_SIGN[eps]}"))
             arc_deck[aid] = f"{a.id}{_SIGN[-eps]}"
 
-    cuts = _cuts(surface)
-    pieces = _prefix_counts(surface, cuts)
+    cuts, pieces = _cuts(surface)
     bsegs = []
     polygons = []
     poly_instance: dict[tuple[str, int], str] = {}
@@ -321,7 +293,7 @@ def double_cover(surface: DissectedSurface) -> CoveringData:
         polygons=poly_deck,
     )
     raise_on_error(validate_involution(total, deck))
-    return _with_cuts(CoveringData(surface, total, deck, poly_instance), cuts, pieces)
+    return CoveringData(surface, total, deck, poly_instance, cuts, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +361,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
     # Sheet-coherent polygon instances: breadth-first propagation along the
     # arc adjacencies, following the parity rule of the covering.  The total
     # words of a polygon and its mirror agree slot by slot.
-    cuts = _cuts(base)
-    pieces = _prefix_counts(base, cuts)
+    cuts, pieces = _cuts(base)
     poly_instance: dict[tuple[str, int], str] = {}
     for bp in base.polygons:
         if (bp.id, 1) in poly_instance:
@@ -421,7 +392,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
                     # that need the true gluing follow the arc occurrences
                     # of the total surface instead of the parity rule.
 
-    return _with_cuts(CoveringData(base, surface, inv, poly_instance), cuts, pieces)
+    return CoveringData(base, surface, inv, poly_instance, cuts, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +427,7 @@ def lift_curve(cov: CoveringData, curve: CombinatorialCurve) -> LiftedCurve:
                     (curve.id, k),
                 )
     ps = curve.passages
-    inst0 = (-1) ** cov._pieces[ps[0].polygon][ps[0].entry]
+    inst0 = (-1) ** cov.pieces[ps[0].polygon][ps[0].entry]
     inst = inst0
     lifted: list[Passage] = []
     for k, p in enumerate(ps):

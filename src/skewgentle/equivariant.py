@@ -45,9 +45,11 @@ rows, and fills no other row of the cover or split algebra or of their
 crossed products.  A basis element is its position, ``b_i⊗g`` at
 ``g·n + i``: ``e`` and the lifts are read off the path algebra's
 ``vertex_index`` and extension cells, moved by ``g·n``, and a survivor at
-``g·n + i`` off the word of ``b_i``.  No crossed product's label is read;
-a path algebra's labels are its basis paths, read for the sources in the
-corner cut and for the words :func:`induced_basis_map` relabels.
+``g·n + i`` off the prefix link of ``b_i``.  No crossed product's label is
+read.  The corner cut reads the start and end of each basis path off the
+path algebra's ``source`` and ``target`` links, and
+:func:`induced_basis_map` walks its ``prefix`` links; a path algebra's
+labels are read only to word a refusal of the relabelling.
 
 Every symmetry is a :class:`~skewgentle.algebra.SignedPermutation`, made
 by :func:`induced_basis_map` from a relabelling of the quiver.  Every
@@ -141,17 +143,17 @@ def induced_basis_map(
     """The symmetry induced on a path-algebra quotient by relabelling
     vertices and arrows, optionally scaling each arrow by a sign.
 
-    Each basis path goes to the class of its relabelled word.  A path
-    ``a·p`` goes to ``σ_p`` times the extension cell of ``b_π(p)`` by the
-    image of ``a``, where its prefix ``p``, a basis path read off the
-    link :attr:`~skewgentle.algebra.PathAlgebra.prefix`, went to
-    ``σ_p·b_π(p)`` (ties join only parallel paths).  The vertices and the
-    paths whose cell is empty go through
-    :meth:`~skewgentle.algebra.PathAlgebra.reduce`, which raises
-    ``BAD_INPUT`` for a word that does not compose.  Raises
-    ``BAD_INPUT`` before the walk when ``generator_map`` misses a vertex or
-    an arrow, or ``signs`` an arrow, naming them; when a relabelled basis
-    path reduces to 0 or to more than one term; and, through
+    Each basis path goes to the class of its relabelled word, walked on
+    the links alone.  A vertex goes through
+    :meth:`~skewgentle.algebra.PathAlgebra.vertex`, and a path ``a·p`` to
+    ``σ_p`` times the extension cell of ``b_π(p)`` by the image of ``a``,
+    where its prefix ``p``, read off the link
+    :attr:`~skewgentle.algebra.PathAlgebra.prefix`, went to ``σ_p·b_π(p)``
+    (ties join only parallel paths).  Raises ``BAD_INPUT`` before the walk
+    when ``generator_map`` misses a vertex or an arrow, or ``signs`` an
+    arrow, naming them; when a vertex goes to no vertex, or a cell is
+    empty, so the relabelled word does not compose or is zero (only then
+    is a label read, to name the path); and, through
     :class:`~skewgentle.algebra.SignedPermutation`, when the images are
     not ± a permutation of the basis."""
     pres = alg.presentation
@@ -165,20 +167,20 @@ def induced_basis_map(
     extensions = alg.extensions
     pi: list[int] = []
     sigma: list[Coeff] = []
-    for (src, arrows), link in zip(alg.algebra.labels, alg.prefix):
-        m = None if link is None else link[0]
-        cell = None if m is None else extensions[pi[m]].get(generator_map[link[1]])
-        if cell is None:
-            image = alg.reduce((generator_map[src], tuple(generator_map[a] for a in arrows)))
-            if len(image) != 1:
-                msg = f"basis path {(src, arrows)!r} relabels to {len(image)} terms, not one"
-                raise error(BAD_INPUT, msg)
-            ((k, s),) = image.items()
+    for i, link in enumerate(alg.prefix):
+        if link is None:
+            ((k, s),) = alg.vertex(generator_map[alg.source[i]]).items()
         else:
-            k, s = cell[0], cell[1] * sigma[m]
-            arrows = arrows[-1:]  # the prefix's signs are in σ_p
-        if signs is not None:
-            for a in arrows:
+            m, a = link
+            cell = extensions[pi[m]].get(generator_map[a])
+            if cell is None:
+                src, arrows = alg.algebra.labels[i]
+                # raises BAD_INPUT when the relabelled word does not compose
+                alg.reduce((generator_map[src], tuple(generator_map[b] for b in arrows)))
+                msg = f"basis path {(src, arrows)!r} relabels to 0 terms, not one"
+                raise error(BAD_INPUT, msg)
+            k, s = cell[0], cell[1] * sigma[m]  # the prefix's signs are in σ_p
+            if signs is not None:
                 s *= signs[a]
         pi.append(k)
         sigma.append(s)
@@ -201,7 +203,8 @@ def _crossed_corner(
     sign +1.  So ``e·(b_i⊗g)·e`` is ``b_i⊗g`` when the path ``b_i`` ends in
     ``V`` and starts in ``π^g(V)``, and 0 otherwise; the corner keeps the
     first kind, read off the ends each basis path keeps
-    (:attr:`~skewgentle.algebra.PathAlgebra.target`), and marks the kept
+    (:attr:`~skewgentle.algebra.PathAlgebra.source` and
+    :attr:`~skewgentle.algebra.PathAlgebra.target`), and marks the kept
     generators of ``A#ℤ₂`` as its own, counted once here.
 
     The vertices must meet every orbit ``{v, π(v)}``, or ``BAD_INPUT`` is
@@ -221,10 +224,9 @@ def _crossed_corner(
             f"the corner's vertices miss the orbits of {sorted(missed)!r}",
             tuple(sorted(missed)),
         )
-    n = A.dimension
+    n, source = A.dimension, alg.source
     ending = [i for i, t in enumerate(alg.target) if t in ends]
-    labels = A.labels
-    indices = tuple(g * n + i for g in (0, 1) for i in ending if labels[i][0] in starts[g])
+    indices = tuple(g * n + i for g in (0, 1) for i in ending if source[i] in starts[g])
     generators = skew.generators.intersection(indices)
     corner = CornerAlgebra(skew, dict.fromkeys(positions, 1), indices, generators)
     return skew, corner
@@ -407,7 +409,7 @@ def verify_skew_group_reduction(
                     f"sandwich of arrow {aid!r} has coefficient {_divide(c, 4)}, not 1",
                 )
             g, i = divmod(k, lam.dimension)
-            survivors[sid] = (lam.algebra.labels[i][1][0], g)
+            survivors[sid] = (lam.prefix[i][1], g)  # b_i is an arrow
         doubled[sid] = img
 
     verdict, swap_compat = _compare(

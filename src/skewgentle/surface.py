@@ -109,11 +109,11 @@ class Side:
 
     def __post_init__(self):
         if self.kind not in ("a", "b"):
-            raise ValueError(f"bad side kind {self.kind!r}")
+            raise error(BAD_INPUT, f"bad side kind {self.kind!r}", (self.ref,))
         if self.kind == "b" and self.direction != 1:
-            raise ValueError("boundary segment sides are always forward")
+            raise error(BAD_INPUT, "boundary segment sides are always forward", (self.ref,))
         if self.direction not in (1, -1):
-            raise ValueError(f"bad direction {self.direction!r}")
+            raise error(BAD_INPUT, f"bad direction {self.direction!r}", (self.ref,))
 
     @property
     def is_arc(self) -> bool:
@@ -167,6 +167,8 @@ class _Walk(NamedTuple):
     succ: dict[Ray, Ray]  # counterclockwise successor of each ray
     points: dict[str, tuple]  # polygon id -> point where side i ends
     mismatches: list[tuple]  # (polygon id, corner, point in, point out)
+    occurrences: dict[tuple[str, int], tuple[str, int]]  # (arc, direction) -> (polygon, slot)
+    bseg_occurrence: dict[str, tuple[str, int]]  # bseg id -> (polygon id, slot)
 
 
 @dataclass(frozen=True)
@@ -202,27 +204,19 @@ class DissectedSurface:
 
     @cached_property
     def occurrences(self) -> dict[tuple[str, int], tuple[str, int]]:
-        """Directed arc occurrence -> (polygon id, slot)."""
-        occ: dict[tuple[str, int], tuple[str, int]] = {}
-        for poly in self.polygons:
-            for i, s in enumerate(poly.sides):
-                if s.kind == "a":
-                    occ[(s.ref, s.direction)] = (poly.id, i)
-        return occ
+        """Directed arc occurrence -> (polygon id, slot), recorded by the walk."""
+        return self._walk.occurrences
 
     @cached_property
     def bseg_occurrence(self) -> dict[str, tuple[str, int]]:
-        occ: dict[str, tuple[str, int]] = {}
-        for poly in self.polygons:
-            for i, s in enumerate(poly.sides):
-                if s.kind == "b":
-                    occ[s.ref] = (poly.id, i)
-        return occ
+        """Boundary segment -> (polygon id, slot), recorded by the walk."""
+        return self._walk.bseg_occurrence
 
     @cached_property
     def _walk(self) -> _Walk:
-        """One walk over the polygon words: the sides of every cell, the
-        successor of every ray and the point at every corner.
+        """One walk over the polygon words: the sides of every cell, where
+        each arc and boundary segment occurs, the successor of every ray
+        and the point at every corner.
 
         Corner ``i`` of a polygon lies between side ``i`` (arriving) and
         side ``i + 1`` (leaving, cyclically).  A side that names no arc or
@@ -232,10 +226,11 @@ class DissectedSurface:
         bseg_ends = {b.id: (b.tail, b.head) for b in self.bsegs}
         walk = _Walk(
             dict.fromkeys(arc_ends, 0), dict.fromkeys(arc_ends, 0),
-            dict.fromkeys(bseg_ends, 0), [], [], {}, {}, [],
+            dict.fromkeys(bseg_ends, 0), [], [], {}, {}, [], {}, {},
         )
         arc_sides, arc_balance, bseg_sides = walk.arc_sides, walk.arc_balance, walk.bseg_sides
         succ, mismatches = walk.succ, walk.mismatches
+        occurrences, bseg_occurrence = walk.occurrences, walk.bseg_occurrence
         for poly in self.polygons:
             pid = poly.id
             heads = []
@@ -243,12 +238,14 @@ class DissectedSurface:
             for i, s in enumerate(poly.sides):
                 kind, ref, d = s.kind, s.ref, s.direction
                 if kind == "a":
+                    occurrences[(ref, d)] = (pid, i)
                     ends = arc_ends.get(ref)
                     if ends is not None:
                         arc_sides[ref] += 1
                         arc_balance[ref] += d
                 else:
                     nb += 1
+                    bseg_occurrence[ref] = (pid, i)
                     ends = bseg_ends.get(ref)
                     if ends is not None:
                         bseg_sides[ref] += 1
@@ -362,6 +359,9 @@ def _check_surface(surface: DissectedSurface) -> Report:
             if x.id in seen:
                 report.add(BAD_INPUT, f"duplicate {category} id {x.id!r}", (x.id,))
             seen.add(x.id)
+    for p in surface.points:
+        if p.kind not in POINT_KINDS:
+            report.add(BAD_INPUT, f"point {p.id!r} has unknown kind {p.kind!r}", (p.id,))
 
     # Endpoints, with the number of rays at each point, one arc ray at each
     # point, and the boundary rays leaving and entering each point.

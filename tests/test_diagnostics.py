@@ -17,9 +17,14 @@ from skewgentle import (
     Arc,
     Arrow,
     BoundarySegment,
+    CombinatorialCurve,
     DissectedSurface,
     GradedArc,
+    Passage,
+    Side,
     SignedPermutation,
+    arc_side,
+    check_gentle,
     cycle_piece,
     double_cover,
     dual_dissection,
@@ -31,6 +36,7 @@ from skewgentle import (
     linear_piece,
     make_presentation,
     one_orbifold_disc,
+    parse_surface_file,
     puncture_loop,
     random_gentle_pair,
     random_triple,
@@ -41,13 +47,16 @@ from skewgentle import (
     triple_from_x_dissection,
     two_hole_torus_surface,
     two_orbifold_cylinder,
+    validate_curve,
     verify_deformation_map,
     verify_morphism,
 )
 from skewgentle.diagnostics import (
     BAD_INPUT,
     BAD_INVOLUTION,
+    INVALID_CURVE,
     SIZE_LIMIT,
+    SYNTAX,
     UNKNOWN_ID,
     Report,
     ValidationError,
@@ -559,6 +568,11 @@ def _identity_check(s, loop_values):
         # an index outside the 33 basis elements of the chain's algebra
         (lambda s, d: _chain_identity().apply({-1: 1}), BAD_INPUT, (-1,)),
         (lambda s, d: _chain_identity().apply({33: 1}), BAD_INPUT, (33,)),
+        # a polygon side of no kind, a backward bseg side, an arc side of
+        # no direction
+        (lambda s, d: Side("x", "a"), BAD_INPUT, ("a",)),
+        (lambda s, d: Side("b", "b1", -1), BAD_INPUT, ("b1",)),
+        (lambda s, d: arc_side("a", 0), BAD_INPUT, ("a",)),
     ],
     ids=[
         "transport_curve", "graded_arcs_from_solution", "verify_morphism",
@@ -573,7 +587,8 @@ def _identity_check(s, loop_values):
         "one_orbifold_disc-0", "one_orbifold_disc-1",
         "one_orbifold_disc-text", "one_orbifold_disc-float", "two_orbifold_cylinder-0",
         "two_orbifold_cylinder-bool", "two_orbifold_cylinder-float", "fixture_path",
-        "apply-negative", "apply-past-the-end",
+        "apply-negative", "apply-past-the-end", "Side-kind", "Side-bseg-backward",
+        "arc_side-direction",
     ],
 )
 def test_bad_arguments_raise_a_validation_error(call, code, where):
@@ -581,3 +596,123 @@ def test_bad_arguments_raise_a_validation_error(call, code, where):
         call(*_cylinder_and_dual())
     assert code in [d.code for d in exc.value.diagnostics]
     assert where is None or where in [d.where for d in exc.value.diagnostics]
+
+
+_DISC = parse_surface_file(fixture_path("disc").read_text()).surface
+
+
+def _curve_findings(closed, *passages):
+    """The findings of ``validate_curve`` on the disc (``F1 = b1, a-`` and
+    ``F2 = b2, a+``) for the curve ``c`` through ``passages``."""
+    curve = CombinatorialCurve("c", closed, tuple(Passage(*p) for p in passages))
+    return validate_curve(_DISC, curve).diagnostics
+
+
+def _parse_findings(text):
+    with pytest.raises(ValidationError) as exc:
+        parse_surface_file(text)
+    return exc.value.diagnostics
+
+
+def _gentle_findings(*args):
+    return check_gentle(make_presentation(*args)).diagnostics
+
+
+# a commutative square 1 -a-> 2 -b-> 4, 1 -c-> 3 -d-> 4
+_SQUARE = [Arrow("a", "1", "2"), Arrow("b", "2", "4"), Arrow("c", "1", "3"), Arrow("d", "3", "4")]
+_LOOP = [Arrow("a", "1", "2"), Arrow("e", "2", "2")]
+
+
+@pytest.mark.parametrize(
+    "findings, code, message, where",
+    [
+        (lambda: _curve_findings(False), INVALID_CURVE, "curve 'c' has no passages", ("c",)),
+        (
+            lambda: _curve_findings(False, ("F1", 0, 5, "right")),
+            INVALID_CURVE, "curve 'c' passage 0: slot 5 out of range", ("c", 0),
+        ),
+        (
+            lambda: _curve_findings(False, ("F1", 0, 1, "up")),
+            INVALID_CURVE, "curve 'c' passage 0: bad bseg side 'up'", ("c", 0),
+        ),
+        (
+            lambda: _curve_findings(True, ("F1", 0, 1, "right")),
+            INVALID_CURVE, "curve 'c' passage 0 enters through the bseg", ("c", 0),
+        ),
+        (
+            lambda: _curve_findings(True, ("F1", 1, 0, "right")),
+            INVALID_CURVE, "curve 'c' passage 0 exits through the bseg", ("c", 0),
+        ),
+        (
+            lambda: _curve_findings(False, ("F1", 1, 0, "right")),
+            INVALID_CURVE, "open curve 'c' must start at a bseg midpoint", ("c", 0),
+        ),
+        (
+            lambda: _curve_findings(False, ("F1", 0, 1, "right")),
+            INVALID_CURVE, "open curve 'c' must end at a bseg midpoint", ("c", 0),
+        ),
+        (
+            lambda: _curve_findings(False, ("F1", 0, 0, "right")),
+            INVALID_CURVE, "open curve 'c' crosses no arc", ("c",),
+        ),
+        (
+            lambda: _parse_findings("surface s\npoly F sides=b:b1,x:a"),
+            SYNTAX, "line 2: bad polygon side 'x:a'", (2,),
+        ),
+        (
+            lambda: _parse_findings("surface s\ninvolution A<->B"),
+            SYNTAX, "line 2: involution entries must follow 'points' or 'arcs'", (2,),
+        ),
+        (
+            lambda: _parse_findings("surface s\ninvolution points A"),
+            SYNTAX, "line 2: bad involution entry 'A'", (2,),
+        ),
+        (
+            lambda: _parse_findings("surface"),
+            SYNTAX, "line 1: surface takes exactly one name", (1,),
+        ),
+        (
+            lambda: _parse_findings("surface s\npoly F sides=,"),
+            SYNTAX, "line 2: polygon has no sides", (2,),
+        ),
+        (
+            lambda: _parse_findings("surface s\ncurve c loop passages=(F,0,1,left)"),
+            SYNTAX, "line 2: curve needs an id, closed|open and passages=...", (2,),
+        ),
+        (
+            lambda: _parse_findings("surface s\ncurve c open passages=(F,0,1)"),
+            SYNTAX, "line 2: bad passage '(F,0,1)'", (2,),
+        ),
+        (
+            lambda: _parse_findings(
+                "surface s\ncurve c open passages=(F,0,1,left)\n"
+                "curve c open passages=(F,0,1,left)"
+            ),
+            SYNTAX, "line 3: duplicate curve id 'c'", (3,),
+        ),
+        (
+            lambda: _parse_findings("point P kind=boundary"),
+            SYNTAX, "line 0: missing 'surface NAME' line", (0,),
+        ),
+        (
+            lambda: _gentle_findings("12", _LOOP, [[("e", "e")]], ["e"]),
+            BAD_INPUT, "special loops present; use check_skew_gentle", (),
+        ),
+        (
+            lambda: _gentle_findings("1234", _SQUARE, [[("a", "b"), ("c", "d")]]),
+            BAD_INPUT,
+            "two-term relation (('a', 'b'), ('c', 'd')) in a gentle pair",
+            ((("a", "b"), ("c", "d")),),
+        ),
+    ],
+    ids=[
+        "curve-no-passages", "curve-slot-range", "curve-bseg-side", "curve-enters-bseg",
+        "curve-exits-bseg", "curve-open-start", "curve-open-end", "curve-crosses-no-arc",
+        "parse-polygon-side", "parse-involution-mode", "parse-involution-entry",
+        "parse-surface-name", "parse-empty-polygon", "parse-curve-line", "parse-passage",
+        "parse-duplicate-curve", "parse-missing-surface", "gentle-special-loops",
+        "gentle-two-term-relation",
+    ],
+)
+def test_each_refusal_names_its_finding(findings, code, message, where):
+    assert [(d.code, d.message, d.where) for d in findings()] == [(code, message, where)]

@@ -698,6 +698,55 @@ def test_induced_map_refuses_a_relabelling_that_sends_a_basis_path_to_zero():
     assert diagnostic.code == BAD_INPUT and "0 terms" in diagnostic.message
 
 
+class _UnreadableLabels:
+    """Stands in for a path algebra's labels: it has their length, and
+    reading a label fails the test."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError(f"label {i!r} was read")
+
+    def __iter__(self):
+        raise AssertionError("the labels were iterated")
+
+
+def test_the_relabelling_and_the_corner_cut_read_no_label(agreement_covers):
+    """``induced_basis_map`` and ``_crossed_corner`` walk the links: with
+    every label of the path algebra unreadable they return what the
+    reductions got.  Each reduction has crossed first, so
+    ``skew_group_algebra`` hands back the kept ``A#ℤ₂`` and builds no
+    labels from those of ``A``."""
+    for cov in agreement_covers:
+        red = verify_skew_group_reduction(cov)
+        dual = verify_dual_reduction(cov)
+        split = dual.split_algebra
+        # the sign of each arrow is the sign of its image
+        signs = {
+            word[0]: s
+            for (_, word), s in zip(split.algebra.labels, dual.swap_action.sigma)
+            if len(word) == 1
+        }
+        cases = [
+            (red, red.cover_algebra, cov.deck_generators, None, red.deck_action),
+            (dual, split, cov.split.swap, signs, dual.swap_action),
+        ]
+        for reduction, alg, generator_map, arrow_signs, act in cases:
+            vertices = [alg.presentation.vertices[k] for k in reduction.corner.idempotent]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(alg.algebra, "labels", _UnreadableLabels(alg.dimension))
+                assert equivariant.induced_basis_map(alg, generator_map, arrow_signs) == act
+                skew, corner = equivariant._crossed_corner(alg, act, vertices)
+            assert skew is reduction.skew
+            assert corner.idempotent == reduction.corner.idempotent
+            assert corner.indices == reduction.corner.indices
+            assert corner.generators == reduction.corner.generators
+
+
 class Builds(NamedTuple):
     built: list  # every TableAlgebra constructed
     runs: list  # (reduction, dual reduction, iterated check) per cover

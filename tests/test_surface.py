@@ -33,6 +33,7 @@ from skewgentle import (
     curve_crossings,
     double_cover,
     fixture_path,
+    invariant_tuple,
     make_surface,
     one_orbifold_disc,
     parse_surface_file,
@@ -480,6 +481,40 @@ def test_duplicate_ids_are_bad_input():
 def test_bseg_at_an_interior_point_is_bad_input():
     text = _edit("disc", ("point P2 kind=boundary", "point P2 kind=puncture"))
     assert _findings(text) == [(BAD_INPUT, ("b1",)), (BAD_INPUT, ("b2",))]
+
+
+def test_a_point_of_unknown_kind_is_bad_input():
+    # Every reader tells the three kinds apart by name, and the file format
+    # has no word for another kind, so validate refuses it.
+    disc = one_orbifold_disc(4)
+    points = tuple(
+        dataclasses.replace(p, kind="weird") if p.id == "X" else p for p in disc.points
+    )
+    surface = dataclasses.replace(disc, points=points)
+    finding = (BAD_INPUT, "point 'X' has unknown kind 'weird'", ("X",))
+    assert [(d.code, d.message, d.where) for d in validate(surface).diagnostics] == [finding]
+    for read in (classify_dissection, double_cover, invariant_tuple):
+        with pytest.raises(ValidationError) as exc:
+            read(surface)
+        assert [(d.code, d.message, d.where) for d in exc.value.diagnostics] == [finding]
+
+
+def test_occurrences_are_the_record_of_the_one_walk(cylinders, torus_with_involution):
+    surfaces = [*cylinders.values(), torus_with_involution[0], one_orbifold_disc(6)]
+    rng = random.Random(40)
+    surfaces += [random_x_dissection(rng) for _ in range(50)]
+    for surface in surfaces:
+        arcs, bsegs = {}, {}
+        for poly in surface.polygons:
+            for i, side in enumerate(poly.sides):
+                if side.is_arc:
+                    arcs[(side.ref, side.direction)] = (poly.id, i)
+                else:
+                    bsegs[side.ref] = (poly.id, i)
+        assert surface.occurrences == arcs
+        assert surface.bseg_occurrence == bsegs
+        assert surface.occurrences is surface._walk.occurrences
+        assert surface.bseg_occurrence is surface._walk.bseg_occurrence
 
 
 def test_sides_meeting_at_two_points_are_a_corner_mismatch():
