@@ -66,12 +66,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Collection, Mapping, Optional, Sequence
 
-from .diagnostics import BAD_INPUT, NOT_INVOLUTION, NOT_STABILIZED, Report, error, raise_on_error
+from .diagnostics import BAD_INPUT, NOT_INVOLUTION, NOT_STABILIZED, ValidationError, error, raise_on_error
 from .presentations import (
     Arrow,
     Presentation,
-    _check_composability,
-    _check_ids,
     check_skew_gentle,
 )
 
@@ -551,11 +549,9 @@ def graded_path_algebra(
     if pres.special:
         raise_on_error(check_skew_gentle(pres))
     else:
-        report = Report()
-        _check_ids(pres, report)
-        if report.ok:
-            _check_composability(pres, report)
-        raise_on_error(report)
+        ids, composable = pres._shape_findings
+        if ids or composable:
+            raise ValidationError(ids or composable)
     loop_values = loop_values or {}
     _require_special_keys(pres, loop_values)
     values = {e: _exact(loop_values.get(e, 1)) for e in pres.special}

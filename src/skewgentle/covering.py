@@ -55,6 +55,7 @@ from .surface import (
     Side,
     SurfaceInvolution,
     _moved_passages,
+    _require_valid,
     arc_side,
     bseg_side,
     chord_bseg_side,
@@ -304,7 +305,7 @@ def quotient(surface: DissectedSurface, inv: SurfaceInvolution) -> CoveringData:
     """The quotient dissection; reversed fixed arcs end at fresh orbifold
     points.  The result presents ``surface`` as a double cover of the
     quotient with the same bookkeeping as :func:`double_cover`."""
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     raise_on_error(validate_involution(surface, inv))
     fixed = {a for a, b in inv.arcs.items() if a == b}
 

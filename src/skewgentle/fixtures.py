@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .diagnostics import BAD_INPUT, _require_int, error, raise_on_error
+from .diagnostics import BAD_INPUT, _require_int, error
 from .presentations import (
     Arrow,
     Presentation,
@@ -29,11 +29,11 @@ from .surface import (
     Polygon,
     SurfaceFile,
     SurfaceInvolution,
+    _require_valid,
     arc_side,
     bseg_side,
     make_surface,
     parse_surface_file,
-    validate,
 )
 
 __all__ = [
@@ -53,7 +53,7 @@ def _load(name: str) -> SurfaceFile:
 
 
 def _checked(surface: DissectedSurface) -> DissectedSurface:
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     return surface
 
 

@@ -40,6 +40,7 @@ from .surface import (
     Passage,
     SurfaceInvolution,
     _moved_passages,
+    _require_valid,
     boundary_components,
     crossing_steps,
     curve_crossings,
@@ -101,18 +102,21 @@ def _walk_corners(surface: DissectedSurface, start: Passage) -> list[Passage]:
     to its other occurrence, then turn right around the corner behind it.
     The corner behind side 1 is the boundary segment's, passed by the
     chord from side 1 to the last side with the segment on its left."""
+    polygon_by_id, occurrences = surface.polygon_by_id, surface.occurrences
     passages = [start]
+    home = (start.polygon, start.entry, start.exit, start.bseg_side)
+    pid, exit = start.polygon, start.exit
     while True:
-        last = passages[-1]
-        side = surface.polygon_by_id[last.polygon].sides[last.exit]
-        pid, u = surface.occurrences[(side.ref, -side.direction)]
+        side = polygon_by_id[pid].sides[exit]
+        pid, u = occurrences[(side.ref, -side.direction)]
         if u == 1:
-            step = Passage(pid, 1, len(surface.polygon_by_id[pid].sides) - 1, "left")
+            step = (pid, 1, len(polygon_by_id[pid].sides) - 1, "left")
         else:
-            step = Passage(pid, u, u - 1, "right")
-        if step == start:
+            step = (pid, u, u - 1, "right")
+        if step == home:
             return passages
-        passages.append(step)
+        passages.append(Passage(*step))
+        exit = step[2]
 
 
 def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> CombinatorialCurve:
@@ -139,7 +143,7 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
 
 def boundary_curves(surface: DissectedSurface) -> list[CombinatorialCurve]:
     """One canonical parallel curve per boundary component."""
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     return [
         _trace_boundary(surface, min(bc.bsegs))
         for bc in boundary_components(surface)
@@ -152,7 +156,7 @@ def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurv
     One corner passage per arc ray at the point; a point carrying a single
     arc end (the slit case) yields one passage hugging that arc.
     """
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     pt = surface.point_by_id.get(point_id)
     if pt is None:
         raise error(UNKNOWN_ID, f"unknown point {point_id!r}", (point_id,))
@@ -187,7 +191,7 @@ def dual_dissection(surface: DissectedSurface) -> list[CombinatorialCurve]:
     joining the midpoints of the boundary segments of its two flanking
     polygons through a single crossing of that arc (a dual system in the
     sense of :func:`is_dual_dissection`)."""
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     out = []
     for a in sorted(surface.arc_by_id):
         p1, i1 = surface.occurrences[(a, 1)]
@@ -286,7 +290,7 @@ def grading_solver(
     the clashing values, all of them together.
     """
     report = Report()
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     by_id: dict[str, CombinatorialCurve] = {}
     for c in curves:
         raise_on_error(validate_curve(surface, c))
@@ -528,7 +532,7 @@ def invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     """Winding invariants of the dissection's line field: per boundary
     component the winding of its parallel curve and its marked-point
     count; per interior point the winding of its loop."""
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     top = topology(surface)
     if not top.connected:
         raise error(BAD_INPUT, "invariant tuples are defined for connected surfaces")
@@ -550,7 +554,19 @@ def cover_invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     """Invariant tuple of the canonical branched double cover, with the
     boundary windings cross-checked against lifts of the base boundary
     curves (closed lifts keep the winding; a doubled lift carries twice
-    the base winding).  A disagreement raises ``WINDING_MISMATCH``."""
+    the base winding).  A disagreement raises ``WINDING_MISMATCH``.
+
+    A dissection without orbifold points is refused with ``BAD_INPUT``,
+    after its own findings: its canonical cover is two disjoint copies of
+    it, which have no invariant tuple."""
+    _require_valid(surface)
+    if all(p.kind != ORBIFOLD for p in surface.points):
+        raise error(
+            BAD_INPUT,
+            f"the canonical double cover of {surface.name!r} is two disjoint "
+            "copies of it: it has no orbifold point",
+            (surface.name,),
+        )
     cov = double_cover(surface)
     direct = invariant_tuple(cov.total)
     report = Report()

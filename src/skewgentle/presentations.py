@@ -28,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .diagnostics import (
     BAD_INPUT,
@@ -53,6 +53,7 @@ from .surface import (
     DissectedSurface,
     MarkedPoint,
     Polygon,
+    _require_valid,
     arc_side,
     bseg_side,
     classify_dissection,
@@ -106,6 +107,18 @@ class Presentation:
     def monomial_pairs(self) -> frozenset:
         """The length-two paths appearing as single-term relations."""
         return frozenset(r[0] for r in self.relations if len(r) == 1)
+
+    @cached_property
+    def _shape_findings(self) -> tuple[tuple[Diagnostic, ...], tuple[Diagnostic, ...]]:
+        """The findings of ``_check_ids``, and those of
+        ``_check_composability`` on the relations in order when the ids
+        pass (none when they do not)."""
+        report = Report()
+        _check_ids(self, report)
+        if not report.ok:
+            return tuple(report.diagnostics), ()
+        _check_composability(self, report)
+        return (), tuple(report.diagnostics)
 
     @cached_property
     def _gentle_findings(self) -> tuple[Diagnostic, ...]:
@@ -268,10 +281,10 @@ def check_gentle(pres: Presentation) -> Report:
 
 
 def _check_gentle(pres: Presentation) -> Report:
+    ids, composable = pres._shape_findings
+    if ids:
+        return Report(list(ids))
     report = Report()
-    _check_ids(pres, report)
-    if not report.ok:
-        return report
     if pres.special:
         report.add(BAD_INPUT, "special loops present; use check_skew_gentle", ())
     for rel in pres.relations:
@@ -279,7 +292,7 @@ def _check_gentle(pres: Presentation) -> Report:
             report.add(BAD_INPUT, f"two-term relation {rel!r} in a gentle pair", (rel,))
     if not report.ok:
         return report
-    _check_composability(pres, report)
+    report.diagnostics.extend(composable)
     if report.ok:
         _gentle_core(pres, pres.vertices, pres.arrows, pres.monomial_pairs, report)
     return report
@@ -304,10 +317,10 @@ def check_skew_gentle(triple: Presentation) -> Report:
 
 
 def _check_triple(triple: Presentation) -> Report:
+    ids, _ = triple._shape_findings
+    if ids:
+        return Report(list(ids))
     report = Report()
-    _check_ids(triple, report)
-    if not report.ok:
-        return report
     for rel in triple.relations:
         if len(rel) != 1:
             report.add(BAD_INPUT, f"two-term relation {rel!r} in a triple", (rel,))
@@ -571,7 +584,7 @@ def extract_quiver(surface: DissectedSurface) -> QuiverExtraction:
     the relation list.  An arrow id ``src.tgt`` that names an arc or an
     earlier arrow takes the first free suffix ``#k`` instead.
     """
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     arrows: list[Arrow] = []
     corner_of_arrow: dict[str, tuple[str, int]] = {}
     point_of_arrow: dict[str, str] = {}
@@ -637,7 +650,7 @@ def algebra_dimension(surface: DissectedSurface) -> int:
     at an orbifold point counts as two sides, which gives the dimension of
     both the skew-gentle algebra of the triple and its split algebra.
     """
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     return len(surface.arcs) + sum(
         math.comb(len(p.sides) - 1, 2) for p in surface.polygons
     )
@@ -879,16 +892,27 @@ def surface_from_triple(triple: Presentation, name: str = "reconstructed") -> Di
 # Random generators (seeded; used by the property tests)
 
 
+class _Piece(NamedTuple):
+    """A puzzle piece of ``random_triple``, with the in- and out-degree of
+    each of its vertices, which every attempt that places it reads."""
+
+    presentation: Presentation
+    degree: dict[str, tuple[int, int]]
+
+
 # Bounded: 24 ordinary pieces, and as many special ones as max_special reaches.
 @lru_cache(maxsize=256)
-def _piece(kind: str, size: int, index: int) -> Presentation:
+def _piece(kind: str, size: int, index: int) -> _Piece:
     """The puzzle piece ``random_triple`` places at ``index``: a linear
     (``"l"``) or cyclic (``"c"``) piece of ``size`` vertices, or a special
     (``"s"``) one.  Pieces are frozen, so every attempt shares one build."""
     if kind == "s":
-        return special_piece(f"s{index}")
-    build = cycle_piece if kind == "c" else linear_piece
-    return build(size, f"{kind}{index}")
+        pres = special_piece(f"s{index}")
+    else:
+        pres = (cycle_piece if kind == "c" else linear_piece)(size, f"{kind}{index}")
+    indegree = Counter(a.target for a in pres.arrows)
+    outdegree = Counter(a.source for a in pres.arrows)
+    return _Piece(pres, {v: (indegree[v], outdegree[v]) for v in pres.vertices})
 
 
 def _pieces_connected(
@@ -939,13 +963,15 @@ def random_triple(
         shapes = [(rng.randint(1, 4), rng.random() < 0.25) for _ in range(rng.randint(1, 3))]
         if sum(size - (not cyclic) for size, cyclic in shapes) + n_special > max_arrows:
             continue
-        pieces = [
+        parts = [
             _piece("c" if cyclic else "l", size, i) for i, (size, cyclic) in enumerate(shapes)
         ]
-        pieces += [_piece("s", 1, j) for j in range(n_special)]
-        arrows = [a for p in pieces for a in p.arrows]
-        indegree = Counter(a.target for a in arrows)
-        outdegree = Counter(a.source for a in arrows)
+        parts += [_piece("s", 1, j) for j in range(n_special)]
+        pieces = [part.presentation for part in parts]
+        degree: dict[str, tuple[int, int]] = {}
+        for part in parts:
+            degree.update(part.degree)
+        # the pieces' vertex tuples are sorted runs, which sorted merges
         free = sorted(v for p in pieces for v in p.vertices)
         rng.shuffle(free)
         matchings: list[tuple[str, str]] = []
@@ -954,7 +980,8 @@ def random_triple(
         def try_match(a: str, b: str) -> bool:
             if a == b or a in used or b in used:
                 return False
-            if indegree[a] + indegree[b] > 2 or outdegree[a] + outdegree[b] > 2:
+            (in_a, out_a), (in_b, out_b) = degree[a], degree[b]
+            if in_a + in_b > 2 or out_a + out_b > 2:
                 return False
             matchings.append((a, b))
             used.update((a, b))

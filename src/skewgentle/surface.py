@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .diagnostics import (
@@ -64,6 +63,28 @@ from .diagnostics import (
     error,
     raise_on_error,
 )
+
+
+class _cached_property:
+    """A value computed on its first read and kept in the instance's
+    ``__dict__``, where later reads find it without calling this
+    descriptor: :class:`functools.cached_property` without the lock that
+    Python 3.11 takes on every first read, which a surface pays a dozen
+    times."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
 
 BOUNDARY = "boundary"
 PUNCTURE = "puncture"
@@ -157,14 +178,24 @@ def tail_ray(side: Side) -> Ray:
 
 class _Walk(NamedTuple):
     """What one walk over the polygon words finds; see
-    ``DissectedSurface._walk``."""
+    ``DissectedSurface._walk``.
 
-    arc_sides: dict[str, int]  # arc id -> number of its sides
-    arc_balance: dict[str, int]  # arc id -> sum of its sides' directions
-    bseg_sides: dict[str, int]  # bseg id -> number of its sides
+    Cells are numbered by position: cell ``c`` is arc ``c``, or boundary
+    segment ``c - len(arcs)`` from ``len(arcs)`` on, and one more cell
+    stands for every side that names no cell.  Ray ``2c`` is the tail end
+    of cell ``c`` and ray ``2c + 1`` its head end.  A side leaves the
+    corner before it by the ray where its traversal starts, so those rays
+    spell the polygon word.
+    """
+
+    point_pos: dict[str, int]  # point id -> position (the last of a repeated id)
+    arc_ray: dict[str, int]  # arc id -> its tail ray (the last of a repeated id)
+    bseg_ray: dict[str, int]  # bseg id -> its tail ray (the last of a repeated id)
+    ray_point: list[int]  # ray -> position of its point, -1 when unknown
+    succ: list[int]  # ray -> its counterclockwise successor, -1 for none
+    words: dict[str, tuple[int, ...]]  # polygon id -> the ray each side leaves by
     bsegs_per_polygon: list[int]
     unknown_sides: list[tuple[str, str]]  # (polygon id, ref) naming no cell
-    succ: dict[Ray, Ray]  # counterclockwise successor of each ray
     points: dict[str, tuple]  # polygon id -> point where side i ends
     mismatches: list[tuple]  # (polygon id, corner, point in, point out)
     occurrences: dict[tuple[str, int], tuple[str, int]]  # (arc, direction) -> (polygon, slot)
@@ -181,19 +212,19 @@ class DissectedSurface:
 
     # ----- lookups -------------------------------------------------------
 
-    @cached_property
+    @_cached_property
     def point_by_id(self) -> dict[str, MarkedPoint]:
         return {p.id: p for p in self.points}
 
-    @cached_property
+    @_cached_property
     def arc_by_id(self) -> dict[str, Arc]:
         return {a.id: a for a in self.arcs}
 
-    @cached_property
+    @_cached_property
     def bseg_by_id(self) -> dict[str, BoundarySegment]:
         return {b.id: b for b in self.bsegs}
 
-    @cached_property
+    @_cached_property
     def polygon_by_id(self) -> dict[str, Polygon]:
         return {p.id: p for p in self.polygons}
 
@@ -202,77 +233,84 @@ class DissectedSurface:
         cell = self.arc_by_id[ref] if kind == "a" else self.bseg_by_id[ref]
         return cell.tail if end == "tail" else cell.head
 
-    @cached_property
+    @_cached_property
     def occurrences(self) -> dict[tuple[str, int], tuple[str, int]]:
         """Directed arc occurrence -> (polygon id, slot), recorded by the walk."""
         return self._walk.occurrences
 
-    @cached_property
+    @_cached_property
     def bseg_occurrence(self) -> dict[str, tuple[str, int]]:
         """Boundary segment -> (polygon id, slot), recorded by the walk."""
         return self._walk.bseg_occurrence
 
-    @cached_property
+    @_cached_property
     def _walk(self) -> _Walk:
-        """One walk over the polygon words: the sides of every cell, where
-        each arc and boundary segment occurs, the successor of every ray
-        and the point at every corner.
+        """One walk over the polygon words, on positions: where each arc
+        and boundary segment occurs, the rays that spell each word, the
+        successor of every ray and the point at every corner.
 
         Corner ``i`` of a polygon lies between side ``i`` (arriving) and
         side ``i + 1`` (leaving, cyclically).  A side that names no arc or
         boundary segment is listed, and its endpoints read as ``None``.
         """
-        arc_ends = {a.id: (a.tail, a.head) for a in self.arcs}
-        bseg_ends = {b.id: (b.tail, b.head) for b in self.bsegs}
+        arcs, bsegs = self.arcs, self.bsegs
+        point_pos = {p.id: i for i, p in enumerate(self.points)}
+        arc_ray = {a.id: 2 * c for c, a in enumerate(arcs)}
+        first = 2 * len(arcs)
+        bseg_ray = {b.id: first + 2 * j for j, b in enumerate(bsegs)}
+        ends = [end for cell in (*arcs, *bsegs) for end in (cell.tail, cell.head)]
+        ray_point = [point_pos.get(end, -1) for end in ends]
+        unknown = len(ends)  # the tail ray of the cell of unknown sides
+        ends += (None, None)
+        succ = [-1] * (unknown + 2)
         walk = _Walk(
-            dict.fromkeys(arc_ends, 0), dict.fromkeys(arc_ends, 0),
-            dict.fromkeys(bseg_ends, 0), [], [], {}, {}, [], {}, {},
+            point_pos, arc_ray, bseg_ray, ray_point, succ, {}, [], [], {}, [], {}, {}
         )
-        arc_sides, arc_balance, bseg_sides = walk.arc_sides, walk.arc_balance, walk.bseg_sides
-        succ, mismatches = walk.succ, walk.mismatches
+        words, bsegs_per_polygon, unknown_sides = walk.words, walk.bsegs_per_polygon, walk.unknown_sides
+        corner_points, mismatches = walk.points, walk.mismatches
         occurrences, bseg_occurrence = walk.occurrences, walk.bseg_occurrence
         for poly in self.polygons:
             pid = poly.id
-            heads = []
+            word, heads = [], []
             nb = 0
             for i, s in enumerate(poly.sides):
-                kind, ref, d = s.kind, s.ref, s.direction
-                if kind == "a":
+                ref = s.ref
+                if s.kind == "a":
+                    d = s.direction
                     occurrences[(ref, d)] = (pid, i)
-                    ends = arc_ends.get(ref)
-                    if ends is not None:
-                        arc_sides[ref] += 1
-                        arc_balance[ref] += d
+                    try:
+                        r = arc_ray[ref]
+                    except KeyError:
+                        r = unknown
+                        unknown_sides.append((pid, ref))
+                    if d != 1:
+                        r += 1
                 else:
                     nb += 1
                     bseg_occurrence[ref] = (pid, i)
-                    ends = bseg_ends.get(ref)
-                    if ends is not None:
-                        bseg_sides[ref] += 1
-                if ends is None:
-                    walk.unknown_sides.append((pid, ref))
-                    ends = (None, None)
-                if d == 1:
-                    tail, head = ends
-                    ray_out, ray_next = (kind, ref, "tail"), (kind, ref, "head")
-                else:
-                    head, tail = ends
-                    ray_out, ray_next = (kind, ref, "head"), (kind, ref, "tail")
+                    try:
+                        r = bseg_ray[ref]
+                    except KeyError:
+                        r = unknown
+                        unknown_sides.append((pid, ref))
+                word.append(r)
+                tail = ends[r]
                 if i:  # corner i - 1
-                    succ[ray_out] = ray_in
+                    succ[r] = r_in
                     heads.append(p_in)
                     if p_in != tail:
                         mismatches.append((pid, i - 1, p_in, tail))
-                else:
-                    first_out, first_tail = ray_out, tail
-                ray_in, p_in = ray_next, head
-            if poly.sides:  # the last corner, back to side 0
-                succ[first_out] = ray_in
+                r_in = r ^ 1
+                p_in = ends[r_in]
+            if word:  # the last corner, back to side 0
+                r = word[0]
+                succ[r] = r_in
                 heads.append(p_in)
-                if p_in != first_tail:
-                    mismatches.append((pid, len(heads) - 1, p_in, first_tail))
-            walk.points[pid] = tuple(heads)
-            walk.bsegs_per_polygon.append(nb)
+                if p_in != ends[r]:
+                    mismatches.append((pid, len(heads) - 1, p_in, ends[r]))
+            words[pid] = tuple(word)
+            corner_points[pid] = tuple(heads)
+            bsegs_per_polygon.append(nb)
         return walk
 
     @property
@@ -280,7 +318,7 @@ class DissectedSurface:
         """Polygon id -> the point at each corner ``i``, where side ``i`` ends."""
         return self._walk.points
 
-    @cached_property
+    @_cached_property
     def corners_at_point(self) -> dict[str, list[tuple[str, int]]]:
         """The corners ``(polygon id, i)`` at each point of a valid surface,
         in polygon order; corner ``i`` is where side ``i`` ends."""
@@ -290,16 +328,27 @@ class DissectedSurface:
                 index.setdefault(point, []).append((pid, i))
         return index
 
-    @cached_property
+    @_cached_property
     def _findings(self) -> tuple[Diagnostic, ...]:
         return tuple(_check_surface(self).diagnostics)
 
-    @cached_property
+    @_cached_property
+    def _boundary(self) -> tuple[BoundaryComponent, ...]:
+        """The boundary circles of a valid surface; see
+        :func:`boundary_components`."""
+        return _boundary_circles(self)
+
+    @_cached_property
+    def _topology(self) -> Topology:
+        """The topology of a valid surface; see :func:`topology`."""
+        return _surface_topology(self)
+
+    @_cached_property
     def _curve_findings(self) -> dict:
         """Curve -> the findings of :func:`validate_curve` on this surface."""
         return {}
 
-    @cached_property
+    @_cached_property
     def _involution_findings(self) -> dict:
         """``id(inv)`` -> ``(inv, its maps, findings)`` of
         :func:`validate_involution`; holding ``inv`` keeps its id unique."""
@@ -346,88 +395,118 @@ def validate(surface: DissectedSurface) -> Report:
     return Report(list(surface._findings))
 
 
+def _require_valid(surface: DissectedSurface) -> None:
+    """Raise the findings kept on ``surface``, if it has any: what
+    ``raise_on_error(validate(surface))`` does, without a report."""
+    if surface._findings:
+        raise ValidationError(surface._findings)
+
+
 def _check_surface(surface: DissectedSurface) -> Report:
+    """The findings of :func:`validate`, in a fixed order.  Each stage
+    first asks whether anything is wrong, with a few whole-list tests, and
+    only then goes cell by cell to name the findings."""
     report = Report()
-    for category, items in (
-        ("point", surface.points),
-        ("arc", surface.arcs),
-        ("bseg", surface.bsegs),
-        ("polygon", surface.polygons),
+    walk = surface._walk
+    points, arcs, bsegs, polygons = surface.points, surface.arcs, surface.bsegs, surface.polygons
+    for category, items, by_id in (
+        ("point", points, walk.point_pos),
+        ("arc", arcs, walk.arc_ray),
+        ("bseg", bsegs, walk.bseg_ray),
+        ("polygon", polygons, walk.points),
     ):
+        if len(by_id) == len(items):
+            continue
         seen: set[str] = set()
         for x in items:
             if x.id in seen:
                 report.add(BAD_INPUT, f"duplicate {category} id {x.id!r}", (x.id,))
             seen.add(x.id)
-    for p in surface.points:
+    for p in points:
         if p.kind not in POINT_KINDS:
             report.add(BAD_INPUT, f"point {p.id!r} has unknown kind {p.kind!r}", (p.id,))
 
-    # Endpoints, with the number of rays at each point, one arc ray at each
-    # point, and the boundary rays leaving and entering each point.
-    kind_of = {p.id: p.kind for p in surface.points}
-    degree = dict.fromkeys(kind_of, 0)
-    arc_ray: dict[str, Ray] = {}
-    for a in surface.arcs:
-        for end, label in ((a.tail, "tail"), (a.head, "head")):
-            if end not in kind_of:
-                report.add(UNKNOWN_ID, f"arc {a.id!r} endpoint {end!r} unknown", (a.id,))
-                continue
-            degree[end] += 1
-            if end not in arc_ray:
-                arc_ray[end] = ("a", a.id, label)
-    outs: dict[str, list[Ray]] = {}
-    ins: dict[str, list[Ray]] = {}
-    for b in surface.bsegs:
-        for end in (b.tail, b.head):
-            if end not in kind_of:
-                report.add(UNKNOWN_ID, f"bseg {b.id!r} endpoint {end!r} unknown", (b.id,))
-        for end in (b.tail, b.head):
-            if end in kind_of and kind_of[end] != BOUNDARY:
-                report.add(
-                    BAD_INPUT,
-                    f"bseg {b.id!r} endpoint {end!r} is not a boundary point",
-                    (b.id,),
-                )
-        if b.tail in degree:
-            degree[b.tail] += 1
-            outs.setdefault(b.tail, []).append(("b", b.id, "tail"))
-        if b.head in degree:
-            degree[b.head] += 1
-            ins.setdefault(b.head, []).append(("b", b.id, "head"))
-    walk = surface._walk
+    # Endpoints: each is a known point, and the boundary segments run
+    # between boundary points, one leaving and one arriving at each.  A
+    # point id repeated reads as its last point.
+    ray_point = walk.ray_point
+    first, unknown = 2 * len(arcs), len(ray_point)
+    known = -1 not in ray_point
+    boundary = [at for at, p in enumerate(points) if p.kind == BOUNDARY]
+    chained = (
+        known
+        and sorted(ray_point[first::2]) == boundary
+        and sorted(ray_point[first + 1 :: 2]) == boundary
+    )
+    if not known:
+        for c, a in enumerate(arcs):
+            if ray_point[2 * c] < 0:
+                report.add(UNKNOWN_ID, f"arc {a.id!r} endpoint {a.tail!r} unknown", (a.id,))
+            if ray_point[2 * c + 1] < 0:
+                report.add(UNKNOWN_ID, f"arc {a.id!r} endpoint {a.head!r} unknown", (a.id,))
+    if not chained:
+        for j, b in enumerate(bsegs):
+            ends = ((b.tail, ray_point[first + 2 * j]), (b.head, ray_point[first + 2 * j + 1]))
+            for end, at in ends:
+                if at < 0:
+                    report.add(UNKNOWN_ID, f"bseg {b.id!r} endpoint {end!r} unknown", (b.id,))
+            for end, at in ends:
+                if at >= 0 and points[at].kind != BOUNDARY:
+                    report.add(
+                        BAD_INPUT,
+                        f"bseg {b.id!r} endpoint {end!r} is not a boundary point",
+                        (b.id,),
+                    )
     for pid, ref in walk.unknown_sides:
         report.add(UNKNOWN_ID, f"polygon {pid!r} refers to unknown side {ref!r}", (pid,))
     if not report.ok:
         return report
 
     # Occurrence counts, and the boundary segment at slot 0, where the
-    # boundary walks, the chord sides and the cover read it.
-    for poly, nb in zip(surface.polygons, walk.bsegs_per_polygon):
+    # boundary walks, the chord sides and the cover read it.  Boundary
+    # segment sides leave by their tail rays only; so every arc ray and
+    # every tail ray of a boundary segment has a successor, and there are
+    # just as many sides, exactly when each arc occurs once in each
+    # direction and each boundary segment once.
+    words, succ = walk.words, walk.succ
+    for poly, nb in zip(polygons, walk.bsegs_per_polygon):
         if nb != 1:
             report.add(
                 MULTIPLE_BSEG,
                 f"polygon {poly.id!r} has {nb} boundary segments (need exactly 1)",
                 (poly.id,),
             )
-        elif poly.sides[0].is_arc:
+        elif words[poly.id][0] < first:
             report.add(
                 BSEG_NOT_FIRST,
                 f"polygon {poly.id!r} word does not start with its boundary segment",
                 (poly.id,),
             )
-    for aid, count in walk.arc_sides.items():
-        if count != 2:
-            report.add(ARC_OCCURRENCE, f"arc {aid!r} occurs {count} times (need 2)", (aid,))
-        elif walk.arc_balance[aid]:
-            report.add(
-                NONORIENTABLE_GLUING,
-                f"arc {aid!r} occurs twice with the same direction",
-                (aid,),
-            )
-    for bid, cnt in walk.bseg_sides.items():
-        if cnt != 1:
-            report.add(BSEG_OCCURRENCE, f"bseg {bid!r} occurs {cnt} times (need 1)", (bid,))
+    if (
+        -1 in succ[:first]
+        or -1 in succ[first:unknown:2]
+        or sum(map(len, words.values())) != (first + unknown) // 2
+    ):
+        leaves = [0] * unknown  # ray -> number of sides leaving by it
+        for word in words.values():
+            for r in word:
+                leaves[r] += 1
+        for c, a in enumerate(arcs):
+            plus, minus = leaves[2 * c], leaves[2 * c + 1]
+            if plus + minus != 2:
+                report.add(
+                    ARC_OCCURRENCE, f"arc {a.id!r} occurs {plus + minus} times (need 2)", (a.id,)
+                )
+            elif plus != minus:
+                report.add(
+                    NONORIENTABLE_GLUING,
+                    f"arc {a.id!r} occurs twice with the same direction",
+                    (a.id,),
+                )
+        for j, b in enumerate(bsegs):
+            count = leaves[first + 2 * j]
+            if count != 1:
+                report.add(BSEG_OCCURRENCE, f"bseg {b.id!r} occurs {count} times (need 1)", (b.id,))
     if not report.ok:
         return report
 
@@ -441,58 +520,68 @@ def _check_surface(surface: DissectedSurface) -> Report:
     if not report.ok:
         return report
 
-    # Rotation structure at every point: the successors run from the
-    # outgoing to the incoming boundary ray, or round one cycle, through
-    # every ray at the point.  Every ray they reach lies at the point, since
-    # the corners are consistent; so counting the rays reached suffices.
-    # Interior points touch no boundary segment here: a bseg endpoint that
-    # is not a boundary point was reported above.
-    succ = walk.succ
-    for point in surface.points:
+    # Rotation structure at every point: the rays at a point form one
+    # successor orbit, a chain from the leaving to the arriving boundary
+    # ray, or a cycle.  Every side leaves by one ray and arrives by
+    # another, so the successor map is one to one; it is undefined only at
+    # the arriving boundary rays, and no ray leads to the leaving ones.  So
+    # each chain starts at a leaving boundary ray, every other orbit is a
+    # cycle, and consistent corners keep each orbit at one point.  Every
+    # point has one orbit exactly when there are as many orbits as points
+    # and no point lacks a ray.  Interior points touch no boundary segment
+    # here: a bseg endpoint that is not a boundary point was reported
+    # above.
+    seen = bytearray(unknown)
+    for r in range(first, unknown, 2):
+        while r >= 0:
+            seen[r] = 1
+            r = succ[r]
+    cycles = []  # the first ray of every cycle
+    for start in range(first):
+        if not seen[start]:
+            cycles.append(start)
+            r = start
+            while not seen[r]:
+                seen[r] = 1
+                r = succ[r]
+    if chained and (unknown - first) // 2 + len(cycles) == len(points) == len(set(ray_point)):
+        return report
+    orbits, leaving, arriving = [0] * len(points), [0] * len(points), [0] * len(points)
+    for r in range(first, unknown, 2):
+        orbits[ray_point[r]] += 1
+        leaving[ray_point[r]] += 1
+        arriving[ray_point[r + 1]] += 1
+    for r in cycles:
+        orbits[ray_point[r]] += 1
+    for at, point in enumerate(points):
         pid = point.id
         if point.kind == BOUNDARY:
-            out, into = outs.get(pid, ()), ins.get(pid, ())
-            if len(out) != 1 or len(into) != 1:
+            if leaving[at] != 1 or arriving[at] != 1:
                 report.add(
                     CORNER_MISMATCH,
-                    f"boundary point {pid!r} has {len(out)} outgoing and "
-                    f"{len(into)} incoming boundary segments (need 1 and 1)",
+                    f"boundary point {pid!r} has {leaving[at]} outgoing and "
+                    f"{arriving[at]} incoming boundary segments (need 1 and 1)",
                     (pid,),
                 )
-            elif _rays_reached(succ, out[0], into[0]) != degree[pid]:
+            elif orbits[at] != 1:
                 report.add(
                     CORNER_MISMATCH,
                     f"rays at boundary point {pid!r} do not form a single chain",
                     (pid,),
                 )
-        elif not degree[pid]:
+        elif not orbits[at]:
             report.add(
                 CORNER_MISMATCH,
                 f"interior point {pid!r} has no incident arc ends",
                 (pid,),
             )
-        elif _rays_reached(succ, arc_ray[pid], arc_ray[pid]) != degree[pid]:
+        elif orbits[at] != 1:
             report.add(
                 CORNER_MISMATCH,
                 f"rays at interior point {pid!r} do not form a single cycle",
                 (pid,),
             )
     return report
-
-
-def _rays_reached(succ: dict[Ray, Ray], first: Ray, last: Ray) -> int:
-    """The rays on the successor path from ``first`` to ``last`` (back to
-    ``first`` for a cycle); 0 when the path breaks off or meets itself
-    before."""
-    seen = {first}
-    cur = first
-    while True:
-        cur = succ.get(cur)
-        if cur == last:
-            return len(seen) + (last != first)
-        if cur is None or cur in seen:
-            return 0
-        seen.add(cur)
 
 
 def classify_dissection(surface: DissectedSurface) -> str:
@@ -502,15 +591,19 @@ def classify_dissection(surface: DissectedSurface) -> str:
     (``"x"``) dissection requires every orbifold point to carry exactly one
     incident arc end; violations raise ``X_DEGREE``.
     """
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     report = Report()
-    orbifold = [p for p in surface.points if p.kind == ORBIFOLD]
-    for p in orbifold:
-        deg = sum((a.tail, a.head).count(p.id) for a in surface.arcs)
-        if deg != 1:
+    ray_point = surface._walk.ray_point  # no boundary segment ends at an orbifold point
+    orbifold = False
+    for at, p in enumerate(surface.points):
+        if p.kind != ORBIFOLD:
+            continue
+        orbifold = True
+        degree = ray_point.count(at)
+        if degree != 1:
             report.add(
                 X_DEGREE,
-                f"orbifold point {p.id!r} has {deg} incident arc ends (need 1)",
+                f"orbifold point {p.id!r} has {degree} incident arc ends (need 1)",
                 (p.id,),
             )
     raise_on_error(report)
@@ -550,74 +643,96 @@ class Topology:
 
 
 def boundary_components(surface: DissectedSurface) -> list[BoundaryComponent]:
-    raise_on_error(validate(surface))
-    leaving = {b.tail: b for b in surface.bsegs}
-    seen: set[str] = set()
+    """The boundary circles, each from its least segment id, in that
+    order; they are kept on the surface, and each call returns a new list."""
+    _require_valid(surface)
+    return list(surface._boundary)
+
+
+def _boundary_circles(surface: DissectedSurface) -> tuple[BoundaryComponent, ...]:
+    """Follow the boundary segments of a valid surface, head to the tail of
+    the next: each boundary point has one leaving and one arriving."""
+    bsegs, ray_point = surface.bsegs, surface._walk.ray_point
+    first = 2 * len(surface.arcs)
+    leaving = {ray_point[r]: j for j, r in enumerate(range(first, len(ray_point), 2))}
+    seen = bytearray(len(bsegs))
     comps = []
-    for b in sorted(surface.bsegs, key=lambda x: x.id):
-        if b.id in seen:
+    for j in sorted(range(len(bsegs)), key=[b.id for b in bsegs].__getitem__):
+        if seen[j]:
             continue
-        cyc = [b]
-        nxt = leaving[b.head]
-        while nxt.id != b.id:
-            cyc.append(nxt)
-            nxt = leaving[nxt.head]
-        ids = tuple(x.id for x in cyc)
-        seen.update(ids)
-        comps.append(BoundaryComponent(ids, tuple(x.tail for x in cyc)))
-    return comps
+        cyc = []
+        while not seen[j]:
+            seen[j] = 1
+            cyc.append(bsegs[j])
+            j = leaving[ray_point[first + 2 * j + 1]]
+        comps.append(BoundaryComponent(tuple([b.id for b in cyc]), tuple([b.tail for b in cyc])))
+    return tuple(comps)
 
 
-def _component_labels(surface: DissectedSurface) -> dict[str, int]:
-    """Connected-component label for every point id.
+def _root(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _component_labels(surface: DissectedSurface) -> list[int]:
+    """Connected-component label of every point position.
 
     Union-find over the arcs, then the boundary segments; a label is the
-    rank of its component's root among the sorted roots.  The corners of a
-    polygon of a valid surface are joined by its sides already, so they add
-    no links.
+    rank of its component's root among the roots sorted by id.  The corners
+    of a polygon of a valid surface are joined by its sides already, so
+    they add no links.
     """
-    parent: dict[str, str] = {p.id: p.id for p in surface.points}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cell in (*surface.arcs, *surface.bsegs):
-        rx, ry = find(cell.tail), find(cell.head)
+    points, ray_point = surface.points, surface._walk.ray_point
+    parent = list(range(len(points)))
+    for r in range(0, len(ray_point), 2):
+        rx, ry = _root(parent, ray_point[r]), _root(parent, ray_point[r + 1])
         if rx != ry:
             parent[rx] = ry
-    roots = {p.id: find(p.id) for p in surface.points}
-    index = {r: i for i, r in enumerate(sorted(set(roots.values())))}
-    return {p: index[r] for p, r in roots.items()}
+    roots = [_root(parent, x) for x in range(len(points))]
+    if not roots or roots.count(roots[0]) == len(roots):
+        return [0] * len(roots)
+    rank = {r: i for i, r in enumerate(sorted(set(roots), key=lambda r: points[r].id))}
+    return [rank[r] for r in roots]
 
 
 def topology(surface: DissectedSurface) -> Topology:
-    """Euler characteristic, genus and boundary data of a valid surface."""
-    raise_on_error(validate(surface))
-    labels = _component_labels(surface)
-    ncomp = (max(labels.values()) + 1) if labels else 1
-    bcomps = boundary_components(surface)
+    """Euler characteristic, genus and boundary data of a valid surface,
+    kept on the surface."""
+    _require_valid(surface)
+    return surface._topology
 
-    # Euler characteristic and boundary circles of each component, one pass
-    # over each kind of cell.
+
+def _surface_topology(surface: DissectedSurface) -> Topology:
+    """The topology of a valid surface, read off the positions of its walk."""
+    labels = _component_labels(surface)
+    ncomp = (max(labels) + 1) if labels else 1
+    ray_point = surface._walk.ray_point
+
+    # Euler characteristic V - E + F of each component.  Every polygon
+    # holds one boundary segment, which ends where the polygon's last
+    # corner is, so polygons and boundary segments cancel: V minus the
+    # arcs.
     chis = [0] * ncomp
-    for p in surface.points:
-        chis[labels[p.id]] += 1
-    for cell in (*surface.arcs, *surface.bsegs):
-        chis[labels[cell.tail]] -= 1
-    corners = surface.corner_points
-    for poly in surface.polygons:
-        # the last corner is where side 0 starts
-        chis[labels[corners[poly.id][-1]]] += 1
+    punctures: list[list[str]] = [[] for _ in range(ncomp)]
+    orbifold: list[list[str]] = [[] for _ in range(ncomp)]
+    for p, label in zip(surface.points, labels):
+        chis[label] += 1
+        if p.kind == PUNCTURE:
+            punctures[label].append(p.id)
+        elif p.kind == ORBIFOLD:
+            orbifold[label].append(p.id)
+    for r in range(0, 2 * len(surface.arcs), 2):
+        chis[labels[ray_point[r]]] -= 1
     circles: list[list[BoundaryComponent]] = [[] for _ in range(ncomp)]
-    for bc in bcomps:
-        circles[labels[bc.marked[0]]].append(bc)
+    point_pos = surface._walk.point_pos
+    for bc in surface._boundary:
+        circles[labels[point_pos[bc.marked[0]]]].append(bc)
 
     comps = []
     for c, chi in enumerate(chis):
-        pts = [p for p in surface.points if labels[p.id] == c]
         bdry = tuple(circles[c])
         twice_genus = 2 - chi - len(bdry)
         if twice_genus < 0 or twice_genus % 2 != 0:
@@ -631,20 +746,17 @@ def topology(surface: DissectedSurface) -> Topology:
                 euler_char=chi,
                 genus=twice_genus // 2,
                 boundary=bdry,
-                punctures=tuple(sorted(p.id for p in pts if p.kind == PUNCTURE)),
-                orbifold_points=tuple(sorted(p.id for p in pts if p.kind == ORBIFOLD)),
+                punctures=tuple(sorted(punctures[c])),
+                orbifold_points=tuple(sorted(orbifold[c])),
             )
         )
-    total_chi = sum(c.euler_char for c in comps)
     return Topology(
-        euler_char=total_chi,
+        euler_char=sum(chis),
         connected=ncomp == 1,
         genus=comps[0].genus if ncomp == 1 else None,
-        boundary=tuple(bcomps),
-        punctures=tuple(sorted(p.id for p in surface.points if p.kind == PUNCTURE)),
-        orbifold_points=tuple(
-            sorted(p.id for p in surface.points if p.kind == ORBIFOLD)
-        ),
+        boundary=surface._boundary,
+        punctures=tuple(sorted(p for ids in punctures for p in ids)),
+        orbifold_points=tuple(sorted(p for ids in orbifold for p in ids)),
         components=tuple(comps),
     )
 
@@ -685,7 +797,7 @@ def complete_involution(
 ) -> SurfaceInvolution:
     """Derive the bseg and polygon permutations from point and arc data;
     an image that cannot be found raises ``BAD_INVOLUTION``."""
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     report = Report()
     reversed_arcs = frozenset(reversed_arcs)
     partial = SurfaceInvolution(
@@ -775,9 +887,9 @@ def validate_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Re
 
 
 def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Report:
-    report = validate(surface)
-    if not report.ok:
-        return report
+    if surface._findings:
+        return Report(list(surface._findings))
+    report = Report()
     for mapping, items, label in (
         (inv.points, surface.points, "point"),
         (inv.arcs, surface.arcs, "arc"),
@@ -794,6 +906,8 @@ def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Repo
     if not report.ok:
         return report
 
+    walk = surface._walk
+    arcs, bsegs = surface.arcs, surface.bsegs
     point_map, reversed_arcs = inv.points, inv.reversed_arcs
     for p in surface.points:
         if p.kind == ORBIFOLD:
@@ -801,12 +915,16 @@ def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Repo
         elif point_map[p.id] == p.id:
             report.add(FIXED_MARKED_POINT, f"point {p.id!r} is fixed", (p.id,))
 
-    for a in surface.arcs:
+    # image[r]: the ray by which the image of a side leaving by ray r leaves
+    image = [0] * len(walk.ray_point)
+    for c, a in enumerate(arcs):
         img = inv.arcs[a.id]
         rev = a.id in reversed_arcs
+        r = walk.arc_ray[img]
+        image[2 * c], image[2 * c + 1] = (r + 1, r) if rev else (r, r + 1)
         if rev != (img in reversed_arcs):
             report.add(BAD_INVOLUTION, f"reversal flag of arc {a.id!r} not symmetric", (a.id,))
-        img_arc = surface.arc_by_id[img]
+        img_arc = arcs[r >> 1]
         want_tail = point_map[a.head] if rev else point_map[a.tail]
         want_head = point_map[a.tail] if rev else point_map[a.head]
         if (img_arc.tail, img_arc.head) != (want_tail, want_head):
@@ -819,12 +937,15 @@ def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Repo
         if img == a.id and not rev:
             report.add(UNREVERSED_FIXED_ARC, f"arc {a.id!r} is fixed but not reversed", (a.id,))
 
-    for b in surface.bsegs:
+    n_arc_rays = 2 * len(arcs)
+    for j, b in enumerate(bsegs):
         img = inv.bsegs[b.id]
+        r = walk.bseg_ray[img]
+        image[n_arc_rays + 2 * j] = r
         if img == b.id:
             report.add(BAD_INVOLUTION, f"bseg {b.id!r} is fixed", (b.id,))
             continue
-        img_b = surface.bseg_by_id[img]
+        img_b = bsegs[(r - n_arc_rays) >> 1]
         if (img_b.tail, img_b.head) != (point_map[b.tail], point_map[b.head]):
             report.add(
                 ORIENTATION_REVERSED,
@@ -832,46 +953,38 @@ def _check_involution(surface: DissectedSurface, inv: SurfaceInvolution) -> Repo
                 (b.id,),
             )
 
+    # Words compare as the rays their sides leave by, which name the side:
+    # an arc ray flips with the direction, a boundary segment always
+    # leaves by its tail.
+    words = walk.words
     for poly in surface.polygons:
         img_id = inv.polygons[poly.id]
         if img_id == poly.id:
             report.add(FIXED_POLYGON, f"polygon {poly.id!r} is fixed", (poly.id,))
             continue
-        img_poly = surface.polygon_by_id[img_id]
-        if len(img_poly.sides) != len(poly.sides):
+        target = words[img_id]
+        if len(target) != len(poly.sides):
             report.add(BAD_INVOLUTION, f"polygon {poly.id!r} image has different length", (poly.id,))
             continue
-        # Words compare as (kind, ref, direction) keys.
-        try:
-            mapped = tuple(
-                ("b", inv.bsegs[s.ref], 1)
-                if s.kind == "b"
-                else ("a", inv.arcs[s.ref], -s.direction if s.ref in reversed_arcs else s.direction)
-                for s in poly.sides
-            )
-        except KeyError:
-            report.add(BAD_INVOLUTION, f"polygon {poly.id!r} sides do not all map", (poly.id,))
+        mapped = [image[r] for r in words[poly.id]]
+        if tuple(mapped) == target:
             continue
         # Both words start with their boundary segment, so an orientation-
         # preserving match is the identity on slots; the reversed word ends
         # with its boundary segment and is rotated by one to start there.
-        target = tuple((x.kind, x.ref, x.direction) for x in img_poly.sides)
-        if mapped != target:
-            rev_word = tuple(
-                (kind, ref, 1 if kind == "b" else -d) for kind, ref, d in reversed(mapped)
+        rev_word = [r ^ 1 if r < n_arc_rays else r for r in reversed(mapped)]
+        if tuple(rev_word[-1:] + rev_word[:-1]) == target:
+            report.add(
+                ORIENTATION_REVERSED,
+                f"polygon {poly.id!r} maps to {img_id!r} orientation-reversingly",
+                (poly.id,),
             )
-            if rev_word[-1:] + rev_word[:-1] == target:
-                report.add(
-                    ORIENTATION_REVERSED,
-                    f"polygon {poly.id!r} maps to {img_id!r} orientation-reversingly",
-                    (poly.id,),
-                )
-            else:
-                report.add(
-                    BAD_INVOLUTION,
-                    f"polygon {poly.id!r} word does not map onto polygon {img_id!r}",
-                    (poly.id,),
-                )
+        else:
+            report.add(
+                BAD_INVOLUTION,
+                f"polygon {poly.id!r} word does not map onto polygon {img_id!r}",
+                (poly.id,),
+            )
     return report
 
 
@@ -903,6 +1016,15 @@ class CombinatorialCurve:
     id: str
     closed: bool
     passages: tuple[Passage, ...]
+
+    def __hash__(self) -> int:
+        # The hash of the field values, kept after the first call: every
+        # surface keys its curve findings by the curve.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.id, self.closed, self.passages))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _moved_passages(
@@ -948,35 +1070,39 @@ def validate_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Repo
 
 
 def _check_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report:
-    report = validate(surface)
-    if not report.ok:
-        return report
+    if surface._findings:
+        return Report(list(surface._findings))
+    report = Report()
     ps = curve.passages
     if not ps:
         report.add(INVALID_CURVE, f"curve {curve.id!r} has no passages", (curve.id,))
         return report
-    sides_at = []  # per passage: the sides at its entry and exit slots
+    # A side reads as the ray it leaves by: the boundary segment rays come
+    # after every arc ray, and the two occurrences of an arc leave by its
+    # two rays.
+    words = surface._walk.words
+    rays_at = []  # per passage: the rays of the sides at its entry and exit slots
     for k, p in enumerate(ps):
-        poly = surface.polygon_by_id.get(p.polygon)
-        if poly is None:
+        word = words.get(p.polygon)
+        if word is None:
             report.add(UNKNOWN_ID, f"curve {curve.id!r} passage {k}: unknown polygon {p.polygon!r}", (curve.id, k))
             continue
-        sides = poly.sides
-        n = len(sides)
+        n = len(word)
         for slot in (p.entry, p.exit):
             if not 0 <= slot < n:
                 report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k}: slot {slot} out of range", (curve.id, k))
         if p.bseg_side not in ("left", "right"):
             report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k}: bad bseg side {p.bseg_side!r}", (curve.id, k))
-        if report.ok:
-            sides_at.append((sides[p.entry], sides[p.exit]))
+        if not report.diagnostics:
+            rays_at.append((word[p.entry], word[p.exit]))
     if not report.ok:
         return report
 
     closed, last = curve.closed, len(ps) - 1
-    for k, (p, (s_entry, s_exit)) in enumerate(zip(ps, sides_at)):
-        entry_is_b = s_entry.kind == "b"
-        exit_is_b = s_exit.kind == "b"
+    arc_rays = 2 * len(surface.arcs)
+    for k, (p, (r_entry, r_exit)) in enumerate(zip(ps, rays_at)):
+        entry_is_b = r_entry >= arc_rays
+        exit_is_b = r_exit >= arc_rays
         if closed or k != 0:
             if entry_is_b:
                 report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k} enters through the bseg", (curve.id, k))
@@ -1001,20 +1127,17 @@ def _check_curve(surface: DissectedSurface, curve: CombinatorialCurve) -> Report
     if not report.ok:
         return report
 
-    # Consecutive passages must cross the two occurrences of one arc.
+    # Consecutive passages must cross the two occurrences of one arc: the
+    # side entered leaves by the other ray of the arc of the side exited.
     if not closed and len(ps) < 2:
         report.add(INVALID_CURVE, f"open curve {curve.id!r} crosses no arc", (curve.id,))
         return report
-    for k in range(crossing_steps(curve)[0]):
+    for k in range(len(ps) if closed else last):
         nxt = (k + 1) % len(ps)
-        p, q = ps[k], ps[nxt]
-        s_out = sides_at[k][1]
-        s_in = sides_at[nxt][0]
-        if s_out.kind == "b" or s_in.kind == "b":
+        r_out, r_in = rays_at[k][1], rays_at[nxt][0]
+        if r_out >= arc_rays or r_in >= arc_rays:
             continue
-        same_arc = s_out.ref == s_in.ref
-        other_occurrence = (p.polygon, p.exit) != (q.polygon, q.entry)
-        if not (same_arc and other_occurrence and s_out.direction == -s_in.direction):
+        if r_in != r_out ^ 1:
             report.add(
                 INVALID_CURVE,
                 f"curve {curve.id!r}: passages {k}->{nxt} do not "
@@ -1043,7 +1166,7 @@ def curve_crossings(
     surface: DissectedSurface, curve: CombinatorialCurve
 ) -> list[str]:
     """The arcs crossed, in curve order (one entry per crossing)."""
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     ps = curve.passages
     count, _ = crossing_steps(curve)
     return [surface.polygon_by_id[p.polygon].sides[p.exit].ref for p in ps[:count]]
@@ -1069,8 +1192,8 @@ def surfaces_isomorphic(
     order.  A component is never rematched: if it fits two components of
     ``s2``, those two are isomorphic, so the first fit is as good as any.
     """
-    raise_on_error(validate(s1))
-    raise_on_error(validate(s2))
+    _require_valid(s1)
+    _require_valid(s2)
     if (
         len(s1.points) != len(s2.points)
         or len(s1.arcs) != len(s2.arcs)
@@ -1285,7 +1408,7 @@ def parse_surface_file(text: str) -> SurfaceFile:
     if name is None:
         raise _syntax(0, "missing 'surface NAME' line")
     surface = make_surface(name, points, arcs, bsegs, polygons)
-    raise_on_error(validate(surface))
+    _require_valid(surface)
     involution = None
     if inv_data is not None:
         involution = complete_involution(surface, *inv_data)

@@ -40,13 +40,19 @@ row, the references for the versions that read only the generator rows.  :func:`
 product cell by cell from its product rule, the reference for the rows
 ``skew_group_algebra`` fills on first read, and :func:`generates` the full
 two-sided closure that the surjectivity check of ``verify_morphism``
-takes modulo the span of the target's non-generators.
+takes modulo the span of the target's non-generators.  At the end,
+:func:`check_surface`, :func:`check_involution` and :func:`check_curve`
+are the surface, involution and curve checks as they ran on ray tuples
+(one successor path per point, words compared as ``(kind, ref,
+direction)`` tuples), the references for the library's checks on
+positions.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from skewgentle import (
     CombinatorialCurve,
@@ -59,9 +65,26 @@ from skewgentle import (
     skew_group_algebra,
 )
 from skewgentle.algebra import _accumulate, _add, _preimages, _products_row, vscale
-from skewgentle.diagnostics import BAD_INPUT, Report
+from skewgentle.diagnostics import (
+    ARC_OCCURRENCE,
+    BAD_INPUT,
+    BAD_INVOLUTION,
+    BSEG_NOT_FIRST,
+    BSEG_OCCURRENCE,
+    CORNER_MISMATCH,
+    FIXED_MARKED_POINT,
+    FIXED_POLYGON,
+    INVALID_CURVE,
+    MULTIPLE_BSEG,
+    NONORIENTABLE_GLUING,
+    NOT_ORDER_TWO,
+    ORIENTATION_REVERSED,
+    UNKNOWN_ID,
+    UNREVERSED_FIXED_ARC,
+    Report,
+)
 from skewgentle.presentations import _check_ids
-from skewgentle.surface import chord_bseg_side
+from skewgentle.surface import BOUNDARY, ORBIFOLD, POINT_KINDS, chord_bseg_side
 
 
 def forbidden_pairs(presentation) -> set[tuple[str, str]]:
@@ -1317,3 +1340,401 @@ def blocks_all_rows(A, once, act) -> bool:
             if twisted.get(col) != {n * (1 - g) + p: sq} or plain.get(col) != {col: 1}:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The surface and involution checks on ray tuples
+#
+# The checks as the library ran them before it numbered the cells: a ray is
+# the tuple ``("a"|"b", id, "tail"|"head")``, the successors are a dict of
+# rays, and the rays at each point are counted along one successor path per
+# point.  The library's checks on positions must give the same findings, in
+# the same order.
+
+
+class RayWalk(NamedTuple):
+    """What one walk over the polygon words finds, keyed by ids and rays."""
+
+    arc_sides: dict  # arc id -> number of its sides
+    arc_balance: dict  # arc id -> sum of its sides' directions
+    bseg_sides: dict  # bseg id -> number of its sides
+    bsegs_per_polygon: list
+    unknown_sides: list  # (polygon id, ref) naming no cell
+    succ: dict  # counterclockwise successor of each ray
+    points: dict  # polygon id -> point where side i ends
+    mismatches: list  # (polygon id, corner, point in, point out)
+
+
+def ray_walk(surface) -> RayWalk:
+    """One walk over the polygon words: the sides of every cell, the
+    successor of every ray and the point at every corner."""
+    arc_ends = {a.id: (a.tail, a.head) for a in surface.arcs}
+    bseg_ends = {b.id: (b.tail, b.head) for b in surface.bsegs}
+    walk = RayWalk(
+        dict.fromkeys(arc_ends, 0), dict.fromkeys(arc_ends, 0),
+        dict.fromkeys(bseg_ends, 0), [], [], {}, {}, [],
+    )
+    for poly in surface.polygons:
+        pid = poly.id
+        heads = []
+        nb = 0
+        for i, s in enumerate(poly.sides):
+            kind, ref, d = s.kind, s.ref, s.direction
+            if kind == "a":
+                ends = arc_ends.get(ref)
+                if ends is not None:
+                    walk.arc_sides[ref] += 1
+                    walk.arc_balance[ref] += d
+            else:
+                nb += 1
+                ends = bseg_ends.get(ref)
+                if ends is not None:
+                    walk.bseg_sides[ref] += 1
+            if ends is None:
+                walk.unknown_sides.append((pid, ref))
+                ends = (None, None)
+            if d == 1:
+                tail, head = ends
+                ray_out, ray_next = (kind, ref, "tail"), (kind, ref, "head")
+            else:
+                head, tail = ends
+                ray_out, ray_next = (kind, ref, "head"), (kind, ref, "tail")
+            if i:  # corner i - 1
+                walk.succ[ray_out] = ray_in
+                heads.append(p_in)
+                if p_in != tail:
+                    walk.mismatches.append((pid, i - 1, p_in, tail))
+            else:
+                first_out, first_tail = ray_out, tail
+            ray_in, p_in = ray_next, head
+        if poly.sides:  # the last corner, back to side 0
+            walk.succ[first_out] = ray_in
+            heads.append(p_in)
+            if p_in != first_tail:
+                walk.mismatches.append((pid, len(heads) - 1, p_in, first_tail))
+        walk.points[pid] = tuple(heads)
+        walk.bsegs_per_polygon.append(nb)
+    return walk
+
+
+def rays_reached(succ: dict, first, last) -> int:
+    """The rays on the successor path from ``first`` to ``last`` (back to
+    ``first`` for a cycle); 0 when the path breaks off or meets itself
+    before."""
+    seen = {first}
+    cur = first
+    while True:
+        cur = succ.get(cur)
+        if cur == last:
+            return len(seen) + (last != first)
+        if cur is None or cur in seen:
+            return 0
+        seen.add(cur)
+
+
+def check_surface(surface) -> Report:
+    """The findings of ``validate``: ids and kinds, endpoints, occurrence
+    counts, corners, then the rays at every point followed one path per
+    point."""
+    report = Report()
+    for category, items in (
+        ("point", surface.points),
+        ("arc", surface.arcs),
+        ("bseg", surface.bsegs),
+        ("polygon", surface.polygons),
+    ):
+        seen: set[str] = set()
+        for x in items:
+            if x.id in seen:
+                report.add(BAD_INPUT, f"duplicate {category} id {x.id!r}", (x.id,))
+            seen.add(x.id)
+    for p in surface.points:
+        if p.kind not in POINT_KINDS:
+            report.add(BAD_INPUT, f"point {p.id!r} has unknown kind {p.kind!r}", (p.id,))
+    kind_of = {p.id: p.kind for p in surface.points}
+    degree = dict.fromkeys(kind_of, 0)
+    arc_ray: dict = {}
+    for a in surface.arcs:
+        for end, label in ((a.tail, "tail"), (a.head, "head")):
+            if end not in kind_of:
+                report.add(UNKNOWN_ID, f"arc {a.id!r} endpoint {end!r} unknown", (a.id,))
+                continue
+            degree[end] += 1
+            if end not in arc_ray:
+                arc_ray[end] = ("a", a.id, label)
+    outs: dict = {}
+    ins: dict = {}
+    for b in surface.bsegs:
+        for end in (b.tail, b.head):
+            if end not in kind_of:
+                report.add(UNKNOWN_ID, f"bseg {b.id!r} endpoint {end!r} unknown", (b.id,))
+        for end in (b.tail, b.head):
+            if end in kind_of and kind_of[end] != BOUNDARY:
+                report.add(
+                    BAD_INPUT, f"bseg {b.id!r} endpoint {end!r} is not a boundary point", (b.id,)
+                )
+        if b.tail in degree:
+            degree[b.tail] += 1
+            outs.setdefault(b.tail, []).append(("b", b.id, "tail"))
+        if b.head in degree:
+            degree[b.head] += 1
+            ins.setdefault(b.head, []).append(("b", b.id, "head"))
+    walk = ray_walk(surface)
+    for pid, ref in walk.unknown_sides:
+        report.add(UNKNOWN_ID, f"polygon {pid!r} refers to unknown side {ref!r}", (pid,))
+    if not report.ok:
+        return report
+
+    for poly, nb in zip(surface.polygons, walk.bsegs_per_polygon):
+        if nb != 1:
+            report.add(
+                MULTIPLE_BSEG,
+                f"polygon {poly.id!r} has {nb} boundary segments (need exactly 1)",
+                (poly.id,),
+            )
+        elif poly.sides[0].is_arc:
+            report.add(
+                BSEG_NOT_FIRST,
+                f"polygon {poly.id!r} word does not start with its boundary segment",
+                (poly.id,),
+            )
+    for aid, count in walk.arc_sides.items():
+        if count != 2:
+            report.add(ARC_OCCURRENCE, f"arc {aid!r} occurs {count} times (need 2)", (aid,))
+        elif walk.arc_balance[aid]:
+            report.add(
+                NONORIENTABLE_GLUING, f"arc {aid!r} occurs twice with the same direction", (aid,)
+            )
+    for bid, cnt in walk.bseg_sides.items():
+        if cnt != 1:
+            report.add(BSEG_OCCURRENCE, f"bseg {bid!r} occurs {cnt} times (need 1)", (bid,))
+    if not report.ok:
+        return report
+
+    for pid, i, p_in, p_out in walk.mismatches:
+        report.add(
+            CORNER_MISMATCH,
+            f"polygon {pid!r} corner {i}: sides meet at {p_in!r} vs {p_out!r}",
+            (pid, i),
+        )
+    if not report.ok:
+        return report
+
+    succ = walk.succ
+    for point in surface.points:
+        pid = point.id
+        if point.kind == BOUNDARY:
+            out, into = outs.get(pid, ()), ins.get(pid, ())
+            if len(out) != 1 or len(into) != 1:
+                report.add(
+                    CORNER_MISMATCH,
+                    f"boundary point {pid!r} has {len(out)} outgoing and "
+                    f"{len(into)} incoming boundary segments (need 1 and 1)",
+                    (pid,),
+                )
+            elif rays_reached(succ, out[0], into[0]) != degree[pid]:
+                report.add(
+                    CORNER_MISMATCH,
+                    f"rays at boundary point {pid!r} do not form a single chain",
+                    (pid,),
+                )
+        elif not degree[pid]:
+            report.add(
+                CORNER_MISMATCH, f"interior point {pid!r} has no incident arc ends", (pid,)
+            )
+        elif rays_reached(succ, arc_ray[pid], arc_ray[pid]) != degree[pid]:
+            report.add(
+                CORNER_MISMATCH,
+                f"rays at interior point {pid!r} do not form a single cycle",
+                (pid,),
+            )
+    return report
+
+
+def check_involution(surface, inv) -> Report:
+    """The findings of ``validate_involution``: the surface's own, then the
+    maps as permutations of order two, the fixed cells, the ends of every
+    arc and boundary segment, and each polygon word mapped side by side as
+    ``(kind, ref, direction)`` tuples onto its image's word."""
+    report = check_surface(surface)
+    if not report.ok:
+        return report
+    for mapping, items, label in (
+        (inv.points, surface.points, "point"),
+        (inv.arcs, surface.arcs, "arc"),
+        (inv.bsegs, surface.bsegs, "bseg"),
+        (inv.polygons, surface.polygons, "polygon"),
+    ):
+        ids = {x.id for x in items}
+        if mapping.keys() != ids or set(mapping.values()) != ids:
+            report.add(BAD_INVOLUTION, f"{label} map is not a permutation of the {label} ids")
+            continue
+        for x, y in mapping.items():
+            if mapping[y] != x:
+                report.add(NOT_ORDER_TWO, f"{label} map sends {x!r}->{y!r}->{mapping[y]!r}")
+    if not report.ok:
+        return report
+
+    point_map, reversed_arcs = inv.points, inv.reversed_arcs
+    for p in surface.points:
+        if p.kind == ORBIFOLD:
+            report.add(
+                BAD_INPUT,
+                f"orbifold point {p.id!r} present; symmetries act on plain dissections",
+                (p.id,),
+            )
+        elif point_map[p.id] == p.id:
+            report.add(FIXED_MARKED_POINT, f"point {p.id!r} is fixed", (p.id,))
+    arc_by_id = {a.id: a for a in surface.arcs}
+    for a in surface.arcs:
+        img = inv.arcs[a.id]
+        rev = a.id in reversed_arcs
+        if rev != (img in reversed_arcs):
+            report.add(BAD_INVOLUTION, f"reversal flag of arc {a.id!r} not symmetric", (a.id,))
+        img_arc = arc_by_id[img]
+        want_tail = point_map[a.head] if rev else point_map[a.tail]
+        want_head = point_map[a.tail] if rev else point_map[a.head]
+        if (img_arc.tail, img_arc.head) != (want_tail, want_head):
+            report.add(
+                BAD_INVOLUTION,
+                f"arc {a.id!r} endpoints map to ({want_tail!r},{want_head!r}) "
+                f"but image arc {img!r} runs {img_arc.tail!r}->{img_arc.head!r}",
+                (a.id,),
+            )
+        if img == a.id and not rev:
+            report.add(UNREVERSED_FIXED_ARC, f"arc {a.id!r} is fixed but not reversed", (a.id,))
+    bseg_by_id = {b.id: b for b in surface.bsegs}
+    for b in surface.bsegs:
+        img = inv.bsegs[b.id]
+        if img == b.id:
+            report.add(BAD_INVOLUTION, f"bseg {b.id!r} is fixed", (b.id,))
+            continue
+        img_b = bseg_by_id[img]
+        if (img_b.tail, img_b.head) != (point_map[b.tail], point_map[b.head]):
+            report.add(
+                ORIENTATION_REVERSED,
+                f"bseg {b.id!r} image {img!r} does not follow the boundary orientation",
+                (b.id,),
+            )
+    polygon_by_id = {p.id: p for p in surface.polygons}
+    for poly in surface.polygons:
+        img_id = inv.polygons[poly.id]
+        if img_id == poly.id:
+            report.add(FIXED_POLYGON, f"polygon {poly.id!r} is fixed", (poly.id,))
+            continue
+        img_poly = polygon_by_id[img_id]
+        if len(img_poly.sides) != len(poly.sides):
+            report.add(
+                BAD_INVOLUTION, f"polygon {poly.id!r} image has different length", (poly.id,)
+            )
+            continue
+        try:
+            mapped = tuple(
+                ("b", inv.bsegs[s.ref], 1)
+                if s.kind == "b"
+                else ("a", inv.arcs[s.ref], -s.direction if s.ref in reversed_arcs else s.direction)
+                for s in poly.sides
+            )
+        except KeyError:
+            report.add(BAD_INVOLUTION, f"polygon {poly.id!r} sides do not all map", (poly.id,))
+            continue
+        target = tuple((x.kind, x.ref, x.direction) for x in img_poly.sides)
+        if mapped != target:
+            rev_word = tuple(
+                (kind, ref, 1 if kind == "b" else -d) for kind, ref, d in reversed(mapped)
+            )
+            if rev_word[-1:] + rev_word[:-1] == target:
+                report.add(
+                    ORIENTATION_REVERSED,
+                    f"polygon {poly.id!r} maps to {img_id!r} orientation-reversingly",
+                    (poly.id,),
+                )
+            else:
+                report.add(
+                    BAD_INVOLUTION,
+                    f"polygon {poly.id!r} word does not map onto polygon {img_id!r}",
+                    (poly.id,),
+                )
+    return report
+
+
+def check_curve(surface, curve) -> Report:
+    """The findings of ``validate_curve`` read off the polygon words as
+    ``Side`` records: the surface's own, then each passage's polygon,
+    slots and declared side, then the sides it enters and leaves by, and
+    then each crossing, two occurrences of one arc in opposite directions."""
+    report = check_surface(surface)
+    if not report.ok:
+        return report
+    polygon_by_id = {p.id: p for p in surface.polygons}
+    ps = curve.passages
+    if not ps:
+        report.add(INVALID_CURVE, f"curve {curve.id!r} has no passages", (curve.id,))
+        return report
+    sides_at = []  # per passage: the sides at its entry and exit slots
+    for k, p in enumerate(ps):
+        poly = polygon_by_id.get(p.polygon)
+        if poly is None:
+            report.add(UNKNOWN_ID, f"curve {curve.id!r} passage {k}: unknown polygon {p.polygon!r}", (curve.id, k))
+            continue
+        sides = poly.sides
+        n = len(sides)
+        for slot in (p.entry, p.exit):
+            if not 0 <= slot < n:
+                report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k}: slot {slot} out of range", (curve.id, k))
+        if p.bseg_side not in ("left", "right"):
+            report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k}: bad bseg side {p.bseg_side!r}", (curve.id, k))
+        if report.ok:
+            sides_at.append((sides[p.entry], sides[p.exit]))
+    if not report.ok:
+        return report
+
+    closed, last = curve.closed, len(ps) - 1
+    for k, (p, (s_entry, s_exit)) in enumerate(zip(ps, sides_at)):
+        entry_is_b = s_entry.kind == "b"
+        exit_is_b = s_exit.kind == "b"
+        if closed or k != 0:
+            if entry_is_b:
+                report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k} enters through the bseg", (curve.id, k))
+        else:
+            if not entry_is_b:
+                report.add(INVALID_CURVE, f"open curve {curve.id!r} must start at a bseg midpoint", (curve.id, k))
+        if closed or k != last:
+            if exit_is_b:
+                report.add(INVALID_CURVE, f"curve {curve.id!r} passage {k} exits through the bseg", (curve.id, k))
+        else:
+            if not exit_is_b:
+                report.add(INVALID_CURVE, f"open curve {curve.id!r} must end at a bseg midpoint", (curve.id, k))
+        if p.entry != p.exit:
+            want = chord_bseg_side(p.entry, p.exit)
+            if p.bseg_side != want:
+                report.add(
+                    INVALID_CURVE,
+                    f"curve {curve.id!r} passage {k}: declared bseg side "
+                    f"{p.bseg_side!r} contradicts the polygon word ({want!r})",
+                    (curve.id, k),
+                )
+    if not report.ok:
+        return report
+
+    # Consecutive passages must cross the two occurrences of one arc.
+    if not closed and len(ps) < 2:
+        report.add(INVALID_CURVE, f"open curve {curve.id!r} crosses no arc", (curve.id,))
+        return report
+    for k in range(len(ps) if closed else len(ps) - 1):
+        nxt = (k + 1) % len(ps)
+        p, q = ps[k], ps[nxt]
+        s_out = sides_at[k][1]
+        s_in = sides_at[nxt][0]
+        if s_out.kind == "b" or s_in.kind == "b":
+            continue
+        same_arc = s_out.ref == s_in.ref
+        other_occurrence = (p.polygon, p.exit) != (q.polygon, q.entry)
+        if not (same_arc and other_occurrence and s_out.direction == -s_in.direction):
+            report.add(
+                INVALID_CURVE,
+                f"curve {curve.id!r}: passages {k}->{nxt} do not "
+                "cross matching occurrences of one arc",
+                (curve.id, k),
+            )
+    return report

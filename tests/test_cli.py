@@ -201,6 +201,15 @@ def test_compare_exit_codes(capsys):
     assert "INCONCLUSIVE" in capsys.readouterr().out
 
 
+def test_compare_ghat_refuses_a_plain_dissection(capsys):
+    disc = str(fixture_path("disc"))
+    assert main(["compare", "--mode", "ghat", disc, disc]) == 2
+    assert capsys.readouterr().err == (
+        "error: [BAD_INPUT] at ('disc',) the canonical double cover of 'disc' "
+        "is two disjoint copies of it: it has no orbifold point\n"
+    )
+
+
 def test_complex_command_propagates_grades(tmp_path, capsys):
     path = _cylinder_file_with_curves(tmp_path)
     assert main(["complex", path, "stair"]) == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from skewgentle import (
     NOT_EQUIVALENT,
     ORBIFOLD,
     PUNCTURE,
+    Arc,
     CombinatorialCurve,
     ComplexPresentation,
     GradedArc,
@@ -56,6 +58,7 @@ from skewgentle.diagnostics import (
     BOUNDARY_POINT,
     INCONSISTENT,
     NOT_A_COMPLEX,
+    UNKNOWN_ID,
     WINDING_MISMATCH,
 )
 from skewgentle.presentations import Arrow
@@ -460,6 +463,28 @@ def test_cover_invariant_tuple_rejects_a_lift_with_another_winding(
     # each base boundary of the first cylinder has two closed lifts
     witnesses = {d.where for d in exc.value.diagnostics if len(d.where) == 3}
     assert witnesses == {(("b_bot",), 0, 1), (("b_top",), -2, -1)}
+
+
+_TWO_COPIES = (
+    BAD_INPUT,
+    "the canonical double cover of 'disc' is two disjoint copies of it: "
+    "it has no orbifold point",
+    ("disc",),
+)
+
+
+def test_the_cover_tuple_of_a_plain_dissection_names_its_two_copies(disc):
+    for decide in (cover_invariant_tuple, lambda s: decide_ghat_equiv(s, s)):
+        with pytest.raises(ValidationError) as exc:
+            decide(disc)
+        assert [(d.code, d.message, d.where) for d in exc.value.diagnostics] == [_TWO_COPIES]
+
+
+def test_the_cover_tuple_raises_the_input_findings_first(disc):
+    broken = dataclasses.replace(disc, arcs=disc.arcs + (Arc("zz", "nowhere", "P1"),))
+    with pytest.raises(ValidationError) as exc:
+        cover_invariant_tuple(broken)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(UNKNOWN_ID, ("zz",))]
 
 
 def _entries_satisfy_poincare_hopf(surface) -> bool:

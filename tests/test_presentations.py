@@ -413,6 +413,29 @@ def test_presentations_keep_their_findings():
         assert check(pres).ok
 
 
+def test_shape_findings_are_checked_once_per_presentation(count_calls):
+    """The path algebra and the gentle check read the id and composability
+    findings kept on the presentation, and both keep their order."""
+    from skewgentle import graded_path_algebra
+
+    ids = count_calls("skewgentle.presentations", "_check_ids")
+    composable = count_calls("skewgentle.presentations", "_check_composability")
+    kept = two_hole_torus_pair()[0]
+    pair = Presentation(kept.vertices, kept.arrows, kept.relations)
+    for _ in range(3):
+        graded_path_algebra(pair)
+    assert check_gentle(pair).ok
+    assert len(ids) == len(composable) == 1
+    # an arrow ending nowhere, then a relation that does not compose
+    broken = Presentation(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "9")), ())
+    twisted = Presentation(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")), ((("a", "b"),),))
+    for pres, code in ((broken, UNKNOWN_ID), (twisted, BAD_INPUT)):
+        with pytest.raises(ValidationError) as exc:
+            graded_path_algebra(pres)
+        assert [d.code for d in exc.value.diagnostics] == [code]
+        assert exc.value.diagnostics == check_gentle(pres).diagnostics[:1]
+
+
 # --- puzzle pieces and gluing
 
 
