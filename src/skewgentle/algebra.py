@@ -18,13 +18,13 @@ each read of :attr:`TableAlgebra.table` and never kept.
 
 Each algebra names the basis elements that generate it
 (:attr:`TableAlgebra.generators`); the span of the others is an ideal
-``N`` inside the square of the radical.  The builders store only the
-generator rows when they build: the vertices and arrows of a path algebra
-(and, with special loops, the paths with one ordinary arrow), and their
-two copies in a crossed product.  Every other row is filled on its first
-read, from the row of its prefix in a path algebra and from the row of
-``A`` in a crossed product, and then kept.  The verdicts read only
-generator rows, so they never fill the rest:
+``N`` inside the square of the radical.  A path algebra stores only its
+generator rows when it builds: the vertices and arrows (and, with special
+loops, the paths with one ordinary arrow).  Every other row is filled on
+its first read, from the row of its prefix, and then kept.  A crossed
+product stores no row at all: each of its cells is a cell of ``A`` moved
+by the symmetry.  The verdicts read only generator rows, so they never
+fill the rest:
 :func:`verify_algebra_involution` checks each generator row against its
 image under ``π``, since a map multiplicative on generators is
 multiplicative, and :func:`verify_morphism` closes the span of the images
@@ -40,14 +40,16 @@ with ``e`` for the unit.
 A symmetry is a :class:`SignedPermutation` ``(π, σ)``, each image one term
 ``σ_j·b_{π(j)}`` with ``π`` a bijection.  Its constructor is the one place
 that checks this shape, so the readers check only its size.
-:func:`skew_group_algebra`, the one crossing, guards the action, keeps
-``A#ℤ₂`` on ``A``, and permutes the cells of each row through ``π⁻¹``,
-sharing the ``+`` ones and negating the ``-`` ones: monomial again.
+:func:`skew_group_algebra`, the one crossing, guards the action and
+keeps ``A#ℤ₂`` on ``A`` as a :class:`CrossedProduct`: ``A``'s rows,
+``π``, ``π⁻¹`` and ``σ``, through which each of its products is read as
+one signed cell of ``A``, monomial again.
 :func:`graded_path_algebra` needs no linear algebra: its only sums are
 the two-term relations, ties ``p = ±q`` that a signed union-find resolves,
 so a normal form is ±1 times one basis path, or 0.  It keeps the cell of
 each basis path followed by each arrow, and fills the row of a basis
-path ``a·p`` from the row of ``p``, one lookup per cell.  The only elimination
+path ``a·p`` from the row of ``p``, one lookup per cell.  It keeps no
+word: a label is rendered from the prefix links when it is read.  The only elimination
 is the rank count of :func:`verify_morphism`, in a fraction-free echelon
 form with no back-substitution and no division.
 
@@ -62,9 +64,11 @@ composition order, so ``mul(x, y)`` applies ``y`` first.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Collection, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Collection, Mapping, Optional
 
 from .diagnostics import BAD_INPUT, NOT_INVOLUTION, NOT_STABILIZED, ValidationError, error, raise_on_error
 from .presentations import (
@@ -205,46 +209,36 @@ class _EchelonRank:
 # Algebras with explicit product tables
 
 
-class _Rows:
-    """The rows of a product table, each filled on its first read.
+class _Rendered(Sequence):
+    """A read-only sequence of ``size`` items, each rendered by
+    ``render(i)`` when it is read and never kept: the labels of a path
+    algebra and of a crossed product, and the rows of a crossed product.
+    It compares equal, by value, to a tuple, a list or another rendered
+    sequence with the same items."""
 
-    ``cells[i]`` is row ``i`` once it is filled and ``None`` before.  A
-    builder fills the rows of the generators as it builds, in one call of
-    :meth:`fill`; any other row is filled the first time it is read, and
-    the row is kept.  Reading by index, ``len``, iteration and ``==``, the
-    last two filling every row, act as on a list of the rows."""
+    __slots__ = ("size", "render")
 
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: list[Optional[dict[int, Cell]]]):
-        self.cells = cells
+    def __init__(self, size: int, render):
+        self.size, self.render = size, render
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.size
 
-    def __getitem__(self, i: int) -> dict[int, Cell]:
-        row = self.cells[i]
-        if row is None:
-            self.fill((i,))
-            row = self.cells[i]
-        return row
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.render, range(self.size)[i]))
+        return self.render(range(self.size)[i])
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.cells)))
+        return map(self.render, range(self.size))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (_Rows, list)):
+        if not isinstance(other, (_Rendered, tuple, list)):
             return NotImplemented
         return list(self) == list(other)
 
-    @property
-    def filled(self) -> int:
-        """The number of rows filled so far."""
-        return len(self.cells) - self.cells.count(None)
-
-    def fill(self, indices: Collection[int]) -> None:
-        """Fill the rows at ``indices`` that are not filled yet."""
-        raise NotImplementedError
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass
@@ -260,9 +254,8 @@ class TableAlgebra:
     ``(k, c)``: the product is ``c·basis_k``, with ``c`` a nonzero exact
     ``int`` or ``Fraction``.  A zero product is not stored, and no product
     has two terms (see the module docstring).  A row's columns are in no
-    set order: the twisted rows of :func:`skew_group_algebra` keep the
-    order of the permutation.  :attr:`table` is a dense view for readers by
-    position, built on each read and never kept.
+    set order.  :attr:`table` is a dense view for readers by position,
+    built on each read and never kept.
 
     ``generators`` (a ``range`` or a ``frozenset``) indexes basis elements
     that generate the algebra, and the span ``N`` of the other basis
@@ -272,21 +265,21 @@ class TableAlgebra:
     rows, and the surjectivity check of :func:`verify_morphism` closes its
     span modulo ``N``.
 
-    ``rows`` is a list, or the rows of a builder that stores the generator
-    rows when it builds and fills every other row on its first read
-    (``rows.filled`` counts the rows filled so far); :meth:`mul`,
+    ``rows`` is a list, or the rows of a path algebra, which stores the
+    generator rows when it builds and fills every other row on its first
+    read (``rows.filled`` counts the rows filled so far); :meth:`mul`,
     :attr:`table` and iteration see every row.  A row is not changed once
-    it is filled, and builders share cells between positions and between
-    algebras.  ``_crossed`` keeps the crossed products of this algebra that
-    :func:`skew_group_algebra` has built, keyed by the action; no other
-    function reads or writes it.
+    it is filled, and builders share cells between positions.  A
+    :class:`CrossedProduct` stores no row.  ``_crossed`` keeps the crossed
+    products of this algebra that :func:`skew_group_algebra` has built,
+    keyed by the action; no other function reads or writes it.
     """
 
-    labels: tuple[Any, ...]
+    labels: Sequence[Any]
     rows: Sequence[dict[int, Cell]]
     unit: Vector
     generators: Collection[int]
-    _crossed: dict[SignedPermutation, TableAlgebra] = field(
+    _crossed: dict[SignedPermutation, CrossedProduct] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -320,26 +313,25 @@ class TableAlgebra:
                     _add(out, k, c * ci * cj)
         return out
 
+    def _products_row(
+        self, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+    ) -> dict[int, Vector]:
+        """``x * f(b_j)`` for every ``j`` that some stored cell reaches,
+        keyed by ``j``, where ``preimages`` lists the pairs of
+        :func:`_preimages` of the images ``f(b_j)``.  Products that cancel
+        are left empty."""
+        out: dict[int, Vector] = {}
+        for p, cp in x.items():
+            for m, (k, c) in self.rows[p].items():
+                c *= cp
+                for j, cj in preimages[m]:
+                    _add(out.setdefault(j, {}), k, c * cj)
+        return out
+
 
 def _restrict(x: Vector, keep: Collection[int]) -> Vector:
     """The terms of ``x`` whose index is in ``keep``."""
     return {k: c for k, c in x.items() if k in keep}
-
-
-def _products_row(
-    B: TableAlgebra, x: Vector, preimages: list[list[tuple[int, Coeff]]]
-) -> dict[int, Vector]:
-    """``x * f(b_j)`` in ``B`` for every ``j`` that some stored cell
-    reaches, keyed by ``j``, where ``preimages`` lists the pairs of
-    :func:`_preimages` of the images ``f(b_j)``.  Products that cancel
-    are left empty."""
-    out: dict[int, Vector] = {}
-    for p, cp in x.items():
-        for m, (k, c) in B.rows[p].items():
-            c *= cp
-            for j, cj in preimages[m]:
-                _add(out.setdefault(j, {}), k, c * cj)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +341,52 @@ PathKey = tuple[str, tuple[str, ...]]  # (source vertex, arrows in application o
 Link = tuple[Optional[PathKey], int]  # (parent, ±1): the path is ±parent; None is zero
 
 
-class _PathRows(_Rows):
-    """The rows of a path algebra.  A vertex row holds the paths ending
-    there.  A longer basis path is ``b_i = a·b_m``, linked to its prefix
-    ``b_m`` and last arrow ``a`` by ``prefix[i] = (m, a)``, so row ``i`` is
-    ``b_i·b_j = a·(b_m·b_j)``: one extension cell for each cell of row
-    ``m``.  Prefixes not yet filled are filled first, shortest first, in a
-    loop; no label is read or hashed."""
+class _PathRows:
+    """The rows of a path algebra, each filled on its first read.
 
-    __slots__ = ("prefix", "extensions")
+    ``cells[i]`` is row ``i`` once it is filled and ``None`` before.  The
+    builder fills the rows of the generators as it builds, in one call of
+    :meth:`fill`; any other row is filled the first time it is read, and
+    the row is kept.  Reading by index, ``len``, iteration and ``==``, the
+    last two filling every row, act as on a list of the rows.
+
+    A vertex row holds the paths ending there.  A longer basis path is
+    ``b_i = a·b_m``, linked to its prefix ``b_m`` and last arrow ``a`` by
+    ``prefix[i] = (m, a)``, so row ``i`` is ``b_i·b_j = a·(b_m·b_j)``: one
+    extension cell for each cell of row ``m``.  Prefixes not yet filled
+    are filled first, shortest first, in a loop; no label is read or
+    hashed."""
+
+    __slots__ = ("cells", "prefix", "extensions")
 
     def __init__(self, cells, prefix, extensions):
         self.cells, self.prefix, self.extensions = cells, prefix, extensions
 
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i: int) -> dict[int, Cell]:
+        row = self.cells[i]
+        if row is None:
+            self.fill((i,))
+            row = self.cells[i]
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.cells)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_PathRows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    @property
+    def filled(self) -> int:
+        """The number of rows filled so far."""
+        return len(self.cells) - self.cells.count(None)
+
     def fill(self, indices: Collection[int]) -> None:
+        """Fill the rows at ``indices`` that are not filled yet."""
         cells, prefix, extensions = self.cells, self.prefix, self.extensions
         for i in indices:
             if cells[i] is not None:
@@ -377,11 +401,27 @@ class _PathRows(_Rows):
                             if (e := extensions[k].get(a))}
 
 
+def _path_label(
+    source: list[str], prefix: list[Optional[tuple[int, str]]], i: int
+) -> PathKey:
+    """The label ``(source, arrows)`` of basis path ``i``, its arrows read
+    off the prefix links, last first, and put in application order."""
+    word = []
+    src, link = source[i], prefix[i]
+    while link is not None:
+        i, a = link
+        word.append(a)
+        link = prefix[i]
+    word.reverse()
+    return src, tuple(word)
+
+
 @dataclass
 class PathAlgebra:
     """A quotient of a path algebra with a chosen monomial basis.
 
-    The labels of ``algebra`` are its basis paths ``(source, arrows)``.
+    The labels of ``algebra`` are its basis paths ``(source, arrows)``,
+    rendered from the ``prefix`` links when read (no word is kept).
     The vertices come first in the basis, in ``presentation.vertices``
     order, and ``vertex_index`` maps each vertex to its position: the
     package's one lookup from names to positions.  ``extensions[j]`` maps
@@ -512,10 +552,12 @@ def graded_path_algebra(
     pair, whose relations are single paths) has nothing to resolve, and
     each of its words is admitted as it comes.
 
-    Each basis path is admitted with its links: ``prefix[i] = (m, a)`` for
-    ``b_i = a·b_m``, with ``b_m`` its prefix and ``a`` its last arrow
-    (``None`` for a vertex), and ``source[i]`` and ``target[i]``, the
-    vertices where it starts and ends.
+    Each basis path is admitted with its links and no word: ``prefix[i] =
+    (m, a)`` for ``b_i = a·b_m``, with ``b_m`` its prefix and ``a`` its
+    last arrow (``None`` for a vertex), and ``source[i]`` and
+    ``target[i]``, the vertices where it starts and ends.  The words of a
+    length live only while the next length is enumerated, and a label
+    ``(source, arrows)`` is rendered from the links when it is read.
     The prefix of a basis path is a basis path: a word tied to the
     survivor ``q`` of its piece extends to a word tied to the extension of
     ``q``, which sorts first, or to zero.  The ties join only parallel
@@ -574,7 +616,6 @@ def graded_path_algebra(
     ]
     vertex_index = {v: i for i, v in enumerate(pres.vertices)}
 
-    basis: list[PathKey] = []
     extensions: list[dict[str, Cell]] = []
     prefix: list[Optional[tuple[int, str]]] = []
     source: list[str] = []
@@ -613,9 +654,8 @@ def graded_path_algebra(
                 if root is not None and link:
                     extensions[link[0]][link[1]] = (roots[root], s)
                 continue
-            i = len(basis)
+            i = len(prefix)
             own.append(i)
-            basis.append(key)
             if tied:
                 roots[key] = i
             prefix.append(link)
@@ -654,20 +694,22 @@ def graded_path_algebra(
 
     # the paths with at most one ordinary arrow, of length 3 or less (e·a·e')
     if values:
-        generators: Collection[int] = frozenset(
-            i for i in range(sum(dims[:4]))
-            if sum(a not in values for a in basis[i][1]) <= 1
-        )
+        ordinary = [0] * sum(dims[:4])
+        for i in range(dims[0], len(ordinary)):
+            m, a = prefix[i]
+            ordinary[i] = ordinary[m] + (a not in values)
+        generators: Collection[int] = frozenset(i for i, k in enumerate(ordinary) if k <= 1)
     else:
         generators = range(dims[0] + dims[1])
     ends: dict[str, dict[int, Cell]] = {v: {} for v in pres.vertices}
     for j, t in enumerate(target):
         ends[t][j] = (j, ONE)
-    cells = [ends[v] for v in pres.vertices] + [None] * (len(basis) - len(ends))
+    cells = [ends[v] for v in pres.vertices] + [None] * (len(prefix) - len(ends))
     rows = _PathRows(cells, prefix, extensions)
     rows.fill(generators)  # the vertex rows are filled already
     unit = {i: ONE for i in range(len(pres.vertices))}  # vertices come first
-    algebra = TableAlgebra(tuple(basis), rows, unit, generators)
+    labels = _Rendered(len(prefix), partial(_path_label, source, prefix))
+    algebra = TableAlgebra(labels, rows, unit, generators)
     return PathAlgebra(pres, algebra, vertex_index, values, extensions, prefix, source, target)
 
 
@@ -714,6 +756,11 @@ class CornerAlgebra:
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         return self.parent.mul(x, y)
+
+    def _products_row(
+        self, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+    ) -> dict[int, Vector]:
+        return self.parent._products_row(x, preimages)
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +837,16 @@ def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
     for i, p in enumerate(pi):
         if pi[p] != i or sigma[i] * sigma[p] != 1:
             return False
-    if not veq(act.apply(A.unit), A.unit):
-        return False
-    rows = A.rows
+    return veq(act.apply(A.unit), A.unit) and _generator_rows_commute(A, act)
+
+
+def _generator_rows_commute(A: TableAlgebra, act: SignedPermutation) -> bool:
+    """``s(b_g·b_j) = s(b_g)·s(b_j)`` for each ``g`` in ``A.generators``
+    and every ``j``: each stored cell ``b_g·b_j = c·b_k`` meets
+    ``(π(k), c·σ_g·σ_j·σ_k)`` at column ``π(j)`` of row ``π(g)``, and the
+    two rows hold as many cells, so a product nonzero on the right alone
+    fails the count."""
+    rows, pi, sigma = A.rows, act.pi, act.sigma
     for g in A.generators:
         row, image_row, sg = rows[g], rows[pi[g]], sigma[g]
         if len(row) != len(image_row):
@@ -803,83 +857,128 @@ def verify_algebra_involution(A: TableAlgebra, act: SignedPermutation) -> bool:
     return True
 
 
-class _CrossedRows(_Rows):
-    """The rows of ``A#ℤ₂`` from the rows ``base`` of ``A`` (see
-    :func:`skew_group_algebra`): row ``i < n`` is row ``i`` of ``A`` and
-    its degree-one copy, row ``n + i`` its twist, which shares the cells of
-    row ``i``."""
-
-    __slots__ = ("base", "inverse", "sigma")
-
-    def __init__(self, base, inverse, sigma):
-        self.cells = [None] * (2 * len(base))
-        self.base, self.inverse, self.sigma = base, inverse, sigma
-
-    def fill(self, indices: Collection[int]) -> None:
-        cells, base, n = self.cells, self.base, len(self.base)
-        inverse, sigma = self.inverse, self.sigma
-        # x * g(y_j) goes to column j (h = 0) and to column n + j (h = 1), in
-        # degree g + h; its degree-one copy is keyed n + k
-        for i in indices:
-            if cells[i] is not None:
-                continue
-            base_row = base[i % n]
-            if i < n:
-                row = dict(base_row)
-                for k, (m, c) in base_row.items():
-                    row[n + k] = (m + n, c)
-            else:
-                zero, row = self[i - n], {}
-                for k, cell in base_row.items():
-                    j = inverse[k]
-                    if sigma[j] == 1:
-                        row[j], row[n + j] = zero[n + k], cell
-                    else:
-                        m, c = cell
-                        row[n + j], row[j] = (m, -c), (m + n, -c)
-            cells[i] = row
+def _crossed_label(labels: Sequence[Any], n: int, i: int) -> tuple[Any, int]:
+    """The label ``(label, g)`` of ``b⊗g`` at ``i = g·n + index``."""
+    g, i = divmod(i, n)
+    return labels[i], g
 
 
-def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
+def _crossed_row(
+    base: Sequence[dict[int, Cell]], inverse: list[int], sigma: tuple[int, ...], i: int
+) -> dict[int, Cell]:
+    """Row ``i = g·n + p`` of ``A#ℤ₂``, built from row ``p`` of ``A``: the
+    cell of ``b_p·b_m`` at column ``m = π^g(j)``, times ``σ_j^g``, goes to
+    columns ``j`` and ``n + j``, in degrees ``g`` and ``g + 1``."""
+    n = len(base)
+    g, p = divmod(i, n)
+    row = {}
+    for m, (k, c) in base[p].items():
+        if g:
+            m = inverse[m]
+            c *= sigma[m]
+        row[m], row[n + m] = (g * n + k, c), ((1 - g) * n + k, c)
+    return row
+
+
+class CrossedProduct(TableAlgebra):
+    """``A#ℤ₂`` for a signed permutation ``s(b_j) = σ_j·b_π(j)`` of the
+    basis of ``A``, kept as the rows of ``A``, ``π``, ``π⁻¹`` and ``σ``:
+    it stores no row and no label (see :func:`skew_group_algebra`).
+
+    ``b_i⊗g`` is at ``g·n + i``, and the product rule
+    ``(b_i⊗g)(b_j⊗h) = b_i·s^g(b_j)⊗(g+h)`` reads each product as the cell
+    of row ``i`` of ``A`` at column ``π^g(j)``, times ``σ_j^g``, in degree
+    ``g + h``.  :meth:`mul` looks each cell up so, and the morphism
+    check's row walk (:meth:`_products_row`) walks row ``i`` of ``A`` and
+    sends column ``m`` to ``π^(-g)(m)``.  ``rows[i]`` and ``labels[i]``
+    are rendered when read and never kept, so :attr:`table` renders every
+    row once per read."""
+
+    def __init__(
+        self, base: TableAlgebra, act: SignedPermutation, inverse: list[int],
+        generators: Collection[int],
+    ):
+        n = base.dimension
+        self.base_rows, self.pi, self.inverse, self.sigma = base.rows, act.pi, inverse, act.sigma
+        # the views hold what they read, not ``self``: no reference cycle
+        super().__init__(
+            _Rendered(2 * n, partial(_crossed_label, base.labels, n)),
+            _Rendered(2 * n, partial(_crossed_row, base.rows, inverse, act.sigma)),
+            dict(base.unit),
+            generators,
+        )
+
+    def mul(self, x: Vector, y: Vector) -> Vector:
+        base, pi, sigma = self.base_rows, self.pi, self.sigma
+        n = len(pi)
+        out: Vector = {}
+        for i, ci in x.items():
+            g, i = divmod(i, n)
+            row = base[i]
+            for j, cj in y.items():
+                h, j = divmod(j, n)
+                cell = row.get(pi[j] if g else j)
+                if cell is not None:
+                    k, c = cell
+                    _add(out, (g ^ h) * n + k, (sigma[j] * c if g else c) * ci * cj)
+        return out
+
+    def _products_row(
+        self, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+    ) -> dict[int, Vector]:
+        base, inverse, sigma = self.base_rows, self.inverse, self.sigma
+        n = len(inverse)
+        out: dict[int, Vector] = {}
+        for p, cp in x.items():
+            g, p = divmod(p, n)
+            for m, (k, c) in base[p].items():
+                c *= cp
+                if g:
+                    m = inverse[m]
+                    c *= sigma[m]
+                for j, cj in preimages[m]:
+                    _add(out.setdefault(j, {}), g * n + k, c * cj)
+                for j, cj in preimages[n + m]:
+                    _add(out.setdefault(j, {}), (1 - g) * n + k, c * cj)
+        return out
+
+
+def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> CrossedProduct:
     """The crossed product ``A#ℤ₂`` of A with the order-two group {1, s}:
-    the package's one crossing, built once per ``(A, act)`` and kept on
+    the package's one crossing, made once per ``(A, act)`` and kept on
     ``A`` under ``act``, which compares by value, so an equal action finds
-    the same table.  ``A#ℤ₂`` needs a ℤ₂-action (Reiten--Riedtmann), so
-    :func:`verify_algebra_involution` guards each build: an action of
-    another size raises ``BAD_INPUT``, a map that is not an algebra
-    involution ``NOT_INVOLUTION``, and nothing is kept.
+    the same crossed product.  ``A#ℤ₂`` needs a ℤ₂-action
+    (Reiten--Riedtmann), so :func:`verify_algebra_involution` guards each
+    crossing: an action of another size raises ``BAD_INPUT``, a map that
+    is not an algebra involution ``NOT_INVOLUTION``, and nothing is kept.
 
     Basis labels are ``(label, g)`` with ``g`` in {0, 1}, indexed
     ``g * n + index``; the product rule is
-    ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.  The rows with ``g = 0`` are the
-    rows of ``A``, sharing its cells; those with ``g = 1`` are its twisted
-    rows.
+    ``(x ⊗ g)(y ⊗ h) = x * g(y) ⊗ g+h``.
 
     Relations are single paths or sums of two paths with coefficient one,
     so the normal form of every path is ±1 times one basis path, or 0,
     and a relabelling of the quiver that keeps the relations (a deck
     action, the half-swap of a split) is a signed permutation of the
-    basis; so are the grading signs.  Twisted row ``i`` is then row ``i``
-    of ``A`` with its columns permuted and signs applied: the cell at
-    column ``k`` goes to column ``π⁻¹(k)``, a ``+`` cell is the cell of
-    ``A`` and its degree-one copy the one of the degree-zero row, both
-    shared, and only a ``-`` cell is negated afresh.  Every cell of the
-    crossed product is again one signed basis element ``(k, c)``, and a
-    twisted row keeps the order of the row of ``A``.
+    basis; so are the grading signs.  So ``(b_i⊗g)(b_j⊗h)`` is the cell
+    ``(k, c)`` of row ``i`` of ``A`` at column ``π^g(j)``, as
+    ``(k + n·(g+h mod 2), σ_j^g·c)``: every cell of the crossed product is
+    again one signed basis element, read off ``A``'s rows through
+    ``(π, σ)``.  The crossed product is a :class:`CrossedProduct`, which
+    keeps those rows, ``π``, ``π⁻¹`` and ``σ`` and no cell of its own.
 
     When ``π`` permutes the generators of ``A``, the ``generators`` of the
-    crossed product are their two copies ``g·n + i``, for ``g`` = 0 and 1,
-    and only their rows are filled here.  The other basis elements span
-    ``N⊗ℤ₂``, an ideal because ``π`` then keeps the span ``N`` of the
-    other basis elements of ``A``, and it lies inside
-    ``J(A)²⊗ℤ₂ ⊆ (J(A)#ℤ₂)²``, the square of the radical of the crossed
-    product in characteristic 0 (Reiten--Riedtmann).  The copies span the
-    crossed product modulo ``N⊗ℤ₂``, so they generate it (Nakayama's
-    lemma, see :func:`verify_morphism`).  Otherwise every index is a
-    generator and every row is filled: the guard reads only the declared
-    generators and their images, so it passes an involution that moves a
-    declared generator off the declared set (a table that declares an
-    element of ``J²`` and not its image).
+    crossed product are their two copies ``g·n + i``, for ``g`` = 0 and 1.
+    The other basis elements span ``N⊗ℤ₂``, an ideal because ``π`` then
+    keeps the span ``N`` of the other basis elements of ``A``, and it lies
+    inside ``J(A)²⊗ℤ₂ ⊆ (J(A)#ℤ₂)²``, the square of the radical of the
+    crossed product in characteristic 0 (Reiten--Riedtmann).  The copies
+    span the crossed product modulo ``N⊗ℤ₂``, so they generate it
+    (Nakayama's lemma, see :func:`verify_morphism`).  Otherwise every
+    index is a generator: the guard reads only the declared generators and
+    their images, so it passes an involution that moves a declared
+    generator off the declared set (a table that declares an element of
+    ``J²`` and not its image).
     """
     skew = A._crossed.get(act)
     if skew is not None:
@@ -890,15 +989,12 @@ def skew_group_algebra(A: TableAlgebra, act: SignedPermutation) -> TableAlgebra:
     inverse = [0] * n
     for j, k in enumerate(act.pi):
         inverse[k] = j
-    labels = tuple((lab, g) for g in (0, 1) for lab in A.labels)
-    rows = _CrossedRows(A.rows, inverse, act.sigma)
     generators = frozenset(gens)
     if generators.issuperset(map(act.pi.__getitem__, gens)):  # π permutes them
         generators = generators.union(map(n.__add__, gens))
     else:
         generators = frozenset(range(2 * n))
-    rows.fill(generators)
-    skew = A._crossed[act] = TableAlgebra(labels, rows, dict(A.unit), generators)
+    skew = A._crossed[act] = CrossedProduct(A, act, inverse, generators)
     return skew
 
 
@@ -937,7 +1033,7 @@ def verify_morphism(
     ``loop_values`` key that is not a special loop of ``domain``.
 
     A :class:`TableAlgebra` and a :class:`CornerAlgebra` target are read
-    the same way: products from its ``rows`` and ``mul``, the unit from
+    the same way: products from its row walk and ``mul``, the unit from
     ``unit``, the generators from ``generators`` and the dimension from
     ``dimension``.  The images into a corner are given
     in the coordinates of its parent ``B``, and the corner's unit is its
@@ -1018,7 +1114,7 @@ def verify_morphism(
     vertices = domain.vertices
     images = [vertex_images[v] for v in vertices]
     preimages = _preimages(images, len(target.rows))
-    products = [_products_row(target, ev, preimages) for ev in images]
+    products = [target._products_row(ev, preimages) for ev in images]
     total: Vector = {}
     for p, (v, ev) in enumerate(zip(vertices, images)):
         if not veq(products[p].get(p, {}), vscale(ev, scale)):

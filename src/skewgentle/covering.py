@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .diagnostics import (
     BAD_INPUT,
@@ -54,6 +53,7 @@ from .surface import (
     Polygon,
     Side,
     SurfaceInvolution,
+    _cached_property,
     _moved_passages,
     _require_valid,
     arc_side,
@@ -95,11 +95,11 @@ class CoveringData:
     cuts: dict[str, tuple[int, ...]]
     pieces: dict[str, list[int]]
 
-    @cached_property
+    @_cached_property
     def branch_points(self) -> tuple[str, ...]:
         return tuple(sorted(p.id for p in self.base.points if p.kind == ORBIFOLD))
 
-    @cached_property
+    @_cached_property
     def slot_image(self) -> dict[tuple[str, int, int], tuple[str, int]]:
         return {
             (poly, i, eps): (self.poly_instance[(poly, eps)], i - k)
@@ -112,12 +112,12 @@ class CoveringData:
         """The upstairs slot of base slot ``i`` on sheet ``sheet``."""
         return self.slot_image[(poly, i, sheet * (-1) ** self.pieces[poly][i])]
 
-    @cached_property
+    @_cached_property
     def slit_arcs(self) -> frozenset[str]:
         branch = set(self.branch_points)
         return frozenset(a.id for a in self.base.arcs if {a.tail, a.head} & branch)
 
-    @cached_property
+    @_cached_property
     def arc_image(self) -> dict[tuple[str, int], str]:
         lifts: dict[tuple[str, int], str] = {}
         for a in self.base.arcs:
@@ -129,21 +129,21 @@ class CoveringData:
                 lifts[(a.id, sheet)] = self.total.polygon_by_id[pid].sides[u].ref
         return lifts
 
-    @cached_property
+    @_cached_property
     def base_quiver(self) -> QuiverExtraction:
         return extract_quiver(self.base)
 
-    @cached_property
+    @_cached_property
     def total_quiver(self) -> QuiverExtraction:
         return extract_quiver(self.total)
 
-    @cached_property
+    @_cached_property
     def split(self) -> Split:
         """The split of the base triple, with its arrow origins, half-swap
         and doubled vertices."""
         return split_presentation(self.base_quiver.presentation)
 
-    @cached_property
+    @_cached_property
     def deck_generators(self) -> dict[str, str]:
         """The deck symmetry on the generators of the cover presentation."""
         corners = self.total_quiver.corner_of_arrow
@@ -153,7 +153,7 @@ class CoveringData:
             gen[aid] = arrow_at[(self.deck.polygons[poly], i)]
         return gen
 
-    @cached_property
+    @_cached_property
     def arrow_lifts(self) -> dict[tuple[str, int], str]:
         """The two lifts of every non-loop arrow of the base, keyed by sheet;
         special loops sit at the branch points and have no lifts."""

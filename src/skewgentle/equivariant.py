@@ -13,7 +13,7 @@ the base is recovered inside the crossed product:
   isomorphically onto a corner of that crossed product, matching the deck
   action with the grading signs;
 * :func:`verify_iterated_skew_group` compares the twice-crossed product
-  ``(A#ℤ₂)#ℤ̂₂`` with ``M₂(A)``, whose products come from the table of
+  ``(A#ℤ₂)#ℤ̂₂`` with ``M₂(A)``, whose products come from the rows of
   ``A`` alone (Cohen--Montgomery duality).  The action enters only through
   the comparison map, which must be a unital homomorphism (it is
   bijective for every signed permutation), so a symmetry that does not
@@ -37,12 +37,13 @@ degree zero, ``e·(b⊗g)·e`` is ``b⊗g`` when the path ``b`` ends at a
 chosen vertex and starts at the image of one under ``s^g``, and 0
 otherwise.  So the kept indices are read off the ends of the basis paths
 (see :func:`_crossed_corner`), and the morphism check reads the corner's
-products from the rows of ``A#ℤ₂``.  The corner marks the kept generators
-of ``A#ℤ₂`` as its own, and the morphism check closes the span of the
-images modulo the other kept indices, which lie in the square of the
-corner's radical since ``e`` is full; so a verdict reads only generator
-rows, and fills no other row of the cover or split algebra or of their
-crossed products.  A basis element is its position, ``b_i⊗g`` at
+products from ``A#ℤ₂``, which reads each as a cell of a row of ``A``
+moved by the symmetry and stores no row of its own.  The corner marks
+the kept generators of ``A#ℤ₂`` as its own, and the morphism check
+closes the span of the images modulo the other kept indices, which lie
+in the square of the corner's radical since ``e`` is full; so a verdict
+reads only generator rows, and fills no other row of the cover or split
+algebra.  A basis element is its position, ``b_i⊗g`` at
 ``g·n + i``: ``e`` and the lifts are read off the path algebra's
 ``vertex_index`` and extension cells, moved by ``g·n``, and a survivor at
 ``g·n + i`` off the prefix link of ``b_i``.  No crossed product's label is
@@ -66,8 +67,9 @@ multiplicativity on the left factors ``(g⊗0)⊗0`` for the generators
 degree-zero half of the basis.
 Every table is monomial and the symmetry is a signed permutation, so by
 the block rule ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy`` each side of each
-comparison is a pair of single cells: ``Φ(x·y)`` read from the rows of
-``A#ℤ₂``, ``Φ(x)·Φ(y)`` from the rows of ``A``.  The blocks test
+comparison is a pair of single cells: ``Φ(x·y)`` read as the cells of
+``A#ℤ₂``, ``Φ(x)·Φ(y)`` from the rows of ``A``, and each cell of
+``A#ℤ₂`` is a cell of ``A`` read through ``(π, σ)``.  The blocks test
 ``s(b_g·b_q) = s(b_g)·s(b_q)``, ``s²(b_q) = s(1)·b_q`` and
 ``s(b_q) = s(1)·s(b_q)``, so a broken symmetry fails also with the guard
 bypassed (see :func:`verify_iterated_skew_group`).
@@ -98,19 +100,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Collection, Mapping, Optional
 
 from .algebra import (
     Cell,
     Coeff,
     CornerAlgebra,
+    CrossedProduct,
     MorphismVerdict,
     PathAlgebra,
     SignedPermutation,
     TableAlgebra,
     Vector,
     _add,
+    _generator_rows_commute,
     graded_path_algebra,
     skew_group_algebra,
     vadd,
@@ -133,6 +136,7 @@ from .presentations import (
     algebra_dimension,
     split_vertex_ids,
 )
+from .surface import _cached_property
 
 
 def induced_basis_map(
@@ -189,7 +193,7 @@ def induced_basis_map(
 
 def _crossed_corner(
     alg: PathAlgebra, act: SignedPermutation, vertices: Collection[str]
-) -> tuple[TableAlgebra, CornerAlgebra]:
+) -> tuple[CrossedProduct, CornerAlgebra]:
     """The crossed product ``A#ℤ₂`` of ``A = alg.algebra`` and its corner
     at ``e``, the sum of the degree-zero idempotents of ``vertices``, one
     per orbit, as the indices it keeps; ``e`` sits at the vertices'
@@ -260,7 +264,7 @@ class _HalvedImages:
     domain: Presentation
     doubled: dict[str, Vector]
 
-    @cached_property
+    @_cached_property
     def images(self) -> dict[str, Vector]:
         vertices = set(self.domain.vertices)
         return {
@@ -319,7 +323,7 @@ class SkewGroupReduction(_HalvedImages):
     cover_pair: Presentation
     cover_algebra: PathAlgebra
     deck_action: SignedPermutation
-    skew: TableAlgebra
+    skew: CrossedProduct
     corner: CornerAlgebra
     domain: Presentation
     doubled: dict[str, Vector]
@@ -446,7 +450,7 @@ class DualReduction(_HalvedImages):
 
     split_algebra: PathAlgebra
     swap_action: SignedPermutation
-    skew: TableAlgebra
+    skew: CrossedProduct
     corner: CornerAlgebra
     domain: Presentation
     doubled: dict[str, Vector]
@@ -547,12 +551,13 @@ class IteratedSkewGroup:
     """Outcome of comparing the twice-crossed product of ``algebra`` by
     ``action`` with ``M₂(A)`` through the Cohen--Montgomery map.
 
-    The verdict is reached cell by cell on the rows of ``A`` and of
-    ``once = A#ℤ₂`` (see :func:`verify_iterated_skew_group`)."""
+    The verdict is reached cell by cell on the rows of ``A``, through
+    which ``once = A#ℤ₂`` reads its own cells (see
+    :func:`verify_iterated_skew_group`)."""
 
     algebra: TableAlgebra
     action: SignedPermutation
-    once: TableAlgebra
+    once: CrossedProduct
     homomorphism: bool
     unit_ok: bool
 
@@ -562,52 +567,41 @@ class IteratedSkewGroup:
 
 
 def _blocks_multiplicative(
-    A: TableAlgebra, once: TableAlgebra, act: SignedPermutation, s_unit: Vector
+    A: TableAlgebra, once: CrossedProduct, act: SignedPermutation, s_unit: Vector
 ) -> bool:
     """``Φ(x·y) = Φ(x)·Φ(y)`` for every left factor ``x`` in ``S`` and
     every ``y = (b_q⊗g)⊗0``, block by block: ``Φ(x·y)`` from the cells of
-    ``once``, ``Φ(x)·Φ(y)`` from the rows of ``A``, for
-    ``s(b_p) = σ_p·b_π(p)`` and ``s(1)`` given as ``s_unit``.  See
-    :func:`verify_iterated_skew_group` for what each block tests.
+    ``once``, read through its ``(π', σ')`` off the rows of ``A``, and
+    ``Φ(x)·Φ(y)`` from the rows of ``A``, for ``s(b_p) = σ_p·b_π(p)`` and
+    ``s(1)`` given as ``s_unit``.  See :func:`verify_iterated_skew_group`
+    for what each block tests.
 
-    It reads the rows of the generators of ``A``, their images under
-    ``π`` and the unit rows.  A product nonzero on the right alone fails
-    the count: the matched cells send column ``q`` of row ``i`` one to one
-    to column ``π(q)`` of row ``π(i)``, so the two rows hold as many
-    cells.  The unit factors' products are read as one cell per column
-    (:func:`_left_cells`) and each is compared in place."""
+    ``(b_i⊗0)·(b_q⊗g)`` in ``once`` is the cell ``(k, c)`` of row ``i`` at
+    column ``q``, unmoved, in degree ``g``, so the ``E_g0`` block holds it
+    on both sides, and the ``E_(1-g)1`` block is
+    ``σ_iσ_q·b_π(i)·b_π(q) = c·σ_k·b_π(k)``: the generator rows against
+    their images, as the involution guard reads them, a product nonzero on
+    the right alone failing the count.  The unit factors give
+    ``1·b_q⊗g`` and ``σ'_q·(1·b_π'(q))⊗(1+g)`` in ``once``, which must be
+    ``b_q⊗g`` and ``s(b_q)⊗(1+g)``; ``1·b_j`` is read as one cell per
+    column (:func:`_left_cells`) and compared in place.  It reads the rows
+    of the generators of ``A``, their images under ``π`` and the unit
+    rows."""
     n, rows, pi, sigma = A.dimension, A.rows, act.pi, act.sigma
-    # (b_i⊗0)⊗0 for a generator b_i against (b_q⊗g)⊗0: row i of ``once``
-    # at column n·g + q holds (n·g + k, c) for b_i·b_q = c·b_k; the
-    # E_g0/E_(1-g)1 pair of blocks then holds b_i·b_q = c·b_k and
-    # σ_iσ_q·b_π(i)·b_π(q) = c·σ_k·b_π(k)
-    for i in A.generators:
-        cells, row, image, si = once.rows[i], rows[i], rows[pi[i]], sigma[i]
-        if len(cells) != 2 * len(row) or len(image) != len(row):
-            return False
-        for col, (cell_k, c) in cells.items():
-            g, q = divmod(col, n)
-            h, k = divmod(cell_k, n)
-            if (
-                h != g
-                or row.get(q) != (k, c)
-                or image.get(pi[q]) != (pi[k], c * si * sigma[q] * sigma[k])
-            ):
-                return False
-    # (1⊗1)⊗0 and (1⊗0)⊗1 against every column, the zero products too:
-    # (1⊗1)·(b_q⊗g) = s(b_q)⊗(1+g) and (1⊗0)·(b_q⊗g) = b_q⊗g in ``once``
-    twisted = _left_cells(once.rows, {n + v: u for v, u in once.unit.items()}, 2 * n)
-    plain = _left_cells(once.rows, once.unit, 2 * n)
+    if not _generator_rows_commute(A, act):
+        return False
+    unit_cells = _left_cells(once.base_rows, once.unit, n)
     s_unit_cells = _left_cells(rows, s_unit, n)
     for q in range(n):
         p, sq = pi[q], sigma[q]
-        # s²(b_q) = s(1)·b_q and s(b_q) = s(1)·s(b_q)
-        if s_unit_cells[q] != (pi[p], sq * sigma[p]) or s_unit_cells[p] != (p, 1):
+        # the unit factors, then s²(b_q) = s(1)·b_q and s(b_q) = s(1)·s(b_q)
+        if (
+            unit_cells[q] != (q, 1)
+            or unit_cells[once.pi[q]] != (p, sq * once.sigma[q])
+            or s_unit_cells[q] != (pi[p], sq * sigma[p])
+            or s_unit_cells[p] != (p, 1)
+        ):
             return False
-        for g in (0, 1):
-            col = n * g + q
-            if twisted[col] != (n * (1 - g) + p, sq) or plain[col] != (col, 1):
-                return False
     return True
 
 
@@ -653,9 +647,12 @@ def verify_iterated_skew_group(
     product: every table is monomial and ``s`` is the signed permutation
     ``s(b_p) = σ_p·b_π(p)``, so each side of each comparison is a pair of
     single cells, read from the rows of ``A`` through the block rule
-    ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy``, and from the rows of
-    ``once = A#ℤ₂`` from :func:`~skewgentle.algebra.skew_group_algebra`,
-    kept on ``A`` (a reduction on the same pair has built it already).
+    ``(E_ab⊗x)(E_cd⊗y) = δ_bc·E_ad⊗xy``, and as cells of
+    ``once = A#ℤ₂``, which are the cells of the rows of ``A`` read through
+    ``(π, σ)``.  ``once`` comes from
+    :func:`~skewgentle.algebra.skew_group_algebra`, which guards the
+    involution and keeps it on ``A`` (a reduction on the same pair has
+    crossed it already).
 
     Φ is checked to be multiplicative on the left factors
     ``S = {(g⊗0)⊗0} ∪ {(1⊗1)⊗0, (1⊗0)⊗1}``, for ``g`` in

@@ -27,7 +27,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .diagnostics import (
@@ -53,6 +53,7 @@ from .surface import (
     DissectedSurface,
     MarkedPoint,
     Polygon,
+    _cached_property,
     _require_valid,
     arc_side,
     bseg_side,
@@ -85,30 +86,30 @@ class Presentation:
     relations: tuple[Relation, ...]
     special: frozenset = _NO_SPECIAL
 
-    @cached_property
+    @_cached_property
     def arrow_by_id(self) -> dict[str, Arrow]:
         return {a.id: a for a in self.arrows}
 
-    @cached_property
+    @_cached_property
     def outgoing(self) -> dict[str, tuple[Arrow, ...]]:
         out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             out.setdefault(a.source, []).append(a)
         return {v: tuple(sorted(lst, key=lambda a: a.id)) for v, lst in out.items()}
 
-    @cached_property
+    @_cached_property
     def incoming(self) -> dict[str, tuple[Arrow, ...]]:
         inc: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             inc.setdefault(a.target, []).append(a)
         return {v: tuple(sorted(lst, key=lambda a: a.id)) for v, lst in inc.items()}
 
-    @cached_property
+    @_cached_property
     def monomial_pairs(self) -> frozenset:
         """The length-two paths appearing as single-term relations."""
         return frozenset(r[0] for r in self.relations if len(r) == 1)
 
-    @cached_property
+    @_cached_property
     def _shape_findings(self) -> tuple[tuple[Diagnostic, ...], tuple[Diagnostic, ...]]:
         """The findings of ``_check_ids``, and those of
         ``_check_composability`` on the relations in order when the ids
@@ -120,11 +121,11 @@ class Presentation:
         _check_composability(self, report)
         return (), tuple(report.diagnostics)
 
-    @cached_property
+    @_cached_property
     def _gentle_findings(self) -> tuple[Diagnostic, ...]:
         return tuple(_check_gentle(self).diagnostics)
 
-    @cached_property
+    @_cached_property
     def _triple_findings(self) -> tuple[Diagnostic, ...]:
         return tuple(_check_triple(self).diagnostics)
 

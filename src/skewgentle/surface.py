@@ -407,6 +407,9 @@ def _check_surface(surface: DissectedSurface) -> Report:
     first asks whether anything is wrong, with a few whole-list tests, and
     only then goes cell by cell to name the findings."""
     report = Report()
+    if not surface.polygons:  # no cell to glue: not a surface at all
+        report.add(BAD_INPUT, f"surface {surface.name!r} has no polygon", (surface.name,))
+        return report
     walk = surface._walk
     points, arcs, bsegs, polygons = surface.points, surface.arcs, surface.bsegs, surface.polygons
     for category, items, by_id in (

@@ -33,12 +33,14 @@ is the reference for the rank count of ``verify_morphism``.  At the end,
 :func:`word_normal_forms` reduces every word modulo those spans, and
 :func:`word_rows`, :func:`word_reduce` and :func:`relabelled_basis_map`
 rebuild from its normal forms, by rewriting words, what the library
-reads off the extension table of ``graded_path_algebra``, and
+reads off the extension table of ``graded_path_algebra``;
+:func:`basis_labels` lists the words those spans leave free, the labels
+the library renders from its prefix links; and
 :func:`involution_all_cells` and :func:`blocks_all_rows` are the
 involution guard and the iterated check's block comparison on every
 row, the references for the versions that read only the generator rows.  :func:`crossed_rows` is the crossed
-product cell by cell from its product rule, the reference for the rows
-``skew_group_algebra`` fills on first read, and :func:`generates` the full
+product cell by cell from its product rule, the reference for the cells
+``skew_group_algebra`` reads through ``(π, σ)``, and :func:`generates` the full
 two-sided closure that the surjectivity check of ``verify_morphism``
 takes modulo the span of the target's non-generators.  At the end,
 :func:`check_surface`, :func:`check_involution` and :func:`check_curve`
@@ -64,7 +66,7 @@ from skewgentle import (
     make_presentation,
     skew_group_algebra,
 )
-from skewgentle.algebra import _accumulate, _add, _preimages, _products_row, vscale
+from skewgentle.algebra import _accumulate, _add, _preimages, vscale
 from skewgentle.diagnostics import (
     ARC_OCCURRENCE,
     BAD_INPUT,
@@ -1093,7 +1095,7 @@ def verify_multiplicative(A, B, images) -> bool:
     preimages = _preimages(images, B.dimension)
     cleared = [{k: c for k, c in img.items() if c} for img in images]
     for fx, row in zip(images, A.rows):
-        products = _products_row(B, fx, preimages)
+        products = B._products_row(fx, preimages)
         for j, (k, c) in row.items():
             left = cleared[k] if c == 1 else {m: c * v for m, v in cleared[k].items()}
             # both sides are free of zero coefficients, so ``!=`` compares
@@ -1179,6 +1181,24 @@ def path_target(presentation, key) -> str:
     """The vertex where the path ``key`` ends, read off its last arrow."""
     src, arrows = key
     return presentation.arrow_by_id[arrows[-1]].target if arrows else src
+
+
+def basis_labels(presentation) -> tuple:
+    """The labels ``(source, word)`` of the basis paths of
+    ``graded_path_algebra(presentation)``, in its order, as a tuple: the
+    words of each length that the relation span leaves free
+    (:func:`relation_spans`), the vertices as the presentation lists them,
+    the arrows by id, and each longer length by start, end and word."""
+    target = {a.id: a.target for a in presentation.arrows}
+    out = []
+    for length, (words, span) in enumerate(relation_spans(presentation)):
+        free = [w for w in words if w not in span.rows]
+        if length == 1:
+            free.sort(key=lambda w: w[1])
+        elif length > 1:
+            free.sort(key=lambda w: (w[0], target[w[1][-1]], w[1]))
+        out += free
+    return tuple(out)
 
 
 def word_normal_forms(alg) -> dict:
@@ -1437,6 +1457,9 @@ def check_surface(surface) -> Report:
     counts, corners, then the rays at every point followed one path per
     point."""
     report = Report()
+    if not surface.polygons:
+        report.add(BAD_INPUT, f"surface {surface.name!r} has no polygon", (surface.name,))
+        return report
     for category, items in (
         ("point", surface.points),
         ("arc", surface.arcs),

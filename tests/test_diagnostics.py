@@ -177,6 +177,51 @@ def test_library_reads_no_environment_variable():
     assert found == []
 
 
+def _locking_cached_properties(source: str) -> list[int]:
+    """The lines that import or name ``functools.cached_property``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name == "cached_property" for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "cached_property"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+    ]
+
+
+def test_library_uses_the_lock_free_cached_property():
+    """``functools.cached_property`` takes a lock on every first read on
+    Python 3.11; the library's one cached-property helper is
+    ``surface._cached_property``, and no module uses the other."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        f"{path.name}:{line}"
+        for path in modules
+        for line in _locking_cached_properties(path.read_text())
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from functools import cached_property",
+        "from functools import lru_cache, cached_property as cp",
+        "import functools\nclass C:\n    @functools.cached_property\n    def x(self):\n        return 1",
+    ],
+)
+def test_the_cached_property_scan_sees_a_use(source):
+    assert _locking_cached_properties(source)
+
+
 def _table_reads(source: str) -> list[int]:
     """The lines that read an attribute named ``table``."""
     return [

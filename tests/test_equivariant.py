@@ -408,33 +408,34 @@ def test_iterated_target_matches_oracle_on_random_covers():
 
 def _count_crossings(monkeypatch):
     """Record the dimension of every algebra that ``skew_group_algebra``
-    guards for an involution or crosses into a new table."""
+    guards for an involution or crosses into a new crossed product."""
     calls = {"crossed": [], "involution": []}
     involution = algebra_module.verify_algebra_involution
 
-    class CountedRows(algebra_module._CrossedRows):
-        def __init__(self, base, inverse, sigma):
-            calls["crossed"].append(len(base))
-            super().__init__(base, inverse, sigma)
+    class CountedCrossing(algebra_module.CrossedProduct):
+        def __init__(self, base, *args):
+            calls["crossed"].append(base.dimension)
+            super().__init__(base, *args)
 
     def counted_involution(A, act):
         calls["involution"].append(A.dimension)
         return involution(A, act)
 
-    monkeypatch.setattr(algebra_module, "_CrossedRows", CountedRows)
+    monkeypatch.setattr(algebra_module, "CrossedProduct", CountedCrossing)
     monkeypatch.setattr(algebra_module, "verify_algebra_involution", counted_involution)
     return calls
 
 
 def test_iterated_check_crosses_twice_without_twisted_rows(monkeypatch, cylinders):
-    # The verdict crosses once; the second crossing, with the grading
-    # signs, is never built.
+    # The verdict crosses once, into a crossed product that stores no row;
+    # the second crossing, with the grading signs, is never built.
     A, deck = _cover_algebra_and_deck(double_cover(cylinders[1]))
     calls = _count_crossings(monkeypatch)
     rr = verify_iterated_skew_group(A, deck)
     n = A.dimension
     assert rr.ok
     assert calls == {"crossed": [n], "involution": [n]}
+    _assert_stores_no_row(rr.once, A, deck)
 
 
 def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
@@ -446,10 +447,14 @@ def test_iterated_check_reuses_the_crossed_product_of_the_reduction(
     rr = verify_iterated_skew_group(red.cover_algebra.algebra, red.deck_action)
     # nothing is crossed, and the involution is not checked again
     assert calls == {"crossed": [], "involution": []}
+    assert rr.once is red.skew
     fresh = verify_iterated_skew_group(*_cover_algebra_and_deck(cov))
     assert rr.ok
-    assert (rr.homomorphism, rr.unit_ok, rr.once) == (
-        fresh.homomorphism, fresh.unit_ok, fresh.once
+    assert (rr.homomorphism, rr.unit_ok) == (fresh.homomorphism, fresh.unit_ok)
+    # the fresh crossing is a counted subclass, so the two compare by content
+    assert rr.once is not fresh.once
+    assert (rr.once.labels, rr.once.table, rr.once.unit, rr.once.generators) == (
+        fresh.once.labels, fresh.once.table, fresh.once.unit, fresh.once.generators
     )
 
 
@@ -1023,26 +1028,48 @@ def test_every_table_cell_is_one_signed_basis_element(ladder_builds, cylinders, 
         _assert_cells_are_signed_basis_elements(A)
 
 
+def _assert_stores_no_row(skew, A, act) -> None:
+    """``skew`` keeps the rows of ``A`` themselves, ``π``, ``π⁻¹``, ``σ``,
+    its unit and generators, and no cell or label of its own: each read of
+    a row renders a new dict, as the product rule gives it."""
+    assert set(vars(skew)) == {
+        "base_rows", "pi", "inverse", "sigma", "labels", "rows", "unit", "generators",
+        "_crossed",
+    }
+    assert skew.base_rows is A.rows and (skew.pi, skew.sigma) == (act.pi, act.sigma)
+    assert [skew.inverse[p] for p in act.pi] == list(range(A.dimension))
+    for view in (skew.rows, skew.labels):
+        assert type(view) is algebra_module._Rendered and len(view) == 2 * A.dimension
+    expected = crossed_rows(A, act)
+    for i in (0, A.dimension, 2 * A.dimension - 1):
+        row = skew.rows[i]
+        assert row == skew.rows[i] == expected[i] and row is not skew.rows[i]
+
+
 def test_signed_permutation_crossed_product_shares_cells(cylinder_covers):
-    """The degree-zero rows hold the cells of ``A`` itself, and a ``+``
-    twisted cell is the very cell of ``A`` or its shifted copy in the
-    degree-zero row, so crossing with a deck action copies only the
-    shifted and the negated cells."""
+    """Crossing with a deck action copies no cell: the crossed product
+    reads each product off the very rows of ``A`` through ``(π, σ)``, a
+    degree-zero row holding the cells of ``A`` at columns ``j`` and
+    ``n + j``, a twisted one the cell at column ``π(j)`` times ``σ_j``,
+    as ``mul`` and the rendered rows both give it."""
     for cov in (cylinder_covers[2], double_cover(one_orbifold_disc(8))):
         A, deck = _cover_algebra_and_deck(cov)
-        preimage = {k: (j, sign) for j, (k, sign) in enumerate(zip(deck.pi, deck.sigma))}
         skew = skew_group_algebra(A, deck)
+        _assert_stores_no_row(skew, A, deck)
         n = A.dimension
-        shared = 0
-        rows = list(skew.rows)
-        for cells, zero, twisted in zip(A.rows, rows[:n], rows[n:]):
-            assert all(zero[k] is cell for k, cell in cells.items())
-            for k, cell in cells.items():
-                j, sign = preimage[k]
-                if sign == 1:
-                    assert twisted[n + j] is cell and twisted[j] is zero[n + k]
-                    shared += 1
-        assert shared
+        moved = 0
+        for i, row in enumerate(A.rows):
+            for j in range(n):
+                for g, h in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    cell = row.get(deck.pi[j] if g else j)
+                    want = {}
+                    if cell is not None:
+                        k, c = cell
+                        want = {(g + h) % 2 * n + k: deck.sigma[j] * c if g else c}
+                        moved += g and deck.pi[j] != j
+                    assert skew.mul({g * n + i: 1}, {h * n + j: 1}) == want
+        assert moved
+        assert skew.table == _dense(crossed_rows(A, deck), 2 * n)
 
 
 def test_corner_coordinates_reject_an_image_outside_the_corner():
@@ -1440,12 +1467,14 @@ def _dense(rows, n) -> list:
 
 def test_verdicts_fill_only_generator_rows(cylinder_covers, disc_xx):
     """After both reductions and the iterated check, the rows filled in the
-    cover algebra Λ, Λ#ℤ₂, the split algebra S and S#ℤ₂ are exactly their
-    generator rows: 284, 568, 197 and 394 of 728, 1 456, 477 and 954 rows
-    over the twelve ladder covers, and 125, 250, 65 and 130 of 1 055,
-    2 110, 560 and 1 120 at n = 32.  A full read then fills the rest as
-    the words (``oracles.word_rows``) and the product rule of the crossing
-    (``oracles.crossed_rows``) give them."""
+    cover algebra Λ and the split algebra S are exactly their generator
+    rows, 284 and 197 of 728 and 477 rows over the twelve ladder covers,
+    and 125 and 65 of 1 055 and 560 at n = 32, and their crossed products
+    Λ#ℤ₂ and S#ℤ₂ store no row, marking the two copies of those
+    generators, 568 and 394 of 1 456 and 954.  A full read then fills or
+    renders every row as the words (``oracles.word_rows``) and the product
+    rule of the crossing (``oracles.crossed_rows``) give them, and the
+    crossed products still store none."""
     covers = _ladder_covers(cylinder_covers, disc_xx)
     covers.append(double_cover(one_orbifold_disc(32)))
     filled, sizes = [], []
@@ -1455,17 +1484,24 @@ def test_verdicts_fill_only_generator_rows(cylinder_covers, disc_xx):
         assert red.verdict.is_isomorphism and dual.verdict.is_isomorphism and rr.ok
         pairs = ((red.cover_algebra, red.skew, red.deck_action),
                  (dual.split_algebra, dual.skew, dual.swap_action))
-        algebras = [A for alg, skew, _ in pairs for A in (alg.algebra, skew)]
-        for A in algebras:
-            cells = A.rows.cells
-            assert {i for i, row in enumerate(cells) if row is not None} == set(A.generators)
-        filled.append([A.rows.filled for A in algebras])
-        sizes.append([A.dimension for A in algebras])
+        counts = []
+        for alg, skew, act in pairs:
+            cells = alg.algebra.rows.cells
+            assert {i for i, row in enumerate(cells) if row is not None} == set(
+                alg.algebra.generators
+            )
+            assert skew.generators == set(alg.algebra.generators) | {
+                alg.dimension + g for g in alg.algebra.generators
+            }
+            counts += [alg.algebra.rows.filled, len(skew.generators)]
+        filled.append(counts)
+        sizes.append([A.dimension for alg, skew, _ in pairs for A in (alg.algebra, skew)])
         for alg, skew, act in pairs:
             A = alg.algebra
             assert A.table == _dense(word_rows(alg), A.dimension)
             assert skew.table == _dense(crossed_rows(A, act), skew.dimension)
-            assert A.rows.filled == A.dimension and skew.rows.filled == skew.dimension
+            assert A.rows.filled == A.dimension
+            _assert_stores_no_row(skew, A, act)
     assert [sum(col) for col in zip(*filled[:12])] == [284, 568, 197, 394]
     assert [sum(col) for col in zip(*sizes[:12])] == [728, 1456, 477, 954]
     assert (filled[12], sizes[12]) == ([125, 250, 65, 130], [1055, 2110, 560, 1120])
@@ -1596,12 +1632,12 @@ def test_unit_factors_sum_a_column_that_two_unit_terms_reach():
 
 def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators(monkeypatch):
     """On 1 -a-> 2 -b-> 3 the swap of the arrows' basis elements permutes
-    the generators, and the crossed product marks their two copies and
-    fills only their rows (the swap is not multiplicative, so the guard is
-    bypassed).  On two copies of that quiver the swap of the copies is an
-    involution; a table that declares the path ``a·b`` of one copy a
-    generator, and not its image, passes the guard, and its crossing marks
-    and fills every index."""
+    the generators, and the crossed product marks their two copies (the
+    swap is not multiplicative, so the guard is bypassed), reading its
+    products through the swap all the same.  On two copies of that quiver
+    the swap of the copies is an involution; a table that declares the
+    path ``a·b`` of one copy a generator, and not its image, passes the
+    guard, and its crossing marks every index.  Neither stores a row."""
     pres = make_presentation("123", [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
     A = graded_path_algebra(pres).algebra
     n = A.dimension
@@ -1611,7 +1647,8 @@ def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators(monkey
         _bypass_guard(m)
         skew = skew_group_algebra(A, swap_arrows)
     assert skew.generators == frozenset(range(5)) | frozenset(range(n, n + 5))
-    assert skew.rows.filled == 10
+    _assert_stores_no_row(skew, A, swap_arrows)
+    assert skew.table == _dense(crossed_rows(A, swap_arrows), 2 * n)
     copies = [Arrow("a", "1", "2"), Arrow("b", "2", "3")]
     copies += [Arrow("c", "4", "5"), Arrow("d", "5", "6")]
     alg = graded_path_algebra(make_presentation("123456", copies))
@@ -1625,7 +1662,8 @@ def test_the_crossing_marks_every_index_unless_pi_permutes_the_generators(monkey
     n = A.dimension
     assert verify_algebra_involution(A, swap) and swap.pi[path] not in A.generators
     skew = skew_group_algebra(A, swap)
-    assert skew.generators == frozenset(range(2 * n)) and skew.rows.filled == 2 * n
+    assert skew.generators == frozenset(range(2 * n))
+    _assert_stores_no_row(skew, A, swap)
 
 
 def test_renamed_arcs_give_isomorphisms_or_a_named_bad_input(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     boundary_circle_count,
+    check_surface,
     euler_characteristic,
     genus_from_counts,
     is_dissection_isomorphism,
@@ -52,6 +53,7 @@ from skewgentle import (
     validate_curve,
     validate_involution,
 )
+from skewgentle.cli import main
 from skewgentle.diagnostics import (
     BAD_INPUT,
     BAD_INVOLUTION,
@@ -497,6 +499,30 @@ def test_a_point_of_unknown_kind_is_bad_input():
         with pytest.raises(ValidationError) as exc:
             read(surface)
         assert [(d.code, d.message, d.where) for d in exc.value.diagnostics] == [finding]
+
+
+def test_a_surface_with_no_polygon_is_bad_input(tmp_path, capsys):
+    """A surface with no polygon has no cell to glue: ``validate`` and the
+    ray-tuple oracle refuse it with one ``BAD_INPUT`` naming it, whatever
+    else it lists, where ``topology`` read it as a connected surface of
+    genus 1, and the CLI exits 2."""
+    empty = make_surface("empty", [], [], [], [])
+    stray = make_surface("stray", [MarkedPoint("p", BOUNDARY)], [], [], [])
+    for surface in (empty, stray):
+        finding = (BAD_INPUT, f"surface {surface.name!r} has no polygon", (surface.name,))
+        for report in (validate(surface), check_surface(surface)):
+            assert [(d.code, d.message, d.where) for d in report.diagnostics] == [finding]
+        for read in (topology, boundary_components, classify_dissection, invariant_tuple):
+            with pytest.raises(ValidationError) as exc:
+                read(surface)
+            assert [(d.code, d.message, d.where) for d in exc.value.diagnostics] == [finding]
+    path = tmp_path / "empty.surf"
+    path.write_text("surface empty\n")
+    for command in ("validate", "invariants"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: [BAD_INPUT] at ('empty',) surface 'empty' has no polygon\n"
 
 
 def test_occurrences_are_the_record_of_the_one_walk(cylinders, torus_with_involution):
