@@ -35,9 +35,11 @@ from .surface import (
     BOUNDARY,
     ORBIFOLD,
     PUNCTURE,
+    BoundaryComponent,
     CombinatorialCurve,
     DissectedSurface,
     Passage,
+    Polygon,
     SurfaceInvolution,
     _moved_passages,
     _require_valid,
@@ -119,6 +121,16 @@ def _walk_corners(surface: DissectedSurface, start: Passage) -> list[Passage]:
         exit = step[2]
 
 
+def _bseg_polygon(surface: DissectedSurface, bseg: str) -> Polygon:
+    """The polygon of boundary segment ``bseg``; ``BAD_INPUT`` when the
+    segment is its only side, as its boundary component then meets no
+    arc."""
+    poly = surface.polygon_by_id[surface.bseg_occurrence[bseg][0]]
+    if len(poly.sides) == 1:
+        raise error(BAD_INPUT, f"boundary component of {bseg!r} meets no arc", (bseg,))
+    return poly
+
+
 def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> CombinatorialCurve:
     """Closed curve parallel to the boundary component of ``start_bseg``,
     oriented with the boundary on its left.
@@ -126,19 +138,31 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
     Per boundary segment one chord between the sides flanking it; per
     marked point a fan of corner passages walking its arc rays.
     """
-    start_poly, _ = surface.bseg_occurrence[start_bseg]
-    first = surface.polygon_by_id[start_poly]
-    n = len(first.sides) - 1
-    if n == 0:
-        raise error(
-            BAD_INPUT,
-            f"boundary component of {start_bseg!r} meets no arc",
-            (start_bseg,),
-        )
-    passages = _walk_corners(surface, Passage(first.id, 1, n, "left"))
+    first = _bseg_polygon(surface, start_bseg)
+    passages = _walk_corners(surface, Passage(first.id, 1, len(first.sides) - 1, "left"))
     curve = CombinatorialCurve(f"boundary.{start_bseg}", True, tuple(passages))
     raise_on_error(validate_curve(surface, curve))
     return curve
+
+
+def _boundary_windings(
+    surface: DissectedSurface, components: Sequence[BoundaryComponent]
+) -> list[int]:
+    """The winding of each component's parallel curve: its boundary
+    segments minus the corners between two arc sides at its marked points
+    (see :func:`invariant_tuple`).  A component that meets no arc is
+    refused as :func:`_trace_boundary` refuses it."""
+    corners, polygon_by_id = surface.corners_at_point, surface.polygon_by_id
+    windings = []
+    for bc in components:
+        _bseg_polygon(surface, min(bc.bsegs))
+        turns = 0
+        for m in bc.marked:
+            for pid, i in corners[m]:
+                if 0 < i < len(polygon_by_id[pid].sides) - 1:
+                    turns += 1
+        windings.append(len(bc.bsegs) - turns)
+    return windings
 
 
 def boundary_curves(surface: DissectedSurface) -> list[CombinatorialCurve]:
@@ -531,18 +555,30 @@ class InvariantTuple:
 def invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     """Winding invariants of the dissection's line field: per boundary
     component the winding of its parallel curve and its marked-point
-    count; per interior point the winding of its loop."""
+    count; per interior point the winding of its loop.
+
+    Each winding is read off the corners the surface walk records, with
+    no curve traced.  A boundary component winds by its number of
+    boundary segments minus the number of corners between two arc sides
+    (slots 1 to k - 2 of a k-gon) at its marked points; an interior
+    point winds by minus its number of corners.  This is the sum over the
+    canonical curves (``+1`` per ``left`` passage, ``-1`` per ``right``):
+    the boundary curve passes one ``left`` chord per boundary segment and
+    one ``right`` passage per arc-arc corner at its points, and the point
+    loop one ``right`` passage per corner at its point, each corner once,
+    since on a valid surface the rays at a point form one chain or
+    cycle."""
     _require_valid(surface)
     top = topology(surface)
     if not top.connected:
         raise error(BAD_INPUT, "invariant tuples are defined for connected surfaces")
-    entries = []
-    for bc in top.boundary:
-        w = winding(surface, _trace_boundary(surface, min(bc.bsegs)))
-        entries.append((w, len(bc.marked), BOUNDARY))
+    entries = [
+        (w, len(bc.marked), BOUNDARY)
+        for bc, w in zip(top.boundary, _boundary_windings(surface, top.boundary))
+    ]
+    corners = surface.corners_at_point
     for kind, pts in ((PUNCTURE, top.punctures), (ORBIFOLD, top.orbifold_points)):
-        for p in pts:
-            entries.append((winding(surface, puncture_loop(surface, p)), 0, kind))
+        entries.extend((-len(corners[p]), 0, kind) for p in pts)
     if top.genus is None:
         raise error(
             BAD_INPUT, f"connected surface {surface.name!r} has no genus", (surface.name,)
@@ -554,7 +590,10 @@ def cover_invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     """Invariant tuple of the canonical branched double cover, with the
     boundary windings cross-checked against lifts of the base boundary
     curves (closed lifts keep the winding; a doubled lift carries twice
-    the base winding).  A disagreement raises ``WINDING_MISMATCH``.
+    the base winding).  The base and cover windings are read off corner
+    counts, the lifted ones summed along the traced and lifted curves, so
+    the two routes are independent.  A disagreement raises
+    ``WINDING_MISMATCH``.
 
     A dissection without orbifold points is refused with ``BAD_INPUT``,
     after its own findings: its canonical cover is two disjoint copies of
@@ -571,10 +610,9 @@ def cover_invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     direct = invariant_tuple(cov.total)
     report = Report()
     lifted: list[int] = []
-    for bc in boundary_components(surface):
-        base = _trace_boundary(surface, min(bc.bsegs))
-        w = winding(surface, base)
-        lift = lift_curve(cov, base)
+    components = boundary_components(surface)
+    for bc, w in zip(components, _boundary_windings(surface, components)):
+        lift = lift_curve(cov, _trace_boundary(surface, min(bc.bsegs)))
         wl = winding(cov.total, lift.curve)
         expected = 2 * w if lift.doubled else w
         if wl != expected:
@@ -645,7 +683,15 @@ def decide_ghat_equiv(
 ) -> EquivalenceVerdict:
     """Necessary-condition check on the canonical double covers: compare
     cover invariant tuples and branch-point counts.  Any mismatch decides
-    NOT_EQUIVALENT; a full match is only ever INCONCLUSIVE."""
+    NOT_EQUIVALENT; a full match is only ever INCONCLUSIVE.
+
+    NOT_EQUIVALENT is a statement about the two canonical slit covers, the
+    ones :func:`~skewgentle.covering.double_cover` builds from the
+    dissections' slits: no derived equivalence lifts to that pair of
+    covers.  It is not a proof that the two algebras are not derived
+    equivalent, since an orbifold of genus 0 with b boundary components
+    has 2^(b-1) branched double covers and two dissections may double
+    different boundary components."""
     c1, c2 = cover_invariant_tuple(s1), cover_invariant_tuple(s2)
     n1 = sum(1 for p in s1.points if p.kind == ORBIFOLD)
     n2 = sum(1 for p in s2.points if p.kind == ORBIFOLD)

@@ -47,7 +47,9 @@ takes modulo the span of the target's non-generators.  At the end,
 are the surface, involution and curve checks as they ran on ray tuples
 (one successor path per point, words compared as ``(kind, ref,
 direction)`` tuples), the references for the library's checks on
-positions.
+positions, and :func:`invariant_tuple_by_curves` traces, validates and
+sums the canonical boundary and point curves, the reference for the
+corner counts ``invariant_tuple`` reads its windings off.
 """
 from __future__ import annotations
 
@@ -59,12 +61,17 @@ from typing import NamedTuple
 from skewgentle import (
     CombinatorialCurve,
     CornerAlgebra,
+    InvariantTuple,
     Passage,
     SignedPermutation,
     TableAlgebra,
+    boundary_curves,
     check_gentle,
     make_presentation,
+    puncture_loop,
     skew_group_algebra,
+    topology,
+    winding,
 )
 from skewgentle.algebra import _accumulate, _add, _preimages, vscale
 from skewgentle.diagnostics import (
@@ -84,9 +91,10 @@ from skewgentle.diagnostics import (
     UNKNOWN_ID,
     UNREVERSED_FIXED_ARC,
     Report,
+    error,
 )
 from skewgentle.presentations import _check_ids
-from skewgentle.surface import BOUNDARY, ORBIFOLD, POINT_KINDS, chord_bseg_side
+from skewgentle.surface import BOUNDARY, ORBIFOLD, POINT_KINDS, PUNCTURE, chord_bseg_side
 
 
 def forbidden_pairs(presentation) -> set[tuple[str, str]]:
@@ -1761,3 +1769,24 @@ def check_curve(surface, curve) -> Report:
                 (curve.id, k),
             )
     return report
+
+
+def invariant_tuple_by_curves(surface) -> InvariantTuple:
+    """``invariant_tuple`` by its curves: trace and validate the parallel
+    curve of every boundary component and the loop around every interior
+    point, and sum the passages of each (``+1`` left, ``-1`` right)."""
+    top = topology(surface)
+    if not top.connected:
+        raise error(BAD_INPUT, "invariant tuples are defined for connected surfaces")
+    entries = [
+        (winding(surface, curve), len(bc.marked), BOUNDARY)
+        for bc, curve in zip(top.boundary, boundary_curves(surface))
+    ]
+    for kind, pts in ((PUNCTURE, top.punctures), (ORBIFOLD, top.orbifold_points)):
+        for p in pts:
+            entries.append((winding(surface, puncture_loop(surface, p)), 0, kind))
+    if top.genus is None:
+        raise error(
+            BAD_INPUT, f"connected surface {surface.name!r} has no genus", (surface.name,)
+        )
+    return InvariantTuple(top.genus, tuple(sorted(entries)))

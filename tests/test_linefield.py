@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import one_point_discs, poincare_hopf_total, reverse_curve
+from oracles import (
+    invariant_tuple_by_curves,
+    one_point_discs,
+    poincare_hopf_total,
+    reverse_curve,
+)
 
 from skewgentle import (
     BOUNDARY,
@@ -22,6 +27,7 @@ from skewgentle import (
     MarkedPoint,
     Passage,
     ValidationError,
+    boundary_components,
     boundary_curves,
     build_complex,
     cover_invariant_tuple,
@@ -40,6 +46,7 @@ from skewgentle import (
     make_presentation,
     make_surface,
     map_graded_arc,
+    one_orbifold_disc,
     parse_surface_file,
     puncture_loop,
     random_gentle_pair,
@@ -47,7 +54,10 @@ from skewgentle import (
     surface_from_gentle,
     surface_from_triple,
     triple_from_x_dissection,
+    two_hole_torus_surface,
     two_marked_disc,
+    two_orbifold_cylinder,
+    two_orbifold_disc,
     verify_d2,
     winding,
 )
@@ -463,6 +473,75 @@ def test_cover_invariant_tuple_rejects_a_lift_with_another_winding(
     # each base boundary of the first cylinder has two closed lifts
     witnesses = {d.where for d in exc.value.diagnostics if len(d.where) == 3}
     assert witnesses == {(("b_bot",), 0, 1), (("b_top",), -2, -1)}
+
+
+def test_cover_invariant_tuple_rejects_cover_counts_that_miss_the_lifts(
+    cylinders, monkeypatch
+):
+    # Skewing the corner counts on the cover only leaves each lift equal
+    # to its base count, so only the comparison with the cover's own
+    # boundary windings can catch it.
+    base = cylinders[1]
+    true_windings = linefield._boundary_windings
+
+    def skewed(surface, components):
+        windings = true_windings(surface, components)
+        return windings if surface is base else [w + 1 for w in windings]
+
+    monkeypatch.setattr(linefield, "_boundary_windings", skewed)
+    with pytest.raises(ValidationError) as exc:
+        cover_invariant_tuple(base)
+    (diag,) = exc.value.diagnostics
+    assert diag.code == WINDING_MISMATCH
+    assert "differ from the cover's own" in diag.message
+    assert diag.where == ((-2, -2, 0, 0), (-1, -1, 1, 1))
+
+
+def _fixture_surfaces():
+    surfaces = [parse_surface_file(fixture_path(n).read_text()).surface for n in FIXTURE_NAMES]
+    surfaces += [two_orbifold_cylinder(v) for v in (1, 2, 3, 4)]
+    surfaces += [two_marked_disc(), two_orbifold_disc(), two_hole_torus_surface()[0]]
+    surfaces += [one_orbifold_disc(n) for n in range(2, 15)]
+    return surfaces + [
+        double_cover(s).total for s in surfaces if any(p.kind == ORBIFOLD for p in s.points)
+    ]
+
+
+def test_corner_counts_equal_the_curve_windings():
+    surfaces = _fixture_surfaces()
+    rng = random.Random(1912)
+    for _ in range(1000):
+        base = random_x_dissection(rng)
+        surfaces += [base, double_cover(base).total]
+    surfaces += [surface_from_gentle(random_gentle_pair(rng)) for _ in range(300)]
+    for surface in surfaces:
+        assert invariant_tuple(surface) == invariant_tuple_by_curves(surface), surface.name
+
+
+def test_a_boundary_that_meets_no_arc_is_refused_as_the_walk_refuses_it():
+    text = "surface mono\npoint B kind=boundary\nbseg b from=B to=B\npoly P sides=b:b\n"
+    surface = parse_surface_file(text).surface
+    expected = [(BAD_INPUT, "boundary component of 'b' meets no arc", ("b",))]
+    for compute in (invariant_tuple, invariant_tuple_by_curves):
+        with pytest.raises(ValidationError) as exc:
+            compute(surface)
+        assert [(d.code, d.message, d.where) for d in exc.value.diagnostics] == expected
+
+
+def test_invariant_tuples_trace_only_the_curves_they_lift(count_calls):
+    traced = count_calls("skewgentle.linefield", "_trace_boundary")
+    looped = count_calls("skewgentle.linefield", "puncture_loop")
+    wound = count_calls("skewgentle.linefield", "winding")
+    for variant in (1, 2, 3, 4):
+        invariant_tuple(two_orbifold_cylinder(variant))
+    invariant_tuple(double_cover(one_orbifold_disc(6)).total)
+    assert (traced, looped, wound) == ([], [], [])
+    for surface in (two_orbifold_cylinder(1), one_orbifold_disc(6), two_orbifold_disc()):
+        traced.clear()
+        cover_invariant_tuple(surface)
+        assert len(traced) == len(boundary_components(surface))
+        assert all(s is surface for s, _ in traced)
+        assert not looped
 
 
 _TWO_COPIES = (
