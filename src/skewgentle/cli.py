@@ -24,15 +24,15 @@ from .equivariant import verify_dual_reduction, verify_skew_group_reduction
 from .linefield import (
     NOT_EQUIVALENT,
     GradedArc,
+    InvariantTuple,
     build_complex,
+    canonical_windings,
     cover_invariant_tuple,
     decide_ghat_equiv,
     decide_tilting_equiv,
     invariant_tuple,
-    puncture_loop,
     winding,
 )
-from .linefield import boundary_curves as _boundary_curves
 from .presentations import Presentation, extract_quiver, split_presentation
 from .surface import (
     BOUNDARY,
@@ -162,24 +162,22 @@ def _cmd_skewgroup(ns) -> int:
     return 0
 
 
+def _print_invariants(t: InvariantTuple, prefix: str) -> None:
+    print(f"{prefix}genus {t.genus}")
+    for w, marked, kind in t.entries:
+        if kind == BOUNDARY:
+            print(f"{prefix}boundary winding={w} marked={marked}")
+        else:
+            print(f"{prefix}{kind} winding={w}")
+
+
 def _cmd_invariants(ns) -> int:
     s = _load(ns.file).surface
     t = invariant_tuple(s)
     orbifold = classify_dissection(s) == "x"
-    print(f"genus {t.genus}")
-    for w, marked, kind in t.entries:
-        if kind == BOUNDARY:
-            print(f"boundary winding={w} marked={marked}")
-        else:
-            print(f"{kind} winding={w}")
+    _print_invariants(t, "")
     if orbifold:
-        c = cover_invariant_tuple(s)
-        print(f"cover genus {c.genus}")
-        for w, marked, kind in c.entries:
-            if kind == BOUNDARY:
-                print(f"cover boundary winding={w} marked={marked}")
-            else:
-                print(f"cover {kind} winding={w}")
+        _print_invariants(cover_invariant_tuple(s), "cover ")
     return 0
 
 
@@ -192,11 +190,8 @@ def _cmd_winding(ns) -> int:
             raise error(BAD_INPUT, f"file names no curve {ns.curve!r}", (ns.curve,))
         print(f"{ns.curve} winding={winding(s, sf.curves[ns.curve])}")
         return 0
-    for curve in _boundary_curves(s):
-        print(f"{curve.id} winding={winding(s, curve)}")
-    for p in sorted(x.id for x in s.points if x.kind != BOUNDARY):
-        loop = puncture_loop(s, p)
-        print(f"{loop.id} winding={winding(s, loop)}")
+    for cid, w in canonical_windings(s):
+        print(f"{cid} winding={w}")
     return 0
 
 

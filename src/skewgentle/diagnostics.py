@@ -48,7 +48,6 @@ OUTSIDE_CORNER = "OUTSIDE_CORNER"
 # Covers and curves
 CURVE_THROUGH_BRANCH = "CURVE_THROUGH_BRANCH"
 INVALID_CURVE = "INVALID_CURVE"
-BOUNDARY_POINT = "BOUNDARY_POINT"
 BAD_LIFT = "BAD_LIFT"
 WINDING_MISMATCH = "WINDING_MISMATCH"
 # Gradings and complexes

@@ -1,7 +1,7 @@
-"""Winding numbers along curves transverse to a dissection, the canonical
-boundary and point curves, dual arc systems with integer gradings, the
-projective presentations graded arcs encode, and derived-equivalence
-deciders built from these winding invariants.
+"""Winding numbers along curves transverse to a dissection, the windings
+of the canonical boundary and point curves, dual arc systems with integer
+gradings, the projective presentations graded arcs encode, and
+derived-equivalence deciders built from these winding invariants.
 
 Curves are chains of polygon :class:`~skewgentle.surface.Passage` records;
 each passage contributes ``+1`` when the polygon's boundary segment lies
@@ -20,7 +20,6 @@ from .algebra import PathAlgebra, Vector, graded_path_algebra, vadd
 from .covering import double_cover, lift_curve
 from .diagnostics import (
     BAD_INPUT,
-    BOUNDARY_POINT,
     INCONSISTENT,
     INVALID_CURVE,
     NOT_A_COMPLEX,
@@ -61,8 +60,8 @@ __all__ = [
     "INCONCLUSIVE",
     "InvariantTuple",
     "NOT_EQUIVALENT",
-    "boundary_curves",
     "build_complex",
+    "canonical_windings",
     "cover_invariant_tuple",
     "decide_ghat_equiv",
     "decide_tilting_equiv",
@@ -72,7 +71,6 @@ __all__ = [
     "invariant_tuple",
     "is_dual_dissection",
     "map_graded_arc",
-    "puncture_loop",
     "verify_d2",
     "winding",
 ]
@@ -96,29 +94,7 @@ def winding(surface: DissectedSurface, curve: CombinatorialCurve) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical curves: boundary parallels and point loops
-
-
-def _walk_corners(surface: DissectedSurface, start: Passage) -> list[Passage]:
-    """The closed walk from ``start``: cross the exit arc of each passage
-    to its other occurrence, then turn right around the corner behind it.
-    The corner behind side 1 is the boundary segment's, passed by the
-    chord from side 1 to the last side with the segment on its left."""
-    polygon_by_id, occurrences = surface.polygon_by_id, surface.occurrences
-    passages = [start]
-    home = (start.polygon, start.entry, start.exit, start.bseg_side)
-    pid, exit = start.polygon, start.exit
-    while True:
-        side = polygon_by_id[pid].sides[exit]
-        pid, u = occurrences[(side.ref, -side.direction)]
-        if u == 1:
-            step = (pid, 1, len(polygon_by_id[pid].sides) - 1, "left")
-        else:
-            step = (pid, u, u - 1, "right")
-        if step == home:
-            return passages
-        passages.append(Passage(*step))
-        exit = step[2]
+# Canonical windings: boundary parallels and point loops
 
 
 def _bseg_polygon(surface: DissectedSurface, bseg: str) -> Polygon:
@@ -136,10 +112,28 @@ def _trace_boundary(surface: DissectedSurface, start_bseg: str) -> Combinatorial
     oriented with the boundary on its left.
 
     Per boundary segment one chord between the sides flanking it; per
-    marked point a fan of corner passages walking its arc rays.
+    marked point a fan of corner passages walking its arc rays.  From
+    each passage the walk crosses its exit arc to the other occurrence,
+    then turns right around the corner behind it.  The corner behind
+    side 1 is the boundary segment's, passed by the chord from side 1 to
+    the last side with the segment on its left.
     """
+    polygon_by_id, occurrences = surface.polygon_by_id, surface.occurrences
     first = _bseg_polygon(surface, start_bseg)
-    passages = _walk_corners(surface, Passage(first.id, 1, len(first.sides) - 1, "left"))
+    home = (first.id, 1, len(first.sides) - 1, "left")
+    passages = [Passage(*home)]
+    pid, exit = first.id, home[2]
+    while True:
+        side = polygon_by_id[pid].sides[exit]
+        pid, u = occurrences[(side.ref, -side.direction)]
+        if u == 1:
+            step = (pid, 1, len(polygon_by_id[pid].sides) - 1, "left")
+        else:
+            step = (pid, u, u - 1, "right")
+        if step == home:
+            break
+        passages.append(Passage(*step))
+        exit = step[2]
     curve = CombinatorialCurve(f"boundary.{start_bseg}", True, tuple(passages))
     raise_on_error(validate_curve(surface, curve))
     return curve
@@ -165,45 +159,22 @@ def _boundary_windings(
     return windings
 
 
-def boundary_curves(surface: DissectedSurface) -> list[CombinatorialCurve]:
-    """One canonical parallel curve per boundary component."""
+def canonical_windings(surface: DissectedSurface) -> list[tuple[str, int]]:
+    """``(curve id, winding)`` of the canonical curves: ``boundary.<least
+    boundary segment>`` per boundary component, in
+    :func:`~skewgentle.surface.boundary_components` order, then
+    ``loop.<point>`` per interior point, sorted by id.  The windings are
+    read off corner counts as :func:`invariant_tuple` reads them, with no
+    curve traced; a disconnected surface is read too."""
     _require_valid(surface)
-    return [
-        _trace_boundary(surface, min(bc.bsegs))
-        for bc in boundary_components(surface)
+    components = boundary_components(surface)
+    pairs = [
+        (f"boundary.{min(bc.bsegs)}", w)
+        for bc, w in zip(components, _boundary_windings(surface, components))
     ]
-
-
-def puncture_loop(surface: DissectedSurface, point_id: str) -> CombinatorialCurve:
-    """Counterclockwise loop around an interior dissection point.
-
-    One corner passage per arc ray at the point; a point carrying a single
-    arc end (the slit case) yields one passage hugging that arc.
-    """
-    _require_valid(surface)
-    pt = surface.point_by_id.get(point_id)
-    if pt is None:
-        raise error(UNKNOWN_ID, f"unknown point {point_id!r}", (point_id,))
-    if pt.kind == BOUNDARY:
-        raise error(
-            BOUNDARY_POINT,
-            f"point {point_id!r} lies on the boundary; loops surround "
-            "interior points only",
-            (point_id,),
-        )
-    corners = surface.corners_at_point[point_id]
-    pid, i = min(corners)
-    passages = _walk_corners(surface, Passage(pid, i + 1, i, "right"))
-    if len(passages) != len(corners):
-        raise error(
-            BAD_INPUT,
-            f"the loop around {point_id!r} passes {len(passages)} of its "
-            f"{len(corners)} corners",
-            (point_id,),
-        )
-    curve = CombinatorialCurve(f"loop.{point_id}", True, tuple(passages))
-    raise_on_error(validate_curve(surface, curve))
-    return curve
+    corners = surface.corners_at_point
+    interior = sorted(p.id for p in surface.points if p.kind != BOUNDARY)
+    return pairs + [(f"loop.{p}", -len(corners[p])) for p in interior]
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ are the surface, involution and curve checks as they ran on ray tuples
 (one successor path per point, words compared as ``(kind, ref,
 direction)`` tuples), the references for the library's checks on
 positions, and :func:`invariant_tuple_by_curves` traces, validates and
-sums the canonical boundary and point curves, the reference for the
-corner counts ``invariant_tuple`` reads its windings off.
+sums the canonical boundary and point curves of :func:`boundary_curves`
+and :func:`puncture_loop`, the reference for the corner counts that
+``invariant_tuple`` and ``canonical_windings`` read their windings off.
 """
 from __future__ import annotations
 
@@ -65,12 +66,12 @@ from skewgentle import (
     Passage,
     SignedPermutation,
     TableAlgebra,
-    boundary_curves,
+    boundary_components,
     check_gentle,
     make_presentation,
-    puncture_loop,
     skew_group_algebra,
     topology,
+    validate_curve,
     winding,
 )
 from skewgentle.algebra import _accumulate, _add, _preimages, vscale
@@ -92,9 +93,18 @@ from skewgentle.diagnostics import (
     UNREVERSED_FIXED_ARC,
     Report,
     error,
+    raise_on_error,
 )
+from skewgentle.linefield import _trace_boundary
 from skewgentle.presentations import _check_ids
-from skewgentle.surface import BOUNDARY, ORBIFOLD, POINT_KINDS, PUNCTURE, chord_bseg_side
+from skewgentle.surface import (
+    BOUNDARY,
+    ORBIFOLD,
+    POINT_KINDS,
+    PUNCTURE,
+    _require_valid,
+    chord_bseg_side,
+)
 
 
 def forbidden_pairs(presentation) -> set[tuple[str, str]]:
@@ -1769,6 +1779,75 @@ def check_curve(surface, curve) -> Report:
                 (curve.id, k),
             )
     return report
+
+
+# The code ``puncture_loop`` refuses a boundary point with; no library
+# function meets a point loop.
+BOUNDARY_POINT = "BOUNDARY_POINT"
+
+
+def walk_corners(surface, start: Passage) -> list[Passage]:
+    """The closed walk from ``start``: cross the exit arc of each passage
+    to its other occurrence, then turn right around the corner behind it.
+    The corner behind side 1 is the boundary segment's, passed by the
+    chord from side 1 to the last side with the segment on its left."""
+    polygon_by_id, occurrences = surface.polygon_by_id, surface.occurrences
+    passages = [start]
+    home = (start.polygon, start.entry, start.exit, start.bseg_side)
+    pid, exit = start.polygon, start.exit
+    while True:
+        side = polygon_by_id[pid].sides[exit]
+        pid, u = occurrences[(side.ref, -side.direction)]
+        if u == 1:
+            step = (pid, 1, len(polygon_by_id[pid].sides) - 1, "left")
+        else:
+            step = (pid, u, u - 1, "right")
+        if step == home:
+            return passages
+        passages.append(Passage(*step))
+        exit = step[2]
+
+
+def boundary_curves(surface) -> list[CombinatorialCurve]:
+    """One canonical parallel curve per boundary component, traced by the
+    walk ``cover_invariant_tuple`` lifts."""
+    _require_valid(surface)
+    return [
+        _trace_boundary(surface, min(bc.bsegs))
+        for bc in boundary_components(surface)
+    ]
+
+
+def puncture_loop(surface, point_id: str) -> CombinatorialCurve:
+    """Counterclockwise loop around an interior dissection point.
+
+    One corner passage per arc ray at the point; a point carrying a single
+    arc end (the slit case) yields one passage hugging that arc.
+    """
+    _require_valid(surface)
+    pt = surface.point_by_id.get(point_id)
+    if pt is None:
+        raise error(UNKNOWN_ID, f"unknown point {point_id!r}", (point_id,))
+    if pt.kind == BOUNDARY:
+        raise error(
+            BOUNDARY_POINT,
+            f"point {point_id!r} lies on the boundary; loops surround "
+            "interior points only",
+            (point_id,),
+        )
+    corners = surface.corners_at_point[point_id]
+    pid, i = min(corners)
+    passages = walk_corners(surface, Passage(pid, i + 1, i, "right"))
+    if len(passages) != len(corners):
+        raise error(
+            BAD_INPUT,
+            f"the loop around {point_id!r} passes {len(passages)} of its "
+            f"{len(corners)} corners",
+            (point_id,),
+        )
+    curve = CombinatorialCurve(f"loop.{point_id}", True, tuple(passages))
+    raise_on_error(validate_curve(surface, curve))
+    return curve
 
 
 def invariant_tuple_by_curves(surface) -> InvariantTuple:

@@ -17,8 +17,8 @@ from skewgentle import (
     CombinatorialCurve,
     Passage,
     ValidationError,
-    boundary_curves,
     build_complex,
+    canonical_windings,
     cover_invariant_tuple,
     decide_ghat_equiv,
     decide_tilting_equiv,
@@ -30,7 +30,6 @@ from skewgentle import (
     lift_curve,
     make_presentation,
     one_orbifold_disc,
-    puncture_loop,
     quiver_from_dissection,
     quotient,
     random_gentle_pair,
@@ -48,7 +47,6 @@ from skewgentle import (
     verify_dual_reduction,
     verify_iterated_skew_group,
     verify_skew_group_reduction,
-    winding,
 )
 from skewgentle.linefield import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 from skewgentle.presentations import Arrow
@@ -124,7 +122,7 @@ def test_04_winding_tables(cylinders, disc_x4, disc_xx):
     }
     for variant, surface in cylinders.items():
         ws = sorted(
-            winding(surface, c) for c in boundary_curves(surface)
+            w for cid, w in canonical_windings(surface) if cid.startswith("boundary.")
         )
         assert ws == base_expect[variant]
         cover_ws = sorted(
@@ -132,9 +130,10 @@ def test_04_winding_tables(cylinders, disc_x4, disc_xx):
         )
         assert cover_ws == cover_expect[variant]
     for surface in list(cylinders.values()) + [disc_x4, disc_xx]:
+        windings = dict(canonical_windings(surface))
         for p in surface.points:
             if p.kind == ORBIFOLD:
-                assert winding(surface, puncture_loop(surface, p.id)) == -1
+                assert windings[f"loop.{p.id}"] == -1
 
 
 def test_05_equivalence_verdicts(cylinders):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import os
 import random
 import re
@@ -13,16 +14,25 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
+
 import skewgentle
 from skewgentle import (
+    BOUNDARY,
     SurfaceFile,
-    boundary_curves,
+    classify_dissection,
     cli,
+    cover_invariant_tuple,
+    double_cover,
     fixture_path,
     format_surface_file,
     one_orbifold_disc,
     parse_surface_file,
+    random_gentle_pair,
+    random_x_dissection,
+    surface_from_gentle,
     two_orbifold_cylinder,
+    winding,
 )
 from skewgentle.cli import main
 from skewgentle.diagnostics import SYNTAX, ValidationError
@@ -225,7 +235,7 @@ def test_complex_command_propagates_grades(tmp_path, capsys):
 
 def test_complex_of_a_closed_curve_names_its_winding(tmp_path, capsys):
     surface = two_orbifold_cylinder(1)
-    curves = {c.id: c for c in boundary_curves(surface)}
+    curves = {c.id: c for c in oracles.boundary_curves(surface)}
     path = tmp_path / "boundaries.surf"
     path.write_text(format_surface_file(SurfaceFile(surface, None, curves)))
     # winding -2: no grading exists, whatever grades are given
@@ -496,15 +506,124 @@ def test_a_file_that_is_not_utf8_is_a_syntax_error_in_every_command(tmp_path, ca
         ["complex", file, "core"],
         ["export-dot", file],
     ]
-    subparsers = next(
-        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    assert {argv[0] for argv in commands} == set(subparsers.choices)
+    assert {argv[0] for argv in commands} == set(_subcommands())
     for argv in commands:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert _FIRST_CODE.match(err).group(1) == SYNTAX, argv
         assert "line 2: not UTF-8 text" in err, argv
+
+
+def _subcommands() -> list[str]:
+    """The subcommand names the parser defines."""
+    subparsers = next(
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return list(subparsers.choices)
+
+
+def test_readme_lists_exactly_the_parser_subcommands():
+    """The README's command line block names each subcommand once."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("skewgentle ")]
+    assert sorted(listed) == sorted(_subcommands())
+
+
+# ---------------------------------------------------------------------------
+# `winding FILE` reads corner counts; the traced canonical curves of
+# `oracles` are the reference for what it and `invariants` print
+
+
+@functools.cache
+def _identity_corpus() -> tuple[str, ...]:
+    """Surface files: the packaged ones, ``one_orbifold_disc(2..14)``,
+    1 200 random slit dissections, 300 gentle surfaces, 600 seeded
+    mutations of the packaged files, the 200 disconnected covers of the
+    first gentle surfaces and the slit covers of the first 200 slit
+    dissections, the covers with their deck lines."""
+    texts = [_data_text(name) for name in DATA_NAMES]
+    texts += [format_surface_file(SurfaceFile(one_orbifold_disc(n))) for n in range(2, 15)]
+    rng = random.Random(44)
+    slit = [random_x_dissection(rng) for _ in range(1200)]
+    gentle = [surface_from_gentle(random_gentle_pair(rng)) for _ in range(300)]
+    texts += [format_surface_file(SurfaceFile(s)) for s in slit + gentle]
+    sources = {name: _data_text(name) for name in DATA_NAMES}
+    sources["cylinder1"] += CORE_LINE + "\n" + STAIR_LINE + "\n"
+    rng = random.Random(4401)
+    texts += [_mutate(rng, sources[rng.choice(DATA_NAMES)]) for _ in range(600)]
+    for s in gentle[:200] + slit[:200]:
+        cov = double_cover(s)
+        texts.append(format_surface_file(SurfaceFile(cov.total, cov.deck)))
+    return tuple(texts)
+
+
+def _tuple_lines(t, prefix: str) -> list[str]:
+    return [f"{prefix}genus {t.genus}"] + [
+        f"{prefix}boundary winding={w} marked={marked}"
+        if kind == BOUNDARY
+        else f"{prefix}{kind} winding={w}"
+        for w, marked, kind in t.entries
+    ]
+
+
+def _printed_by_curves(command: str, path: str) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of ``skewgentle
+    COMMAND FILE`` with every winding summed along the traced canonical
+    curves of :mod:`oracles`; the cover tuple's refusals and its lifted
+    cross-check still come from ``cover_invariant_tuple``."""
+    lines: list[str] = []
+    try:
+        s = cli._load(path).surface
+        if command == "winding":
+            classify_dissection(s)
+            lines += [f"{c.id} winding={winding(s, c)}" for c in oracles.boundary_curves(s)]
+            for p in sorted(x.id for x in s.points if x.kind != BOUNDARY):
+                loop = oracles.puncture_loop(s, p)
+                lines.append(f"{loop.id} winding={winding(s, loop)}")
+        else:
+            t = oracles.invariant_tuple_by_curves(s)
+            orbifold = classify_dissection(s) == "x"
+            lines += _tuple_lines(t, "")
+            if orbifold:
+                cover_invariant_tuple(s)
+                cover = oracles.invariant_tuple_by_curves(double_cover(s).total)
+                lines += _tuple_lines(cover, "cover ")
+        code, err = 0, ""
+    except ValidationError as exc:
+        code, err = 2, "".join(f"error: {d}\n" for d in exc.diagnostics)
+    return code, "".join(line + "\n" for line in lines), err
+
+
+@pytest.mark.parametrize("command", ["winding", "invariants"])
+def test_windings_print_as_the_traced_curves_sum_them(tmp_path, capsys, command):
+    path = tmp_path / "corpus.surf"
+    outcomes = Counter()
+    for text in _identity_corpus():
+        path.write_text(text)
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _printed_by_curves(command, str(path))
+        outcomes[code] += 1
+    assert outcomes[0] > 1500 and outcomes[2] > 300
+
+
+def test_winding_traces_and_checks_no_curve_unless_one_is_named(count_calls, tmp_path, capsys):
+    traced = count_calls("skewgentle.linefield", "_trace_boundary")
+    checked = count_calls("skewgentle.surface", "validate_curve")
+    disconnected = tmp_path / "two.surf"
+    cov = double_cover(parse_surface_file(_data_text("disc")).surface)
+    disconnected.write_text(format_surface_file(SurfaceFile(cov.total, cov.deck)))
+    for path in [fixture_path(name) for name in DATA_NAMES] + [disconnected]:
+        assert main(["winding", str(path)]) == 0
+    capsys.readouterr()
+    assert (traced, checked) == ([], [])
+    path = _cylinder_file_with_curves(tmp_path)
+    assert main(["winding", path, "core"]) == 0
+    assert capsys.readouterr().out == "core winding=0\n"
+    assert traced == []
+    # the file's two curves when it is read, then the named one
+    assert [curve.id for _, curve in checked] == ["core", "stair", "core"]
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +634,18 @@ def test_a_file_that_is_not_utf8_is_a_syntax_error_in_every_command(tmp_path, ca
     "argv",
     [
         ["invariants", "cylinder1"],
-        ["winding", "cylinder2"],
+        ["winding", "curves", "core"],
         ["compare", "--mode", "ghat", "cylinder1", "cylinder2"],
     ],
     ids=["invariants", "winding", "compare-ghat"],
 )
-def test_each_curve_and_surface_is_checked_once(count_calls, capsys, argv):
+def test_each_curve_and_surface_is_checked_once(count_calls, tmp_path, capsys, argv):
     asked = count_calls("skewgentle.surface", "validate_curve")
     curve_checks = count_calls("skewgentle.surface", "_check_curve")
     surface_checks = count_calls("skewgentle.surface", "_check_surface")
-    args = [str(fixture_path(a)) if a.startswith("cylinder") else a for a in argv]
+    files = {"curves": _cylinder_file_with_curves(tmp_path)}
+    files.update((a, str(fixture_path(a))) for a in ("cylinder1", "cylinder2"))
+    args = [files.get(a, a) for a in argv]
     assert main(args) in (0, 1)
     capsys.readouterr()
     # the recorded arguments keep every surface alive, so ids stay distinct

@@ -6,14 +6,18 @@ from collections import Counter
 
 import pytest
 
-from oracles import boundary_circle_count, euler_characteristic, genus_from_counts
+from oracles import (
+    boundary_circle_count,
+    boundary_curves,
+    euler_characteristic,
+    genus_from_counts,
+)
 from skewgentle import (
     Arc,
     CombinatorialCurve,
     Passage,
     Polygon,
     ValidationError,
-    boundary_curves,
     double_cover,
     lift_curve,
     one_orbifold_disc,

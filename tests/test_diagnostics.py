@@ -12,6 +12,8 @@ from random import Random
 
 import pytest
 
+from oracles import puncture_loop
+
 import skewgentle
 from skewgentle import (
     Arc,
@@ -37,7 +39,6 @@ from skewgentle import (
     make_presentation,
     one_orbifold_disc,
     parse_surface_file,
-    puncture_loop,
     random_gentle_pair,
     random_triple,
     random_x_dissection,
@@ -448,7 +449,7 @@ def _arguments_after_the_surface(base) -> dict[str, tuple]:
     return {
         "algebra_dimension": (),
         "boundary_components": (),
-        "boundary_curves": (),
+        "canonical_windings": (),
         "classify_dissection": (),
         "complete_involution": ({}, {}, ()),
         "cover_invariant_tuple": (),
@@ -462,7 +463,6 @@ def _arguments_after_the_surface(base) -> dict[str, tuple]:
         "invariant_tuple": (),
         "is_dual_dissection": ([dual],),
         "map_graded_arc": (deck, GradedArc(dual, (0,))),
-        "puncture_loop": ("X1",),
         "quiver_from_dissection": (),
         "quotient": (deck,),
         "surfaces_isomorphic": (base,),

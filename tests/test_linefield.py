@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import (
+    BOUNDARY_POINT,
+    boundary_curves,
     invariant_tuple_by_curves,
     one_point_discs,
     poincare_hopf_total,
+    puncture_loop,
     reverse_curve,
 )
 
@@ -28,8 +32,8 @@ from skewgentle import (
     Passage,
     ValidationError,
     boundary_components,
-    boundary_curves,
     build_complex,
+    canonical_windings,
     cover_invariant_tuple,
     curve_crossings,
     decide_ghat_equiv,
@@ -48,7 +52,6 @@ from skewgentle import (
     map_graded_arc,
     one_orbifold_disc,
     parse_surface_file,
-    puncture_loop,
     random_gentle_pair,
     random_x_dissection,
     surface_from_gentle,
@@ -65,7 +68,6 @@ from skewgentle import linefield
 from skewgentle.diagnostics import (
     BAD_INPUT,
     BAD_INVOLUTION,
-    BOUNDARY_POINT,
     INCONSISTENT,
     NOT_A_COMPLEX,
     UNKNOWN_ID,
@@ -87,25 +89,31 @@ EXPECTED_BOUNDARY_WINDINGS = {
 def test_cylinder_boundary_windings(cylinders):
     for variant, surface in cylinders.items():
         curves = {c.id: c for c in boundary_curves(surface)}
+        counted = dict(canonical_windings(surface))
         for bseg, expected in EXPECTED_BOUNDARY_WINDINGS[variant].items():
             assert winding(surface, curves[f"boundary.{bseg}"]) == expected
+            assert counted[f"boundary.{bseg}"] == expected
 
 
 def test_orbifold_loop_windings(cylinders):
     for surface in cylinders.values():
+        counted = dict(canonical_windings(surface))
         for x in ("X1", "X2"):
             assert winding(surface, puncture_loop(surface, x)) == -1
+            assert counted[f"loop.{x}"] == -1
 
 
 def test_plain_disc_boundary_winding():
     disc = two_marked_disc()
     (curve,) = boundary_curves(disc)
     assert winding(disc, curve) == 2
+    assert canonical_windings(disc) == [(curve.id, 2)]
 
 
 def test_orbifold_disc_boundary_winding(disc_x4):
     (curve,) = boundary_curves(disc_x4)
     assert winding(disc_x4, curve) == 1
+    assert canonical_windings(disc_x4)[0] == (curve.id, 1)
 
 
 def test_winding_negates_under_reversal(cylinders, disc_x4, disc_xx):
@@ -530,18 +538,19 @@ def test_a_boundary_that_meets_no_arc_is_refused_as_the_walk_refuses_it():
 
 def test_invariant_tuples_trace_only_the_curves_they_lift(count_calls):
     traced = count_calls("skewgentle.linefield", "_trace_boundary")
-    looped = count_calls("skewgentle.linefield", "puncture_loop")
+    checked = count_calls("skewgentle.surface", "validate_curve")
     wound = count_calls("skewgentle.linefield", "winding")
     for variant in (1, 2, 3, 4):
-        invariant_tuple(two_orbifold_cylinder(variant))
+        surface = two_orbifold_cylinder(variant)
+        invariant_tuple(surface)
+        canonical_windings(surface)
     invariant_tuple(double_cover(one_orbifold_disc(6)).total)
-    assert (traced, looped, wound) == ([], [], [])
+    assert (traced, checked, wound) == ([], [], [])
     for surface in (two_orbifold_cylinder(1), one_orbifold_disc(6), two_orbifold_disc()):
         traced.clear()
         cover_invariant_tuple(surface)
         assert len(traced) == len(boundary_components(surface))
         assert all(s is surface for s, _ in traced)
-        assert not looped
 
 
 _TWO_COPIES = (
@@ -635,13 +644,12 @@ def test_verdict_details_mention_both_sides(cylinders):
     assert any("right" in line for line in verdict.details)
 
 
-def _reject_curves(monkeypatch, suffix=""):
-    """Make the curve check inside ``linefield`` report a finding for every
+def _reject_curves(monkeypatch, suffix="", module=linefield):
+    """Make the curve check inside ``module`` report a finding for every
     curve whose id ends with ``suffix``."""
-    from skewgentle import linefield
     from skewgentle.diagnostics import INVALID_CURVE, Report
 
-    original = linefield.validate_curve
+    original = module.validate_curve
 
     def check(surface, curve):
         report = Report(list(original(surface, curve).diagnostics))
@@ -649,7 +657,7 @@ def _reject_curves(monkeypatch, suffix=""):
             report.add(INVALID_CURVE, "refused by the test", (curve.id,))
         return report
 
-    monkeypatch.setattr(linefield, "validate_curve", check)
+    monkeypatch.setattr(module, "validate_curve", check)
 
 
 def test_boundary_curve_check_is_a_diagnostic(cylinders, monkeypatch):
@@ -660,7 +668,7 @@ def test_boundary_curve_check_is_a_diagnostic(cylinders, monkeypatch):
 
 
 def test_puncture_loop_check_is_a_diagnostic(cylinders, monkeypatch):
-    _reject_curves(monkeypatch)
+    _reject_curves(monkeypatch, module=oracles)
     with pytest.raises(ValidationError) as exc:
         puncture_loop(cylinders[1], "X1")
     assert [d.code for d in exc.value.diagnostics] == ["INVALID_CURVE"]

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     boundary_circle_count,
+    boundary_curves,
     check_surface,
     euler_characteristic,
     genus_from_counts,
@@ -26,7 +27,6 @@ from skewgentle import (
     SurfaceInvolution,
     arc_side,
     boundary_components,
-    boundary_curves,
     bseg_side,
     classify_dissection,
     complete_involution,

@@ -32,13 +32,11 @@ from skewgentle import (
     arc_side,
     bseg_side,
     boundary_components,
-    boundary_curves,
     double_cover,
     dual_dissection,
     fixture_path,
     make_surface,
     one_orbifold_disc,
-    puncture_loop,
     random_gentle_pair,
     random_x_dissection,
     surface_from_gentle,
@@ -267,9 +265,9 @@ def test_boundary_components_are_a_new_list_each_call():
 
 
 def _curves(surface) -> list:
-    curves = list(boundary_curves(surface)) + list(dual_dissection(surface))
+    curves = list(oracles.boundary_curves(surface)) + list(dual_dissection(surface))
     interior = sorted(p.id for p in surface.points if p.kind != "boundary")
-    return curves + [puncture_loop(surface, p) for p in interior]
+    return curves + [oracles.puncture_loop(surface, p) for p in interior]
 
 
 def _perturb_curve(curve, surface, rng: random.Random):
