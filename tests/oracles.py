@@ -51,9 +51,12 @@ positions, and :func:`invariant_tuple_by_curves` traces, validates and
 sums the canonical boundary and point curves of :func:`boundary_curves`
 and :func:`puncture_loop`, the reference for the corner counts that
 ``invariant_tuple`` and ``canonical_windings`` read their windings off.
+Last, :func:`argparse_cli_parser` is the command line as an argparse
+parser, the reference for the one-pass reading of ``cli.main``.
 """
 from __future__ import annotations
 
+import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +78,19 @@ from skewgentle import (
     winding,
 )
 from skewgentle.algebra import _accumulate, _add, _preimages, vscale
+from skewgentle.cli import (
+    _cmd_compare,
+    _cmd_complex,
+    _cmd_cover,
+    _cmd_export_dot,
+    _cmd_invariants,
+    _cmd_quiver,
+    _cmd_quotient,
+    _cmd_skewgroup,
+    _cmd_split,
+    _cmd_validate,
+    _cmd_winding,
+)
 from skewgentle.diagnostics import (
     ARC_OCCURRENCE,
     BAD_INPUT,
@@ -1869,3 +1885,55 @@ def invariant_tuple_by_curves(surface) -> InvariantTuple:
             BAD_INPUT, f"connected surface {surface.name!r} has no genus", (surface.name,)
         )
     return InvariantTuple(top.genus, tuple(sorted(entries)))
+
+
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The command line parser that ``cli.main`` used before it read argv
+    against its own table; ``parse_args`` gives a namespace whose ``func``
+    is the handler and whose other fields, but ``command``, its arguments."""
+    parser = argparse.ArgumentParser(
+        prog="skewgentle",
+        description="Dissected surfaces, skew-gentle presentations, double "
+        "covers and winding-number invariants.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, func, help_text: str):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    add("validate", _cmd_validate, "check a surface file").add_argument("file")
+    add("quiver", _cmd_quiver, "print the dissection's presentation").add_argument(
+        "file"
+    )
+    add("split", _cmd_split, "print the split presentation").add_argument("file")
+    add("cover", _cmd_cover, "print the canonical double cover").add_argument(
+        "file"
+    )
+    add(
+        "quotient", _cmd_quotient, "print the quotient by the file's involution"
+    ).add_argument("file")
+    add(
+        "skewgroup",
+        _cmd_skewgroup,
+        "verify the skew group reductions over the canonical cover",
+    ).add_argument("file")
+    add("invariants", _cmd_invariants, "print winding invariant tuples").add_argument(
+        "file"
+    )
+    p = add("winding", _cmd_winding, "winding numbers of curves")
+    p.add_argument("file")
+    p.add_argument("curve", nargs="?", default=None)
+    p = add("compare", _cmd_compare, "compare two dissections")
+    p.add_argument("--mode", choices=("tilting", "ghat"), required=True)
+    p.add_argument("file1")
+    p.add_argument("file2")
+    p = add("complex", _cmd_complex, "projective presentation of a graded arc")
+    p.add_argument("file")
+    p.add_argument("curve")
+    p.add_argument("--grades", default=None)
+    add("export-dot", _cmd_export_dot, "quiver in graphviz dot format").add_argument(
+        "file"
+    )
+    return parser

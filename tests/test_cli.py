@@ -1,8 +1,11 @@
 from __future__ import annotations
 
-import argparse
 import ast
+import codecs
+import contextlib
+import copy
 import functools
+import io
 import os
 import random
 import re
@@ -10,7 +13,6 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -515,19 +517,227 @@ def test_a_file_that_is_not_utf8_is_a_syntax_error_in_every_command(tmp_path, ca
 
 
 def _subcommands() -> list[str]:
-    """The subcommand names the parser defines."""
-    subparsers = next(
-        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return list(subparsers.choices)
+    """The subcommand names of the command table."""
+    return list(cli._COMMANDS)
+
+
+def _readme_command_block() -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split("\n## Command line\n", 1)[1].split("```", 2)[1].lstrip("\n")
+
+
+def _help_out(argv: list[str]) -> str:
+    """Standard output of ``main(argv)`` for a help request, which exits 0
+    and writes nothing on standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert (exc.value.code, err.getvalue()) == (0, "")
+    return out.getvalue()
 
 
 def test_readme_lists_exactly_the_parser_subcommands():
-    """The README's command line block names each subcommand once."""
-    text = (ROOT / "README.md").read_text()
-    block = text.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    """The README's command line block is, byte for byte, the command
+    lines that ``skewgentle --help`` prints, and names each subcommand once."""
+    block = _readme_command_block()
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("skewgentle ")]
     assert sorted(listed) == sorted(_subcommands())
+    assert block.rstrip("\n") in _help_out(["--help"]).split("\n\n")
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_command_help_prints_its_line(command):
+    """``skewgentle CMD --help`` prints the command's line of the README
+    block: its synopsis, then its help in the column or under it."""
+    lines = _readme_command_block().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.split()[1] == command)
+    entry = lines[k] + "\n"
+    if k + 1 < len(lines) and lines[k + 1].startswith(" "):
+        entry += lines[k + 1] + "\n"
+    assert _help_out([command, "--help"]) == entry
+    assert _help_out([command, "a.surf", "-h"]) == entry
+
+
+# ---------------------------------------------------------------------------
+# argv is read as the argparse parser of `oracles` read it
+
+_PHRASES = (
+    "invalid choice",
+    "the following arguments are required",
+    "unrecognized arguments",
+    "expected one argument",
+    "ambiguous option",
+    "ignored explicit argument",
+)
+
+# each command's positionals, then its options with a value each, as the
+# oracle declares them
+_SHAPES = {
+    "validate": (["a.surf"], []),
+    "quiver": (["a.surf"], []),
+    "split": (["a.surf"], []),
+    "cover": (["a.surf"], []),
+    "quotient": (["a.surf"], []),
+    "skewgroup": (["a.surf"], []),
+    "invariants": (["a.surf"], []),
+    "winding": (["a.surf", "core"], []),
+    "compare": (["a.surf", "b.surf"], [("--mode", "tilting"), ("--mode", "ghat")]),
+    "complex": (["a.surf", "core"], [("--grades", "0,1,2")]),
+    "export-dot": (["a.surf"], []),
+}
+
+# tokens for the seeded random argv: option spellings, values and
+# positionals that start with "-"
+_TOKENS = (
+    "a.surf", "b.surf", "core", "-f.surf", "-1", "-.5", "-a b", "", "-", "--", "---",
+    "--mode", "--mode=tilting", "--mo", "--m=ghat", "--mode=", "tilting", "ghat", "x",
+    "--grades", "--gr=1,2", "--g", "0,1", "-1,2", "-h", "--help", "--he", "-hh", "-hx",
+    "--help=x", "-h=", "-h=h", "-hh=x", "--=x", "-x", "--x", "validate", "compare",
+)
+
+
+def _argv_corpus() -> list[list[str]]:
+    """Valid and refused command lines of every subcommand, then 1 500
+    seeded valid ones with their options placed at random, half of them
+    edited once, and 1 500 seeded random token lists.  No argv holds a
+    second ``--`` after the command, which the oracle reads apart from the
+    table (see the next test)."""
+    corpus = [[], ["-x"], ["--"], ["-h"], ["--help"], ["--he"], ["-x", "--help"], ["-hx"]]
+    corpus += [["-hh"], ["-h=h"], ["-h="], ["-hh=x"], ["--help=x"], ["--he=x"]]
+    corpus += [["frobnicate", "a.surf"], ["val", "a.surf"], ["--", "validate", "a.surf"]]
+    corpus += [["-x", "validate", "a.surf"], ["--mode", "tilting", "compare", "a", "b"]]
+    for name, (positionals, options) in _SHAPES.items():
+        variants = [positionals]
+        if name == "winding":
+            variants.append(positionals[:1])
+        for pos in variants:
+            corpus.append([name, *pos])
+            corpus += [[name, *pos[:k], *extra, *pos[k:]] for k in range(len(pos) + 1)
+                       for extra in (["--frob"], ["-x"], ["--help"], ["-h"], ["--help=x"], ["-h=h"])]
+            corpus += [[name, *pos[:k], *pos[k + 1 :]] for k in range(len(pos))]
+            corpus += [[name, *pos, "extra"], [name, "--", *pos], [name, *pos, "--"]]
+            corpus += [[name, "--", "-" + pos[0], *pos[1:]], [name, "-1", *pos[1:]]]
+        for o, v in options:
+            for spelling in ([o, v], [f"{o}={v}"], [o[:4], v], [f"{o[:3]}={v}"], [f"{o}="]):
+                corpus += [[name, *positionals[:k], *spelling, *positionals[k:]]
+                           for k in range(len(positionals) + 1)]
+            corpus += [[name, *positionals, o], [name, o, "--", *positionals]]
+            corpus += [[name, *positionals, o, v, "--"], [name, o, v, "--", *positionals]]
+            corpus += [[name, o, "-x", *positionals], [name, *positionals, o, "-1,2"]]
+            corpus += [[name, *positionals, f"{o}=-1,2"], [name, f"--={v}", *positionals]]
+            corpus += [[name, o, v, "--", "-" + positionals[0], *positionals[1:]]]
+        if name == "compare":
+            corpus += [[name, "--mode", "x", *positionals]]
+            corpus += [[name, "--mode", "ghat", "--mode", "tilting", *positionals]]
+    rng = random.Random(45)
+    shaped = []
+    while len(shaped) < 1500:
+        # a valid form with its options placed at random, then one edit or none
+        name = rng.choice(list(_SHAPES))
+        positionals, options = _SHAPES[name]
+        argv = [rng.choice(["a.surf", "-f.surf", "-1", "core"]) for _ in positionals]
+        if name == "winding" and rng.random() < 0.5:
+            argv.pop()
+        if any(a.startswith("-") for a in argv):
+            argv.insert(0, "--")
+        if options:
+            o, v = rng.choice(options)
+            spelling = rng.choice([[o, v], [f"{o}={v}"], [o[:4], v], [f"{o[:3]}={v}"]])
+            k = 0 if argv[:1] == ["--"] else rng.randrange(len(argv) + 1)
+            argv[k:k] = spelling
+        argv.insert(0, name)
+        edit = rng.randrange(6)
+        if edit == 0:
+            del argv[rng.randrange(1, len(argv))]
+        elif edit == 1:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(_TOKENS))
+        elif edit == 2:
+            argv.insert(rng.randrange(1, len(argv) + 1), "--")
+        if argv[1:].count("--") < 2:
+            shaped.append(argv)
+    names = list(_SHAPES) + ["foo", "--", "", "-h", "-x"]
+    while len(shaped) < 3000:
+        argv = [rng.choice(names)] + [rng.choice(_TOKENS) for _ in range(rng.randrange(7))]
+        if argv[1:].count("--") < 2:
+            shaped.append(argv)
+    return corpus + shaped
+
+
+def _read(parse, argv: list[str]):
+    """``("ok", value)`` or ``("exit", code, stdout, stderr)`` of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            value = parse(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+    assert out.getvalue() == err.getvalue() == ""
+    return ("ok", value)
+
+
+def test_main_reads_argv_as_the_argparse_oracle_does():
+    """On every argv of the corpus, ``main`` accepts what the argparse
+    parser of ``oracles`` accepts, with the same handler and arguments;
+    where the oracle refuses, ``main`` exits 2 with its usage and the
+    oracle's phrase on stderr, and where it prints help, ``main`` exits 0
+    with help on stdout."""
+    parser = oracles.argparse_cli_parser()
+
+    def oracle(argv):
+        ns = vars(parser.parse_args(argv)).copy()
+        del ns["command"]
+        return ns.pop("func"), ns
+
+    outcomes = Counter()
+    corpus = _argv_corpus()
+    for argv in corpus:
+        expected = _read(oracle, argv)
+        if expected[0] == "ok":
+            assert _read(cli._split, argv) == expected, argv
+            outcomes["ok"] += 1
+            continue
+        got = _read(main, argv)
+        assert got[:2] == expected[:2], argv
+        if got[1] == 0:
+            assert got[2] and not got[3], argv
+            outcomes["help"] += 1
+            continue
+        (phrase,) = [p for p in _PHRASES if p in expected[3]]
+        assert got[2] == "" and got[3].startswith("usage: skewgentle"), argv
+        assert phrase in got[3].splitlines()[-1], argv
+        outcomes[phrase] += 1
+    assert len(corpus) > 3000 and outcomes["ok"] > 1000
+    assert set(outcomes) == {"ok", "help", *_PHRASES}
+    assert min(outcomes.values()) >= 10
+
+
+def test_a_second_double_dash_is_a_positional():
+    """After the ``--`` that ends the options, a later ``--`` is read as a
+    positional.  The oracle's argparse dropped it from any positional it
+    filled: ``winding FILE -- --`` read no curve, and ``complex FILE -- --``
+    read the curve as an empty list, which no handler can look up."""
+    assert cli._split(["winding", "a.surf", "--", "--"])[1] == {"file": "a.surf", "curve": "--"}
+    assert cli._split(["complex", "a.surf", "--", "--"])[1] == {
+        "file": "a.surf", "curve": "--", "grades": None
+    }
+    parser = oracles.argparse_cli_parser()
+    assert parser.parse_args(["winding", "a.surf", "--", "--"]).curve is None
+    assert parser.parse_args(["complex", "a.surf", "--", "--"]).curve == []
+
+
+@pytest.mark.parametrize("name", DATA_NAMES)
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys, name):
+    """A UTF-8 byte-order mark before the first record is dropped, not read
+    as part of it: ``validate`` and ``cover`` print what they print
+    without it."""
+    path = tmp_path / f"{name}.surf"
+    path.write_bytes(codecs.BOM_UTF8 + _data_text(name).encode("utf-8"))
+    for command in ("validate", "cover"):
+        assert main([command, str(fixture_path(name))]) == 0
+        expected = capsys.readouterr()
+        assert main([command, str(path)]) == 0
+        assert capsys.readouterr() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +884,7 @@ def test_quotient_checks_the_involution_once(count_calls, capsys):
 
 
 # ---------------------------------------------------------------------------
-# One parser per process
+# One command table per process, and no argparse
 
 
 def _fresh_process(code: str, *args: str) -> str:
@@ -700,39 +910,90 @@ def _python(*argv: str) -> str:
     return proc.stdout
 
 
-def test_parser_is_built_once_across_calls(monkeypatch, capsys):
-    built = []
+def test_main_reads_one_table_across_calls(tmp_path, capsys):
+    """Every subcommand, run twice, and a help request and a usage error
+    between them, read the one command table built at import and leave it
+    as it was."""
+    table = cli._COMMANDS
+    before = copy.deepcopy(table)
+    path = _cylinder_file_with_curves(tmp_path)
+    c2 = str(fixture_path("cylinder2"))
+    runs = [
+        [name, path]
+        for name in ("validate", "quiver", "split", "cover", "skewgroup", "invariants", "export-dot")
+    ]
+    runs += [
+        ["quotient", str(fixture_path("torus"))],
+        ["winding", path, "core"],
+        ["compare", "--mode", "ghat", path, c2],
+        ["complex", path, "stair", "--grades=0,1,2"],
+    ]
+    assert {argv[0] for argv in runs} == set(_subcommands())
+    rounds = []
+    for _ in range(2):
+        rounds.append([main(argv) for argv in runs])
+        for argv in (["--help"], ["compare", path, c2]):
+            with pytest.raises(SystemExit):
+                main(argv)
+    capsys.readouterr()
+    assert rounds[0] == rounds[1] and set(rounds[0]) <= {0, 1}
+    assert cli._COMMANDS is table
+    assert table == before
 
-    class CountingParser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=CountingParser))
+def test_import_and_main_load_no_argparse():
+    """``import skewgentle`` and a ``main`` call leave ``argparse`` out of
+    ``sys.modules``: the command line reads argv without it."""
     disc = str(fixture_path("disc"))
-    cli._parser.cache_clear()
-    try:
-        assert main(["validate", disc]) == 0
-        assert main(["validate", disc]) == 0
-    finally:
-        cli._parser.cache_clear()
-    # the top-level parser once; its 11 subcommand parsers share its class
-    assert built.count("skewgentle") == 1
-    assert len(built) == 12
-
-
-def test_import_builds_no_parser():
     code = (
-        "import skewgentle, skewgentle.cli as cli\n"
-        "print(cli._parser.cache_info().currsize)\n"
+        "import sys, skewgentle\n"
+        "print('argparse' in sys.modules)\n"
+        "skewgentle.cli.main(['validate', sys.argv[1]])\n"
+        "print('argparse' in sys.modules)\n"
     )
-    assert _fresh_process(code) == "0\n"
+    lines = _fresh_process(code, disc).splitlines()
+    assert lines == ["False", lines[1], "False"]
+    assert lines[1].startswith("OK disc")
+
+
+def _argparse_imports(source: str) -> list[int]:
+    """The lines that import ``argparse`` or a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "argparse" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "argparse")
+    ]
+
+
+def test_no_library_module_imports_argparse():
+    """``cli.main`` reads argv against its own table; no module under
+    ``src/`` imports argparse, at the top or inside a function."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        f"{path.name}:{line}" for path in modules for line in _argparse_imports(path.read_text())
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import argparse",
+        "import os, argparse as ap",
+        "from argparse import ArgumentParser",
+        "def parser():\n    import argparse\n    return argparse.ArgumentParser()",
+    ],
+)
+def test_the_argparse_scan_sees_an_import(source):
+    assert _argparse_imports(source)
 
 
 def test_namespaces_do_not_leak_between_calls(tmp_path, capsys):
     path = _cylinder_file_with_curves(tmp_path)
-    assert cli._parser().parse_args(["winding", path, "core"]).curve == "core"
-    assert cli._parser().parse_args(["winding", path]).curve is None
+    assert cli._split(["winding", path, "core"])[1]["curve"] == "core"
+    assert cli._split(["winding", path])[1]["curve"] is None
     assert main(["winding", path, "core"]) == 0
     assert capsys.readouterr().out == "core winding=0\n"
     assert main(["winding", path]) == 0
