@@ -314,17 +314,17 @@ class TableAlgebra:
         return out
 
     def _products_row(
-        self, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+        self, x: Vector, preimages: dict[int, list[tuple[int, Coeff]]]
     ) -> dict[int, Vector]:
         """``x * f(b_j)`` for every ``j`` that some stored cell reaches,
-        keyed by ``j``, where ``preimages`` lists the pairs of
-        :func:`_preimages` of the images ``f(b_j)``.  Products that cancel
-        are left empty."""
+        keyed by ``j``, where ``preimages`` maps each index the images
+        ``f(b_j)`` reach to its pairs of :func:`_preimages`.  Products that
+        cancel are left empty."""
         out: dict[int, Vector] = {}
         for p, cp in x.items():
             for m, (k, c) in self.rows[p].items():
                 c *= cp
-                for j, cj in preimages[m]:
+                for j, cj in preimages.get(m, ()):
                     _add(out.setdefault(j, {}), k, c * cj)
         return out
 
@@ -758,7 +758,7 @@ class CornerAlgebra:
         return self.parent.mul(x, y)
 
     def _products_row(
-        self, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+        self, x: Vector, preimages: dict[int, list[tuple[int, Coeff]]]
     ) -> dict[int, Vector]:
         return self.parent._products_row(x, preimages)
 
@@ -802,12 +802,13 @@ class SignedPermutation:
         return {pi[i]: sigma[i] * c for i, c in x.items()}
 
 
-def _preimages(images: list[Vector], size: int) -> list[list[tuple[int, Coeff]]]:
-    """For each target index ``k``, the pairs ``(j, c)`` with ``images[j][k] = c``."""
-    out: list[list[tuple[int, Coeff]]] = [[] for _ in range(size)]
+def _preimages(images: list[Vector]) -> dict[int, list[tuple[int, Coeff]]]:
+    """For each target index ``k`` that an image reaches, the pairs
+    ``(j, c)`` with ``images[j][k] = c``."""
+    out: dict[int, list[tuple[int, Coeff]]] = {}
     for j, img in enumerate(images):
         for k, c in img.items():
-            out[k].append((j, c))
+            out.setdefault(k, []).append((j, c))
     return out
 
 
@@ -924,7 +925,7 @@ class CrossedProduct(TableAlgebra):
         return out
 
     def _products_row(
-        self, x: Vector, preimages: list[list[tuple[int, Coeff]]]
+        self, x: Vector, preimages: dict[int, list[tuple[int, Coeff]]]
     ) -> dict[int, Vector]:
         base, inverse, sigma = self.base_rows, self.inverse, self.sigma
         n = len(inverse)
@@ -936,9 +937,9 @@ class CrossedProduct(TableAlgebra):
                 if g:
                     m = inverse[m]
                     c *= sigma[m]
-                for j, cj in preimages[m]:
+                for j, cj in preimages.get(m, ()):
                     _add(out.setdefault(j, {}), g * n + k, c * cj)
-                for j, cj in preimages[n + m]:
+                for j, cj in preimages.get(n + m, ()):
                     _add(out.setdefault(j, {}), (1 - g) * n + k, c * cj)
         return out
 
@@ -1113,7 +1114,7 @@ def verify_morphism(
     # per vertex image over a preimage index of all of them
     vertices = domain.vertices
     images = [vertex_images[v] for v in vertices]
-    preimages = _preimages(images, len(target.rows))
+    preimages = _preimages(images)
     products = [target._products_row(ev, preimages) for ev in images]
     total: Vector = {}
     for p, (v, ev) in enumerate(zip(vertices, images)):

@@ -24,14 +24,13 @@ from .covering import double_cover, quotient
 from .diagnostics import BAD_INPUT, SYNTAX, ValidationError, error
 from .equivariant import verify_dual_reduction, verify_skew_group_reduction
 from .linefield import (
+    DECIDERS,
     NOT_EQUIVALENT,
     GradedArc,
     InvariantTuple,
     build_complex,
     canonical_windings,
     cover_invariant_tuple,
-    decide_ghat_equiv,
-    decide_tilting_equiv,
     invariant_tuple,
     winding,
 )
@@ -203,11 +202,10 @@ def _cmd_winding(file: str, curve: Optional[str]) -> int:
 def _cmd_compare(mode: str, file1: str, file2: str) -> int:
     s1 = _load(file1).surface
     s2 = _load(file2).surface
-    decide = decide_tilting_equiv if mode == "tilting" else decide_ghat_equiv
-    verdict = decide(s1, s2)
-    print(verdict.verdict)
-    for line in verdict.details:
-        print(f"  {line}")
+    verdict = DECIDERS[mode](s1, s2)
+    print(f"{verdict.verdict}\n  reason: {verdict.reason}")
+    for side, pairs in zip(("left", "right"), verdict.witness):
+        print(f"  {side}: " + ", ".join(f"{name} {value}" for name, value in pairs))
     return 1 if verdict.verdict == NOT_EQUIVALENT else 0
 
 
@@ -283,7 +281,7 @@ _COMMANDS = {
     "compare": _Command(
         _cmd_compare,
         ("FILE1", "FILE2"),
-        {"--mode": ("tilting", "ghat")},
+        {"--mode": tuple(DECIDERS)},
         "compare two dissections",
     ),
     "complex": _Command(

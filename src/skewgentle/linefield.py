@@ -542,7 +542,12 @@ def invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     _require_valid(surface)
     top = topology(surface)
     if not top.connected:
-        raise error(BAD_INPUT, "invariant tuples are defined for connected surfaces")
+        raise error(
+            BAD_INPUT,
+            f"surface {surface.name!r} is disconnected: invariant tuples are "
+            "defined for connected surfaces",
+            (surface.name,),
+        )
     entries = [
         (w, len(bc.marked), BOUNDARY)
         for bc, w in zip(top.boundary, _boundary_windings(surface, top.boundary))
@@ -550,10 +555,6 @@ def invariant_tuple(surface: DissectedSurface) -> InvariantTuple:
     corners = surface.corners_at_point
     for kind, pts in ((PUNCTURE, top.punctures), (ORBIFOLD, top.orbifold_points)):
         entries.extend((-len(corners[p]), 0, kind) for p in pts)
-    if top.genus is None:
-        raise error(
-            BAD_INPUT, f"connected surface {surface.name!r} has no genus", (surface.name,)
-        )
     return InvariantTuple(top.genus, tuple(sorted(entries)))
 
 
@@ -615,46 +616,57 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
+    """A decider's verdict, the code of the step that decided it, and per
+    side, ``(left, right)``, the ``(name, value)`` pairs it compared."""
+
     verdict: str
-    details: tuple[str, ...]
+    reason: str
+    witness: tuple[tuple[tuple[str, object], ...], ...]
+
+
+def _walk(
+    steps: Sequence[tuple[str, str, object, object]], match: tuple[str, str]
+) -> EquivalenceVerdict:
+    """``NOT_EQUIVALENT`` for the first ``(reason, name, left, right)``
+    step whose sides differ, else the ``(verdict, reason)`` of ``match``."""
+    witness = tuple(tuple((name, step[k]) for _, name, *step in steps) for k in (0, 1))
+    for reason, _, left, right in steps:
+        if left != right:
+            return EquivalenceVerdict(NOT_EQUIVALENT, reason, witness)
+    return EquivalenceVerdict(*match, witness)
 
 
 def decide_tilting_equiv(
     s1: DissectedSurface, s2: DissectedSurface
 ) -> EquivalenceVerdict:
-    """Compare the winding invariant tuples of two dissections.
+    """Compare the genus, then the entries, of the winding invariant
+    tuples of two dissections: the first that differs decides
+    NOT_EQUIVALENT (``GENUS_DIFFERS``, ``TUPLE_DIFFERS``).
 
     Genus 0: the tuple is a complete invariant, so matching tuples decide
-    EQUIVALENT.  Higher genus: a mismatch decides NOT_EQUIVALENT, a match
-    is INCONCLUSIVE (the tuple is only a partial invariant there).
+    EQUIVALENT (``GENUS_0_THEOREM``).  Higher genus: a match is
+    INCONCLUSIVE (``INVARIANTS_MATCH``), as the tuple is only a partial
+    invariant there.
     """
     t1, t2 = invariant_tuple(s1), invariant_tuple(s2)
-    notes = (
-        f"left: genus {t1.genus}, entries {t1.entries}",
-        f"right: genus {t2.genus}, entries {t2.entries}",
-    )
-    if t1.genus != t2.genus:
-        return EquivalenceVerdict(NOT_EQUIVALENT, (*notes, "genus differs"))
-    if t1.entries != t2.entries:
-        return EquivalenceVerdict(
-            NOT_EQUIVALENT, (*notes, "winding invariants differ")
-        )
+    steps = [
+        ("GENUS_DIFFERS", "genus", t1.genus, t2.genus),
+        ("TUPLE_DIFFERS", "entries", t1.entries, t2.entries),
+    ]
     if t1.genus == 0:
-        return EquivalenceVerdict(
-            EQUIVALENT, (*notes, "genus 0: matching invariants decide")
-        )
-    return EquivalenceVerdict(
-        INCONCLUSIVE,
-        (*notes, "matching invariants do not decide above genus 0"),
-    )
+        return _walk(steps, (EQUIVALENT, "GENUS_0_THEOREM"))
+    return _walk(steps, (INCONCLUSIVE, "INVARIANTS_MATCH"))
 
 
 def decide_ghat_equiv(
     s1: DissectedSurface, s2: DissectedSurface
 ) -> EquivalenceVerdict:
     """Necessary-condition check on the canonical double covers: compare
-    cover invariant tuples and branch-point counts.  Any mismatch decides
-    NOT_EQUIVALENT; a full match is only ever INCONCLUSIVE.
+    the cover genus, the branch-point count and the cover tuple's entries,
+    in that order.  The first mismatch decides NOT_EQUIVALENT
+    (``COVER_GENUS_DIFFERS``, ``BRANCH_COUNT_DIFFERS``,
+    ``COVER_TUPLE_DIFFERS``); a full match is only ever INCONCLUSIVE
+    (``INVARIANTS_MATCH``).
 
     NOT_EQUIVALENT is a statement about the two canonical slit covers, the
     ones :func:`~skewgentle.covering.double_cover` builds from the
@@ -664,24 +676,14 @@ def decide_ghat_equiv(
     has 2^(b-1) branched double covers and two dissections may double
     different boundary components."""
     c1, c2 = cover_invariant_tuple(s1), cover_invariant_tuple(s2)
-    n1 = sum(1 for p in s1.points if p.kind == ORBIFOLD)
-    n2 = sum(1 for p in s2.points if p.kind == ORBIFOLD)
-    notes = (
-        f"left cover: genus {c1.genus}, entries {c1.entries}, "
-        f"{n1} branch points",
-        f"right cover: genus {c2.genus}, entries {c2.entries}, "
-        f"{n2} branch points",
-    )
-    if c1.genus != c2.genus:
-        return EquivalenceVerdict(NOT_EQUIVALENT, (*notes, "cover genus differs"))
-    if n1 != n2:
-        return EquivalenceVerdict(
-            NOT_EQUIVALENT, (*notes, "branch point counts differ")
-        )
-    if c1.entries != c2.entries:
-        return EquivalenceVerdict(
-            NOT_EQUIVALENT, (*notes, "cover winding invariants differ")
-        )
-    return EquivalenceVerdict(
-        INCONCLUSIVE, (*notes, "necessary conditions all match")
-    )
+    n1, n2 = (sum(1 for p in s.points if p.kind == ORBIFOLD) for s in (s1, s2))
+    steps = [
+        ("COVER_GENUS_DIFFERS", "cover genus", c1.genus, c2.genus),
+        ("BRANCH_COUNT_DIFFERS", "branch points", n1, n2),
+        ("COVER_TUPLE_DIFFERS", "cover entries", c1.entries, c2.entries),
+    ]
+    return _walk(steps, (INCONCLUSIVE, "INVARIANTS_MATCH"))
+
+
+# The modes of ``skewgentle compare --mode``: the one place that names them.
+DECIDERS = {"tilting": decide_tilting_equiv, "ghat": decide_ghat_equiv}

@@ -1126,7 +1126,7 @@ def verify_multiplicative(A, B, images) -> bool:
     ``(k, c)`` maps to ``c·f(b_k)``, read from the images, which are
     cleared of zero coefficients once.
     """
-    preimages = _preimages(images, B.dimension)
+    preimages = _preimages(images)
     cleared = [{k: c for k, c in img.items() if c} for img in images]
     for fx, row in zip(images, A.rows):
         products = B._products_row(fx, preimages)
@@ -1872,7 +1872,12 @@ def invariant_tuple_by_curves(surface) -> InvariantTuple:
     point, and sum the passages of each (``+1`` left, ``-1`` right)."""
     top = topology(surface)
     if not top.connected:
-        raise error(BAD_INPUT, "invariant tuples are defined for connected surfaces")
+        raise error(
+            BAD_INPUT,
+            f"surface {surface.name!r} is disconnected: invariant tuples are "
+            "defined for connected surfaces",
+            (surface.name,),
+        )
     entries = [
         (winding(surface, curve), len(bc.marked), BOUNDARY)
         for bc, curve in zip(top.boundary, boundary_curves(surface))
@@ -1880,10 +1885,6 @@ def invariant_tuple_by_curves(surface) -> InvariantTuple:
     for kind, pts in ((PUNCTURE, top.punctures), (ORBIFOLD, top.orbifold_points)):
         for p in pts:
             entries.append((winding(surface, puncture_loop(surface, p)), 0, kind))
-    if top.genus is None:
-        raise error(
-            BAD_INPUT, f"connected surface {surface.name!r} has no genus", (surface.name,)
-        )
     return InvariantTuple(top.genus, tuple(sorted(entries)))
 
 

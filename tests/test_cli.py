@@ -222,6 +222,42 @@ def test_compare_ghat_refuses_a_plain_dissection(capsys):
     )
 
 
+def test_compare_prints_the_reason_and_both_sides(capsys):
+    c1, c2 = (str(fixture_path(f"cylinder{k}")) for k in (1, 2))
+    assert main(["compare", "--mode", "ghat", c1, c2]) == 1
+    assert capsys.readouterr().out == (
+        "NOT_EQUIVALENT\n"
+        "  reason: COVER_TUPLE_DIFFERS\n"
+        "  left: cover genus 0, branch points 2, cover entries ((-2, 1, 'boundary'), "
+        "(-2, 1, 'boundary'), (0, 1, 'boundary'), (0, 1, 'boundary'))\n"
+        "  right: cover genus 0, branch points 2, cover entries ((-1, 1, 'boundary'), "
+        "(-1, 1, 'boundary'), (-1, 1, 'boundary'), (-1, 1, 'boundary'))\n"
+    )
+
+
+def test_a_disconnected_file_is_named_in_either_place(tmp_path, capsys):
+    # two copies of the packaged disc, the second with renamed ids
+    text = _data_text("disc").replace("surface disc", "surface twin")
+    body = text.split("\n", 1)[1].replace("arc a ", "arc ax ").replace(":a:", ":ax:")
+    copy = re.sub(r"\b([PFb]\d)\b", r"\1x", body)
+    twin = tmp_path / "twin.surf"
+    twin.write_text(text + copy)
+    disc = str(fixture_path("disc"))
+    assert main(["validate", str(twin)]) == 0
+    assert "genus=n/a (disconnected)" in capsys.readouterr().out
+    refusal = (
+        "error: [BAD_INPUT] at ('twin',) surface 'twin' is disconnected: invariant "
+        "tuples are defined for connected surfaces\n"
+    )
+    for argv in (
+        ["invariants", str(twin)],
+        ["compare", "--mode", "tilting", str(twin), disc],
+        ["compare", "--mode", "tilting", disc, str(twin)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", refusal)
+
+
 def test_complex_command_propagates_grades(tmp_path, capsys):
     path = _cylinder_file_with_curves(tmp_path)
     assert main(["complex", path, "stair"]) == 0

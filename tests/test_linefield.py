@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,8 @@ from skewgentle import (
     random_x_dissection,
     surface_from_gentle,
     surface_from_triple,
+    surfaces_isomorphic,
+    topology,
     triple_from_x_dissection,
     two_hole_torus_surface,
     two_marked_disc,
@@ -65,6 +71,7 @@ from skewgentle import (
     winding,
 )
 from skewgentle import linefield
+from skewgentle.linefield import DECIDERS
 from skewgentle.diagnostics import (
     BAD_INPUT,
     BAD_INVOLUTION,
@@ -76,6 +83,7 @@ from skewgentle.diagnostics import (
 from skewgentle.presentations import Arrow
 from skewgentle.surface import chord_bseg_side
 
+TESTS = Path(__file__).resolve().parent
 FIXTURE_NAMES = ["cylinder1", "cylinder2", "cylinder3", "cylinder4", "disc", "torus"]
 
 EXPECTED_BOUNDARY_WINDINGS = {
@@ -639,9 +647,137 @@ def test_equivalent_dissections_with_distinct_covers(cylinders):
 
 
 def test_verdict_details_mention_both_sides(cylinders):
-    verdict = decide_ghat_equiv(cylinders[1], cylinders[2])
-    assert any("left" in line for line in verdict.details)
-    assert any("right" in line for line in verdict.details)
+    # the reason, and each side's compared invariants in full
+    left, right = cylinders[1], cylinders[2]
+    verdict = decide_ghat_equiv(left, right)
+    assert verdict.reason == "COVER_TUPLE_DIFFERS"
+    assert verdict.witness == tuple(
+        (("cover genus", c.genus), ("branch points", 2), ("cover entries", c.entries))
+        for c in map(cover_invariant_tuple, (left, right))
+    )
+    assert verdict.witness[0][2] != verdict.witness[1][2]
+    verdict = decide_tilting_equiv(left, right)
+    assert verdict.reason == "TUPLE_DIFFERS"
+    assert verdict.witness == tuple(
+        (("genus", t.genus), ("entries", t.entries)) for t in map(invariant_tuple, (left, right))
+    )
+
+
+def _reason_codes() -> set[str]:
+    """The reason codes the deciders write: the upper-case string
+    constants in the ``decide_*`` functions of linefield.py."""
+    tree = ast.parse(Path(linefield.__file__).read_text())
+    return {
+        node.value
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name.startswith("decide_")
+        for node in ast.walk(f)
+        if isinstance(node, ast.Constant) and re.fullmatch(r"[A-Z][A-Z0-9_]+", str(node.value))
+    }
+
+
+def _fixture(name: str):
+    return parse_surface_file(fixture_path(name).read_text()).surface
+
+
+# (mode, verdict, reason) of each step, and a fixture pair that reaches it
+REACHED_BY = {
+    ("tilting", NOT_EQUIVALENT, "GENUS_DIFFERS"): ("torus", "cylinder1"),
+    ("tilting", NOT_EQUIVALENT, "TUPLE_DIFFERS"): ("cylinder1", "cylinder2"),
+    ("tilting", EQUIVALENT, "GENUS_0_THEOREM"): ("cylinder1", "cylinder4"),
+    ("tilting", INCONCLUSIVE, "INVARIANTS_MATCH"): ("torus", "torus"),
+    ("ghat", NOT_EQUIVALENT, "COVER_GENUS_DIFFERS"): ("cylinder1", "cylinder4"),
+    ("ghat", NOT_EQUIVALENT, "BRANCH_COUNT_DIFFERS"): ("one_orbifold_disc", "two_orbifold_disc"),
+    ("ghat", NOT_EQUIVALENT, "COVER_TUPLE_DIFFERS"): ("cylinder1", "cylinder2"),
+    ("ghat", INCONCLUSIVE, "INVARIANTS_MATCH"): ("cylinder1", "cylinder1"),
+}
+
+
+def test_every_reason_code_is_reached_on_the_fixtures():
+    made = {"one_orbifold_disc": one_orbifold_disc(4), "two_orbifold_disc": two_orbifold_disc()}
+    for (mode, verdict, reason), names in REACHED_BY.items():
+        s1, s2 = (made.get(n) or _fixture(n) for n in names)
+        got = DECIDERS[mode](s1, s2)
+        assert (got.verdict, got.reason) == (verdict, reason), (mode, names)
+        flipped = DECIDERS[mode](s2, s1)
+        assert (flipped.verdict, flipped.reason) == (verdict, reason)
+        assert flipped.witness == got.witness[::-1]
+    assert {reason for _, _, reason in REACHED_BY} == _reason_codes()
+    assert set(DECIDERS) == {mode for mode, _, _ in REACHED_BY}
+
+
+def test_every_reason_code_is_named_by_a_test():
+    codes = _reason_codes()
+    assert len(codes) == 7
+    text = "\n".join(path.read_text() for path in sorted(TESTS.glob("test_*.py")))
+    assert [c for c in sorted(codes) if not re.search(rf"\b{c}\b", text)] == []
+
+
+def _deduplicated(draws):
+    kept = []
+    for s in draws:
+        if not any(surfaces_isomorphic(s, k) for k in kept):
+            kept.append(s)
+    return kept
+
+
+def _equal_rank_pairs(surfaces):
+    """The pairs of equal rank: arcs plus orbifold points."""
+    ranks = [len(s.arcs) + sum(1 for p in s.points if p.kind == ORBIFOLD) for s in surfaces]
+    return [
+        (surfaces[i], surfaces[j])
+        for i in range(len(surfaces))
+        for j in range(i + 1, len(surfaces))
+        if ranks[i] == ranks[j]
+    ]
+
+
+def test_decision_counts_on_the_puzzle_corpora():
+    """Pinned counts by (mode, verdict, reason) on two seeded corpora, so a
+    change to either decider shows.
+
+    Skew-gentle: 400 ``random_x_dissection`` draws of seed 2026, less
+    isomorphic repeats, leave 164 dissections and 2 113 pairs of equal rank
+    (arcs plus orbifold points); both modes decide each.  The draws that
+    ``CURVE_THROUGH_BRANCH`` refuses are all one rank-2 dissection, which
+    has no partner, so no pair raises.  Gentle: 400 surfaces of
+    ``random_gentle_pair`` draws of seed 2027 leave 121 and 1 320 pairs of
+    equal arc count; tilting mode decides each.
+
+    Five skew-gentle pairs are tilting ``EQUIVALENT`` and ghat
+    ``NOT_EQUIVALENT``.  That is no contradiction: ghat refutes only the
+    pair of canonical slit covers, and these are the disputed pairs of the
+    orbifold's own genus-0 verdict, so the test sets no gate across modes.
+    """
+    rng = random.Random(2026)
+    skew = _deduplicated([random_x_dissection(rng) for _ in range(400)])
+    rng = random.Random(2027)
+    gentle = _deduplicated([surface_from_gentle(random_gentle_pair(rng)) for _ in range(400)])
+    assert (len(skew), len(gentle)) == (164, 121)
+    skew_pairs, gentle_pairs = _equal_rank_pairs(skew), _equal_rank_pairs(gentle)
+    assert (len(skew_pairs), len(gentle_pairs)) == (2113, 1320)
+    counts = Counter()
+    for corpus, pairs, modes in (
+        ("skew", skew_pairs, ("tilting", "ghat")),
+        ("gentle", gentle_pairs, ("tilting",)),
+    ):
+        for mode in modes:
+            for s, t in pairs:
+                v = DECIDERS[mode](s, t)
+                counts[corpus, mode, v.verdict, v.reason] += 1
+    assert counts == {
+        ("skew", "tilting", EQUIVALENT, "GENUS_0_THEOREM"): 186,
+        ("skew", "tilting", NOT_EQUIVALENT, "GENUS_DIFFERS"): 130,
+        ("skew", "tilting", NOT_EQUIVALENT, "TUPLE_DIFFERS"): 1797,
+        ("skew", "ghat", INCONCLUSIVE, "INVARIANTS_MATCH"): 181,
+        ("skew", "ghat", NOT_EQUIVALENT, "COVER_GENUS_DIFFERS"): 662,
+        ("skew", "ghat", NOT_EQUIVALENT, "BRANCH_COUNT_DIFFERS"): 500,
+        ("skew", "ghat", NOT_EQUIVALENT, "COVER_TUPLE_DIFFERS"): 770,
+        ("gentle", "tilting", EQUIVALENT, "GENUS_0_THEOREM"): 67,
+        ("gentle", "tilting", INCONCLUSIVE, "INVARIANTS_MATCH"): 7,
+        ("gentle", "tilting", NOT_EQUIVALENT, "GENUS_DIFFERS"): 333,
+        ("gentle", "tilting", NOT_EQUIVALENT, "TUPLE_DIFFERS"): 913,
+    }
 
 
 def _reject_curves(monkeypatch, suffix="", module=linefield):
@@ -711,18 +847,22 @@ def test_complex_refuses_an_algebra_that_kills_a_corner_path(monkeypatch):
     assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, ("c", 1))]
 
 
-def test_invariant_tuple_genus_check_is_a_diagnostic(cylinders, monkeypatch):
-    # A connected topology without a genus is refused with the surface's
-    # name, also under ``python -O``.
-    import dataclasses
-
-    real = linefield.topology
-    monkeypatch.setattr(
-        linefield, "topology", lambda s: dataclasses.replace(real(s), genus=None)
-    )
-    surface = cylinders[1]
-    with pytest.raises(ValidationError) as exc:
-        invariant_tuple(surface)
-    (diag,) = exc.value.diagnostics
-    assert diag.code == BAD_INPUT
-    assert diag.where == (surface.name,)
+def test_invariant_tuple_genus_check_is_a_diagnostic(disc):
+    # ``topology`` gives no genus only to a disconnected surface, which is
+    # refused with its name, by the library and by the curve oracle, also
+    # under ``python -O``.
+    cover = double_cover(disc).total
+    top = topology(cover)
+    assert (top.connected, top.genus) == (False, None)
+    expected = [
+        (
+            BAD_INPUT,
+            "surface 'disc.cover' is disconnected: invariant tuples are defined "
+            "for connected surfaces",
+            ("disc.cover",),
+        )
+    ]
+    for compute in (invariant_tuple, invariant_tuple_by_curves):
+        with pytest.raises(ValidationError) as exc:
+            compute(cover)
+        assert [(d.code, d.message, d.where) for d in exc.value.diagnostics] == expected
