@@ -235,14 +235,20 @@ def _cmd_complex(file: str, curve: str, grades: Optional[str]) -> int:
     return 0
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cmd_export_dot(file: str) -> int:
     pres = _triple_of(_load(file).surface)
     print("digraph quiver {")
     for v in pres.vertices:
-        print(f'  "{v}";')
+        print(f"  {_dot_string(v)};")
     for a in pres.arrows:
         style = ", style=bold" if a.id in pres.special else ""
-        print(f'  "{a.source}" -> "{a.target}" [label="{a.id}"{style}];')
+        ends = f"{_dot_string(a.source)} -> {_dot_string(a.target)}"
+        print(f"  {ends} [label={_dot_string(a.id)}{style}];")
     for r in pres.relations:
         print(f"  // relation: {_format_relation(r)}")
     print("}")

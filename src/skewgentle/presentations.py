@@ -679,195 +679,81 @@ def triple_from_x_dissection(surface: DissectedSurface) -> Presentation:
 # Dissection from a presentation
 
 
-def _assign_ends(pres: Presentation, vertices, pairs: frozenset) -> tuple[dict, dict, dict]:
-    """Distribute the arrows at each vertex onto the two ends of its arc.
+def _assign_ends(pres: Presentation, succ: dict[str, str]) -> tuple[dict, dict]:
+    """Distribute the arrows at each vertex of a checked presentation onto
+    the two ends ``(v, 0)`` (tail) and ``(v, 1)`` (head) of its arc.
 
-    Returns ``(ends, out_end, in_end)`` where ``ends[v][k]`` is a dict
-    with keys ``"in"``/``"out"`` and ``out_end[a]`` / ``in_end[a]`` give
-    the end ``(v, k)`` hosting the arrow ``a`` on its source / target
-    side.  An incoming and an outgoing arrow share an end exactly when
-    their composite lies in ``pairs``, the monomial relations.
+    Returns ``(out_end, in_end)``: the end hosting each arrow on its source
+    and on its target side.  The outgoing arrows take the ends in id order.
+    An incoming arrow shares the end of its relation successor in ``succ``;
+    one without takes the next end that no outgoing arrow holds, in id
+    order.  So an incoming and an outgoing arrow share an end exactly when
+    their composite is a relation.
     """
-    ends: dict[str, list[dict]] = {
-        v: [{"in": None, "out": None}, {"in": None, "out": None}]
-        for v in vertices
-    }
     out_end: dict[str, tuple[str, int]] = {}
     in_end: dict[str, tuple[str, int]] = {}
-    for v in vertices:
-        for k, a in enumerate(pres.outgoing[v]):
-            ends[v][k]["out"] = a.id
-            out_end[a.id] = (v, k)
+    for v in pres.vertices:
+        outs = pres.outgoing[v]
+        out_end.update((a.id, (v, k)) for k, a in enumerate(outs))
+        free = iter(range(len(outs), 2))
         for b in pres.incoming[v]:
-            partners = [
-                k
-                for k in (0, 1)
-                if ends[v][k]["out"] is not None and (b.id, ends[v][k]["out"]) in pairs
-            ]
-            if partners:
-                k = partners[0]
-            else:
-                free = [
-                    k
-                    for k in (0, 1)
-                    if ends[v][k]["out"] is None and ends[v][k]["in"] is None
-                ]
-                if not free:
-                    raise error(
-                        BAD_INPUT, f"no free end for arrow {b.id!r} at vertex {v!r}", (v, b.id)
-                    )
-                k = free[0]
-            if ends[v][k]["in"] is not None:
-                raise error(
-                    BAD_INPUT,
-                    f"arrows {ends[v][k]['in']!r} and {b.id!r} end at the same end of {v!r}",
-                    (v, k),
-                )
-            ends[v][k]["in"] = b.id
-            in_end[b.id] = (v, k)
-    return ends, out_end, in_end
+            in_end[b.id] = out_end[succ[b.id]] if b.id in succ else (v, next(free))
+    return out_end, in_end
 
 
-def _reconstruct(
-    pres: Presentation, vertices, pairs: frozenset, special: frozenset, name: str
-) -> DissectedSurface:
-    """Build the dissected surface realizing the validated gentle pair of
-    the quiver of ``pres`` and the monomial relations ``pairs``, one arc per
-    vertex in the order of ``vertices``; the one-arrow cycles of
-    ``special`` end at orbifold points."""
-    ends, out_end, in_end = _assign_ends(pres, vertices, pairs)
+def _reconstruct(pres: Presentation, name: str) -> DissectedSurface:
+    """Build the dissected surface of a presentation that
+    :func:`check_gentle` or :func:`check_skew_gentle` accepted: one arc per
+    vertex in sorted order, with the companion pair's relations (those of
+    ``pres`` and the special loop squares) and an orbifold point on each
+    special loop.
 
-    # Threads: maximal chains and cycles of relation-composable arrows.
-    succ: dict[str, str] = {}
-    has_pred: set[str] = set()
-    for a1, a2 in pairs:
-        if a1 in succ or a2 in has_pred:
-            raise error(
-                BAD_INPUT, f"relation ({a1!r}, {a2!r}) shares an arrow with another", (a1, a2)
-            )
-        succ[a1] = a2
-        has_pred.add(a2)
+    The maximal chains and the cycles of relations are the marked points;
+    an arc end that no arrow reaches is a boundary point of its own.  A
+    side is named by its tail end ``(v, k)``, so it runs forwards along
+    ``v`` when ``k`` is 0.  Each polygon is walked from a side that no
+    arrow enters at its tail end, along the arrow that leaves the head end
+    of each side in turn, until none does; its boundary segment closes it.
+    """
+    vertices = sorted(pres.vertices)
+    succ = dict(_companion_pairs(pres))
+    out_end, in_end = _assign_ends(pres, succ)
     chains, cycles = _threads(sorted(a.id for a in pres.arrows), succ)
 
-    point_of_end: dict[tuple[str, int], str] = {}
-    points: list[MarkedPoint] = []
-
-    def claim(end: tuple[str, int], pid: str) -> None:
-        if end in point_of_end:
-            raise error(
-                BAD_INPUT, f"end {end!r} claimed by {point_of_end[end]!r} and {pid!r}", end
-            )
-        point_of_end[end] = pid
-
-    def joined(prv: str, nxt: str) -> None:
-        if in_end[prv] != out_end[nxt]:
-            raise error(
-                BAD_INPUT,
-                f"arrows {prv!r}, {nxt!r} follow each other in a relation "
-                f"but meet at ends {in_end[prv]!r}, {out_end[nxt]!r}",
-                (prv, nxt),
-            )
-
-    counter = 0
-    for chain in chains:
-        counter += 1
-        pid = f"P{counter}"
-        points.append(MarkedPoint(pid, BOUNDARY))
-        claim(out_end[chain[0]], pid)
-        for aid in chain:
-            claim(in_end[aid], pid)
-        for prv, nxt in zip(chain, chain[1:]):
-            joined(prv, nxt)
-    solo_ends = sorted(
-        (v, k)
-        for v in vertices
-        for k in (0, 1)
-        if ends[v][k]["in"] is None and ends[v][k]["out"] is None
-    )
-    for end in solo_ends:
-        counter += 1
-        pid = f"P{counter}"
-        points.append(MarkedPoint(pid, BOUNDARY))
-        claim(end, pid)
-    puncture_counter = 0
-    for cyc in cycles:
-        if len(cyc) == 1 and cyc[0] in special:
-            pid = f"X_{cyc[0]}"
-            points.append(MarkedPoint(pid, ORBIFOLD))
-        else:
-            puncture_counter += 1
-            pid = f"U{puncture_counter}"
-            points.append(MarkedPoint(pid, PUNCTURE))
-        for aid in cyc:
-            claim(in_end[aid], pid)
-        for prv, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-            joined(prv, nxt)
-    for v in vertices:
-        for k in (0, 1):
-            if (v, k) not in point_of_end:
-                raise error(BAD_INPUT, f"end ({v!r}, {k}) has no marked point", (v, k))
-
-    # Arcs: end 0 is the tail, end 1 the head.
-    arcs = [
-        Arc(v, point_of_end[(v, 0)], point_of_end[(v, 1)]) for v in vertices
+    # (id, kind, ends) of each marked point: chains, lone ends, cycles.
+    marks = [
+        (f"P{i}", BOUNDARY, [out_end[chain[0]]] + [in_end[a] for a in chain])
+        for i, chain in enumerate(chains, 1)
     ]
+    reached = {*out_end.values(), *in_end.values()}
+    lone = [(v, k) for v in vertices for k in (0, 1) if (v, k) not in reached]
+    marks += [(f"P{i}", BOUNDARY, [end]) for i, end in enumerate(lone, len(chains) + 1)]
+    punctures = 0
+    for cyc in cycles:
+        if len(cyc) == 1 and cyc[0] in pres.special:
+            pid, kind = f"X_{cyc[0]}", ORBIFOLD
+        else:
+            punctures += 1
+            pid, kind = f"U{punctures}", PUNCTURE
+        marks.append((pid, kind, [in_end[a] for a in cyc]))
+    point_of_end = {end: pid for pid, _, ends in marks for end in ends}
+    points = [MarkedPoint(pid, kind) for pid, kind, _ in marks]
+    arcs = [Arc(v, point_of_end[(v, 0)], point_of_end[(v, 1)]) for v in vertices]
 
-    def head_end(side: tuple[str, int]) -> tuple[str, int]:
-        v, d = side
-        return (v, 1 if d == 1 else 0)
-
-    def tail_end(side: tuple[str, int]) -> tuple[str, int]:
-        v, d = side
-        return (v, 0 if d == 1 else 1)
-
-    def next_side(side: tuple[str, int]) -> Optional[tuple[str, int]]:
-        v, k = head_end(side)
-        out = ends[v][k]["out"]
-        if out is None:
-            return None
-        w, kk = in_end[out]
-        return (w, 1 if kk == 0 else -1)
-
-    all_sides = sorted(
-        ((v, d) for v in vertices for d in (1, -1)),
-        key=lambda s: (s[0], -s[1]),
-    )
-    starts = [s for s in all_sides if ends[tail_end(s)[0]][tail_end(s)[1]]["in"] is None]
-    placed: set[tuple[str, int]] = set()
-    polygons: list[Polygon] = []
+    leaving = {end: a for a, end in out_end.items()}
+    entered = set(in_end.values())
+    tails = [(v, k) for v in vertices for k in (0, 1) if (v, k) not in entered]
     bsegs: list[BoundarySegment] = []
-    fcount = 0
-    for start in starts:
-        if start in placed:
-            continue
-        run = [start]
-        placed.add(start)
-        while True:
-            nxt = next_side(run[-1])
-            if nxt is None:
-                break
-            if nxt in placed:
-                raise error(BAD_INPUT, f"face tracing revisited side {nxt!r}", nxt)
-            run.append(nxt)
-            placed.add(nxt)
-        fcount += 1
-        bid = f"b{fcount}"
-        bsegs.append(
-            BoundarySegment(
-                bid,
-                point_of_end[head_end(run[-1])],
-                point_of_end[tail_end(run[0])],
-            )
-        )
-        polygons.append(
-            Polygon(
-                f"F{fcount}",
-                (bseg_side(bid),) + tuple(arc_side(v, d) for v, d in run),
-            )
-        )
-    missed = sorted(set(all_sides) - placed)
-    if missed:
-        raise error(BAD_INPUT, f"face tracing missed side {missed[0]!r}", missed[0])
+    polygons: list[Polygon] = []
+    for f, tail in enumerate(tails, 1):
+        run = [tail]
+        head = (tail[0], 1 - tail[1])
+        while head in leaving:
+            run.append(in_end[leaving[head]])
+            head = (run[-1][0], 1 - run[-1][1])
+        bsegs.append(BoundarySegment(f"b{f}", point_of_end[head], point_of_end[tail]))
+        sides = tuple(arc_side(v, 1 - 2 * k) for v, k in run)
+        polygons.append(Polygon(f"F{f}", (bseg_side(f"b{f}"),) + sides))
     surf = make_surface(name, points, arcs, bsegs, polygons)
     raise_on_error(validate(surf))
     return surf
@@ -876,7 +762,7 @@ def _reconstruct(
 def surface_from_gentle(pair: Presentation, name: str = "reconstructed") -> DissectedSurface:
     """The dissected surface whose quiver is the given gentle pair."""
     raise_on_error(check_gentle(pair))
-    return _reconstruct(pair, pair.vertices, pair.monomial_pairs, frozenset(), name)
+    return _reconstruct(pair, name)
 
 
 def surface_from_triple(triple: Presentation, name: str = "reconstructed") -> DissectedSurface:
@@ -884,9 +770,7 @@ def surface_from_triple(triple: Presentation, name: str = "reconstructed") -> Di
     that of its companion pair, read off the triple and its loop squares
     without building the pair, with an orbifold point on each loop."""
     raise_on_error(check_skew_gentle(triple))
-    return _reconstruct(
-        triple, sorted(triple.vertices), _companion_pairs(triple), triple.special, name
-    )
+    return _reconstruct(triple, name)
 
 
 # ---------------------------------------------------------------------------

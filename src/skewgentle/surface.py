@@ -30,7 +30,10 @@ blank lines and ``#`` comments are ignored::
 
 Polygon words are counterclockwise with the interior on the left; the
 printer emits the canonical form (boundary segment first, records sorted
-by id), and parsing that output reproduces it byte for byte.
+by id), and parsing that output reproduces it byte for byte.  An id holds
+no whitespace and none of the separators of the records that name it:
+the parser refuses such an id on its own line and the printer refuses to
+write it.
 """
 from __future__ import annotations
 
@@ -1290,6 +1293,27 @@ _KINDS = {
 }
 _PASSAGE_RE = re.compile(r"^\(([^,()\s]+),(\d+),(\d+),(left|right)\)$")
 
+# What each kind of id may not hold: whitespace, and the separators of the
+# records that name it, in polygon words (``,`` and ``:``), curve passages
+# (``,``, ``;`` and parentheses) and the involution entries (``<->``, and
+# ``~rev`` at the end of an arc id).
+_UNWRITABLE = {
+    "point": re.compile(r"\s|<->"),
+    "bseg": re.compile(r"[\s,:]"),
+    "arc": re.compile(r"[\s,:]|<->|~rev\Z"),
+    "poly": re.compile(r"[\s,;()]"),
+}
+_WHITESPACE = re.compile(r"\s")
+
+
+def _id_fault(kind: str, ident: str) -> Optional[str]:
+    """Why the file format cannot carry ``ident`` as the id of a ``kind``
+    record, or ``None`` when it can."""
+    if not ident:
+        return f"{kind} id is empty"
+    found = _UNWRITABLE.get(kind, _WHITESPACE).search(ident)
+    return f"{kind} id {ident!r} holds {found.group()!r}" if found else None
+
 
 def _syntax(ln: int, message: str) -> ValidationError:
     return error(SYNTAX, f"line {ln}: {message}", (ln,))
@@ -1355,6 +1379,9 @@ def parse_surface_file(text: str) -> SurfaceFile:
             continue
         tokens = line.split()
         head = tokens[0]
+        unwritable = _UNWRITABLE.get(head)
+        if unwritable and len(tokens) > 1 and unwritable.search(tokens[1]):
+            raise _syntax(ln, _id_fault(head, tokens[1]))
         if head == "surface":
             if len(tokens) != 2:
                 raise _syntax(ln, "surface takes exactly one name")
@@ -1428,7 +1455,25 @@ def _format_side(side) -> str:
 
 
 def format_surface_file(sf: SurfaceFile) -> str:
+    """The file text of ``sf``.  ``BAD_INPUT`` names each id that the
+    format cannot carry: an empty one, or one holding whitespace or a
+    separator of the records that name it."""
     s = sf.surface
+    named = [("surface", s.name)]
+    for kind, records in (
+        ("point", s.points),
+        ("bseg", s.bsegs),
+        ("arc", s.arcs),
+        ("poly", s.polygons),
+        ("curve", sf.curves.values()),
+    ):
+        named += [(kind, r.id) for r in records]
+    report = Report()
+    for kind, ident in named:
+        fault = _id_fault(kind, ident)
+        if fault:
+            report.add(BAD_INPUT, fault, (ident,))
+    raise_on_error(report)
     lines = [f"surface {s.name}"]
     for p in sorted(s.points, key=lambda x: x.id):
         lines.append(f"point {p.id} kind={p.kind}")

@@ -7,7 +7,10 @@ meaningful evidence rather than a tautology.  :func:`companion_check`
 validates a skew-gentle triple through its built companion gentle pair,
 the reference for the library's one walk over the triple, and
 :func:`is_connected` searches a glued quiver's underlying graph, the
-reference for the piece-graph decision of ``random_triple``.  The
+reference for the piece-graph decision of ``random_triple``.
+:func:`presentation_census` lists every small presentation, and
+:func:`census_round_trip` sends each gentle pair and triple among them
+through the reconstruction and back.  The
 presentation isomorphism search and the reversal of a curve check the
 paper's bijection and the sign of a winding, and tracing the faces of a
 dual arc system checks the crossing count of ``is_dual_dissection``;
@@ -58,21 +61,28 @@ from __future__ import annotations
 
 import argparse
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from skewgentle import (
+    Arrow,
     CombinatorialCurve,
     CornerAlgebra,
     InvariantTuple,
     Passage,
     SignedPermutation,
     TableAlgebra,
+    algebra_dimension,
     boundary_components,
     check_gentle,
+    check_skew_gentle,
+    extract_quiver,
     make_presentation,
     skew_group_algebra,
+    surface_from_gentle,
+    surface_from_triple,
     topology,
     validate_curve,
     winding,
@@ -210,6 +220,64 @@ def is_connected(pres) -> bool:
             seen.add(w)
             stack.append(w)
     return len(seen) == len(pres.vertices)
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1)
+    )
+
+
+def presentation_census(k: int, max_arrows: int):
+    """Every presentation on the vertices ``1..k`` with at most
+    ``max_arrows`` arrows ``a0, a1, ...`` placed, in order, on a multiset
+    of (source, target) pairs, with any set of composable pairs as
+    monomial relations and any subset of the loops whose square is not a
+    relation as special loops.  Arrow sets in which a vertex has more
+    than two arrows in or out, and relation sets in which an arrow starts
+    or ends two relations, are skipped: no check accepts them."""
+    vertices = [str(v) for v in range(1, k + 1)]
+    ends = [(s, t) for s in vertices for t in vertices]
+    for n in range(max_arrows + 1):
+        for placed in itertools.combinations_with_replacement(ends, n):
+            sources, targets = Counter(s for s, _ in placed), Counter(t for _, t in placed)
+            if any(c > 2 for c in (*sources.values(), *targets.values())):
+                continue
+            arrows = [Arrow(f"a{i}", s, t) for i, (s, t) in enumerate(placed)]
+            composable = [(a.id, b.id) for a in arrows for b in arrows if a.target == b.source]
+            for rels in _subsets(composable):
+                firsts, seconds = {p[0] for p in rels}, {p[1] for p in rels}
+                if len(firsts) < len(rels) or len(seconds) < len(rels):
+                    continue
+                loops = [a.id for a in arrows if a.source == a.target and (a.id, a.id) not in rels]
+                for special in _subsets(loops):
+                    yield make_presentation(vertices, arrows, [(p,) for p in rels], special)
+
+
+def census_round_trip(k: int, max_arrows: int) -> tuple[int, int]:
+    """The numbers of gentle pairs (no special loop, ``check_gentle``) and
+    of triples (``check_skew_gentle``) in :func:`presentation_census`.
+
+    Each one is rebuilt as a surface, whose quiver must be isomorphic to
+    it and whose ``algebra_dimension`` must equal the path count with the
+    special loops squaring to zero; a failure raises ``AssertionError``
+    naming the presentation."""
+    pairs = triples = 0
+    for pres in presentation_census(k, max_arrows):
+        if pres.special:
+            if not check_skew_gentle(pres).ok:
+                continue
+            surface = surface_from_triple(pres)
+            triples += 1
+        else:
+            if not check_gentle(pres).ok:
+                continue
+            surface = surface_from_gentle(pres)
+            pairs += 1
+        assert iso_presentations(extract_quiver(surface).presentation, pres) is not None, pres
+        dimension = monomial_path_count(pres, nilpotent_loops=pres.special)
+        assert algebra_dimension(surface) == dimension, pres
+    return pairs, triples
 
 
 def euler_characteristic(surface) -> int:

@@ -21,6 +21,13 @@ import oracles
 import skewgentle
 from skewgentle import (
     BOUNDARY,
+    Arc,
+    BoundarySegment,
+    CombinatorialCurve,
+    MarkedPoint,
+    Passage,
+    Polygon,
+    Side,
     SurfaceFile,
     classify_dissection,
     cli,
@@ -28,16 +35,18 @@ from skewgentle import (
     double_cover,
     fixture_path,
     format_surface_file,
+    make_surface,
     one_orbifold_disc,
     parse_surface_file,
     random_gentle_pair,
     random_x_dissection,
     surface_from_gentle,
     two_orbifold_cylinder,
+    validate,
     winding,
 )
 from skewgentle.cli import main
-from skewgentle.diagnostics import SYNTAX, ValidationError
+from skewgentle.diagnostics import BAD_INPUT, SYNTAX, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(skewgentle.__file__).resolve().parent
@@ -76,6 +85,73 @@ def test_round_trip_preserves_curves_and_involution(tmp_path):
     assert format_surface_file(sf) == text
     torus = parse_surface_file(_data_text("torus"))
     assert torus.involution is not None
+
+
+def _renamed(text: str, old: str, new: str) -> str:
+    """``text`` with every whole id ``old`` renamed ``new``."""
+    return re.sub(rf"(?<![^\s=:,]){re.escape(old)}(?![^\s:,])", lambda m: new, text)
+
+
+# (record, id in cylinder1, a new id that the format cannot carry there)
+UNWRITABLE_IDS = [
+    ("point", "B", "B<->C"),
+    ("arc", "1", "1,x"),
+    ("arc", "1", "1:x"),
+    ("arc", "1", "1<->x"),
+    ("arc", "1", "x~rev"),
+    ("bseg", "b_bot", "b,x"),
+    ("bseg", "b_bot", "b:x"),
+    ("poly", "lower", "lo,w"),
+    ("poly", "lower", "lo;w"),
+    ("poly", "lower", "lo(w"),
+    ("poly", "lower", "lo)w"),
+]
+
+
+@pytest.mark.parametrize("kind, old, new", UNWRITABLE_IDS)
+def test_an_id_the_format_cannot_carry_is_refused_on_its_line(kind, old, new):
+    text = _renamed(_data_text("cylinder1"), old, new)
+    (line,) = [n for n, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{kind} {new} ")]
+    with pytest.raises(ValidationError) as exc:
+        parse_surface_file(text)
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(SYNTAX, (line,))]
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    UNWRITABLE_IDS + [("arc", "1", ""), ("point", "B", "B x"), ("curve", "core", "co\tre")],
+)
+def test_the_printer_refuses_an_id_it_cannot_write_back(kind, old, new):
+    sf = parse_surface_file(_data_text("cylinder1") + CORE_LINE + "\n")
+    s = sf.surface
+
+    def rn(ident):
+        return new if ident == old else ident
+
+    surface = make_surface(
+        s.name,
+        [MarkedPoint(rn(p.id), p.kind) for p in s.points],
+        [Arc(rn(a.id), rn(a.tail), rn(a.head)) for a in s.arcs],
+        [BoundarySegment(rn(b.id), rn(b.tail), rn(b.head)) for b in s.bsegs],
+        [Polygon(rn(p.id), tuple(Side(x.kind, rn(x.ref), x.direction) for x in p.sides))
+         for p in s.polygons],
+    )
+    assert validate(surface).ok
+    core = sf.curves["core"]
+    passages = tuple(Passage(rn(p.polygon), p.entry, p.exit, p.bseg_side) for p in core.passages)
+    curves = {rn("core"): CombinatorialCurve(rn("core"), core.closed, passages)}
+    with pytest.raises(ValidationError) as exc:
+        format_surface_file(SurfaceFile(surface, None, curves))
+    assert [(d.code, d.where) for d in exc.value.diagnostics] == [(BAD_INPUT, (new,))]
+
+
+@pytest.mark.parametrize(
+    "old, new", [("B", "B,1:(x);~rev"), ("1", "1;(x)"), ("b_bot", "b;(<->)"), ("lower", "lo:w<->")]
+)
+def test_ids_holding_the_separators_of_other_records_round_trip(old, new):
+    curves = f"{CORE_LINE}\n{STAIR_LINE}\n".replace(f"({old},", f"({new},")
+    text = _renamed(_data_text("cylinder1"), old, new) + curves
+    assert format_surface_file(parse_surface_file(text)) == text
 
 
 def test_boundary_marked_alias_is_accepted():
@@ -297,6 +373,21 @@ def test_export_dot_emits_graphviz(capsys):
     assert out.rstrip().endswith("}")
     assert '"1" -> "2" [label="1.2"]' in out
     assert "style=bold" in out
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    path = tmp_path / "quoted.surf"
+    path.write_text(_renamed(_renamed(_data_text("cylinder1"), "1", '1"x'), "2", "2\\"))
+    assert main(["export-dot", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert r'  "1\"x";' in lines
+    assert r'  "2\\";' in lines
+    assert r'  "1\"x" -> "2\\" [label="1\"x.2\\"];' in lines
+    for line in lines:
+        if not line.lstrip().startswith("//"):
+            # every quoted string closes: none of '"' or '\' is left outside
+            bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
+            assert '"' not in bare and "\\" not in bare, line
 
 
 def test_missing_file_gives_exit_two(capsys):

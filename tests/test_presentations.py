@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    census_round_trip,
     companion_check,
     companion_pair,
     is_connected,
@@ -668,23 +669,31 @@ def test_reconstruction_check_is_a_diagnostic(monkeypatch):
     assert [d.code for d in exc.value.diagnostics] == [BAD_EULER]
 
 
-def test_face_tracing_check_is_a_diagnostic(monkeypatch):
-    # Two relations sharing the arrow ``a`` slip past a disabled gentle
-    # check; the reconstruction names the pair instead of asserting.
-    from skewgentle.diagnostics import BAD_INPUT, Report
-
+def test_a_shared_arrow_is_refused_at_the_boundary():
+    # Two relations sharing the arrow ``a``: the gentle check refuses the
+    # pair before the reconstruction, which checks nothing itself, runs.
     pair = make_presentation(
         ["1", "2", "3", "4"],
         [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "2", "4")],
         [(("a", "b"),), (("a", "c"),)],
     )
-    monkeypatch.setattr(presentations, "check_gentle", lambda pres: Report())
     with pytest.raises(ValidationError) as exc:
         surface_from_gentle(pair)
-    (diag,) = exc.value.diagnostics
-    assert diag.code == BAD_INPUT
-    assert diag.where in (("a", "b"), ("a", "c"))
-    assert "shares an arrow" in diag.message
+    assert [(d.code, d.where, d.message) for d in exc.value.diagnostics] == [
+        (SUCCESSOR_CLASH, ("a",), "arrow 'a' has several relation successors ['b', 'c']"),
+        (NOT_GENTLE, (), "presentation is not a gentle pair"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "k, pairs, triples", [(1, 2, 1), (2, 23, 17), (3, 526, 412)]
+)
+def test_census_of_small_presentations_round_trips(k, pairs, triples):
+    """Every gentle pair and skew-gentle triple on ``k`` vertices with at
+    most 4 arrows is rebuilt as a surface whose quiver is isomorphic to it
+    and whose algebra dimension is its path count; the counts are pinned,
+    so a change to the enumeration or to the checks shows."""
+    assert census_round_trip(k, 4) == (pairs, triples)
 
 
 # ---------------------------------------------------------------------------
